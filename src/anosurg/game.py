@@ -26,7 +26,8 @@ from .quadfield import QuadNum, qn_pow
 from .torus import (EigenFrame, FrameView, HyperbolicMatrix, InvariantError,
                     MarkedPointHit, MarkedSet, Point, eigenframe, fixing_lift,
                     quadrant_contracting, quadrant_view, QUADRANTS)
-from .rectangles import lattice_widths
+from .rectangles import (first_window_hits, lattice_widths, period_window,
+                         primitive_family)
 
 DEFAULT_BUDGET = 10_000
 
@@ -99,7 +100,7 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
         raise GameError("budget must be at least 1")
 
     sp, up = view.s(p), view.u(p)
-    ws, wu = lattice_widths(view)
+    widths = lattice_widths(view)
     t = t0
     h = zero
     trace: list[Crossing] = []
@@ -113,21 +114,7 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
         return out
 
     while h < r:
-        # search upward in growing height windows so the scanned area stays
-        # proportional to the hit count even when t has blown up
-        if t >= ws:
-            window = wu * (ws / t)
-        else:
-            window = wu
-        cands = []
-        h_lo = h
-        while not cands and h_lo < r:
-            h_hi = h_lo + window
-            if h_hi > r:
-                h_hi = r
-            cands = strip_hits(h_lo, h_hi)
-            h_lo = h_hi
-            window = window + window
+        cands = first_window_hits(strip_hits, t, h, r, widths)
         if not cands:
             return GameOutcome("Defined", t, tuple(trace))
         hmin = min(c.u for c in cands)
@@ -223,24 +210,14 @@ class DominationAnalysis:
     # -- per-origin analysis -------------------------------------------------
 
     def _analyze_base(self, base: Point, period: int):
-        view, lam = self.view, self.lam
-        big = qn_pow(lam, period)          # multiplicative period of the family
-        ws, wu = lattice_widths(view)
-        m = max(ws, wu)
-        u_cap = lam * lam * m * m          # primitive boxes with base >= 1 fit below
+        view = self.view
+        big, u_cap = period_window(view, period)
         s0, u0 = view.s(base), view.u(base)
-        box = view.hits(self.X, s0, s0 + big, u0, u0 + u_cap)
-        from .rectangles import prefix_primitive_flags
-        prim = prefix_primitive_flags(box, (s0, u0))
-        rects = []                         # (mu, height) of window-primitive rects
-        for cand, primitive in zip(box, prim):
-            mu, rho = cand.s - s0, cand.u - u0
-            if not primitive or mu < 1 or mu >= big or rho <= 0:
-                continue
-            rects.append((mu, rho, cand))
+        rects = [(cand.s - s0, cand.u - u0, cand)   # (mu, height) sorted by mu
+                 for cand in primitive_family(view, self.X, base, big, u_cap)
+                 if 1 <= cand.s - s0 < big]
         if not rects:
             raise InvariantError(f"no primitive rectangle at origin {base}")
-        rects.sort(key=lambda rc: rc[0])
         bases = [mu for mu, _, _ in rects]
 
         def next_break(v: QuadNum):

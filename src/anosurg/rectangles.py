@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .quadfield import QuadNum
+from .quadfield import QuadNum, qn_pow
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, eigenframe,
                     enumerate_hits, hits_in_box)
@@ -131,25 +131,68 @@ def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
     return got == corners
 
 
-def prefix_primitive_flags(box, origin_su):
-    """For hits sorted by (s, u) in a box cornered at origin_su: flags[i] is
-    True iff no hit other than the origin and hits[i] itself lies weakly
-    below-left of hits[i].  Distinct lifts never share an s-coordinate, so a
-    single prefix minimum of u decides primitivity in one pass."""
-    flags = []
-    best = None
-    for h in box:
-        flags.append(best is None or best > h.u)
-        if (h.s, h.u) != origin_su and (best is None or h.u < best):
-            best = h.u
-    return flags
-
-
 def lattice_widths(view: FrameView):
     """W_s = |s(1,0)| + |s(0,1)|, W_u likewise, in view coordinates."""
     ws = abs(view.s((1, 0))) + abs(view.s((0, 1)))
     wu = abs(view.u((1, 0))) + abs(view.u((0, 1)))
     return ws, wu
+
+
+def period_window(view: FrameView, period: int):
+    """(lam^period, lam^2 m^2) with m = max(W_s, W_u): one multiplicative
+    period of base lengths for an origin of that period, and a height cap
+    below which every primitive box with base length at least 1 fits."""
+    ws, wu = lattice_widths(view)
+    m = max(ws, wu)
+    return qn_pow(view.lam, period), view.lam * view.lam * m * m
+
+
+def first_window_hits(scan, width, lo, hi, widths):
+    """The hits of the first nonempty scan(a, b) over the height windows
+    (a, b] climbing from lo to hi; [] when there are none.
+
+    The first window holds about one lift for a strip of this stable width
+    and the windows double, so the scanned area stays proportional to the
+    hit count however wide or narrow the strip is.
+    """
+    ws, wu = widths
+    window = wu * (ws / width) if width >= ws else wu
+    while lo < hi:
+        top = min(lo + window, hi)
+        hits = scan(lo, top)
+        if hits:
+            return hits
+        lo, window = top, window + window
+    return []
+
+
+def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
+    """The Pareto-minimal lifts of X in the view box (s0, s0 + s_width] x
+    (u0, u0 + u_cap] at the origin (s0, u0), sorted by s: the far corners of
+    the primitive view-increasing X-rectangles at the origin.
+
+    These are the lattice's relative minima in the quadrant (its Klein
+    sail), listed right to left, each the lowest lift in the strip left of
+    the previous one: the work grows with their number, not the box's area.
+    A strip (s0, right] is searched strictly above the previous lift, which
+    sits on its right edge; distinct lifts never share an s or a u
+    coordinate, so the strips see exactly the closed box.
+    """
+    s0, u0 = view.s(origin), view.u(origin)
+    widths = lattice_widths(view)
+    right, lo = s0 + s_width, u0
+
+    def scan(a, b):
+        return view.hits(X, s0, right, a, b, (False, True, False, True))
+
+    family = []
+    while True:
+        hits = first_window_hits(scan, right - s0, lo, u0 + u_cap, widths)
+        if not hits:
+            return family[::-1]
+        low = min(hits, key=lambda h: h.u)
+        family.append(low)
+        right, lo = low.s, low.u
 
 
 def enumerate_primitive(A: HyperbolicMatrix, X: MarkedSet, sign: str,
@@ -171,15 +214,8 @@ def enumerate_primitive(A: HyperbolicMatrix, X: MarkedSet, sign: str,
         for base in orb.points:
             s0, u0 = view.s(base), view.u(base)
             origin = MarkedPointHit(base, (0, 0), s0, u0, orb.twist)
-            box = view.hits(X, s0, s0 + s_max, u0, u0 + u_max)
-            prim = prefix_primitive_flags(box, (s0, u0))
-            for cand, primitive in zip(box, prim):
-                if not primitive:
-                    continue
-                ls, lu = cand.s - s0, cand.u - u0
-                if ls <= 0 or lu <= 0:
-                    continue
-                ratio = ls / lu
+            for cand in primitive_family(view, X, base, s_max, u_max):
+                ratio = (cand.s - s0) / (cand.u - u0)
                 # ratio == lam^2 can happen (the A-image of a ratio-1 box);
                 # the half-open window counts that orbit once, at ratio 1
                 if not (1 <= ratio < lam2):

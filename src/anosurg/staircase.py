@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quadfield import QuadNum, qn_pow
-from .rectangles import lattice_widths, prefix_primitive_flags
+from .rectangles import lattice_widths, period_window, primitive_family
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedSet, Point, QUADRANTS, _mat_apply,
                     eigenframe, fixing_lift, mod1, quadrant_contracting,
@@ -267,32 +267,18 @@ def _orbit_element(A: HyperbolicMatrix, X: MarkedSet, src: Point,
 
 
 def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
-               view: FrameView, lam: QuadNum):
+               view: FrameView):
     """Smallest primitive view-increasing rectangle at the origin lift with
     both diagonal corners in the origin's orbit, disjoint from the avoid set."""
     orb = X.orbit_containing(mod1(origin))
-    big = qn_pow(lam, orb.period)
-    ws, wu = lattice_widths(view)
-    m = max(ws, wu)
-    u_cap = lam * lam * m * m
+    big, u_cap = period_window(view, orb.period)
     s0, u0 = view.s(origin), view.u(origin)
-    box = view.hits(X, s0, s0 + big, u0, u0 + u_cap)
-    prim = prefix_primitive_flags(box, (s0, u0))
-    best = None
-    for cand, primitive in zip(box, prim):
-        ds, du = cand.s - s0, cand.u - u0
-        if not primitive or ds < 1 or ds >= big or du <= 0:
-            continue
-        if cand.base not in orb.points:
-            continue
-        if view.hits(avoid, s0, cand.s, u0, cand.u):
-            continue
-        if best is None or (ds, du) < (best[0], best[1]):
-            best = (ds, du, cand.lift)
-    if best is None:
-        raise StaircaseError(
-            "no primitive rectangle at the origin avoids the other set")
-    return best[2]
+    for cand in primitive_family(view, X, origin, big, u_cap):
+        if (1 <= cand.s - s0 < big and cand.base in orb.points
+                and not view.hits(avoid, s0, cand.s, u0, cand.u)):
+            return cand.lift
+    raise StaircaseError(
+        "no primitive rectangle at the origin avoids the other set")
 
 
 def _lam_power_of(lam: QuadNum, ratio: QuadNum, limit: int = 512):
@@ -325,7 +311,7 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
     lam = frame.lam
     n = X.orbit_containing(mod1(origin)).period
 
-    seed_end = _find_seed(X, avoid, origin, view, lam)
+    seed_end = _find_seed(X, avoid, origin, view)
     G = _orbit_element(A, X, origin, seed_end)
     g_scale = qn_pow(lam, -G.k)
     s0, u0 = view.s(origin), view.u(origin)

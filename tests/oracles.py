@@ -94,3 +94,14 @@ def census_keys(reps):
     """The comparable key set of an enumerate_primitive result."""
     return {(rep.rect.origin.base, rep.rect.endpoint.base,
              rep.rect.endpoint.lattice) for rep in reps}
+
+
+def oracle_pareto_frontier(points):
+    """Keys of the Pareto-minimal (key, s, u) points, sorted by s: those with
+    no other point below-left of them (coordinates are pairwise distinct)."""
+    front, lowest = [], None
+    for key, s, u in sorted(points, key=lambda p: p[1]):
+        if lowest is None or u < lowest:
+            front.append(key)
+            lowest = u
+    return front

@@ -1,6 +1,7 @@
 """The anosurg command line: deterministic JSON and SVG output, exact-string
 round-trips, exit codes, and the built-in example suite."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -43,6 +44,64 @@ class TestFixtureFiles:
         for name, payload in FIXTURES.items():
             on_disk = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
             assert on_disk == payload
+
+
+# SHA-256 of the stdout of each fixture command, recorded before
+# primitive_family replaced the full-box primitive scans; a faster engine
+# must reproduce these bytes.
+STDOUT_SHA256 = {
+    ("census", "a2_half"):
+        "334a1a5f351acf36eaa89f1df3d2e395db3d57005821b85469b128a715131f1c",
+    ("profile", "a2_half"):
+        "0ac483ab694298b976b2198a637abf99bc3f08af88f10564152ae9fa07af1778",
+    ("classify", "a2_half"):
+        "2cb1a57cf9eda34169641318779c70a4bb5e69e04d34b70e9afef37722f0d780",
+    ("thresholds", "a2_half"):
+        "f85101e78b6a4d94298c1586d00e43bb42b222c217d72f445cb4a11c1cc4df71",
+    ("staircase", "a2_half"):
+        "224a15493f91c4446900b63f3a3055f159997c74068238ae23441aad6b1e3b05",
+    ("staircase", "a2_half", "--set", "Y"):
+        "ff0058445a071f17d6d290363c710e04406d0a3e3ac8ed9572c17f8004e33006",
+    ("staircase", "a2_half", "--quadrant", "+-"):
+        "224a15493f91c4446900b63f3a3055f159997c74068238ae23441aad6b1e3b05",
+    ("census", "b2_half"):
+        "0a543f8d464c193d4dee2292ff7b12e5c299a3ae94a42f4d9c5d157386ee7639",
+    ("profile", "b2_half"):
+        "1a712d722e08d8aa966a352913a9e5c5efff6a8a8e23c425e37978a95394c325",
+    ("classify", "b2_half"):
+        "21bbe27ca64873b39d35e4b222fabebeb2e27c46fc7186226cff085a782f4d1d",
+    ("thresholds", "b2_half"):
+        "98d9cf0920b5b3b2abb572efcc3c0eacd26aad9f3b65ab10920809b28d3c3dde",
+    ("staircase", "b2_half"):
+        "bb5634c8652dc119ac97d315e50031a485792a4045a7cc4a00bc37e0a4759939",
+    ("staircase", "b2_half", "--set", "Y"):
+        "3a05baf5f06f8a11fa0158b5752db329a74184e6d16fdfb7401de02815227851",
+    ("staircase", "b2_half", "--quadrant", "+-"):
+        "747109f242bfadb0be9173b41662454ed357708dfb42fe681f2ad7d5945b7935",
+    ("census", "case3"):
+        "be7aeeaebc2a30fcae75558aa8fc3ad8e80570e4da5292b6bfd2ac31cf85c064",
+    ("profile", "case3"):
+        "70fef332192ffbcaf022900a8c367ea4576cecb595107f4137b3f7c12a452263",
+    ("classify", "case3"):
+        "bfe5c8e0bed6eb0befce9ee0de6db93c28bc7e2871cf26cc083d3045c3e5a57c",
+    ("thresholds", "case3"):
+        "5e32da12dd74e893bd98f4152c87cf417ed53b3fd4e24d1b040495bdfda17faf",
+    ("staircase", "case3"):
+        "8ca05df2796363570aea2ee9331837b7a598758053c025ebabc5c8d0f5f2f7c5",
+    ("staircase", "case3", "--set", "Y"):
+        "5671ca6df977f541a0636224576c4e3b8a75501f38d741e23a68bd4968816337",
+    ("staircase", "case3", "--quadrant", "+-"):
+        "224a15493f91c4446900b63f3a3055f159997c74068238ae23441aad6b1e3b05",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_fixture_stdout_is_byte_identical(run, argv):
+    command, fixture, *options = argv
+    code, out, _ = run(command, str(FIXTURE_DIR / f"{fixture}.json"),
+                       *options)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
 class TestCensus:

@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from anosurg import (DominationAnalysis, DominationHypothesisError, GameConfig,
-                     GameError, HyperbolicMatrix, QuadNum, domination_threshold,
-                     eigenframe, game_trace_records, marked_set, play_game,
-                     point, qn_pow)
+                     GameError, HyperbolicMatrix, QuadNum, case_profile,
+                     domination_threshold, eigenframe, game_trace_records,
+                     marked_set, orbit_of, play_game, point, qn_pow)
 
-from conftest import A2, B2, HALF, half_orbit_set, zero_orbit_set
+from conftest import A2, A3, B2, C3, HALF, half_orbit_set, zero_orbit_set
 
 
 def a2_config(frame, x_char=0, y_char=0, quadrant="++"):
@@ -159,6 +159,39 @@ class TestDomination:
         with pytest.raises(DominationHypothesisError) as exc:
             DominationAnalysis(B2, X, Y, sign="positive", frame=frame_b2)
         assert exc.value.witness is not None
+
+    def test_hypothesis_fails_exactly_when_the_profile_is_disjoint(self):
+        # DominationAnalysis(own, other, sign) and the profile boolean
+        # "a primitive sign-rectangle of own avoids other" judge the same
+        # family, one over a period window and one over the census window
+        rng = random.Random(1)
+
+        def torsion_point(d):
+            return point(Fraction(rng.randrange(d), d),
+                         Fraction(rng.randrange(d), d))
+
+        outcomes = set()
+        for _ in range(10):
+            A = rng.choice((A2, A3, C3))
+            d = rng.choice((2, 3))
+            p, q = torsion_point(d), torsion_point(d)
+            while q in orbit_of(A, p)[0]:
+                q = torsion_point(d)
+            X, Y = marked_set(A, [(p, 0)], "X"), marked_set(A, [(q, 0)], "Y")
+            frame = eigenframe(A)
+            variants = ((X, Y, "positive"), (X, Y, "negative"),
+                        (Y, X, "positive"), (Y, X, "negative"))
+            raised = []
+            for own, other, sign in variants:
+                try:
+                    DominationAnalysis(A, own, other, sign=sign, frame=frame)
+                    raised.append(False)
+                except DominationHypothesisError:
+                    raised.append(True)
+            profile = case_profile(A, X, Y, frame)
+            assert tuple(raised) == profile.booleans, (A, p, q)
+            outcomes.update(raised)
+        assert outcomes == {False, True}
 
     def test_empty_other_set_rejected(self, frame_a2):
         X = zero_orbit_set(A2, 0, "X")

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import (build_string, case_profile, census_records, eigenframe,
-                     enumerate_primitive, is_primitive, marked_rect,
-                     marked_set, point, rect_meets, string_element)
+from anosurg import (FrameView, build_string, case_profile, census_records,
+                     eigenframe, enumerate_primitive, is_primitive,
+                     marked_rect, marked_set, point, rect_meets,
+                     string_element)
+from anosurg.rectangles import period_window, primitive_family
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
-from oracles import census_keys, oracle_primitive_census
+from oracles import (census_keys, oracle_hits, oracle_pareto_frontier,
+                     oracle_primitive_census)
 
 FROZEN_COUNTS = {
     # matrix label: (positive count, negative count) for the (0,0) orbit
@@ -60,6 +63,37 @@ class TestCensus:
         assert recs[0]["sign"] == "positive"
         assert set(recs[0]) == {"sign", "origin", "endpoint", "lengths",
                                 "witness"}
+
+
+class TestPrimitiveFamily:
+    @pytest.mark.parametrize("label", ["A2", "A3", "C3"])
+    @pytest.mark.parametrize("make_set", [zero_orbit_set, half_points_set])
+    def test_matches_oracle_frontier_at_domination_window(self, label,
+                                                          make_set):
+        # the census oracle covers the ratio window; this covers the
+        # (lam^period, lam^2 m^2) window of the domination analysis and the
+        # staircase seed search, in the unflipped and the u-flipped view
+        A = FROZEN_COUNTS[label][0]
+        X = make_set(A)
+        frame = eigenframe(A)
+        windows = {base: period_window(FrameView(frame), orb.period)
+                   for orb in X.orbits for base in orb.points}
+        ss = [frame.s(base) for base in windows]
+        us = [frame.u(base) for base in windows]
+        widest = max(w[0] for w in windows.values())
+        tallest = max(w[1] for w in windows.values())
+        lifts = oracle_hits(frame, X, min(ss), max(ss) + widest,
+                            min(us) - tallest, max(us) + tallest)
+        for base, (big, u_cap) in windows.items():
+            s0, u0 = frame.s(base), frame.u(base)
+            for flip in (False, True):
+                sign = -1 if flip else 1
+                box = [((b, k), s, (u - u0) * sign) for b, k, s, u, _ in lifts
+                       if s0 < s <= s0 + big and 0 < (u - u0) * sign <= u_cap]
+                family = primitive_family(FrameView(frame, flip_u=flip),
+                                          X, base, big, u_cap)
+                assert ([(h.base, h.lattice) for h in family]
+                        == oracle_pareto_frontier(box))
 
 
 class TestHalfIntegerCovering:
