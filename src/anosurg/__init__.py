@@ -36,7 +36,7 @@ from .game import (DEFAULT_BUDGET, Crossing, DominationAnalysis,
 from .staircase import (StairStep, Staircase, StaircaseError, build_staircase,
                         containment_check, incompleteness_threshold,
                         staircase_records)
-from .classify import (STATUSES, SurgeryProblem, Verdict, classify,
+from .classify import (STATUSES, Analysis, SurgeryProblem, Verdict, classify,
                        quadrant_report, verdict_records)
 
 __version__ = "0.1.0"

@@ -12,13 +12,14 @@ twists (characteristic number times orbit period).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Point,
+from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit, Point,
                     eigenframe, mod1, sets_disjoint)
 from .rectangles import case_profile
 from .game import DominationAnalysis, DominationHypothesisError
-from .staircase import (Staircase, StaircaseError, build_staircase,
+from .staircase import (StaircaseError, build_staircase,
                         incompleteness_threshold, staircase_records)
 
 STATUSES = ("Suspension", "RCoveredPositive", "RCoveredNegative",
@@ -35,10 +36,6 @@ class SurgeryProblem:
         if not sets_disjoint(self.X, self.Y):
             raise ValueError("marked sets overlap")
 
-    @property
-    def frame(self):
-        return _frame(self.A)
-
     def geometry(self):
         """Hashable key identifying the problem up to the surgery strengths."""
         return (self.A,
@@ -51,7 +48,6 @@ class Verdict:
     status: str
     rule: str                      # which decision rule fired
     evidence: dict = field(default_factory=dict, compare=False)
-    primitive_reduction_assumed: bool = True
 
     def __post_init__(self):
         if self.status not in STATUSES:
@@ -59,95 +55,114 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# memoized geometry analyses (the sweep varies only the surgery strengths)
-
-_frames = {}
-_profiles = {}
-_dominations = {}
-_staircases = {}
+# geometry analyses (a sweep varies only the surgery strengths)
 
 
-def _frame(A):
-    if A not in _frames:
-        _frames[A] = eigenframe(A)
-    return _frames[A]
+def _once(method):
+    """Compute a method's result once per instance and arguments."""
+    @functools.wraps(method)
+    def memoized(self, *args):
+        table = self._memo.setdefault(method.__name__, {})
+        if args not in table:
+            table[args] = method(self, *args)
+        return table[args]
+    return memoized
+
+
+class Analysis:
+    """The certificates of one geometry, each computed once on first use:
+    the disjointness profile, the four domination analyses and the
+    staircases.  None of them depends on the surgery strengths; only the
+    checks against the twists do."""
+
+    def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet):
+        self.A, self.X, self.Y = A, X, Y
+        self.frame = eigenframe(A)
+        self._memo = {}
+
+    def _roles(self, own: str):
+        return (self.X, self.Y) if own == "X" else (self.Y, self.X)
+
+    @_once
+    def profile(self):
+        return case_profile(self.A, self.X, self.Y, self.frame)
+
+    @_once
+    def domination(self, own: str, sign: str):
+        """The (own-set rectangles, sign) domination analysis, or None when
+        some primitive rectangle misses the other set."""
+        first, second = self._roles(own)
+        try:
+            return DominationAnalysis(self.A, first, second, sign=sign,
+                                      frame=self.frame)
+        except DominationHypothesisError:
+            return None
+
+    @_once
+    def staircase_at(self, own: str, base: Point, quadrant: str):
+        """A staircase of the own set at the given origin, or None."""
+        first, second = self._roles(own)
+        try:
+            return build_staircase(self.A, first, second, base, quadrant,
+                                   self.frame)
+        except StaircaseError:
+            return None
+
+    @_once
+    def staircase(self, own: str, quadrant: str):
+        """(staircase, threshold) for the first point of the own set that
+        admits a staircase avoiding the other set, or None."""
+        for base in self._roles(own)[0].points:
+            st = self.staircase_at(own, base, quadrant)
+            if st is not None:
+                return st, incompleteness_threshold(st)
+        return None
+
+    def thresholds(self) -> dict:
+        """The four domination and four incompleteness thresholds (None
+        where no certificate exists), as the thresholds command prints."""
+        out = {"domination": {}, "incompleteness": {}}
+        for own in ("X", "Y"):
+            for sign in ("positive", "negative"):
+                analysis = self.domination(own, sign)
+                out["domination"][f"{own}-{sign}"] = (
+                    None if analysis is None else analysis.threshold)
+            for quadrant in ("++", "+-"):
+                got = self.staircase(own, quadrant)
+                out["incompleteness"][f"{own}-{quadrant}"] = (
+                    None if got is None else got[1])
+        return out
+
+
+@functools.lru_cache(maxsize=32)
+def analysis_of(geometry) -> Analysis:
+    """The shared Analysis of a SurgeryProblem.geometry() key.  Its marked
+    sets carry characteristic number 0, so problems differing only in their
+    strengths share it and none of their strengths is kept."""
+    A, x_orbits, y_orbits = geometry
+
+    def untwisted(orbits, role):
+        return MarkedSet(tuple(Orbit(pts, len(pts), 0) for pts in orbits), role)
+
+    return Analysis(A, untwisted(x_orbits, "X"), untwisted(y_orbits, "Y"))
 
 
 def _twists(mset: MarkedSet):
     return tuple(orb.twist for orb in mset.orbits)
 
 
-def _profile(problem: SurgeryProblem):
-    key = problem.geometry()
-    if key not in _profiles:
-        _profiles[key] = case_profile(problem.A, problem.X, problem.Y,
-                                      _frame(problem.A))
-    return _profiles[key]
-
-
-def _domination(problem: SurgeryProblem, own: str, sign: str):
-    """Domination threshold for the (own-set rectangles, sign) variant, or
-    None when some primitive rectangle misses the other set."""
-    key = (problem.geometry(), own, sign)
-    if key not in _dominations:
-        X, Y = problem.X, problem.Y
-        first, second = (X, Y) if own == "X" else (Y, X)
-        try:
-            analysis = DominationAnalysis(problem.A, first, second, sign=sign,
-                                          frame=_frame(problem.A))
-            _dominations[key] = analysis
-        except DominationHypothesisError:
-            _dominations[key] = None
-    return _dominations[key]
-
-
-def _staircase_at(problem: SurgeryProblem, own: str, base: Point,
-                  quadrant: str):
-    """A staircase of the own set at the given origin, or None."""
-    key = (problem.geometry(), own, base, quadrant)
-    if key not in _staircases:
-        X, Y = problem.X, problem.Y
-        first, second = (X, Y) if own == "X" else (Y, X)
-        try:
-            _staircases[key] = build_staircase(problem.A, first, second, base,
-                                               quadrant, _frame(problem.A))
-        except StaircaseError:
-            _staircases[key] = None
-    return _staircases[key]
-
-
-def _staircase(problem: SurgeryProblem, own: str, quadrant: str):
-    """A staircase of the own set avoiding the other, tried from every point
-    of the own set; None when no origin admits one."""
-    key = (problem.geometry(), own, quadrant)
-    if key not in _staircases:
-        first = problem.X if own == "X" else problem.Y
-        found = None
-        for base in first.points:
-            st = _staircase_at(problem, own, base, quadrant)
-            if st is not None:
-                found = (st, incompleteness_threshold(st))
-                break
-        _staircases[key] = found
-    return _staircases[key]
-
-
 # ---------------------------------------------------------------------------
 # the decision procedure
 
 
-def _sign_rule(problem: SurgeryProblem):
-    nonzero = [t for t in _twists(problem.X) + _twists(problem.Y) if t != 0]
+def _sign_rule(twists: dict):
+    nonzero = [t for t in twists["X"] + twists["Y"] if t != 0]
     if not nonzero:
         return Verdict("Suspension", "zero-surgeries")
     if all(t > 0 for t in nonzero):
-        return Verdict("RCoveredPositive", "sign-rule",
-                       {"twists": {"X": list(_twists(problem.X)),
-                                   "Y": list(_twists(problem.Y))}})
+        return Verdict("RCoveredPositive", "sign-rule", {"twists": twists})
     if all(t < 0 for t in nonzero):
-        return Verdict("RCoveredNegative", "sign-rule",
-                       {"twists": {"X": list(_twists(problem.X)),
-                                   "Y": list(_twists(problem.Y))}})
+        return Verdict("RCoveredNegative", "sign-rule", {"twists": twists})
     return None
 
 
@@ -160,14 +175,10 @@ _DOMINATION_VARIANTS = (
 )
 
 
-def _domination_rule(problem: SurgeryProblem):
+def _domination_rule(problem: SurgeryProblem, shared: Analysis):
     for own, sign, twisted, direction, status in _DOMINATION_VARIANTS:
         other = problem.Y if twisted == "Y" else problem.X
-        if (problem.X if own == "X" else problem.Y).is_empty():
-            continue
-        if other.is_empty():
-            continue
-        analysis = _domination(problem, own, sign)
+        analysis = shared.domination(own, sign)
         if analysis is None:
             continue
         tw = _twists(other)
@@ -191,12 +202,10 @@ _STAIRCASE_VARIANTS = (
 )
 
 
-def _staircase_rule(problem: SurgeryProblem):
-    if problem.X.is_empty() or problem.Y.is_empty():
-        return None
+def _staircase_rule(problem: SurgeryProblem, shared: Analysis):
     for (qx, dx), (qy, dy) in _STAIRCASE_VARIANTS:
-        got_x = _staircase(problem, "X", qx)
-        got_y = _staircase(problem, "Y", qy)
+        got_x = shared.staircase("X", qx)
+        got_y = shared.staircase("Y", qy)
         if got_x is None or got_y is None:
             continue
         (st_x, nx), (st_y, ny) = got_x, got_y
@@ -218,39 +227,30 @@ def _staircase_rule(problem: SurgeryProblem):
 
 def classify(problem: SurgeryProblem) -> Verdict:
     """Classify the surgered flow; see the module docstring for the order."""
-    verdict = _sign_rule(problem)
+    twists = {"X": list(_twists(problem.X)), "Y": list(_twists(problem.Y))}
+    verdict = _sign_rule(twists)
     if verdict is not None:
         return verdict
-    if not (problem.X.is_empty() or problem.Y.is_empty()):
-        verdict = _domination_rule(problem)
-        if verdict is not None:
-            return verdict
-        verdict = _staircase_rule(problem)
-        if verdict is not None:
-            return verdict
-    diagnostics = {"twists": {"X": list(_twists(problem.X)),
-                              "Y": list(_twists(problem.Y))}}
-    reduction = True
-    if not (problem.X.is_empty() or problem.Y.is_empty()):
-        prof = _profile(problem)
-        diagnostics["profile"] = {
-            "booleans": list(prof.booleans), "case": prof.case,
-            "symmetry": prof.symmetry,
-        }
-        reduction = prof.primitive_reduction_assumed
-        thresholds = {}
-        for own, sign, twisted, direction, _ in _DOMINATION_VARIANTS:
-            analysis = _domination(problem, own, sign)
-            if analysis is not None:
-                thresholds[f"domination-{own}-{sign}"] = analysis.threshold
-        for own, quadrants in (("X", ("++", "+-")), ("Y", ("++", "+-"))):
-            for q in quadrants:
-                got = _staircase(problem, own, q)
-                if got is not None:
-                    thresholds[f"staircase-{own}-{q}"] = got[1]
-        diagnostics["thresholds"] = thresholds
-    return Verdict("Unknown", "no-rule-applies", diagnostics,
-                   primitive_reduction_assumed=reduction)
+    diagnostics = {"twists": twists}
+    if problem.X.is_empty() or problem.Y.is_empty():
+        return Verdict("Unknown", "no-rule-applies", diagnostics)
+    shared = analysis_of(problem.geometry())
+    verdict = (_domination_rule(problem, shared)
+               or _staircase_rule(problem, shared))
+    if verdict is not None:
+        return verdict
+    prof = shared.profile()
+    diagnostics["profile"] = {
+        "booleans": list(prof.booleans), "case": prof.case,
+        "symmetry": prof.symmetry,
+    }
+    found = shared.thresholds()
+    diagnostics["thresholds"] = {
+        f"{prefix}-{key}": value
+        for prefix, kind in (("domination", "domination"),
+                             ("staircase", "incompleteness"))
+        for key, value in found[kind].items() if value is not None}
+    return Verdict("Unknown", "no-rule-applies", diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -272,31 +272,32 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
         own, other, own_name = problem.Y, problem.X, "Y"
     else:
         raise ValueError(f"{point} is not a marked point")
+    if other.is_empty():
+        return "Unknown", {}
     contracting = quadrant in ("++", "--")
     sign = "positive" if contracting else "negative"
+    shared = analysis_of(problem.geometry())
 
     complete = None
-    if not other.is_empty():
-        analysis = _domination(problem, own_name, sign)
-        if analysis is not None:
-            n = max(1, max(iv.least_n for iv in analysis.intervals(base)))
-            tw = _twists(other)
-            ok = (all(t >= n for t in tw) if contracting
-                  else all(t <= -n for t in tw))
-            if ok:
-                complete = {"threshold": n, "other_twists": list(tw)}
+    analysis = shared.domination(own_name, sign)
+    if analysis is not None:
+        n = max(1, max(iv.least_n for iv in analysis.intervals(base)))
+        tw = _twists(other)
+        ok = (all(t >= n for t in tw) if contracting
+              else all(t <= -n for t in tw))
+        if ok:
+            complete = {"threshold": n, "other_twists": list(tw)}
 
     incomplete = None
-    if not other.is_empty():
-        st = _staircase_at(problem, own_name, base, quadrant)
-        if st is not None:
-            n = incompleteness_threshold(st)
-            tw = _twists(own)
-            ok = (all(t <= -n for t in tw) if contracting
-                  else all(t >= n for t in tw))
-            if ok:
-                incomplete = {"threshold": n, "own_twists": list(tw),
-                              "staircase": staircase_records(st)}
+    st = shared.staircase_at(own_name, base, quadrant)
+    if st is not None:
+        n = incompleteness_threshold(st)
+        tw = _twists(own)
+        ok = (all(t <= -n for t in tw) if contracting
+              else all(t >= n for t in tw))
+        if ok:
+            incomplete = {"threshold": n, "own_twists": list(tw),
+                          "staircase": staircase_records(st)}
 
     if complete is not None and incomplete is not None:
         raise InvariantError(
@@ -313,6 +314,6 @@ def verdict_records(verdict: Verdict) -> dict:
     return {
         "status": verdict.status,
         "rule": verdict.rule,
-        "primitive_reduction_assumed": verdict.primitive_reduction_assumed,
+        "primitive_reduction_assumed": True,
         "evidence": verdict.evidence,
     }

@@ -25,11 +25,10 @@ from .quadfield import QuadFieldError, qn_from_str, qn_to_str
 from .torus import (HyperbolicMatrix, InvariantError, UnsupportedMatrixError,
                     eigenframe, marked_set, orbit_of, point)
 from .rectangles import census_records, case_profile, enumerate_primitive
-from .game import DEFAULT_BUDGET, DominationAnalysis, DominationHypothesisError
-from .game import GameConfig, game_trace_records, play_game
+from .game import DEFAULT_BUDGET, GameConfig, game_trace_records, play_game
 from .staircase import (StaircaseError, build_staircase, containment_check,
                         incompleteness_threshold, staircase_records)
-from .classify import SurgeryProblem, classify, verdict_records
+from .classify import Analysis, SurgeryProblem, classify, verdict_records
 from . import svgfig
 
 
@@ -161,7 +160,7 @@ def _cmd_profile(args):
         },
         "case": prof.case,
         "symmetry": prof.symmetry,
-        "primitive_reduction_assumed": prof.primitive_reduction_assumed,
+        "primitive_reduction_assumed": True,
         "witnesses": {k: census_records([v])[0]
                       for k, v in sorted(prof.witnesses.items())},
     })
@@ -224,29 +223,10 @@ def _cmd_staircase(args):
 
 def _cmd_thresholds(args):
     A, sets, _ = _read_problem(args.problem)
-    frame = eigenframe(A)
     X, Y = sets["X"], sets["Y"]
     if X.is_empty() or Y.is_empty():
         raise ParseError("sets: thresholds need nonempty X and Y")
-    out = {"domination": {}, "incompleteness": {}}
-    for own_name, own, other in (("X", X, Y), ("Y", Y, X)):
-        for sign in ("positive", "negative"):
-            try:
-                analysis = DominationAnalysis(A, own, other, sign=sign, frame=frame)
-                out["domination"][f"{own_name}-{sign}"] = analysis.threshold
-            except DominationHypothesisError:
-                out["domination"][f"{own_name}-{sign}"] = None
-        for quadrant in ("++", "+-"):
-            val = None
-            for base in own.points:
-                try:
-                    st = build_staircase(A, own, other, base, quadrant, frame)
-                except StaircaseError:
-                    continue
-                val = incompleteness_threshold(st)
-                break
-            out["incompleteness"][f"{own_name}-{quadrant}"] = val
-    _emit(out)
+    _emit(Analysis(A, X, Y).thresholds())
     return 0
 
 

@@ -20,11 +20,11 @@ of the primitive rectangle family at each marked origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .quadfield import QuadNum, qn_pow
 from .torus import (EigenFrame, FrameView, HyperbolicMatrix, InvariantError,
-                    MarkedPointHit, MarkedSet, Point, eigenframe, fixing_lift,
+                    MarkedPointHit, MarkedSet, Point, eigenframe,
                     quadrant_contracting, quadrant_view, QUADRANTS)
 from .rectangles import (first_window_hits, lattice_widths, period_window,
                          primitive_family)
@@ -49,7 +49,6 @@ class GameConfig:
     frame: EigenFrame
     sets: tuple            # tuple of MarkedSet, pairwise disjoint
     quadrant: str          # one of QUADRANTS
-    tie_decreasing: bool = True   # tie rule: process equal heights by decreasing offset
 
     def __post_init__(self):
         if self.quadrant not in QUADRANTS:
@@ -119,7 +118,7 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
             return GameOutcome("Defined", t, tuple(trace))
         hmin = min(c.u for c in cands)
         ties = [c for c in cands if c.u == hmin]
-        ties.sort(key=lambda c: c.s, reverse=config.tie_decreasing)
+        ties.sort(key=lambda c: c.s, reverse=True)   # decreasing offset first
         for c in ties:
             o = c.s - sp
             if not (0 < o < t):
@@ -183,19 +182,15 @@ class DominationAnalysis:
     """
 
     def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet,
-                 sign: str = "positive", frame: EigenFrame | None = None,
-                 mode: str = "closed"):
+                 sign: str = "positive", frame: EigenFrame | None = None):
         if sign not in ("positive", "negative"):
             raise ValueError(f"sign must be positive|negative, got {sign!r}")
-        if mode not in ("closed", "interior"):
-            raise ValueError(f"mode must be closed|interior, got {mode!r}")
         if X.is_empty() or Y.is_empty():
             raise DominationHypothesisError(
                 "both marked sets must be nonempty for the domination analysis")
         self.A = A
         self.X, self.Y = X, Y
         self.sign = sign
-        self.mode = mode
         self.frame = frame or eigenframe(A)
         self.view = FrameView(self.frame, flip_u=(sign == "negative"))
         self.lam = self.frame.lam
@@ -234,10 +229,9 @@ class DominationAnalysis:
             return bases[0] * big * qn_pow(big, -k)
 
         intervals = []
-        boundary = (True,) * 4 if self.mode == "closed" else (False,) * 4
         for i, (mu, rho, cand) in enumerate(rects):
             nu = rects[i + 1][0] if i + 1 < len(rects) else bases[0] * big
-            yhits = view.hits(self.Y, s0, s0 + mu, u0, u0 + rho, boundary)
+            yhits = view.hits(self.Y, s0, s0 + mu, u0, u0 + rho)
             if not yhits:
                 raise DominationHypothesisError(
                     f"primitive rectangle at {base} with endpoint lift "

@@ -182,19 +182,6 @@ class QuadNum:
 # operation-style API
 
 
-def qn_arith(x: QuadNum, y: QuadNum, op: str) -> QuadNum:
-    """Exact field arithmetic; op in {add, sub, mul, div}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise QuadFieldError(f"unknown op {op!r}")
-
-
 def qn_sign(x: QuadNum) -> int:
     """Sign of the real number a + b*sqrt(D), decided exactly."""
     return x.sign()

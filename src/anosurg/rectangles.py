@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .quadfield import QuadNum, qn_pow
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, eigenframe,
-                    enumerate_hits, hits_in_box)
+                    enumerate_hits, orbit_element)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class MarkedRect:
 @dataclass(frozen=True)
 class RectOrbitRep:
     rect: MarkedRect
-    witness: tuple = (0, (0, 0))   # (A-power, integer translation) normalizing it
 
 
 @dataclass(frozen=True)
@@ -79,28 +78,12 @@ class CaseProfile:
     neg_y_disjoint: bool
     case: int | str         # 1..4 after symmetry normalization, else "other"
     symmetry: str           # which symmetry mapped the booleans onto the case
-    primitive_reduction_assumed: bool = True
     witnesses: dict = field(default_factory=dict, compare=False)
 
     @property
     def booleans(self):
         return (self.pos_x_disjoint, self.neg_x_disjoint,
                 self.pos_y_disjoint, self.neg_y_disjoint)
-
-
-def _marked_rect_from_corners(view: FrameView, sign_view_is_negative: bool,
-                              origin: MarkedPointHit, endpoint: MarkedPointHit,
-                              frame: EigenFrame) -> MarkedRect:
-    """Build a MarkedRect in raw coordinates from view-positive corner hits."""
-    o_raw = MarkedPointHit(origin.base, origin.lattice,
-                           frame.s(origin.lift), frame.u(origin.lift), origin.twist)
-    e_raw = MarkedPointHit(endpoint.base, endpoint.lattice,
-                           frame.s(endpoint.lift), frame.u(endpoint.lift), endpoint.twist)
-    if sign_view_is_negative:
-        rect = EigenRect(e_raw.s, o_raw.s, o_raw.u, e_raw.u)
-        return MarkedRect(rect, "negative", o_raw, e_raw)
-    rect = EigenRect(o_raw.s, e_raw.s, o_raw.u, e_raw.u)
-    return MarkedRect(rect, "positive", o_raw, e_raw)
 
 
 def marked_rect(frame: EigenFrame, X: MarkedSet, origin_lift, endpoint_lift,
@@ -213,15 +196,13 @@ def enumerate_primitive(A: HyperbolicMatrix, X: MarkedSet, sign: str,
     for orb in X.orbits:
         for base in orb.points:
             s0, u0 = view.s(base), view.u(base)
-            origin = MarkedPointHit(base, (0, 0), s0, u0, orb.twist)
             for cand in primitive_family(view, X, base, s_max, u_max):
                 ratio = (cand.s - s0) / (cand.u - u0)
                 # ratio == lam^2 can happen (the A-image of a ratio-1 box);
                 # the half-open window counts that orbit once, at ratio 1
                 if not (1 <= ratio < lam2):
                     continue
-                mr = _marked_rect_from_corners(view, sign == "negative",
-                                               origin, cand, frame)
+                mr = marked_rect(frame, X, base, cand.lift, sign)
                 key = (base, cand.base, cand.lattice)
                 if key in seen:
                     raise InvariantError("duplicate normalized representative")
@@ -317,21 +298,11 @@ class StringDescriptor:
 def string_element(A: HyperbolicMatrix, X: MarkedSet,
                    seed: MarkedRect) -> GroupElement:
     """The group element G with G(origin) = endpoint for a same-orbit seed."""
-    ob, eb = seed.origin.base, seed.endpoint.base
-    orb = X.orbit_containing(ob)
-    if eb not in orb.points:
+    G = orbit_element(A, X, seed.origin.lift, seed.endpoint.lift)
+    if G is None:
         raise ValueError("seed diagonal endpoints lie in different orbits; "
                          "no group element maps origin to endpoint")
-    k = orb.points.index(eb) - orb.points.index(ob)
-    if k < 0:
-        k += orb.period
-    az = A.power_rows(k)
-    from .torus import _mat_apply
-    img = _mat_apply(az, seed.origin.lift)
-    v = (seed.endpoint.lift[0] - img[0], seed.endpoint.lift[1] - img[1])
-    if v[0].denominator != 1 or v[1].denominator != 1:
-        raise InvariantError("non-integral translation for string element")
-    return GroupElement(A, k, (int(v[0]), int(v[1])))
+    return G
 
 
 def build_string(A: HyperbolicMatrix, X: MarkedSet, seed: MarkedRect,
@@ -359,6 +330,7 @@ def census_records(reps) -> list:
             "endpoint": {"base": [str(mr.endpoint.base[0]), str(mr.endpoint.base[1])],
                          "lattice": list(mr.endpoint.lattice)},
             "lengths": {"s": qn_to_str(mr.rect.ls), "u": qn_to_str(mr.rect.lu)},
-            "witness": {"power": rep.witness[0], "translation": list(rep.witness[1])},
+            # every representative is already normalized: the identity
+            "witness": {"power": 0, "translation": [0, 0]},
         })
     return out

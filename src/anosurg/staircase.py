@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quadfield import QuadNum, qn_pow
-from .rectangles import lattice_widths, period_window, primitive_family
-from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
-                    InvariantError, MarkedSet, Point, QUADRANTS, _mat_apply,
-                    eigenframe, fixing_lift, mod1, quadrant_contracting,
+from .rectangles import (is_primitive, lattice_widths, marked_rect,
+                         period_window, primitive_family)
+from .torus import (EigenFrame, FrameView, HyperbolicMatrix, InvariantError,
+                    MarkedSet, Point, QUADRANTS, eigenframe, fixing_lift,
+                    group_element, mod1, orbit_element, quadrant_contracting,
                     quadrant_view)
 
 
@@ -51,15 +52,6 @@ class StairStep:
     q_lo: QuadNum            # height of the bottom side of R_i
     q_hi: QuadNum            # height of the top side of R_i
     safety: QuadNum          # stable length of the safety zone S_i
-
-
-def _box_is_primitive(view: FrameView, X: MarkedSet, o: Point, e: Point) -> bool:
-    """The closed view box spanned by the two lifts meets the set's lift only
-    at those two corners (orientation-free primitivity)."""
-    so, uo, se, ue = view.s(o), view.u(o), view.s(e), view.u(e)
-    hits = view.hits(X, min(so, se), max(so, se), min(uo, ue), max(uo, ue))
-    got = {(h.s, h.u) for h in hits}
-    return got == {(so, uo), (se, ue)}
 
 
 class Staircase:
@@ -153,6 +145,9 @@ class Staircase:
         """Check the staircase conditions exactly on all raw steps."""
         view, X, avoid = self.view, self.X, self.avoid
         s0, u0 = view.s(self.origin), view.u(self.origin)
+        # a view-increasing diagonal is increasing in the frame exactly when
+        # the view flips both axes or neither
+        sign = "positive" if view.flip_s == view.flip_u else "negative"
         steps = self.steps
         if steps[0].Ls != steps[0].ds or steps[0].q_lo != 0:
             raise InvariantError("level 0 is not the string seed")
@@ -175,7 +170,12 @@ class Staircase:
                     raise InvariantError(f"string broken at level {i}")
                 if not (nxt.q_lo == st.q_hi and nxt.Ls >= st.Ls):
                     raise InvariantError(f"level {i + 1} does not sit on level {i}")
-            if not _box_is_primitive(view, X, st.delta_origin, st.delta_endpoint):
+            # the frame rectangle's origin is its lower lift
+            lo, hi = st.delta_origin, st.delta_endpoint
+            if view.flip_u:
+                lo, hi = hi, lo
+            if not is_primitive(self.frame,
+                                marked_rect(self.frame, X, lo, hi, sign), X):
                 raise InvariantError(f"level {i} rectangle is not primitive")
             # disjointness of the closed R_i from the avoid set
             if view.hits(avoid, s0, s0 + st.Ls, u0 + st.q_lo, u0 + st.q_hi):
@@ -249,23 +249,6 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
         width = width + width
 
 
-def _orbit_element(A: HyperbolicMatrix, X: MarkedSet, src: Point,
-                   dst: Point) -> GroupElement:
-    """Group element A^k + v (least k >= 0) mapping the lift src to dst."""
-    orb = X.orbit_containing(mod1(src))
-    db = mod1(dst)
-    if db not in orb.points:
-        raise StaircaseError("lifts lie in different orbits")
-    k = orb.points.index(db) - orb.points.index(mod1(src))
-    if k < 0:
-        k += orb.period
-    img = _mat_apply(A.power_rows(k), src)
-    v = (dst[0] - img[0], dst[1] - img[1])
-    if v[0].denominator != 1 or v[1].denominator != 1:
-        raise InvariantError("lifts are not group-equivalent")
-    return GroupElement(A, k, (int(v[0]), int(v[1])))
-
-
 def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
                view: FrameView):
     """Smallest primitive view-increasing rectangle at the origin lift with
@@ -311,8 +294,14 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
     lam = frame.lam
     n = X.orbit_containing(mod1(origin)).period
 
+    def same_orbit_element(src, dst):
+        g = orbit_element(A, X, src, dst)
+        if g is None:
+            raise StaircaseError("lifts lie in different orbits")
+        return g
+
     seed_end = _find_seed(X, avoid, origin, view)
-    G = _orbit_element(A, X, origin, seed_end)
+    G = same_orbit_element(origin, seed_end)
     g_scale = qn_pow(lam, -G.k)
     s0, u0 = view.s(origin), view.u(origin)
     ws, _ = lattice_widths(view)
@@ -336,7 +325,7 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
         x_next = cur.delta_endpoint       # corner of R_i, base of level i+1
         gG = G.power(i + 1)
         o_lift, e_lift = gG.apply(origin), gG.apply(seed_end)
-        gi = _orbit_element(A, X, o_lift, x_next)
+        gi = same_orbit_element(o_lift, x_next)
         # left overhang of g_i(pushed level-(i+1) rectangle) around x_{i+1}
         b = qn_pow(lam, -gi.k) * qn_pow(g_scale, i + 1) * left0
         x_s = view.s(x_next) - s0
@@ -368,13 +357,8 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
                 continue
             if jpow <= 0:
                 continue  # the recurring element must contract heights
-            jg = -jpow
-            img = _mat_apply(A.power_rows(jg), prev.delta_origin)
-            v = (step.delta_origin[0] - img[0], step.delta_origin[1] - img[1])
-            if v[0].denominator != 1 or v[1].denominator != 1:
-                continue
-            g = GroupElement(A, jg, (int(v[0]), int(v[1])))
-            if g.apply(prev.delta_endpoint) != step.delta_endpoint:
+            g = group_element(A, -jpow, prev.delta_origin, step.delta_origin)
+            if g is None or g.apply(prev.delta_endpoint) != step.delta_endpoint:
                 continue
             found = (j, len(steps) - 1 - j, g)
             break

@@ -78,9 +78,6 @@ class HyperbolicMatrix:
     def apply_mod1(self, p: Point) -> Point:
         return mod1(self.apply(p))
 
-    def __mul__(self, other: "HyperbolicMatrix"):
-        return _mat_mul(self.rows(), other.rows())
-
     def power_rows(self, n: int):
         """Integer rows of A^n (n may be negative; det 1 so inverse is integral)."""
         if n >= 0:
@@ -428,13 +425,35 @@ class GroupElement:
         return g
 
 
+def group_element(A: HyperbolicMatrix, k: int, src: Point,
+                  dst: Point) -> GroupElement | None:
+    """The element A^k + v mapping the lift src to dst, or None when the
+    translation v is not integral."""
+    img = _mat_apply(A.power_rows(k), src)
+    v = (dst[0] - img[0], dst[1] - img[1])
+    if v[0].denominator != 1 or v[1].denominator != 1:
+        return None
+    return GroupElement(A, k, (int(v[0]), int(v[1])))
+
+
+def orbit_element(A: HyperbolicMatrix, X: MarkedSet, src: Point,
+                  dst: Point) -> GroupElement | None:
+    """The element A^k + v with least k >= 0 mapping the lift src to dst, or
+    None when the two lifts lie in different orbits of X."""
+    orb = X.orbit_containing(mod1(src))
+    db = mod1(dst)
+    if db not in orb.points:
+        return None
+    k = (orb.points.index(db) - orb.points.index(mod1(src))) % orb.period
+    return group_element(A, k, src, dst)
+
+
 def fixing_lift(A: HyperbolicMatrix, z: Point, n: int) -> GroupElement:
     """The lift T_v o A^n of f_A^n fixing the lift z (n a period of z's base)."""
-    az = _mat_apply(A.power_rows(n), z)
-    v = (z[0] - az[0], z[1] - az[1])
-    if v[0].denominator != 1 or v[1].denominator != 1:
+    g = group_element(A, n, z, z)
+    if g is None:
         raise InvariantError(f"{n} is not a period of {z}")
-    return GroupElement(A, n, (int(v[0]), int(v[1])))
+    return g
 
 
 class FrameView:
@@ -478,16 +497,6 @@ class FrameView:
                for h in raw]
         out.sort(key=lambda h: (h.s, h.u))
         return out
-
-    def group_scale(self, k: int):
-        """View-coordinate scaling of p |-> A^k p: (s,u) scale by these factors."""
-        return (self.lam ** (-k), self.lam ** k)
-
-    def apply_group(self, g: GroupElement, su):
-        """Image of a view-coordinate pair under g."""
-        s_scale, u_scale = self.group_scale(g.k)
-        vs, vu = self.s(g.v), self.u(g.v)
-        return (s_scale * su[0] + vs, u_scale * su[1] + vu)
 
 
 QUADRANTS = ("++", "--", "+-", "-+")

@@ -2,13 +2,17 @@
 verdicts on the frozen geometries, per-quadrant certificates, and the
 coherence sweep with its symmetry checks."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem, classify,
-                     marked_set, point, quadrant_report, verdict_records)
+from anosurg import (HyperbolicMatrix, InvariantError, STATUSES,
+                     SurgeryProblem, classify, marked_set, orbit_of, point,
+                     quadrant_report, verdict_records)
+from anosurg.classify import analysis_of
+from anosurg.cli import main
 
 from conftest import A2, B2, C3, HALF, half_orbit_set, zero_orbit_set
 
@@ -51,6 +55,32 @@ def role_swap(prob):
     Y = marked_set(prob.A, [(orb.points[0], orb.char)
                             for orb in prob.X.orbits], "Y")
     return SurgeryProblem(prob.A, X, Y)
+
+
+def random_geometries(seed, count):
+    """(matrix, X point, Y point) draws: A2 and C3 alternately, with two
+    points of the same 2- or 3-torsion in different orbits."""
+    rng = random.Random(seed)
+
+    def torsion_point(d):
+        return point(Fraction(rng.randrange(d), d),
+                     Fraction(rng.randrange(d), d))
+
+    out = []
+    for i in range(count):
+        A = (A2, C3)[i % 2]
+        d = rng.choice((2, 3))
+        p, q = torsion_point(d), torsion_point(d)
+        while q in orbit_of(A, p)[0]:
+            q = torsion_point(d)
+        out.append((A, p, q))
+    return out
+
+
+RANDOM_GEOMETRIES = random_geometries(3, 8)
+# draws on which classify raises InvariantError from build_staircase (A2
+# with the (1/3, 2/3) and (0, 1/3) orbits: the +- staircase at (1/3, 2/3))
+STAIRCASE_DEFECT_DRAWS = {4}
 
 
 FLIP_STATUS = {"Suspension": "Suspension", "NonRCovered": "NonRCovered",
@@ -148,6 +178,52 @@ class TestQuadrantReports:
     def test_unmarked_point_rejected(self):
         with pytest.raises(ValueError):
             quadrant_report(a2_problem(1, 1), point(Fraction(1, 3), 0), "++")
+
+
+class TestSharedAnalysis:
+    def test_same_geometry_shares_one_untwisted_analysis(self):
+        shared = analysis_of(a2_problem(1, -1).geometry())
+        assert analysis_of(a2_problem(-3, 2).geometry()) is shared
+        assert [orb.char for orb in shared.X.orbits + shared.Y.orbits] == \
+            [0, 0]
+
+    @pytest.mark.parametrize("draw", [
+        pytest.param(i, marks=pytest.mark.xfail(
+            raises=InvariantError, strict=True,
+            reason="build_staircase: limit height below the stored levels"))
+        if i in STAIRCASE_DEFECT_DRAWS else i
+        for i in range(len(RANDOM_GEOMETRIES))])
+    def test_verdict_thresholds_match_the_thresholds_command(
+            self, draw, tmp_path, capsys):
+        A, p, q = RANDOM_GEOMETRIES[draw]
+        verdicts = [classify(problem(A, [(p, x_char)], [(q, y_char)]))
+                    for x_char, y_char in ((1, -1), (-1, 1), (2, -1), (-1, 2))]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "matrix": [list(row) for row in A.rows()],
+            "sets": [{"point": [str(p[0]), str(p[1])], "role": "X"},
+                     {"point": [str(q[0]), str(q[1])], "role": "Y"}]}))
+        assert main(["thresholds", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        for v in verdicts:
+            ev = v.evidence
+            if v.status == "Unknown":
+                # the diagnostics omit the certificates that do not exist
+                assert ev["thresholds"] == {
+                    f"{prefix}-{key}": value
+                    for prefix, kind in (("domination", "domination"),
+                                         ("staircase", "incompleteness"))
+                    for key, value in printed[kind].items()
+                    if value is not None}
+            elif v.status == "NonRCovered":
+                qx, qy = (("++", "+-") if v.rule.endswith("quadrants")
+                          else ("+-", "++"))
+                assert ev["thresholds"] == {
+                    "X": printed["incompleteness"][f"X-{qx}"],
+                    "Y": printed["incompleteness"][f"Y-{qy}"]}
+            else:
+                key = f"{ev['rectangles']}-{ev['sign']}"
+                assert ev["threshold"] == printed["domination"][key]
 
 
 class TestProblemValidation:

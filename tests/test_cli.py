@@ -3,6 +3,7 @@ round-trips, exit codes, and the built-in example suite."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -264,8 +265,11 @@ class TestExamples:
         assert "FAIL" not in out
 
     def test_console_script(self, a2_path):
+        # the child process does not inherit pytest's pythonpath setting
+        src = str(FIXTURE_DIR.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "anosurg.cli", "classify", a2_path],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "RCoveredPositive"

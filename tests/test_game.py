@@ -204,6 +204,3 @@ class TestDomination:
         Y = half_orbit_set(A2, 0, "Y")
         with pytest.raises(ValueError):
             DominationAnalysis(A2, X, Y, sign="sideways", frame=frame_a2)
-        with pytest.raises(ValueError):
-            DominationAnalysis(A2, X, Y, sign="positive", frame=frame_a2,
-                               mode="weird")

@@ -10,6 +10,7 @@ from anosurg import (FrameView, build_string, case_profile, census_records,
                      marked_rect, marked_set, point, rect_meets,
                      string_element)
 from anosurg.rectangles import period_window, primitive_family
+from anosurg.torus import orbit_element
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
@@ -205,6 +206,7 @@ class TestStrings:
                            (Fraction(1), Fraction(0)), "positive")
         g = string_element(B2, X, seed)
         assert g.k == 0 and g.v == (1, 0)
+        assert g == orbit_element(B2, X, seed.origin.lift, seed.endpoint.lift)
 
 
 class TestConstruction:

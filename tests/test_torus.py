@@ -12,9 +12,11 @@ from anosurg import (GroupElement, InvariantError, QUADRANTS, QuadNum,
                      UnsupportedMatrixError, eigenframe, enumerate_hits,
                      fixing_lift, hits_in_box, marked_set, mod1, orbit_of,
                      point, quadrant_contracting, quadrant_view)
-from anosurg.torus import HyperbolicMatrix, FrameView
+from anosurg.torus import (HyperbolicMatrix, FrameView, group_element,
+                           orbit_element)
 
-from conftest import A2, A3, B2, C3, HALF, half_orbit_set, zero_orbit_set
+from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
+                      zero_orbit_set)
 from oracles import oracle_hits
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -170,6 +172,20 @@ class TestGroupAndViews:
         assert g.apply(z) == z
         with pytest.raises(InvariantError):
             fixing_lift(A2, z, 2)
+
+    def test_group_element_matches_fixing_lift(self):
+        z = point(HALF, HALF)
+        assert group_element(A2, 3, z, z) == fixing_lift(A2, z, 3)
+        assert group_element(A2, 2, z, z) is None
+
+    def test_orbit_element_takes_the_least_power(self):
+        Y = half_orbit_set(A2)                  # period 3
+        src, dst = point(HALF, HALF), point(Fraction(3, 2), 1)
+        g = orbit_element(A2, Y, src, dst)
+        assert g.k == 1 and g.apply(src) == dst
+        # the three half points are separate orbits of B2 = A2^3
+        H = half_points_set(B2)
+        assert orbit_element(B2, H, point(HALF, 0), point(0, HALF)) is None
 
     def test_quadrant_views(self, frame_a2):
         p = (Fraction(1, 3), Fraction(2, 5))
