@@ -103,6 +103,7 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
     t = t0
     h = zero
     trace: list[Crossing] = []
+    lam_pow = {}                # exponent e -> lam^e, each computed once
 
     def strip_hits(h_lo: QuadNum, h_hi: QuadNum):
         # offsets in (0, t), heights in (h_lo, h_hi]
@@ -127,7 +128,9 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
                 return GameOutcome("BudgetExhausted", None, tuple(trace))
             w = c.twist
             e = -w if contracting else w
-            t_new = o + qn_pow(lam, e) * (t - o)
+            if e not in lam_pow:
+                lam_pow[e] = qn_pow(lam, e)
+            t_new = o + lam_pow[e] * (t - o)
             trace.append(Crossing(c, c.u - up, o, w, e, t, t_new))
             t = t_new
         h = hmin - up

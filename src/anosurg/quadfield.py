@@ -5,15 +5,28 @@ holonomy game states) is an element a + b*sqrt(D) with rational a, b and a
 fixed positive non-square integer D.  All comparisons are decided exactly by
 integer sign tests; no floating point enters any decision.
 
+An element is stored as the integer triple (p, q, d), meaning
+(p + q*sqrt(D))/d, normalized so that d > 0 and gcd(p, q, d) = 1 -- the
+standard integral representation (H. Cohen, *A Course in Computational
+Algebraic Number Theory*, GTM 138).  Equal values have equal triples, so
+equality is component-wise, and every operation is a few integer products and
+one gcd.  D is validated once, by the public constructor; the results of
+arithmetic share their operands' D and skip the check.  The rational
+coordinates a = p/d and b = q/d are read-only `Fraction` properties.
+
+float(x) is the correctly rounded double of the exact value: it is computed
+from the exact floor of x*2^k, never from float coefficients, so it does not
+cancel when p and q*sqrt(D) are large and nearly opposite.
+
 D is stored as given (no square-free reduction): arithmetic is unaffected and
 we avoid integer factorization entirely.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
+from math import gcd, isqrt
 
 
 class QuadFieldError(ValueError):
@@ -21,87 +34,152 @@ class QuadFieldError(ValueError):
 
 
 def _is_square(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _sign(p: int, q: int, D: int) -> int:
+    """Sign of p + q*sqrt(D) for integers p, q."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0 or (p > 0) == (q > 0):
+        return 1 if q > 0 else -1
+    # opposite signs, and p^2 != q^2 D since D is not a square
+    return 1 if (p * p > q * q * D) == (p > 0) else -1
+
+
+def _floor(p: int, q: int, d: int, D: int) -> int:
+    """floor((p + q*sqrt(D))/d) for d > 0.
+
+    isqrt(q^2 D) is floor(|q| sqrt(D)), which is never attained for q != 0,
+    so floor(p + q sqrt(D)) is p + isqrt(q^2 D) or p - isqrt(q^2 D) - 1, and
+    floor(y/d) = floor(floor(y)/d) for a positive integer d.
+    """
+    if q >= 0:
+        return (p + isqrt(q * q * D)) // d
+    return (p - isqrt(q * q * D) - 1) // d
 
 
 class QuadNum:
-    """a + b*sqrt(D) with a, b rational and D a fixed positive non-square."""
+    """(p + q*sqrt(D))/d with integers p, q, d > 0, gcd(p, q, d) = 1, and D a
+    fixed positive non-square; built as QuadNum(a, b, D) = a + b*sqrt(D)."""
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("_v",)         # the tuple (p, q, d, D)
 
     def __init__(self, a, b=0, D=None):
         if D is None:
             raise QuadFieldError("QuadNum requires an explicit D")
         if D <= 0 or _is_square(D):
             raise QuadFieldError(f"D must be a positive non-square, got {D}")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "D", int(D))
+        a, b = Fraction(a), Fraction(b)
+        ad, bd = a.denominator, b.denominator
+        d = ad // gcd(ad, bd) * bd      # over lcm(ad, bd) the triple is reduced
+        _set_v(self, (a.numerator * (d // ad), b.numerator * (d // bd), d,
+                      int(D)))
 
     def __setattr__(self, *_):
         raise AttributeError("QuadNum is immutable")
 
+    __delattr__ = __setattr__
+
+    @property
+    def a(self) -> Fraction:
+        p, _, d, _ = self._v
+        return Fraction(p, d)
+
+    @property
+    def b(self) -> Fraction:
+        _, q, d, _ = self._v
+        return Fraction(q, d)
+
+    @property
+    def D(self) -> int:
+        return self._v[3]
+
     # -- helpers -----------------------------------------------------------
 
-    def _coerce(self, other) -> "QuadNum":
+    def _coerce(self, other):
+        """(p, q, d) of other in this field, or None for an unsupported type."""
         if isinstance(other, QuadNum):
-            if other.D != self.D:
-                raise QuadFieldError(f"mismatched D: {self.D} vs {other.D}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(other, 0, self.D)
-        return NotImplemented
+            p, q, d, D = other._v
+            if D != self._v[3]:
+                raise QuadFieldError(f"mismatched D: {self._v[3]} vs {D}")
+            return p, q, d
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
+
+    def _cmp(self, other):
+        """Sign of self - other, or None for an unsupported type."""
+        o = self._coerce(other)
+        if o is None:
+            return None
+        p1, q1, d1, D = self._v
+        p2, q2, d2 = o
+        return _sign(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, D)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._v[1] == 0
 
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
+        if o is None:
             return NotImplemented
-        return QuadNum(self.a + o.a, self.b + o.b, self.D)
+        p1, q1, d1, D = self._v
+        p2, q2, d2 = o
+        return _qn(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2, D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.D)
+        p, q, d, D = self._v
+        return _qn(-p, -q, d, D)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
+        if o is None:
             return NotImplemented
-        return QuadNum(self.a - o.a, self.b - o.b, self.D)
+        p1, q1, d1, D = self._v
+        p2, q2, d2 = o
+        return _qn(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2, D)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
+        if o is None:
             return NotImplemented
-        return QuadNum(
-            self.a * o.a + self.b * o.b * self.D,
-            self.a * o.b + self.b * o.a,
-            self.D,
-        )
+        p1, q1, d1, D = self._v
+        p2, q2, d2 = o
+        return _qn(p1 * p2 + q1 * q2 * D, p1 * q2 + q1 * p2, d1 * d2, D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNum":
-        # 1/(a + b sqrt D) = (a - b sqrt D) / (a^2 - b^2 D)
-        norm = self.a * self.a - self.b * self.b * self.D
+        # d/(p + q sqrt D) = d (p - q sqrt D) / (p^2 - q^2 D)
+        p, q, d, D = self._v
+        norm = p * p - q * q * D
         if norm == 0:
-            # a^2 = b^2 D with D non-square forces a = b = 0
+            # p^2 = q^2 D with D non-square forces p = q = 0
             raise QuadFieldError("division by zero")
-        return QuadNum(self.a / norm, -self.b / norm, self.D)
+        return _qn(d * p, -d * q, norm, D)
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
+        if o is None:
             return NotImplemented
-        return self * o.inverse()
+        p1, q1, d1, D = self._v
+        p2, q2, d2 = o
+        # (p1 + q1 sqrt D)/d1 * d2 (p2 - q2 sqrt D) / (p2^2 - q2^2 D)
+        norm = p2 * p2 - q2 * q2 * D
+        if norm == 0:
+            raise QuadFieldError("division by zero")
+        return _qn(d2 * (p1 * p2 - q1 * q2 * D), d2 * (q1 * p2 - p1 * q2),
+                   d1 * norm, D)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -110,72 +188,107 @@ class QuadNum:
         return qn_pow(self, n)
 
     def conjugate(self) -> "QuadNum":
-        return QuadNum(self.a, -self.b, self.D)
+        p, q, d, D = self._v
+        return _qn(p, -q, d, D)
 
     # -- exact order -------------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 D
-        lhs, rhs = a * a, b * b * self.D
-        if lhs == rhs:
-            return 0
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        p, q, _, D = self._v
+        return _sign(p, q, D)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+        p, q, d, _ = self._v
+        if isinstance(other, int):
+            return q == 0 and d == 1 and p == other
+        if isinstance(other, Fraction):
+            return q == 0 and d == other.denominator and p == other.numerator
         if isinstance(other, QuadNum):
-            return self.D == other.D and self.a == other.a and self.b == other.b
+            return self._v == other._v
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.D))
+        p, q, d, _ = self._v
+        if q == 0:
+            return hash(Fraction(p, d))     # equal to the int or Fraction's
+        return hash(self._v)
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() < 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() <= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() > 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() >= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def __bool__(self):
-        return not (self.a == 0 and self.b == 0)
+        p, q, _, _ = self._v
+        return p != 0 or q != 0
 
     # -- conversions -------------------------------------------------------
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.D)
+        """The correctly rounded double nearest to the exact value."""
+        p, q, d, D = self._v
+        if q == 0:
+            return p / d                # int / int rounds correctly
+        if _sign(p, q, D) < 0:
+            return -float(-self)
+        # x > 0.  Estimate log2(x) to within a few bits; when p and q sqrt(D)
+        # cancel, go through x = (p^2 - q^2 D) / (d (p - q sqrt(D))).
+        top = max(p.bit_length(), q.bit_length() + D.bit_length() // 2)
+        e = top
+        if p < 0 or q < 0:
+            e = abs(p * p - q * q * D).bit_length() - top
+        k = 66 - e + d.bit_length()
+        while True:
+            # n = floor(x 2^k), grown until it has at least 65 bits
+            n = (_floor(p << k, q << k, d, D) if k >= 0
+                 else _floor(p, q, d << -k, D))
+            if n.bit_length() > 64:
+                break
+            k += 66 - n.bit_length()
+        # x is irrational, so n < x 2^k < n + 1.  Every rounding boundary of a
+        # double near x is a multiple of 2^-k (n has more than 54 bits), so x
+        # rounds like the point (2n + 1)/2^(k+1) between the same multiples:
+        # the sticky low bit keeps the rounding from happening twice.
+        n, k = 2 * n + 1, k + 1
+        return n / (1 << k) if k >= 0 else float(n << -k)
 
     def __repr__(self):
         return f"QuadNum({self.a!r}, {self.b!r}, D={self.D})"
 
     def __str__(self):
         return qn_to_str(self)
+
+
+# Results of arithmetic are built without __init__ (their D was validated
+# when the operands were); the slot's descriptor writes past __setattr__.
+_set_v = QuadNum._v.__set__
+_new = object.__new__
+
+
+def _qn(p: int, q: int, d: int, D: int) -> QuadNum:
+    """(p + q*sqrt(D))/d for integers with d != 0, normalized."""
+    g = gcd(d, p, q)        # d first: gcd stops early once it reaches 1
+    if d < 0:
+        g = -g
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    x = _new(QuadNum)
+    _set_v(x, (p, q, d, D))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +301,9 @@ def qn_sign(x: QuadNum) -> int:
 
 
 def qn_floor(x: QuadNum) -> int:
-    """Greatest integer n <= x, certified by exact sign tests."""
-    # floor(b sqrt D) exactly via isqrt, then combine with floor(a) and correct.
-    p, q = x.b.numerator, x.b.denominator
-    if p >= 0:
-        fb = math.isqrt(p * p * x.D) // q
-    else:
-        # -b sqrt D irrational for b != 0, so ceil = floor + 1
-        fb = -(math.isqrt(p * p * x.D) // q) - 1
-    n = (x.a.numerator // x.a.denominator) + fb
-    # n is within 1 of the true floor; certify with sign tests.
-    while (x - (n + 1)).sign() >= 0:
-        n += 1
-    while (x - n).sign() < 0:
-        n -= 1
-    return n
+    """Greatest integer n <= x, from one integer square root."""
+    p, q, d, D = x._v
+    return _floor(p, q, d, D)
 
 
 def qn_ceil(x: QuadNum) -> int:
@@ -213,13 +314,14 @@ def qn_pow(x: QuadNum, n: int) -> QuadNum:
     """Exact integer power by square-and-multiply."""
     if n < 0:
         return qn_pow(x.inverse(), -n)
-    result = QuadNum(1, 0, x.D)
+    result = _qn(1, 0, 1, x.D)
     base = x
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 
@@ -233,10 +335,11 @@ _QN_RE = re.compile(
 
 
 def qn_to_str(x: QuadNum) -> str:
-    if x.b == 0:
-        return str(x.a)
-    sgn = "-" if x.b < 0 else "+"
-    return f"{x.a} {sgn} {abs(x.b)}*sqrt({x.D})"
+    p, q, d, D = x._v
+    if q == 0:
+        return str(Fraction(p, d))
+    sgn = "-" if q < 0 else "+"
+    return f"{Fraction(p, d)} {sgn} {Fraction(abs(q), d)}*sqrt({D})"
 
 
 def qn_from_str(text: str, D: int | None = None) -> QuadNum:

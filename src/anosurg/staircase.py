@@ -185,18 +185,12 @@ class Staircase:
                              u0 + st.q_lo, u0 + st.q_hi)
             if not band or min(h.s for h in band) - s0 != st.Ls + st.safety:
                 raise InvariantError(f"level {i} safety zone mismatch")
-        # the recurring element reproduces the second period exactly: the
-        # lifts determine ds, Ls and the heights, and the safety lengths
-        # scale by g's stable factor because everything right of the level's
-        # edge is g-equivariant
+        # the recurring element reproduces the second period exactly
         g = self.g
-        for i in range(self.preperiod, len(steps) - self.period):
-            got = steps[i + self.period]
-            st = steps[i]
-            if (got.delta_origin != g.apply(st.delta_origin)
-                    or got.delta_endpoint != g.apply(st.delta_endpoint)
-                    or got.safety != st.safety * self._s_scale):
-                raise InvariantError(f"period fails to recur at level {i}")
+        i = _recurrence_break(steps, self.preperiod, self.period, g,
+                              self._s_scale)
+        if i is not None:
+            raise InvariantError(f"period fails to recur at level {i}")
         # residual strip: when g slides the axis leaf right, each extended
         # level is the g-image of an earlier level plus a leftover strip next
         # to the axis; the leftover strips of all extended levels fit in this
@@ -262,6 +256,20 @@ def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
             return cand.lift
     raise StaircaseError(
         "no primitive rectangle at the origin avoids the other set")
+
+
+def _recurrence_break(steps, start: int, period: int, g, s_scale: QuadNum):
+    """First level i >= start that g does not carry onto level i + period,
+    or None.  The lifts determine ds, Ls and the heights, and the safety
+    lengths scale by g's stable factor s_scale because everything right of
+    the level's edge is g-equivariant."""
+    for i in range(start, len(steps) - period):
+        got, st = steps[i + period], steps[i]
+        if (got.delta_origin != g.apply(st.delta_origin)
+                or got.delta_endpoint != g.apply(st.delta_endpoint)
+                or got.safety != st.safety * s_scale):
+            return i
+    return None
 
 
 def _lam_power_of(lam: QuadNum, ratio: QuadNum, limit: int = 512):
@@ -346,11 +354,12 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
 
     zero = lam - lam
     steps = [make_step(0, origin, seed_end, zero, seed_ds)]
-    found = None
-    while found is None and len(steps) < max_levels:
-        advance(steps)
-        step = steps[-1]
-        for j in range(1, len(steps) - 1):
+
+    def recurring(last):
+        # (preperiod, period, g) with g carrying some level j onto level
+        # `last`, certified on every stored level from j on, or None
+        step = steps[last]
+        for j in range(1, last):
             prev = steps[j]
             jpow = _lam_power_of(lam, step.ds / prev.ds)
             if jpow is None:
@@ -360,14 +369,25 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
             g = group_element(A, -jpow, prev.delta_origin, step.delta_origin)
             if g is None or g.apply(prev.delta_endpoint) != step.delta_endpoint:
                 continue
-            found = (j, len(steps) - 1 - j, g)
+            # extend the raw induction through a full second period: a
+            # candidate that fails to recur there is not the period
+            period = last - j
+            while len(steps) < j + 2 * period + 1:
+                advance(steps)
+            if _recurrence_break(steps, j, period, g,
+                                 qn_pow(lam, jpow)) is None:
+                return j, period, g
+        return None
+
+    for last in range(2, max_levels):
+        while len(steps) <= last:
+            advance(steps)
+        found = recurring(last)
+        if found is not None:
             break
-    if found is None:
+    else:
         raise StaircaseError(f"no period found within {max_levels} levels")
     preperiod, period, g = found
-    # extend the raw induction through a full second period as a certificate
-    while len(steps) < preperiod + 2 * period + 1:
-        advance(steps)
     st = Staircase(A, frame, view, quadrant, X, avoid, origin, G,
                    tuple(steps), preperiod, period, g)
     st.verify()

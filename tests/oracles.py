@@ -105,3 +105,60 @@ def oracle_pareto_frontier(points):
             front.append(key)
             lowest = u
     return front
+
+
+class OracleQuad:
+    """a + b*sqrt(D) on two Fractions, with the formulas of the original
+    Fraction-based QuadNum: the reference the integer representation is
+    checked against.  int and Fraction operands are a + 0*sqrt(D)."""
+
+    def __init__(self, a, b, D):
+        self.a, self.b, self.D = Fraction(a), Fraction(b), D
+
+    def _lift(self, o):
+        return o if isinstance(o, OracleQuad) else OracleQuad(o, 0, self.D)
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return OracleQuad(self.a + o.a, self.b + o.b, self.D)
+
+    def __sub__(self, o):
+        o = self._lift(o)
+        return OracleQuad(self.a - o.a, self.b - o.b, self.D)
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        return OracleQuad(self.a * o.a + self.b * o.b * self.D,
+                          self.a * o.b + self.b * o.a, self.D)
+
+    def __truediv__(self, o):
+        o = self._lift(o)
+        norm = o.a * o.a - o.b * o.b * self.D
+        return self * OracleQuad(o.a / norm, -o.b / norm, self.D)
+
+    def sign(self):
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0 or (a > 0) == (b > 0):
+            return 1 if b > 0 else -1
+        # opposite signs: the term with the larger square wins
+        larger = a if a * a > b * b * self.D else b
+        return 1 if larger > 0 else -1
+
+    def floor(self):
+        """floor(a) + floor(b sqrt D), corrected by exact sign tests."""
+        p, q = self.b.numerator, self.b.denominator
+        fb = math.isqrt(p * p * self.D) // q
+        n = math.floor(self.a) + (fb if p >= 0 else -fb - 1)
+        while (self - (n + 1)).sign() >= 0:
+            n += 1
+        while (self - n).sign() < 0:
+            n -= 1
+        return n
+
+    def to_str(self):
+        if self.b == 0:
+            return str(self.a)
+        sgn = "-" if self.b < 0 else "+"
+        return f"{self.a} {sgn} {abs(self.b)}*sqrt({self.D})"

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import (HyperbolicMatrix, InvariantError, STATUSES,
-                     SurgeryProblem, classify, marked_set, orbit_of, point,
-                     quadrant_report, verdict_records)
+from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem, classify,
+                     marked_set, orbit_of, point, quadrant_report,
+                     verdict_records)
 from anosurg.classify import analysis_of
 from anosurg.cli import main
 
@@ -78,9 +78,6 @@ def random_geometries(seed, count):
 
 
 RANDOM_GEOMETRIES = random_geometries(3, 8)
-# draws on which classify raises InvariantError from build_staircase (A2
-# with the (1/3, 2/3) and (0, 1/3) orbits: the +- staircase at (1/3, 2/3))
-STAIRCASE_DEFECT_DRAWS = {4}
 
 
 FLIP_STATUS = {"Suspension": "Suspension", "NonRCovered": "NonRCovered",
@@ -187,12 +184,7 @@ class TestSharedAnalysis:
         assert [orb.char for orb in shared.X.orbits + shared.Y.orbits] == \
             [0, 0]
 
-    @pytest.mark.parametrize("draw", [
-        pytest.param(i, marks=pytest.mark.xfail(
-            raises=InvariantError, strict=True,
-            reason="build_staircase: limit height below the stored levels"))
-        if i in STAIRCASE_DEFECT_DRAWS else i
-        for i in range(len(RANDOM_GEOMETRIES))])
+    @pytest.mark.parametrize("draw", range(len(RANDOM_GEOMETRIES)))
     def test_verdict_thresholds_match_the_thresholds_command(
             self, draw, tmp_path, capsys):
         A, p, q = RANDOM_GEOMETRIES[draw]

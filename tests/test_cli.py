@@ -93,16 +93,45 @@ STDOUT_SHA256 = {
         "5671ca6df977f541a0636224576c4e3b8a75501f38d741e23a68bd4968816337",
     ("staircase", "case3", "--quadrant", "+-"):
         "224a15493f91c4446900b63f3a3055f159997c74068238ae23441aad6b1e3b05",
+    ("census", "a2_half", "--svg"):
+        "334a1a5f351acf36eaa89f1df3d2e395db3d57005821b85469b128a715131f1c",
+    ("census", "case3", "--svg"):
+        "be7aeeaebc2a30fcae75558aa8fc3ad8e80570e4da5292b6bfd2ac31cf85c064",
+    ("census", "b2_half", "--svg"):
+        "0a543f8d464c193d4dee2292ff7b12e5c299a3ae94a42f4d9c5d157386ee7639",
+    ("game", "a2_half", "--point", "0,0", "--t0", "1", "--r", "3", "--svg"):
+        "d3d1970c21388efd3242746f6c5640b0aa1a1596ce21757a11e463666bd31b54",
+}
+
+# SHA-256 of the figure each "--svg" command above writes, recorded before
+# float() became correctly rounded: no value in these figures is near enough
+# to a rounding boundary for that to move a printed digit, so any change
+# here comes from the drawing or the geometry.
+SVG_SHA256 = {
+    ("census", "a2_half", "--svg"):
+        "f16e36abe1276858cc2fabe383e4c60509068d408e5ff51e45789d8280de033d",
+    ("census", "case3", "--svg"):
+        "66d27df8df5cd8f13adc3a66c010d67acc62f90957ca4a5da7f9846f1b4a6bf8",
+    ("census", "b2_half", "--svg"):
+        "5927deb8e7217bc22bd05ca3d349fef96a42704ac86c4d6cc30bef20f3f802f5",
+    ("game", "a2_half", "--point", "0,0", "--t0", "1", "--r", "3", "--svg"):
+        "c8c7019c62d18bbca3b778de025e8ce929ba112eaf326bab3a96826382db9275",
 }
 
 
 @pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
-def test_fixture_stdout_is_byte_identical(run, argv):
+def test_fixture_stdout_is_byte_identical(run, argv, tmp_path):
     command, fixture, *options = argv
+    figure = tmp_path / "figure.svg"
+    if argv in SVG_SHA256:
+        options.append(str(figure))
     code, out, _ = run(command, str(FIXTURE_DIR / f"{fixture}.json"),
                        *options)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+    if argv in SVG_SHA256:
+        assert (hashlib.sha256(figure.read_bytes()).hexdigest()
+                == SVG_SHA256[argv])
 
 
 class TestCensus:

@@ -12,7 +12,10 @@ from anosurg import (DominationAnalysis, DominationHypothesisError, GameConfig,
                      domination_threshold, eigenframe, game_trace_records,
                      marked_set, orbit_of, play_game, point, qn_pow)
 
+from anosurg.cli import FIXTURES, load_problem
+
 from conftest import A2, A3, B2, C3, HALF, half_orbit_set, zero_orbit_set
+from oracles import OracleQuad
 
 
 def a2_config(frame, x_char=0, y_char=0, quadrant="++"):
@@ -90,6 +93,21 @@ class TestGameBasics:
         assert len(recs) == len(out.trace)
         if recs:
             assert {"base", "lattice", "height", "offset"} <= set(recs[0])
+
+    def test_long_game_heights_convert_to_floats_exactly(self):
+        # the b2 fixture's game: its crossing heights stay below r = 20 while
+        # their coefficients grow to about a thousand bits that cancel
+        A, sets, _ = load_problem(FIXTURES["b2_half"])
+        frame = eigenframe(A)
+        cfg = GameConfig(frame, (sets["X"], sets["Y"]), "++")
+        out = play_game(cfg, point(0, 0), QuadNum(1, 0, frame.D),
+                        QuadNum(20, 0, frame.D), budget=160)
+        assert len(out.trace) == 160
+        for c in out.trace:
+            exact = OracleQuad(c.height.a, c.height.b, c.height.D)
+            truncated = Fraction((exact * 2 ** 64).floor(), 2 ** 64)
+            assert abs(Fraction(float(c.height)) - truncated) < 2 ** -50
+            assert 0 < float(c.height) < 20
 
     def test_parameter_validation(self, frame_a2):
         cfg = a2_config(frame_a2)

@@ -1,6 +1,8 @@
 """Exact arithmetic in Q(sqrt(D)): worked values, field axioms, exact signs
-and floors, string round-trips, and error handling."""
+and floors, string round-trips, error handling, agreement with a Fraction
+oracle on big coefficients, and correctly rounded float conversion."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,10 +11,32 @@ from hypothesis import given, strategies as st
 from anosurg import (QuadFieldError, QuadNum, qn_ceil, qn_floor, qn_from_str,
                      qn_pow, qn_sign, qn_to_str)
 
+from oracles import OracleQuad
+
 LAM = QuadNum(Fraction(3, 2), Fraction(1, 2), 5)     # (3 + sqrt(5)) / 2
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 quadnums = st.builds(QuadNum, rationals, rationals, st.just(5))
+
+FIELDS = (5, 8, 12, 32, 165)
+# a unit of norm 1 in each field: its negative powers have huge coefficients
+# p, q with p + q*sqrt(D) tiny, so they cancel almost completely
+UNITS = {5: LAM, 8: QuadNum(3, 1, 8), 12: QuadNum(2, Fraction(1, 2), 12),
+         32: QuadNum(3, Fraction(1, 2), 32),
+         165: QuadNum(Fraction(13, 2), Fraction(1, 2), 165)}
+big_rationals = st.builds(Fraction, st.integers(-2 ** 400, 2 ** 400),
+                          st.integers(1, 2 ** 300))
+big_operands = st.one_of(st.integers(-2 ** 300, 2 ** 300), big_rationals)
+
+
+@st.composite
+def near_conjugates(draw, D):
+    """(a, b) with a ~ -b*sqrt(D): p + q*sqrt(D) within a few units of 0."""
+    q = draw(st.integers(-2 ** 600, 2 ** 600).filter(bool))
+    p = -math.isqrt(q * q * D) * (1 if q > 0 else -1) + draw(
+        st.integers(-3, 3))
+    d = draw(st.integers(1, 2 ** 64))
+    return Fraction(p, d), Fraction(q, d)
 
 
 class TestWorkedValues:
@@ -127,3 +151,108 @@ class TestErrors:
         assert LAM + 1 == QuadNum(Fraction(5, 2), Fraction(1, 2), 5)
         assert 2 * LAM == QuadNum(3, 1, 5)
         assert LAM - Fraction(1, 2) == QuadNum(1, Fraction(1, 2), 5)
+
+
+def assert_matches(got, want):
+    assert (got.a, got.b, got.D) == (want.a, want.b, want.D)
+
+
+class TestAgainstFractionOracle:
+    """The integer (p, q, d) representation against the Fraction formulas."""
+
+    @pytest.mark.parametrize("D", FIELDS)
+    @given(data=st.data())
+    def test_field_operations(self, D, data):
+        pair = st.one_of(st.tuples(big_rationals, big_rationals),
+                         near_conjugates(D))
+        (a, b), (c, e) = data.draw(pair), data.draw(pair)
+        x, y = QuadNum(a, b, D), QuadNum(c, e, D)
+        ox, oy = OracleQuad(a, b, D), OracleQuad(c, e, D)
+        assert_matches(x + y, ox + oy)
+        assert_matches(x - y, ox - oy)
+        assert_matches(x * y, ox * oy)
+        if oy.sign():
+            assert_matches(x / y, ox / oy)
+        else:
+            with pytest.raises(QuadFieldError):
+                _ = x / y
+        assert x.sign() == ox.sign()
+        diff = (ox - oy).sign()
+        assert ((x < y), (x <= y), (x > y), (x >= y), (x == y)) == \
+            (diff < 0, diff <= 0, diff > 0, diff >= 0, diff == 0)
+        assert qn_floor(x) == ox.floor()
+        assert qn_ceil(x) == -OracleQuad(-a, -b, D).floor()
+        assert qn_to_str(x) == ox.to_str()
+        assert repr(x) == f"QuadNum({a!r}, {b!r}, D={D})"
+
+    @pytest.mark.parametrize("D", FIELDS)
+    @given(big_rationals, big_rationals, big_operands)
+    def test_mixed_int_and_fraction_operands(self, D, a, b, r):
+        x, ox, orr = QuadNum(a, b, D), OracleQuad(a, b, D), OracleQuad(r, 0, D)
+        assert_matches(x + r, ox + r)
+        assert_matches(r + x, ox + r)
+        assert_matches(x - r, ox - r)
+        assert_matches(r - x, orr - ox)
+        assert_matches(x * r, ox * r)
+        assert_matches(r * x, ox * r)
+        if r:
+            assert_matches(x / r, ox / r)
+        if ox.sign():
+            assert_matches(r / x, orr / ox)
+        diff = (ox - r).sign()
+        assert ((x < r), (x <= r), (x > r), (x >= r)) == \
+            (diff < 0, diff <= 0, diff > 0, diff >= 0)
+        assert ((r < x), (r > x)) == (diff > 0, diff < 0)
+        assert (x == r) == (b == 0 and a == r)
+
+    @pytest.mark.parametrize("D", FIELDS)
+    @given(big_operands, big_rationals)
+    def test_rational_values_equal_and_hash_like_int_and_fraction(
+            self, D, r, b):
+        for x in (QuadNum(r, 0, D),
+                  QuadNum(r, b, D) - QuadNum(0, b, D),
+                  QuadNum(r, b, D) * QuadNum(1, 0, D) - b * QuadNum(0, 1, D)):
+            assert x == r and r == x and x == Fraction(r)
+            assert hash(x) == hash(r) == hash(Fraction(r))
+            assert len({x, r, Fraction(r)}) == 1
+        if b:
+            irrational = QuadNum(r, b, D)
+            assert irrational != r and r != irrational
+            assert hash(irrational) == hash(QuadNum(r, b, D))
+
+
+def assert_correctly_rounded(x: QuadNum):
+    """float(x) is the double nearest to x, decided by the Fraction oracle;
+    it also agrees with the 64-bit truncation floor(x*2^64)/2^64."""
+    ox = OracleQuad(x.a, x.b, x.D)
+    c = float(x)
+    below = (Fraction(math.nextafter(c, -math.inf)) + Fraction(c)) / 2
+    above = (Fraction(c) + Fraction(math.nextafter(c, math.inf))) / 2
+    assert (ox - below).sign() >= 0 and (ox - above).sign() <= 0
+    truncated = Fraction((ox * 2 ** 64).floor(), 2 ** 64)
+    assert abs(Fraction(c) - truncated) <= \
+        Fraction(math.ulp(c)) / 2 + Fraction(1, 2 ** 64)
+
+
+class TestFloatConversion:
+    @pytest.mark.parametrize("D", FIELDS)
+    @given(st.integers(1, 300), st.integers(-5, 5).filter(bool), rationals)
+    def test_unit_powers_plus_rational(self, D, n, c, r):
+        # r + c*u^(-n): coefficients of ~n bits that cancel down to about r
+        x = r + c * qn_pow(UNITS[D], -n)
+        assert_correctly_rounded(x)
+        assert_correctly_rounded(-x)
+
+    @pytest.mark.parametrize("D", FIELDS)
+    @given(data=st.data())
+    def test_near_conjugate_coefficients(self, D, data):
+        a, b = data.draw(near_conjugates(D))
+        assert_correctly_rounded(QuadNum(a, b, D))
+
+    @given(quadnums)
+    def test_small_values(self, x):
+        assert_correctly_rounded(x)
+
+    def test_rational_values_convert_like_fractions(self):
+        for r in (Fraction(1, 3), Fraction(-7, 2), Fraction(10 ** 30, 7), 0):
+            assert float(QuadNum(r, 0, 5)) == float(r)

@@ -151,6 +151,18 @@ class TestConstruction:
             with pytest.raises(StaircaseError):
                 build_staircase(C3, X, Y, point(0, 0), quadrant, frame_c3)
 
+    def test_period_candidate_is_certified_before_it_is_accepted(
+            self, frame_a2):
+        # A^-3 + (-13, 22) carries level 1 onto level 2 but not level 2 onto
+        # level 3; the search must reject it and find the period-2 element
+        origin = point(Fraction(1, 3), Fraction(2, 3))
+        X = marked_set(A2, [(origin, 0)], "X")
+        Y = marked_set(A2, [(point(0, Fraction(1, 3)), 0)], "Y")
+        st = build_staircase(A2, X, Y, origin, "+-", frame_a2)
+        assert (st.preperiod, st.period) == (1, 2)
+        assert (st.g.k, st.g.v) == (-2, (3, -4))
+        assert all(step.q_hi < st.axis_height for step in st.steps)
+
     def test_no_staircase_without_avoid_set(self, frame_a2):
         X = zero_orbit_set(A2, 0, "X")
         empty = marked_set(A2, [], "Y")
