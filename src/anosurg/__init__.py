@@ -4,7 +4,8 @@ The package decides, with certificates, whether the orbit space of a
 suspension flow modified by integer surgeries on periodic orbits carries a
 globally ordered (R-covered) structure, via:
 
-- `quadfield`: exact arithmetic in Q(sqrt(D));
+- `quadfield`: exact arithmetic in Q(sqrt(D)), including the integer
+  logarithm `qn_log_floor`;
 - `torus`: hyperbolic matrices, eigenframes, marked orbits, and exact
   enumeration of marked lifts in (stable, unstable) boxes;
 - `rectangles`: the primitive marked-rectangle census, disjointness profiles,
@@ -17,18 +18,18 @@ globally ordered (R-covered) structure, via:
 """
 
 from .quadfield import (QuadFieldError, QuadNum, qn_ceil, qn_floor,
-                        qn_from_str, qn_pow, qn_sign, qn_to_str)
+                        qn_from_str, qn_log_floor, qn_pow, qn_sign, qn_to_str)
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, Orbit,
-                    UnsupportedMatrixError, eigenframe, enumerate_hits,
-                    fixing_lift, hits_in_box, marked_set, mod1, orbit_of,
-                    point, quadrant_contracting, quadrant_view, sets_disjoint,
+                    UnsupportedMatrixError, eigenframe, fixing_lift,
+                    hits_in_box, marked_set, mod1, orbit_of, point,
+                    quadrant_contracting, quadrant_view, sets_disjoint,
                     QUADRANTS)
 from .rectangles import (CaseProfile, EigenRect, MarkedRect, RectOrbitRep,
                          StringDescriptor, build_string, case_profile,
-                         census_records, enumerate_primitive, is_primitive,
-                         lattice_widths, marked_rect, rect_meets,
-                         string_element)
+                         census_records, disjoint_witness,
+                         enumerate_primitive, is_primitive, lattice_widths,
+                         marked_rect, rect_meets, string_element)
 from .game import (DEFAULT_BUDGET, Crossing, DominationAnalysis,
                    DominationHypothesisError, DominationInterval, GameConfig,
                    GameError, GameOutcome, domination_threshold,

@@ -6,12 +6,12 @@ Problem files are JSON:
     {"matrix": [[2, 1], [1, 1]],
      "sets": [{"point": ["1/2", "1/2"], "characteristic_number": 1,
                "role": "Y"}],
-     "options": {"boundary_mode": "closed", "budget": 10000, "svg": false}}
+     "options": {"budget": 10000}}
 
 Every exact value in machine output is a string ("a/b + c/d*sqrt(D)" or a
 plain rational) that the parser round-trips losslessly; output is
-byte-identical for identical input.  Exit codes: 0 ok, 1 parse error,
-2 unsupported input, 3 internal invariant violation.
+byte-identical for identical input.  Exit codes: 0 ok, 1 parse error or
+invalid game parameters, 2 unsupported input, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -24,8 +24,11 @@ from fractions import Fraction
 from .quadfield import QuadFieldError, qn_from_str, qn_to_str
 from .torus import (HyperbolicMatrix, InvariantError, UnsupportedMatrixError,
                     eigenframe, marked_set, orbit_of, point)
-from .rectangles import census_records, case_profile, enumerate_primitive
-from .game import DEFAULT_BUDGET, GameConfig, game_trace_records, play_game
+from .rectangles import (case_profile, census_records, disjoint_witness,
+                         enumerate_primitive, is_primitive, marked_rect,
+                         rect_meets)
+from .game import (DEFAULT_BUDGET, GameConfig, GameError, game_trace_records,
+                   play_game)
 from .staircase import (StaircaseError, build_staircase, containment_check,
                         incompleteness_threshold, staircase_records)
 from .classify import Analysis, SurgeryProblem, classify, verdict_records
@@ -83,15 +86,10 @@ def load_problem(data: dict):
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError("options: expected an object")
-    boundary = opts.get("boundary_mode", "closed")
-    if boundary not in ("closed", "open"):
-        raise ParseError(f"options.boundary_mode: expected closed|open, got {boundary!r}")
     budget = opts.get("budget", DEFAULT_BUDGET)
     if not (isinstance(budget, int) and budget >= 1):
         raise ParseError("options.budget: expected a positive integer")
-    options = {"boundary_mode": boundary, "budget": budget,
-               "svg": bool(opts.get("svg", False))}
-    return A, sets, options
+    return A, sets, {"budget": budget}
 
 
 def _read_problem(path):
@@ -260,7 +258,6 @@ FIXTURES = {
 
 def _run_examples(out):
     """The built-in fixture suite; returns the number of failures."""
-    from .rectangles import rect_meets
     checks = []
 
     def check(name, fn):
@@ -284,11 +281,8 @@ def _run_examples(out):
                 covered |= set(orbit_of(A, p)[0])
         H = marked_set(A, seeds, "Y")
         assert set(H.points) == set(halves)
-        for sign in ("positive", "negative"):
-            for rep in enumerate_primitive(A, X, sign, frame):
-                if not rect_meets(frame, rep.rect.rect, H, "closed"):
-                    return False
-        return True
+        return all(disjoint_witness(A, X, H, sign, frame) is None
+                   for sign in ("positive", "negative"))
 
     for k in (2, 3, 4):
         rows = [[k, k - 1], [1, 1]]
@@ -302,12 +296,8 @@ def _run_examples(out):
         frame = eigenframe(A)
         X = marked_set(A, [(point(0, 0), 0)], "X")
         Y = marked_set(A, [(point(Fraction(1, 2), Fraction(1, 2)), 0)], "Y")
-        found = {}
-        for sign in ("positive", "negative"):
-            found[sign] = any(
-                not rect_meets(frame, rep.rect.rect, Y, "closed")
-                for rep in enumerate_primitive(A, X, sign, frame))
-        return found["positive"] and found["negative"]
+        return all(disjoint_witness(A, X, Y, sign, frame) is not None
+                   for sign in ("positive", "negative"))
 
     A2 = HyperbolicMatrix(2, 1, 1, 1)
     A3 = HyperbolicMatrix(3, 2, 1, 1)
@@ -321,10 +311,8 @@ def _run_examples(out):
         frame = eigenframe(A)
         X = marked_set(A, [(point(0, 0), 0)], "X")
         Y = marked_set(A, [(point(Fraction(1, 2), Fraction(1, 2)), 0)], "Y")
-        from .rectangles import is_primitive, marked_rect
         mr = marked_rect(frame, X, point(0, 0), point(1, 0), "positive")
-        return is_primitive(frame, mr, X) and not rect_meets(
-            frame, mr.rect, Y, "closed")
+        return is_primitive(frame, mr, X) and not rect_meets(frame, mr.rect, Y)
 
     check("cube-of-[[2,1],[1,1]]: unit horizontal diagonal is a disjoint witness",
           b2_unit_rectangle)
@@ -414,9 +402,11 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "quadrant", None) == []:
+        args.quadrant = "--"    # argparse stores '--quadrant=--' as []
     try:
         return args.fn(args)
-    except ParseError as e:
+    except (ParseError, GameError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except UnsupportedMatrixError as e:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadfield import QuadNum, qn_pow
+from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, HyperbolicMatrix, InvariantError,
                     MarkedPointHit, MarkedSet, Point, eigenframe,
                     quadrant_contracting, quadrant_view, QUADRANTS)
@@ -139,7 +139,6 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
 
 def game_trace_records(outcome: GameOutcome) -> list:
     """JSON-ready crossing records (exact values as strings)."""
-    from .quadfield import qn_to_str
     out = []
     for c in outcome.trace:
         out.append({
@@ -176,6 +175,13 @@ class DominationInterval:
     least_n: int           # least twist making the contraction land below nu(delta)
 
 
+def _reduce(t: QuadNum, lo: QuadNum, big: QuadNum):
+    """(w, scale) with t = w * scale, lo <= w < lo * big, and scale an
+    integer power of big > 1: t moved into the period starting at lo."""
+    scale = qn_pow(big, qn_log_floor(t / lo, big))
+    return t / scale, scale
+
+
 class DominationAnalysis:
     """Exact breakpoint analysis of the contraction-domination lemma.
 
@@ -202,7 +208,7 @@ class DominationAnalysis:
             for base in orb.points:
                 self._per_base[base] = self._analyze_base(base, orb.period)
         self.threshold = max(1, max(iv.least_n
-                                    for ivs, _ in self._per_base.values()
+                                    for ivs in self._per_base.values()
                                     for iv in ivs))
 
     # -- per-origin analysis -------------------------------------------------
@@ -216,24 +222,17 @@ class DominationAnalysis:
                  if 1 <= cand.s - s0 < big]
         if not rects:
             raise InvariantError(f"no primitive rectangle at origin {base}")
-        bases = [mu for mu, _, _ in rects]
+        # the breakpoints in one period [mu_0, mu_0 lam^pi], both ends included
+        breaks = [mu for mu, _, _ in rects] + [rects[0][0] * big]
 
         def next_break(v: QuadNum):
-            # least base-length breakpoint strictly above v > 0
-            k = 0
-            w = v
-            while w < bases[0]:
-                w, k = w * big, k + 1
-            while w >= bases[0] * big:
-                w, k = w / big, k - 1
-            for b in bases:
-                if b > w:
-                    return b * qn_pow(big, -k) if k else b
-            return bases[0] * big * qn_pow(big, -k)
+            # least breakpoint strictly above v > 0
+            w, scale = _reduce(v, breaks[0], big)
+            return next(b for b in breaks if b > w) * scale
 
         intervals = []
         for i, (mu, rho, cand) in enumerate(rects):
-            nu = rects[i + 1][0] if i + 1 < len(rects) else bases[0] * big
+            nu = breaks[i + 1]
             yhits = view.hits(self.Y, s0, s0 + mu, u0, u0 + rho)
             if not yhits:
                 raise DominationHypothesisError(
@@ -243,29 +242,19 @@ class DominationAnalysis:
             delta = min(h.s for h in yhits) - s0
             if not (0 < delta < mu):
                 raise InvariantError("delta outside (0, mu)")
+            # least n >= 0 with lam^(-n) (nu - delta) < gap
             gap = next_break(delta) - delta
-            n, v = 0, nu - delta
-            while v >= gap:
-                v, n = v / self.lam, n + 1
+            n = max(0, qn_log_floor((nu - delta) / gap, self.lam) + 1)
             intervals.append(DominationInterval(base, mu, nu, rho, delta, n))
-        return intervals, next_break
+        return intervals
 
     # -- step functions ------------------------------------------------------
 
     def _locate(self, base: Point, t: QuadNum):
-        intervals, _ = self._per_base[base]
+        intervals = self._per_base[base]
         big = qn_pow(self.lam, self.X.orbit_containing(base).period)
-        lo = intervals[0].mu
-        k = 0
-        w = t
-        while w < lo:
-            w, k = w * big, k + 1
-        while w >= lo * big:
-            w, k = w / big, k - 1
-        for iv in reversed(intervals):
-            if iv.mu <= w:
-                return iv, qn_pow(big, -k)
-        raise InvariantError("breakpoint location failed")
+        w, scale = _reduce(t, intervals[0].mu, big)
+        return next(iv for iv in reversed(intervals) if iv.mu <= w), scale
 
     def mu(self, base: Point, t: QuadNum) -> QuadNum:
         iv, scale = self._locate(base, t)
@@ -286,7 +275,7 @@ class DominationAnalysis:
         return self.mu(base, shifted) == self.mu(base, d)
 
     def intervals(self, base: Point):
-        return tuple(self._per_base[base][0])
+        return tuple(self._per_base[base])
 
 
 def domination_threshold(A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet,

@@ -18,6 +18,11 @@ float(x) is the correctly rounded double of the exact value: it is computed
 from the exact floor of x*2^k, never from float coefficients, so it does not
 cancel when p and q*sqrt(D) are large and nearly opposite.
 
+qn_log_floor(x, base) is the exact integer logarithm, the greatest k with
+base^k <= x, found by repeated squaring.  Every exponent search in the
+package (thresholds, renormalization powers, recurring elements) is a call
+to it.
+
 D is stored as given (no square-free reduction): arithmetic is unaffected and
 we avoid integer factorization entirely.
 """
@@ -323,6 +328,32 @@ def qn_pow(x: QuadNum, n: int) -> QuadNum:
         if n:
             base = base * base
     return result
+
+
+def qn_log_floor(x, base) -> int:
+    """Greatest integer k with base^k <= x, for x > 0 and base > 1.
+
+    The base is squared until it passes x, then k is built from the largest
+    square down, one exact comparison per bit; x < 1 goes through 1/x.  x and
+    base may be QuadNums, ints or Fractions.
+    """
+    if not x > 0:
+        raise QuadFieldError(f"logarithm of a non-positive number: {x}")
+    if not base > 1:
+        raise QuadFieldError(f"logarithm base must exceed 1: {base}")
+    below_one = x < 1
+    y = 1 / x if below_one else x
+    squares = [base]                    # base^(2^i) <= y, then one past y
+    while squares[-1] <= y:
+        squares.append(squares[-1] * squares[-1])
+    k, power = 0, 1                     # power = base^k <= y
+    for i in range(len(squares) - 2, -1, -1):
+        step = power * squares[i]
+        if step <= y:
+            k, power = k + (1 << i), step
+    if not below_one:
+        return k
+    return -k if power == y else -k - 1     # base^-(k+1) < x < base^-k
 
 
 # ---------------------------------------------------------------------------

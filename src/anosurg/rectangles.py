@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .quadfield import QuadNum, qn_pow
+from .quadfield import QuadNum, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, eigenframe,
-                    enumerate_hits, orbit_element)
+                    hits_in_box, mod1, orbit_element)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ def marked_rect(frame: EigenFrame, X: MarkedSet, origin_lift, endpoint_lift,
                 sign: str) -> MarkedRect:
     """MarkedRect from two lifts of X given as rational points."""
     def hit_of(lift):
-        from .torus import mod1
         base = mod1(lift)
         if base not in X.points:
             raise ValueError(f"{lift} is not a lift of the marked set")
@@ -106,7 +105,7 @@ def marked_rect(frame: EigenFrame, X: MarkedSet, origin_lift, endpoint_lift,
 def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
     """True iff the closed box meets the lift of X only at the two diagonal corners."""
     r = rect.rect
-    hits = enumerate_hits(frame, X, (r.s0, r.s1), (r.u0, r.u1), "closed")
+    hits = hits_in_box(frame, X, r.s0, r.s1, r.u0, r.u1)
     corners = {(rect.origin.s, rect.origin.u), (rect.endpoint.s, rect.endpoint.u)}
     got = {(h.s, h.u) for h in hits}
     if not corners <= got:
@@ -214,16 +213,21 @@ def enumerate_primitive(A: HyperbolicMatrix, X: MarkedSet, sign: str,
     return reps
 
 
-def rect_meets(frame: EigenFrame, rect: EigenRect, S: MarkedSet,
-               mode: str = "closed") -> bool:
-    """True iff the lift of S meets the box (closed or interior)."""
-    if mode not in ("closed", "interior"):
-        raise ValueError(f"mode must be closed|interior, got {mode!r}")
+def rect_meets(frame: EigenFrame, rect: EigenRect, S: MarkedSet) -> bool:
+    """True iff the lift of S meets the closed box."""
     if S.is_empty():
         return False
-    boundary = "closed" if mode == "closed" else "open"
-    return bool(enumerate_hits(frame, S, (rect.s0, rect.s1),
-                               (rect.u0, rect.u1), boundary))
+    return bool(hits_in_box(frame, S, rect.s0, rect.s1, rect.u0, rect.u1))
+
+
+def disjoint_witness(A: HyperbolicMatrix, own: MarkedSet, other: MarkedSet,
+                     sign: str, frame: EigenFrame) -> RectOrbitRep | None:
+    """The first primitive sign-diagonal representative of own whose closed
+    box misses the lift of other, or None when every one meets it."""
+    for rep in enumerate_primitive(A, own, sign, frame):
+        if not rect_meets(frame, rep.rect.rect, other):
+            return rep
+    return None
 
 
 _CASE_PATTERNS = {
@@ -248,18 +252,11 @@ def case_profile(A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet,
     if set(X.points) & set(Y.points):
         raise ValueError("marked sets overlap")
     frame = frame or eigenframe(A)
-
-    def disjoint_witness(own, other, sign):
-        for rep in enumerate_primitive(A, own, sign, frame):
-            if not rect_meets(frame, rep.rect.rect, other, "closed"):
-                return rep
-        return None
-
     wit = {
-        "pos_x": disjoint_witness(X, Y, "positive"),
-        "neg_x": disjoint_witness(X, Y, "negative"),
-        "pos_y": disjoint_witness(Y, X, "positive"),
-        "neg_y": disjoint_witness(Y, X, "negative"),
+        "pos_x": disjoint_witness(A, X, Y, "positive", frame),
+        "neg_x": disjoint_witness(A, X, Y, "negative", frame),
+        "pos_y": disjoint_witness(A, Y, X, "positive", frame),
+        "neg_y": disjoint_witness(A, Y, X, "negative", frame),
     }
     b = tuple(wit[k] is not None for k in ("pos_x", "neg_x", "pos_y", "neg_y"))
     # a negative-diagonal rectangle of one set disjoint from the other must
@@ -311,7 +308,7 @@ def build_string(A: HyperbolicMatrix, X: MarkedSet, seed: MarkedRect,
     frame = frame or eigenframe(A)
     if not is_primitive(frame, seed, X):
         raise ValueError("seed rectangle is not primitive")
-    if rect_meets(frame, seed.rect, avoid, "closed"):
+    if rect_meets(frame, seed.rect, avoid):
         raise ValueError("seed rectangle meets the avoid set")
     G = string_element(A, X, seed)
     return StringDescriptor(A, frame, X, seed, G)
@@ -319,7 +316,6 @@ def build_string(A: HyperbolicMatrix, X: MarkedSet, seed: MarkedRect,
 
 def census_records(reps) -> list:
     """JSON-ready census records (exact values as strings)."""
-    from .quadfield import qn_to_str
     out = []
     for rep in reps:
         mr = rep.rect

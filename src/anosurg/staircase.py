@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadfield import QuadNum, qn_pow
+from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .rectangles import (is_primitive, lattice_widths, marked_rect,
                          period_window, primitive_family)
 from .torus import (EigenFrame, FrameView, HyperbolicMatrix, InvariantError,
@@ -215,17 +215,18 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
     band [u_lo, u_hi] strictly on the s_dir side (+1 right, -1 left).
 
     A box of width W_s and height W_u contains a lift of every base point,
-    and a power of A turns the band into one at least W_u tall while
-    shrinking widths by the same factor, so a band of height h > 0 is
-    guaranteed a hit within width W_s * lam^j where lam^j * h >= W_u.
+    and A^j turns the band into one lam^j times taller while shrinking
+    widths by the same factor, so a band of height h > 0 is guaranteed a hit
+    within width W_s * lam^j for the least j >= 0 with lam^j * h >= W_u,
+    which is -qn_log_floor(h / W_u, lam) when h < W_u.  The search doubles
+    its width from `start` up to twice that bound.
     """
     ws, wu = lattice_widths(view)
     h = u_hi - u_lo
     if not h > 0:
         raise InvariantError("empty height band")
-    enough = ws + ws          # doubled: the near edge of the box is excluded
-    while h < wu:
-        h, enough = h * view.lam, enough * view.lam
+    j = max(0, -qn_log_floor(h / wu, view.lam))
+    enough = (ws + ws) * qn_pow(view.lam, j)  # doubled: the near edge is open
     width = start
     while True:
         if s_dir > 0:
@@ -270,18 +271,6 @@ def _recurrence_break(steps, start: int, period: int, g, s_scale: QuadNum):
                 or got.safety != st.safety * s_scale):
             return i
     return None
-
-
-def _lam_power_of(lam: QuadNum, ratio: QuadNum, limit: int = 512):
-    """Integer j with ratio == lam**j, or None."""
-    if ratio <= 0:
-        return None
-    j, v = 0, ratio
-    while v > 1 and j < limit:
-        v, j = v / lam, j + 1
-    while v < 1 and j > -limit:
-        v, j = v * lam, j - 1
-    return j if v == 1 else None
 
 
 def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
@@ -340,11 +329,7 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
         if x_s != cur.Ls:
             raise InvariantError("corner is off the staircase edge")
         # minimal k with lam^(n k) * b reaching the axis
-        k, val = 0, b
-        while val < x_s:
-            val, k = val * lam_n, k + 1
-        while val / lam_n >= x_s:
-            val, k = val / lam_n, k - 1
+        k = -qn_log_floor(b / x_s, lam_n)
         h = fixing_lift(A, x_next, n).power(-k).compose(gi)
         new_o, new_e = h.apply(o_lift), h.apply(e_lift)
         if new_o != x_next:
@@ -361,11 +346,15 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
         step = steps[last]
         for j in range(1, last):
             prev = steps[j]
-            jpow = _lam_power_of(lam, step.ds / prev.ds)
-            if jpow is None:
-                continue
+            # the recurring element scales ds by lam^jpow, jpow > 0, so that
+            # it contracts heights
+            ratio = step.ds / prev.ds
+            jpow = qn_log_floor(ratio, lam)
             if jpow <= 0:
-                continue  # the recurring element must contract heights
+                continue
+            s_scale = qn_pow(lam, jpow)
+            if s_scale != ratio:
+                continue
             g = group_element(A, -jpow, prev.delta_origin, step.delta_origin)
             if g is None or g.apply(prev.delta_endpoint) != step.delta_endpoint:
                 continue
@@ -374,8 +363,7 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
             period = last - j
             while len(steps) < j + 2 * period + 1:
                 advance(steps)
-            if _recurrence_break(steps, j, period, g,
-                                 qn_pow(lam, jpow)) is None:
+            if _recurrence_break(steps, j, period, g, s_scale) is None:
                 return j, period, g
         return None
 
@@ -399,11 +387,9 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
 
 
 def incompleteness_threshold(st: Staircase) -> int:
-    """Least positive integer N' with lam^N' > the staircase growth constant."""
-    n, v = 1, st.lam
-    while v <= st.constant:
-        v, n = v * st.lam, n + 1
-    return n
+    """Least positive integer N' with lam^N' > the staircase growth constant:
+    one more than its integer logarithm to base lam."""
+    return max(1, qn_log_floor(st.constant, st.lam) + 1)
 
 
 def containment_check(st: Staircase, X_twists=None) -> bool:
@@ -434,7 +420,6 @@ def containment_check(st: Staircase, X_twists=None) -> bool:
 
 def staircase_records(st: Staircase) -> dict:
     """JSON-ready description of the staircase (exact values as strings)."""
-    from .quadfield import qn_to_str
     return {
         "quadrant": st.quadrant,
         "origin": [str(st.origin[0]), str(st.origin[1])],

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .torus import FrameView
+
 _STYLE = (
     ".axis{stroke:#999;stroke-width:1;stroke-dasharray:4 3}"
     ".mark-X{fill:#1f4f9f}"
@@ -108,7 +110,6 @@ def census_figure(frame, reps, sets) -> str:
     pad_s, pad_u = 0.05 * (s_hi - s_lo) + 0.1, 0.05 * (u_hi - u_lo) + 0.1
     fig = Figure(s_lo - pad_s, s_hi + pad_s, u_lo - pad_u, u_hi + pad_u)
     _axes(fig)
-    from .torus import FrameView
     view = FrameView(frame)
     _marks(fig, view, sets,
            Fraction(s_lo - pad_s), Fraction(s_hi + pad_s),

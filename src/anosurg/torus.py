@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import math
-
-from .quadfield import QuadNum, qn_ceil, qn_floor, qn_pow
+from .quadfield import QuadNum, qn_ceil, qn_floor, qn_log_floor, qn_pow
 
 
 class UnsupportedMatrixError(ValueError):
@@ -275,39 +273,14 @@ def _in_interval(v: QuadNum, lo: QuadNum, hi: QuadNum, lo_closed: bool, hi_close
     return v <= hi if hi_closed else v < hi
 
 
-def _log2_floor(v: QuadNum) -> int:
-    """Exact floor(log2 v) for v > 0 by exponent search (cancellation-safe)."""
-    if v >= 1:
-        hi = 1
-        while v >= (1 << hi):
-            hi *= 2
-        lo = 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if v >= (1 << mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    inv = 1
-    while v * (1 << inv) < 1:
-        inv *= 2
-    lo, hi = 0, inv  # 2^-hi <= v < 2^-lo is maintained below
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if v * (1 << mid) < 1:
-            lo = mid
-        else:
-            hi = mid
-    return -hi
-
-
 def _balance_power(frame: EigenFrame, w_s: QuadNum, w_u: QuadNum) -> int:
-    """Integer j with lam^(-j) w_s approximately equal to lam^j w_u."""
+    """The integer j nearest log_{lam^2}(w_s / w_u), so that lam^(-j) w_s and
+    lam^j w_u are within a factor lam of each other: the floor of
+    log_{lam^2}(lam w_s / w_u)."""
     if not (w_s > 0 and w_u > 0):
         return 0
-    gap = _log2_floor(w_s) - _log2_floor(w_u)
-    return round(gap / (2 * math.log2(float(frame.lam))))
+    lam = frame.lam
+    return qn_log_floor(w_s * lam / w_u, lam * lam)
 
 
 def hits_in_box(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
@@ -378,16 +351,6 @@ def _scan_box(frame, mset, s_lo, s_hi, u_lo, u_hi, include):
                     out.append(MarkedPointHit(base, (m, n), s, u, orb.twist))
     out.sort(key=lambda h: (h.s, h.u))
     return out
-
-
-def enumerate_hits(frame: EigenFrame, mset: MarkedSet, s_range, u_range,
-                   boundary_mode: str = "closed"):
-    """Lifts of mset's points whose (s,u)-coordinates lie in the given box."""
-    if boundary_mode not in ("closed", "open"):
-        raise ValueError(f"boundary_mode must be closed|open, got {boundary_mode!r}")
-    closed = boundary_mode == "closed"
-    return hits_in_box(frame, mset, s_range[0], s_range[1],
-                       u_range[0], u_range[1], (closed,) * 4)
 
 
 # ---------------------------------------------------------------------------

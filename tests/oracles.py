@@ -162,3 +162,15 @@ class OracleQuad:
             return str(self.a)
         sgn = "-" if self.b < 0 else "+"
         return f"{self.a} {sgn} {abs(self.b)}*sqrt({self.D})"
+
+
+def oracle_log_floor(x, base):
+    """Greatest integer k with base**k <= x, for x > 0 and base > 1, by the
+    linear search the engine once repeated at each threshold: one exact
+    multiply or divide per unit of k."""
+    k, v = 0, x
+    while v >= base:
+        v, k = v / base, k + 1
+    while v < 1:
+        v, k = v * base, k - 1
+    return k

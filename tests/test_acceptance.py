@@ -40,7 +40,7 @@ def test_primitive_rectangles_of_small_matrices_cover_half_points():
             reps = enumerate_primitive(A, X, sign, frame)
             assert reps, (A.rows(), sign)
             for rep in reps:
-                assert rect_meets(frame, rep.rect.rect, Y, "closed"), \
+                assert rect_meets(frame, rep.rect.rect, Y), \
                     (A.rows(), sign)
 
 
@@ -51,13 +51,13 @@ def test_iterated_matrices_admit_disjoint_primitive_rectangles():
         frame = eigenframe(A)
         for sign in ("positive", "negative"):
             reps = enumerate_primitive(A, X, sign, frame)
-            assert any(not rect_meets(frame, rep.rect.rect, Y, "closed")
+            assert any(not rect_meets(frame, rep.rect.rect, Y)
                        for rep in reps), (A.rows(), sign)
         # the explicit unit horizontal rectangle is such a witness
         rect = marked_rect(frame, X, (Fraction(0), Fraction(0)),
                            (Fraction(1), Fraction(0)), "positive")
         assert is_primitive(frame, rect, X)
-        assert not rect_meets(frame, rect.rect, Y, "closed")
+        assert not rect_meets(frame, rect.rect, Y)
 
 
 def test_mixed_geometry_realizes_case_three():

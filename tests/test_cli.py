@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from anosurg import QuadNum, qn_from_str
-from anosurg.cli import FIXTURES, main
+from anosurg import (GameConfig, QuadNum, eigenframe, play_game, point,
+                     qn_from_str, qn_to_str)
+from anosurg.cli import FIXTURES, load_problem, main
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -275,6 +276,15 @@ class TestExitCodes:
         code, _, err = run("census", str(path))
         assert code == 2 and err != ""
 
+    @pytest.mark.parametrize("values", [("--t0", "0", "--r", "1"),
+                                        ("--t0", "1", "--r", "-1"),
+                                        ("--t0", "1", "--r", "1",
+                                         "--budget", "0")],
+                             ids=["t0-zero", "r-negative", "budget-zero"])
+    def test_bad_game_argument(self, run, a2_path, values):
+        code, out, err = run("game", a2_path, "--point", "0,0", *values)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
     def test_internal_invariant_failure(self, run, a2_path, monkeypatch):
         from anosurg import InvariantError
         import anosurg.cli as cli
@@ -285,6 +295,31 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_classify", boom)
         code, _, err = run("classify", a2_path)
         assert code == 3 and "synthetic failure" in err
+
+
+class TestQuadrantMinusMinus:
+    """argparse strips '--' from '--quadrant=--'; the C_{-,-} quadrant must
+    still be selected."""
+
+    def test_staircase(self, run):
+        code, out, _ = run("staircase", str(FIXTURE_DIR / "case3.json"),
+                           "--quadrant=--")
+        assert code == 0
+        assert json.loads(out)["staircase"]["quadrant"] == "--"
+
+    def test_game(self, run, a2_path):
+        code, out, _ = run("game", a2_path, "--point", "0,0", "--t0", "1",
+                           "--r", "3", "--quadrant=--")
+        assert code == 0
+        A, sets, _ = load_problem(FIXTURES["a2_half"])
+        frame = eigenframe(A)
+        outcome = play_game(GameConfig(frame, (sets["X"], sets["Y"]), "--"),
+                            point(0, 0), QuadNum(1, 0, frame.D),
+                            QuadNum(3, 0, frame.D))
+        data = json.loads(out)
+        assert data["status"] == outcome.status
+        assert data["final_t"] == qn_to_str(outcome.final_t)
+        assert len(data["crossings"]) == len(outcome.trace)
 
 
 class TestExamples:

@@ -1,17 +1,22 @@
 """Exact arithmetic in Q(sqrt(D)): worked values, field axioms, exact signs
 and floors, string round-trips, error handling, agreement with a Fraction
-oracle on big coefficients, and correctly rounded float conversion."""
+oracle on big coefficients, correctly rounded float conversion, the exact
+integer logarithm, and the absence of floats from the engine's decisions."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from anosurg import (QuadFieldError, QuadNum, qn_ceil, qn_floor, qn_from_str,
-                     qn_pow, qn_sign, qn_to_str)
+import anosurg
+from anosurg import (HyperbolicMatrix, QuadFieldError, QuadNum, eigenframe,
+                     qn_ceil, qn_floor, qn_from_str, qn_log_floor, qn_pow,
+                     qn_sign, qn_to_str)
 
-from oracles import OracleQuad
+from oracles import OracleQuad, oracle_log_floor
 
 LAM = QuadNum(Fraction(3, 2), Fraction(1, 2), 5)     # (3 + sqrt(5)) / 2
 
@@ -256,3 +261,79 @@ class TestFloatConversion:
     def test_rational_values_convert_like_fractions(self):
         for r in (Fraction(1, 3), Fraction(-7, 2), Fraction(10 ** 30, 7), 0):
             assert float(QuadNum(r, 0, 5)) == float(r)
+
+
+# expansive eigenvalues of the A2, B2 and case3 fixture matrices
+FRAME_LAMS = {name: eigenframe(HyperbolicMatrix.from_rows(rows)).lam
+              for name, rows in (("A2", ((2, 1), (1, 1))),
+                                 ("B2", ((13, 8), (8, 5))),
+                                 ("case3", ((3, 2), (4, 3))))}
+
+
+@st.composite
+def log_cases(draw, lam):
+    """(x, base): base 2 or lam^n (n <= 4) in lam's field; x an exact power
+    of the base, one just above or below it, or any positive value with
+    coefficients of several hundred bits (near 0, near 1 or huge)."""
+    D = lam.D
+    base = draw(st.one_of(st.just(QuadNum(2, 0, D)),
+                          st.integers(1, 4).map(lambda n: qn_pow(lam, n))))
+    power = st.integers(-60, 60).map(lambda k: qn_pow(base, k))
+    nudge = st.builds(lambda sgn, m: 1 + Fraction(sgn, 2 ** m),
+                      st.sampled_from((-1, 1)), st.integers(1, 300))
+    big = st.one_of(st.tuples(big_rationals, big_rationals),
+                    near_conjugates(D)).map(lambda ab: QuadNum(*ab, D))
+    x = draw(st.one_of(power, st.builds(lambda p, e: p * e, power, nudge),
+                       big.filter(lambda v: v > 0)))
+    return x, base
+
+
+class TestLogFloor:
+    @pytest.mark.parametrize("frame", sorted(FRAME_LAMS))
+    @given(data=st.data())
+    def test_matches_linear_oracle(self, frame, data):
+        x, base = data.draw(log_cases(FRAME_LAMS[frame]))
+        k = qn_log_floor(x, base)
+        assert k == oracle_log_floor(x, base)
+        assert qn_pow(base, k) <= x < qn_pow(base, k + 1)
+
+    def test_int_and_fraction_arguments(self):
+        assert qn_log_floor(8, 2) == 3
+        assert qn_log_floor(Fraction(1, 8), 2) == -3
+        assert qn_log_floor(Fraction(1, 9), 2) == -4
+        assert qn_log_floor(Fraction(9, 10), Fraction(3, 2)) == -1
+        assert qn_log_floor(1, 2) == 0
+        assert qn_log_floor(LAM, 2) == 1
+
+    @pytest.mark.parametrize("x", [0, -1, QuadNum(0, 0, 5), -LAM,
+                                   QuadNum(2, -1, 5)])
+    def test_non_positive_argument_rejected(self, x):
+        with pytest.raises(QuadFieldError):
+            qn_log_floor(x, LAM)
+
+    @pytest.mark.parametrize("base", [1, Fraction(1, 2), 0, -LAM,
+                                      QuadNum(1, 0, 5), 1 / LAM])
+    def test_base_at_most_one_rejected(self, base):
+        with pytest.raises(QuadFieldError):
+            qn_log_floor(LAM, base)
+
+
+# the modules that make decisions; svgfig draws with floats and cli prints
+ENGINE_MODULES = ("torus", "rectangles", "game", "staircase", "classify")
+INTEGER_MATH = {"gcd", "isqrt", "lcm"}
+
+
+class TestNoFloatInDecisions:
+    @pytest.mark.parametrize("module", ENGINE_MODULES)
+    def test_no_float_call_and_no_float_math(self, module):
+        path = Path(anosurg.__file__).with_name(f"{module}.py")
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{module}.py:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "float", f"float() call at {where}"
+            if isinstance(node, ast.Import):
+                assert "math" not in {a.name for a in node.names}, \
+                    f"import math at {where}"
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                names = {a.name for a in node.names}
+                assert names <= INTEGER_MATH, f"math.{names} at {where}"

@@ -108,7 +108,7 @@ class TestHalfIntegerCovering:
         reps = enumerate_primitive(A, X, sign, frame)
         assert reps
         for rep in reps:
-            assert rect_meets(frame, rep.rect.rect, Y, "closed")
+            assert rect_meets(frame, rep.rect.rect, Y)
 
 
 class TestDisjointRectangles:
@@ -120,7 +120,7 @@ class TestDisjointRectangles:
         frame = eigenframe(A)
         reps = enumerate_primitive(A, X, sign, frame)
         disjoint = [rep for rep in reps
-                    if not rect_meets(frame, rep.rect.rect, Y, "closed")]
+                    if not rect_meets(frame, rep.rect.rect, Y)]
         assert disjoint
 
     def test_b2_unit_horizontal_rectangle(self):
@@ -130,7 +130,7 @@ class TestDisjointRectangles:
         rect = marked_rect(frame, X, (Fraction(0), Fraction(0)),
                            (Fraction(1), Fraction(0)), "positive")
         assert is_primitive(frame, rect, X)
-        assert not rect_meets(frame, rect.rect, Y, "closed")
+        assert not rect_meets(frame, rect.rect, Y)
 
 
 class TestProfiles:
@@ -167,7 +167,7 @@ class TestProfiles:
             assert rep.rect.sign == ("positive" if sign == "pos"
                                      else "negative")
             assert is_primitive(frame, rep.rect, owner)
-            assert not rect_meets(frame, rep.rect.rect, other, "closed")
+            assert not rect_meets(frame, rep.rect.rect, other)
 
 
 class TestStrings:
@@ -183,7 +183,7 @@ class TestStrings:
         for i in range(5):
             delta = string.delta(i)
             assert is_primitive(frame, delta, X)
-            assert not rect_meets(frame, delta.rect, Y, "closed")
+            assert not rect_meets(frame, delta.rect, Y)
             if prev is not None:
                 # consecutive rectangles chain corner to corner
                 assert (delta.origin.s, delta.origin.u) == \

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anosurg import (GroupElement, InvariantError, QUADRANTS, QuadNum,
-                     UnsupportedMatrixError, eigenframe, enumerate_hits,
-                     fixing_lift, hits_in_box, marked_set, mod1, orbit_of,
-                     point, quadrant_contracting, quadrant_view)
+                     UnsupportedMatrixError, eigenframe, fixing_lift,
+                     hits_in_box, marked_set, mod1, orbit_of, point,
+                     quadrant_contracting, quadrant_view)
 from anosurg.torus import (HyperbolicMatrix, FrameView, group_element,
                            orbit_element)
 
@@ -94,12 +94,11 @@ class TestHits:
         corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
         ss = [frame_a2.s(c) for c in corners]
         us = [frame_a2.u(c) for c in corners]
-        closed = enumerate_hits(frame_a2, X, (min(ss), max(ss)),
-                                (min(us), max(us)), "closed")
+        box = (min(ss), max(ss), min(us), max(us))
+        closed = hits_in_box(frame_a2, X, *box, include=(True,) * 4)
         lattices = {h.lattice for h in closed}
         assert {(0, 0), (1, 0), (0, 1), (1, 1)} <= lattices
-        interior = enumerate_hits(frame_a2, X, (min(ss), max(ss)),
-                                  (min(us), max(us)), "open")
+        interior = hits_in_box(frame_a2, X, *box, include=(False,) * 4)
         assert {(0, 0), (1, 1)} & {h.lattice for h in interior} == set()
 
     def test_matches_oracle_on_random_boxes(self, frame_a2):
@@ -153,7 +152,7 @@ class TestHits:
         assert hits_in_box(frame_a2, empty, Fraction(-9), Fraction(9),
                            Fraction(-9), Fraction(9)) == []
         with pytest.raises(ValueError):
-            enumerate_hits(frame_a2, zero_orbit_set(A2), (1, 0), (0, 1))
+            hits_in_box(frame_a2, zero_orbit_set(A2), 1, 0, 0, 1)
 
 
 class TestGroupAndViews:
