@@ -10,8 +10,9 @@ Problem files are JSON:
 
 Every exact value in machine output is a string ("a/b + c/d*sqrt(D)" or a
 plain rational) that the parser round-trips losslessly; output is
-byte-identical for identical input.  Exit codes: 0 ok, 1 parse error or
-invalid game parameters, 2 unsupported input, 3 internal invariant violation.
+byte-identical for identical input.  Exit codes: 0 ok, 1 parse or usage
+error or invalid game parameters, 2 unsupported input, 3 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -350,8 +351,16 @@ def _cmd_examples(args):
 # entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is invalid input, exit 1: argparse's own exit 2 is this
+    CLI's code for an unsupported matrix.  Subparsers share the class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="anosurg",
         description="Exact rectangle censuses, holonomy games, staircases and "
                     "classification for surgered suspension Anosov flows.")
@@ -400,11 +409,10 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "quadrant", None) == []:
-        args.quadrant = "--"    # argparse stores '--quadrant=--' as []
     try:
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "quadrant", None) == []:
+            args.quadrant = "--"    # argparse stores '--quadrant=--' as []
         return args.fn(args)
     except (ParseError, GameError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -118,6 +118,10 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
         if not cands:
             return GameOutcome("Defined", t, tuple(trace))
         hmin = min(c.u for c in cands)
+        if not hmin - up > h:
+            # a lift on the strip's open lower edge would be crossed again
+            # and again, until the budget ran out
+            raise InvariantError(f"game made no progress at height {h}")
         ties = [c for c in cands if c.u == hmin]
         ties.sort(key=lambda c: c.s, reverse=True)   # decreasing offset first
         for c in ties:

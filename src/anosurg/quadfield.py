@@ -124,9 +124,6 @@ class QuadNum:
         p2, q2, d2 = o
         return _sign(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, D)
 
-    def is_rational(self) -> bool:
-        return self._v[1] == 0
-
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
@@ -294,6 +291,14 @@ def _qn(p: int, q: int, d: int, D: int) -> QuadNum:
     x = _new(QuadNum)
     _set_v(x, (p, q, d, D))
     return x
+
+
+def _parts(x) -> tuple:
+    """(p, q, d) with x = (p + q*sqrt(D))/d and d > 0, for a QuadNum, int or
+    Fraction: the integers that the lattice kernel works on."""
+    if isinstance(x, QuadNum):
+        return x._v[:3]
+    return x.numerator, 0, x.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,11 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
         if not hits:
             return family[::-1]
         low = min(hits, key=lambda h: h.u)
+        if not (s0 < low.s <= right and low.u > lo):
+            # a lift on the strip's open edges: the walk would stop rising
+            # and find it again forever
+            raise InvariantError(
+                f"primitive family walk made no progress at {low.lift}")
         family.append(low)
         right, lo = low.s, low.u
 

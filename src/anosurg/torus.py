@@ -10,15 +10,26 @@ Orientation convention: v_u = (1, slope_u) and v_s = (1, slope_s), both with
 positive first coordinate.  For positive matrices slope_u in (0, 1) and
 slope_s < 0, so the segment from (0,0) to (1,0) has increasing (s, u): the
 unit horizontal diagonal spans a positive rectangle.
+
+Box scans run on integers.  The frame keeps s and u as integer linear forms
+(`IntForm`) over one denominator each, together with the reciprocal of
+their y-coefficient and the slope of their level lines.  For a lift
+base + (m, n) each edge of an (s, u)-box is then a bound on n alone, the
+integer floor of a quadratic number computed from integers once per column
+m, rounded up or down by whether the edge is open or closed.  These bounds
+are exact, so every (m, n) between them is a lift in the box and nothing is
+re-checked; a QuadNum is built only for the s and u of a lift found.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .quadfield import QuadNum, qn_ceil, qn_floor, qn_log_floor, qn_pow
+from .quadfield import (QuadNum, _floor, _parts, _qn, qn_log_floor,
+                        qn_pow)
 
 
 class UnsupportedMatrixError(ValueError):
@@ -107,6 +118,49 @@ def _mat_apply(rows, p):
 # ---------------------------------------------------------------------------
 # Eigenframe
 
+# Renormalization powers |j| <= RENORM_TABLE are read from per-frame tables.
+RENORM_TABLE = 8
+
+
+@dataclass(frozen=True)
+class IntForm:
+    """A coordinate c_x*x + c_y*y as an integer form over one denominator L:
+    at the point (X/k, Y/k) its value is
+
+        ((px + qx*sqrt(D))*X + (py + qy*sqrt(D))*Y) / (L*k).
+
+    recip and slope are the (p, q, d) triples of 1/c_y and c_x/c_y, so the
+    value lies between v_lo and v_hi exactly when y + slope*x lies between
+    v_lo*recip and v_hi*recip (in that order when rising, c_y > 0).
+    """
+    D: int
+    px: int
+    qx: int
+    py: int
+    qy: int
+    L: int
+    recip: tuple
+    slope: tuple
+    rising: bool
+
+    @staticmethod
+    def of(cx: QuadNum, cy: QuadNum) -> "IntForm":
+        (px, qx, dx), (py, qy, dy) = _parts(cx), _parts(cy)
+        L = lcm(dx, dy)
+        return IntForm(cx.D, px * (L // dx), qx * (L // dx), py * (L // dy),
+                       qy * (L // dy), L, _parts(1 / cy), _parts(cx / cy),
+                       cy > 0)
+
+    def at(self, X: int, Y: int, k: int) -> QuadNum:
+        return _qn(self.px * X + self.py * Y, self.qx * X + self.qy * Y,
+                   self.L * k, self.D)
+
+    def __call__(self, p) -> QuadNum:
+        x, y = p
+        dx, dy = x.denominator, y.denominator
+        k = lcm(dx, dy)
+        return self.at(x.numerator * (k // dx), y.numerator * (k // dy), k)
+
 
 @dataclass(frozen=True)
 class EigenFrame:
@@ -118,12 +172,20 @@ class EigenFrame:
     v_u: tuple            # eigenvector for lam, first coordinate 1
     s_form: tuple         # linear form with s_form(v_u) = 0
     u_form: tuple         # linear form with u_form(v_s) = 0
+    # the same forms over the integers, and the renormalization tables:
+    # lam^e for |e| <= 2 RENORM_TABLE + 2 and A^-j for |j| <= RENORM_TABLE
+    s_int: IntForm = field(compare=False, repr=False)
+    u_int: IntForm = field(compare=False, repr=False)
+    lam_powers: tuple = field(compare=False, repr=False)
+    inverse_rows: tuple = field(compare=False, repr=False)
 
     def s(self, p) -> QuadNum:
-        return self.s_form[0] * p[0] + self.s_form[1] * p[1]
+        """s of a point with int or Fraction coordinates."""
+        return self.s_int(p)
 
     def u(self, p) -> QuadNum:
-        return self.u_form[0] * p[0] + self.u_form[1] * p[1]
+        """u of a point with int or Fraction coordinates."""
+        return self.u_int(p)
 
     def to_eigen(self, p):
         return (self.s(p), self.u(p))
@@ -132,6 +194,15 @@ class EigenFrame:
         s, u = su
         return (self.v_s[0] * s + self.v_u[0] * u,
                 self.v_s[1] * s + self.v_u[1] * u)
+
+    def renormalization(self, j: int):
+        """(lam^-j, lam^j, rows of A^-j)."""
+        if abs(j) <= RENORM_TABLE:
+            mid = len(self.lam_powers) // 2
+            return (self.lam_powers[mid - j], self.lam_powers[mid + j],
+                    self.inverse_rows[RENORM_TABLE + j])
+        return (qn_pow(self.lam, -j), qn_pow(self.lam, j),
+                self.matrix.power_rows(-j))
 
 
 def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
@@ -153,7 +224,14 @@ def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
     det = slope_u - slope_s  # = sqrt(D)/b, nonzero
     s_form = (slope_u / det, -one / det)
     u_form = (-slope_s / det, one / det)
-    return EigenFrame(A, D, lam, lam_inv, v_s, v_u, s_form, u_form)
+    up, down = [one], [one]
+    for _ in range(2 * RENORM_TABLE + 2):
+        up.append(up[-1] * lam)
+        down.append(down[-1] * lam_inv)
+    rows = [A.power_rows(-j) for j in range(-RENORM_TABLE, RENORM_TABLE + 1)]
+    return EigenFrame(A, D, lam, lam_inv, v_s, v_u, s_form, u_form,
+                      IntForm.of(*s_form), IntForm.of(*u_form),
+                      tuple(down[:0:-1] + up), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -266,90 +344,150 @@ class MarkedPointHit:
         return (self.base[0] + self.lattice[0], self.base[1] + self.lattice[1])
 
 
-def _in_interval(v: QuadNum, lo: QuadNum, hi: QuadNum, lo_closed: bool, hi_closed: bool):
-    lo_ok = v >= lo if lo_closed else v > lo
-    if not lo_ok:
-        return False
-    return v <= hi if hi_closed else v < hi
-
-
-def _balance_power(frame: EigenFrame, w_s: QuadNum, w_u: QuadNum) -> int:
+def _balance_power(frame: EigenFrame, w_s, w_u) -> int:
     """The integer j nearest log_{lam^2}(w_s / w_u), so that lam^(-j) w_s and
     lam^j w_u are within a factor lam of each other: the floor of
-    log_{lam^2}(lam w_s / w_u)."""
+    log_{lam^2}(lam w_s / w_u), read off the frame's even powers of lam."""
     if not (w_s > 0 and w_u > 0):
         return 0
-    lam = frame.lam
-    return qn_log_floor(w_s * lam / w_u, lam * lam)
+    r = w_s * frame.lam / w_u
+    even = frame.lam_powers[::2]        # lam^(2i) for |i| <= RENORM_TABLE + 1
+    mid = len(even) // 2                # even[mid] = 1
+    c = bisect_right(even, r)
+    if 0 < c < len(even):
+        return c - 1 - mid
+    return qn_log_floor(r, even[mid + 1])
 
 
 def hits_in_box(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                 include=(True, True, True, True)):
-    """Lifts of mset inside [s_lo,s_hi] x [u_lo,u_hi] with per-edge inclusion.
+    """Lifts of mset inside [s_lo,s_hi] x [u_lo,u_hi] with per-edge inclusion,
+    sorted by (s, u).
 
-    include = (s_lo closed, s_hi closed, u_lo closed, u_hi closed).
-    The box is mapped to a parallelogram in standard coordinates, its integer
-    bounding box found via exact floors, and each candidate filtered exactly.
+    include = (s_lo closed, s_hi closed, u_lo closed, u_hi closed); the
+    bounds may be QuadNums, ints or Fractions.  The lattice kernel
+    (`_box_lifts`) works on integers: for each column m of lifts it takes
+    the exact n-interval from four integer floors of quadratic numbers, so
+    every lift it lists is in the box and no lift is re-checked.  A QuadNum
+    is built only for the s and u of a listed lift.
 
     Extremely thin boxes (long in one eigen-direction, short in the other) are
     first renormalized by a power of A: lifts of a marked set are invariant
     under p -> A p, which scales (s, u) by (lam^-1, lam), so the query box can
     be made nearly square.  This keeps the scanned lattice region proportional
-    to the hit count instead of the box's longest side.
+    to the hit count instead of the box's longest side.  The lifts found are
+    mapped back by the integer rows of A^-j.
     """
     if s_lo > s_hi or u_lo > u_hi:
         raise ValueError("empty range")
+    s_int, u_int = frame.s_int, frame.u_int
     j = _balance_power(frame, s_hi - s_lo, u_hi - u_lo)
     if j:
-        sc, uc = qn_pow(frame.lam, -j), qn_pow(frame.lam, j)
-        inner = _scan_box(frame, mset, s_lo * sc, s_hi * sc,
-                          u_lo * uc, u_hi * uc, include)
-        rows = frame.matrix.power_rows(-j)
+        sc, uc, ((a, b), (c, d)) = frame.renormalization(j)
         out = []
-        for h in inner:
-            q = _mat_apply(rows, h.lift)
-            base = mod1(q)
-            lat = (int(q[0] - base[0]), int(q[1] - base[1]))
-            out.append(MarkedPointHit(base, lat, h.s * uc, h.u * sc, h.twist))
-        return out  # positive scalings preserve the (s, u) sort order
-    return _scan_box(frame, mset, s_lo, s_hi, u_lo, u_hi, include)
+        for _, _, k, X, Y, twist in _box_lifts(
+                frame, mset, s_lo * sc, s_hi * sc, u_lo * uc, u_hi * uc,
+                include):
+            X, Y = a * X + b * Y, c * X + d * Y
+            out.append(MarkedPointHit(
+                (Fraction(X % k, k), Fraction(Y % k, k)), (X // k, Y // k),
+                s_int.at(X, Y, k), u_int.at(X, Y, k), twist))
+    else:
+        out = [MarkedPointHit(base, lattice, s_int.at(X, Y, k),
+                              u_int.at(X, Y, k), twist)
+               for base, lattice, k, X, Y, twist in _box_lifts(
+                   frame, mset, s_lo, s_hi, u_lo, u_hi, include)]
+    # distinct lifts never share an s coordinate (the level lines of s have
+    # irrational slope), so ordering by s is ordering by (s, u)
+    out.sort(key=lambda h: h.s)
+    return out
 
 
-def _scan_box(frame, mset, s_lo, s_hi, u_lo, u_hi, include):
-    corners = [frame.from_eigen((s, u))
-               for s in (s_lo, s_hi) for u in (u_lo, u_hi)]
-    xs = [c[0] for c in corners]
-    x_min, x_max = min(xs), max(xs)
-    # s and u are linear in the lattice vector (m, n); for each m solve the
-    # exact n-interval instead of scanning the parallelogram's bounding box.
-    s_m, s_n = frame.s((1, 0)), frame.s((0, 1))
-    u_m, u_n = frame.u((1, 0)), frame.u((0, 1))
+# How an edge at x becomes a bound on the integer n: (sign, offset) in
+# sign*floor(sign*x) + offset, keyed by (lower bound, edge closed)
+_ROUNDING = {(True, True): (-1, 0),         # n >= x: n >= ceil(x)
+             (True, False): (1, 1),         # n > x: n >= floor(x) + 1
+             (False, True): (1, 0),         # n <= x: n <= floor(x)
+             (False, False): (-1, -1)}      # n < x: n <= ceil(x) - 1
 
-    def n_range(lo, hi, coef):
-        # integer n with lo <= n*coef <= hi (coef != 0, endpoints irrational-safe)
-        if coef.sign() > 0:
-            return qn_ceil(lo / coef), qn_floor(hi / coef)
-        return qn_ceil(hi / coef), qn_floor(lo / coef)
 
+def _edges(form: IntForm, lo, hi, lo_closed, hi_closed):
+    """The edges lo <= value <= hi of one coordinate as (lower, upper) rules
+    for n.
+
+    A lift (x0 + m, y0 + n) meets the edge at v exactly when y0 + n lies on
+    the right side of t = v*recip - slope*(x0 + m).  With v*recip =
+    (p + q*sqrt(D))/dv and the slope's denominator sd, a rule is
+    (p*sd, q*sd, dv, dv*sd, sign, offset) and bounds n by
+    sign*floor(sign*(t - y0)) + offset, rounded by `_ROUNDING`.  These
+    bounds are exact for rational and irrational t alike.
+    """
+    rp, rq, rd = form.recip
+    sd = form.slope[2]
+    D = form.D
+
+    def rule(v, closed, lower):
+        p, q, d = _parts(v)
+        dv = d * rd
+        return ((p * rp + q * rq * D) * sd, (p * rq + q * rp) * sd, dv,
+                dv * sd) + _ROUNDING[lower, closed]
+
+    if form.rising:
+        return rule(lo, lo_closed, True), rule(hi, hi_closed, False)
+    # dividing by c_y < 0 swaps the edges
+    return rule(hi, hi_closed, True), rule(lo, lo_closed, False)
+
+
+def _bound_run(rule, form: IntForm, x_num, y_num, k, count):
+    """A rule's bounds on n for the count columns x = x_num/k, x + 1, ...
+    of lifts with y0 = y_num/k: one integer floor per column."""
+    a, b, dv, e, sign, off = rule
+    sp, sq, sd = form.slope
+    D = form.D
+    # (t - y0)*e*k
+    #   = k*(a + b sqrt(D)) - dv*((sp + sq sqrt(D))*x_num + sd*y_num)
+    p = sign * (k * a - dv * (sp * x_num + sd * y_num))
+    q = sign * (k * b - dv * sq * x_num)
+    dp, dq = -sign * dv * sp * k, -sign * dv * sq * k
+    ek = e * k
+    return [sign * _floor(p + i * dp, q + i * dq, ek, D) + off
+            for i in range(count)]
+
+
+def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
+               include):
+    """(base, (m, n), k, X, Y, twist) for every lift base + (m, n) =
+    (X/k, Y/k) of mset in the box, k the base's common denominator."""
+    s_int, u_int, D = frame.s_int, frame.u_int, frame.D
+    s_lower, s_upper = _edges(s_int, s_lo, s_hi, include[0], include[1])
+    u_lower, u_upper = _edges(u_int, u_lo, u_hi, include[2], include[3])
+    # x = s + u at every point (v_s and v_u have first coordinate 1), so the
+    # box's columns lie between s_lo + u_lo and s_hi + u_hi
+    (p1, q1, d1), (p2, q2, d2) = _parts(s_lo), _parts(u_lo)
+    lo_p, lo_q, lo_d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
+    (p1, q1, d1), (p2, q2, d2) = _parts(s_hi), _parts(u_hi)
+    hi_p, hi_q, hi_d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
     out = []
     for orb in mset.orbits:
         for base in orb.points:
-            s_b, u_b = frame.s(base), frame.u(base)
-            m_lo = qn_ceil(x_min - base[0])
-            m_hi = qn_floor(x_max - base[0])
-            for m in range(m_lo, m_hi + 1):
-                sm, um = s_b + m * s_m, u_b + m * u_m
-                a0, a1 = n_range(s_lo - sm, s_hi - sm, s_n)
-                b0, b1 = n_range(u_lo - um, u_hi - um, u_n)
-                for n in range(max(a0, b0), min(a1, b1) + 1):
-                    s = sm + n * s_n
-                    if not _in_interval(s, s_lo, s_hi, include[0], include[1]):
-                        continue
-                    u = um + n * u_n
-                    if not _in_interval(u, u_lo, u_hi, include[2], include[3]):
-                        continue
-                    out.append(MarkedPointHit(base, (m, n), s, u, orb.twist))
-    out.sort(key=lambda h: (h.s, h.u))
+            bx, by = base
+            k = lcm(bx.denominator, by.denominator)
+            x_num = bx.numerator * (k // bx.denominator)
+            y_num = by.numerator * (k // by.denominator)
+            m_lo = -_floor(x_num * lo_d - lo_p * k, -lo_q * k, lo_d * k, D)
+            m_hi = _floor(hi_p * k - x_num * hi_d, hi_q * k, hi_d * k, D)
+            count = m_hi - m_lo + 1
+            if count <= 0:
+                continue
+            columns = (x_num + m_lo * k, y_num, k, count)
+            lows = map(max, _bound_run(s_lower, s_int, *columns),
+                       _bound_run(u_lower, u_int, *columns))
+            highs = map(min, _bound_run(s_upper, s_int, *columns),
+                        _bound_run(u_upper, u_int, *columns))
+            for m, n_lo, n_hi in zip(range(m_lo, m_hi + 1), lows, highs):
+                for n in range(n_lo, n_hi + 1):
+                    out.append((base, (m, n), k, x_num + m * k, y_num + n * k,
+                                orb.twist))
     return out
 
 
@@ -458,7 +596,8 @@ class FrameView:
                               -h.s if self.flip_s else h.s,
                               -h.u if self.flip_u else h.u, h.twist)
                for h in raw]
-        out.sort(key=lambda h: (h.s, h.u))
+        if self.flip_s:     # raw is sorted by s, and no two lifts share an s
+            out.reverse()
         return out
 
 

@@ -285,6 +285,15 @@ class TestExitCodes:
         code, out, err = run("game", a2_path, "--point", "0,0", *values)
         assert code == 1 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("staircase", "--quadrant", "xx"),
+        ("staircase", "--quadrant", "--"),
+        ("game", "--point", "0,0", "--r", "1")],
+        ids=["quadrant-xx", "quadrant-separate-dashes", "missing-t0"])
+    def test_usage_error_is_invalid_input(self, run, a2_path, argv):
+        code, out, err = run(argv[0], a2_path, *argv[1:])
+        assert code == 1 and out == "" and err.startswith("error: ")
+
     def test_internal_invariant_failure(self, run, a2_path, monkeypatch):
         from anosurg import InvariantError
         import anosurg.cli as cli

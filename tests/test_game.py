@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import (DominationAnalysis, DominationHypothesisError, GameConfig,
-                     GameError, HyperbolicMatrix, QuadNum, case_profile,
-                     domination_threshold, eigenframe, game_trace_records,
-                     marked_set, orbit_of, play_game, point, qn_pow)
+from anosurg import (DominationAnalysis, DominationHypothesisError, FrameView,
+                     GameConfig, GameError, HyperbolicMatrix, InvariantError,
+                     QuadNum, case_profile, domination_threshold, eigenframe,
+                     game_trace_records, marked_set, orbit_of, play_game,
+                     point, qn_pow)
 
 from anosurg.cli import FIXTURES, load_problem
 
@@ -123,6 +124,25 @@ class TestGameBasics:
         with pytest.raises(GameError):
             GameConfig(frame_a2, (zero_orbit_set(A2), zero_orbit_set(A2)),
                        "++")
+
+    def test_game_stops_when_a_strip_keeps_its_crossing(self, frame_a2,
+                                                       monkeypatch):
+        # with the strips' open lower edge closed, each strip holds the lift
+        # just crossed; the game must refuse it, not cross it until the
+        # budget runs out
+        cfg = a2_config(frame_a2, 1, 2)
+        p = (Fraction(0), Fraction(0))
+        t0, r = QuadNum(1, 0, 5), QuadNum(2, 0, 5)
+        assert play_game(cfg, p, t0, r).trace
+        exact_hits = FrameView.hits
+
+        def closed_below(self, mset, s_lo, s_hi, u_lo, u_hi, include):
+            return exact_hits(self, mset, s_lo, s_hi, u_lo, u_hi,
+                              include[:2] + (True,) + include[3:])
+
+        monkeypatch.setattr(FrameView, "hits", closed_below)
+        with pytest.raises(InvariantError, match="no progress"):
+            play_game(cfg, p, t0, r)
 
 
 class TestDomination:

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import (FrameView, build_string, case_profile, census_records,
-                     eigenframe, enumerate_primitive, is_primitive,
-                     marked_rect, marked_set, point, rect_meets,
+from anosurg import (FrameView, InvariantError, build_string, case_profile,
+                     census_records, eigenframe, enumerate_primitive,
+                     is_primitive, marked_rect, marked_set, point, rect_meets,
                      string_element)
 from anosurg.rectangles import period_window, primitive_family
 from anosurg.torus import orbit_element
@@ -95,6 +95,22 @@ class TestPrimitiveFamily:
                                           X, base, big, u_cap)
                 assert ([(h.base, h.lattice) for h in family]
                         == oracle_pareto_frontier(box))
+
+    def test_walk_stops_when_a_strip_keeps_its_edge_lift(self, monkeypatch):
+        # with the strips' open edges closed, each strip holds the lift the
+        # previous step ended on; the walk must refuse it, not loop forever
+        frame = eigenframe(A2)
+        X = zero_orbit_set(A2)
+        big, u_cap = period_window(FrameView(frame), 1)
+        exact_hits = FrameView.hits
+
+        def closed_hits(self, mset, s_lo, s_hi, u_lo, u_hi, include):
+            return exact_hits(self, mset, s_lo, s_hi, u_lo, u_hi,
+                              (True, True, True, True))
+
+        monkeypatch.setattr(FrameView, "hits", closed_hits)
+        with pytest.raises(InvariantError, match="no progress"):
+            primitive_family(FrameView(frame), X, point(0, 0), big, u_cap)
 
 
 class TestHalfIntegerCovering:

@@ -2,6 +2,7 @@
 enumeration of marked lifts in (s, u) boxes, cross-checked against the
 brute-force oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from anosurg import (GroupElement, InvariantError, QUADRANTS, QuadNum,
                      UnsupportedMatrixError, eigenframe, fixing_lift,
                      hits_in_box, marked_set, mod1, orbit_of, point,
                      quadrant_contracting, quadrant_view)
-from anosurg.torus import (HyperbolicMatrix, FrameView, group_element,
-                           orbit_element)
+from anosurg.torus import (HyperbolicMatrix, FrameView, _balance_power,
+                           group_element, orbit_element)
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
@@ -130,22 +131,26 @@ class TestHits:
              for h in base_hits]
 
     def test_renormalized_thin_box_matches_square_box(self, frame_a2):
-        # the lifts in an extreme-aspect box are the A^6-images of the lifts
-        # in its renormalized square partner, so the scan must agree exactly
+        # the lifts in an extreme-aspect box are the A^power-images of the
+        # lifts in its renormalized square partner, so the scan must agree
+        # exactly; |power| = 10 is past the frame's renormalization tables
         Y = half_orbit_set(A2)
-        lam6 = frame_a2.lam ** 6
         box = (Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
         square = hits_in_box(frame_a2, Y, *box)
-        thin = hits_in_box(frame_a2, Y, box[0] / lam6, box[1] / lam6,
-                           box[2] * lam6, box[3] * lam6)
-        mapped = []
-        for h in square:
-            img = tuple(c for c in
-                        HyperbolicMatrix.from_rows(A2.power_rows(6)).apply(h.lift))
-            mapped.append((mod1(img),
-                           (img[0] - mod1(img)[0], img[1] - mod1(img)[1])))
-        assert sorted((h.base, h.lattice) for h in thin) == \
-            sorted((b, (int(k[0]), int(k[1]))) for b, k in mapped)
+        for power in (6, 10, -10):
+            scale = frame_a2.lam ** power
+            thin = hits_in_box(frame_a2, Y, box[0] / scale, box[1] / scale,
+                               box[2] * scale, box[3] * scale)
+            image = HyperbolicMatrix.from_rows(A2.power_rows(power))
+            mapped = []
+            for h in square:
+                img = image.apply(h.lift)
+                mapped.append((mod1(img), (img[0] - mod1(img)[0],
+                                           img[1] - mod1(img)[1])))
+            assert thin and sorted((h.base, h.lattice) for h in thin) == \
+                sorted((b, (int(k[0]), int(k[1]))) for b, k in mapped)
+            assert all(h.s == frame_a2.s(h.lift) and h.u == frame_a2.u(h.lift)
+                       for h in thin)
 
     def test_empty_set_and_bad_range(self, frame_a2):
         empty = marked_set(A2, [], "Y")
@@ -153,6 +158,102 @@ class TestHits:
                            Fraction(-9), Fraction(9)) == []
         with pytest.raises(ValueError):
             hits_in_box(frame_a2, zero_orbit_set(A2), 1, 0, 0, 1)
+
+
+# A2, its conjugate by (x, y) -> (x, -y), whose b < 0 reverses which way
+# the s and u forms rise in y, B2 = A2^3, and C3, the case3 fixture's matrix
+KERNEL_MATRICES = {"A2": A2, "A2-": HyperbolicMatrix(2, -1, -1, 1),
+                   "B2": B2, "C3": C3}
+ALL_INCLUDES = list(itertools.product((True, False), repeat=4))
+
+
+def kernel_set(A):
+    """Orbits of base points with denominators 1, 2, 3 and 4 (disjoint,
+    since a point's denominator is invariant under A)."""
+    return marked_set(A, [(point(0, 0), 1), (point(HALF, 0), -2),
+                          (point(Fraction(1, 3), Fraction(2, 3)), 3),
+                          (point(Fraction(1, 4), HALF), -1)], "X")
+
+
+def view_oracle(view, mset, s_lo, s_hi, u_lo, u_hi, include):
+    """oracle_hits on the mirrored raw box, in view coordinates."""
+    i0, i1, i2, i3 = include
+    if view.flip_s:
+        s_lo, s_hi, i0, i1 = -s_hi, -s_lo, i1, i0
+    if view.flip_u:
+        u_lo, u_hi, i2, i3 = -u_hi, -u_lo, i3, i2
+    raw = oracle_hits(view.frame, mset, s_lo, s_hi, u_lo, u_hi,
+                      (i0, i1, i2, i3))
+    out = [(b, k, -s if view.flip_s else s, -u if view.flip_u else u, tw)
+           for b, k, s, u, tw in raw]
+    return sorted(out, key=lambda h: (h[2], h[3]))
+
+
+class TestKernelAgainstOracle:
+    """hits_in_box's integer kernel against the brute-force double loop."""
+
+    @pytest.mark.parametrize("label", sorted(KERNEL_MATRICES))
+    def test_edges_on_lifts_all_includes(self, label):
+        # the box is spanned by four lifts, so every edge passes through a
+        # lift, as the primitive-family walk's strips do; each of the 16
+        # inclusion patterns keeps or drops them
+        A = KERNEL_MATRICES[label]
+        frame, X = eigenframe(A), kernel_set(A)
+        lifts = oracle_hits(frame, X, -2, 2, -2, 2)
+        corners = lifts[len(lifts) // 3:][:4]
+        box = (min(h[2] for h in corners), max(h[2] for h in corners),
+               min(h[3] for h in corners), max(h[3] for h in corners))
+        for include in ALL_INCLUDES:
+            want = oracle_hits(frame, X, *box, include)
+            assert hit_keys(hits_in_box(frame, X, *box, include)) == want
+
+    @pytest.mark.parametrize("label", sorted(KERNEL_MATRICES))
+    def test_rational_and_mixed_bounds(self, label):
+        A = KERNEL_MATRICES[label]
+        frame, X = eigenframe(A), kernel_set(A)
+        s_mid = frame.s((Fraction(1, 3), Fraction(2, 3)))
+        boxes = [(-1, 2, -2, 1),                                  # int
+                 (Fraction(-3, 2), Fraction(5, 3), Fraction(-7, 4),
+                  Fraction(1, 2)),                                # Fraction
+                 (s_mid - 1, s_mid + Fraction(3, 2), -1, Fraction(3, 2)),
+                 (Fraction(1, 3), Fraction(1, 3), -3, 3)]         # zero width
+        for box in boxes:
+            for include in ALL_INCLUDES[::5]:
+                assert hit_keys(hits_in_box(frame, X, *box, include)) == \
+                    oracle_hits(frame, X, *box, include)
+
+    @pytest.mark.parametrize("label", sorted(KERNEL_MATRICES))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_thin_boxes_renormalize(self, label, sign):
+        A = KERNEL_MATRICES[label]
+        frame, X = eigenframe(A), kernel_set(A)
+        long_side, short_side = frame.lam / 2, frame.lam_inv / 2
+        w_s, w_u = ((long_side, short_side) if sign > 0
+                    else (short_side, long_side))
+        j = _balance_power(frame, w_s, w_u)
+        assert j * sign > 0
+        for lift in oracle_hits(frame, X, -1, 1, -1, 1)[:3]:
+            s, u = lift[2], lift[3]
+            box = (s, s + w_s, u - w_u / 2, u + w_u / 2)
+            for include in ALL_INCLUDES[::3]:
+                got = hit_keys(hits_in_box(frame, X, *box, include))
+                assert got == oracle_hits(frame, X, *box, include)
+                assert (lift in got) == include[0]
+
+    @pytest.mark.parametrize("quadrant", QUADRANTS)
+    def test_quadrant_views(self, quadrant):
+        for A in (A2, C3):
+            frame, X = eigenframe(A), kernel_set(A)
+            view = quadrant_view(frame, quadrant)
+            origin = point(Fraction(1, 3), Fraction(2, 3))
+            s0, u0 = view.s(origin), view.u(origin)
+            boxes = [(s0, s0 + 2, u0, u0 + 2),
+                     (Fraction(-1), Fraction(2), Fraction(-2), Fraction(1)),
+                     (s0 - 1, s0 + frame.lam, u0 - 1, u0 + 3)]
+            for box in boxes:
+                for include in ALL_INCLUDES[::4]:
+                    got = hit_keys(view.hits(X, *box, include))
+                    assert got == view_oracle(view, X, *box, include)
 
 
 class TestGroupAndViews:
