@@ -18,22 +18,21 @@ globally ordered (R-covered) structure, via:
 """
 
 from .quadfield import (QuadFieldError, QuadNum, qn_ceil, qn_floor,
-                        qn_from_str, qn_log_floor, qn_pow, qn_sign, qn_to_str)
+                        qn_from_str, qn_log_floor, qn_pow, qn_to_str)
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, Orbit,
                     UnsupportedMatrixError, eigenframe, fixing_lift,
                     hits_in_box, marked_set, mod1, orbit_of, point,
                     quadrant_contracting, quadrant_view, sets_disjoint,
                     QUADRANTS)
-from .rectangles import (CaseProfile, EigenRect, MarkedRect, RectOrbitRep,
-                         StringDescriptor, build_string, case_profile,
-                         census_records, disjoint_witness,
-                         enumerate_primitive, is_primitive, lattice_widths,
-                         marked_rect, rect_meets, string_element)
+from .rectangles import (CaseProfile, MarkedRect, StringDescriptor,
+                         build_string, case_profile, census_records,
+                         disjoint_witness, enumerate_primitive, is_primitive,
+                         lattice_widths, marked_rect, rect_meets,
+                         string_element)
 from .game import (DEFAULT_BUDGET, Crossing, DominationAnalysis,
                    DominationHypothesisError, DominationInterval, GameConfig,
-                   GameError, GameOutcome, domination_threshold,
-                   game_trace_records, play_game)
+                   GameError, GameOutcome, game_trace_records, play_game)
 from .staircase import (StairStep, Staircase, StaircaseError, build_staircase,
                         containment_check, incompleteness_threshold,
                         staircase_records)

@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit, Point,
-                    eigenframe, mod1, sets_disjoint)
+                    eigenframe, mod1, quadrant_contracting, sets_disjoint)
 from .rectangles import case_profile
 from .game import DominationAnalysis, DominationHypothesisError
 from .staircase import (StaircaseError, build_staircase,
@@ -76,7 +76,7 @@ class Analysis:
     checks against the twists do."""
 
     def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet):
-        self.A, self.X, self.Y = A, X, Y
+        self.X, self.Y = X, Y
         self.frame = eigenframe(A)
         self._memo = {}
 
@@ -85,7 +85,7 @@ class Analysis:
 
     @_once
     def profile(self):
-        return case_profile(self.A, self.X, self.Y, self.frame)
+        return case_profile(self.frame, self.X, self.Y)
 
     @_once
     def domination(self, own: str, sign: str):
@@ -93,8 +93,7 @@ class Analysis:
         some primitive rectangle misses the other set."""
         first, second = self._roles(own)
         try:
-            return DominationAnalysis(self.A, first, second, sign=sign,
-                                      frame=self.frame)
+            return DominationAnalysis(self.frame, first, second, sign=sign)
         except DominationHypothesisError:
             return None
 
@@ -103,8 +102,7 @@ class Analysis:
         """A staircase of the own set at the given origin, or None."""
         first, second = self._roles(own)
         try:
-            return build_staircase(self.A, first, second, base, quadrant,
-                                   self.frame)
+            return build_staircase(self.frame, first, second, base, quadrant)
         except StaircaseError:
             return None
 
@@ -151,6 +149,12 @@ def _twists(mset: MarkedSet):
     return tuple(orb.twist for orb in mset.orbits)
 
 
+def _meets(twists, direction: int, n: int) -> bool:
+    """Every twist, taken with the rule's direction (+1 or -1), reaches the
+    threshold n."""
+    return all(t * direction >= n for t in twists)
+
+
 # ---------------------------------------------------------------------------
 # the decision procedure
 
@@ -166,26 +170,23 @@ def _sign_rule(twists: dict):
     return None
 
 
-_DOMINATION_VARIANTS = (
-    # (own rectangles, sign, twisted set, direction, verdict)
-    ("X", "positive", "Y", +1, "RCoveredPositive"),
-    ("X", "negative", "Y", -1, "RCoveredNegative"),
-    ("Y", "positive", "X", +1, "RCoveredPositive"),
-    ("Y", "negative", "X", -1, "RCoveredNegative"),
-)
+# (own rectangles, sign); the other set's twists must reach the threshold
+# in the sign's direction
+_DOMINATION_VARIANTS = (("X", "positive"), ("X", "negative"),
+                        ("Y", "positive"), ("Y", "negative"))
 
 
 def _domination_rule(problem: SurgeryProblem, shared: Analysis):
-    for own, sign, twisted, direction, status in _DOMINATION_VARIANTS:
-        other = problem.Y if twisted == "Y" else problem.X
+    for own, sign in _DOMINATION_VARIANTS:
         analysis = shared.domination(own, sign)
         if analysis is None:
             continue
+        twisted, other = ("Y", problem.Y) if own == "X" else ("X", problem.X)
         tw = _twists(other)
-        if direction > 0 and not all(t >= analysis.threshold for t in tw):
+        if not _meets(tw, 1 if sign == "positive" else -1, analysis.threshold):
             continue
-        if direction < 0 and not all(t <= -analysis.threshold for t in tw):
-            continue
+        status = ("RCoveredPositive" if sign == "positive"
+                  else "RCoveredNegative")
         rule = f"domination-{sign}" + ("" if own == "X" else "-roles-swapped")
         return Verdict(status, rule, {
             "rectangles": own, "sign": sign,
@@ -196,23 +197,28 @@ def _domination_rule(problem: SurgeryProblem, shared: Analysis):
 
 
 _STAIRCASE_VARIANTS = (
-    # ((X staircase quadrant, X twist direction), (Y quadrant, Y direction))
-    (("++", -1), ("+-", +1)),   # positive X-staircase, negative Y-staircase
-    (("+-", +1), ("++", -1)),   # mirror: negative X-staircase, positive Y
+    # (X staircase quadrant, Y staircase quadrant)
+    ("++", "+-"),   # positive X-staircase, negative Y-staircase
+    ("+-", "++"),   # mirror: negative X-staircase, positive Y
 )
 
 
+def _undertwist_direction(quadrant: str) -> int:
+    """The direction in which a staircase's own twists must reach its
+    threshold: negative in the contracting quadrants."""
+    return -1 if quadrant_contracting(quadrant) else 1
+
+
 def _staircase_rule(problem: SurgeryProblem, shared: Analysis):
-    for (qx, dx), (qy, dy) in _STAIRCASE_VARIANTS:
+    for qx, qy in _STAIRCASE_VARIANTS:
         got_x = shared.staircase("X", qx)
         got_y = shared.staircase("Y", qy)
         if got_x is None or got_y is None:
             continue
         (st_x, nx), (st_y, ny) = got_x, got_y
         tx, ty = _twists(problem.X), _twists(problem.Y)
-        if not all(t * dx >= nx for t in tx):
-            continue
-        if not all(t * dy >= ny for t in ty):
+        if not (_meets(tx, _undertwist_direction(qx), nx)
+                and _meets(ty, _undertwist_direction(qy), ny)):
             continue
         rule = ("staircase-adjacent-quadrants" if qx == "++"
                 else "staircase-adjacent-quadrants-mirror")
@@ -265,6 +271,7 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
     staircase exists and the point's own twists exceed its threshold), or
     Unknown.  Raises if both certificates fire: that would be contradictory.
     """
+    contracting = quadrant_contracting(quadrant)
     base = mod1((point[0], point[1]))
     if base in problem.X.points:
         own, other, own_name = problem.X, problem.Y, "X"
@@ -274,18 +281,17 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
         raise ValueError(f"{point} is not a marked point")
     if other.is_empty():
         return "Unknown", {}
-    contracting = quadrant in ("++", "--")
-    sign = "positive" if contracting else "negative"
+    # the other set completes the quadrant in the direction of the
+    # domination sign; the own set's staircase needs the opposite one
+    sign, direction = ("positive", 1) if contracting else ("negative", -1)
     shared = analysis_of(problem.geometry())
 
     complete = None
     analysis = shared.domination(own_name, sign)
     if analysis is not None:
-        n = max(1, max(iv.least_n for iv in analysis.intervals(base)))
+        n = analysis.threshold_at(base)
         tw = _twists(other)
-        ok = (all(t >= n for t in tw) if contracting
-              else all(t <= -n for t in tw))
-        if ok:
+        if _meets(tw, direction, n):
             complete = {"threshold": n, "other_twists": list(tw)}
 
     incomplete = None
@@ -293,9 +299,7 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
     if st is not None:
         n = incompleteness_threshold(st)
         tw = _twists(own)
-        ok = (all(t <= -n for t in tw) if contracting
-              else all(t >= n for t in tw))
-        if ok:
+        if _meets(tw, -direction, n):
             incomplete = {"threshold": n, "own_twists": list(tw),
                           "staircase": staircase_records(st)}
 

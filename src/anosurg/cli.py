@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .quadfield import QuadFieldError, qn_from_str, qn_to_str
 from .torus import (HyperbolicMatrix, InvariantError, UnsupportedMatrixError,
-                    eigenframe, marked_set, orbit_of, point)
+                    eigenframe, marked_set, orbit_of, point,
+                    quadrant_contracting)
 from .rectangles import (case_profile, census_records, disjoint_witness,
                          enumerate_primitive, is_primitive, marked_rect,
                          rect_meets)
@@ -132,7 +133,7 @@ def _cmd_census(args):
     if own.is_empty():
         raise ParseError(f"sets: no points with role {args.set!r}")
     signs = ("positive", "negative") if args.sign == "both" else (args.sign,)
-    reps = {sign: enumerate_primitive(A, own, sign, frame) for sign in signs}
+    reps = {sign: enumerate_primitive(frame, own, sign) for sign in signs}
     _emit({
         "matrix": [[A.a, A.b], [A.c, A.d]],
         "set": args.set,
@@ -149,7 +150,7 @@ def _cmd_profile(args):
     A, sets, _ = _read_problem(args.problem)
     if sets["X"].is_empty() or sets["Y"].is_empty():
         raise ParseError("sets: profile needs nonempty X and Y")
-    prof = case_profile(A, sets["X"], sets["Y"], eigenframe(A))
+    prof = case_profile(eigenframe(A), sets["X"], sets["Y"])
     _emit({
         "booleans": {
             "pos_x_disjoint": prof.pos_x_disjoint,
@@ -204,7 +205,7 @@ def _cmd_staircase(args):
         raise ParseError(f"sets: no points with role {args.set!r}")
     origin = _parse_point(args.origin) if args.origin else own.points[0]
     try:
-        st = build_staircase(A, own, other, origin, args.quadrant, eigenframe(A))
+        st = build_staircase(eigenframe(A), own, other, origin, args.quadrant)
     except StaircaseError as e:
         _emit({"staircase": None, "reason": str(e)})
         return 0
@@ -213,7 +214,7 @@ def _cmd_staircase(args):
         "staircase": staircase_records(st),
         "incompleteness_threshold": n,
         "containment_at_threshold": containment_check(
-            st, -n if args.quadrant in ("++", "--") else n),
+            st, -n if quadrant_contracting(args.quadrant) else n),
     })
     if args.svg:
         _write_svg(args.svg, svgfig.staircase_figure(st))
@@ -282,7 +283,7 @@ def _run_examples(out):
                 covered |= set(orbit_of(A, p)[0])
         H = marked_set(A, seeds, "Y")
         assert set(H.points) == set(halves)
-        return all(disjoint_witness(A, X, H, sign, frame) is None
+        return all(disjoint_witness(frame, X, H, sign) is None
                    for sign in ("positive", "negative"))
 
     for k in (2, 3, 4):
@@ -297,7 +298,7 @@ def _run_examples(out):
         frame = eigenframe(A)
         X = marked_set(A, [(point(0, 0), 0)], "X")
         Y = marked_set(A, [(point(Fraction(1, 2), Fraction(1, 2)), 0)], "Y")
-        return all(disjoint_witness(A, X, Y, sign, frame) is not None
+        return all(disjoint_witness(frame, X, Y, sign) is not None
                    for sign in ("positive", "negative"))
 
     A2 = HyperbolicMatrix(2, 1, 1, 1)
@@ -313,7 +314,7 @@ def _run_examples(out):
         X = marked_set(A, [(point(0, 0), 0)], "X")
         Y = marked_set(A, [(point(Fraction(1, 2), Fraction(1, 2)), 0)], "Y")
         mr = marked_rect(frame, X, point(0, 0), point(1, 0), "positive")
-        return is_primitive(frame, mr, X) and not rect_meets(frame, mr.rect, Y)
+        return is_primitive(frame, mr, X) and not rect_meets(frame, mr, Y)
 
     check("cube-of-[[2,1],[1,1]]: unit horizontal diagonal is a disjoint witness",
           b2_unit_rectangle)
@@ -321,7 +322,7 @@ def _run_examples(out):
     def case3_profile():
         data = dict(FIXTURES["case3"])
         A, sets, _ = load_problem(data)
-        prof = case_profile(A, sets["X"], sets["Y"], eigenframe(A))
+        prof = case_profile(eigenframe(A), sets["X"], sets["Y"])
         return (prof.booleans == (True, False, True, False)
                 and prof.case == 3)
 

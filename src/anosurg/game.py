@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
-from .torus import (EigenFrame, FrameView, HyperbolicMatrix, InvariantError,
-                    MarkedPointHit, MarkedSet, Point, eigenframe,
-                    quadrant_contracting, quadrant_view, QUADRANTS)
+from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
+                    MarkedSet, Point, quadrant_contracting, quadrant_view,
+                    QUADRANTS)
 from .rectangles import (first_window_hits, lattice_widths, period_window,
                          primitive_family)
 
@@ -194,26 +194,27 @@ class DominationAnalysis:
     increasing ones, so the same analysis covers the mixed quadrants.
     """
 
-    def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet,
-                 sign: str = "positive", frame: EigenFrame | None = None):
+    def __init__(self, frame: EigenFrame, X: MarkedSet, Y: MarkedSet,
+                 sign: str = "positive"):
         if sign not in ("positive", "negative"):
             raise ValueError(f"sign must be positive|negative, got {sign!r}")
         if X.is_empty() or Y.is_empty():
             raise DominationHypothesisError(
                 "both marked sets must be nonempty for the domination analysis")
-        self.A = A
         self.X, self.Y = X, Y
         self.sign = sign
-        self.frame = frame or eigenframe(A)
-        self.view = FrameView(self.frame, flip_u=(sign == "negative"))
-        self.lam = self.frame.lam
+        self.frame = frame
+        self.view = FrameView(frame, flip_u=(sign == "negative"))
+        self.lam = frame.lam
         self._per_base = {}
         for orb in X.orbits:
             for base in orb.points:
                 self._per_base[base] = self._analyze_base(base, orb.period)
-        self.threshold = max(1, max(iv.least_n
-                                    for ivs in self._per_base.values()
-                                    for iv in ivs))
+        self.threshold = max(map(self.threshold_at, self._per_base))
+
+    def threshold_at(self, base: Point) -> int:
+        """The least positive twist dominating every interval at one origin."""
+        return max(1, max(iv.least_n for iv in self._per_base[base]))
 
     # -- per-origin analysis -------------------------------------------------
 
@@ -264,10 +265,6 @@ class DominationAnalysis:
         iv, scale = self._locate(base, t)
         return iv.mu * scale
 
-    def nu(self, base: Point, t: QuadNum) -> QuadNum:
-        iv, scale = self._locate(base, t)
-        return iv.nu * scale
-
     def delta(self, base: Point, t: QuadNum) -> QuadNum:
         iv, scale = self._locate(base, t)
         return iv.delta * scale
@@ -280,10 +277,3 @@ class DominationAnalysis:
 
     def intervals(self, base: Point):
         return tuple(self._per_base[base])
-
-
-def domination_threshold(A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet,
-                         sign: str = "positive",
-                         frame: EigenFrame | None = None) -> int:
-    """Least twist N on Y dominating all expansions (positive integer)."""
-    return DominationAnalysis(A, X, Y, sign=sign, frame=frame).threshold

@@ -189,10 +189,6 @@ class QuadNum:
     def __pow__(self, n: int) -> "QuadNum":
         return qn_pow(self, n)
 
-    def conjugate(self) -> "QuadNum":
-        p, q, d, D = self._v
-        return _qn(p, -q, d, D)
-
     # -- exact order -------------------------------------------------------
 
     def sign(self) -> int:
@@ -303,11 +299,6 @@ def _parts(x) -> tuple:
 
 # ---------------------------------------------------------------------------
 # operation-style API
-
-
-def qn_sign(x: QuadNum) -> int:
-    """Sign of the real number a + b*sqrt(D), decided exactly."""
-    return x.sign()
 
 
 def qn_floor(x: QuadNum) -> int:

@@ -3,10 +3,12 @@ profiles, and strings of rectangles.
 
 A marked rectangle is an axis-aligned box in (s,u)-coordinates whose
 increasing (positive) or decreasing (negative) diagonal has both endpoints on
-lifts of a marked set.  It is primitive when the closed box contains no other
-lift of that set.  Up to the group generated by A and the integer
-translations there are finitely many primitive rectangles; the census
-enumerates one normalized representative per orbit:
+lifts of a marked set.  One record type, `MarkedRect`, holds it as its sign
+and the two diagonal lifts; the box's sides and lengths are read off those
+corners.  It is primitive when the closed box contains no other lift of that
+set.  Up to the group generated by A and the integer translations there are
+finitely many primitive rectangles; the census enumerates one normalized
+representative per orbit, as a `MarkedRect`:
 
     ratio l_s/l_u in [1, lam^2)  and  origin base point in [0,1)^2.
 
@@ -22,20 +24,40 @@ from dataclasses import dataclass, field
 
 from .quadfield import QuadNum, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
-                    InvariantError, MarkedPointHit, MarkedSet, eigenframe,
-                    hits_in_box, mod1, orbit_element)
+                    InvariantError, MarkedPointHit, MarkedSet, hits_in_box,
+                    mod1, orbit_element)
 
 
 @dataclass(frozen=True)
-class EigenRect:
-    s0: QuadNum
-    s1: QuadNum
-    u0: QuadNum
-    u1: QuadNum
+class MarkedRect:
+    """The closed (s, u)-box spanned by a diagonal between two marked lifts:
+    from origin up to endpoint (increasing u), rising in s for sign
+    "positive" and falling for "negative"."""
+    sign: str                 # "positive" | "negative"
+    origin: MarkedPointHit    # first point of the diagonal (increasing u)
+    endpoint: MarkedPointHit
 
     def __post_init__(self):
+        if self.sign not in ("positive", "negative"):
+            raise ValueError(f"sign must be positive|negative, got {self.sign!r}")
         if not (self.s0 < self.s1 and self.u0 < self.u1):
             raise ValueError("degenerate rectangle")
+
+    @property
+    def s0(self) -> QuadNum:
+        return (self.origin if self.sign == "positive" else self.endpoint).s
+
+    @property
+    def s1(self) -> QuadNum:
+        return (self.endpoint if self.sign == "positive" else self.origin).s
+
+    @property
+    def u0(self) -> QuadNum:
+        return self.origin.u
+
+    @property
+    def u1(self) -> QuadNum:
+        return self.endpoint.u
 
     @property
     def ls(self) -> QuadNum:
@@ -44,30 +66,6 @@ class EigenRect:
     @property
     def lu(self) -> QuadNum:
         return self.u1 - self.u0
-
-
-@dataclass(frozen=True)
-class MarkedRect:
-    rect: EigenRect
-    sign: str                 # "positive" | "negative"
-    origin: MarkedPointHit    # first point of the diagonal (increasing u)
-    endpoint: MarkedPointHit
-
-    def __post_init__(self):
-        r, o, e = self.rect, self.origin, self.endpoint
-        if self.sign == "positive":
-            ok = (o.s, o.u) == (r.s0, r.u0) and (e.s, e.u) == (r.s1, r.u1)
-        elif self.sign == "negative":
-            ok = (o.s, o.u) == (r.s1, r.u0) and (e.s, e.u) == (r.s0, r.u1)
-        else:
-            raise ValueError(f"sign must be positive|negative, got {self.sign!r}")
-        if not ok:
-            raise ValueError("diagonal endpoints do not match the box corners")
-
-
-@dataclass(frozen=True)
-class RectOrbitRep:
-    rect: MarkedRect
 
 
 @dataclass(frozen=True)
@@ -96,16 +94,12 @@ def marked_rect(frame: EigenFrame, X: MarkedSet, origin_lift, endpoint_lift,
         lat = (int(lift[0] - base[0]), int(lift[1] - base[1]))
         return MarkedPointHit(base, lat, frame.s(lift), frame.u(lift),
                               X.twist_of(base))
-    o, e = hit_of(origin_lift), hit_of(endpoint_lift)
-    if sign == "positive":
-        return MarkedRect(EigenRect(o.s, e.s, o.u, e.u), sign, o, e)
-    return MarkedRect(EigenRect(e.s, o.s, o.u, e.u), sign, o, e)
+    return MarkedRect(sign, hit_of(origin_lift), hit_of(endpoint_lift))
 
 
 def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
     """True iff the closed box meets the lift of X only at the two diagonal corners."""
-    r = rect.rect
-    hits = hits_in_box(frame, X, r.s0, r.s1, r.u0, r.u1)
+    hits = hits_in_box(frame, X, rect.s0, rect.s1, rect.u0, rect.u1)
     corners = {(rect.origin.s, rect.origin.u), (rect.endpoint.s, rect.endpoint.u)}
     got = {(h.s, h.u) for h in hits}
     if not corners <= got:
@@ -182,14 +176,13 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
         right, lo = low.s, low.u
 
 
-def enumerate_primitive(A: HyperbolicMatrix, X: MarkedSet, sign: str,
-                        frame: EigenFrame | None = None):
-    """One normalized representative per orbit of primitive sign-diagonal X-rectangles."""
+def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):
+    """One normalized representative per orbit of primitive sign-diagonal
+    X-rectangles, as MarkedRects."""
     if X.is_empty():
         raise ValueError("marked set is empty")
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be positive|negative, got {sign!r}")
-    frame = frame or eigenframe(A)
     view = FrameView(frame, flip_s=(sign == "negative"))
     lam2 = view.lam * view.lam
     ws, wu = lattice_widths(view)
@@ -211,26 +204,25 @@ def enumerate_primitive(A: HyperbolicMatrix, X: MarkedSet, sign: str,
                 if key in seen:
                     raise InvariantError("duplicate normalized representative")
                 seen.add(key)
-                reps.append(RectOrbitRep(mr))
-    reps.sort(key=lambda r: (r.rect.rect.ls, r.rect.rect.lu,
-                             r.rect.origin.base, r.rect.endpoint.base,
-                             r.rect.endpoint.lattice))
+                reps.append(mr)
+    reps.sort(key=lambda r: (r.ls, r.lu, r.origin.base, r.endpoint.base,
+                             r.endpoint.lattice))
     return reps
 
 
-def rect_meets(frame: EigenFrame, rect: EigenRect, S: MarkedSet) -> bool:
+def rect_meets(frame: EigenFrame, rect: MarkedRect, S: MarkedSet) -> bool:
     """True iff the lift of S meets the closed box."""
     if S.is_empty():
         return False
     return bool(hits_in_box(frame, S, rect.s0, rect.s1, rect.u0, rect.u1))
 
 
-def disjoint_witness(A: HyperbolicMatrix, own: MarkedSet, other: MarkedSet,
-                     sign: str, frame: EigenFrame) -> RectOrbitRep | None:
+def disjoint_witness(frame: EigenFrame, own: MarkedSet, other: MarkedSet,
+                     sign: str) -> MarkedRect | None:
     """The first primitive sign-diagonal representative of own whose closed
     box misses the lift of other, or None when every one meets it."""
-    for rep in enumerate_primitive(A, own, sign, frame):
-        if not rect_meets(frame, rep.rect.rect, other):
+    for rep in enumerate_primitive(frame, own, sign):
+        if not rect_meets(frame, rep, other):
             return rep
     return None
 
@@ -250,18 +242,16 @@ _SYMMETRIES = (
 )
 
 
-def case_profile(A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet,
-                 frame: EigenFrame | None = None) -> CaseProfile:
+def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> CaseProfile:
     """The four disjointness booleans over primitive representatives, plus the
     case label up to interchanging signs or the two sets."""
     if set(X.points) & set(Y.points):
         raise ValueError("marked sets overlap")
-    frame = frame or eigenframe(A)
     wit = {
-        "pos_x": disjoint_witness(A, X, Y, "positive", frame),
-        "neg_x": disjoint_witness(A, X, Y, "negative", frame),
-        "pos_y": disjoint_witness(A, Y, X, "positive", frame),
-        "neg_y": disjoint_witness(A, Y, X, "negative", frame),
+        "pos_x": disjoint_witness(frame, X, Y, "positive"),
+        "neg_x": disjoint_witness(frame, X, Y, "negative"),
+        "pos_y": disjoint_witness(frame, Y, X, "positive"),
+        "neg_y": disjoint_witness(frame, Y, X, "negative"),
     }
     b = tuple(wit[k] is not None for k in ("pos_x", "neg_x", "pos_y", "neg_y"))
     # a negative-diagonal rectangle of one set disjoint from the other must
@@ -284,7 +274,6 @@ def case_profile(A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet,
 @dataclass(frozen=True)
 class StringDescriptor:
     """Finitely-presented string: Delta_i = G^i(Delta_0)."""
-    A: HyperbolicMatrix
     frame: EigenFrame
     X: MarkedSet
     seed: MarkedRect
@@ -307,30 +296,28 @@ def string_element(A: HyperbolicMatrix, X: MarkedSet,
     return G
 
 
-def build_string(A: HyperbolicMatrix, X: MarkedSet, seed: MarkedRect,
-                 avoid: MarkedSet, frame: EigenFrame | None = None) -> StringDescriptor:
+def build_string(frame: EigenFrame, X: MarkedSet, seed: MarkedRect,
+                 avoid: MarkedSet) -> StringDescriptor:
     """String of rectangles from a primitive seed disjoint from the avoid set."""
-    frame = frame or eigenframe(A)
     if not is_primitive(frame, seed, X):
         raise ValueError("seed rectangle is not primitive")
-    if rect_meets(frame, seed.rect, avoid):
+    if rect_meets(frame, seed, avoid):
         raise ValueError("seed rectangle meets the avoid set")
-    G = string_element(A, X, seed)
-    return StringDescriptor(A, frame, X, seed, G)
+    G = string_element(frame.matrix, X, seed)
+    return StringDescriptor(frame, X, seed, G)
 
 
 def census_records(reps) -> list:
     """JSON-ready census records (exact values as strings)."""
     out = []
-    for rep in reps:
-        mr = rep.rect
+    for mr in reps:
         out.append({
             "sign": mr.sign,
             "origin": {"base": [str(mr.origin.base[0]), str(mr.origin.base[1])],
                        "lattice": list(mr.origin.lattice)},
             "endpoint": {"base": [str(mr.endpoint.base[0]), str(mr.endpoint.base[1])],
                          "lattice": list(mr.endpoint.lattice)},
-            "lengths": {"s": qn_to_str(mr.rect.ls), "u": qn_to_str(mr.rect.lu)},
+            "lengths": {"s": qn_to_str(mr.ls), "u": qn_to_str(mr.lu)},
             # every representative is already normalized: the identity
             "witness": {"power": 0, "translation": [0, 0]},
         })

@@ -31,10 +31,9 @@ from fractions import Fraction
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .rectangles import (is_primitive, lattice_widths, marked_rect,
                          period_window, primitive_family)
-from .torus import (EigenFrame, FrameView, HyperbolicMatrix, InvariantError,
-                    MarkedSet, Point, QUADRANTS, eigenframe, fixing_lift,
-                    group_element, mod1, orbit_element, quadrant_contracting,
-                    quadrant_view)
+from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Point,
+                    QUADRANTS, fixing_lift, group_element, mod1,
+                    orbit_element, quadrant_contracting, quadrant_view)
 
 
 class StaircaseError(ValueError):
@@ -66,16 +65,14 @@ class Staircase:
     leftover strips are covered by the residual-strip check in verify().
     """
 
-    def __init__(self, A, frame, view, quadrant, X, avoid, origin,
-                 G, steps, preperiod, period, g):
-        self.A = A
+    def __init__(self, frame, view, quadrant, X, avoid, origin,
+                 steps, preperiod, period, g):
         self.frame = frame
         self.view = view
         self.quadrant = quadrant
         self.X = X
         self.avoid = avoid
         self.origin = origin
-        self.G = G                      # string element: level i corners are G^i images
         self.steps = steps              # raw steps, len >= preperiod + 2*period
         self.preperiod = preperiod
         self.period = period
@@ -103,7 +100,7 @@ class Staircase:
         # the unique fixed point of g; the levels' heights contract toward its
         # stable leaf, so its u-coordinate is the top of the axis
         g = self.g
-        (a, b), (c, d) = self.A.power_rows(g.k)
+        (a, b), (c, d) = self.frame.matrix.power_rows(g.k)
         det = (1 - a) * (1 - d) - b * c
         if det == 0:
             raise InvariantError("recurring element has no fixed point")
@@ -273,9 +270,8 @@ def _recurrence_break(steps, start: int, period: int, g, s_scale: QuadNum):
     return None
 
 
-def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
+def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
                     origin: Point, quadrant: str,
-                    frame: EigenFrame | None = None,
                     max_levels: int = 64) -> Staircase:
     """Construct and verify the periodic staircase at the given origin lift."""
     if quadrant not in QUADRANTS:
@@ -283,7 +279,7 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
     if avoid.is_empty():
         raise StaircaseError(
             "avoid set is empty: the pushed rectangles are undefined")
-    frame = frame or eigenframe(A)
+    A = frame.matrix
     view = quadrant_view(frame, quadrant)
     origin = (Fraction(origin[0]), Fraction(origin[1]))
     if mod1(origin) not in X.points:
@@ -376,7 +372,7 @@ def build_staircase(A: HyperbolicMatrix, X: MarkedSet, avoid: MarkedSet,
     else:
         raise StaircaseError(f"no period found within {max_levels} levels")
     preperiod, period, g = found
-    st = Staircase(A, frame, view, quadrant, X, avoid, origin, G,
+    st = Staircase(frame, view, quadrant, X, avoid, origin,
                    tuple(steps), preperiod, period, g)
     st.verify()
     return st

@@ -98,12 +98,11 @@ def _marks(fig: Figure, view, sets, s_lo, s_hi, u_lo, u_hi):
 
 def census_figure(frame, reps, sets) -> str:
     """All census rectangles overlaid, with the marked lifts they span."""
-    rects = [rep.rect for rep in reps]
-    if rects:
-        s_lo = min(float(r.rect.s0) for r in rects)
-        s_hi = max(float(r.rect.s1) for r in rects)
-        u_lo = min(float(r.rect.u0) for r in rects)
-        u_hi = max(float(r.rect.u1) for r in rects)
+    if reps:
+        s_lo = min(float(r.s0) for r in reps)
+        s_hi = max(float(r.s1) for r in reps)
+        u_lo = min(float(r.u0) for r in reps)
+        u_hi = max(float(r.u1) for r in reps)
     else:
         s_lo = u_lo = -1.0
         s_hi = u_hi = 1.0
@@ -114,9 +113,8 @@ def census_figure(frame, reps, sets) -> str:
     _marks(fig, view, sets,
            Fraction(s_lo - pad_s), Fraction(s_hi + pad_s),
            Fraction(u_lo - pad_u), Fraction(u_hi + pad_u))
-    for mr in rects:
-        r = mr.rect
-        fig.rect(r.s0, r.u0, r.s1, r.u1, f"rect-{mr.sign}")
+    for mr in reps:
+        fig.rect(mr.s0, mr.u0, mr.s1, mr.u1, f"rect-{mr.sign}")
         fig.line(mr.origin.s, mr.origin.u, mr.endpoint.s, mr.endpoint.u, "diag")
     return fig.render()
 

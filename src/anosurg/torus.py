@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .quadfield import (QuadNum, _floor, _parts, _qn, qn_log_floor,
                         qn_pow)
@@ -187,9 +187,6 @@ class EigenFrame:
         """u of a point with int or Fraction coordinates."""
         return self.u_int(p)
 
-    def to_eigen(self, p):
-        return (self.s(p), self.u(p))
-
     def from_eigen(self, su):
         s, u = su
         return (self.v_s[0] * s + self.v_u[0] * u,
@@ -293,22 +290,6 @@ class MarkedSet:
             if base in orb.points:
                 return orb
         raise KeyError(base)
-
-    def with_chars(self, chars) -> "MarkedSet":
-        """Same geometry with new characteristic numbers (one per orbit)."""
-        if len(chars) != len(self.orbits):
-            raise ValueError("need one characteristic number per orbit")
-        return MarkedSet(
-            tuple(Orbit(o.points, o.period, int(k))
-                  for o, k in zip(self.orbits, chars)),
-            self.role,
-        )
-
-    def common_period(self) -> int:
-        n = 1
-        for orb in self.orbits:
-            n = n * orb.period // gcd(n, orb.period)
-        return n
 
 
 def marked_set(A: HyperbolicMatrix, seeds, role: str = "") -> MarkedSet:

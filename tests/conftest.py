@@ -65,4 +65,4 @@ def b2_sets():
 @pytest.fixture(scope="session")
 def b2_staircase(frame_b2, b2_sets):
     X, Y = b2_sets
-    return build_staircase(B2, X, Y, point(0, 0), "++", frame_b2)
+    return build_staircase(frame_b2, X, Y, point(0, 0), "++")

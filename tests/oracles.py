@@ -92,8 +92,8 @@ def oracle_primitive_census(A, X, sign, frame):
 
 def census_keys(reps):
     """The comparable key set of an enumerate_primitive result."""
-    return {(rep.rect.origin.base, rep.rect.endpoint.base,
-             rep.rect.endpoint.lattice) for rep in reps}
+    return {(rep.origin.base, rep.endpoint.base, rep.endpoint.lattice)
+            for rep in reps}
 
 
 def oracle_pareto_frontier(points):

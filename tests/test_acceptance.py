@@ -37,10 +37,10 @@ def test_primitive_rectangles_of_small_matrices_cover_half_points():
         Y = half_points_set(A)
         frame = eigenframe(A)
         for sign in ("positive", "negative"):
-            reps = enumerate_primitive(A, X, sign, frame)
+            reps = enumerate_primitive(frame, X, sign)
             assert reps, (A.rows(), sign)
             for rep in reps:
-                assert rect_meets(frame, rep.rect.rect, Y), \
+                assert rect_meets(frame, rep, Y), \
                     (A.rows(), sign)
 
 
@@ -50,21 +50,21 @@ def test_iterated_matrices_admit_disjoint_primitive_rectangles():
         Y = half_orbit_set(A)
         frame = eigenframe(A)
         for sign in ("positive", "negative"):
-            reps = enumerate_primitive(A, X, sign, frame)
-            assert any(not rect_meets(frame, rep.rect.rect, Y)
+            reps = enumerate_primitive(frame, X, sign)
+            assert any(not rect_meets(frame, rep, Y)
                        for rep in reps), (A.rows(), sign)
         # the explicit unit horizontal rectangle is such a witness
         rect = marked_rect(frame, X, (Fraction(0), Fraction(0)),
                            (Fraction(1), Fraction(0)), "positive")
         assert is_primitive(frame, rect, X)
-        assert not rect_meets(frame, rect.rect, Y)
+        assert not rect_meets(frame, rect, Y)
 
 
 def test_mixed_geometry_realizes_case_three():
     from anosurg import case_profile
     X = zero_orbit_set(C3)
     Y = marked_set(C3, [(point(0, HALF), 0)], "Y")
-    prof = case_profile(C3, X, Y, eigenframe(C3))
+    prof = case_profile(eigenframe(C3), X, Y)
     assert prof.booleans == (True, False, True, False)
     assert prof.case == 3 and prof.symmetry == "identity"
 
@@ -75,7 +75,7 @@ def test_box_scan_and_census_match_brute_force_oracles():
         X = zero_orbit_set(A)
         frame = eigenframe(A)
         for sign in ("positive", "negative"):
-            reps = enumerate_primitive(A, X, sign, frame)
+            reps = enumerate_primitive(frame, X, sign)
             assert census_keys(reps) == \
                 oracle_primitive_census(A, X, sign, frame)
     # 100 random boxes inside [-3, 3]^2 with random boundary inclusion
@@ -129,7 +129,7 @@ def test_domination_threshold_is_sound_on_a_grid_of_games():
     frame = eigenframe(A2)
     X = zero_orbit_set(A2, 0, "X")
     Y = half_orbit_set(A2, 0, "Y")
-    analysis = DominationAnalysis(A2, X, Y, sign="positive", frame=frame)
+    analysis = DominationAnalysis(frame, X, Y, sign="positive")
     n = analysis.threshold
     assert n == 2
     # the threshold inequality holds at n on every interval and fails

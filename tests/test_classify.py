@@ -4,6 +4,7 @@ coherence sweep with its symmetry checks."""
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,16 @@ class TestQuadrantReports:
     def test_unmarked_point_rejected(self):
         with pytest.raises(ValueError):
             quadrant_report(a2_problem(1, 1), point(Fraction(1, 3), 0), "++")
+
+    def test_invalid_quadrant_rejected_before_any_analysis(self, monkeypatch):
+        def no_analysis(geometry):
+            raise AssertionError("an analysis was built")
+
+        # the package's `classify` attribute is the function, not the module
+        monkeypatch.setattr(sys.modules["anosurg.classify"], "analysis_of",
+                            no_analysis)
+        with pytest.raises(ValueError, match="quadrant"):
+            quadrant_report(a2_problem(-5, 1), point(0, 0), "xx")
 
 
 class TestSharedAnalysis:

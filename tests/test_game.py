@@ -9,7 +9,7 @@ import pytest
 
 from anosurg import (DominationAnalysis, DominationHypothesisError, FrameView,
                      GameConfig, GameError, HyperbolicMatrix, InvariantError,
-                     QuadNum, case_profile, domination_threshold, eigenframe,
+                     QuadNum, case_profile, eigenframe,
                      game_trace_records, marked_set, orbit_of, play_game,
                      point, qn_pow)
 
@@ -149,16 +149,14 @@ class TestDomination:
     def test_golden_mean_threshold(self, frame_a2):
         X = zero_orbit_set(A2, 0, "X")
         Y = half_orbit_set(A2, 0, "Y")
-        assert domination_threshold(A2, X, Y, "positive") == 2
-        analysis = DominationAnalysis(A2, X, Y, sign="positive",
-                                      frame=frame_a2)
+        analysis = DominationAnalysis(frame_a2, X, Y, sign="positive")
         assert analysis.threshold == 2
+        assert analysis.threshold_at(point(0, 0)) == 2
 
     def test_equation_holds_at_threshold_and_fails_below(self, frame_a2):
         X = zero_orbit_set(A2, 0, "X")
         Y = half_orbit_set(A2, 0, "Y")
-        analysis = DominationAnalysis(A2, X, Y, sign="positive",
-                                      frame=frame_a2)
+        analysis = DominationAnalysis(frame_a2, X, Y, sign="positive")
         n = analysis.threshold
         failed_below = False
         for base in X.points:
@@ -195,7 +193,7 @@ class TestDomination:
         X = zero_orbit_set(B2, 0, "X")
         Y = half_orbit_set(B2, 0, "Y")
         with pytest.raises(DominationHypothesisError) as exc:
-            DominationAnalysis(B2, X, Y, sign="positive", frame=frame_b2)
+            DominationAnalysis(frame_b2, X, Y, sign="positive")
         assert exc.value.witness is not None
 
     def test_hypothesis_fails_exactly_when_the_profile_is_disjoint(self):
@@ -222,11 +220,11 @@ class TestDomination:
             raised = []
             for own, other, sign in variants:
                 try:
-                    DominationAnalysis(A, own, other, sign=sign, frame=frame)
+                    DominationAnalysis(frame, own, other, sign=sign)
                     raised.append(False)
                 except DominationHypothesisError:
                     raised.append(True)
-            profile = case_profile(A, X, Y, frame)
+            profile = case_profile(frame, X, Y)
             assert tuple(raised) == profile.booleans, (A, p, q)
             outcomes.update(raised)
         assert outcomes == {False, True}
@@ -235,10 +233,10 @@ class TestDomination:
         X = zero_orbit_set(A2, 0, "X")
         empty = marked_set(A2, [], "Y")
         with pytest.raises((DominationHypothesisError, ValueError)):
-            DominationAnalysis(A2, X, empty, sign="positive", frame=frame_a2)
+            DominationAnalysis(frame_a2, X, empty, sign="positive")
 
     def test_bad_arguments(self, frame_a2):
         X = zero_orbit_set(A2, 0, "X")
         Y = half_orbit_set(A2, 0, "Y")
         with pytest.raises(ValueError):
-            DominationAnalysis(A2, X, Y, sign="sideways", frame=frame_a2)
+            DominationAnalysis(frame_a2, X, Y, sign="sideways")

@@ -1,9 +1,11 @@
 """Exact arithmetic in Q(sqrt(D)): worked values, field axioms, exact signs
 and floors, string round-trips, error handling, agreement with a Fraction
 oracle on big coefficients, correctly rounded float conversion, the exact
-integer logarithm, and the absence of floats from the engine's decisions."""
+integer logarithm, the absence of floats from the engine's decisions, and the
+eigenframe as the only geometry argument of the public API."""
 
 import ast
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +16,7 @@ from hypothesis import given, strategies as st
 import anosurg
 from anosurg import (HyperbolicMatrix, QuadFieldError, QuadNum, eigenframe,
                      qn_ceil, qn_floor, qn_from_str, qn_log_floor, qn_pow,
-                     qn_sign, qn_to_str)
+                     qn_to_str)
 
 from oracles import OracleQuad, oracle_log_floor
 
@@ -62,7 +64,6 @@ class TestWorkedValues:
         assert QuadNum(0, 0, 5).sign() == 0
         assert QuadNum(-3, 2, 5).sign() == 1        # -3 + 2*sqrt(5) > 0
         assert QuadNum(3, -2, 5).sign() == -1
-        assert qn_sign(QuadNum(-3, 2, 5)) == 1
 
     def test_floors(self):
         assert qn_floor(LAM) == 2
@@ -337,3 +338,35 @@ class TestNoFloatInDecisions:
             if isinstance(node, ast.ImportFrom) and node.module == "math":
                 names = {a.name for a in node.names}
                 assert names <= INTEGER_MATH, f"math.{names} at {where}"
+
+
+# the engine entry points whose one geometry argument is the eigenframe
+FRAME_ENTRY_POINTS = {"enumerate_primitive", "disjoint_witness", "case_profile",
+                      "DominationAnalysis", "build_staircase", "build_string"}
+
+
+def public_signatures():
+    """(name, parameters) of every exported function and of the __init__ of
+    every exported class that defines one."""
+    for name in anosurg.__all__:
+        obj = getattr(anosurg, name)
+        if isinstance(obj, type):
+            obj = vars(obj).get("__init__")
+        if inspect.isfunction(obj):
+            yield name, inspect.signature(obj).parameters
+
+
+class TestFrameIsTheGeometryArgument:
+    def test_no_callable_takes_both_a_matrix_and_a_frame(self):
+        both = [name for name, params in public_signatures()
+                if {"A", "frame"} <= set(params)]
+        assert both == []
+
+    def test_frame_parameters_have_no_default(self):
+        with_frame = {name: params["frame"]
+                      for name, params in public_signatures()
+                      if "frame" in params}
+        assert FRAME_ENTRY_POINTS <= set(with_frame)
+        defaulted = [name for name, param in with_frame.items()
+                     if param.default is not inspect.Parameter.empty]
+        assert defaulted == []

@@ -33,8 +33,8 @@ class TestCensus:
         A, pos, neg = FROZEN_COUNTS[label]
         X = zero_orbit_set(A)
         frame = eigenframe(A)
-        assert len(enumerate_primitive(A, X, "positive", frame)) == pos
-        assert len(enumerate_primitive(A, X, "negative", frame)) == neg
+        assert len(enumerate_primitive(frame, X, "positive")) == pos
+        assert len(enumerate_primitive(frame, X, "negative")) == neg
 
     @pytest.mark.parametrize("label", ["A2", "A3", "A4", "C3"])
     @pytest.mark.parametrize("sign", ["positive", "negative"])
@@ -42,7 +42,7 @@ class TestCensus:
         A = FROZEN_COUNTS[label][0]
         X = zero_orbit_set(A)
         frame = eigenframe(A)
-        reps = enumerate_primitive(A, X, sign, frame)
+        reps = enumerate_primitive(frame, X, sign)
         assert census_keys(reps) == oracle_primitive_census(A, X, sign, frame)
 
     def test_all_representatives_primitive_with_normalized_ratio(self):
@@ -51,15 +51,15 @@ class TestCensus:
             frame = eigenframe(A)
             lam2 = frame.lam * frame.lam
             for sign in ("positive", "negative"):
-                for rep in enumerate_primitive(A, X, sign, frame):
-                    assert is_primitive(frame, rep.rect, X)
-                    ratio = rep.rect.rect.ls / rep.rect.rect.lu
+                for rep in enumerate_primitive(frame, X, sign):
+                    assert is_primitive(frame, rep, X)
+                    ratio = rep.ls / rep.lu
                     assert 1 <= ratio < lam2
 
     def test_records_shape(self):
         frame = eigenframe(A2)
-        recs = census_records(enumerate_primitive(A2, zero_orbit_set(A2),
-                                                  "positive", frame))
+        recs = census_records(enumerate_primitive(frame, zero_orbit_set(A2),
+                                                  "positive"))
         assert len(recs) == 1
         assert recs[0]["sign"] == "positive"
         assert set(recs[0]) == {"sign", "origin", "endpoint", "lengths",
@@ -121,10 +121,10 @@ class TestHalfIntegerCovering:
         X = zero_orbit_set(A)
         Y = half_points_set(A)
         frame = eigenframe(A)
-        reps = enumerate_primitive(A, X, sign, frame)
+        reps = enumerate_primitive(frame, X, sign)
         assert reps
         for rep in reps:
-            assert rect_meets(frame, rep.rect.rect, Y)
+            assert rect_meets(frame, rep, Y)
 
 
 class TestDisjointRectangles:
@@ -134,9 +134,9 @@ class TestDisjointRectangles:
         X = zero_orbit_set(A)
         Y = half_orbit_set(A)
         frame = eigenframe(A)
-        reps = enumerate_primitive(A, X, sign, frame)
+        reps = enumerate_primitive(frame, X, sign)
         disjoint = [rep for rep in reps
-                    if not rect_meets(frame, rep.rect.rect, Y)]
+                    if not rect_meets(frame, rep, Y)]
         assert disjoint
 
     def test_b2_unit_horizontal_rectangle(self):
@@ -146,7 +146,7 @@ class TestDisjointRectangles:
         rect = marked_rect(frame, X, (Fraction(0), Fraction(0)),
                            (Fraction(1), Fraction(0)), "positive")
         assert is_primitive(frame, rect, X)
-        assert not rect_meets(frame, rect.rect, Y)
+        assert not rect_meets(frame, rect, Y)
 
 
 class TestProfiles:
@@ -162,7 +162,7 @@ class TestProfiles:
     @pytest.mark.parametrize("label", sorted(CASES))
     def test_frozen_profiles(self, label):
         A, Y, booleans, case = self.CASES[label]
-        prof = case_profile(A, zero_orbit_set(A), Y, eigenframe(A))
+        prof = case_profile(eigenframe(A), zero_orbit_set(A), Y)
         assert prof.booleans == booleans
         assert prof.case == case
         assert prof.symmetry == "identity"
@@ -172,7 +172,7 @@ class TestProfiles:
         A, Y, _, _ = self.CASES[label]
         X = zero_orbit_set(A)
         frame = eigenframe(A)
-        prof = case_profile(A, X, Y, frame)
+        prof = case_profile(frame, X, Y)
         assert set(prof.witnesses) == \
             {k for k, b in zip(("pos_x", "neg_x", "pos_y", "neg_y"),
                                prof.booleans) if b}
@@ -180,10 +180,9 @@ class TestProfiles:
             sign, own = key.split("_")
             owner = X if own == "x" else Y
             other = Y if own == "x" else X
-            assert rep.rect.sign == ("positive" if sign == "pos"
-                                     else "negative")
-            assert is_primitive(frame, rep.rect, owner)
-            assert not rect_meets(frame, rep.rect.rect, other)
+            assert rep.sign == ("positive" if sign == "pos" else "negative")
+            assert is_primitive(frame, rep, owner)
+            assert not rect_meets(frame, rep, other)
 
 
 class TestStrings:
@@ -193,13 +192,13 @@ class TestStrings:
         Y = half_orbit_set(B2)
         seed = marked_rect(frame, X, (Fraction(0), Fraction(0)),
                            (Fraction(1), Fraction(0)), "positive")
-        string = build_string(B2, X, seed, Y, frame)
+        string = build_string(frame, X, seed, Y)
         assert string.G.apply(seed.origin.lift) == seed.endpoint.lift
         prev = None
         for i in range(5):
             delta = string.delta(i)
             assert is_primitive(frame, delta, X)
-            assert not rect_meets(frame, delta.rect, Y)
+            assert not rect_meets(frame, delta, Y)
             if prev is not None:
                 # consecutive rectangles chain corner to corner
                 assert (delta.origin.s, delta.origin.u) == \
@@ -213,7 +212,7 @@ class TestStrings:
         seed = marked_rect(frame, X, (Fraction(0), Fraction(0)),
                            (Fraction(1), Fraction(0)), "positive")
         with pytest.raises(ValueError):
-            build_string(A2, X, seed, Y, frame)
+            build_string(frame, X, seed, Y)
 
     def test_string_element_same_orbit_requirement(self):
         frame = eigenframe(B2)
@@ -239,3 +238,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             marked_rect(frame, X, (Fraction(0), Fraction(0)),
                         (Fraction(0), Fraction(0)), "positive")
+
+    def test_bad_sign_rejected(self):
+        frame = eigenframe(A2)
+        X = zero_orbit_set(A2)
+        with pytest.raises(ValueError, match="sign"):
+            marked_rect(frame, X, (Fraction(0), Fraction(0)),
+                        (Fraction(1), Fraction(0)), "sideways")
+
+    @pytest.mark.parametrize("sign", ["positive", "negative"])
+    def test_box_is_read_off_the_diagonal(self, sign):
+        frame = eigenframe(B2)
+        for rep in enumerate_primitive(frame, zero_orbit_set(B2), sign):
+            o, e = rep.origin, rep.endpoint
+            assert (rep.u0, rep.u1) == (o.u, e.u)
+            assert {rep.s0, rep.s1} == {o.s, e.s} and rep.s0 < rep.s1
+            assert (rep.s0 == o.s) == (sign == "positive")
+            assert (rep.ls, rep.lu) == (rep.s1 - rep.s0, e.u - o.u)

@@ -91,7 +91,7 @@ class TestContainment:
     def test_stored_twists_used_by_default(self, frame_b2):
         X = zero_orbit_set(B2, -2, "X")
         Y = half_orbit_set(B2, 0, "Y")
-        st = build_staircase(B2, X, Y, point(0, 0), "++", frame_b2)
+        st = build_staircase(frame_b2, X, Y, point(0, 0), "++")
         assert containment_check(st)
 
 
@@ -136,7 +136,7 @@ class TestConstruction:
         for quadrant in QUADRANTS:
             if quadrant == "++":
                 continue        # covered by the session fixture
-            st = build_staircase(B2, X, Y, point(0, 0), quadrant, frame_b2)
+            st = build_staircase(frame_b2, X, Y, point(0, 0), quadrant)
             assert st.preperiod == 1 and st.period == 1
             assert incompleteness_threshold(st) == 2
 
@@ -144,12 +144,12 @@ class TestConstruction:
         X = zero_orbit_set(C3, 0, "X")
         Y = marked_set(C3, [(point(0, HALF), 0)], "Y")
         for quadrant in ("++", "--"):
-            st = build_staircase(C3, X, Y, point(0, 0), quadrant, frame_c3)
+            st = build_staircase(frame_c3, X, Y, point(0, 0), quadrant)
             assert st.preperiod == 1 and st.period == 1
             assert incompleteness_threshold(st) == 2
         for quadrant in ("+-", "-+"):
             with pytest.raises(StaircaseError):
-                build_staircase(C3, X, Y, point(0, 0), quadrant, frame_c3)
+                build_staircase(frame_c3, X, Y, point(0, 0), quadrant)
 
     def test_period_candidate_is_certified_before_it_is_accepted(
             self, frame_a2):
@@ -158,7 +158,7 @@ class TestConstruction:
         origin = point(Fraction(1, 3), Fraction(2, 3))
         X = marked_set(A2, [(origin, 0)], "X")
         Y = marked_set(A2, [(point(0, Fraction(1, 3)), 0)], "Y")
-        st = build_staircase(A2, X, Y, origin, "+-", frame_a2)
+        st = build_staircase(frame_a2, X, Y, origin, "+-")
         assert (st.preperiod, st.period) == (1, 2)
         assert (st.g.k, st.g.v) == (-2, (3, -4))
         assert all(step.q_hi < st.axis_height for step in st.steps)
@@ -167,12 +167,11 @@ class TestConstruction:
         X = zero_orbit_set(A2, 0, "X")
         empty = marked_set(A2, [], "Y")
         with pytest.raises(StaircaseError):
-            build_staircase(A2, X, empty, point(0, 0), "++", frame_a2)
+            build_staircase(frame_a2, X, empty, point(0, 0), "++")
 
     def test_origin_must_be_marked(self, frame_b2, b2_sets):
         X, Y = b2_sets
         with pytest.raises(ValueError):
-            build_staircase(B2, X, Y, point(Fraction(1, 3), 0), "++",
-                            frame_b2)
+            build_staircase(frame_b2, X, Y, point(Fraction(1, 3), 0), "++")
         with pytest.raises(ValueError):
-            build_staircase(B2, X, Y, point(0, 0), "north", frame_b2)
+            build_staircase(frame_b2, X, Y, point(0, 0), "north")
