@@ -12,6 +12,12 @@ where w is the signed twist of gamma's orbit.  The game either reaches r
 with a finite offset (Defined) or exhausts its crossing budget
 (BudgetExhausted); the simulator never claims divergence.
 
+A step looks for the lowest lifts of the strip (0, t) x (h, r] in height
+windows that double from about one lift (`first_window_hits`), and one scan
+covers the lifts of every marked set.  The lifts a window found above the
+crossing, still inside the strip, answer the next step without a scan,
+unless a crossing widened the strip.
+
 The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,
 computed exactly from the breakpoints of the step functions mu, nu, delta
@@ -100,6 +106,9 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
 
     sp, up = view.s(p), view.u(p)
     widths = lattice_widths(view)
+    # one scan covers every marked set: each hit carries its own twist
+    marked = MarkedSet(tuple(orb for mset in config.sets
+                             for orb in mset.orbits))
     t = t0
     h = zero
     trace: list[Crossing] = []
@@ -107,16 +116,15 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
 
     def strip_hits(h_lo: QuadNum, h_hi: QuadNum):
         # offsets in (0, t), heights in (h_lo, h_hi]
-        out = []
-        for mset in config.sets:
-            out.extend(view.hits(mset, sp, sp + t, up + h_lo, up + h_hi,
-                                 include=(False, False, False, True)))
-        return out
+        return view.hits(marked, sp, sp + t, up + h_lo, up + h_hi,
+                         include=(False, False, False, True))
 
+    cands = []
     while h < r:
-        cands = first_window_hits(strip_hits, t, h, r, widths)
         if not cands:
-            return GameOutcome("Defined", t, tuple(trace))
+            cands = first_window_hits(strip_hits, t, h, r, widths)
+            if not cands:
+                return GameOutcome("Defined", t, tuple(trace))
         hmin = min(c.u for c in cands)
         if not hmin - up > h:
             # a lift on the strip's open lower edge would be crossed again
@@ -124,6 +132,7 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
             raise InvariantError(f"game made no progress at height {h}")
         ties = [c for c in cands if c.u == hmin]
         ties.sort(key=lambda c: c.s, reverse=True)   # decreasing offset first
+        widened = False
         for c in ties:
             o = c.s - sp
             if not (0 < o < t):
@@ -137,7 +146,15 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
             t_new = o + lam_pow[e] * (t - o)
             trace.append(Crossing(c, c.u - up, o, w, e, t, t_new))
             t = t_new
+            widened |= e > 0
         h = hmin - up
+        # The window that found cands covered the heights (old h, top] over
+        # a strip at least as wide as the new one, unless a crossing widened
+        # it.  So every lift of the new strip at a height in (hmin, top] is
+        # among the survivors below, and when there is one, the lowest
+        # survivors are the true next crossing: no rescan is needed.
+        cands = [] if widened else [c for c in cands
+                                    if c.u > hmin and 0 < c.s - sp < t]
     return GameOutcome("Defined", t, tuple(trace))
 
 
@@ -253,27 +270,6 @@ class DominationAnalysis:
             intervals.append(DominationInterval(base, mu, nu, rho, delta, n))
         return intervals
 
-    # -- step functions ------------------------------------------------------
-
-    def _locate(self, base: Point, t: QuadNum):
-        intervals = self._per_base[base]
-        big = qn_pow(self.lam, self.X.orbit_containing(base).period)
-        w, scale = _reduce(t, intervals[0].mu, big)
-        return next(iv for iv in reversed(intervals) if iv.mu <= w), scale
-
-    def mu(self, base: Point, t: QuadNum) -> QuadNum:
-        iv, scale = self._locate(base, t)
-        return iv.mu * scale
-
-    def delta(self, base: Point, t: QuadNum) -> QuadNum:
-        iv, scale = self._locate(base, t)
-        return iv.delta * scale
-
-    def equation_holds(self, base: Point, t: QuadNum, n: int) -> bool:
-        """mu(delta(t) + lam^(-n) (t - delta(t))) == mu(delta(t))."""
-        d = self.delta(base, t)
-        shifted = d + qn_pow(self.lam, -n) * (t - d)
-        return self.mu(base, shifted) == self.mu(base, d)
-
     def intervals(self, base: Point):
+        """The breakpoint intervals at one origin over one period, by mu."""
         return tuple(self._per_base[base])

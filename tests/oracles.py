@@ -9,7 +9,7 @@ check rather than a tautology.
 from fractions import Fraction
 import math
 
-from anosurg import QuadNum
+from anosurg import QuadNum, qn_pow
 
 
 def _window_for_box(frame, s_lo, s_hi, u_lo, u_hi, margin=2):
@@ -46,6 +46,83 @@ def oracle_hits(frame, mset, s_lo, s_hi, u_lo, u_hi,
                     out.append((base, (kx, ky), s, u, orb.twist))
     out.sort(key=lambda h: (h[2], h[3]))
     return out
+
+
+class _QuadrantCoords:
+    """The frame's (s, u) with the signs a quadrant flips, so that
+    oracle_hits can scan a quadrant's view box directly."""
+
+    def __init__(self, frame, quadrant):
+        self.frame = frame
+        self.ss = -1 if quadrant[0] == "-" else 1
+        self.su = -1 if quadrant[1] == "-" else 1
+
+    def s(self, p):
+        return self.frame.s(p) * self.ss
+
+    def u(self, p):
+        return self.frame.u(p) * self.su
+
+    def from_eigen(self, su):
+        return self.frame.from_eigen((su[0] * self.ss, su[1] * self.su))
+
+
+def oracle_game(config, p, t0, r, budget):
+    """The crossing game by brute force: (status, final_t, trace), each
+    crossing the tuple (base, lattice, height, offset, exponent, t_after).
+
+    Every step scans each marked set over the whole rest of the strip,
+    offsets in (0, t) and heights in (h, r], with no height windows and no
+    lifts kept from an earlier step, then crosses the lowest lifts in order
+    of decreasing offset."""
+    quadrant = config.quadrant
+    coords = _QuadrantCoords(config.frame, quadrant)
+    sign = -1 if quadrant in ("++", "--") else 1
+    lam = config.frame.lam
+    sp, up = coords.s(p), coords.u(p)
+    t, h, trace = t0, 0, []
+    while h < r:
+        hits = [hit for mset in config.sets
+                for hit in oracle_hits(coords, mset, sp, sp + t, up + h,
+                                       up + r, (False, False, False, True))]
+        if not hits:
+            return "Defined", t, trace
+        hmin = min(u for _, _, _, u, _ in hits)
+        lowest = sorted((hit for hit in hits if hit[3] == hmin),
+                        key=lambda hit: hit[2], reverse=True)
+        for base, lattice, s, u, twist in lowest:
+            o = s - sp
+            if not 0 < o < t:
+                continue
+            if len(trace) >= budget:
+                return "BudgetExhausted", None, trace
+            e = sign * twist
+            t = o + qn_pow(lam, e) * (t - o)
+            trace.append((base, lattice, u - up, o, e, t))
+        h = hmin - up
+    return "Defined", t, trace
+
+
+def equation_holds(analysis, base, t, n):
+    """mu(delta(t) + lam^(-n) (t - delta(t))) == mu(delta(t)), where mu and
+    delta are the step functions of the analysis's breakpoint intervals at
+    base, extended to all t > 0 by their period lam^(period of base)."""
+    intervals = analysis.intervals(base)
+    big = qn_pow(analysis.lam, analysis.X.orbit_containing(base).period)
+
+    def locate(v):
+        # the interval holding v moved into the first period, and the scale
+        scale = qn_pow(big, oracle_log_floor(v / intervals[0].mu, big))
+        w = v / scale
+        return next(iv for iv in reversed(intervals) if iv.mu <= w), scale
+
+    def mu(v):
+        iv, scale = locate(v)
+        return iv.mu * scale
+
+    iv, scale = locate(t)
+    d = iv.delta * scale
+    return mu(d + qn_pow(analysis.lam, -n) * (t - d)) == mu(d)
 
 
 def oracle_primitive_census(A, X, sign, frame):

@@ -26,7 +26,8 @@ from anosurg import (DominationAnalysis, GameConfig, QuadNum, STATUSES,
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
-from oracles import census_keys, oracle_hits, oracle_primitive_census
+from oracles import (census_keys, equation_holds, oracle_hits,
+                     oracle_primitive_census)
 from test_classify import (FLIP_STATUS, a2_problem, antidiagonal_flip,
                            c3_problem, role_swap)
 
@@ -138,8 +139,8 @@ def test_domination_threshold_is_sound_on_a_grid_of_games():
     for base in X.points:
         for iv in analysis.intervals(base):
             mid = (iv.mu + iv.nu) / 2
-            assert analysis.equation_holds(base, mid, n)
-            failed_below |= not analysis.equation_holds(base, mid, n - 1)
+            assert equation_holds(analysis, base, mid, n)
+            failed_below |= not equation_holds(analysis, base, mid, n - 1)
     assert failed_below
     # grid soundness: Y twisted at least n, X twisted arbitrarily in
     # [-3n, 3n]: the game always terminates

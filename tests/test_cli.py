@@ -102,6 +102,20 @@ STDOUT_SHA256 = {
         "0a543f8d464c193d4dee2292ff7b12e5c299a3ae94a42f4d9c5d157386ee7639",
     ("game", "a2_half", "--point", "0,0", "--t0", "1", "--r", "3", "--svg"):
         "d3d1970c21388efd3242746f6c5640b0aa1a1596ce21757a11e463666bd31b54",
+    # games with widening crossings in every quadrant, recorded before the
+    # game scanned all marked sets at once and reused a window's lifts
+    ("game", "case3", "--point", "1/3,1/5", "--t0", "2", "--r", "5",
+     "--quadrant=--", "--budget", "40", "--svg"):
+        "f71c0ddbc6308ef6c3282d999e3cb8244629bac7919cd591ac8424ce03d4195d",
+    ("game", "a2_half", "--point", "1/3,1/5", "--t0", "2", "--r", "5",
+     "--quadrant=-+", "--budget", "40", "--svg"):
+        "1fdd8a8b777313a300edb1772afa10beed4393a8b70ecd599975fc9c5aa699e1",
+    ("game", "case3", "--point", "1/3,1/5", "--t0", "2", "--r", "5",
+     "--quadrant=+-", "--budget", "40", "--svg"):
+        "fade0c49817a0b52a1aa12fd21b5b76406e1cd2686149548932e8d4df7e3aaa6",
+    ("game", "b2_half", "--point", "0,0", "--t0", "1", "--r", "20",
+     "--budget", "60", "--svg"):
+        "73c07c9257ac2f57c413e19b7fce5393933614fd859e8c61b7c3eee3132f3a72",
 }
 
 # SHA-256 of the figure each "--svg" command above writes, recorded before
@@ -117,6 +131,19 @@ SVG_SHA256 = {
         "5927deb8e7217bc22bd05ca3d349fef96a42704ac86c4d6cc30bef20f3f802f5",
     ("game", "a2_half", "--point", "0,0", "--t0", "1", "--r", "3", "--svg"):
         "c8c7019c62d18bbca3b778de025e8ce929ba112eaf326bab3a96826382db9275",
+    # the figures of the four widening games above, recorded with them
+    ("game", "case3", "--point", "1/3,1/5", "--t0", "2", "--r", "5",
+     "--quadrant=--", "--budget", "40", "--svg"):
+        "21270f63899117fe46c8e6a659eaaf35f3649c3ed5078e4e3e42f4a1cadf0af8",
+    ("game", "a2_half", "--point", "1/3,1/5", "--t0", "2", "--r", "5",
+     "--quadrant=-+", "--budget", "40", "--svg"):
+        "261ab20009c649f938584a60377c92ef505c4759640480377a21a08dc7f39ce2",
+    ("game", "case3", "--point", "1/3,1/5", "--t0", "2", "--r", "5",
+     "--quadrant=+-", "--budget", "40", "--svg"):
+        "bd5e857a9ca2200ca6bab0f607618d24b65c8d518f6ba4146ea2839f40795921",
+    ("game", "b2_half", "--point", "0,0", "--t0", "1", "--r", "20",
+     "--budget", "60", "--svg"):
+        "a308cdbd7442446f7f5b7415803c29eb085a35dfd252e3591b282526c28a99fc",
 }
 
 

@@ -9,14 +9,15 @@ import pytest
 
 from anosurg import (DominationAnalysis, DominationHypothesisError, FrameView,
                      GameConfig, GameError, HyperbolicMatrix, InvariantError,
-                     QuadNum, case_profile, eigenframe,
+                     QuadNum, QUADRANTS, case_profile, eigenframe,
                      game_trace_records, marked_set, orbit_of, play_game,
-                     point, qn_pow)
+                     point, qn_pow, quadrant_contracting)
 
 from anosurg.cli import FIXTURES, load_problem
 
-from conftest import A2, A3, B2, C3, HALF, half_orbit_set, zero_orbit_set
-from oracles import OracleQuad
+from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
+                      zero_orbit_set)
+from oracles import OracleQuad, equation_holds, oracle_game
 
 
 def a2_config(frame, x_char=0, y_char=0, quadrant="++"):
@@ -144,6 +145,55 @@ class TestGameBasics:
         with pytest.raises(InvariantError, match="no progress"):
             play_game(cfg, p, t0, r)
 
+    def test_game_matches_the_oracle_game(self, frame_a2):
+        # seeded games on two geometries in every quadrant: Y is twisted to
+        # contract, which keeps the strips narrow enough for the oracle, and
+        # X either way, so that some crossings widen the strip
+        frames = {A2: frame_a2, A3: eigenframe(A3)}
+        rng = random.Random(2)
+        widened = set()
+        for k in range(48):
+            A = (A2, A3)[k % 2]
+            quadrant = QUADRANTS[k // 2 % 4]
+            y_char = 3 if quadrant_contracting(quadrant) else -3
+            X = zero_orbit_set(A, rng.randint(-3, 3), "X")
+            Y = (half_orbit_set(A, y_char) if A == A2
+                 else half_points_set(A, y_char))
+            cfg = GameConfig(frames[A], (X, Y), quadrant)
+            p = rational_point(rng)
+            D = frames[A].D
+            t0 = QuadNum(Fraction(rng.randint(1, 30), 10), 0, D)
+            r = QuadNum(Fraction(rng.randint(1, 30), 10), 0, D)
+            out = play_game(cfg, p, t0, r, budget=40)
+            status, final_t, trace = oracle_game(cfg, p, t0, r, 40)
+            assert (out.status, out.final_t) == (status, final_t), k
+            assert [(c.hit.base, c.hit.lattice, c.height, c.offset,
+                     c.exponent, c.t_after) for c in out.trace] == trace, k
+            if any(c.exponent > 0 for c in out.trace):
+                widened.add(quadrant)
+        assert widened == set(QUADRANTS)
+
+    def test_one_scan_covers_every_marked_set(self, frame_a2, monkeypatch):
+        # the game_grid set-up, from a start off the X orbit: each window
+        # scans X and Y at once, and the lifts a window found answer later
+        # steps until a crossing widens the strip
+        cfg = a2_config(frame_a2, x_char=-3, y_char=2)
+        lam2 = qn_pow(frame_a2.lam, 2)
+        t0 = 1 + (lam2 - 1) * Fraction(1, 21)
+        scanned = []
+        exact_hits = FrameView.hits
+
+        def counted(self, mset, *args, **kwargs):
+            scanned.append(mset.orbits)
+            return exact_hits(self, mset, *args, **kwargs)
+
+        monkeypatch.setattr(FrameView, "hits", counted)
+        out = play_game(cfg, (Fraction(3, 7), Fraction(1, 7)), t0, lam2)
+        X, Y = cfg.sets
+        assert all(set(X.orbits + Y.orbits) <= set(orbits)
+                   for orbits in scanned)
+        assert len(scanned) < len({c.height for c in out.trace})
+
 
 class TestDomination:
     def test_golden_mean_threshold(self, frame_a2):
@@ -165,8 +215,8 @@ class TestDomination:
                 for t in (mid, iv.mu, iv.nu):
                     if not (0 < t):
                         continue
-                    assert analysis.equation_holds(base, t, n)
-                    if not analysis.equation_holds(base, t, n - 1):
+                    assert equation_holds(analysis, base, t, n)
+                    if not equation_holds(analysis, base, t, n - 1):
                         failed_below = True
         assert failed_below
 
