@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .quadfield import QuadFieldError, qn_from_str, qn_to_str
 from .torus import (HyperbolicMatrix, InvariantError, UnsupportedMatrixError,
-                    eigenframe, marked_set, orbit_of, point,
+                    eigenframe, marked_set, mod1, orbit_of, point,
                     quadrant_contracting)
 from .rectangles import (case_profile, census_records, disjoint_witness,
                          enumerate_primitive, is_primitive, marked_rect,
@@ -52,8 +52,14 @@ def _fraction(text, where):
         raise ParseError(f"{where}: not a rational 'p/q': {text!r}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: not a float, a string or a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_problem(data: dict):
-    """Parse a problem dict -> (matrix, {'X','Y'} marked sets, options)."""
+    """Parse a problem dict -> (matrix, {'X','Y'} marked sets, options).
+    The seeds' orbits must be pairwise disjoint, across both roles."""
     if not isinstance(data, dict):
         raise ParseError("problem: expected a JSON object")
     try:
@@ -62,12 +68,13 @@ def load_problem(data: dict):
         raise ParseError("matrix: missing")
     try:
         (a, b), (c, d) = rows
-        A = HyperbolicMatrix(int(a), int(b), int(c), int(d))
-    except UnsupportedMatrixError:
-        raise
+        if not all(map(_is_int, (a, b, c, d))):
+            raise TypeError
     except (TypeError, ValueError):
         raise ParseError("matrix: expected 2x2 integer rows")
+    A = HyperbolicMatrix(a, b, c, d)
     seeds = {"X": [], "Y": []}
+    owner = {}          # marked point -> index of the entry whose orbit has it
     for i, entry in enumerate(data.get("sets", [])):
         where = f"sets[{i}]"
         if not isinstance(entry, dict):
@@ -81,15 +88,20 @@ def load_problem(data: dict):
         p = point(_fraction(pt[0], f"{where}.point[0]"),
                   _fraction(pt[1], f"{where}.point[1]"))
         char = entry.get("characteristic_number", 0)
-        if not isinstance(char, int):
+        if not _is_int(char):
             raise ParseError(f"{where}.characteristic_number: expected an integer")
+        for q in orbit_of(A, p)[0]:
+            if q in owner:
+                raise ParseError(f"{where}.point: its orbit meets the orbit "
+                                 f"of sets[{owner[q]}]")
+            owner[q] = i
         seeds[role].append((p, char))
     sets = {role: marked_set(A, seeds[role], role) for role in ("X", "Y")}
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError("options: expected an object")
     budget = opts.get("budget", DEFAULT_BUDGET)
-    if not (isinstance(budget, int) and budget >= 1):
+    if not (_is_int(budget) and budget >= 1):
         raise ParseError("options.budget: expected a positive integer")
     return A, sets, {"budget": budget}
 
@@ -204,6 +216,9 @@ def _cmd_staircase(args):
     if own.is_empty():
         raise ParseError(f"sets: no points with role {args.set!r}")
     origin = _parse_point(args.origin) if args.origin else own.points[0]
+    if mod1(origin) not in own.points:
+        raise ParseError(f"origin: {args.origin} is not a lift of a point "
+                         f"with role {args.set!r}")
     try:
         st = build_staircase(eigenframe(A), own, other, origin, args.quadrant)
     except StaircaseError as e:

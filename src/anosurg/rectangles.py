@@ -16,6 +16,11 @@ Completeness of the bounded search: any box with l_s >= W_s and l_u >= W_u,
 where W_s = |s(1,0)| + |s(0,1)| and W_u likewise, contains a lift of every
 base point, so a primitive box has l_s < W_s or l_u < W_u; with the ratio
 normalized this bounds both sides.
+
+The census, the domination analysis and the staircase seed search read the
+primitive rectangles at an origin off one object, its primitive family (the
+lattice's relative minima in a quadrant, its Klein sail), which
+`primitive_family` walks once per frame.
 """
 
 from __future__ import annotations
@@ -145,7 +150,7 @@ def first_window_hits(scan, width, lo, hi, widths):
 def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
     """The Pareto-minimal lifts of X in the view box (s0, s0 + s_width] x
     (u0, u0 + u_cap] at the origin (s0, u0), sorted by s: the far corners of
-    the primitive view-increasing X-rectangles at the origin.
+    the primitive view-increasing X-rectangles at the origin, as a tuple.
 
     These are the lattice's relative minima in the quadrant (its Klein
     sail), listed right to left, each the lowest lift in the strip left of
@@ -153,7 +158,20 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
     A strip (s0, right] is searched strictly above the previous lift, which
     sits on its right edge; distinct lifts never share an s or a u
     coordinate, so the strips see exactly the closed box.
+
+    A family is walked once per frame and kept in the frame's `families`
+    table under the view's flips, the set, the origin and the exact window:
+    the domination analysis and the staircase seed search at one origin
+    share it.
     """
+    key = (view.flip_s, view.flip_u, X, origin, s_width, u_cap)
+    families = view.frame.families
+    if key not in families:
+        families[key] = _walk_family(view, X, origin, s_width, u_cap)
+    return families[key]
+
+
+def _walk_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
     s0, u0 = view.s(origin), view.u(origin)
     widths = lattice_widths(view)
     right, lo = s0 + s_width, u0
@@ -162,10 +180,12 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
         return view.hits(X, s0, right, a, b, (False, True, False, True))
 
     family = []
+    hits = []
     while True:
-        hits = first_window_hits(scan, right - s0, lo, u0 + u_cap, widths)
         if not hits:
-            return family[::-1]
+            hits = first_window_hits(scan, right - s0, lo, u0 + u_cap, widths)
+            if not hits:
+                return tuple(family[::-1])
         low = min(hits, key=lambda h: h.u)
         if not (s0 < low.s <= right and low.u > lo):
             # a lift on the strip's open edges: the walk would stop rising
@@ -174,6 +194,12 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
                 f"primitive family walk made no progress at {low.lift}")
         family.append(low)
         right, lo = low.s, low.u
+        # The window that found hits covered the heights (old lo, top] over
+        # the strip (s0, old right], which holds the new strip (s0, low.s].
+        # So every lift of the new strip at a height in (low.u, top] is
+        # among the survivors below, and when there is one, the lowest
+        # survivor is the true next member: no rescan is needed.
+        hits = [h for h in hits if h.s < right and h.u > lo]
 
 
 def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):

@@ -178,6 +178,9 @@ class EigenFrame:
     u_int: IntForm = field(compare=False, repr=False)
     lam_powers: tuple = field(compare=False, repr=False)
     inverse_rows: tuple = field(compare=False, repr=False)
+    # primitive families walked in this frame, keyed by view, marked set,
+    # origin and window (see rectangles.primitive_family)
+    families: dict = field(default_factory=dict, compare=False, repr=False)
 
     def s(self, p) -> QuadNum:
         """s of a point with int or Fraction coordinates."""

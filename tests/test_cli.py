@@ -276,6 +276,10 @@ class TestStaircaseAndThresholds:
                                           "Y-++": 2, "Y-+-": None}
 
 
+# the two seed entries of the a2_half fixture
+A2_X, A2_Y = FIXTURES["a2_half"]["sets"]
+
+
 class TestExitCodes:
     def test_missing_file(self, run):
         code, _, err = run("census", "/nonexistent/problem.json")
@@ -319,6 +323,34 @@ class TestExitCodes:
         ids=["quadrant-xx", "quadrant-separate-dashes", "missing-t0"])
     def test_usage_error_is_invalid_input(self, run, a2_path, argv):
         code, out, err = run(argv[0], a2_path, *argv[1:])
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("edit, argv", [
+        ({"sets": [{**A2_X, "point": ["1/2", "0"]}, A2_Y]}, ("classify",)),
+        ({"sets": [{**A2_X, "point": ["1/2", "0"]}, A2_Y]}, ("census",)),
+        ({"sets": [A2_X, A2_Y, {**A2_Y, "point": ["1/2", "0"]}]},
+         ("thresholds",)),
+        ({"sets": [A2_X, A2_X]}, ("census",)),
+        ({"matrix": [[2.9, 1], [1, 1]]}, ("classify",)),
+        ({"matrix": [["2", 1], [1, 1]]}, ("classify",)),
+        ({"sets": [A2_X, {**A2_Y, "characteristic_number": True}]},
+         ("classify",)),
+        ({"sets": [A2_X, {**A2_Y, "characteristic_number": 1.0}]},
+         ("classify",)),
+        ({"options": {"budget": True}}, ("classify",)),
+        ({"options": {"budget": "10"}}, ("classify",)),
+        ({}, ("staircase", "--origin", "1/3,1/3")),
+        ({}, ("staircase", "--set", "Y", "--origin", "0,0")),
+    ], ids=["x-on-y-orbit", "x-on-y-orbit-census", "two-seeds-one-orbit",
+            "repeated-seed", "float-matrix", "string-matrix",
+            "boolean-characteristic", "float-characteristic",
+            "boolean-budget", "string-budget", "origin-off-the-sets",
+            "origin-in-the-other-set"])
+    def test_invalid_problem_is_invalid_input(self, run, tmp_path, edit,
+                                              argv):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**FIXTURES["a2_half"], **edit}))
+        code, out, err = run(argv[0], str(path), *argv[1:])
         assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_internal_invariant_failure(self, run, a2_path, monkeypatch):

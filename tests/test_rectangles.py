@@ -9,6 +9,8 @@ from anosurg import (FrameView, InvariantError, build_string, case_profile,
                      census_records, eigenframe, enumerate_primitive,
                      is_primitive, marked_rect, marked_set, point, rect_meets,
                      string_element)
+from anosurg import rectangles
+from anosurg.classify import Analysis
 from anosurg.rectangles import period_window, primitive_family
 from anosurg.torus import orbit_element
 
@@ -66,6 +68,20 @@ class TestCensus:
                                 "witness"}
 
 
+def count_window_scans(monkeypatch):
+    """The argument tuples of every first_window_hits call that
+    primitive_family makes from now on."""
+    calls = []
+    scan = rectangles.first_window_hits
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(rectangles, "first_window_hits", counted)
+    return calls
+
+
 class TestPrimitiveFamily:
     @pytest.mark.parametrize("label", ["A2", "A3", "C3"])
     @pytest.mark.parametrize("make_set", [zero_orbit_set, half_points_set])
@@ -95,6 +111,26 @@ class TestPrimitiveFamily:
                                           X, base, big, u_cap)
                 assert ([(h.base, h.lattice) for h in family]
                         == oracle_pareto_frontier(box))
+
+    def test_domination_and_staircase_share_one_walk(self, monkeypatch):
+        # the positive domination analysis and the ++ staircase seed search
+        # at (0,0) ask the frame for the same family at the same window
+        shared = Analysis(A2, zero_orbit_set(A2), half_orbit_set(A2))
+        shared.domination("X", "positive")
+        calls = count_window_scans(monkeypatch)
+        shared.staircase_at("X", point(0, 0), "++")
+        assert calls == []
+
+    def test_walk_steps_on_its_windows_surviving_lifts(self, monkeypatch):
+        # lifts a window found above the member just taken, left of it,
+        # answer the next step without a scan
+        Y = half_orbit_set(A2)
+        view = FrameView(eigenframe(A2))
+        big, u_cap = period_window(view, Y.orbits[0].period)
+        calls = count_window_scans(monkeypatch)
+        family = primitive_family(view, Y, point(HALF, HALF), big, u_cap)
+        assert len(family) == 9
+        assert len(calls) < len(family)
 
     def test_walk_stops_when_a_strip_keeps_its_edge_lift(self, monkeypatch):
         # with the strips' open edges closed, each strip holds the lift the
