@@ -13,7 +13,6 @@ twists (characteristic number times orbit period).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit, Point,
                     eigenframe, mod1, quadrant_contracting, sets_disjoint)
@@ -26,15 +25,13 @@ STATUSES = ("Suspension", "RCoveredPositive", "RCoveredNegative",
             "NonRCovered", "Unknown")
 
 
-@dataclass(frozen=True)
 class SurgeryProblem:
-    A: HyperbolicMatrix
-    X: MarkedSet
-    Y: MarkedSet
+    __slots__ = ("A", "X", "Y")
 
-    def __post_init__(self):
-        if not sets_disjoint(self.X, self.Y):
+    def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet):
+        if not sets_disjoint(X, Y):
             raise ValueError("marked sets overlap")
+        self.A, self.X, self.Y = A, X, Y
 
     def geometry(self):
         """Hashable key identifying the problem up to the surgery strengths."""
@@ -43,15 +40,15 @@ class SurgeryProblem:
                 tuple(orb.points for orb in self.Y.orbits))
 
 
-@dataclass(frozen=True)
 class Verdict:
-    status: str
-    rule: str                      # which decision rule fired
-    evidence: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("status", "rule", "evidence")
 
-    def __post_init__(self):
-        if self.status not in STATUSES:
+    def __init__(self, status: str, rule: str, evidence: dict | None = None):
+        if status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}")
+        self.status = status
+        self.rule = rule            # which decision rule fired
+        self.evidence = {} if evidence is None else evidence
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Problem files are JSON:
 Every exact value in machine output is a string ("a/b + c/d*sqrt(D)" or a
 plain rational) that the parser round-trips losslessly; output is
 byte-identical for identical input.  Exit codes: 0 ok, 1 parse or usage
-error or invalid game parameters, 2 unsupported input, 3 internal invariant
-violation.
+error or invalid game parameters, 2 unsupported input (a matrix outside the
+supported class, or a marked orbit longer than torus.MAX_PERIOD), 3 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import sys
 from fractions import Fraction
 
 from .quadfield import QuadFieldError, qn_from_str, qn_to_str
-from .torus import (HyperbolicMatrix, InvariantError, UnsupportedMatrixError,
-                    eigenframe, marked_set, mod1, orbit_of, point,
-                    quadrant_contracting)
+from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit,
+                    PeriodLimitError, UnsupportedMatrixError, eigenframe,
+                    marked_set, mod1, orbit_of, point, quadrant_contracting)
 from .rectangles import (case_profile, census_records, disjoint_witness,
                          enumerate_primitive, is_primitive, marked_rect,
                          rect_meets)
@@ -73,9 +74,12 @@ def load_problem(data: dict):
     except (TypeError, ValueError):
         raise ParseError("matrix: expected 2x2 integer rows")
     A = HyperbolicMatrix(a, b, c, d)
-    seeds = {"X": [], "Y": []}
+    entries = data.get("sets", [])
+    if not isinstance(entries, list):
+        raise ParseError("sets: expected a list")
+    orbits = {"X": [], "Y": []}
     owner = {}          # marked point -> index of the entry whose orbit has it
-    for i, entry in enumerate(data.get("sets", [])):
+    for i, entry in enumerate(entries):
         where = f"sets[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected an object")
@@ -90,13 +94,17 @@ def load_problem(data: dict):
         char = entry.get("characteristic_number", 0)
         if not _is_int(char):
             raise ParseError(f"{where}.characteristic_number: expected an integer")
-        for q in orbit_of(A, p)[0]:
+        try:
+            pts, period = orbit_of(A, p)
+        except PeriodLimitError as e:
+            raise PeriodLimitError(f"{where}.point: {e}") from None
+        for q in pts:
             if q in owner:
                 raise ParseError(f"{where}.point: its orbit meets the orbit "
                                  f"of sets[{owner[q]}]")
             owner[q] = i
-        seeds[role].append((p, char))
-    sets = {role: marked_set(A, seeds[role], role) for role in ("X", "Y")}
+        orbits[role].append(Orbit(tuple(pts), period, char))
+    sets = {role: MarkedSet(tuple(orbits[role]), role) for role in ("X", "Y")}
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError("options: expected an object")
@@ -433,7 +441,7 @@ def main(argv=None) -> int:
     except (ParseError, GameError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except UnsupportedMatrixError as e:
+    except (UnsupportedMatrixError, PeriodLimitError) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 2
     except InvariantError as e:

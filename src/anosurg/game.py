@@ -26,8 +26,6 @@ of the primitive rectangle family at each marked origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, Point, quadrant_contracting, quadrant_view,
@@ -50,39 +48,46 @@ class DominationHypothesisError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
 class GameConfig:
-    frame: EigenFrame
-    sets: tuple            # tuple of MarkedSet, pairwise disjoint
-    quadrant: str          # one of QUADRANTS
+    __slots__ = ("frame", "sets", "quadrant")
 
-    def __post_init__(self):
-        if self.quadrant not in QUADRANTS:
+    def __init__(self, frame: EigenFrame, sets: tuple, quadrant: str):
+        if quadrant not in QUADRANTS:
             raise GameError(f"quadrant must be one of {QUADRANTS}")
         seen = set()
-        for mset in self.sets:
+        for mset in sets:
             pts = set(mset.points)
             if pts & seen:
                 raise GameError("marked sets overlap")
             seen |= pts
+        self.frame = frame
+        self.sets = sets            # tuple of MarkedSet, pairwise disjoint
+        self.quadrant = quadrant
 
 
-@dataclass(frozen=True)
 class Crossing:
-    hit: MarkedPointHit    # view coordinates relative to the frame (absolute)
-    height: QuadNum        # unstable offset from the game origin
-    offset: QuadNum        # stable offset from the game origin
-    twist: int
-    exponent: int          # signed exponent actually applied to lam
-    t_before: QuadNum
-    t_after: QuadNum
+    __slots__ = ("hit", "height", "offset", "twist", "exponent", "t_before",
+                 "t_after")
+
+    def __init__(self, hit: MarkedPointHit, height: QuadNum, offset: QuadNum,
+                 twist: int, exponent: int, t_before: QuadNum,
+                 t_after: QuadNum):
+        self.hit = hit              # view coordinates relative to the frame
+        self.height = height        # unstable offset from the game origin
+        self.offset = offset        # stable offset from the game origin
+        self.twist = twist
+        self.exponent = exponent    # signed exponent actually applied to lam
+        self.t_before = t_before
+        self.t_after = t_after
 
 
-@dataclass(frozen=True)
 class GameOutcome:
-    status: str                     # "Defined" | "BudgetExhausted"
-    final_t: QuadNum | None
-    trace: tuple                    # tuple of Crossing
+    __slots__ = ("status", "final_t", "trace")
+
+    def __init__(self, status: str, final_t: QuadNum | None, trace: tuple):
+        self.status = status        # "Defined" | "BudgetExhausted"
+        self.final_t = final_t
+        self.trace = trace          # tuple of Crossing
 
     @property
     def defined(self) -> bool:
@@ -186,14 +191,17 @@ def game_trace_records(outcome: GameOutcome) -> list:
 # with lam^(-n) * (nu_i - delta_i) < nu(delta_i) - delta_i.
 
 
-@dataclass(frozen=True)
 class DominationInterval:
-    base: Point            # marked origin in [0,1)^2
-    mu: QuadNum            # base length of the interval's rectangle
-    nu: QuadNum            # next breakpoint
-    height: QuadNum        # unstable height of the interval's rectangle
-    delta: QuadNum         # least horizontal Y-offset inside the rectangle
-    least_n: int           # least twist making the contraction land below nu(delta)
+    __slots__ = ("base", "mu", "nu", "height", "delta", "least_n")
+
+    def __init__(self, base: Point, mu: QuadNum, nu: QuadNum, height: QuadNum,
+                 delta: QuadNum, least_n: int):
+        self.base = base            # marked origin in [0,1)^2
+        self.mu = mu                # base length of the interval's rectangle
+        self.nu = nu                # next breakpoint
+        self.height = height        # unstable height of that rectangle
+        self.delta = delta          # least horizontal Y-offset inside it
+        self.least_n = least_n      # least twist contracting below nu(delta)
 
 
 def _reduce(t: QuadNum, lo: QuadNum, big: QuadNum):

@@ -25,26 +25,25 @@ lattice's relative minima in a quadrant, its Klein sail), which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .quadfield import QuadNum, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, hits_in_box,
                     mod1, orbit_element)
 
 
-@dataclass(frozen=True)
 class MarkedRect:
     """The closed (s, u)-box spanned by a diagonal between two marked lifts:
     from origin up to endpoint (increasing u), rising in s for sign
     "positive" and falling for "negative"."""
-    sign: str                 # "positive" | "negative"
-    origin: MarkedPointHit    # first point of the diagonal (increasing u)
-    endpoint: MarkedPointHit
+    __slots__ = ("sign", "origin", "endpoint")
 
-    def __post_init__(self):
-        if self.sign not in ("positive", "negative"):
-            raise ValueError(f"sign must be positive|negative, got {self.sign!r}")
+    def __init__(self, sign: str, origin: MarkedPointHit,
+                 endpoint: MarkedPointHit):
+        if sign not in ("positive", "negative"):
+            raise ValueError(f"sign must be positive|negative, got {sign!r}")
+        self.sign = sign
+        self.origin = origin        # the diagonal's lower point
+        self.endpoint = endpoint
         if not (self.s0 < self.s1 and self.u0 < self.u1):
             raise ValueError("degenerate rectangle")
 
@@ -73,15 +72,23 @@ class MarkedRect:
         return self.u1 - self.u0
 
 
-@dataclass(frozen=True)
 class CaseProfile:
-    pos_x_disjoint: bool    # exists positive X-rect disjoint from the Y lift
-    neg_x_disjoint: bool
-    pos_y_disjoint: bool    # exists positive Y-rect disjoint from the X lift
-    neg_y_disjoint: bool
-    case: int | str         # 1..4 after symmetry normalization, else "other"
-    symmetry: str           # which symmetry mapped the booleans onto the case
-    witnesses: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("pos_x_disjoint", "neg_x_disjoint", "pos_y_disjoint",
+                 "neg_y_disjoint", "case", "symmetry", "witnesses")
+
+    def __init__(self, pos_x_disjoint: bool, neg_x_disjoint: bool,
+                 pos_y_disjoint: bool, neg_y_disjoint: bool, case: int | str,
+                 symmetry: str, witnesses: dict):
+        # pos_x: some positive X-rectangle is disjoint from the Y lift;
+        # pos_y: some positive Y-rectangle is disjoint from the X lift
+        self.pos_x_disjoint = pos_x_disjoint
+        self.neg_x_disjoint = neg_x_disjoint
+        self.pos_y_disjoint = pos_y_disjoint
+        self.neg_y_disjoint = neg_y_disjoint
+        # case 1..4 after normalizing by the named symmetry, else "other"
+        self.case = case
+        self.symmetry = symmetry
+        self.witnesses = witnesses
 
     @property
     def booleans(self):
@@ -297,13 +304,13 @@ def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> CaseProfile:
 # Strings of rectangles
 
 
-@dataclass(frozen=True)
 class StringDescriptor:
     """Finitely-presented string: Delta_i = G^i(Delta_0)."""
-    frame: EigenFrame
-    X: MarkedSet
-    seed: MarkedRect
-    G: GroupElement
+    __slots__ = ("frame", "X", "seed", "G")
+
+    def __init__(self, frame: EigenFrame, X: MarkedSet, seed: MarkedRect,
+                 G: GroupElement):
+        self.frame, self.X, self.seed, self.G = frame, X, seed, G
 
     def delta(self, i: int) -> MarkedRect:
         g = self.G.power(i)

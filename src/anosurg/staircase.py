@@ -25,7 +25,6 @@ each extended level outright and nothing is left to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
@@ -40,17 +39,24 @@ class StaircaseError(ValueError):
     """No staircase can be built from the given data."""
 
 
-@dataclass(frozen=True)
 class StairStep:
     """One staircase level, in view coordinates relative to the origin x."""
-    index: int
-    delta_origin: Point      # lift of the chained rectangle's diagonal origin
-    delta_endpoint: Point    # lift of its diagonal endpoint (= next level's corner)
-    ds: QuadNum              # stable length of the chained rectangle
-    Ls: QuadNum              # stable length of R_i (right edge offset from the axis)
-    q_lo: QuadNum            # height of the bottom side of R_i
-    q_hi: QuadNum            # height of the top side of R_i
-    safety: QuadNum          # stable length of the safety zone S_i
+    __slots__ = ("index", "delta_origin", "delta_endpoint", "ds", "Ls", "q_lo",
+                 "q_hi", "safety")
+
+    def __init__(self, index: int, delta_origin: Point, delta_endpoint: Point,
+                 ds: QuadNum, Ls: QuadNum, q_lo: QuadNum, q_hi: QuadNum,
+                 safety: QuadNum):
+        self.index = index
+        # lifts of the chained rectangle's diagonal origin and endpoint; the
+        # endpoint is the next level's corner
+        self.delta_origin = delta_origin
+        self.delta_endpoint = delta_endpoint
+        self.ds = ds                # stable length of the chained rectangle
+        self.Ls = Ls                # offset of R_i's right edge from the axis
+        self.q_lo = q_lo            # height of the bottom side of R_i
+        self.q_hi = q_hi            # height of the top side of R_i
+        self.safety = safety        # stable length of the safety zone S_i
 
 
 class Staircase:

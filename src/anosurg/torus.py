@@ -24,7 +24,6 @@ re-checked; a QuadNum is built only for the s and u of a lift found.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -40,6 +39,15 @@ class InvariantError(RuntimeError):
     """An internal invariant that should be unbreakable was violated."""
 
 
+class PeriodLimitError(ValueError):
+    """A marked point whose orbit is longer than MAX_PERIOD."""
+
+
+# Longest accepted orbit: every box scan visits each marked point, and a
+# point of denominator q can have a period of the order of q.
+MAX_PERIOD = 10_000
+
+
 Point = tuple[Fraction, Fraction]  # rational point, standard coordinates
 
 
@@ -52,22 +60,49 @@ def mod1(p: Point) -> Point:
             p[1] - (p[1].numerator // p[1].denominator))
 
 
-@dataclass(frozen=True)
-class HyperbolicMatrix:
-    a: int
-    b: int
-    c: int
-    d: int
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+
+class _Value:
+    """Base of the immutable value records (matrices, frames, orbits, marked
+    sets, group elements): two of one class are equal, and hash alike, when
+    their `_key()`s are equal.  `__init__` sets each field once with `_set`;
+    assigning or deleting a field afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class HyperbolicMatrix(_Value):
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise UnsupportedMatrixError("determinant must be 1")
-        tr = self.a + self.d
+        tr = a + d
         if -2 <= tr <= 2:
             raise UnsupportedMatrixError(f"trace {tr}: not hyperbolic")
         if tr < 0:
             raise UnsupportedMatrixError(
                 f"trace {tr}: negative-trace matrices are not supported")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+
+    def _key(self):
+        return self.rows()
 
     @staticmethod
     def from_rows(rows) -> "HyperbolicMatrix":
@@ -122,7 +157,6 @@ def _mat_apply(rows, p):
 RENORM_TABLE = 8
 
 
-@dataclass(frozen=True)
 class IntForm:
     """A coordinate c_x*x + c_y*y as an integer form over one denominator L:
     at the point (X/k, Y/k) its value is
@@ -133,15 +167,13 @@ class IntForm:
     value lies between v_lo and v_hi exactly when y + slope*x lies between
     v_lo*recip and v_hi*recip (in that order when rising, c_y > 0).
     """
-    D: int
-    px: int
-    qx: int
-    py: int
-    qy: int
-    L: int
-    recip: tuple
-    slope: tuple
-    rising: bool
+    __slots__ = ("D", "px", "qx", "py", "qy", "L", "recip", "slope", "rising")
+
+    def __init__(self, D: int, px: int, qx: int, py: int, qy: int, L: int,
+                 recip: tuple, slope: tuple, rising: bool):
+        self.D = D
+        self.px, self.qx, self.py, self.qy, self.L = px, qx, py, qy, L
+        self.recip, self.slope, self.rising = recip, slope, rising
 
     @staticmethod
     def of(cx: QuadNum, cy: QuadNum) -> "IntForm":
@@ -162,25 +194,38 @@ class IntForm:
         return self.at(x.numerator * (k // dx), y.numerator * (k // dy), k)
 
 
-@dataclass(frozen=True)
-class EigenFrame:
-    matrix: HyperbolicMatrix
-    D: int
-    lam: QuadNum          # expansive eigenvalue > 1
-    lam_inv: QuadNum
-    v_s: tuple            # eigenvector for lam_inv, first coordinate 1
-    v_u: tuple            # eigenvector for lam, first coordinate 1
-    s_form: tuple         # linear form with s_form(v_u) = 0
-    u_form: tuple         # linear form with u_form(v_s) = 0
-    # the same forms over the integers, and the renormalization tables:
-    # lam^e for |e| <= 2 RENORM_TABLE + 2 and A^-j for |j| <= RENORM_TABLE
-    s_int: IntForm = field(compare=False, repr=False)
-    u_int: IntForm = field(compare=False, repr=False)
-    lam_powers: tuple = field(compare=False, repr=False)
-    inverse_rows: tuple = field(compare=False, repr=False)
-    # primitive families walked in this frame, keyed by view, marked set,
-    # origin and window (see rectangles.primitive_family)
-    families: dict = field(default_factory=dict, compare=False, repr=False)
+class EigenFrame(_Value):
+    """The eigen-data of a matrix, built by `eigenframe`.  Every field but
+    the `families` cache is a function of the matrix, so frames compare and
+    hash by it alone."""
+    __slots__ = ("matrix", "D", "lam", "lam_inv", "v_s", "v_u", "s_form",
+                 "u_form", "s_int", "u_int", "lam_powers", "inverse_rows",
+                 "families")
+
+    def __init__(self, matrix: HyperbolicMatrix, D: int, lam: QuadNum,
+                 lam_inv: QuadNum, v_s: tuple, v_u: tuple, s_form: tuple,
+                 u_form: tuple, s_int: IntForm, u_int: IntForm,
+                 lam_powers: tuple, inverse_rows: tuple):
+        _set(self, "matrix", matrix)
+        _set(self, "D", D)
+        _set(self, "lam", lam)            # expansive eigenvalue > 1
+        _set(self, "lam_inv", lam_inv)
+        _set(self, "v_s", v_s)            # eigenvector for lam_inv, x = 1
+        _set(self, "v_u", v_u)            # eigenvector for lam, x = 1
+        _set(self, "s_form", s_form)      # linear form with s_form(v_u) = 0
+        _set(self, "u_form", u_form)      # linear form with u_form(v_s) = 0
+        # the same forms over the integers, and the renormalization tables:
+        # lam^e for |e| <= 2 RENORM_TABLE + 2 and A^-j for |j| <= RENORM_TABLE
+        _set(self, "s_int", s_int)
+        _set(self, "u_int", u_int)
+        _set(self, "lam_powers", lam_powers)
+        _set(self, "inverse_rows", inverse_rows)
+        # primitive families walked in this frame, keyed by view, marked
+        # set, origin and window (see rectangles.primitive_family)
+        _set(self, "families", {})
+
+    def _key(self):
+        return self.matrix
 
     def s(self, p) -> QuadNum:
         """s of a point with int or Fraction coordinates."""
@@ -239,41 +284,52 @@ def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
 
 
 def orbit_of(A: HyperbolicMatrix, q: Point):
-    """Full f_A-orbit of a rational point and its exact period."""
+    """Full f_A-orbit of a rational point and its exact period; raises
+    PeriodLimitError when the period exceeds MAX_PERIOD."""
     q = mod1((Fraction(q[0]), Fraction(q[1])))
     pts = [q]
     cur = A.apply_mod1(q)
     while cur != q:
+        if len(pts) == MAX_PERIOD:
+            raise PeriodLimitError(f"orbit period exceeds {MAX_PERIOD}")
         pts.append(cur)
         cur = A.apply_mod1(cur)
     return pts, len(pts)
 
 
-@dataclass(frozen=True)
-class Orbit:
-    points: tuple       # tuple of Point, in iteration order
-    period: int
-    char: int           # signed characteristic number of the surgery
+class Orbit(_Value):
+    __slots__ = ("points", "period", "char")
+
+    def __init__(self, points: tuple, period: int, char: int):
+        _set(self, "points", points)      # tuple of Point, in iteration order
+        _set(self, "period", period)
+        _set(self, "char", char)          # signed characteristic number
+
+    def _key(self):
+        return self.points, self.period, self.char
 
     @property
     def twist(self) -> int:
         return self.char * self.period
 
 
-@dataclass(frozen=True)
-class MarkedSet:
-    orbits: tuple       # tuple of Orbit
-    role: str = ""
+class MarkedSet(_Value):
+    __slots__ = ("orbits", "role")
 
-    def __post_init__(self):
+    def __init__(self, orbits: tuple, role: str = ""):
         seen = set()
-        for orb in self.orbits:
+        for orb in orbits:
             if len(orb.points) != orb.period:
                 raise InvariantError("orbit cardinality != period")
             for p in orb.points:
                 if p in seen:
                     raise InvariantError(f"orbits not pairwise disjoint at {p}")
                 seen.add(p)
+        _set(self, "orbits", orbits)      # tuple of Orbit
+        _set(self, "role", role)
+
+    def _key(self):
+        return self.orbits, self.role
 
     @property
     def points(self):
@@ -315,13 +371,16 @@ def sets_disjoint(X: MarkedSet, Y: MarkedSet) -> bool:
 # Lattice-point enumeration in (s,u)-boxes
 
 
-@dataclass(frozen=True)
 class MarkedPointHit:
-    base: Point           # base point in [0,1)^2
-    lattice: tuple        # integer vector (m, n); lift = base + lattice
-    s: QuadNum
-    u: QuadNum
-    twist: int
+    __slots__ = ("base", "lattice", "s", "u", "twist")
+
+    def __init__(self, base: Point, lattice: tuple, s: QuadNum, u: QuadNum,
+                 twist: int):
+        self.base = base            # base point in [0,1)^2
+        self.lattice = lattice      # (m, n) in Z^2; lift = base + lattice
+        self.s = s
+        self.u = u
+        self.twist = twist
 
     @property
     def lift(self) -> Point:
@@ -383,8 +442,17 @@ def hits_in_box(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                    frame, mset, s_lo, s_hi, u_lo, u_hi, include)]
     # distinct lifts never share an s coordinate (the level lines of s have
     # irrational slope), so ordering by s is ordering by (s, u)
-    out.sort(key=lambda h: h.s)
+    out.sort(key=_s_order)
     return out
+
+
+def _s_order(hit: MarkedPointHit):
+    """A sort key for s that is cheap to compare: floor(s * 2^64), one
+    integer square root, orders all but the closest pairs of lifts, and s
+    itself breaks the ties exactly."""
+    s = hit.s
+    p, q, d = _parts(s)
+    return _floor(p << 64, q << 64, d, s.D), s
 
 
 # How an edge at x becomes a bound on the integer n: (sign, offset) in
@@ -479,12 +547,17 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
 # Group <A> x| Z^2 elements and sign-flipped frame views
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """p |-> A^k p + v, for integer k and integer vector v."""
-    A: HyperbolicMatrix
-    k: int
-    v: tuple  # (int, int)
+    __slots__ = ("A", "k", "v")
+
+    def __init__(self, A: HyperbolicMatrix, k: int, v: tuple):
+        _set(self, "A", A)
+        _set(self, "k", k)
+        _set(self, "v", v)                # (int, int)
+
+    def _key(self):
+        return self.A, self.k, self.v
 
     def apply(self, p: Point) -> Point:
         q = _mat_apply(self.A.power_rows(self.k), p)

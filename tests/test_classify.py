@@ -192,6 +192,10 @@ class TestSharedAnalysis:
     def test_same_geometry_shares_one_untwisted_analysis(self):
         shared = analysis_of(a2_problem(1, -1).geometry())
         assert analysis_of(a2_problem(-3, 2).geometry()) is shared
+        # equal, not identical, matrices and orbits: the key compares values
+        rebuilt = problem(HyperbolicMatrix(2, 1, 1, 1), [(point(0, 0), 2)],
+                          [(point(HALF, HALF), 2)])
+        assert analysis_of(rebuilt.geometry()) is shared
         assert [orb.char for orb in shared.X.orbits + shared.Y.orbits] == \
             [0, 0]
 

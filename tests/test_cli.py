@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,8 +15,17 @@ import pytest
 from anosurg import (GameConfig, QuadNum, eigenframe, play_game, point,
                      qn_from_str, qn_to_str)
 from anosurg.cli import FIXTURES, load_problem, main
+from anosurg.torus import MAX_PERIOD
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def child_env():
+    """The environment of a fresh interpreter that imports the package from
+    src/: a child process does not inherit pytest's pythonpath setting."""
+    src = str(FIXTURE_DIR.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture()
@@ -341,17 +351,31 @@ class TestExitCodes:
         ({"options": {"budget": "10"}}, ("classify",)),
         ({}, ("staircase", "--origin", "1/3,1/3")),
         ({}, ("staircase", "--set", "Y", "--origin", "0,0")),
+        ({"sets": 5}, ("census",)),
+        ({"sets": {"a": 1}}, ("census",)),
     ], ids=["x-on-y-orbit", "x-on-y-orbit-census", "two-seeds-one-orbit",
             "repeated-seed", "float-matrix", "string-matrix",
             "boolean-characteristic", "float-characteristic",
             "boolean-budget", "string-budget", "origin-off-the-sets",
-            "origin-in-the-other-set"])
+            "origin-in-the-other-set", "sets-a-number", "sets-an-object"])
     def test_invalid_problem_is_invalid_input(self, run, tmp_path, edit,
                                               argv):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({**FIXTURES["a2_half"], **edit}))
         code, out, err = run(argv[0], str(path), *argv[1:])
         assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_long_orbit_is_unsupported_and_fails_fast(self, run, tmp_path):
+        # the period of (1/(10^9 + 7), 0) under A2 is of the order of 10^9
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({**FIXTURES["a2_half"], "sets": [
+            {**A2_X, "point": ["1/1000000007", "0"]}]}))
+        start = time.perf_counter()
+        code, out, err = run("census", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (f"unsupported: sets[0].point: orbit period exceeds "
+                       f"{MAX_PERIOD}\n")
 
     def test_internal_invariant_failure(self, run, a2_path, monkeypatch):
         from anosurg import InvariantError
@@ -397,11 +421,19 @@ class TestExamples:
         assert "FAIL" not in out
 
     def test_console_script(self, a2_path):
-        # the child process does not inherit pytest's pythonpath setting
-        src = str(FIXTURE_DIR.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "anosurg.cli", "classify", a2_path],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "RCoveredPositive"
+
+    def test_cli_import_loads_no_dataclasses(self):
+        # every command pays for its imports: dataclasses and the inspect,
+        # ast and dis modules it pulls in cost about 35 ms of start-up
+        heavy = ("dataclasses", "inspect", "ast", "dis")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, anosurg.cli; "
+             f"print(sorted(set({heavy!r}) & set(sys.modules)))"],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -45,6 +45,22 @@ class TestMatricesAndFrames:
         with pytest.raises(UnsupportedMatrixError):
             HyperbolicMatrix(2, 0, 0, 3)          # determinant != 1
 
+    def test_dict_key_records_are_frozen(self):
+        A = HyperbolicMatrix(2, 1, 1, 1)
+        X = zero_orbit_set(A)
+        for record, name in ((A, "a"), (X.orbits[0], "char"), (X, "role")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    def test_frames_compare_by_matrix_not_by_their_family_tables(self):
+        walked = eigenframe(A2)
+        fresh = eigenframe(HyperbolicMatrix(2, 1, 1, 1))
+        walked.families["a walked family"] = ()
+        assert walked == fresh and hash(walked) == hash(fresh)
+        assert walked != eigenframe(A3)
+
     @given(coords, coords)
     def test_eigen_round_trip(self, x, y):
         frame = eigenframe(A2)
@@ -122,6 +138,17 @@ class TestHits:
         assert [(h.base, h.lattice) for h in moved] == \
             [(h.base, (h.lattice[0] + 2, h.lattice[1] - 1))
              for h in base_hits]
+
+    def test_lifts_closer_than_the_integer_sort_key_are_ordered_by_s(
+            self, frame_a2):
+        # in a box lam^-50 (about 2^-69) wide in s every lift has the same
+        # floor(s * 2^64), the integer part of the sort key, so s itself
+        # must order them: the kernel lists them in another order
+        lam = frame_a2.lam
+        hits = hits_in_box(frame_a2, zero_orbit_set(A2), 0, lam ** -50, 0,
+                           10 * lam ** 50)
+        assert len(hits) > 2
+        assert [h.s for h in hits] == sorted(h.s for h in hits)
 
     def test_renormalized_thin_box_matches_square_box(self, frame_a2):
         # the lifts in an extreme-aspect box are the A^power-images of the
