@@ -126,6 +126,40 @@ STDOUT_SHA256 = {
     ("game", "b2_half", "--point", "0,0", "--t0", "1", "--r", "20",
      "--budget", "60", "--svg"):
         "73c07c9257ac2f57c413e19b7fce5393933614fd859e8c61b7c3eee3132f3a72",
+    # every staircase command that writes a figure, recorded at commit
+    # 9c779de, before the figure's dots were drawn from the integer lifts
+    ("staircase", "a2_half", "--set", "Y", "--quadrant=++", "--svg"):
+        "ff0058445a071f17d6d290363c710e04406d0a3e3ac8ed9572c17f8004e33006",
+    ("staircase", "a2_half", "--set", "Y", "--quadrant=--", "--svg"):
+        "039109fffb0c2a936f2296a51422c1670f140cd385d23a88e96aa3d19aeeb6e4",
+    ("staircase", "a2_half", "--set", "Y", "--quadrant=+-", "--svg"):
+        "7c3eab249d7f88dbd2f39faa4aa8bdfd7738d767f14dde0143d838d18000258f",
+    ("staircase", "a2_half", "--set", "Y", "--quadrant=-+", "--svg"):
+        "628887fb78647e014e265bc1cbc5c91a3164b4ec901b49fe32313bb9a585b92e",
+    ("staircase", "b2_half", "--set", "X", "--quadrant=++", "--svg"):
+        "bb5634c8652dc119ac97d315e50031a485792a4045a7cc4a00bc37e0a4759939",
+    ("staircase", "b2_half", "--set", "X", "--quadrant=--", "--svg"):
+        "01ed2120a6ac5e1f102e21beb7500279dbb43fd7fca423b35b0bc3b95bf1b3c6",
+    ("staircase", "b2_half", "--set", "X", "--quadrant=+-", "--svg"):
+        "747109f242bfadb0be9173b41662454ed357708dfb42fe681f2ad7d5945b7935",
+    ("staircase", "b2_half", "--set", "X", "--quadrant=-+", "--svg"):
+        "ddae2d0f3d98328e8c2b3f67caf9d535dfce698f55575c4f97a7f18f2ccd09fd",
+    ("staircase", "b2_half", "--set", "Y", "--quadrant=++", "--svg"):
+        "3a05baf5f06f8a11fa0158b5752db329a74184e6d16fdfb7401de02815227851",
+    ("staircase", "b2_half", "--set", "Y", "--quadrant=--", "--svg"):
+        "bfeb2024f71eb36e74a94f73ccec284c7dca61f24dafa9a8dbc6291bf4cf32bd",
+    ("staircase", "b2_half", "--set", "Y", "--quadrant=+-", "--svg"):
+        "6510ed4b0df1e5f5dca99763837a068fcf067ecf8615fef39786d2c61860d76e",
+    ("staircase", "b2_half", "--set", "Y", "--quadrant=-+", "--svg"):
+        "8afa3fc91e3afdb7de1b6413b9641dfe0a16776bf0d385c985383b8d0078540c",
+    ("staircase", "case3", "--set", "X", "--quadrant=++", "--svg"):
+        "8ca05df2796363570aea2ee9331837b7a598758053c025ebabc5c8d0f5f2f7c5",
+    ("staircase", "case3", "--set", "X", "--quadrant=--", "--svg"):
+        "11436d13c758afe2e16c65d006ef7e5a3b596da92ff77d7a19b33aa9fea1aa4f",
+    ("staircase", "case3", "--set", "Y", "--quadrant=++", "--svg"):
+        "5671ca6df977f541a0636224576c4e3b8a75501f38d741e23a68bd4968816337",
+    ("staircase", "case3", "--set", "Y", "--quadrant=--", "--svg"):
+        "6c04927fc9680fa6afabd9a17f567f8ff99e5cbd80344f3e50df8d2d1d82dbf9",
 }
 
 # SHA-256 of the figure each "--svg" command above writes, recorded before
@@ -154,6 +188,39 @@ SVG_SHA256 = {
     ("game", "b2_half", "--point", "0,0", "--t0", "1", "--r", "20",
      "--budget", "60", "--svg"):
         "a308cdbd7442446f7f5b7415803c29eb085a35dfd252e3591b282526c28a99fc",
+    # the figures of the staircase commands above, recorded with them
+    ("staircase", "a2_half", "--set", "Y", "--quadrant=++", "--svg"):
+        "d73a5062f19b35a20d3558d8eedfa628a39f1b037da5a544ca1da5b683ee63fc",
+    ("staircase", "a2_half", "--set", "Y", "--quadrant=--", "--svg"):
+        "d73a5062f19b35a20d3558d8eedfa628a39f1b037da5a544ca1da5b683ee63fc",
+    ("staircase", "a2_half", "--set", "Y", "--quadrant=+-", "--svg"):
+        "023a07b77f7dea0770c1679ff0bfe18df954b26f7964991f4ac18a7b6e3965b6",
+    ("staircase", "a2_half", "--set", "Y", "--quadrant=-+", "--svg"):
+        "023a07b77f7dea0770c1679ff0bfe18df954b26f7964991f4ac18a7b6e3965b6",
+    ("staircase", "b2_half", "--set", "X", "--quadrant=++", "--svg"):
+        "f8d5412dbd60ec4233b184bf11b56ee24a84f8120e30c1d4da573de8a2df7e5f",
+    ("staircase", "b2_half", "--set", "X", "--quadrant=--", "--svg"):
+        "f8d5412dbd60ec4233b184bf11b56ee24a84f8120e30c1d4da573de8a2df7e5f",
+    ("staircase", "b2_half", "--set", "X", "--quadrant=+-", "--svg"):
+        "cbc822663c7404c85682a390d18ec36402b1e14debec8bb8f6ca7ba7059538a9",
+    ("staircase", "b2_half", "--set", "X", "--quadrant=-+", "--svg"):
+        "cbc822663c7404c85682a390d18ec36402b1e14debec8bb8f6ca7ba7059538a9",
+    ("staircase", "b2_half", "--set", "Y", "--quadrant=++", "--svg"):
+        "62300775829c463d6a3170e6349b5b479d1ea4ae91b33fdf7d5911f09e037687",
+    ("staircase", "b2_half", "--set", "Y", "--quadrant=--", "--svg"):
+        "62300775829c463d6a3170e6349b5b479d1ea4ae91b33fdf7d5911f09e037687",
+    ("staircase", "b2_half", "--set", "Y", "--quadrant=+-", "--svg"):
+        "b645cca9da52626cb50481c871888a8488660ac6f85d1eba73f65ebbdedb15d4",
+    ("staircase", "b2_half", "--set", "Y", "--quadrant=-+", "--svg"):
+        "b645cca9da52626cb50481c871888a8488660ac6f85d1eba73f65ebbdedb15d4",
+    ("staircase", "case3", "--set", "X", "--quadrant=++", "--svg"):
+        "31ef9f2b24be2ace4db6da52660411225ced2cfafe6fd236de23301e204a5a68",
+    ("staircase", "case3", "--set", "X", "--quadrant=--", "--svg"):
+        "31ef9f2b24be2ace4db6da52660411225ced2cfafe6fd236de23301e204a5a68",
+    ("staircase", "case3", "--set", "Y", "--quadrant=++", "--svg"):
+        "4d40a5d6c05cf0d7fe0dc84a5e841bd3f93862149d6cdeb62581abfdcd6754ef",
+    ("staircase", "case3", "--set", "Y", "--quadrant=--", "--svg"):
+        "4d40a5d6c05cf0d7fe0dc84a5e841bd3f93862149d6cdeb62581abfdcd6754ef",
 }
 
 
