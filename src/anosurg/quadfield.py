@@ -16,7 +16,10 @@ coordinates a = p/d and b = q/d are read-only `Fraction` properties.
 
 float(x) is the correctly rounded double of the exact value: it is computed
 from the exact floor of x*2^k, never from float coefficients, so it does not
-cancel when p and q*sqrt(D) are large and nearly opposite.
+cancel when p and q*sqrt(D) are large and nearly opposite.  rounded_float(p, q,
+d, D, root) gives the same double from integers and a stored fixed-point
+sqrt(D): it brackets the value between two rationals, and only when their
+doubles differ does it fall back to that exact conversion.
 
 qn_log_floor(x, base) is the exact integer logarithm, the greatest k with
 base^k <= x, found by repeated squaring.  Every exponent search in the
@@ -62,6 +65,66 @@ def _floor(p: int, q: int, d: int, D: int) -> int:
     if q >= 0:
         return (p + isqrt(q * q * D)) // d
     return (p - isqrt(q * q * D) - 1) // d
+
+
+def _to_float(p: int, q: int, d: int, D: int) -> float:
+    """The correctly rounded double of (p + q*sqrt(D))/d for d > 0: the only
+    exact conversion, from the exact floor of x*2^k."""
+    if q == 0:
+        return p / d                    # int / int rounds correctly
+    if _sign(p, q, D) < 0:
+        return -_to_float(-p, -q, d, D)
+    # x > 0.  Estimate log2(x) to within a few bits; when p and q sqrt(D)
+    # cancel, go through x = (p^2 - q^2 D) / (d (p - q sqrt(D))).
+    top = max(p.bit_length(), q.bit_length() + D.bit_length() // 2)
+    e = top
+    if p < 0 or q < 0:
+        e = abs(p * p - q * q * D).bit_length() - top
+    k = 66 - e + d.bit_length()
+    while True:
+        # n = floor(x 2^k), grown until it has at least 65 bits
+        n = (_floor(p << k, q << k, d, D) if k >= 0
+             else _floor(p, q, d << -k, D))
+        if n.bit_length() > 64:
+            break
+        k += 66 - n.bit_length()
+    # x is irrational, so n < x 2^k < n + 1.  Every rounding boundary of a
+    # double near x is a multiple of 2^-k (n has more than 54 bits), so x
+    # rounds like the point (2n + 1)/2^(k+1) between the same multiples:
+    # the sticky low bit keeps the rounding from happening twice.
+    n, k = 2 * n + 1, k + 1
+    return n / (1 << k) if k >= 0 else float(n << -k)
+
+
+# Fractional bits of the fixed-point sqrt(D) that `rounded_float` brackets
+# its value with.
+ROOT_BITS = 128
+
+
+def fixed_root(D: int) -> int:
+    """S = floor(sqrt(D) * 2^ROOT_BITS); D is not a square, so
+    S < sqrt(D) * 2^ROOT_BITS < S + 1."""
+    return isqrt(D << 2 * ROOT_BITS)
+
+
+def rounded_float(p: int, q: int, d: int, D: int, root: int) -> float:
+    """The correctly rounded double of (p + q*sqrt(D))/d for d > 0, given
+    root = fixed_root(D).
+
+    With N = p*2^F + q*root (F = ROOT_BITS) the exact value lies between
+    N/(d*2^F) and (N + q)/(d*2^F).  Rounding is monotone and int / int
+    rounds correctly, so when both ends round to one double that double is
+    the answer; otherwise the exact `_to_float` decides.
+    """
+    n = (p << ROOT_BITS) + q * root
+    scale = d << ROOT_BITS
+    try:
+        lo = n / scale
+        if lo == (n + q) / scale:
+            return lo
+    except OverflowError:
+        pass
+    return _to_float(p, q, d, D)
 
 
 class QuadNum:
@@ -238,31 +301,7 @@ class QuadNum:
 
     def __float__(self):
         """The correctly rounded double nearest to the exact value."""
-        p, q, d, D = self._v
-        if q == 0:
-            return p / d                # int / int rounds correctly
-        if _sign(p, q, D) < 0:
-            return -float(-self)
-        # x > 0.  Estimate log2(x) to within a few bits; when p and q sqrt(D)
-        # cancel, go through x = (p^2 - q^2 D) / (d (p - q sqrt(D))).
-        top = max(p.bit_length(), q.bit_length() + D.bit_length() // 2)
-        e = top
-        if p < 0 or q < 0:
-            e = abs(p * p - q * q * D).bit_length() - top
-        k = 66 - e + d.bit_length()
-        while True:
-            # n = floor(x 2^k), grown until it has at least 65 bits
-            n = (_floor(p << k, q << k, d, D) if k >= 0
-                 else _floor(p, q, d << -k, D))
-            if n.bit_length() > 64:
-                break
-            k += 66 - n.bit_length()
-        # x is irrational, so n < x 2^k < n + 1.  Every rounding boundary of a
-        # double near x is a multiple of 2^-k (n has more than 54 bits), so x
-        # rounds like the point (2n + 1)/2^(k+1) between the same multiples:
-        # the sticky low bit keeps the rounding from happening twice.
-        n, k = 2 * n + 1, k + 1
-        return n / (1 << k) if k >= 0 else float(n << -k)
+        return _to_float(*self._v)
 
     def __repr__(self):
         return f"QuadNum({self.a!r}, {self.b!r}, D={self.D})"

@@ -2,16 +2,23 @@
 
 All drawing happens in eigen (s, u) coordinates: the stable direction is
 horizontal, the unstable one vertical (flipped for screen y).  Exact values
-are converted to floats for display only; numbers are formatted with a fixed
-precision and elements are emitted in insertion order, so identical input
-produces byte-identical output.
+are converted to correctly rounded doubles for display only; numbers are
+formatted with a fixed precision and elements are emitted in insertion order,
+so identical input produces byte-identical output.
+
+The marked lifts of census and staircase figures come straight from the
+lattice kernel's integers (`torus.box_lifts`): view flips are sign changes
+and the origin is subtracted on integers, and `quadfield.rounded_float`
+turns each coordinate into its double with no QuadNum per lift.  The dots
+are drawn in exact increasing view s, the order of `FrameView.hits`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .torus import FrameView
+from .quadfield import _parts, _sign, rounded_float
+from .torus import FrameView, box_lifts
 
 _STYLE = (
     ".axis{stroke:#999;stroke-width:1;stroke-dasharray:4 3}"
@@ -87,13 +94,52 @@ def _axes(fig: Figure):
     fig.line(0, fig.u_min, 0, fig.u_min + 10**9, "axis")
 
 
-def _marks(fig: Figure, view, sets, s_lo, s_hi, u_lo, u_hi):
+class _Exact:
+    """(p + q*sqrt(D))/d, ordered exactly: it breaks the tie between two dots
+    whose s rounds to one double."""
+    __slots__ = ("p", "q", "d", "D")
+
+    def __init__(self, p: int, q: int, d: int, D: int):
+        self.p, self.q, self.d, self.D = p, q, d, D
+
+    def __lt__(self, other):
+        return _sign(self.p * other.d - other.p * self.d,
+                     self.q * other.d - other.q * self.d, self.D) < 0
+
+
+def _coordinate(form, flip: bool, origin):
+    """(a, b, c, e, f, g, h) with sign*form(X/k, Y/k) - origin equal to
+    (a*X + b*Y - c*k + (e*X + f*Y - g*k)*sqrt(D))/(h*k), sign = -1 if flip."""
+    sign = -1 if flip else 1
+    p0, q0, d0 = _parts(origin)
+    return (sign * form.px * d0, sign * form.py * d0, p0 * form.L,
+            sign * form.qx * d0, sign * form.qy * d0, q0 * form.L,
+            form.L * d0)
+
+
+def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
+    """(s - s0, u - u0) as doubles for each lift of mset in the view's box,
+    in increasing s: the lifts and order of `view.hits`."""
+    frame = view.frame
+    D, root = frame.D, frame.root
+    sa, sb, sc, se, sf, sg, sh = _coordinate(frame.s_int, view.flip_s, s0)
+    ua, ub, uc, ue, uf, ug, uh = _coordinate(frame.u_int, view.flip_u, u0)
+    dots = []
+    for _, _, k, X, Y, _ in box_lifts(frame, mset,
+                                      *view.box(s_lo, s_hi, u_lo, u_hi)):
+        p, q, d = sa * X + sb * Y - sc * k, se * X + sf * Y - sg * k, sh * k
+        dots.append((rounded_float(p, q, d, D, root), _Exact(p, q, d, D),
+                     rounded_float(ua * X + ub * Y - uc * k,
+                                   ue * X + uf * Y - ug * k, uh * k, D, root)))
+    dots.sort()
+    return [(s, u) for s, _, u in dots]
+
+
+def _marks(fig: Figure, view, sets, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
     for mset in sets:
-        if mset.is_empty():
-            continue
         cls = "mark-Y" if mset.role == "Y" else "mark-X"
-        for h in view.hits(mset, s_lo, s_hi, u_lo, u_hi):
-            fig.dot(h.s, h.u, cls)
+        for s, u in lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0, u0):
+            fig.dot(s, u, cls)
 
 
 def census_figure(frame, reps, sets) -> str:
@@ -133,12 +179,9 @@ def staircase_figure(st) -> str:
         e = (view.s(s.delta_endpoint) - s0, view.u(s.delta_endpoint) - u0)
         fig.line(o[0], o[1], e[0], e[1], "diag")
     fig.line(-0.05 * s_hi, u_hi, 1.05 * s_hi, u_hi, "axis")
-    for mset in (st.X, st.avoid):
-        cls = "mark-Y" if mset.role == "Y" else "mark-X"
-        for h in view.hits(mset,
-                           s0 - Fraction(0.05 * s_hi), s0 + Fraction(1.05 * s_hi),
-                           u0 - Fraction(0.05 * u_hi), u0 + Fraction(1.1 * u_hi)):
-            fig.dot(h.s - s0, h.u - u0, cls)
+    _marks(fig, view, (st.X, st.avoid),
+           s0 - Fraction(0.05 * s_hi), s0 + Fraction(1.05 * s_hi),
+           u0 - Fraction(0.05 * u_hi), u0 + Fraction(1.1 * u_hi), s0, u0)
     return fig.render()
 
 

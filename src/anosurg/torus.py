@@ -18,7 +18,9 @@ base + (m, n) each edge of an (s, u)-box is then a bound on n alone, the
 integer floor of a quadratic number computed from integers once per column
 m, rounded up or down by whether the edge is open or closed.  These bounds
 are exact, so every (m, n) between them is a lift in the box and nothing is
-re-checked; a QuadNum is built only for the s and u of a lift found.
+re-checked.  `box_lifts` returns the lifts as integers; `hits_in_box` builds
+a QuadNum only for the s and u of a lift found, and figures convert the
+integers to doubles without any.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
-from .quadfield import (QuadNum, _floor, _parts, _qn, qn_log_floor,
-                        qn_pow)
+from .quadfield import (QuadNum, _floor, _parts, _qn, fixed_root,
+                        qn_log_floor, qn_pow)
 
 
 class UnsupportedMatrixError(ValueError):
@@ -82,6 +84,21 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _HashOnce(_Value):
+    """A value record that computes its hash on first use and keeps it in a
+    slot outside its `_key()`: orbits and marked sets key memo tables, and
+    their keys hold every point's Fractions."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self._key()))
+            return self._hash
 
 
 class HyperbolicMatrix(_Value):
@@ -200,12 +217,12 @@ class EigenFrame(_Value):
     hash by it alone."""
     __slots__ = ("matrix", "D", "lam", "lam_inv", "v_s", "v_u", "s_form",
                  "u_form", "s_int", "u_int", "lam_powers", "inverse_rows",
-                 "families")
+                 "root", "families")
 
     def __init__(self, matrix: HyperbolicMatrix, D: int, lam: QuadNum,
                  lam_inv: QuadNum, v_s: tuple, v_u: tuple, s_form: tuple,
                  u_form: tuple, s_int: IntForm, u_int: IntForm,
-                 lam_powers: tuple, inverse_rows: tuple):
+                 lam_powers: tuple, inverse_rows: tuple, root: int):
         _set(self, "matrix", matrix)
         _set(self, "D", D)
         _set(self, "lam", lam)            # expansive eigenvalue > 1
@@ -220,6 +237,8 @@ class EigenFrame(_Value):
         _set(self, "u_int", u_int)
         _set(self, "lam_powers", lam_powers)
         _set(self, "inverse_rows", inverse_rows)
+        # fixed_root(D), which converts coordinates to doubles for figures
+        _set(self, "root", root)
         # primitive families walked in this frame, keyed by view, marked
         # set, origin and window (see rectangles.primitive_family)
         _set(self, "families", {})
@@ -276,7 +295,7 @@ def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
     rows = [A.power_rows(-j) for j in range(-RENORM_TABLE, RENORM_TABLE + 1)]
     return EigenFrame(A, D, lam, lam_inv, v_s, v_u, s_form, u_form,
                       IntForm.of(*s_form), IntForm.of(*u_form),
-                      tuple(down[:0:-1] + up), tuple(rows))
+                      tuple(down[:0:-1] + up), tuple(rows), fixed_root(D))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +316,7 @@ def orbit_of(A: HyperbolicMatrix, q: Point):
     return pts, len(pts)
 
 
-class Orbit(_Value):
+class Orbit(_HashOnce):
     __slots__ = ("points", "period", "char")
 
     def __init__(self, points: tuple, period: int, char: int):
@@ -313,7 +332,7 @@ class Orbit(_Value):
         return self.char * self.period
 
 
-class MarkedSet(_Value):
+class MarkedSet(_HashOnce):
     __slots__ = ("orbits", "role")
 
     def __init__(self, orbits: tuple, role: str = ""):
@@ -402,17 +421,17 @@ def _balance_power(frame: EigenFrame, w_s, w_u) -> int:
     return qn_log_floor(r, even[mid + 1])
 
 
-def hits_in_box(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
-                include=(True, True, True, True)):
-    """Lifts of mset inside [s_lo,s_hi] x [u_lo,u_hi] with per-edge inclusion,
-    sorted by (s, u).
+def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
+              include=(True, True, True, True)):
+    """(base, (m, n), k, X, Y, twist) for every lift base + (m, n) =
+    (X/k, Y/k) of mset inside [s_lo,s_hi] x [u_lo,u_hi] with per-edge
+    inclusion, in no particular order; k is the base's common denominator.
 
     include = (s_lo closed, s_hi closed, u_lo closed, u_hi closed); the
     bounds may be QuadNums, ints or Fractions.  The lattice kernel
     (`_box_lifts`) works on integers: for each column m of lifts it takes
     the exact n-interval from four integer floors of quadratic numbers, so
-    every lift it lists is in the box and no lift is re-checked.  A QuadNum
-    is built only for the s and u of a listed lift.
+    every lift it lists is in the box and no lift is re-checked.
 
     Extremely thin boxes (long in one eigen-direction, short in the other) are
     first renormalized by a power of A: lifts of a marked set are invariant
@@ -423,23 +442,32 @@ def hits_in_box(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     """
     if s_lo > s_hi or u_lo > u_hi:
         raise ValueError("empty range")
-    s_int, u_int = frame.s_int, frame.u_int
     j = _balance_power(frame, s_hi - s_lo, u_hi - u_lo)
-    if j:
-        sc, uc, ((a, b), (c, d)) = frame.renormalization(j)
-        out = []
-        for _, _, k, X, Y, twist in _box_lifts(
-                frame, mset, s_lo * sc, s_hi * sc, u_lo * uc, u_hi * uc,
-                include):
-            X, Y = a * X + b * Y, c * X + d * Y
-            out.append(MarkedPointHit(
-                (Fraction(X % k, k), Fraction(Y % k, k)), (X // k, Y // k),
-                s_int.at(X, Y, k), u_int.at(X, Y, k), twist))
-    else:
-        out = [MarkedPointHit(base, lattice, s_int.at(X, Y, k),
-                              u_int.at(X, Y, k), twist)
-               for base, lattice, k, X, Y, twist in _box_lifts(
-                   frame, mset, s_lo, s_hi, u_lo, u_hi, include)]
+    if not j:
+        return _box_lifts(frame, mset, s_lo, s_hi, u_lo, u_hi, include)
+    sc, uc, ((a, b), (c, d)) = frame.renormalization(j)
+    out = []
+    bases = {}              # (X mod k, Y mod k, k) -> base point
+    for _, _, k, X, Y, twist in _box_lifts(
+            frame, mset, s_lo * sc, s_hi * sc, u_lo * uc, u_hi * uc, include):
+        X, Y = a * X + b * Y, c * X + d * Y
+        key = (X % k, Y % k, k)
+        base = bases.get(key)
+        if base is None:
+            base = bases[key] = (Fraction(key[0], k), Fraction(key[1], k))
+        out.append((base, (X // k, Y // k), k, X, Y, twist))
+    return out
+
+
+def hits_in_box(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
+                include=(True, True, True, True)):
+    """The lifts of `box_lifts` as hits, with exact s and u, sorted by
+    (s, u)."""
+    s_int, u_int = frame.s_int, frame.u_int
+    out = [MarkedPointHit(base, lattice, s_int.at(X, Y, k), u_int.at(X, Y, k),
+                          twist)
+           for base, lattice, k, X, Y, twist in box_lifts(
+               frame, mset, s_lo, s_hi, u_lo, u_hi, include)]
     # distinct lifts never share an s coordinate (the level lines of s have
     # irrational slope), so ordering by s is ordering by (s, u)
     out.sort(key=_s_order)
@@ -521,6 +549,7 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     hi_p, hi_q, hi_d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
     out = []
     for orb in mset.orbits:
+        twist = orb.twist
         for base in orb.points:
             bx, by = base
             k = lcm(bx.denominator, by.denominator)
@@ -539,7 +568,7 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
             for m, n_lo, n_hi in zip(range(m_lo, m_hi + 1), lows, highs):
                 for n in range(n_lo, n_hi + 1):
                     out.append((base, (m, n), k, x_num + m * k, y_num + n * k,
-                                orb.twist))
+                                twist))
     return out
 
 
@@ -636,17 +665,21 @@ class FrameView:
         v = self.frame.u(p)
         return -v if self.flip_u else v
 
-    def hits(self, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
-             include=(True, True, True, True)):
-        """Hits in view coordinates; returned s/u are view coordinates."""
+    def box(self, s_lo, s_hi, u_lo, u_hi, include=(True, True, True, True)):
+        """The view's box as the frame's (s_lo, s_hi, u_lo, u_hi, include)."""
         rs_lo, rs_hi, i0, i1 = (s_lo, s_hi, include[0], include[1])
         if self.flip_s:
             rs_lo, rs_hi, i0, i1 = (-s_hi, -s_lo, include[1], include[0])
         ru_lo, ru_hi, i2, i3 = (u_lo, u_hi, include[2], include[3])
         if self.flip_u:
             ru_lo, ru_hi, i2, i3 = (-u_hi, -u_lo, include[3], include[2])
-        raw = hits_in_box(self.frame, mset, rs_lo, rs_hi, ru_lo, ru_hi,
-                          (i0, i1, i2, i3))
+        return rs_lo, rs_hi, ru_lo, ru_hi, (i0, i1, i2, i3)
+
+    def hits(self, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
+             include=(True, True, True, True)):
+        """Hits in view coordinates; returned s/u are view coordinates."""
+        raw = hits_in_box(self.frame, mset,
+                          *self.box(s_lo, s_hi, u_lo, u_hi, include))
         if not (self.flip_s or self.flip_u):
             return raw
         out = [MarkedPointHit(h.base, h.lattice,

@@ -1,7 +1,8 @@
 """Exact arithmetic in Q(sqrt(D)): worked values, field axioms, exact signs
 and floors, string round-trips, error handling, agreement with a Fraction
-oracle on big coefficients, correctly rounded float conversion, the exact
-integer logarithm, the absence of floats from the engine's decisions, and the
+oracle on big coefficients, correctly rounded float conversion (exact, and
+from a fixed-point square root with an exact fallback), the exact integer
+logarithm, the absence of floats from the engine's decisions, and the
 eigenframe as the only geometry argument of the public API."""
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import anosurg
+from anosurg import quadfield
 from anosurg import (HyperbolicMatrix, QuadFieldError, QuadNum, eigenframe,
                      qn_ceil, qn_floor, qn_from_str, qn_log_floor, qn_pow,
                      qn_to_str)
@@ -227,11 +229,22 @@ class TestAgainstFractionOracle:
             assert hash(irrational) == hash(QuadNum(r, b, D))
 
 
+def fast_float(x: QuadNum) -> float:
+    """x's double from its integers and the fixed-point root of its field."""
+    p, q, d = quadfield._parts(x)
+    return quadfield.rounded_float(p, q, d, x.D, quadfield.fixed_root(x.D))
+
+
 def assert_correctly_rounded(x: QuadNum):
-    """float(x) is the double nearest to x, decided by the Fraction oracle;
-    it also agrees with the 64-bit truncation floor(x*2^64)/2^64."""
+    """float(x) and fast_float(x) are the double nearest to x."""
+    assert_rounds_to(x, float(x))
+    assert_rounds_to(x, fast_float(x))
+
+
+def assert_rounds_to(x: QuadNum, c: float):
+    """c is the double nearest to x, decided by the Fraction oracle; it also
+    agrees with the 64-bit truncation floor(x*2^64)/2^64."""
     ox = OracleQuad(x.a, x.b, x.D)
-    c = float(x)
     below = (Fraction(math.nextafter(c, -math.inf)) + Fraction(c)) / 2
     above = (Fraction(c) + Fraction(math.nextafter(c, math.inf))) / 2
     assert (ox - below).sign() >= 0 and (ox - above).sign() <= 0
@@ -262,6 +275,30 @@ class TestFloatConversion:
     def test_rational_values_convert_like_fractions(self):
         for r in (Fraction(1, 3), Fraction(-7, 2), Fraction(10 ** 30, 7), 0):
             assert float(QuadNum(r, 0, 5)) == float(r)
+            assert fast_float(QuadNum(r, 0, 5)) == float(r)
+
+    def test_fast_conversion_takes_both_paths(self, monkeypatch):
+        # r + c*u^(-n) brackets within a few bits for small n; for large n
+        # its coefficients cancel far below the root's 128 fractional bits,
+        # so the bracket straddles a double and the exact routine decides
+        exact = quadfield._to_float
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return exact(*args)
+
+        cases = [Fraction(1, 3) + c * qn_pow(UNITS[D], -n)
+                 for D in FIELDS for n in (1, 2, 3, 60, 200) for c in (1, -2)]
+        taken = []
+        for x in cases:
+            monkeypatch.setattr(quadfield, "_to_float", counted)
+            before = len(fallbacks)
+            c = fast_float(x)
+            taken.append(len(fallbacks) > before)
+            monkeypatch.setattr(quadfield, "_to_float", exact)
+            assert_rounds_to(x, c)
+        assert any(taken) and not all(taken)
 
 
 # expansive eigenvalues of the A2, B2 and case3 fixture matrices

@@ -61,6 +61,16 @@ class TestMatricesAndFrames:
         assert walked == fresh and hash(walked) == hash(fresh)
         assert walked != eigenframe(A3)
 
+    def test_orbits_and_marked_sets_keep_their_hash_out_of_equality(self):
+        hashed, fresh = half_points_set(B2), half_points_set(B2)
+        h = hash(hashed)
+        assert hashed._hash == h and hash(hashed) == h
+        assert hashed.orbits[0]._hash == hash(fresh.orbits[0])
+        assert hashed == fresh and hash(fresh) == h
+        assert hashed != half_points_set(B2, char=1)
+        with pytest.raises(AttributeError):
+            hashed._hash = 0
+
     @given(coords, coords)
     def test_eigen_round_trip(self, x, y):
         frame = eigenframe(A2)
