@@ -205,10 +205,8 @@ class IntForm:
                    self.L * k, self.D)
 
     def __call__(self, p) -> QuadNum:
-        x, y = p
-        dx, dy = x.denominator, y.denominator
-        k = lcm(dx, dy)
-        return self.at(x.numerator * (k // dx), y.numerator * (k // dy), k)
+        k, X, Y = _integer_point(p)
+        return self.at(X, Y, k)
 
 
 class EigenFrame(_Value):
@@ -317,12 +315,15 @@ def orbit_of(A: HyperbolicMatrix, q: Point):
 
 
 class Orbit(_HashOnce):
-    __slots__ = ("points", "period", "char")
+    __slots__ = ("points", "period", "char", "integers")
 
     def __init__(self, points: tuple, period: int, char: int):
         _set(self, "points", points)      # tuple of Point, in iteration order
         _set(self, "period", period)
         _set(self, "char", char)          # signed characteristic number
+        # (k, X, Y) with point = (X/k, Y/k), k the common denominator: what
+        # the lattice kernel reads for each base point of every box scan
+        _set(self, "integers", tuple(map(_integer_point, points)))
 
     def _key(self):
         return self.points, self.period, self.char
@@ -330,6 +331,15 @@ class Orbit(_HashOnce):
     @property
     def twist(self) -> int:
         return self.char * self.period
+
+
+def _integer_point(p) -> tuple:
+    """(k, X, Y) with p = (X/k, Y/k) and k the least common denominator of
+    p's int or Fraction coordinates."""
+    x, y = p
+    dx, dy = x.denominator, y.denominator
+    k = lcm(dx, dy)
+    return k, x.numerator * (k // dx), y.numerator * (k // dy)
 
 
 class MarkedSet(_HashOnce):
@@ -550,11 +560,7 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     out = []
     for orb in mset.orbits:
         twist = orb.twist
-        for base in orb.points:
-            bx, by = base
-            k = lcm(bx.denominator, by.denominator)
-            x_num = bx.numerator * (k // bx.denominator)
-            y_num = by.numerator * (k // by.denominator)
+        for base, (k, x_num, y_num) in zip(orb.points, orb.integers):
             m_lo = -_floor(x_num * lo_d - lo_p * k, -lo_q * k, lo_d * k, D)
             m_hi = _floor(hi_p * k - x_num * hi_d, hi_q * k, hi_d * k, D)
             count = m_hi - m_lo + 1
