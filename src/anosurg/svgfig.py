@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .quadfield import _parts, _sign, rounded_float
+from .quadfield import rounded_float
 from .torus import FrameView, box_lifts
 
 _STYLE = (
@@ -94,45 +94,27 @@ def _axes(fig: Figure):
     fig.line(0, fig.u_min, 0, fig.u_min + 10**9, "axis")
 
 
-class _Exact:
-    """(p + q*sqrt(D))/d, ordered exactly: it breaks the tie between two dots
-    whose s rounds to one double."""
-    __slots__ = ("p", "q", "d", "D")
-
-    def __init__(self, p: int, q: int, d: int, D: int):
-        self.p, self.q, self.d, self.D = p, q, d, D
-
-    def __lt__(self, other):
-        return _sign(self.p * other.d - other.p * self.d,
-                     self.q * other.d - other.q * self.d, self.D) < 0
-
-
-def _coordinate(form, flip: bool, origin):
-    """(a, b, c, e, f, g, h) with sign*form(X/k, Y/k) - origin equal to
-    (a*X + b*Y - c*k + (e*X + f*Y - g*k)*sqrt(D))/(h*k), sign = -1 if flip."""
-    sign = -1 if flip else 1
-    p0, q0, d0 = _parts(origin)
-    return (sign * form.px * d0, sign * form.py * d0, p0 * form.L,
-            sign * form.qx * d0, sign * form.qy * d0, q0 * form.L,
-            form.L * d0)
-
-
 def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
     """(s - s0, u - u0) as doubles for each lift of mset in the view's box,
     in increasing s: the lifts and order of `view.hits`."""
     frame = view.frame
     D, root = frame.D, frame.root
-    sa, sb, sc, se, sf, sg, sh = _coordinate(frame.s_int, view.flip_s, s0)
-    ua, ub, uc, ue, uf, ug, uh = _coordinate(frame.u_int, view.flip_u, u0)
-    dots = []
-    for _, _, k, X, Y, _ in box_lifts(frame, mset,
-                                      *view.box(s_lo, s_hi, u_lo, u_hi)):
-        p, q, d = sa * X + sb * Y - sc * k, se * X + sf * Y - sg * k, sh * k
-        dots.append((rounded_float(p, q, d, D, root), _Exact(p, q, d, D),
-                     rounded_float(ua * X + ub * Y - uc * k,
-                                   ue * X + uf * Y - ug * k, uh * k, D, root)))
+    s_sign, u_sign = -1 if view.flip_s else 1, -1 if view.flip_u else 1
+    sa, sb, sc, se, sf, sg, sh = frame.s_int.affine(s_sign, s0)
+    ua, ub, uc, ue, uf, ug, uh = frame.u_int.affine(u_sign, u0)
+    dots = [(rounded_float(sa * X + sb * Y - sc * k, se * X + sf * Y - sg * k,
+                           sh * k, D, root),
+             rounded_float(ua * X + ub * Y - uc * k, ue * X + uf * Y - ug * k,
+                           uh * k, D, root), k, X, Y)
+            for _, _, k, X, Y, _ in box_lifts(
+                frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi))]
     dots.sort()
-    return [(s, u) for s, _, u in dots]
+    if len({dot[0] for dot in dots}) < len(dots):
+        # rounding is monotone, so only lifts whose s rounds to one double
+        # can be out of order; the exact s orders them all
+        s_int = frame.s_int
+        dots.sort(key=lambda dot: s_sign * s_int.at(dot[3], dot[4], dot[2]))
+    return [dot[:2] for dot in dots]
 
 
 def _marks(fig: Figure, view, sets, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):

@@ -208,6 +208,17 @@ class IntForm:
         k, X, Y = _integer_point(p)
         return self.at(X, Y, k)
 
+    def affine(self, sign: int, origin) -> tuple:
+        """(a, b, c, e, f, g, h) such that sign*form - origin at (X/k, Y/k) is
+
+            (a*X + b*Y - c*k + (e*X + f*Y - g*k)*sqrt(D)) / (h*k),
+
+        for sign = 1 or -1 and an origin that is a QuadNum, int or Fraction."""
+        p0, q0, d0 = _parts(origin)
+        return (sign * self.px * d0, sign * self.py * d0, p0 * self.L,
+                sign * self.qx * d0, sign * self.qy * d0, q0 * self.L,
+                self.L * d0)
+
 
 class EigenFrame(_Value):
     """The eigen-data of a matrix, built by `eigenframe`.  Every field but
@@ -457,15 +468,11 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
         return _box_lifts(frame, mset, s_lo, s_hi, u_lo, u_hi, include)
     sc, uc, ((a, b), (c, d)) = frame.renormalization(j)
     out = []
-    bases = {}              # (X mod k, Y mod k, k) -> base point
     for _, _, k, X, Y, twist in _box_lifts(
             frame, mset, s_lo * sc, s_hi * sc, u_lo * uc, u_hi * uc, include):
         X, Y = a * X + b * Y, c * X + d * Y
-        key = (X % k, Y % k, k)
-        base = bases.get(key)
-        if base is None:
-            base = bases[key] = (Fraction(key[0], k), Fraction(key[1], k))
-        out.append((base, (X // k, Y // k), k, X, Y, twist))
+        out.append(((Fraction(X % k, k), Fraction(Y % k, k)),
+                    (X // k, Y // k), k, X, Y, twist))
     return out
 
 

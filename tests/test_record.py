@@ -39,8 +39,15 @@ def test_parse_import_time_reads_the_cumulative_column():
         record.parse_import_time("import time: 1 | 2 | os\n")
 
 
-def test_parse_pytest_summary():
+def test_parse_pytest_summary_keeps_failures_and_errors():
     out = "....\n323 passed, 1 warning in 33.84s\n"
-    assert record.parse_pytest_summary(out) == (323, 33.84)
+    assert record.parse_pytest_summary(out) == {
+        "passed": 323, "failed": 0, "errors": 0, "seconds": 33.84}
+    out = "F.E\n2 failed, 354 passed, 1 error in 30.12s\n"
+    assert record.parse_pytest_summary(out) == {
+        "passed": 354, "failed": 2, "errors": 1, "seconds": 30.12}
+    out = "EE\n3 errors in 65.43s (0:01:05)\n"
+    assert record.parse_pytest_summary(out) == {
+        "passed": 0, "failed": 0, "errors": 3, "seconds": 65.43}
     with pytest.raises(ValueError):
         record.parse_pytest_summary("2 failed\n")

@@ -1,14 +1,16 @@
 """Figure dots drawn from the lattice kernel's integers agree, coordinate for
 coordinate and in order, with the correctly rounded exact hits."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from anosurg import QUADRANTS, eigenframe, quadrant_view
 from anosurg.cli import FIXTURES, load_problem
-from anosurg.quadfield import fixed_root, rounded_float
-from anosurg.svgfig import _Exact, lift_dots
+from anosurg import svgfig
+from anosurg.quadfield import rounded_float
+from anosurg.svgfig import lift_dots
 from anosurg.torus import _balance_power
 
 PROBLEMS = {name: load_problem(data) for name, data in FIXTURES.items()}
@@ -51,14 +53,15 @@ def test_lift_dots_default_origin_is_zero():
         exact_dots(view, sets["X"], *box, 0, 0)
 
 
-def test_dots_with_one_double_sort_exactly():
-    # (1 + sqrt(5))/2 and the same plus 2^-80 round to one double; the tie
-    # is broken by the exact values, whatever order the dots come in
-    d = 1 << 81
-    low, high = (d // 2, d // 2, d), (d // 2 + 2, d // 2, d)
-    doubles = {rounded_float(*v, 5, fixed_root(5)) for v in (low, high)}
-    assert len(doubles) == 1
-    c = doubles.pop()
-    for first, second in ((low, high), (high, low)):
-        dots = [(c, _Exact(*first, 5), first), (c, _Exact(*second, 5), second)]
-        assert [v for _, _, v in sorted(dots)] == [low, high]
+def test_dots_whose_s_rounds_alike_keep_the_exact_order(monkeypatch):
+    # a monotone but coarse rounding, to the integer below, makes many dots
+    # share an s; the exact s must still order them as view.hits does
+    monkeypatch.setattr(svgfig, "rounded_float",
+                        lambda *v: math.floor(rounded_float(*v)))
+    A, sets, _ = PROBLEMS["b2_half"]
+    view = quadrant_view(eigenframe(A), "+-")
+    box = (Fraction(-6), Fraction(6), Fraction(-8), Fraction(8))
+    want = [(math.floor(s), math.floor(u))
+            for s, u in exact_dots(view, sets["X"], *box, 0, 0)]
+    assert len({s for s, _ in want}) < len(want)
+    assert svgfig.lift_dots(view, sets["X"], *box) == want
