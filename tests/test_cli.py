@@ -126,6 +126,11 @@ STDOUT_SHA256 = {
     ("game", "b2_half", "--point", "0,0", "--t0", "1", "--r", "20",
      "--budget", "60", "--svg"):
         "73c07c9257ac2f57c413e19b7fce5393933614fd859e8c61b7c3eee3132f3a72",
+    # the benchmark's 400-crossing game, whose scans renormalize by powers
+    # of A up to 200, recorded at commit 5f1b29d
+    ("game", "b2_half", "--point", "0,0", "--t0", "1", "--r", "20",
+     "--budget", "400", "--svg"):
+        "53c325fdb661823936f64fce4f4707d358865578140fe11bd0d962347d82e90a",
     # every staircase command that writes a figure, recorded at commit
     # 9c779de, before the figure's dots were drawn from the integer lifts
     ("staircase", "a2_half", "--set", "Y", "--quadrant=++", "--svg"):
@@ -188,6 +193,9 @@ SVG_SHA256 = {
     ("game", "b2_half", "--point", "0,0", "--t0", "1", "--r", "20",
      "--budget", "60", "--svg"):
         "a308cdbd7442446f7f5b7415803c29eb085a35dfd252e3591b282526c28a99fc",
+    ("game", "b2_half", "--point", "0,0", "--t0", "1", "--r", "20",
+     "--budget", "400", "--svg"):
+        "1dad59103c176ccaf943c686b83b126ee247c355bbf141428d5f90d01b41d388",
     # the figures of the staircase commands above, recorded with them
     ("staircase", "a2_half", "--set", "Y", "--quadrant=++", "--svg"):
         "d73a5062f19b35a20d3558d8eedfa628a39f1b037da5a544ca1da5b683ee63fc",
