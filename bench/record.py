@@ -10,10 +10,11 @@ runs in those exports, never in the working tree.  The perfbench/ files of
 both exports must be the same tree.  Pair i runs the parent first when i is
 odd and the change first when it is even.  For every metric the record holds
 the runs by pair, their median, first and third quartiles (inclusive
-method), the IQR and how many pairs the change read lower.  The pair and
-run counts and the claimed metric are the module constants below.  At the
-end it prints the change's medians against those of the newest
-BENCH_*.json in the change's tree.
+method), the IQR and how many pairs the change read lower, and so for
+the per-command figures named in REPORTED that a row's workload prints.
+The pair and run counts and the claimed metric are the module constants
+below.  At the end it prints the change's medians against those of the
+newest BENCH_*.json in the change's tree.
 
 Nothing here is a test: timings are recorded, never asserted.
 """
@@ -40,6 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ROWS = (("fixtures_cli", 1), ("fixtures_cli", 11), ("classify_sweep", 1),
         ("game_grid", 1))
 METRICS = ("wall_ref", "op_gmean_ref", "setup_s", "peak_rss_mib")
+# figures perfbench prints above its result line, recorded like the metrics
+# on the rows whose workload prints them
+REPORTED = ("cli.staircase.b2_half_s", "cli.game.b2_half_s")
 # the workload and metric whose gain the change claims
 CLAIM = ("fixtures_cli", "wall_ref")
 
@@ -50,16 +54,24 @@ IMPORT_RUNS = 20
 COMMAND_RUNS = 10
 TIER1_RUNS = 2
 
-# A2 with Y the (0,0) orbit at -1 and X the period-98 orbit of (1/97, 0) at
-# +1: a long orbit, which the fixtures do not have
-PERIOD_98 = {"matrix": [[2, 1], [1, 1]],
-             "sets": [{"point": ["1/97", "0"], "characteristic_number": 1,
-                       "role": "X"},
-                      {"point": ["0", "0"], "characteristic_number": -1,
-                       "role": "Y"}]}
 
-# CLI commands timed in fresh processes; PATH is a scratch SVG file and
-# PERIOD_98 the problem file above
+def long_orbit(q: int) -> dict:
+    """A2 with Y the (0,0) orbit at -1 and X the orbit of (1/q, 0) at +1: a
+    long orbit, which the fixtures do not have."""
+    return {"matrix": [[2, 1], [1, 1]],
+            "sets": [{"point": [f"1/{q}", "0"], "characteristic_number": 1,
+                      "role": "X"},
+                     {"point": ["0", "0"], "characteristic_number": -1,
+                      "role": "Y"}]}
+
+
+# problem files written for the commands, by the name they use: X orbits of
+# periods 98 and 200
+PROBLEMS = {"PERIOD_98": long_orbit(97), "PERIOD_200": long_orbit(175)}
+
+# CLI commands timed in fresh processes; PATH is a scratch SVG file.  The
+# 1,500-crossing game renormalizes its scans by powers of A up to about
+# 750; it draws no figure, whose offsets no longer fit in a double.
 COMMANDS = ("examples",
             "census fixtures/a2_half.json",
             "classify fixtures/b2_half.json",
@@ -67,7 +79,18 @@ COMMANDS = ("examples",
             "staircase fixtures/b2_half.json --svg PATH",
             "game fixtures/b2_half.json --point 0,0 --t0 1 --r 20 "
             "--budget 400 --svg PATH",
-            "census PERIOD_98")
+            "game fixtures/b2_half.json --point 0,0 --t0 1 --r 20 "
+            "--budget 1500",
+            "census PERIOD_98",
+            "census PERIOD_200")
+
+# what each end-to-end metric measures, where that is not the program alone
+METRIC_NOTES = {
+    "peak_rss_mib": "mostly the harness: perfbench/run.py reads each "
+                    "child's ru_maxrss from os.wait4, and a child started "
+                    "from the benchmark process is charged with that "
+                    "process's resident set, which grows from pass to pass "
+                    "(see the FOUND line on peak_rss_mib in CHANGES.md)"}
 
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors", "-p", "no:cacheprovider"]
@@ -120,7 +143,18 @@ def perfbench_run(tree: Path, workload: str, seed: int) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", "5", "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    lines = out.strip().splitlines()
+    return dict(json.loads(lines[-1]), report=parse_report(lines[:-1]))
+
+
+def parse_report(lines: list) -> dict:
+    """{name: (value, unit)} from perfbench's "name value unit" lines."""
+    report = {}
+    for line in lines:
+        fields = line.split()
+        if len(fields) == 3 and not line.startswith("#"):
+            report[fields[0]] = (float(fields[1]), fields[2])
+    return report
 
 
 def record_workload(trees: dict, workload: str, seed: int):
@@ -133,6 +167,13 @@ def record_workload(trees: dict, workload: str, seed: int):
         metrics[name] = compare(
             [r["metrics"][name]["value"] for r in results["parent"]],
             [r["metrics"][name]["value"] for r in results["change"]], unit)
+    reported = {}
+    for name in REPORTED:
+        if name in results["parent"][0]["report"]:
+            reported[name] = compare(
+                [r["report"][name][0] for r in results["parent"]],
+                [r["report"][name][0] for r in results["change"]],
+                results["parent"][0]["report"][name][1])
     return {"workload": workload, "seed": seed,
             "command": f"python3 perfbench/run.py --workload {workload} "
                        f"--seed {seed} --seconds 5 --trace 0",
@@ -141,7 +182,8 @@ def record_workload(trees: dict, workload: str, seed: int):
                      "first",
             "correct": all(r["correct"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
-            "metrics": metrics}
+            "metrics": metrics,
+            "reported": reported}
 
 
 def env_for(tree: Path) -> dict:
@@ -167,7 +209,7 @@ def parse_import_time(stderr: str) -> float:
 
 def command_seconds(tree: Path, args: str, scratch: Path) -> float:
     argv = [str(scratch / "figure.svg") if a == "PATH" else
-            str(scratch / "period_98.json") if a == "PERIOD_98" else a
+            str(scratch / f"{a}.json") if a in PROBLEMS else a
             for a in args.split()]
     start = time.perf_counter()
     subprocess.run([sys.executable, "-m", "anosurg.cli", *argv], cwd=tree,
@@ -238,7 +280,8 @@ def main(argv=None):
     work = Path(tempfile.mkdtemp(prefix="anosurg-bench-"))
     try:
         trees = {side: export(rev, work / side) for side, rev in revs.items()}
-        (work / "period_98.json").write_text(json.dumps(PERIOD_98))
+        for name, problem in PROBLEMS.items():
+            (work / f"{name}.json").write_text(json.dumps(problem))
         record = build_record(revs, trees, work)
         Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
         previous = previous_record(trees["change"], Path(args.out).name)
@@ -311,6 +354,7 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                       "and IQR = q3 - q1 over the runs of each side; runs "
                       "lists them by pair; pairs_change_lower counts the "
                       "pairs in which the change read lower",
+        "metric_notes": METRIC_NOTES,
         "results": results,
         "import_time": {
             "command": "python -X importtime -c \"import anosurg.cli\" in "
@@ -323,9 +367,10 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
         "cli_commands": {
             "command": "wall time of python -m anosurg.cli <args> in a fresh "
                        f"process, {COMMAND_RUNS} alternating runs per "
-                       "side, compiled exports; PERIOD_98 is A2 with Y the "
-                       "(0,0) orbit at -1 and X the period-98 orbit of "
-                       "(1/97, 0) at +1",
+                       "side, compiled exports; PERIOD_98 and PERIOD_200 "
+                       "are A2 with Y the (0,0) orbit at -1 and X the orbit "
+                       "of (1/97, 0) (period 98) or of (1/175, 0) (period "
+                       "200) at +1",
             "statistic": "median",
             "unit": "s",
             "rows": rows},

@@ -22,9 +22,9 @@ sqrt(D): it brackets the value between two rationals, and only when their
 doubles differ does it fall back to that exact conversion.
 
 qn_log_floor(x, base) is the exact integer logarithm, the greatest k with
-base^k <= x, found by repeated squaring.  Every exponent search in the
-package (thresholds, renormalization powers, recurring elements) is a call
-to it.
+base^k <= x, found by repeated squaring.  The threshold and recurrence
+exponent searches call it; box renormalization bisects a ladder of powers
+kept on its eigenframe instead.
 
 D is stored as given (no square-free reduction): arithmetic is unaffected and
 we avoid integer factorization entirely.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .quadfield import rounded_float
+from .quadfield import QuadNum, _parts, fixed_root, rounded_float
 from .torus import FrameView, box_lifts
 
 _STYLE = (
@@ -69,10 +69,12 @@ class Figure:
             f'<rect class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}"'
             f' width="{_fmt(w)}" height="{_fmt(h)}"/>')
 
-    def dot(self, s, u, cls, r=3.0):
-        self._elems.append(
-            f'<circle class="{cls}" cx="{_fmt(self._x(s))}"'
-            f' cy="{_fmt(self._y(u))}" r="{_fmt(r)}"/>')
+    def dots(self, points, cls, r=3.0):
+        """One circle of radius r at each (s, u) of points."""
+        head, tail = f'<circle class="{cls}" cx="', f'" r="{_fmt(r)}"/>'
+        self._elems.extend(
+            f'{head}{_fmt(self._x(s))}" cy="{_fmt(self._y(u))}{tail}'
+            for s, u in points)
 
     def polyline(self, points, cls):
         pts = " ".join(f"{_fmt(self._x(s))},{_fmt(self._y(u))}"
@@ -120,8 +122,7 @@ def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
 def _marks(fig: Figure, view, sets, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
     for mset in sets:
         cls = "mark-Y" if mset.role == "Y" else "mark-X"
-        for s, u in lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0, u0):
-            fig.dot(s, u, cls)
+        fig.dots(lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0, u0), cls)
 
 
 def census_figure(frame, reps, sets) -> str:
@@ -167,21 +168,34 @@ def staircase_figure(st) -> str:
     return fig.render()
 
 
+def _doubles(values) -> list:
+    """The correctly rounded double of each QuadNum, int or Fraction, the
+    QuadNums over one D, with one fixed-point sqrt(D) for them all."""
+    D = next((x.D for x in values if isinstance(x, QuadNum)), None)
+    root = fixed_root(D) if D else 0
+    return [rounded_float(*_parts(x), D, root) for x in values]
+
+
 def game_figure(outcome, t0, r, y_points=()) -> str:
     """The game's offset-versus-height path with one dot per crossing."""
     y_points = set(y_points)
-    ts = [float(t0)] + [float(c.t_after) for c in outcome.trace]
-    hs = [0.0] + [float(c.height) for c in outcome.trace]
-    t_hi, h_hi = max(ts + [1.0]), max(hs + [float(r)])
+    trace = outcome.trace
+    t0, r, *rest = _doubles([t0, r] + [x for c in trace for x in
+                                       (c.t_before, c.t_after, c.height,
+                                        c.offset)])
+    crossings = [rest[i:i + 4] for i in range(0, len(rest), 4)]
+    ts = [t0] + [t_after for _, t_after, _, _ in crossings]
+    hs = [0.0] + [height for _, _, height, _ in crossings]
+    t_hi, h_hi = max(ts + [1.0]), max(hs + [r])
     fig = Figure(-0.05 * t_hi, 1.05 * t_hi, -0.05 * h_hi, 1.05 * h_hi)
     _axes(fig)
-    path = [(float(t0), 0.0)]
-    for c in outcome.trace:
-        path.append((float(c.t_before), float(c.height)))
-        path.append((float(c.t_after), float(c.height)))
+    path = [(t0, 0.0)]
+    for t_before, t_after, height, _ in crossings:
+        path.append((t_before, height))
+        path.append((t_after, height))
     fig.polyline(path, "trace")
-    for c in outcome.trace:
+    for c, (_, _, height, offset) in zip(trace, crossings):
         cls = "mark-Y" if c.hit.base in y_points else "mark-X"
-        fig.dot(float(c.offset), float(c.height), cls, r=2.5)
-    fig.line(-0.05 * t_hi, float(r), 1.05 * t_hi, float(r), "axis")
+        fig.dots([(offset, height)], cls, r=2.5)
+    fig.line(-0.05 * t_hi, r, 1.05 * t_hi, r, "axis")
     return fig.render()

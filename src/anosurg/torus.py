@@ -25,12 +25,10 @@ integers to doubles without any.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
-from .quadfield import (QuadNum, _floor, _parts, _qn, fixed_root,
-                        qn_log_floor, qn_pow)
+from .quadfield import QuadNum, _floor, _parts, _qn, fixed_root
 
 
 class UnsupportedMatrixError(ValueError):
@@ -170,10 +168,6 @@ def _mat_apply(rows, p):
 # ---------------------------------------------------------------------------
 # Eigenframe
 
-# Renormalization powers |j| <= RENORM_TABLE are read from per-frame tables.
-RENORM_TABLE = 8
-
-
 class IntForm:
     """A coordinate c_x*x + c_y*y as an integer form over one denominator L:
     at the point (X/k, Y/k) its value is
@@ -222,16 +216,22 @@ class IntForm:
 
 class EigenFrame(_Value):
     """The eigen-data of a matrix, built by `eigenframe`.  Every field but
-    the `families` cache is a function of the matrix, so frames compare and
-    hash by it alone."""
+    the `ladder` and `families` caches is a function of the matrix, so
+    frames compare and hash by it alone.
+
+    The power ladder holds rung n = (lam^n, rows of A^-n) for every
+    integer n out to the farthest that box scans have needed so far, on
+    both sides of n = 0.  It starts at rung 0 and grows on demand, one
+    multiplication from the neighbouring rung per new rung.  The power A^j
+    that makes a box square is bisected over its even rungs
+    (`even_log_floor`), and `renormalization(j)` reads rungs j and -j.
+    """
     __slots__ = ("matrix", "D", "lam", "lam_inv", "v_s", "v_u", "s_form",
-                 "u_form", "s_int", "u_int", "lam_powers", "inverse_rows",
-                 "root", "families")
+                 "u_form", "s_int", "u_int", "root", "ladder", "families")
 
     def __init__(self, matrix: HyperbolicMatrix, D: int, lam: QuadNum,
                  lam_inv: QuadNum, v_s: tuple, v_u: tuple, s_form: tuple,
-                 u_form: tuple, s_int: IntForm, u_int: IntForm,
-                 lam_powers: tuple, inverse_rows: tuple, root: int):
+                 u_form: tuple, s_int: IntForm, u_int: IntForm, root: int):
         _set(self, "matrix", matrix)
         _set(self, "D", D)
         _set(self, "lam", lam)            # expansive eigenvalue > 1
@@ -240,14 +240,14 @@ class EigenFrame(_Value):
         _set(self, "v_u", v_u)            # eigenvector for lam, x = 1
         _set(self, "s_form", s_form)      # linear form with s_form(v_u) = 0
         _set(self, "u_form", u_form)      # linear form with u_form(v_s) = 0
-        # the same forms over the integers, and the renormalization tables:
-        # lam^e for |e| <= 2 RENORM_TABLE + 2 and A^-j for |j| <= RENORM_TABLE
+        # the same forms over the integers
         _set(self, "s_int", s_int)
         _set(self, "u_int", u_int)
-        _set(self, "lam_powers", lam_powers)
-        _set(self, "inverse_rows", inverse_rows)
         # fixed_root(D), which converts coordinates to doubles for figures
         _set(self, "root", root)
+        # the power ladder: rungs 0, 1, 2, ... and rungs 0, -1, -2, ...
+        rung0 = (lam * lam_inv, ((1, 0), (0, 1)))
+        _set(self, "ladder", ([rung0], [rung0]))
         # primitive families walked in this frame, keyed by view, marked
         # set, origin and window (see rectangles.primitive_family)
         _set(self, "families", {})
@@ -268,14 +268,44 @@ class EigenFrame(_Value):
         return (self.v_s[0] * s + self.v_u[0] * u,
                 self.v_s[1] * s + self.v_u[1] * u)
 
+    def rung(self, n: int) -> tuple:
+        """(lam^n, rows of A^-n), growing the ladder out to rung n."""
+        side = self.ladder[n < 0]
+        if abs(n) >= len(side):
+            lam = self.lam_inv if n < 0 else self.lam
+            step = self.matrix.power_rows(1 if n < 0 else -1)
+            while len(side) <= abs(n):
+                power, rows = side[-1]
+                side.append((power * lam, _mat_mul(rows, step)))
+        return side[abs(n)]
+
     def renormalization(self, j: int):
-        """(lam^-j, lam^j, rows of A^-j)."""
-        if abs(j) <= RENORM_TABLE:
-            mid = len(self.lam_powers) // 2
-            return (self.lam_powers[mid - j], self.lam_powers[mid + j],
-                    self.inverse_rows[RENORM_TABLE + j])
-        return (qn_pow(self.lam, -j), qn_pow(self.lam, j),
-                self.matrix.power_rows(-j))
+        """(lam^-j, lam^j, rows of A^-j), read off the ladder."""
+        lam_j, rows = self.rung(j)
+        return self.rung(-j)[0], lam_j, rows
+
+    def even_log_floor(self, r) -> int:
+        """The greatest j with lam^(2j) <= r, for r > 0: bisected over the
+        even rungs built so far, and past them one rung pair at a time."""
+        def below(j):                   # lam^(2j) <= r
+            return self.rung(2 * j)[0] <= r
+
+        # lo < hi with lam^(2 lo) <= r < lam^(2 hi)
+        if below(0):
+            lo, hi = 0, max(1, (len(self.ladder[0]) - 1) // 2)
+            while below(hi):
+                lo, hi = hi, hi + 1
+        else:
+            lo, hi = min(-1, -((len(self.ladder[1]) - 1) // 2)), 0
+            while not below(lo):
+                lo, hi = lo - 1, lo
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
 
 def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
@@ -297,14 +327,8 @@ def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
     det = slope_u - slope_s  # = sqrt(D)/b, nonzero
     s_form = (slope_u / det, -one / det)
     u_form = (-slope_s / det, one / det)
-    up, down = [one], [one]
-    for _ in range(2 * RENORM_TABLE + 2):
-        up.append(up[-1] * lam)
-        down.append(down[-1] * lam_inv)
-    rows = [A.power_rows(-j) for j in range(-RENORM_TABLE, RENORM_TABLE + 1)]
     return EigenFrame(A, D, lam, lam_inv, v_s, v_u, s_form, u_form,
-                      IntForm.of(*s_form), IntForm.of(*u_form),
-                      tuple(down[:0:-1] + up), tuple(rows), fixed_root(D))
+                      IntForm.of(*s_form), IntForm.of(*u_form), fixed_root(D))
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +454,10 @@ class MarkedPointHit:
 def _balance_power(frame: EigenFrame, w_s, w_u) -> int:
     """The integer j nearest log_{lam^2}(w_s / w_u), so that lam^(-j) w_s and
     lam^j w_u are within a factor lam of each other: the floor of
-    log_{lam^2}(lam w_s / w_u), read off the frame's even powers of lam."""
+    log_{lam^2}(lam w_s / w_u), read off the frame's ladder."""
     if not (w_s > 0 and w_u > 0):
         return 0
-    r = w_s * frame.lam / w_u
-    even = frame.lam_powers[::2]        # lam^(2i) for |i| <= RENORM_TABLE + 1
-    mid = len(even) // 2                # even[mid] = 1
-    c = bisect_right(even, r)
-    if 0 < c < len(even):
-        return c - 1 - mid
-    return qn_log_floor(r, even[mid + 1])
+    return frame.even_log_floor(w_s * frame.lam / w_u)
 
 
 def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
@@ -455,25 +473,22 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     every lift it lists is in the box and no lift is re-checked.
 
     Extremely thin boxes (long in one eigen-direction, short in the other) are
-    first renormalized by a power of A: lifts of a marked set are invariant
+    first renormalized by a power A^j: lifts of a marked set are invariant
     under p -> A p, which scales (s, u) by (lam^-1, lam), so the query box can
     be made nearly square.  This keeps the scanned lattice region proportional
-    to the hit count instead of the box's longest side.  The lifts found are
-    mapped back by the integer rows of A^-j.
+    to the hit count instead of the box's longest side.  The kernel maps each
+    lift it finds back by the integer rows of A^-j, and takes its base from
+    the orbit j steps back (`Orbit.points` is in f_A order), so the cost per
+    lift is the same as in a box that needs no renormalization.
     """
     if s_lo > s_hi or u_lo > u_hi:
         raise ValueError("empty range")
     j = _balance_power(frame, s_hi - s_lo, u_hi - u_lo)
-    if not j:
-        return _box_lifts(frame, mset, s_lo, s_hi, u_lo, u_hi, include)
-    sc, uc, ((a, b), (c, d)) = frame.renormalization(j)
-    out = []
-    for _, _, k, X, Y, twist in _box_lifts(
-            frame, mset, s_lo * sc, s_hi * sc, u_lo * uc, u_hi * uc, include):
-        X, Y = a * X + b * Y, c * X + d * Y
-        out.append(((Fraction(X % k, k), Fraction(Y % k, k)),
-                    (X // k, Y // k), k, X, Y, twist))
-    return out
+    rows = ((1, 0), (0, 1))
+    if j:
+        sc, uc, rows = frame.renormalization(j)
+        s_lo, s_hi, u_lo, u_hi = s_lo * sc, s_hi * sc, u_lo * uc, u_hi * uc
+    return _box_lifts(frame, mset, s_lo, s_hi, u_lo, u_hi, include, j, rows)
 
 
 def hits_in_box(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
@@ -552,9 +567,11 @@ def _bound_run(rule, form: IntForm, x_num, y_num, k, count):
 
 
 def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
-               include):
+               include, j: int, rows):
     """(base, (m, n), k, X, Y, twist) for every lift base + (m, n) =
-    (X/k, Y/k) of mset in the box, k the base's common denominator."""
+    (X/k, Y/k) of mset in a box, scanned as its image under A^j: the bounds
+    are the image's, and rows, the integer rows of A^-j, map each lift found
+    there back; k is the base's common denominator."""
     s_int, u_int, D = frame.s_int, frame.u_int, frame.D
     s_lower, s_upper = _edges(s_int, s_lo, s_hi, include[0], include[1])
     u_lower, u_upper = _edges(u_int, u_lo, u_hi, include[2], include[3])
@@ -564,24 +581,33 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     lo_p, lo_q, lo_d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
     (p1, q1, d1), (p2, q2, d2) = _parts(s_hi), _parts(u_hi)
     hi_p, hi_q, hi_d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
+    (a, b), (c, d) = rows
     out = []
     for orb in mset.orbits:
-        twist = orb.twist
-        for base, (k, x_num, y_num) in zip(orb.points, orb.integers):
+        twist, points, period = orb.twist, orb.points, orb.period
+        for i, (k, x_num, y_num) in enumerate(orb.integers):
             m_lo = -_floor(x_num * lo_d - lo_p * k, -lo_q * k, lo_d * k, D)
             m_hi = _floor(hi_p * k - x_num * hi_d, hi_q * k, hi_d * k, D)
             count = m_hi - m_lo + 1
             if count <= 0:
                 continue
+            # the lift found at points[i] is A^j of a lift of points[i - j]
+            base = points[(i - j) % period]
             columns = (x_num + m_lo * k, y_num, k, count)
             lows = map(max, _bound_run(s_lower, s_int, *columns),
                        _bound_run(u_lower, u_int, *columns))
             highs = map(min, _bound_run(s_upper, s_int, *columns),
                         _bound_run(u_upper, u_int, *columns))
+            bk, dk = b * k, d * k
             for m, n_lo, n_hi in zip(range(m_lo, m_hi + 1), lows, highs):
-                for n in range(n_lo, n_hi + 1):
-                    out.append((base, (m, n), k, x_num + m * k, y_num + n * k,
-                                twist))
+                # the column's lifts mapped back by A^-j, one step of
+                # A^-j (0, k) apart
+                x, y = x_num + m * k, y_num + n_lo * k
+                X, Y = a * x + b * y, c * x + d * y
+                for _ in range(n_lo, n_hi + 1):
+                    out.append((base, (X // k, Y // k), k, X, Y, twist))
+                    X += bk
+                    Y += dk
     return out
 
 

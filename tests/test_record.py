@@ -51,3 +51,13 @@ def test_parse_pytest_summary_keeps_failures_and_errors():
         "passed": 0, "failed": 0, "errors": 3, "seconds": 65.43}
     with pytest.raises(ValueError):
         record.parse_pytest_summary("2 failed\n")
+
+
+def test_parse_report_reads_the_named_figures():
+    lines = ["# workload: fixtures_cli", "# seed: 1",
+             "cli.game.b2_half_s 0.236284 s", "crossings_per_s 1692.88 1/s",
+             "wall_ref 1234.82 ref"]
+    report = record.parse_report(lines)
+    assert report["cli.game.b2_half_s"] == (0.236284, "s")
+    assert report["crossings_per_s"] == (1692.88, "1/s")
+    assert "# workload:" not in report and len(report) == 3

@@ -12,9 +12,13 @@ from hypothesis import given, strategies as st
 from anosurg import (GroupElement, InvariantError, QUADRANTS, QuadNum,
                      UnsupportedMatrixError, eigenframe, fixing_lift,
                      hits_in_box, marked_set, mod1, orbit_of, point,
-                     quadrant_contracting, quadrant_view)
+                     qn_log_floor, qn_pow, quadrant_contracting,
+                     quadrant_view)
 from anosurg.torus import (HyperbolicMatrix, FrameView, _balance_power,
-                           group_element, orbit_element)
+                           box_lifts, group_element, orbit_element)
+
+from anosurg.classify import SurgeryProblem, analysis_of
+from anosurg.cli import load_problem
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
@@ -54,10 +58,11 @@ class TestMatricesAndFrames:
             with pytest.raises(AttributeError):
                 delattr(record, name)
 
-    def test_frames_compare_by_matrix_not_by_their_family_tables(self):
+    def test_frames_compare_by_matrix_not_by_their_caches(self):
         walked = eigenframe(A2)
         fresh = eigenframe(HyperbolicMatrix(2, 1, 1, 1))
         walked.families["a walked family"] = ()
+        walked.rung(9)
         assert walked == fresh and hash(walked) == hash(fresh)
         assert walked != eigenframe(A3)
 
@@ -106,6 +111,26 @@ class TestOrbits:
     def test_overlapping_seeds_rejected(self):
         with pytest.raises(InvariantError):
             marked_set(A2, [(point(HALF, HALF), 1), (point(HALF, 0), 1)])
+
+    def test_orbit_points_are_in_f_a_order(self):
+        # box_lifts takes a renormalized lift's base from its orbit index,
+        # so every way of building an orbit must list f_A(points[i]) next
+        problem = {"matrix": [[2, 1], [1, 1]],
+                   "sets": [{"point": ["1/5", "0"], "characteristic_number": 1,
+                             "role": "X"},
+                            {"point": ["1/3", "0"], "characteristic_number": -1,
+                             "role": "Y"}]}
+        A, sets, _ = load_problem(problem)
+        analysis = analysis_of(SurgeryProblem(A, sets["X"], sets["Y"])
+                               .geometry())
+        orbits = [orbit_of(A2, point(Fraction(2, 5), Fraction(1, 5)))[0]]
+        orbits += [orb.points for mset in (sets["X"], sets["Y"], analysis.X,
+                                           analysis.Y, kernel_set(A2))
+                   for orb in mset.orbits]
+        assert sorted(map(len, orbits)) == [1, 3, 3, 4, 4, 4, 10, 10, 10]
+        for points in orbits:
+            for i, p in enumerate(points):
+                assert A2.apply_mod1(p) == points[(i + 1) % len(points)]
 
 
 class TestHits:
@@ -163,7 +188,7 @@ class TestHits:
     def test_renormalized_thin_box_matches_square_box(self, frame_a2):
         # the lifts in an extreme-aspect box are the A^power-images of the
         # lifts in its renormalized square partner, so the scan must agree
-        # exactly; |power| = 10 is past the frame's renormalization tables
+        # exactly, for powers of either sign
         Y = half_orbit_set(A2)
         box = (Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
         square = hits_in_box(frame_a2, Y, *box)
@@ -284,6 +309,71 @@ class TestKernelAgainstOracle:
                 for include in ALL_INCLUDES[::4]:
                     got = hit_keys(view.hits(X, *box, include))
                     assert got == view_oracle(view, X, *box, include)
+
+
+def long_orbit_set(A):
+    """A2's orbits of periods 3, 4 and 10, with distinct twists."""
+    return marked_set(A, [(point(HALF, HALF), 1), (point(Fraction(1, 3), 0), -1),
+                          (point(Fraction(1, 5), 0), 2)], "X")
+
+
+class TestRenormalization:
+    """The frame's power ladder, and the bases that renormalized scans take
+    from the orbit index."""
+
+    def test_balance_power_is_the_exact_log(self):
+        # on a fresh frame for each j, and on one whose ladder reaches past
+        # every j on both sides, for ratios on an even rung, just below one
+        # and between two
+        grown = eigenframe(A2)
+        grown.rung(700), grown.rung(-700)
+        lam = grown.lam
+        for j in range(-300, 301):
+            on_rung = qn_pow(lam, 2 * j - 1)    # lam * w_s / w_u = lam^(2j)
+            ratios = [(on_rung, 1), (on_rung * Fraction(999, 1000), 1),
+                      (3 * on_rung * lam, 3)]
+            for w_s, w_u in ratios:
+                want = qn_log_floor(lam * w_s / w_u, lam * lam)
+                assert _balance_power(grown, w_s, w_u) == want
+            w_s, w_u = ratios[j % 3]
+            assert _balance_power(eigenframe(A2), w_s, w_u) == \
+                qn_log_floor(lam * w_s / w_u, lam * lam)
+
+    def test_renormalization_reads_the_powers(self):
+        grown = eigenframe(A2)
+        grown.rung(400), grown.rung(-400)
+        lam = grown.lam
+        for j in range(-300, 301):
+            want = (qn_pow(lam, -j), qn_pow(lam, j), A2.power_rows(-j))
+            assert grown.renormalization(j) == want
+            assert eigenframe(A2).renormalization(j) == want
+
+    @pytest.mark.parametrize("quadrant", QUADRANTS)
+    def test_renormalized_lifts_take_their_base_from_the_orbit(self, quadrant):
+        # a lift found in the A^j-image of a box is A^j of a lift whose base
+        # lies j steps back along its orbit: with periods 3, 4 and 10 and
+        # j = 1 or 2 of either sign, a wrong shift names another point
+        frame, X = eigenframe(A2), long_orbit_set(A2)
+        view = quadrant_view(frame, quadrant)
+        lam = frame.lam
+        centre = point(Fraction(1, 7), Fraction(2, 7))
+        s0, u0 = view.s(centre), view.u(centre)
+        for j in (1, -1, 2, -2):
+            w_s, w_u = 2 * lam ** j, 2 * lam ** -j     # w_s / w_u = lam^(2j)
+            box = view.box(s0 - w_s / 2, s0 + w_s / 2, u0 - w_u / 2,
+                           u0 + w_u / 2)
+            assert _balance_power(frame, box[1] - box[0],
+                                  box[3] - box[2]) == j
+            got = box_lifts(frame, X, *box)
+            for base, lattice, k, x, y, twist in got:
+                lift = (Fraction(x, k), Fraction(y, k))
+                assert base == mod1(lift)
+                assert lattice == (lift[0] - base[0], lift[1] - base[1])
+                assert twist == X.twist_of(base)
+            want = oracle_hits(frame, X, *box)
+            assert len(want) > 10
+            assert sorted((b, m, tw) for b, m, _, _, _, tw in got) == \
+                sorted((b, m, tw) for b, m, _, _, tw in want)
 
 
 class TestGroupAndViews:
