@@ -10,7 +10,9 @@ The marked lifts of census and staircase figures come straight from the
 lattice kernel's integers (`torus.box_lifts`): view flips are sign changes
 and the origin is subtracted on integers, and `quadfield.rounded_float`
 turns each coordinate into its double with no QuadNum per lift.  The dots
-are drawn in exact increasing view s, the order of `FrameView.hits`.
+are drawn in exact increasing view s, the order of `FrameView.hits`.  The
+game figure converts each exact value of its trace once, with the same
+`rounded_float`.
 """
 
 from __future__ import annotations

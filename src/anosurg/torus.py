@@ -350,10 +350,14 @@ def orbit_of(A: HyperbolicMatrix, q: Point):
 
 
 class Orbit(_HashOnce):
+    """A periodic orbit of f_A with its characteristic number.  `points` is
+    in f_A order: points[(i + 1) % period] = f_A(points[i]).  `box_lifts`
+    relies on it: a lift found at points[i] in a box renormalized by A^j
+    is A^j of a lift of points[(i - j) % period]."""
     __slots__ = ("points", "period", "char", "integers")
 
     def __init__(self, points: tuple, period: int, char: int):
-        _set(self, "points", points)      # tuple of Point, in iteration order
+        _set(self, "points", points)      # tuple of Point, in f_A order
         _set(self, "period", period)
         _set(self, "char", char)          # signed characteristic number
         # (k, X, Y) with point = (X/k, Y/k), k the common denominator: what

@@ -16,7 +16,6 @@ from anosurg import (GroupElement, InvariantError, QUADRANTS, QuadNum,
                      quadrant_view)
 from anosurg.torus import (HyperbolicMatrix, FrameView, _balance_power,
                            box_lifts, group_element, orbit_element)
-
 from anosurg.classify import SurgeryProblem, analysis_of
 from anosurg.cli import load_problem
 
@@ -115,11 +114,9 @@ class TestOrbits:
     def test_orbit_points_are_in_f_a_order(self):
         # box_lifts takes a renormalized lift's base from its orbit index,
         # so every way of building an orbit must list f_A(points[i]) next
-        problem = {"matrix": [[2, 1], [1, 1]],
-                   "sets": [{"point": ["1/5", "0"], "characteristic_number": 1,
-                             "role": "X"},
-                            {"point": ["1/3", "0"], "characteristic_number": -1,
-                             "role": "Y"}]}
+        problem = {"matrix": [[2, 1], [1, 1]], "sets": [
+            {"point": ["1/5", "0"], "characteristic_number": 1, "role": "X"},
+            {"point": ["1/3", "0"], "characteristic_number": -1, "role": "Y"}]}
         A, sets, _ = load_problem(problem)
         analysis = analysis_of(SurgeryProblem(A, sets["X"], sets["Y"])
                                .geometry())
@@ -313,7 +310,8 @@ class TestKernelAgainstOracle:
 
 def long_orbit_set(A):
     """A2's orbits of periods 3, 4 and 10, with distinct twists."""
-    return marked_set(A, [(point(HALF, HALF), 1), (point(Fraction(1, 3), 0), -1),
+    return marked_set(A, [(point(HALF, HALF), 1),
+                          (point(Fraction(1, 3), 0), -1),
                           (point(Fraction(1, 5), 0), 2)], "X")
 
 
