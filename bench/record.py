@@ -12,9 +12,10 @@ odd and the change first when it is even.  For every metric the record holds
 the runs by pair, their median, first and third quartiles (inclusive
 method), the IQR and how many pairs the change read lower, and so for
 the per-command figures named in REPORTED that a row's workload prints.
-The pair and run counts and the claimed metric are the module constants
-below.  At the end it prints the change's medians against those of the
-newest BENCH_*.json in the change's tree.
+It also stores the lines of src/**/*.py in each export and their net
+change.  The pair and run counts and the claimed metric are the module
+constants below.  At the end it prints that line change and the change's
+medians against those of the newest BENCH_*.json in the change's tree.
 
 Nothing here is a test: timings are recorded, never asserted.
 """
@@ -111,6 +112,19 @@ def export(rev: str, dest: Path) -> Path:
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
                    cwd=dest, check=True)
     return dest
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the Python files under tree/src, at any depth."""
+    return sum(len(path.read_text().splitlines())
+               for path in (tree / "src").rglob("*.py"))
+
+
+def src_line_change(trees: dict) -> dict:
+    """{"parent", "change", "net"}: src/**/*.py lines of each side's tree
+    and the change's net difference."""
+    lines = {side: src_lines(tree) for side, tree in trees.items()}
+    return {**lines, "net": lines["change"] - lines["parent"]}
 
 
 def summary(values: list) -> dict:
@@ -284,6 +298,9 @@ def main(argv=None):
             (work / f"{name}.json").write_text(json.dumps(problem))
         record = build_record(revs, trees, work)
         Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+        lines = record["src_lines"]
+        print(f"src/**/*.py lines: {lines['parent']} -> {lines['change']} "
+              f"(net {lines['net']:+d})")
         previous = previous_record(trees["change"], Path(args.out).name)
         if previous is not None:
             print_ratios(record, previous)
@@ -355,6 +372,7 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                       "lists them by pair; pairs_change_lower counts the "
                       "pairs in which the change read lower",
         "metric_notes": METRIC_NOTES,
+        "src_lines": src_line_change(trees),
         "results": results,
         "import_time": {
             "command": "python -X importtime -c \"import anosurg.cli\" in "

@@ -12,8 +12,8 @@ Every exact value in machine output is a string ("a/b + c/d*sqrt(D)" or a
 plain rational) that the parser round-trips losslessly; output is
 byte-identical for identical input.  Exit codes: 0 ok, 1 parse or usage
 error or invalid game parameters, 2 unsupported input (a matrix outside the
-supported class, or a marked orbit longer than torus.MAX_PERIOD), 3 internal
-invariant violation.
+supported class, a marked orbit longer than torus.MAX_PERIOD, or a figure
+that cannot be drawn), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -441,7 +441,8 @@ def main(argv=None) -> int:
     except (ParseError, GameError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (UnsupportedMatrixError, PeriodLimitError) as e:
+    except (UnsupportedMatrixError, PeriodLimitError,
+            svgfig.FigureError) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 2
     except InvariantError as e:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
-                    MarkedSet, Point, quadrant_contracting, quadrant_view,
-                    QUADRANTS)
+                    MarkedSet, Point, hits_in_box, quadrant_contracting,
+                    quadrant_view, QUADRANTS)
 from .rectangles import (first_window_hits, lattice_widths, period_window,
                          primitive_family)
 
@@ -121,8 +121,8 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
 
     def strip_hits(h_lo: QuadNum, h_hi: QuadNum):
         # offsets in (0, t), heights in (h_lo, h_hi]
-        return view.hits(marked, sp, sp + t, up + h_lo, up + h_hi,
-                         include=(False, False, False, True))
+        return hits_in_box(view, marked, sp, sp + t, up + h_lo, up + h_hi,
+                           (False, False, False, True))
 
     cands = []
     while h < r:
@@ -130,36 +130,29 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
             cands = first_window_hits(strip_hits, t, h, r, widths)
             if not cands:
                 return GameOutcome("Defined", t, tuple(trace))
-        hmin = min(c.u for c in cands)
-        if not hmin - up > h:
+        # distinct lifts never share a u: its level lines have irrational slope
+        c = min(cands, key=lambda d: d.u)
+        if not c.u - up > h:
             # a lift on the strip's open lower edge would be crossed again
             # and again, until the budget ran out
             raise InvariantError(f"game made no progress at height {h}")
-        ties = [c for c in cands if c.u == hmin]
-        ties.sort(key=lambda c: c.s, reverse=True)   # decreasing offset first
-        widened = False
-        for c in ties:
-            o = c.s - sp
-            if not (0 < o < t):
-                continue  # overtaken by an earlier tie's contraction
-            if len(trace) >= budget:
-                return GameOutcome("BudgetExhausted", None, tuple(trace))
-            w = c.twist
-            e = -w if contracting else w
-            if e not in lam_pow:
-                lam_pow[e] = qn_pow(lam, e)
-            t_new = o + lam_pow[e] * (t - o)
-            trace.append(Crossing(c, c.u - up, o, w, e, t, t_new))
-            t = t_new
-            widened |= e > 0
-        h = hmin - up
+        if len(trace) >= budget:
+            return GameOutcome("BudgetExhausted", None, tuple(trace))
+        o, w = c.s - sp, c.twist
+        e = -w if contracting else w
+        if e not in lam_pow:
+            lam_pow[e] = qn_pow(lam, e)
+        h = c.u - up
+        t_new = o + lam_pow[e] * (t - o)
+        trace.append(Crossing(c, h, o, w, e, t, t_new))
+        t = t_new
         # The window that found cands covered the heights (old h, top] over
-        # a strip at least as wide as the new one, unless a crossing widened
-        # it.  So every lift of the new strip at a height in (hmin, top] is
-        # among the survivors below, and when there is one, the lowest
-        # survivors are the true next crossing: no rescan is needed.
-        cands = [] if widened else [c for c in cands
-                                    if c.u > hmin and 0 < c.s - sp < t]
+        # a strip at least as wide as the new one, unless the crossing
+        # widened it.  So every lift of the new strip at a height in
+        # (h, top] is among the survivors below, and when there is one, the
+        # lowest survivor is the true next crossing: no rescan is needed.
+        cands = [] if e > 0 else [d for d in cands
+                                  if d.u > c.u and 0 < d.s - sp < t]
     return GameOutcome("Defined", t, tuple(trace))
 
 
@@ -263,7 +256,7 @@ class DominationAnalysis:
         intervals = []
         for i, (mu, rho, cand) in enumerate(rects):
             nu = breaks[i + 1]
-            yhits = view.hits(self.Y, s0, s0 + mu, u0, u0 + rho)
+            yhits = hits_in_box(view, self.Y, s0, s0 + mu, u0, u0 + rho)
             if not yhits:
                 raise DominationHypothesisError(
                     f"primitive rectangle at {base} with endpoint lift "

@@ -111,7 +111,8 @@ def marked_rect(frame: EigenFrame, X: MarkedSet, origin_lift, endpoint_lift,
 
 def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
     """True iff the closed box meets the lift of X only at the two diagonal corners."""
-    hits = hits_in_box(frame, X, rect.s0, rect.s1, rect.u0, rect.u1)
+    hits = hits_in_box(FrameView(frame), X, rect.s0, rect.s1, rect.u0,
+                       rect.u1)
     corners = {(rect.origin.s, rect.origin.u), (rect.endpoint.s, rect.endpoint.u)}
     got = {(h.s, h.u) for h in hits}
     if not corners <= got:
@@ -184,7 +185,8 @@ def _walk_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
     right, lo = s0 + s_width, u0
 
     def scan(a, b):
-        return view.hits(X, s0, right, a, b, (False, True, False, True))
+        return hits_in_box(view, X, s0, right, a, b,
+                           (False, True, False, True))
 
     family = []
     hits = []
@@ -247,7 +249,8 @@ def rect_meets(frame: EigenFrame, rect: MarkedRect, S: MarkedSet) -> bool:
     """True iff the lift of S meets the closed box."""
     if S.is_empty():
         return False
-    return bool(hits_in_box(frame, S, rect.s0, rect.s1, rect.u0, rect.u1))
+    return bool(hits_in_box(FrameView(frame), S, rect.s0, rect.s1, rect.u0,
+                            rect.u1))
 
 
 def disjoint_witness(frame: EigenFrame, own: MarkedSet, other: MarkedSet,

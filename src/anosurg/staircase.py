@@ -28,11 +28,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
-from .rectangles import (is_primitive, lattice_widths, marked_rect,
-                         period_window, primitive_family)
+from .rectangles import (first_window_hits, is_primitive, lattice_widths,
+                         marked_rect, period_window, primitive_family)
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Point,
-                    QUADRANTS, fixing_lift, group_element, mod1,
+                    QUADRANTS, fixing_lift, group_element, hits_in_box, mod1,
                     orbit_element, quadrant_contracting, quadrant_view)
+
+# Levels the raw induction may reach before a period must have recurred
+MAX_LEVELS = 64
 
 
 class StaircaseError(ValueError):
@@ -181,11 +184,12 @@ class Staircase:
                                 marked_rect(self.frame, X, lo, hi, sign), X):
                 raise InvariantError(f"level {i} rectangle is not primitive")
             # disjointness of the closed R_i from the avoid set
-            if view.hits(avoid, s0, s0 + st.Ls, u0 + st.q_lo, u0 + st.q_hi):
+            if hits_in_box(view, avoid, s0, s0 + st.Ls, u0 + st.q_lo,
+                           u0 + st.q_hi):
                 raise InvariantError(f"level {i} meets the avoid set")
             # the safety zone really is the first contact to the right
-            band = view.hits(avoid, s0, s0 + st.Ls + st.safety,
-                             u0 + st.q_lo, u0 + st.q_hi)
+            band = hits_in_box(view, avoid, s0, s0 + st.Ls + st.safety,
+                               u0 + st.q_lo, u0 + st.q_hi)
             if not band or min(h.s for h in band) - s0 != st.Ls + st.safety:
                 raise InvariantError(f"level {i} safety zone mismatch")
         # the recurring element reproduces the second period exactly
@@ -201,9 +205,9 @@ class Staircase:
         # it), the g-image already covers the whole extended level including
         # its axis extension, so nothing is left to check.
         sg = view.s(g.apply(self.origin))
-        if sg > s0 and view.hits(avoid, s0, sg, u0 + steps[-1].q_hi,
-                                 u0 + self.axis_height,
-                                 include=(True, False, True, False)):
+        if sg > s0 and hits_in_box(view, avoid, s0, sg, u0 + steps[-1].q_hi,
+                                   u0 + self.axis_height,
+                                   (True, False, True, False)):
             raise StaircaseError(
                 "extended staircase levels meet the avoid set near the axis")
 
@@ -213,7 +217,7 @@ class Staircase:
 
 
 def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
-                   u_lo, u_hi, start) -> QuadNum:
+                   u_lo, u_hi) -> QuadNum:
     """Distance from s_anchor to the nearest mset lift in the closed height
     band [u_lo, u_hi] strictly on the s_dir side (+1 right, -1 left).
 
@@ -221,8 +225,8 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
     and A^j turns the band into one lam^j times taller while shrinking
     widths by the same factor, so a band of height h > 0 is guaranteed a hit
     within width W_s * lam^j for the least j >= 0 with lam^j * h >= W_u,
-    which is -qn_log_floor(h / W_u, lam) when h < W_u.  The search doubles
-    its width from `start` up to twice that bound.
+    which is -qn_log_floor(h / W_u, lam) when h < W_u.  `first_window_hits`,
+    with s and u swapped, searches distances from the anchor up to twice it.
     """
     ws, wu = lattice_widths(view)
     h = u_hi - u_lo
@@ -230,21 +234,18 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
         raise InvariantError("empty height band")
     j = max(0, -qn_log_floor(h / wu, view.lam))
     enough = (ws + ws) * qn_pow(view.lam, j)  # doubled: the near edge is open
-    width = start
-    while True:
+
+    def scan(a, b):
         if s_dir > 0:
-            hits = view.hits(mset, s_anchor, s_anchor + width, u_lo, u_hi,
-                             include=(False, True, True, True))
-            if hits:
-                return min(h.s for h in hits) - s_anchor
-        else:
-            hits = view.hits(mset, s_anchor - width, s_anchor, u_lo, u_hi,
-                             include=(True, False, True, True))
-            if hits:
-                return s_anchor - max(h.s for h in hits)
-        if width >= enough:
-            raise InvariantError("no contact found in the height band")
-        width = width + width
+            return hits_in_box(view, mset, s_anchor + a, s_anchor + b, u_lo,
+                               u_hi, (False, True, True, True))
+        return hits_in_box(view, mset, s_anchor - b, s_anchor - a, u_lo, u_hi,
+                           (True, False, True, True))
+
+    hits = first_window_hits(scan, h, 0, enough, (wu, ws))
+    if not hits:
+        raise InvariantError("no contact found in the height band")
+    return min(s_dir * (hit.s - s_anchor) for hit in hits)
 
 
 def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
@@ -256,7 +257,7 @@ def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
     s0, u0 = view.s(origin), view.u(origin)
     for cand in primitive_family(view, X, origin, big, u_cap):
         if (1 <= cand.s - s0 < big and cand.base in orb.points
-                and not view.hits(avoid, s0, cand.s, u0, cand.u)):
+                and not hits_in_box(view, avoid, s0, cand.s, u0, cand.u)):
             return cand.lift
     raise StaircaseError(
         "no primitive rectangle at the origin avoids the other set")
@@ -277,8 +278,7 @@ def _recurrence_break(steps, start: int, period: int, g, s_scale: QuadNum):
 
 
 def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
-                    origin: Point, quadrant: str,
-                    max_levels: int = 64) -> Staircase:
+                    origin: Point, quadrant: str) -> Staircase:
     """Construct and verify the periodic staircase at the given origin lift."""
     if quadrant not in QUADRANTS:
         raise ValueError(f"quadrant must be one of {QUADRANTS}")
@@ -303,19 +303,18 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
     G = same_orbit_element(origin, seed_end)
     g_scale = qn_pow(lam, -G.k)
     s0, u0 = view.s(origin), view.u(origin)
-    ws, _ = lattice_widths(view)
     seed_ds = view.s(seed_end) - s0
 
     # level 0 sides, and the left overhang of the pushed rectangle D_0
     rho0 = view.u(seed_end) - u0
-    left0 = _first_contact(view, avoid, s0, -1, u0, u0 + rho0, ws)
+    left0 = _first_contact(view, avoid, s0, -1, u0, u0 + rho0)
     lam_n = qn_pow(lam, n)
 
     def make_step(i, o_lift, e_lift, q_lo, Ls):
         ds = view.s(e_lift) - view.s(o_lift)
         q_hi = view.u(e_lift) - u0
         safety = _first_contact(view, avoid, s0 + Ls, +1, u0 + q_lo,
-                                u0 + q_hi, ws)
+                                u0 + q_hi)
         return StairStep(i, o_lift, e_lift, ds, Ls, q_lo, q_hi, safety)
 
     def advance(steps):
@@ -369,14 +368,14 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
                 return j, period, g
         return None
 
-    for last in range(2, max_levels):
+    for last in range(2, MAX_LEVELS):
         while len(steps) <= last:
             advance(steps)
         found = recurring(last)
         if found is not None:
             break
     else:
-        raise StaircaseError(f"no period found within {max_levels} levels")
+        raise StaircaseError(f"no period found within {MAX_LEVELS} levels")
     preperiod, period, g = found
     st = Staircase(frame, view, quadrant, X, avoid, origin,
                    tuple(steps), preperiod, period, g)

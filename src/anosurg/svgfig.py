@@ -10,9 +10,10 @@ The marked lifts of census and staircase figures come straight from the
 lattice kernel's integers (`torus.box_lifts`): view flips are sign changes
 and the origin is subtracted on integers, and `quadfield.rounded_float`
 turns each coordinate into its double with no QuadNum per lift.  The dots
-are drawn in exact increasing view s, the order of `FrameView.hits`.  The
-game figure converts each exact value of its trace once, with the same
-`rounded_float`.
+are drawn in exact increasing view s.  The game figure converts each exact
+value of its trace once, with the same `rounded_float`.  A figure that
+cannot be drawn, one with too many lifts or values beyond a double, raises
+`FigureError`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ from fractions import Fraction
 
 from .quadfield import QuadNum, _parts, fixed_root, rounded_float
 from .torus import FrameView, box_lifts
+
+# The most marked lifts a staircase figure may have to list
+MAX_FIGURE_LIFTS = 10**6
+
+
+class FigureError(ValueError):
+    """A figure that cannot be drawn."""
+
 
 _STYLE = (
     ".axis{stroke:#999;stroke-width:1;stroke-dasharray:4 3}"
@@ -100,7 +109,7 @@ def _axes(fig: Figure):
 
 def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
     """(s - s0, u - u0) as doubles for each lift of mset in the view's box,
-    in increasing s: the lifts and order of `view.hits`."""
+    in increasing exact s: the lifts of `torus.hits_in_box`."""
     frame = view.frame
     D, root = frame.D, frame.root
     s_sign, u_sign = -1 if view.flip_s else 1, -1 if view.flip_u else 1
@@ -151,11 +160,22 @@ def census_figure(frame, reps, sets) -> str:
 
 
 def staircase_figure(st) -> str:
-    """The stored staircase levels, their safety zones, and the marked lifts."""
+    """The stored staircase levels, their safety zones, and the marked lifts;
+    FigureError when the box would hold more than MAX_FIGURE_LIFTS lifts."""
     view = st.view
     s0, u0 = view.s(st.origin), view.u(st.origin)
     s_hi = max(float(s.Ls + s.safety) for s in st.steps)
     u_hi = float(st.axis_height)
+    s_box = (-Fraction(0.05 * s_hi), Fraction(1.05 * s_hi))
+    u_box = (-Fraction(0.05 * u_hi), Fraction(1.1 * u_hi))
+    # P marked points hold about P*W*H*sqrt(D)/|b| lifts in a W x H box:
+    # |b|/sqrt(D) is the (s, u) area of one lattice cell
+    count = (len(st.X.points) + len(st.avoid.points)) \
+        * (s_box[1] - s_box[0]) * (u_box[1] - u_box[0])
+    if count * count * view.frame.D > \
+            (MAX_FIGURE_LIFTS * view.frame.matrix.b) ** 2:
+        raise FigureError(f"staircase figure: its box would hold more than "
+                          f"{MAX_FIGURE_LIFTS} marked lifts")
     fig = Figure(-0.05 * s_hi, 1.05 * s_hi, -0.05 * u_hi, 1.1 * u_hi)
     for s in st.steps:
         fig.rect(s.Ls, s.q_lo, s.Ls + s.safety, s.q_hi, "zone")
@@ -164,9 +184,8 @@ def staircase_figure(st) -> str:
         e = (view.s(s.delta_endpoint) - s0, view.u(s.delta_endpoint) - u0)
         fig.line(o[0], o[1], e[0], e[1], "diag")
     fig.line(-0.05 * s_hi, u_hi, 1.05 * s_hi, u_hi, "axis")
-    _marks(fig, view, (st.X, st.avoid),
-           s0 - Fraction(0.05 * s_hi), s0 + Fraction(1.05 * s_hi),
-           u0 - Fraction(0.05 * u_hi), u0 + Fraction(1.1 * u_hi), s0, u0)
+    _marks(fig, view, (st.X, st.avoid), s0 + s_box[0], s0 + s_box[1],
+           u0 + u_box[0], u0 + u_box[1], s0, u0)
     return fig.render()
 
 
@@ -182,9 +201,13 @@ def game_figure(outcome, t0, r, y_points=()) -> str:
     """The game's offset-versus-height path with one dot per crossing."""
     y_points = set(y_points)
     trace = outcome.trace
-    t0, r, *rest = _doubles([t0, r] + [x for c in trace for x in
-                                       (c.t_before, c.t_after, c.height,
-                                        c.offset)])
+    try:
+        t0, r, *rest = _doubles([t0, r] + [x for c in trace for x in
+                                           (c.t_before, c.t_after, c.height,
+                                            c.offset)])
+    except OverflowError:
+        raise FigureError("game figure: an offset or a height of the trace "
+                          "is beyond the range of a double") from None
     crossings = [rest[i:i + 4] for i in range(0, len(rest), 4)]
     ts = [t0] + [t_after for _, t_after, _, _ in crossings]
     hs = [0.0] + [height for _, _, height, _ in crossings]

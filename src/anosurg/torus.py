@@ -18,9 +18,10 @@ base + (m, n) each edge of an (s, u)-box is then a bound on n alone, the
 integer floor of a quadratic number computed from integers once per column
 m, rounded up or down by whether the edge is open or closed.  These bounds
 are exact, so every (m, n) between them is a lift in the box and nothing is
-re-checked.  `box_lifts` returns the lifts as integers; `hits_in_box` builds
-a QuadNum only for the s and u of a lift found, and figures convert the
-integers to doubles without any.
+re-checked.  `box_lifts` returns the lifts as integers; `hits_in_box`, the
+one builder of `MarkedPointHit`s, builds a QuadNum only for the view s and
+u of a lift found and returns the hits in no particular order, and figures
+convert the integers to doubles without any.
 """
 
 from __future__ import annotations
@@ -495,28 +496,18 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     return _box_lifts(frame, mset, s_lo, s_hi, u_lo, u_hi, include, j, rows)
 
 
-def hits_in_box(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
+def hits_in_box(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                 include=(True, True, True, True)):
-    """The lifts of `box_lifts` as hits, with exact s and u, sorted by
-    (s, u)."""
+    """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], with
+    per-edge inclusion as in `box_lifts`, as hits whose exact s and u are
+    view coordinates.  The hits come in no particular order."""
+    frame = view.frame
     s_int, u_int = frame.s_int, frame.u_int
-    out = [MarkedPointHit(base, lattice, s_int.at(X, Y, k), u_int.at(X, Y, k),
-                          twist)
-           for base, lattice, k, X, Y, twist in box_lifts(
-               frame, mset, s_lo, s_hi, u_lo, u_hi, include)]
-    # distinct lifts never share an s coordinate (the level lines of s have
-    # irrational slope), so ordering by s is ordering by (s, u)
-    out.sort(key=_s_order)
-    return out
-
-
-def _s_order(hit: MarkedPointHit):
-    """A sort key for s that is cheap to compare: floor(s * 2^64), one
-    integer square root, orders all but the closest pairs of lifts, and s
-    itself breaks the ties exactly."""
-    s = hit.s
-    p, q, d = _parts(s)
-    return _floor(p << 64, q << 64, d, s.D), s
+    ss, su = -1 if view.flip_s else 1, -1 if view.flip_u else 1
+    return [MarkedPointHit(base, lattice, s_int.at(ss * X, ss * Y, k),
+                           u_int.at(su * X, su * Y, k), twist)
+            for base, lattice, k, X, Y, twist in box_lifts(
+                frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi, include))]
 
 
 # How an edge at x becomes a bound on the integer n: (sign, offset) in
@@ -717,21 +708,6 @@ class FrameView:
         if self.flip_u:
             ru_lo, ru_hi, i2, i3 = (-u_hi, -u_lo, include[3], include[2])
         return rs_lo, rs_hi, ru_lo, ru_hi, (i0, i1, i2, i3)
-
-    def hits(self, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
-             include=(True, True, True, True)):
-        """Hits in view coordinates; returned s/u are view coordinates."""
-        raw = hits_in_box(self.frame, mset,
-                          *self.box(s_lo, s_hi, u_lo, u_hi, include))
-        if not (self.flip_s or self.flip_u):
-            return raw
-        out = [MarkedPointHit(h.base, h.lattice,
-                              -h.s if self.flip_s else h.s,
-                              -h.u if self.flip_u else h.u, h.twist)
-               for h in raw]
-        if self.flip_s:     # raw is sorted by s, and no two lifts share an s
-            out.reverse()
-        return out
 
 
 QUADRANTS = ("++", "--", "+-", "-+")

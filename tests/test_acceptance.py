@@ -17,8 +17,8 @@
 import random
 from fractions import Fraction
 
-from anosurg import (DominationAnalysis, GameConfig, QuadNum, STATUSES,
-                     SurgeryProblem, build_staircase, classify,
+from anosurg import (DominationAnalysis, FrameView, GameConfig, QuadNum,
+                     STATUSES, SurgeryProblem, build_staircase, classify,
                      containment_check, eigenframe, enumerate_primitive,
                      hits_in_box, incompleteness_threshold, is_primitive,
                      marked_rect, marked_set, play_game, point, qn_pow,
@@ -92,9 +92,10 @@ def test_box_scan_and_census_match_brute_force_oracles():
         boxes += 1
         include = tuple(rng.choice([True, False]) for _ in range(4))
         for mset in sets:
-            got = [(h.base, h.lattice, h.s, h.u, h.twist)
-                   for h in hits_in_box(frame, mset, s[0], s[1], u[0], u[1],
-                                        include)]
+            got = sorted(((h.base, h.lattice, h.s, h.u, h.twist)
+                          for h in hits_in_box(FrameView(frame), mset, s[0],
+                                               s[1], u[0], u[1], include)),
+                         key=lambda h: (h[2], h[3]))
             assert got == oracle_hits(frame, mset, s[0], s[1], u[0], u[1],
                                       include)
 

@@ -452,6 +452,51 @@ class TestExitCodes:
         assert err == (f"unsupported: sets[0].point: orbit period exceeds "
                        f"{MAX_PERIOD}\n")
 
+    def test_staircase_figure_past_the_lift_bound_is_unsupported(
+            self, run, tmp_path):
+        # A2 with X the period-98 orbit of (1/97, 0): the figure's box is
+        # about 2*10^77 wide and would hold about 4*10^78 lifts
+        path = tmp_path / "p98.json"
+        path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "sets": [
+            {"point": ["1/97", "0"], "characteristic_number": 1,
+             "role": "X"},
+            {"point": ["0", "0"], "characteristic_number": -1,
+             "role": "Y"}]}))
+        code, out, err = run("staircase", str(path))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "d6adf411d4944076519416953f500230b83525b11c02e984f045b3844a0f3c25"
+        figure = tmp_path / "figure.svg"
+        start = time.perf_counter()
+        code, with_svg, err = run("staircase", str(path), "--svg",
+                                  str(figure))
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and with_svg == out and not figure.exists()
+        assert err == ("unsupported: staircase figure: its box would hold "
+                       "more than 1000000 marked lifts\n")
+
+    def test_game_figure_past_the_double_range_is_unsupported(
+            self, run, tmp_path):
+        # X the (0,0) orbit at +1 and Y the (1/2,1/2) orbit at -2 on A2:
+        # the offsets of this game outgrow the double range
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({**FIXTURES["a2_half"], "sets": [
+            {**A2_X, "characteristic_number": 1},
+            {**A2_Y, "characteristic_number": -2}]}))
+        argv = ("game", str(path), "--point", "0,0", "--t0", "1", "--r", "3",
+                "--budget", "150")
+        code, out, err = run(*argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "dbdbf8baad2a5910ea7a56e919450dc7eeab0e8d8f4119c35733de9cb73a6bde"
+        figure = tmp_path / "figure.svg"
+        start = time.perf_counter()
+        code, with_svg, err = run(*argv, "--svg", str(figure))
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and with_svg == out and not figure.exists()
+        assert err.startswith("unsupported: game figure") and \
+            err.count("\n") == 1
+
     def test_internal_invariant_failure(self, run, a2_path, monkeypatch):
         from anosurg import InvariantError
         import anosurg.cli as cli

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import (DominationAnalysis, DominationHypothesisError, FrameView,
+from anosurg import (DominationAnalysis, DominationHypothesisError,
                      GameConfig, GameError, HyperbolicMatrix, InvariantError,
                      QuadNum, QUADRANTS, case_profile, eigenframe,
                      game_trace_records, marked_set, orbit_of, play_game,
                      point, qn_pow, quadrant_contracting)
 
+from anosurg import game
 from anosurg.cli import FIXTURES, load_problem
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
@@ -135,13 +136,13 @@ class TestGameBasics:
         p = (Fraction(0), Fraction(0))
         t0, r = QuadNum(1, 0, 5), QuadNum(2, 0, 5)
         assert play_game(cfg, p, t0, r).trace
-        exact_hits = FrameView.hits
+        exact_hits = game.hits_in_box
 
-        def closed_below(self, mset, s_lo, s_hi, u_lo, u_hi, include):
-            return exact_hits(self, mset, s_lo, s_hi, u_lo, u_hi,
+        def closed_below(view, mset, s_lo, s_hi, u_lo, u_hi, include):
+            return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi,
                               include[:2] + (True,) + include[3:])
 
-        monkeypatch.setattr(FrameView, "hits", closed_below)
+        monkeypatch.setattr(game, "hits_in_box", closed_below)
         with pytest.raises(InvariantError, match="no progress"):
             play_game(cfg, p, t0, r)
 
@@ -181,13 +182,13 @@ class TestGameBasics:
         lam2 = qn_pow(frame_a2.lam, 2)
         t0 = 1 + (lam2 - 1) * Fraction(1, 21)
         scanned = []
-        exact_hits = FrameView.hits
+        exact_hits = game.hits_in_box
 
-        def counted(self, mset, *args, **kwargs):
+        def counted(view, mset, *args):
             scanned.append(mset.orbits)
-            return exact_hits(self, mset, *args, **kwargs)
+            return exact_hits(view, mset, *args)
 
-        monkeypatch.setattr(FrameView, "hits", counted)
+        monkeypatch.setattr(game, "hits_in_box", counted)
         out = play_game(cfg, (Fraction(3, 7), Fraction(1, 7)), t0, lam2)
         X, Y = cfg.sets
         assert all(set(X.orbits + Y.orbits) <= set(orbits)

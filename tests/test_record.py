@@ -1,4 +1,5 @@
-"""bench/record.py's statistics and output parsing (no timing is run)."""
+"""bench/record.py's statistics, output parsing and source line count (no
+timing is run)."""
 
 import importlib.util
 from pathlib import Path
@@ -61,3 +62,19 @@ def test_parse_report_reads_the_named_figures():
     assert report["cli.game.b2_half_s"] == (0.236284, "s")
     assert report["crossings_per_s"] == (1692.88, "1/s")
     assert "# workload:" not in report and len(report) == 3
+
+
+def test_src_line_change_counts_python_files_under_src(tmp_path):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree, lines in zip(trees.values(), (5, 2)):
+        pkg = tree / "src" / "pkg"
+        (pkg / "sub").mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\n" * (lines - 1))
+        (pkg / "sub" / "b.py").write_text("y = 2")
+        # not counted: other file types, compiled files, files outside src
+        (pkg / "notes.txt").write_text("one\ntwo\n")
+        (pkg / "sub" / "b.cpython-311.pyc").write_bytes(b"\0\n\n")
+        (tree / "setup.py").write_text("z = 3\n")
+    assert record.src_lines(trees["parent"]) == 5
+    assert record.src_line_change(trees) == {"parent": 5, "change": 2,
+                                             "net": -3}

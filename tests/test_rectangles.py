@@ -138,13 +138,13 @@ class TestPrimitiveFamily:
         frame = eigenframe(A2)
         X = zero_orbit_set(A2)
         big, u_cap = period_window(FrameView(frame), 1)
-        exact_hits = FrameView.hits
+        exact_hits = rectangles.hits_in_box
 
-        def closed_hits(self, mset, s_lo, s_hi, u_lo, u_hi, include):
-            return exact_hits(self, mset, s_lo, s_hi, u_lo, u_hi,
+        def closed_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include):
+            return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi,
                               (True, True, True, True))
 
-        monkeypatch.setattr(FrameView, "hits", closed_hits)
+        monkeypatch.setattr(rectangles, "hits_in_box", closed_hits)
         with pytest.raises(InvariantError, match="no progress"):
             primitive_family(FrameView(frame), X, point(0, 0), big, u_cap)
 

