@@ -12,10 +12,12 @@ odd and the change first when it is even.  For every metric the record holds
 the runs by pair, their median, first and third quartiles (inclusive
 method), the IQR and how many pairs the change read lower, and so for
 the per-command figures named in REPORTED that a row's workload prints.
-It also stores the lines of src/**/*.py in each export and their net
-change.  The pair and run counts and the claimed metric are the module
-constants below.  At the end it prints that line change and the change's
-medians against those of the newest BENCH_*.json in the change's tree.
+For every row and side it also stores the COUNTS of one traced run, which
+do not drift with the host's clock, and the lines of src/**/*.py in each
+export and their net change.  The pair and run counts and the claimed
+metric are the module constants below.  At the end it prints that line
+change, the counts of both sides, and the change's medians against those
+of the newest BENCH_*.json in the change's tree.
 
 Nothing here is a test: timings are recorded, never asserted.
 """
@@ -40,13 +42,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ROWS = (("fixtures_cli", 1), ("fixtures_cli", 11), ("classify_sweep", 1),
-        ("game_grid", 1))
+        ("game_grid", 1), ("game_grid", 7))
 METRICS = ("wall_ref", "op_gmean_ref", "setup_s", "peak_rss_mib")
 # figures perfbench prints above its result line, recorded like the metrics
 # on the rows whose workload prints them
 REPORTED = ("cli.staircase.b2_half_s", "cli.game.b2_half_s")
+# per-pass counts read from one --trace 1 run per row and side
+COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
+          "game.crossings")
 # the workload and metric whose gain the change claims
-CLAIM = ("fixtures_cli", "wall_ref")
+CLAIM = ("game_grid", "wall_ref")
 
 # alternating parent/change pairs per perfbench row, alternating runs per
 # side of the import time and of each CLI command, and Tier-1 runs per side
@@ -161,6 +166,22 @@ def perfbench_run(tree: Path, workload: str, seed: int) -> dict:
     return dict(json.loads(lines[-1]), report=parse_report(lines[:-1]))
 
 
+def traced_counts(tree: Path, workload: str, seed: int) -> dict:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", "0", "--trace", "1"],
+        cwd=tree, check=True, capture_output=True, text=True).stdout
+    return parse_counts(out)
+
+
+def parse_counts(stdout: str) -> dict:
+    """{name: per-pass value} of COUNTS from the JSON result line that ends
+    a traced perfbench run's stdout."""
+    metrics = json.loads(stdout.strip().splitlines()[-1])["metrics"]
+    values = {name: metrics[name]["value"] for name in COUNTS}
+    return {name: int(v) if v == int(v) else v for name, v in values.items()}
+
+
 def parse_report(lines: list) -> dict:
     """{name: (value, unit)} from perfbench's "name value unit" lines."""
     report = {}
@@ -188,6 +209,8 @@ def record_workload(trees: dict, workload: str, seed: int):
                 [r["report"][name][0] for r in results["parent"]],
                 [r["report"][name][0] for r in results["change"]],
                 results["parent"][0]["report"][name][1])
+    counts = {side: traced_counts(tree, workload, seed)
+              for side, tree in trees.items()}
     return {"workload": workload, "seed": seed,
             "command": f"python3 perfbench/run.py --workload {workload} "
                        f"--seed {seed} --seconds 5 --trace 0",
@@ -197,7 +220,11 @@ def record_workload(trees: dict, workload: str, seed: int):
             "correct": all(r["correct"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
             "metrics": metrics,
-            "reported": reported}
+            "reported": reported,
+            "counts": {"command": f"python3 perfbench/run.py --workload "
+                                  f"{workload} --seed {seed} --seconds 0 "
+                                  "--trace 1, once per side",
+                       **counts}}
 
 
 def env_for(tree: Path) -> dict:
@@ -262,6 +289,15 @@ def previous_record(tree: Path, out_name: str):
     return found[-1][1] if found else None
 
 
+def print_counts(record: dict):
+    print("traced counts per pass, parent -> change:")
+    for row in record["results"]:
+        counts = row["counts"]
+        for name in COUNTS:
+            print(f"  {row['workload']} seed {row['seed']} {name}: "
+                  f"{counts['parent'][name]:g} -> {counts['change'][name]:g}")
+
+
 def print_ratios(record: dict, previous: Path):
     old = json.loads(previous.read_text())
     old_rows = {(r["workload"], r["seed"]): r for r in old["results"]}
@@ -301,6 +337,7 @@ def main(argv=None):
         lines = record["src_lines"]
         print(f"src/**/*.py lines: {lines['parent']} -> {lines['change']} "
               f"(net {lines['net']:+d})")
+        print_counts(record)
         previous = previous_record(trees["change"], Path(args.out).name)
         if previous is not None:
             print_ratios(record, previous)

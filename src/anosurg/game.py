@@ -13,10 +13,12 @@ with a finite offset (Defined) or exhausts its crossing budget
 (BudgetExhausted); the simulator never claims divergence.
 
 A step looks for the lowest lifts of the strip (0, t) x (h, r] in height
-windows that double from about one lift (`first_window_hits`), and one scan
-covers the lifts of every marked set.  The lifts a window found above the
-crossing, still inside the strip, answer the next step without a scan,
-unless a crossing widened the strip.
+windows that double from height W_s W_u / t, the area of a box that holds a
+lift of every base point (`first_window_hits`), and one scan covers the
+lifts of every marked set.  The lifts a window found above the crossing,
+still inside the strip, answer the next step without a scan, and when none
+is left the next search starts above the heights already scanned, unless a
+crossing widened the strip.
 
 The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,
@@ -125,9 +127,11 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
                            (False, False, False, True))
 
     cands = []
+    covered = h
     while h < r:
         if not cands:
-            cands = first_window_hits(strip_hits, t, h, r, widths)
+            cands, covered = first_window_hits(strip_hits, t, h, r, widths,
+                                               covered)
             if not cands:
                 return GameOutcome("Defined", t, tuple(trace))
         # distinct lifts never share a u: its level lines have irrational slope
@@ -146,13 +150,19 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
         t_new = o + lam_pow[e] * (t - o)
         trace.append(Crossing(c, h, o, w, e, t, t_new))
         t = t_new
-        # The window that found cands covered the heights (old h, top] over
-        # a strip at least as wide as the new one, unless the crossing
-        # widened it.  So every lift of the new strip at a height in
-        # (h, top] is among the survivors below, and when there is one, the
-        # lowest survivor is the true next crossing: no rescan is needed.
-        cands = [] if e > 0 else [d for d in cands
-                                  if d.u > c.u and 0 < d.s - sp < t]
+        if e > 0:
+            # a widened strip may hold lifts at any height above h
+            cands, covered = [], h
+            continue
+        # The heights up to covered, the top of the window that found
+        # cands, were scanned over a strip at least as wide as the new one.
+        # So every lift of the new strip at a height in (h, covered] is
+        # among the survivors below: the lowest survivor, when there is
+        # one, is the true next crossing, and otherwise the next search
+        # starts above covered.  c is the lowest candidate and the strip's
+        # left edge stays at sp, so one comparison keeps a survivor.
+        right = sp + t
+        cands = [d for d in cands if d is not c and d.s < right]
     return GameOutcome("Defined", t, tuple(trace))
 
 

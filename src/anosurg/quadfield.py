@@ -412,12 +412,15 @@ def qn_from_str(text: str, D: int | None = None) -> QuadNum:
     m = _QN_RE.match(text)
     if not m:
         raise QuadFieldError(f"cannot parse quadratic number: {text!r}")
-    a = Fraction(m.group("a"))
-    if m.group("b") is None:
+    try:
+        a, b = (None if g is None else Fraction(g)
+                for g in m.group("a", "b"))
+    except ZeroDivisionError:
+        raise QuadFieldError(f"zero denominator in {text!r}") from None
+    if b is None:
         if D is None:
             raise QuadFieldError(f"no sqrt term and no default D in {text!r}")
         return QuadNum(a, 0, D)
-    b = Fraction(m.group("b"))
     if m.group("sgn") == "-":
         b = -b
     d = int(m.group("D"))

@@ -136,23 +136,29 @@ def period_window(view: FrameView, period: int):
     return qn_pow(view.lam, period), view.lam * view.lam * m * m
 
 
-def first_window_hits(scan, width, lo, hi, widths):
-    """The hits of the first nonempty scan(a, b) over the height windows
-    (a, b] climbing from lo to hi; [] when there are none.
+def first_window_hits(scan, width, lo, hi, widths, covered):
+    """(hits, top): the hits of the first nonempty scan(a, b) over the
+    height windows (a, b] climbing from lo to hi, and the top of the window
+    that found them; ([], hi) when there are none.
 
-    The first window holds about one lift for a strip of this stable width
-    and the windows double, so the scanned area stays proportional to the
-    hit count however wide or narrow the strip is.
+    The first window is W_s W_u / width tall, the area of a box that holds
+    a lift of every base point, and the windows double, so the scanned area
+    stays proportional to the hit count however wide or narrow the strip
+    is.  The caller knows that the heights (lo, covered] hold no lift: a
+    window wholly below covered is skipped and one that straddles it is
+    scanned from covered up.  The windows stay anchored at lo whatever
+    covered is, so a resumed search scans the same tops as a fresh one.
     """
     ws, wu = widths
-    window = wu * (ws / width) if width >= ws else wu
+    window = ws * wu / width
     while lo < hi:
         top = min(lo + window, hi)
-        hits = scan(lo, top)
-        if hits:
-            return hits
+        if top > covered:
+            hits = scan(max(lo, covered), top)
+            if hits:
+                return hits, top
         lo, window = top, window + window
-    return []
+    return [], hi
 
 
 def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
@@ -190,9 +196,11 @@ def _walk_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
 
     family = []
     hits = []
+    covered = lo
     while True:
         if not hits:
-            hits = first_window_hits(scan, right - s0, lo, u0 + u_cap, widths)
+            hits, covered = first_window_hits(scan, right - s0, lo,
+                                              u0 + u_cap, widths, covered)
             if not hits:
                 return tuple(family[::-1])
         low = min(hits, key=lambda h: h.u)
@@ -203,12 +211,14 @@ def _walk_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
                 f"primitive family walk made no progress at {low.lift}")
         family.append(low)
         right, lo = low.s, low.u
-        # The window that found hits covered the heights (old lo, top] over
-        # the strip (s0, old right], which holds the new strip (s0, low.s].
-        # So every lift of the new strip at a height in (low.u, top] is
-        # among the survivors below, and when there is one, the lowest
-        # survivor is the true next member: no rescan is needed.
-        hits = [h for h in hits if h.s < right and h.u > lo]
+        # The strip only narrows, and the heights up to covered, the top of
+        # the window that found hits, were scanned over a strip that holds
+        # the new one (s0, low.s].  So every lift of the new strip at a
+        # height in (low.u, covered] is among the survivors below: the
+        # lowest survivor, when there is one, is the true next member, and
+        # otherwise the next search starts above covered.  The lowest hit
+        # is low, so every other hit lies above it.
+        hits = [h for h in hits if h is not low and h.s < right]
 
 
 def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):

@@ -242,7 +242,7 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
         return hits_in_box(view, mset, s_anchor - b, s_anchor - a, u_lo, u_hi,
                            (True, False, True, True))
 
-    hits = first_window_hits(scan, h, 0, enough, (wu, ws))
+    hits, _ = first_window_hits(scan, h, 0, enough, (wu, ws), 0)
     if not hits:
         raise InvariantError("no contact found in the height band")
     return min(s_dir * (hit.s - s_anchor) for hit in hits)

@@ -401,6 +401,16 @@ class TestExitCodes:
         code, out, err = run("game", a2_path, "--point", "0,0", *values)
         assert code == 1 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("values", [("--t0", "1/0", "--r", "2"),
+                                        ("--t0", "1", "--r", "1/0"),
+                                        ("--t0", "1 + 1/0*sqrt(5)", "--r",
+                                         "2")],
+                             ids=["t0", "r", "t0-sqrt-term"])
+    def test_zero_denominator_in_a_game_argument(self, run, a2_path, values):
+        code, out, err = run("game", a2_path, "--point", "0,0", *values)
+        assert code == 1 and out == ""
+        assert err.startswith("error: t0/r: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ("staircase", "--quadrant", "xx"),
         ("staircase", "--quadrant", "--"),

@@ -31,6 +31,27 @@ def rational_point(rng):
     return (Fraction(rng.randint(0, 20), 21), Fraction(rng.randint(0, 20), 21))
 
 
+def seeded_games(frame_a2):
+    """(config, p, t0, r) of 48 seeded games on two geometries in every
+    quadrant: Y is twisted to contract, which keeps the strips narrow enough
+    for the oracle, and X either way, so that some crossings widen the
+    strip."""
+    frames = {A2: frame_a2, A3: eigenframe(A3)}
+    rng = random.Random(2)
+    for k in range(48):
+        A = (A2, A3)[k % 2]
+        quadrant = QUADRANTS[k // 2 % 4]
+        y_char = 3 if quadrant_contracting(quadrant) else -3
+        X = zero_orbit_set(A, rng.randint(-3, 3), "X")
+        Y = (half_orbit_set(A, y_char) if A == A2
+             else half_points_set(A, y_char))
+        p = rational_point(rng)
+        D = frames[A].D
+        t0 = QuadNum(Fraction(rng.randint(1, 30), 10), 0, D)
+        r = QuadNum(Fraction(rng.randint(1, 30), 10), 0, D)
+        yield GameConfig(frames[A], (X, Y), quadrant), p, t0, r
+
+
 class TestGameBasics:
     def test_zero_twists_act_trivially(self, frame_a2):
         cfg = a2_config(frame_a2)
@@ -129,13 +150,16 @@ class TestGameBasics:
 
     def test_game_stops_when_a_strip_keeps_its_crossing(self, frame_a2,
                                                        monkeypatch):
-        # with the strips' open lower edge closed, each strip holds the lift
-        # just crossed; the game must refuse it, not cross it until the
-        # budget runs out
-        cfg = a2_config(frame_a2, 1, 2)
+        # with the strips' open lower edge closed, a search that starts at
+        # the height just crossed finds that lift again; the game must
+        # refuse it, not cross it until the budget runs out.  Searches
+        # start at the crossing height after a widening crossing, and here
+        # every Y crossing widens the strip
+        cfg = a2_config(frame_a2, 1, -2)
         p = (Fraction(0), Fraction(0))
         t0, r = QuadNum(1, 0, 5), QuadNum(2, 0, 5)
-        assert play_game(cfg, p, t0, r).trace
+        out = play_game(cfg, p, t0, r, budget=50)
+        assert any(c.exponent > 0 for c in out.trace)
         exact_hits = game.hits_in_box
 
         def closed_below(view, mset, s_lo, s_hi, u_lo, u_hi, include):
@@ -144,35 +168,58 @@ class TestGameBasics:
 
         monkeypatch.setattr(game, "hits_in_box", closed_below)
         with pytest.raises(InvariantError, match="no progress"):
-            play_game(cfg, p, t0, r)
+            play_game(cfg, p, t0, r, budget=50)
 
     def test_game_matches_the_oracle_game(self, frame_a2):
-        # seeded games on two geometries in every quadrant: Y is twisted to
-        # contract, which keeps the strips narrow enough for the oracle, and
-        # X either way, so that some crossings widen the strip
-        frames = {A2: frame_a2, A3: eigenframe(A3)}
-        rng = random.Random(2)
         widened = set()
-        for k in range(48):
-            A = (A2, A3)[k % 2]
-            quadrant = QUADRANTS[k // 2 % 4]
-            y_char = 3 if quadrant_contracting(quadrant) else -3
-            X = zero_orbit_set(A, rng.randint(-3, 3), "X")
-            Y = (half_orbit_set(A, y_char) if A == A2
-                 else half_points_set(A, y_char))
-            cfg = GameConfig(frames[A], (X, Y), quadrant)
-            p = rational_point(rng)
-            D = frames[A].D
-            t0 = QuadNum(Fraction(rng.randint(1, 30), 10), 0, D)
-            r = QuadNum(Fraction(rng.randint(1, 30), 10), 0, D)
+        for k, (cfg, p, t0, r) in enumerate(seeded_games(frame_a2)):
             out = play_game(cfg, p, t0, r, budget=40)
             status, final_t, trace = oracle_game(cfg, p, t0, r, 40)
             assert (out.status, out.final_t) == (status, final_t), k
             assert [(c.hit.base, c.hit.lattice, c.height, c.offset,
                      c.exponent, c.t_after) for c in out.trace] == trace, k
             if any(c.exponent > 0 for c in out.trace):
-                widened.add(quadrant)
+                widened.add(cfg.quadrant)
         assert widened == set(QUADRANTS)
+
+    def test_no_height_is_scanned_twice_until_the_strip_widens(
+            self, frame_a2, monkeypatch):
+        # while crossings only narrow the strip, a search resumes above the
+        # heights the last window scanned; after a widening crossing it
+        # starts again at the crossing height
+        events = []
+        exact_hits, crossing = game.hits_in_box, game.Crossing
+
+        def scanned(view, mset, s_lo, s_hi, u_lo, u_hi, include):
+            events.append(("scan", u_lo, u_hi))
+            return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include)
+
+        def crossed(hit, height, offset, twist, exponent, *rest):
+            events.append(("cross", hit.u, exponent))
+            return crossing(hit, height, offset, twist, exponent, *rest)
+
+        monkeypatch.setattr(game, "hits_in_box", scanned)
+        monkeypatch.setattr(game, "Crossing", crossed)
+        resumed = restarted = 0
+        for k, (cfg, p, t0, r) in enumerate(seeded_games(frame_a2)):
+            events.clear()
+            play_game(cfg, p, t0, r, budget=40)
+            seen = []           # heights scanned since the strip last widened
+            after = None        # the crossing just before this scan, if any
+            for kind, a, b in events:
+                if kind == "cross":
+                    if b > 0:
+                        seen = []
+                    after = (a, b)
+                    continue
+                assert all(b <= lo or hi <= a for lo, hi in seen), k
+                seen.append((a, b))
+                if after is not None:
+                    u, e = after
+                    resumed += e <= 0 and a > u
+                    restarted += e > 0 and a == u
+                    after = None
+        assert resumed and restarted
 
     def test_one_scan_covers_every_marked_set(self, frame_a2, monkeypatch):
         # the game_grid set-up, from a start off the X orbit: each window

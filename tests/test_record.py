@@ -64,6 +64,21 @@ def test_parse_report_reads_the_named_figures():
     assert "# workload:" not in report and len(report) == 3
 
 
+def test_parse_counts_reads_the_traced_result_line():
+    out = ("# workload: game_grid\n"
+           "torus.hits_in_box.calls 1018 count\n"
+           '{"correct": true, "attempted": 800, "failed": 0, "metrics": {'
+           '"torus.hits_in_box.calls": {"value": 1018.0, "unit": "count"}, '
+           '"torus.hits_in_box.hits": {"value": 5435.0, "unit": "count"}, '
+           '"torus.hits_in_box.total_s": {"value": 0.2, "unit": "s"}, '
+           '"game.crossings": {"value": 1070.5, "unit": "count"}}}\n')
+    assert record.parse_counts(out) == {"torus.hits_in_box.calls": 1018,
+                                        "torus.hits_in_box.hits": 5435,
+                                        "game.crossings": 1070.5}
+    with pytest.raises(KeyError):
+        record.parse_counts('{"metrics": {}}\n')
+
+
 def test_src_line_change_counts_python_files_under_src(tmp_path):
     trees = {side: tmp_path / side for side in ("parent", "change")}
     for tree, lines in zip(trees.values(), (5, 2)):

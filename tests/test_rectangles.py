@@ -112,6 +112,32 @@ class TestPrimitiveFamily:
                 assert ([(h.base, h.lattice) for h in family]
                         == oracle_pareto_frontier(box))
 
+    @pytest.mark.parametrize("label", ["A2", "A3", "C3"])
+    @pytest.mark.parametrize("make_set", [zero_orbit_set, half_points_set])
+    def test_walk_scans_each_height_once(self, label, make_set, monkeypatch):
+        # the strip only narrows, so a search that finds no survivor resumes
+        # above the heights the last window scanned
+        A = FROZEN_COUNTS[label][0]
+        X = make_set(A)
+        scans = []
+        exact_hits = rectangles.hits_in_box
+
+        def scanned(view, mset, s_lo, s_hi, u_lo, u_hi, include):
+            scans.append((u_lo, u_hi))
+            return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include)
+
+        monkeypatch.setattr(rectangles, "hits_in_box", scanned)
+        for orb in X.orbits:
+            for base in orb.points:
+                for flip in (False, True):
+                    view = FrameView(eigenframe(A), flip_u=flip)
+                    scans.clear()
+                    primitive_family(view, X, base,
+                                     *period_window(view, orb.period))
+                    for i, (a, b) in enumerate(scans):
+                        assert all(b <= lo or hi <= a
+                                   for lo, hi in scans[:i]), (base, flip)
+
     def test_domination_and_staircase_share_one_walk(self, monkeypatch):
         # the positive domination analysis and the ++ staircase seed search
         # at (0,0) ask the frame for the same family at the same window
