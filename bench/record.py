@@ -1,6 +1,6 @@
 """Record a BENCH_<n>.json: perfbench end-to-end metrics of a parent commit
 and its change from alternating pairs of runs, plus import time, per-command
-wall times and the Tier-1 wall time.
+wall times, the field micro-benchmarks and the Tier-1 wall time.
 
     python3 bench/record.py PARENT CHANGE --out BENCH_<n>.json
 
@@ -14,10 +14,14 @@ method), the IQR and how many pairs the change read lower, and so for
 the per-command figures named in REPORTED that a row's workload prints.
 For every row and side it also stores the COUNTS of one traced run, which
 do not drift with the host's clock, and the lines of src/**/*.py in each
-export and their net change.  The pair and run counts and the claimed
+export and their net change.  The field micro-benchmarks are the MICRO
+figures of `perfbench/worker.py micro`, run in each export on operands
+written from that export's perfbench/goldens.json (`big_operands`) and the
+matrix of its fixtures/b2_half.json.  The pair and run counts and the claimed
 metric are the module constants below.  At the end it prints that line
-change, the counts of both sides, and the change's medians against those
-of the newest BENCH_*.json in the change's tree.
+change, the counts of both sides, the micro-benchmark medians of both
+sides, and the change's medians against those of the newest BENCH_*.json in
+the change's tree.
 
 Nothing here is a test: timings are recorded, never asserted.
 """
@@ -42,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ROWS = (("fixtures_cli", 1), ("fixtures_cli", 11), ("classify_sweep", 1),
-        ("game_grid", 1), ("game_grid", 7))
+        ("classify_sweep", 5), ("game_grid", 1), ("game_grid", 7))
 METRICS = ("wall_ref", "op_gmean_ref", "setup_s", "peak_rss_mib")
 # figures perfbench prints above its result line, recorded like the metrics
 # on the rows whose workload prints them
@@ -50,14 +54,20 @@ REPORTED = ("cli.staircase.b2_half_s", "cli.game.b2_half_s")
 # per-pass counts read from one --trace 1 run per row and side
 COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
           "game.crossings")
+# microseconds per field operation, on small and on big operands, that
+# `perfbench/worker.py micro` writes
+MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
+              for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims
-CLAIM = ("game_grid", "wall_ref")
+CLAIM = ("classify_sweep", "op_gmean_ref")
 
 # alternating parent/change pairs per perfbench row, alternating runs per
-# side of the import time and of each CLI command, and Tier-1 runs per side
+# side of the import time, of each CLI command and of the micro-benchmarks,
+# and Tier-1 runs per side
 PAIRS = 10
 IMPORT_RUNS = 20
 COMMAND_RUNS = 10
+MICRO_RUNS = 10
 TIER1_RUNS = 2
 
 
@@ -259,6 +269,27 @@ def command_seconds(tree: Path, args: str, scratch: Path) -> float:
     return time.perf_counter() - start
 
 
+def micro_us(tree: Path, work: Path) -> dict:
+    """The MICRO figures of one `perfbench/worker.py micro` run in tree."""
+    goldens = json.loads((tree / "perfbench" / "goldens.json").read_text())
+    b2 = json.loads((tree / "fixtures" / "b2_half.json").read_text())
+    operands = work / f"operands-{tree.name}.json"
+    operands.write_text(json.dumps({"small_matrix": b2["matrix"],
+                                    "big": goldens["big_operands"]}))
+    out = work / f"micro-{tree.name}.json"
+    subprocess.run([sys.executable, "perfbench/worker.py", "micro",
+                    str(operands), str(out)], cwd=tree, env=env_for(tree),
+                   check=True)
+    return parse_micro(out.read_text())
+
+
+def parse_micro(text: str) -> dict:
+    """{name: µs} of the MICRO figures in the JSON that `worker.py micro`
+    writes; a missing figure raises KeyError."""
+    values = json.loads(text)
+    return {name: float(values[name]) for name in MICRO}
+
+
 def tier1_run(tree: Path) -> dict:
     """The counts and duration of pytest's summary line."""
     out = subprocess.run(TIER1, cwd=tree, env=env_for(tree),
@@ -338,6 +369,10 @@ def main(argv=None):
         print(f"src/**/*.py lines: {lines['parent']} -> {lines['change']} "
               f"(net {lines['net']:+d})")
         print_counts(record)
+        print("quadfield micro-benchmark medians, parent -> change (us):")
+        for name, m in record["quadfield_micro"]["metrics"].items():
+            print(f"  {name}: {m['parent']['median']:.4g} -> "
+                  f"{m['change']['median']:.4g}")
         previous = previous_record(trees["change"], Path(args.out).name)
         if previous is not None:
             print_ratios(record, previous)
@@ -372,6 +407,8 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
         rows.append({"args": command,
                      "parent": round(statistics.median(runs["parent"]), 3),
                      "change": round(statistics.median(runs["change"]), 3)})
+    print("micro-benchmarks", file=sys.stderr)
+    micro = alternate(MICRO_RUNS, lambda side: micro_us(trees[side], work))
     print("tier-1", file=sys.stderr)
     tier1 = {}
     for side in ("parent", "change"):
@@ -391,8 +428,9 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                        "runs on one machine, each run in a fresh export of "
                        "its side's tree (git archive); both sides have the "
                        "same perfbench/ tree. Also: the cumulative -X "
-                       "importtime of anosurg.cli, per-command wall times "
-                       "and the Tier-1 wall time. Written by bench/record.py.",
+                       "importtime of anosurg.cli, per-command wall times, "
+                       "the field micro-benchmarks and the Tier-1 wall "
+                       "time. Written by bench/record.py.",
         "parent": {"commit": revs["parent"],
                    "src_tree": git("rev-parse", f"{revs['parent']}:src")},
         "change": {"commit": revs["change"],
@@ -429,6 +467,18 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
             "statistic": "median",
             "unit": "s",
             "rows": rows},
+        "quadfield_micro": {
+            "command": "python perfbench/worker.py micro OPERANDS OUT in "
+                       "each side's compiled export, OPERANDS from its "
+                       "perfbench/goldens.json big_operands and the matrix "
+                       f"of its fixtures/b2_half.json, {MICRO_RUNS} "
+                       "alternating runs per side",
+            "metric": "median microseconds per field operation over the "
+                      "worker's 5 timeit repeats",
+            "metrics": {name: compare([r[name] for r in micro["parent"]],
+                                      [r[name] for r in micro["change"]],
+                                      "us")
+                        for name in MICRO}},
         "tier1": {
             "command": " ".join(["PYTHONPATH=src python"] + TIER1[1:]) +
                        f", in each side's export, {TIER1_RUNS} runs "

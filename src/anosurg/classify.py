@@ -13,9 +13,12 @@ twists (characteristic number times orbit period).
 from __future__ import annotations
 
 import functools
+import json
+from fractions import Fraction
 
 from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit, Point,
-                    eigenframe, mod1, quadrant_contracting, sets_disjoint)
+                    base_integers, eigenframe, quadrant_contracting,
+                    sets_disjoint)
 from .rectangles import case_profile
 from .game import DominationAnalysis, DominationHypothesisError
 from .staircase import (StaircaseError, build_staircase,
@@ -34,10 +37,11 @@ class SurgeryProblem:
         self.A, self.X, self.Y = A, X, Y
 
     def geometry(self):
-        """Hashable key identifying the problem up to the surgery strengths."""
+        """Hashable key identifying the problem up to the surgery strengths:
+        the matrix and each orbit's `integers`, so hashing it hashes ints."""
         return (self.A,
-                tuple(orb.points for orb in self.X.orbits),
-                tuple(orb.points for orb in self.Y.orbits))
+                tuple(orb.integers for orb in self.X.orbits),
+                tuple(orb.integers for orb in self.Y.orbits))
 
 
 class Verdict:
@@ -55,77 +59,96 @@ class Verdict:
 # geometry analyses (a sweep varies only the surgery strengths)
 
 
-def _once(method):
-    """Compute a method's result once per instance and arguments."""
-    @functools.wraps(method)
-    def memoized(self, *args):
-        table = self._memo.setdefault(method.__name__, {})
-        if args not in table:
-            table[args] = method(self, *args)
-        return table[args]
-    return memoized
+class Row:
+    """One certificate of an Analysis: a DominationAnalysis or a Staircase
+    (None when there is none), its threshold and, for a staircase, its
+    `staircase_records` as JSON text."""
+    __slots__ = ("cert", "threshold", "record")
+
+    def __init__(self, cert=None, threshold=None, record=None):
+        self.cert, self.threshold, self.record = cert, threshold, record
+
+    def records(self) -> dict:
+        """A fresh copy of the staircase's record, the caller's to change."""
+        return json.loads(self.record)
+
+
+_SIGNS = ("positive", "negative")
 
 
 class Analysis:
-    """The certificates of one geometry, each computed once on first use:
-    the disjointness profile, the four domination analyses and the
-    staircases.  None of them depends on the surgery strengths; only the
-    checks against the twists do."""
+    """The certificate table of one geometry.  None of its rows depends on
+    the surgery strengths; only the checks against the twists do.  A row is
+    computed the first time a caller asks for it and then kept.
+
+    `row(own, kind, base)` is the certificate of the own set's rectangles
+    or staircases: kind is a domination sign or a staircase quadrant, and
+    base the (k, X, Y) of one of the own set's points, as in
+    `Orbit.integers`.  With base None it is the certificate of the whole
+    set: the domination threshold over all of its points, or the staircase
+    of its first point that admits one."""
 
     def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet):
         self.X, self.Y = X, Y
         self.frame = eigenframe(A)
-        self._memo = {}
+        self._rows = {}
+        self._profile = None
+        # the (k, X, Y) of each marked point -> (own set, point)
+        self.bases = {ints: (own, p) for own, mset in (("X", X), ("Y", Y))
+                      for orb in mset.orbits
+                      for ints, p in zip(orb.integers, orb.points)}
 
-    def _roles(self, own: str):
-        return (self.X, self.Y) if own == "X" else (self.Y, self.X)
-
-    @_once
     def profile(self):
-        return case_profile(self.frame, self.X, self.Y)
+        if self._profile is None:
+            self._profile = case_profile(self.frame, self.X, self.Y)
+        return self._profile
 
-    @_once
-    def domination(self, own: str, sign: str):
-        """The (own-set rectangles, sign) domination analysis, or None when
-        some primitive rectangle misses the other set."""
-        first, second = self._roles(own)
-        try:
-            return DominationAnalysis(self.frame, first, second, sign=sign)
-        except DominationHypothesisError:
-            return None
+    def row(self, own: str, kind: str, base: tuple | None = None) -> Row:
+        key = (own, kind, base)
+        found = self._rows.get(key)
+        if found is None:
+            found = self._rows[key] = self._build(own, kind, base)
+        return found
 
-    @_once
-    def staircase_at(self, own: str, base: Point, quadrant: str):
-        """A staircase of the own set at the given origin, or None."""
-        first, second = self._roles(own)
+    def _build(self, own: str, kind: str, base: tuple | None) -> Row:
+        first, second = (self.X, self.Y) if own == "X" else (self.Y, self.X)
+        if kind in _SIGNS:
+            if base is not None:
+                whole = self.row(own, kind).cert
+                return (Row() if whole is None else
+                        Row(whole, whole.threshold_at(self.bases[base][1])))
+            # absent when some primitive rectangle misses the other set
+            try:
+                analysis = DominationAnalysis(self.frame, first, second,
+                                              sign=kind)
+            except DominationHypothesisError:
+                return Row()
+            return Row(analysis, analysis.threshold)
+        if base is None:
+            for ints in (i for orb in first.orbits for i in orb.integers):
+                found = self.row(own, kind, ints)
+                if found.cert is not None:
+                    return found
+            return Row()
         try:
-            return build_staircase(self.frame, first, second, base, quadrant)
+            st = build_staircase(self.frame, first, second,
+                                 self.bases[base][1], kind)
         except StaircaseError:
-            return None
-
-    @_once
-    def staircase(self, own: str, quadrant: str):
-        """(staircase, threshold) for the first point of the own set that
-        admits a staircase avoiding the other set, or None."""
-        for base in self._roles(own)[0].points:
-            st = self.staircase_at(own, base, quadrant)
-            if st is not None:
-                return st, incompleteness_threshold(st)
-        return None
+            return Row()
+        return Row(st, incompleteness_threshold(st),
+                   json.dumps(staircase_records(st)))
 
     def thresholds(self) -> dict:
         """The four domination and four incompleteness thresholds (None
         where no certificate exists), as the thresholds command prints."""
         out = {"domination": {}, "incompleteness": {}}
         for own in ("X", "Y"):
-            for sign in ("positive", "negative"):
-                analysis = self.domination(own, sign)
-                out["domination"][f"{own}-{sign}"] = (
-                    None if analysis is None else analysis.threshold)
+            for sign in _SIGNS:
+                out["domination"][f"{own}-{sign}"] = \
+                    self.row(own, sign).threshold
             for quadrant in ("++", "+-"):
-                got = self.staircase(own, quadrant)
-                out["incompleteness"][f"{own}-{quadrant}"] = (
-                    None if got is None else got[1])
+                out["incompleteness"][f"{own}-{quadrant}"] = \
+                    self.row(own, quadrant).threshold
         return out
 
 
@@ -137,7 +160,10 @@ def analysis_of(geometry) -> Analysis:
     A, x_orbits, y_orbits = geometry
 
     def untwisted(orbits, role):
-        return MarkedSet(tuple(Orbit(pts, len(pts), 0) for pts in orbits), role)
+        return MarkedSet(tuple(
+            Orbit(tuple((Fraction(X, k), Fraction(Y, k)) for k, X, Y in ints),
+                  len(ints), 0)
+            for ints in orbits), role)
 
     return Analysis(A, untwisted(x_orbits, "X"), untwisted(y_orbits, "Y"))
 
@@ -175,19 +201,19 @@ _DOMINATION_VARIANTS = (("X", "positive"), ("X", "negative"),
 
 def _domination_rule(problem: SurgeryProblem, shared: Analysis):
     for own, sign in _DOMINATION_VARIANTS:
-        analysis = shared.domination(own, sign)
-        if analysis is None:
+        row = shared.row(own, sign)
+        if row.cert is None:
             continue
         twisted, other = ("Y", problem.Y) if own == "X" else ("X", problem.X)
         tw = _twists(other)
-        if not _meets(tw, 1 if sign == "positive" else -1, analysis.threshold):
+        if not _meets(tw, 1 if sign == "positive" else -1, row.threshold):
             continue
         status = ("RCoveredPositive" if sign == "positive"
                   else "RCoveredNegative")
         rule = f"domination-{sign}" + ("" if own == "X" else "-roles-swapped")
         return Verdict(status, rule, {
             "rectangles": own, "sign": sign,
-            "threshold": analysis.threshold,
+            "threshold": row.threshold,
             "twisted_set": twisted, "twists": list(tw),
         })
     return None
@@ -208,11 +234,10 @@ def _undertwist_direction(quadrant: str) -> int:
 
 def _staircase_rule(problem: SurgeryProblem, shared: Analysis):
     for qx, qy in _STAIRCASE_VARIANTS:
-        got_x = shared.staircase("X", qx)
-        got_y = shared.staircase("Y", qy)
-        if got_x is None or got_y is None:
+        row_x, row_y = shared.row("X", qx), shared.row("Y", qy)
+        if row_x.cert is None or row_y.cert is None:
             continue
-        (st_x, nx), (st_y, ny) = got_x, got_y
+        nx, ny = row_x.threshold, row_y.threshold
         tx, ty = _twists(problem.X), _twists(problem.Y)
         if not (_meets(tx, _undertwist_direction(qx), nx)
                 and _meets(ty, _undertwist_direction(qy), ny)):
@@ -220,8 +245,8 @@ def _staircase_rule(problem: SurgeryProblem, shared: Analysis):
         rule = ("staircase-adjacent-quadrants" if qx == "++"
                 else "staircase-adjacent-quadrants-mirror")
         return Verdict("NonRCovered", rule, {
-            "X_staircase": staircase_records(st_x),
-            "Y_staircase": staircase_records(st_y),
+            "X_staircase": row_x.records(),
+            "Y_staircase": row_y.records(),
             "thresholds": {"X": nx, "Y": ny},
             "twists": {"X": list(tx), "Y": list(ty)},
         })
@@ -269,36 +294,34 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
     Unknown.  Raises if both certificates fire: that would be contradictory.
     """
     contracting = quadrant_contracting(quadrant)
-    base = mod1((point[0], point[1]))
-    if base in problem.X.points:
-        own, other, own_name = problem.X, problem.Y, "X"
-    elif base in problem.Y.points:
-        own, other, own_name = problem.Y, problem.X, "Y"
-    else:
+    shared = analysis_of(problem.geometry())
+    ints = base_integers(point)
+    found = shared.bases.get(ints)
+    if found is None:
         raise ValueError(f"{point} is not a marked point")
+    own_name, base = found
+    own, other = ((problem.X, problem.Y) if own_name == "X"
+                  else (problem.Y, problem.X))
     if other.is_empty():
         return "Unknown", {}
     # the other set completes the quadrant in the direction of the
     # domination sign; the own set's staircase needs the opposite one
     sign, direction = ("positive", 1) if contracting else ("negative", -1)
-    shared = analysis_of(problem.geometry())
 
     complete = None
-    analysis = shared.domination(own_name, sign)
-    if analysis is not None:
-        n = analysis.threshold_at(base)
+    row = shared.row(own_name, sign, ints)
+    if row.cert is not None:
         tw = _twists(other)
-        if _meets(tw, direction, n):
-            complete = {"threshold": n, "other_twists": list(tw)}
+        if _meets(tw, direction, row.threshold):
+            complete = {"threshold": row.threshold, "other_twists": list(tw)}
 
     incomplete = None
-    st = shared.staircase_at(own_name, base, quadrant)
-    if st is not None:
-        n = incompleteness_threshold(st)
+    row = shared.row(own_name, quadrant, ints)
+    if row.cert is not None:
         tw = _twists(own)
-        if _meets(tw, -direction, n):
-            incomplete = {"threshold": n, "own_twists": list(tw),
-                          "staircase": staircase_records(st)}
+        if _meets(tw, -direction, row.threshold):
+            incomplete = {"threshold": row.threshold, "own_twists": list(tw),
+                          "staircase": row.records()}
 
     if complete is not None and incomplete is not None:
         raise InvariantError(

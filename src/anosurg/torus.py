@@ -382,6 +382,13 @@ def _integer_point(p) -> tuple:
     return k, x.numerator * (k // dx), y.numerator * (k // dy)
 
 
+def base_integers(p) -> tuple:
+    """The (k, X, Y) of `Orbit.integers` for the torus point of p, a point
+    of the plane: p mod 1, reduced with integer %."""
+    k, X, Y = _integer_point(p)
+    return k, X % k, Y % k
+
+
 class MarkedSet(_HashOnce):
     __slots__ = ("orbits", "role")
 

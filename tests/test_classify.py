@@ -177,6 +177,29 @@ class TestQuadrantReports:
         with pytest.raises(ValueError):
             quadrant_report(a2_problem(1, 1), point(Fraction(1, 3), 0), "++")
 
+    # (lift, its base): int and Fraction coordinates, negative ones and ones
+    # above 1, on A2's (0, 0) orbit and its (1/2, 1/2) orbit
+    LIFTS = [((-1, 2), point(0, 0)),
+             ((3, 0), point(0, 0)),
+             ((Fraction(-1, 2), Fraction(5, 2)), point(HALF, HALF)),
+             ((Fraction(3, 2), -1), point(HALF, 0)),
+             ((-4, Fraction(-7, 2)), point(0, HALF))]
+
+    @pytest.mark.parametrize("lift, base", LIFTS)
+    @pytest.mark.parametrize("strengths", [(-5, 1), (1, -1), (2, -3)])
+    def test_lift_reports_as_its_base(self, lift, base, strengths):
+        prob = a2_problem(*strengths)
+        for quadrant in ("++", "+-", "-+", "--"):
+            assert quadrant_report(prob, lift, quadrant) == \
+                quadrant_report(prob, base, quadrant)
+
+    @pytest.mark.parametrize("lift", [(Fraction(7, 3), -1),
+                                      (2, Fraction(-1, 4)),
+                                      (Fraction(-1, 2), Fraction(4, 3))])
+    def test_unmarked_lift_rejected(self, lift):
+        with pytest.raises(ValueError, match="not a marked point"):
+            quadrant_report(a2_problem(1, -1), lift, "++")
+
     def test_invalid_quadrant_rejected_before_any_analysis(self, monkeypatch):
         def no_analysis(geometry):
             raise AssertionError("an analysis was built")
@@ -231,6 +254,73 @@ class TestSharedAnalysis:
             else:
                 key = f"{ev['rectangles']}-{ev['sign']}"
                 assert ev["threshold"] == printed["domination"][key]
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of each named function through every anosurg module
+    that binds it; returns {name: count}."""
+    counts = dict.fromkeys(names, 0)
+    for module in [m for key, m in sys.modules.items()
+                   if key.startswith("anosurg.")]:
+        for name in names:
+            fn = vars(module).get(name)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestCertificateTable:
+    @staticmethod
+    def operation(prob):
+        """What a sweep asks of one problem: its verdict and the reports at
+        (0, 0), as JSON text."""
+        return json.dumps([
+            verdict_records(classify(prob)),
+            [quadrant_report(prob, point(0, 0), q) for q in ("++", "+-")]])
+
+    def test_repeated_strengths_are_lookups(self, monkeypatch):
+        # the first problem of each geometry fills the table: on A2 it
+        # takes both X domination variants, on B2 (Unknown) every row
+        firsts = {a2_problem: (1, -1), b2_problem: (-1, 1)}
+        for make, strengths in firsts.items():
+            self.operation(make(*strengths))
+        counts = count_calls(monkeypatch, (
+            "hits_in_box", "build_staircase", "staircase_records",
+            "incompleteness_threshold", "qn_to_str"))
+        statuses = set()
+        for make, first in firsts.items():
+            for strengths in [(x, y) for x in range(-3, 4)
+                              for y in range(-3, 4)]:
+                if strengths != first:
+                    self.operation(make(*strengths))
+                    statuses.add(classify(make(*strengths)).status)
+        assert statuses == set(STATUSES)
+        assert counts == dict.fromkeys(counts, 0)
+
+    def test_callers_may_mutate_evidence(self):
+        before = self.operation(b2_problem(-2, 3))
+        v = classify(b2_problem(-3, 3))
+        assert v.status == "NonRCovered"
+        v.evidence["X_staircase"].pop("levels")
+        v.evidence["Y_staircase"]["origin"].clear()
+        v.evidence["thresholds"]["X"] = 99
+        status, ev = quadrant_report(b2_problem(-3, 3), point(0, 0), "++")
+        assert status == "IncompleteCertified"
+        ev["staircase"]["levels"].clear()
+        ev["staircase"]["recurring"]["translation"].append(7)
+        u = classify(b2_problem(-1, 1))
+        assert u.status == "Unknown"
+        u.evidence["thresholds"].clear()
+        u.evidence["profile"]["booleans"].clear()
+        assert self.operation(b2_problem(-2, 3)) == before
+        assert "levels" in classify(b2_problem(-3, 2)).evidence["X_staircase"]
+        assert classify(b2_problem(-1, 2)).evidence["thresholds"]
 
 
 class TestProblemValidation:

@@ -93,3 +93,16 @@ def test_src_line_change_counts_python_files_under_src(tmp_path):
     assert record.src_lines(trees["parent"]) == 5
     assert record.src_line_change(trees) == {"parent": 5, "change": 2,
                                              "net": -3}
+
+
+def test_parse_micro_reads_the_eight_field_figures():
+    out = ('{"quadfield.add_us": 0.91, "quadfield.mul_us": 1.52, '
+           '"quadfield.lt_us": 2.03, "quadfield.floor_us": 3.4, '
+           '"quadfield.add_big_us": 1.1, "quadfield.mul_big_us": 9.75, '
+           '"quadfield.lt_big_us": 12.5, "quadfield.floor_big_us": 30}')
+    micro = record.parse_micro(out)
+    assert list(micro) == list(record.MICRO) and len(micro) == 8
+    assert micro["quadfield.mul_big_us"] == 9.75
+    assert micro["quadfield.floor_big_us"] == 30.0
+    with pytest.raises(KeyError):
+        record.parse_micro('{"quadfield.add_us": 0.91}')

@@ -142,9 +142,9 @@ class TestPrimitiveFamily:
         # the positive domination analysis and the ++ staircase seed search
         # at (0,0) ask the frame for the same family at the same window
         shared = Analysis(A2, zero_orbit_set(A2), half_orbit_set(A2))
-        shared.domination("X", "positive")
+        shared.row("X", "positive")
         calls = count_window_scans(monkeypatch)
-        shared.staircase_at("X", point(0, 0), "++")
+        shared.row("X", "++", (1, 0, 0))
         assert calls == []
 
     def test_walk_steps_on_its_windows_surviving_lifts(self, monkeypatch):
