@@ -298,8 +298,8 @@ class TestCertificateTable:
             for strengths in [(x, y) for x in range(-3, 4)
                               for y in range(-3, 4)]:
                 if strengths != first:
-                    self.operation(make(*strengths))
-                    statuses.add(classify(make(*strengths)).status)
+                    done = json.loads(self.operation(make(*strengths)))
+                    statuses.add(done[0]["status"])
         assert statuses == set(STATUSES)
         assert counts == dict.fromkeys(counts, 0)
 
