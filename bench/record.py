@@ -18,7 +18,8 @@ export and their net change.  The field micro-benchmarks are the MICRO
 figures of `perfbench/worker.py micro`, run in each export on operands
 written from that export's perfbench/goldens.json (`big_operands`) and the
 matrix of its fixtures/b2_half.json.  The pair and run counts and the claimed
-metric are the module constants below.  At the end it prints that line
+metric, if any, are the module constants below; the record also gives each
+metric's no-regression bound from BENCHMARK.json.  At the end it prints that line
 change, the counts of both sides, the micro-benchmark medians of both
 sides, and the change's medians against those of the newest BENCH_*.json in
 the change's tree.
@@ -58,8 +59,9 @@ COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
 # `perfbench/worker.py micro` writes
 MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
-# the workload and metric whose gain the change claims
-CLAIM = ("classify_sweep", "op_gmean_ref")
+# the workload and metric whose gain the change claims, or None when it
+# claims no gain and only each metric's no-regression bound applies
+CLAIM = None
 
 # alternating parent/change pairs per perfbench row, alternating runs per
 # side of the import time, of each CLI command and of the micro-benchmarks,
@@ -140,6 +142,13 @@ def src_line_change(trees: dict) -> dict:
     and the change's net difference."""
     lines = {side: src_lines(tree) for side, tree in trees.items()}
     return {**lines, "net": lines["change"] - lines["parent"]}
+
+
+def no_regression(benchmark: dict) -> dict:
+    """{name: bound} for each of METRICS, read from the end_to_end list of
+    a BENCHMARK.json; a metric without a bound raises KeyError."""
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    return {name: bounds[name] for name in METRICS}
 
 
 def summary(values: list) -> dict:
@@ -418,7 +427,6 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                        "errors": worst["errors"],
                        "runs": [r["seconds"] for r in done]}
 
-    workload, metric = CLAIM
     machine = {"nproc": os.cpu_count(), "cpu": cpu_name(),
                "arch": platform.machine(),
                "python": platform.python_version(), "os": platform.system()}
@@ -437,11 +445,18 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                    "src_tree": git("rev-parse", f"{revs['change']}:src"),
                    "check": "git rev-parse <commit>:src prints src_tree"},
         "machine": machine,
-        "claim": {"workload": workload, "metric": metric,
-                  "rule": f"the change wins at least {PAIRS - 1} of {PAIRS} "
-                          "pairs and the medians differ by more than the "
-                          "parent's IQR, on every seed recorded for the "
-                          "workload"},
+        "claim": None if CLAIM is None else {
+            "workload": CLAIM[0], "metric": CLAIM[1],
+            "rule": f"the change wins at least {PAIRS - 1} of {PAIRS} pairs "
+                    "and the medians differ by more than the parent's IQR, "
+                    "on every seed recorded for the workload"},
+        "no_regression": {
+            "rule": "on every row, the change's median of each metric is "
+                    "worse than the parent's by at most the bound, a "
+                    "fraction of the parent's median; bounds from the "
+                    "end_to_end list of the change's BENCHMARK.json",
+            "bounds": no_regression(json.loads(
+                (trees["change"] / "BENCHMARK.json").read_text()))},
         "statistics": "median, first and third quartiles (inclusive method) "
                       "and IQR = q3 - q1 over the runs of each side; runs "
                       "lists them by pair; pairs_change_lower counts the "

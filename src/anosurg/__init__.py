@@ -8,8 +8,8 @@ globally ordered (R-covered) structure, via:
   logarithm `qn_log_floor`;
 - `torus`: hyperbolic matrices, eigenframes, marked orbits, and exact
   enumeration of marked lifts in (stable, unstable) boxes;
-- `rectangles`: the primitive marked-rectangle census, disjointness profiles,
-  and strings of rectangles;
+- `rectangles`: the primitive marked-rectangle census and disjointness
+  profiles;
 - `game`: the holonomy crossing game and the domination threshold;
 - `staircase`: periodic staircases and the incompleteness threshold;
 - `classify`: the combined decision procedure;
@@ -25,11 +25,10 @@ from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     hits_in_box, marked_set, mod1, orbit_of, point,
                     quadrant_contracting, quadrant_view, sets_disjoint,
                     QUADRANTS)
-from .rectangles import (CaseProfile, MarkedRect, StringDescriptor,
-                         build_string, case_profile, census_records,
-                         disjoint_witness, enumerate_primitive, is_primitive,
-                         lattice_widths, marked_rect, rect_meets,
-                         string_element)
+from .rectangles import (CaseProfile, MarkedRect, case_profile,
+                         census_records, disjoint_witness,
+                         enumerate_primitive, is_primitive, lattice_widths,
+                         marked_rect, rect_meets)
 from .game import (DEFAULT_BUDGET, Crossing, DominationAnalysis,
                    DominationHypothesisError, DominationInterval, GameConfig,
                    GameError, GameOutcome, game_trace_records, play_game)

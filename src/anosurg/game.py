@@ -12,13 +12,10 @@ where w is the signed twist of gamma's orbit.  The game either reaches r
 with a finite offset (Defined) or exhausts its crossing budget
 (BudgetExhausted); the simulator never claims divergence.
 
-A step looks for the lowest lifts of the strip (0, t) x (h, r] in height
-windows that double from height W_s W_u / t, the area of a box that holds a
-lift of every base point (`first_window_hits`), and one scan covers the
-lifts of every marked set.  The lifts a window found above the crossing,
-still inside the strip, answer the next step without a scan, and when none
-is left the next search starts above the heights already scanned, unless a
-crossing widened the strip.
+A step takes the lowest lift of the strip (0, t) x (h, r] from a
+`StripClimber`, and one scan covers the lifts of every marked set.  A
+crossing that contracts t narrows the strip and one that expands t widens
+it.
 
 The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,
@@ -32,7 +29,7 @@ from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, Point, hits_in_box, quadrant_contracting,
                     quadrant_view, QUADRANTS)
-from .rectangles import (first_window_hits, lattice_widths, period_window,
+from .rectangles import (StripClimber, lattice_widths, period_window,
                          primitive_family)
 
 DEFAULT_BUDGET = 10_000
@@ -112,57 +109,34 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
         raise GameError("budget must be at least 1")
 
     sp, up = view.s(p), view.u(p)
-    widths = lattice_widths(view)
     # one scan covers every marked set: each hit carries its own twist
     marked = MarkedSet(tuple(orb for mset in config.sets
                              for orb in mset.orbits))
     t = t0
-    h = zero
     trace: list[Crossing] = []
     lam_pow = {}                # exponent e -> lam^e, each computed once
 
-    def strip_hits(h_lo: QuadNum, h_hi: QuadNum):
-        # offsets in (0, t), heights in (h_lo, h_hi]
-        return hits_in_box(view, marked, sp, sp + t, up + h_lo, up + h_hi,
+    def strip_hits(right: QuadNum, u_lo: QuadNum, u_hi: QuadNum):
+        # offsets in (0, t), heights in (u_lo, u_hi]
+        return hits_in_box(view, marked, sp, right, u_lo, u_hi,
                            (False, False, False, True))
 
-    cands = []
-    covered = h
-    while h < r:
-        if not cands:
-            cands, covered = first_window_hits(strip_hits, t, h, r, widths,
-                                               covered)
-            if not cands:
-                return GameOutcome("Defined", t, tuple(trace))
-        # distinct lifts never share a u: its level lines have irrational slope
-        c = min(cands, key=lambda d: d.u)
-        if not c.u - up > h:
-            # a lift on the strip's open lower edge would be crossed again
-            # and again, until the budget ran out
-            raise InvariantError(f"game made no progress at height {h}")
+    strip = StripClimber(strip_hits, lattice_widths(view), sp, sp + t, up,
+                         up + r)
+    while (c := strip.lowest()) is not None:
         if len(trace) >= budget:
             return GameOutcome("BudgetExhausted", None, tuple(trace))
         o, w = c.s - sp, c.twist
         e = -w if contracting else w
         if e not in lam_pow:
             lam_pow[e] = qn_pow(lam, e)
-        h = c.u - up
         t_new = o + lam_pow[e] * (t - o)
-        trace.append(Crossing(c, h, o, w, e, t, t_new))
+        trace.append(Crossing(c, c.u - up, o, w, e, t, t_new))
         t = t_new
         if e > 0:
-            # a widened strip may hold lifts at any height above h
-            cands, covered = [], h
-            continue
-        # The heights up to covered, the top of the window that found
-        # cands, were scanned over a strip at least as wide as the new one.
-        # So every lift of the new strip at a height in (h, covered] is
-        # among the survivors below: the lowest survivor, when there is
-        # one, is the true next crossing, and otherwise the next search
-        # starts above covered.  c is the lowest candidate and the strip's
-        # left edge stays at sp, so one comparison keeps a survivor.
-        right = sp + t
-        cands = [d for d in cands if d is not c and d.s < right]
+            strip.widen(sp + t)
+        else:
+            strip.narrow(sp + t)
     return GameOutcome("Defined", t, tuple(trace))
 
 

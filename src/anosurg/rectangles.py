@@ -1,5 +1,5 @@
-"""Primitive marked-rectangle census up to the <A> x| Z^2 action, disjointness
-profiles, and strings of rectangles.
+"""Primitive marked-rectangle census up to the <A> x| Z^2 action and
+disjointness profiles.
 
 A marked rectangle is an axis-aligned box in (s,u)-coordinates whose
 increasing (positive) or decreasing (negative) diagonal has both endpoints on
@@ -26,9 +26,8 @@ lattice's relative minima in a quadrant, its Klein sail), which
 from __future__ import annotations
 
 from .quadfield import QuadNum, qn_pow, qn_to_str
-from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
-                    InvariantError, MarkedPointHit, MarkedSet, hits_in_box,
-                    mod1, orbit_element)
+from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
+                    MarkedSet, hits_in_box, mod1)
 
 
 class MarkedRect:
@@ -161,6 +160,66 @@ def first_window_hits(scan, width, lo, hi, widths, covered):
     return [], hi
 
 
+class StripClimber:
+    """The lowest lifts of the strip between s = left and s = right above
+    height lo, up to hi, one at a time: the one search under the holonomy
+    game and the primitive-family walk.
+
+    scan(right, a, b) lists the strip's lifts at heights (a, b], with the
+    s edges open or closed as the caller needs.  lowest() takes the lowest
+    lift above the last one taken, or None when there is none up to hi,
+    searching the height windows of `first_window_hits`.  After each lift
+    taken the caller moves the right edge, once: narrow(right) keeps the
+    other lifts the window found with s < right, and widen(right) drops
+    them.  Until then the lift taken stays among the hits, and a second
+    lowest() would find it again and raise.
+
+    Exactness: the heights up to covered, the top of the window that found
+    the hits, were scanned over a strip that holds the current one, because
+    it has only narrowed since.  So every lift of the current strip at a
+    height in (lo, covered] is among the survivors: the lowest survivor,
+    when there is one, is the true next lift, and otherwise the search
+    resumes above covered.  A widened strip may hold lifts at any height
+    above lo, so widen resets covered to lo.  Distinct lifts never share a
+    u (the level lines have irrational slope), so the lowest is unique.
+    """
+    __slots__ = ("scan", "widths", "left", "right", "lo", "hi", "covered",
+                 "hits", "last")
+
+    def __init__(self, scan, widths, left, right, lo, hi):
+        self.scan, self.widths = scan, widths
+        self.left, self.right, self.lo, self.hi = left, right, lo, hi
+        self.covered, self.hits, self.last = lo, [], None
+
+    def lowest(self) -> MarkedPointHit | None:
+        hits = self.hits
+        if not hits:
+            right = self.right
+            hits, self.covered = first_window_hits(
+                lambda a, b: self.scan(right, a, b), right - self.left,
+                self.lo, self.hi, self.widths, self.covered)
+            if not hits:
+                return None
+            self.hits = hits
+        low = min(hits, key=lambda h: h.u)
+        if not low.u > self.lo:
+            # a lift on the strip's open lower edge would be taken again and
+            # again, forever
+            raise InvariantError(f"strip climb made no progress at {low.lift}")
+        self.lo, self.last = low.u, low
+        return low
+
+    def narrow(self, right) -> None:
+        last = self.last
+        self.right = right
+        self.hits = [h for h in self.hits if h is not last and h.s < right]
+
+    def widen(self, right) -> None:
+        self.right = right
+        self.hits = []
+        self.covered = self.lo
+
+
 def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
     """The Pareto-minimal lifts of X in the view box (s0, s0 + s_width] x
     (u0, u0 + u_cap] at the origin (s0, u0), sorted by s: the far corners of
@@ -187,38 +246,21 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
 
 def _walk_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
     s0, u0 = view.s(origin), view.u(origin)
-    widths = lattice_widths(view)
-    right, lo = s0 + s_width, u0
 
-    def scan(a, b):
+    def scan(right, a, b):
         return hits_in_box(view, X, s0, right, a, b,
                            (False, True, False, True))
 
+    strip = StripClimber(scan, lattice_widths(view), s0, s0 + s_width, u0,
+                         u0 + u_cap)
     family = []
-    hits = []
-    covered = lo
-    while True:
-        if not hits:
-            hits, covered = first_window_hits(scan, right - s0, lo,
-                                              u0 + u_cap, widths, covered)
-            if not hits:
-                return tuple(family[::-1])
-        low = min(hits, key=lambda h: h.u)
-        if not (s0 < low.s <= right and low.u > lo):
-            # a lift on the strip's open edges: the walk would stop rising
-            # and find it again forever
+    while (low := strip.lowest()) is not None:
+        if not s0 < low.s <= strip.right:
             raise InvariantError(
-                f"primitive family walk made no progress at {low.lift}")
+                f"primitive family walk left its strip at {low.lift}")
         family.append(low)
-        right, lo = low.s, low.u
-        # The strip only narrows, and the heights up to covered, the top of
-        # the window that found hits, were scanned over a strip that holds
-        # the new one (s0, low.s].  So every lift of the new strip at a
-        # height in (low.u, covered] is among the survivors below: the
-        # lowest survivor, when there is one, is the true next member, and
-        # otherwise the next search starts above covered.  The lowest hit
-        # is low, so every other hit lies above it.
-        hits = [h for h in hits if h is not low and h.s < right]
+        strip.narrow(low.s)
+    return tuple(family[::-1])
 
 
 def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):
@@ -311,46 +353,6 @@ def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> CaseProfile:
             break
     return CaseProfile(*b, case=case, symmetry=symmetry,
                        witnesses={k: v for k, v in wit.items() if v is not None})
-
-
-# ---------------------------------------------------------------------------
-# Strings of rectangles
-
-
-class StringDescriptor:
-    """Finitely-presented string: Delta_i = G^i(Delta_0)."""
-    __slots__ = ("frame", "X", "seed", "G")
-
-    def __init__(self, frame: EigenFrame, X: MarkedSet, seed: MarkedRect,
-                 G: GroupElement):
-        self.frame, self.X, self.seed, self.G = frame, X, seed, G
-
-    def delta(self, i: int) -> MarkedRect:
-        g = self.G.power(i)
-        return marked_rect(self.frame, self.X,
-                           g.apply(self.seed.origin.lift),
-                           g.apply(self.seed.endpoint.lift), self.seed.sign)
-
-
-def string_element(A: HyperbolicMatrix, X: MarkedSet,
-                   seed: MarkedRect) -> GroupElement:
-    """The group element G with G(origin) = endpoint for a same-orbit seed."""
-    G = orbit_element(A, X, seed.origin.lift, seed.endpoint.lift)
-    if G is None:
-        raise ValueError("seed diagonal endpoints lie in different orbits; "
-                         "no group element maps origin to endpoint")
-    return G
-
-
-def build_string(frame: EigenFrame, X: MarkedSet, seed: MarkedRect,
-                 avoid: MarkedSet) -> StringDescriptor:
-    """String of rectangles from a primitive seed disjoint from the avoid set."""
-    if not is_primitive(frame, seed, X):
-        raise ValueError("seed rectangle is not primitive")
-    if rect_meets(frame, seed, avoid):
-        raise ValueError("seed rectangle meets the avoid set")
-    G = string_element(frame.matrix, X, seed)
-    return StringDescriptor(frame, X, seed, G)
 
 
 def census_records(reps) -> list:

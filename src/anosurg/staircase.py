@@ -136,15 +136,6 @@ class Staircase:
                          view.u(o) - u0, view.u(e) - u0,
                          base.safety * qn_pow(self._s_scale, m))
 
-    def index_of_height(self, height: QuadNum) -> int:
-        """Index of the staircase band containing the given axis height."""
-        if height < 0 or height >= self.axis_height:
-            raise ValueError("height outside the staircase axis")
-        i = 0
-        while self.step(i).q_hi <= height:
-            i += 1
-        return i
-
     # -- exact verification ---------------------------------------------------
 
     def verify(self) -> None:

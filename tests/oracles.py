@@ -103,6 +103,16 @@ def oracle_game(config, p, t0, r, budget):
     return "Defined", t, trace
 
 
+def index_of_height(st, height):
+    """Index of the band of staircase st that holds the given axis height."""
+    if height < 0 or height >= st.axis_height:
+        raise ValueError("height outside the staircase axis")
+    i = 0
+    while st.step(i).q_hi <= height:
+        i += 1
+    return i
+
+
 def equation_holds(analysis, base, t, n):
     """mu(delta(t) + lam^(-n) (t - delta(t))) == mu(delta(t)), where mu and
     delta are the step functions of the analysis's breakpoint intervals at

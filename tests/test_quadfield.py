@@ -373,7 +373,7 @@ class TestNoFloatInDecisions:
 
 # the engine entry points whose one geometry argument is the eigenframe
 FRAME_ENTRY_POINTS = {"enumerate_primitive", "disjoint_witness", "case_profile",
-                      "DominationAnalysis", "build_staircase", "build_string"}
+                      "DominationAnalysis", "build_staircase"}
 
 
 def public_signatures():

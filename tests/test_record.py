@@ -2,6 +2,7 @@
 timing is run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,13 @@ def test_parse_micro_reads_the_eight_field_figures():
     assert micro["quadfield.floor_big_us"] == 30.0
     with pytest.raises(KeyError):
         record.parse_micro('{"quadfield.add_us": 0.91}')
+
+
+def test_no_regression_bounds_every_metric():
+    benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    bounds = record.no_regression(benchmark)
+    assert list(bounds) == list(record.METRICS)
+    assert all(bound > 0 for bound in bounds.values())
+    del benchmark["end_to_end"][0]
+    with pytest.raises(KeyError):
+        record.no_regression(benchmark)

@@ -1,23 +1,25 @@
-"""Primitive marked-rectangle censuses, disjointness profiles, and strings
-of rectangles, with frozen counts and a brute-force oracle cross-check."""
+"""Primitive marked-rectangle censuses, disjointness profiles and the strip
+climber under the primitive-family walk, with frozen counts and brute-force
+oracle cross-checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from anosurg import (FrameView, InvariantError, build_string, case_profile,
-                     census_records, eigenframe, enumerate_primitive,
-                     is_primitive, marked_rect, marked_set, point, rect_meets,
-                     string_element)
+from anosurg import (FrameView, InvariantError, case_profile, census_records,
+                     eigenframe, enumerate_primitive, hits_in_box,
+                     is_primitive, lattice_widths, marked_rect, marked_set,
+                     point, rect_meets)
 from anosurg import rectangles
 from anosurg.classify import Analysis
-from anosurg.rectangles import period_window, primitive_family
-from anosurg.torus import orbit_element
+from anosurg.rectangles import (StripClimber, period_window,
+                                primitive_family)
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
-from oracles import (census_keys, oracle_hits, oracle_pareto_frontier,
-                     oracle_primitive_census)
+from oracles import (_QuadrantCoords, census_keys, oracle_hits,
+                     oracle_pareto_frontier, oracle_primitive_census)
 
 FROZEN_COUNTS = {
     # matrix label: (positive count, negative count) for the (0,0) orbit
@@ -175,6 +177,61 @@ class TestPrimitiveFamily:
             primitive_family(FrameView(frame), X, point(0, 0), big, u_cap)
 
 
+class TestStripClimber:
+    @pytest.mark.parametrize("label", ["A2", "C3"])
+    @pytest.mark.parametrize("make_set", [zero_orbit_set, half_points_set])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_lowest_matches_the_oracle_through_narrow_and_widen(
+            self, label, make_set, flip):
+        # seeded runs of narrow and widen moves, each followed by lowest():
+        # a widen must forget the heights covered over the narrower strip,
+        # and a narrow must drop a survivor on the new right edge
+        A = FROZEN_COUNTS[label][0]
+        X = make_set(A)
+        frame = eigenframe(A)
+        view = FrameView(frame, flip_u=flip)
+        coords = _QuadrantCoords(frame, "+-" if flip else "++")
+        rng = random.Random(f"{label} {make_set.__name__} {flip}")
+        origin = point(HALF, Fraction(1, 3))
+        left, lo = view.s(origin), view.u(origin)
+        right, hi = left + 3, lo + 8
+
+        def scan(right, a, b):
+            return hits_in_box(view, X, left, right, a, b,
+                               (False, False, False, True))
+
+        strip = StripClimber(scan, lattice_widths(view), left, right, lo, hi)
+        narrowed = widened = 0
+        for move in range(20):
+            lifts = oracle_hits(coords, X, left, right, lo, hi,
+                                (False, False, False, True))
+            low = strip.lowest()
+            if not lifts:
+                assert low is None, move
+            else:
+                base, lattice, _, u, _ = min(lifts, key=lambda h: h[3])
+                assert (low.base, low.lattice, low.u) == (base, lattice, u), \
+                    move
+                lo = u
+            if rng.random() < 0.4 and right - left < 6:
+                right += (right - left) * rng.choice((Fraction(1, 2), 1, 2))
+                strip.widen(right)
+                widened += 1
+                continue
+            above = [h for h in lifts if h[3] > lo]
+            if above and rng.random() < 0.5:
+                # the edge through the next lift up
+                right = min(above, key=lambda h: h[3])[2]
+            else:
+                edge = left if low is None else low.s
+                right = edge + (right - edge) * rng.choice(
+                    (Fraction(1, 3), Fraction(2, 3)) if low is None else
+                    (0, Fraction(1, 3), Fraction(2, 3)))
+            strip.narrow(right)
+            narrowed += 1
+        assert narrowed and widened
+
+
 class TestHalfIntegerCovering:
     @pytest.mark.parametrize("label", ["A2", "A3", "A4", "C3"])
     @pytest.mark.parametrize("sign", ["positive", "negative"])
@@ -245,45 +302,6 @@ class TestProfiles:
             assert rep.sign == ("positive" if sign == "pos" else "negative")
             assert is_primitive(frame, rep, owner)
             assert not rect_meets(frame, rep, other)
-
-
-class TestStrings:
-    def test_b2_string_iterates_disjoint_primitive_rectangles(self):
-        frame = eigenframe(B2)
-        X = zero_orbit_set(B2)
-        Y = half_orbit_set(B2)
-        seed = marked_rect(frame, X, (Fraction(0), Fraction(0)),
-                           (Fraction(1), Fraction(0)), "positive")
-        string = build_string(frame, X, seed, Y)
-        assert string.G.apply(seed.origin.lift) == seed.endpoint.lift
-        prev = None
-        for i in range(5):
-            delta = string.delta(i)
-            assert is_primitive(frame, delta, X)
-            assert not rect_meets(frame, delta, Y)
-            if prev is not None:
-                # consecutive rectangles chain corner to corner
-                assert (delta.origin.s, delta.origin.u) == \
-                    (prev.endpoint.s, prev.endpoint.u)
-            prev = delta
-
-    def test_seed_meeting_avoid_rejected(self):
-        frame = eigenframe(A2)
-        X = zero_orbit_set(A2)
-        Y = half_orbit_set(A2)
-        seed = marked_rect(frame, X, (Fraction(0), Fraction(0)),
-                           (Fraction(1), Fraction(0)), "positive")
-        with pytest.raises(ValueError):
-            build_string(frame, X, seed, Y)
-
-    def test_string_element_same_orbit_requirement(self):
-        frame = eigenframe(B2)
-        X = zero_orbit_set(B2)
-        seed = marked_rect(frame, X, (Fraction(0), Fraction(0)),
-                           (Fraction(1), Fraction(0)), "positive")
-        g = string_element(B2, X, seed)
-        assert g.k == 0 and g.v == (1, 0)
-        assert g == orbit_element(B2, X, seed.origin.lift, seed.endpoint.lift)
 
 
 class TestConstruction:

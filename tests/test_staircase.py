@@ -15,7 +15,7 @@ from anosurg.staircase import _first_contact
 
 from conftest import (A2, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
-from oracles import _QuadrantCoords, oracle_hits
+from oracles import _QuadrantCoords, index_of_height, oracle_hits
 
 
 class TestB2Structure:
@@ -63,11 +63,11 @@ class TestB2Structure:
         for i in range(6):
             step = st.step(i)
             mid = (step.q_lo + step.q_hi) / 2
-            assert st.index_of_height(mid) == i
+            assert index_of_height(st, mid) == i
         with pytest.raises(ValueError):
-            st.index_of_height(st.axis_height)
+            index_of_height(st, st.axis_height)
         with pytest.raises(ValueError):
-            st.index_of_height(st.axis_height - 2 * st.axis_height)
+            index_of_height(st, st.axis_height - 2 * st.axis_height)
 
     def test_records(self, b2_staircase):
         recs = staircase_records(b2_staircase)
@@ -119,7 +119,7 @@ class TestTrappedGame:
             assert b > a
         for h in heights:
             assert h < st.axis_height
-        bands = [st.index_of_height(h) for h in heights]
+        bands = [index_of_height(st, h) for h in heights]
         assert all(b2 >= b1 for b1, b2 in zip(bands, bands[1:]))
         assert out.trace[0].hit.lattice == (2, -3)
 
