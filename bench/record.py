@@ -10,8 +10,9 @@ runs in those exports, never in the working tree.  The perfbench/ files of
 both exports must be the same tree.  Pair i runs the parent first when i is
 odd and the change first when it is even.  For every metric the record holds
 the runs by pair, their median, first and third quartiles (inclusive
-method), the IQR and how many pairs the change read lower, and so for
-the per-command figures named in REPORTED that a row's workload prints.
+method), the IQR, how many pairs the change read lower and whether the
+difference is resolved (see `compare`), and so for the per-command figures
+named in REPORTED that a row's workload prints.
 For every row and side it also stores the COUNTS of one traced run, which
 do not drift with the host's clock, and the lines of src/**/*.py in each
 export and their net change.  The field micro-benchmarks are the MICRO
@@ -54,7 +55,8 @@ METRICS = ("wall_ref", "op_gmean_ref", "setup_s", "peak_rss_mib")
 REPORTED = ("cli.staircase.b2_half_s", "cli.game.b2_half_s")
 # per-pass counts read from one --trace 1 run per row and side
 COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
-          "game.crossings")
+          "game.crossings", "staircase.build_staircase.calls",
+          "staircase.levels")
 # microseconds per field operation, on small and on big operands, that
 # `perfbench/worker.py micro` writes
 MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
@@ -160,9 +162,18 @@ def summary(values: list) -> dict:
 
 
 def compare(parent: list, change: list, unit: str) -> dict:
-    return {"unit": unit, "parent": summary(parent),
-            "change": summary(change),
-            "pairs_change_lower": sum(c < p for p, c in zip(parent, change))}
+    """Both sides' summaries, the pairs the change read lower, and whether
+    the difference is resolved: the change reads lower, or higher, in all
+    pairs but at most one, and the medians differ by more than the parent's
+    IQR."""
+    before, after = summary(parent), summary(change)
+    lower = sum(c < p for p, c in zip(parent, change))
+    higher = sum(c > p for p, c in zip(parent, change))
+    return {"unit": unit, "parent": before, "change": after,
+            "pairs_change_lower": lower,
+            "resolved": (max(lower, higher) >= len(parent) - 1
+                         and abs(after["median"] - before["median"])
+                         > before["iqr"])}
 
 
 def alternate(pairs: int, measure):
@@ -381,7 +392,8 @@ def main(argv=None):
         print("quadfield micro-benchmark medians, parent -> change (us):")
         for name, m in record["quadfield_micro"]["metrics"].items():
             print(f"  {name}: {m['parent']['median']:.4g} -> "
-                  f"{m['change']['median']:.4g}")
+                  f"{m['change']['median']:.4g}"
+                  f"{'' if m['resolved'] else ' (unresolved)'}")
         previous = previous_record(trees["change"], Path(args.out).name)
         if previous is not None:
             print_ratios(record, previous)
@@ -460,7 +472,11 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
         "statistics": "median, first and third quartiles (inclusive method) "
                       "and IQR = q3 - q1 over the runs of each side; runs "
                       "lists them by pair; pairs_change_lower counts the "
-                      "pairs in which the change read lower",
+                      "pairs in which the change read lower; resolved is "
+                      "true when the change read lower, or higher, in at "
+                      f"least {PAIRS - 1} of {PAIRS} pairs and the medians "
+                      "differ by more than the parent's IQR (for the "
+                      f"micro-benchmarks, {MICRO_RUNS - 1} of {MICRO_RUNS})",
         "metric_notes": METRIC_NOTES,
         "src_lines": src_line_change(trees),
         "results": results,

@@ -31,8 +31,8 @@ from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .rectangles import (first_window_hits, is_primitive, lattice_widths,
                          marked_rect, period_window, primitive_family)
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Point,
-                    QUADRANTS, fixing_lift, group_element, hits_in_box, mod1,
-                    orbit_element, quadrant_contracting, quadrant_view)
+                    QUADRANTS, group_element, hits_in_box, mod1,
+                    quadrant_contracting, quadrant_view)
 
 # Levels the raw induction may reach before a period must have recurred
 MAX_LEVELS = 64
@@ -128,9 +128,9 @@ class Staircase:
         view = self.view
         m = (i - self.preperiod) // self.period
         base = self.steps[self.preperiod + (i - self.preperiod) % self.period]
-        gm = self.g.power(m)
-        o = gm.apply(base.delta_origin)
-        e = gm.apply(base.delta_endpoint)
+        o, e = base.delta_origin, base.delta_endpoint
+        for _ in range(m):
+            o, e = self.g.apply(o), self.g.apply(e)
         s0, u0 = view.s(self.origin), view.u(self.origin)
         return StairStep(i, o, e, view.s(e) - view.s(o), view.s(e) - s0,
                          view.u(o) - u0, view.u(e) - u0,
@@ -282,17 +282,18 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
     if mod1(origin) not in X.points:
         raise ValueError("origin is not a lift of the marked set")
     lam = frame.lam
-    n = X.orbit_containing(mod1(origin)).period
+    orb = X.orbit_containing(mod1(origin))
+    n, i0 = orb.period, orb.points.index(mod1(origin))
 
-    def same_orbit_element(src, dst):
-        g = orbit_element(A, X, src, dst)
-        if g is None:
-            raise StaircaseError("lifts lie in different orbits")
-        return g
+    def shift(lift):
+        # the least m >= 0 with f_A^m(origin's base) = lift's base
+        base = mod1(lift)
+        if base not in orb.points:
+            raise InvariantError("staircase corner outside the origin's orbit")
+        return (orb.points.index(base) - i0) % n
 
     seed_end = _find_seed(X, avoid, origin, view)
-    G = same_orbit_element(origin, seed_end)
-    g_scale = qn_pow(lam, -G.k)
+    G_k = shift(seed_end)
     s0, u0 = view.s(origin), view.u(origin)
     seed_ds = view.s(seed_end) - s0
 
@@ -309,24 +310,29 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
         return StairStep(i, o_lift, e_lift, ds, Ls, q_lo, q_hi, safety)
 
     def advance(steps):
+        # Level i+1 is the image of the seed under h = f^-k o g_i o G^(i+1):
+        # G the seed's element, g_i the least power carrying G^(i+1)'s image
+        # of the origin onto the corner x_{i+1}, and f the lift of A^n fixing
+        # x_{i+1}.  An element A^m + v is fixed by m and the image of one
+        # point, so h is the one element of power K - n k that takes the
+        # origin to x_{i+1}, K = (i+1) G_k + g_i's power.
         i = len(steps) - 1
         cur = steps[i]
         x_next = cur.delta_endpoint       # corner of R_i, base of level i+1
-        gG = G.power(i + 1)
-        o_lift, e_lift = gG.apply(origin), gG.apply(seed_end)
-        gi = same_orbit_element(o_lift, x_next)
+        c = G_k * (i + 1)
+        K = c + (shift(x_next) - c) % n
         # left overhang of g_i(pushed level-(i+1) rectangle) around x_{i+1}
-        b = qn_pow(lam, -gi.k) * qn_pow(g_scale, i + 1) * left0
+        b = qn_pow(lam, -K) * left0
         x_s = view.s(x_next) - s0
         if x_s != cur.Ls:
             raise InvariantError("corner is off the staircase edge")
         # minimal k with lam^(n k) * b reaching the axis
         k = -qn_log_floor(b / x_s, lam_n)
-        h = fixing_lift(A, x_next, n).power(-k).compose(gi)
-        new_o, new_e = h.apply(o_lift), h.apply(e_lift)
-        if new_o != x_next:
+        h = group_element(A, K - n * k, origin, x_next)
+        if h is None:
             raise InvariantError("holonomy step does not chain")
-        steps.append(make_step(i + 1, new_o, new_e, cur.q_hi,
+        new_e = h.apply(seed_end)
+        steps.append(make_step(i + 1, x_next, new_e, cur.q_hi,
                                view.s(new_e) - s0))
 
     zero = lam - lam

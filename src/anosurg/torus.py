@@ -415,10 +415,7 @@ class MarkedSet(_HashOnce):
         return not self.orbits
 
     def twist_of(self, base: Point) -> int:
-        for orb in self.orbits:
-            if base in orb.points:
-                return orb.twist
-        raise KeyError(base)
+        return self.orbit_containing(base).twist
 
     def orbit_containing(self, base: Point) -> Orbit:
         for orb in self.orbits:
@@ -633,25 +630,6 @@ class GroupElement(_Value):
         q = _mat_apply(self.A.power_rows(self.k), p)
         return (q[0] + self.v[0], q[1] + self.v[1])
 
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        # self o other
-        rows = self.A.power_rows(self.k)
-        w = _mat_apply(rows, other.v)
-        return GroupElement(self.A, self.k + other.k,
-                            (w[0] + self.v[0], w[1] + self.v[1]))
-
-    def inverse(self) -> "GroupElement":
-        rows = self.A.power_rows(-self.k)
-        w = _mat_apply(rows, self.v)
-        return GroupElement(self.A, -self.k, (-w[0], -w[1]))
-
-    def power(self, n: int) -> "GroupElement":
-        g = GroupElement(self.A, 0, (0, 0))
-        step = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            g = step.compose(g)
-        return g
-
 
 def group_element(A: HyperbolicMatrix, k: int, src: Point,
                   dst: Point) -> GroupElement | None:
@@ -662,26 +640,6 @@ def group_element(A: HyperbolicMatrix, k: int, src: Point,
     if v[0].denominator != 1 or v[1].denominator != 1:
         return None
     return GroupElement(A, k, (int(v[0]), int(v[1])))
-
-
-def orbit_element(A: HyperbolicMatrix, X: MarkedSet, src: Point,
-                  dst: Point) -> GroupElement | None:
-    """The element A^k + v with least k >= 0 mapping the lift src to dst, or
-    None when the two lifts lie in different orbits of X."""
-    orb = X.orbit_containing(mod1(src))
-    db = mod1(dst)
-    if db not in orb.points:
-        return None
-    k = (orb.points.index(db) - orb.points.index(mod1(src))) % orb.period
-    return group_element(A, k, src, dst)
-
-
-def fixing_lift(A: HyperbolicMatrix, z: Point, n: int) -> GroupElement:
-    """The lift T_v o A^n of f_A^n fixing the lift z (n a period of z's base)."""
-    g = group_element(A, n, z, z)
-    if g is None:
-        raise InvariantError(f"{n} is not a period of {z}")
-    return g
 
 
 class FrameView:

@@ -26,15 +26,18 @@ def _window_for_box(frame, s_lo, s_hi, u_lo, u_hi, margin=2):
 
 
 def oracle_hits(frame, mset, s_lo, s_hi, u_lo, u_hi,
-                include=(True, True, True, True)):
-    """All lifts of mset in the closed/open (s, u)-box, by double loop."""
+                include=(True, True, True, True), rows=None):
+    """All lifts of mset in the closed/open (s, u)-box, by double loop.
+
+    rows(base, kx), when given, narrows the lattice rows tried in column kx
+    to a range that must hold every lift of base there in the box."""
     lo_s, hi_s, lo_u, hi_u = include
     x0, x1, y0, y1 = _window_for_box(frame, s_lo, s_hi, u_lo, u_hi)
     out = []
     for orb in mset.orbits:
         for base in orb.points:
             for kx in range(x0, x1 + 1):
-                for ky in range(y0, y1 + 1):
+                for ky in rows(base, kx) if rows else range(y0, y1 + 1):
                     lift = (base[0] + kx, base[1] + ky)
                     s, u = frame.s(lift), frame.u(lift)
                     if not ((s > s_lo or (lo_s and s == s_lo)) and
@@ -46,6 +49,21 @@ def oracle_hits(frame, mset, s_lo, s_hi, u_lo, u_hi,
                     out.append((base, (kx, ky), s, u, orb.twist))
     out.sort(key=lambda h: (h[2], h[3]))
     return out
+
+
+def oracle_band_hits(frame, mset, s_lo, s_hi, u_lo, u_hi, include):
+    """oracle_hits for a long box of small height: in each lattice column
+    only the rows whose float u lies within one row of [u_lo, u_hi] are
+    tried, and each of them is checked exactly."""
+    du_x, du_y = float(frame.u((1, 0))), float(frame.u((0, 1)))
+    lo, hi = float(u_lo), float(u_hi)
+
+    def rows(base, kx):
+        u = float(frame.u(base)) + kx * du_x
+        ends = sorted(((lo - u) / du_y, (hi - u) / du_y))
+        return range(math.floor(ends[0]) - 1, math.ceil(ends[1]) + 2)
+
+    return oracle_hits(frame, mset, s_lo, s_hi, u_lo, u_hi, include, rows)
 
 
 class _QuadrantCoords:
@@ -111,6 +129,97 @@ def index_of_height(st, height):
     while st.step(i).q_hi <= height:
         i += 1
     return i
+
+
+def _group_act(g, p):
+    """p |-> M p + v for the group element g = (M, v), M integer rows."""
+    ((a, b), (c, d)), (v0, v1) = g
+    return (a * p[0] + b * p[1] + v0, c * p[0] + d * p[1] + v1)
+
+
+def _group_compose(g, h):
+    """g o h."""
+    ((a, b), (c, d)), v = g
+    ((e, f), (k, m)), w = h
+    return (((a * e + b * k, a * f + b * m), (c * e + d * k, c * f + d * m)),
+            _group_act(g, w))
+
+
+def _group_power(g, n):
+    """g^n by repeated composition (n may be negative; det M = 1)."""
+    if n < 0:
+        ((a, b), (c, d)), v = g
+        inv = ((d, -b), (-c, a))
+        g, n = (inv, _group_act((inv, (0, 0)), (-v[0], -v[1]))), -n
+    out = (((1, 0), (0, 1)), (0, 0))
+    for _ in range(n):
+        out = _group_compose(g, out)
+    return out
+
+
+def _group_element(A, k, src, dst):
+    """(A^k, v) mapping src to dst, with v asserted integral."""
+    M, _ = _group_power((A.rows(), (0, 0)), k)
+    img = _group_act((M, (0, 0)), src)
+    v = (dst[0] - img[0], dst[1] - img[1])
+    assert v[0].denominator == 1 and v[1].denominator == 1, (k, src, dst)
+    return M, (int(v[0]), int(v[1]))
+
+
+def _frac_mod1(p):
+    return (p[0] - math.floor(p[0]), p[1] - math.floor(p[1]))
+
+
+def _least_power(A, src, dst):
+    """Least k >= 0 with f_A^k(src mod 1) = dst mod 1, by iteration."""
+    a, b = _frac_mod1(src), _frac_mod1(dst)
+    k = 0
+    while a != b:
+        a, k = _frac_mod1(A.apply(a)), k + 1
+        assert a != _frac_mod1(src), "lifts lie in different orbits"
+    return k
+
+
+def oracle_staircase_levels(st):
+    """(delta_origin, delta_endpoint) of every stored level of staircase st,
+    rebuilt from its origin and seed endpoint by the construction's group
+    algebra: level i+1 is the seed's image under f^-k o g_i o G^(i+1), where
+    G maps the origin to the seed's endpoint with the least power, g_i maps
+    G^(i+1) of the origin to the corner x_{i+1} with the least power, f is
+    the lift of A^n fixing x_{i+1} (n the origin's period), and k is the
+    least integer with lam^(n k) times the left overhang of g_i o G^(i+1)'s
+    pushed seed reaching the axis.  The seed's overhang is found by brute
+    force over doubling widths."""
+    A, lam = st.frame.matrix, st.frame.lam
+    coords = _QuadrantCoords(st.frame, st.quadrant)
+    origin, seed_end = st.origin, st.steps[0].delta_endpoint
+    n = len(st.X.orbit_containing(_frac_mod1(origin)).points)
+    s0, u0 = coords.s(origin), coords.u(origin)
+    rho0 = coords.u(seed_end) - u0
+    width, hits = 1, []
+    while not hits:
+        width *= 2
+        hits = oracle_band_hits(coords, st.avoid, s0 - width, s0, u0,
+                                u0 + rho0, (True, False, True, True))
+    left0 = min(s0 - s for _, _, s, _, _ in hits)
+
+    def orbit_element(src, dst):
+        k = _least_power(A, src, dst)
+        return k, _group_element(A, k, src, dst)
+
+    G_k, G = orbit_element(origin, seed_end)
+    levels = [(origin, seed_end)]
+    for i in range(len(st.steps) - 1):
+        x_next = levels[-1][1]
+        gG = _group_power(G, i + 1)
+        o_lift, e_lift = _group_act(gG, origin), _group_act(gG, seed_end)
+        gi_k, gi = orbit_element(o_lift, x_next)
+        b = qn_pow(lam, -gi_k) * qn_pow(lam, -G_k * (i + 1)) * left0
+        k = -oracle_log_floor(b / (coords.s(x_next) - s0), qn_pow(lam, n))
+        fix = _group_element(A, n, x_next, x_next)
+        h = _group_compose(_group_power(fix, -k), gi)
+        levels.append((_group_act(h, o_lift), _group_act(h, e_lift)))
+    return levels
 
 
 def equation_holds(analysis, base, t, n):

@@ -24,6 +24,21 @@ def test_compare_counts_pairs_the_change_wins():
     assert c["pairs_change_lower"] == 2 and c["unit"] == "ref"
 
 
+def test_compare_resolves_only_a_consistent_shift_beyond_the_iqr():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    # lower in 9 of 10 pairs, medians 2.0 apart against an IQR of 0.2
+    lower = [8.0] * 9 + [10.5]
+    assert record.compare(parent, lower, "us")["resolved"]
+    # higher in 10 of 10: a loss is resolved too
+    assert record.compare(parent, [12.0] * 10, "us")["resolved"]
+    # lower in only 8 of 10 pairs
+    assert not record.compare(parent, [8.0] * 8 + [10.5] * 2,
+                              "us")["resolved"]
+    # lower in every pair, but by less than the parent's IQR
+    assert not record.compare(parent, [v - 0.05 for v in parent],
+                              "us")["resolved"]
+
+
 def test_alternate_runs_the_parent_first_in_odd_pairs():
     order = []
     runs = record.alternate(3, lambda side: order.append(side) or len(order))
@@ -72,10 +87,14 @@ def test_parse_counts_reads_the_traced_result_line():
            '"torus.hits_in_box.calls": {"value": 1018.0, "unit": "count"}, '
            '"torus.hits_in_box.hits": {"value": 5435.0, "unit": "count"}, '
            '"torus.hits_in_box.total_s": {"value": 0.2, "unit": "s"}, '
-           '"game.crossings": {"value": 1070.5, "unit": "count"}}}\n')
+           '"game.crossings": {"value": 1070.5, "unit": "count"}, '
+           '"staircase.build_staircase.calls": {"value": 0.0, "unit": '
+           '"count"}, "staircase.levels": {"value": 0.0, "unit": "count"}}}\n')
     assert record.parse_counts(out) == {"torus.hits_in_box.calls": 1018,
                                         "torus.hits_in_box.hits": 5435,
-                                        "game.crossings": 1070.5}
+                                        "game.crossings": 1070.5,
+                                        "staircase.build_staircase.calls": 0,
+                                        "staircase.levels": 0}
     with pytest.raises(KeyError):
         record.parse_counts('{"metrics": {}}\n')
 

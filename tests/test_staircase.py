@@ -9,13 +9,14 @@ import pytest
 from anosurg import (GameConfig, InvariantError, QUADRANTS, StaircaseError,
                      build_staircase, containment_check, eigenframe,
                      incompleteness_threshold, lattice_widths, marked_set,
-                     play_game, point, qn_pow, quadrant_view,
+                     orbit_of, play_game, point, qn_pow, quadrant_view,
                      staircase_records)
 from anosurg.staircase import _first_contact
 
-from conftest import (A2, B2, C3, HALF, half_orbit_set, half_points_set,
+from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
-from oracles import _QuadrantCoords, index_of_height, oracle_hits
+from oracles import (_QuadrantCoords, index_of_height, oracle_hits,
+                     oracle_staircase_levels)
 
 
 class TestB2Structure:
@@ -179,6 +180,46 @@ class TestConstruction:
             build_staircase(frame_b2, X, Y, point(Fraction(1, 3), 0), "++")
         with pytest.raises(ValueError):
             build_staircase(frame_b2, X, Y, point(0, 0), "north")
+
+
+def small_orbits(A, q_max):
+    """One seed point per f_A-orbit of the points with denominators up to
+    q_max."""
+    seeds, covered = [], set()
+    for q in range(1, q_max + 1):
+        for x in range(q):
+            for y in range(q):
+                p = point(Fraction(x, q), Fraction(y, q))
+                if p not in covered:
+                    seeds.append(p)
+                    covered |= set(orbit_of(A, p)[0])
+    return seeds
+
+
+class TestOracleLevels:
+    """Every level against the construction's group-algebra chain
+    f^-k o g_i o G^(i+1), rebuilt with Fraction group actions."""
+
+    @pytest.mark.parametrize("A", [A2, A3], ids=["A2", "A3"])
+    def test_levels_match_the_group_chain(self, A):
+        frame = eigenframe(A)
+        seeds = small_orbits(A, 3)
+        built = 0
+        for x_seed in seeds:
+            X = marked_set(A, [(x_seed, 0)], "X")
+            for y_seed in seeds:
+                if y_seed == x_seed:
+                    continue
+                Y = marked_set(A, [(y_seed, 0)], "Y")
+                for quadrant in QUADRANTS:
+                    try:
+                        st = build_staircase(frame, X, Y, x_seed, quadrant)
+                    except StaircaseError:
+                        continue
+                    built += 1
+                    assert [(s.delta_origin, s.delta_endpoint)
+                            for s in st.steps] == oracle_staircase_levels(st)
+        assert built >= 20
 
 
 class TestFirstContact:

@@ -9,13 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from anosurg import (GroupElement, InvariantError, QUADRANTS, QuadNum,
-                     UnsupportedMatrixError, eigenframe, fixing_lift,
-                     hits_in_box, marked_set, mod1, orbit_of, point,
-                     qn_log_floor, qn_pow, quadrant_contracting,
-                     quadrant_view)
+from anosurg import (InvariantError, QUADRANTS, QuadNum,
+                     UnsupportedMatrixError, eigenframe, hits_in_box,
+                     marked_set, mod1, orbit_of, point, qn_log_floor, qn_pow,
+                     quadrant_contracting, quadrant_view)
 from anosurg.torus import (HyperbolicMatrix, FrameView, _balance_power,
-                           box_lifts, group_element, orbit_element)
+                           box_lifts, group_element)
 from anosurg.classify import SurgeryProblem, analysis_of
 from anosurg.cli import load_problem
 
@@ -374,35 +373,15 @@ class TestRenormalization:
 
 
 class TestGroupAndViews:
-    def test_group_algebra(self):
-        g = GroupElement(A2, 2, (1, -1))
-        h = GroupElement(A2, -1, (0, 3))
-        p = (Fraction(1, 3), Fraction(2, 7))
-        assert g.compose(h).apply(p) == g.apply(h.apply(p))
-        assert g.inverse().apply(g.apply(p)) == p
-        assert g.power(3).apply(p) == g.apply(g.apply(g.apply(p)))
-        assert g.power(0).apply(p) == p
-
-    def test_fixing_lift(self):
+    def test_group_element_maps_src_to_dst(self):
         z = point(HALF, HALF)
-        g = fixing_lift(A2, z, 3)
+        g = group_element(A2, 3, z, z)                # 3 is z's period
         assert g.apply(z) == z
-        with pytest.raises(InvariantError):
-            fixing_lift(A2, z, 2)
-
-    def test_group_element_matches_fixing_lift(self):
-        z = point(HALF, HALF)
-        assert group_element(A2, 3, z, z) == fixing_lift(A2, z, 3)
+        dst = point(3, Fraction(-7, 2))
+        g = group_element(A2, -1, z, dst)
+        assert (g.k, g.v) == (-1, (3, -4)) and g.apply(z) == dst
+        # 2 is not a period of (1/2, 1/2): no integral translation exists
         assert group_element(A2, 2, z, z) is None
-
-    def test_orbit_element_takes_the_least_power(self):
-        Y = half_orbit_set(A2)                  # period 3
-        src, dst = point(HALF, HALF), point(Fraction(3, 2), 1)
-        g = orbit_element(A2, Y, src, dst)
-        assert g.k == 1 and g.apply(src) == dst
-        # the three half points are separate orbits of B2 = A2^3
-        H = half_points_set(B2)
-        assert orbit_element(B2, H, point(HALF, 0), point(0, HALF)) is None
 
     def test_quadrant_views(self, frame_a2):
         p = (Fraction(1, 3), Fraction(2, 5))
