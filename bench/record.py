@@ -56,14 +56,14 @@ REPORTED = ("cli.staircase.b2_half_s", "cli.game.b2_half_s")
 # per-pass counts read from one --trace 1 run per row and side
 COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
           "game.crossings", "staircase.build_staircase.calls",
-          "staircase.levels")
+          "staircase.levels", "rectangles.case_profile.calls")
 # microseconds per field operation, on small and on big operands, that
 # `perfbench/worker.py micro` writes
 MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = None
+CLAIM = ("classify_sweep", "wall_ref")
 
 # alternating parent/change pairs per perfbench row, alternating runs per
 # side of the import time, of each CLI command and of the micro-benchmarks,

@@ -1,13 +1,14 @@
-"""Verdicts for surgered suspension flows: combine the sign rule, the
-rectangle disjointness profile, domination thresholds, and staircase
-thresholds into a machine-checkable classification.
+"""Verdicts for surgered suspension flows: combine the sign rule,
+domination thresholds, and staircase thresholds into a machine-checkable
+classification.
 
 Decision order: all surgeries zero -> Suspension; all nonzero surgery signs
 equal -> RCovered with that sign; a domination certificate (one of four
 sign/role variants) -> RCovered regardless of the other set's surgeries; a
 pair of staircases undertwisting adjacent quadrant types -> NonRCovered;
-otherwise Unknown with full diagnostics.  All thresholds compare against
-twists (characteristic number times orbit period).
+otherwise Unknown with full diagnostics, whose disjointness profile is read
+off the domination rows (`Analysis.profile`).  All thresholds compare
+against twists (characteristic number times orbit period).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit, Point,
                     base_integers, eigenframe, quadrant_contracting,
                     sets_disjoint)
-from .rectangles import case_profile
+from .rectangles import case_label
 from .game import DominationAnalysis, DominationHypothesisError
 from .staircase import (StaircaseError, build_staircase,
                         incompleteness_threshold, staircase_records)
@@ -29,12 +30,20 @@ STATUSES = ("Suspension", "RCoveredPositive", "RCoveredNegative",
 
 
 class SurgeryProblem:
-    __slots__ = ("A", "X", "Y")
+    """A matrix and two disjoint marked sets, never reassigned: the first
+    `analysis()` looks the geometry's Analysis up and keeps it."""
+    __slots__ = ("A", "X", "Y", "_analysis")
 
     def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet):
         if not sets_disjoint(X, Y):
             raise ValueError("marked sets overlap")
         self.A, self.X, self.Y = A, X, Y
+        self._analysis = None
+
+    def analysis(self) -> Analysis:
+        if self._analysis is None:
+            self._analysis = analysis_of(self.geometry())
+        return self._analysis
 
     def geometry(self):
         """Hashable key identifying the problem up to the surgery strengths:
@@ -73,9 +82,6 @@ class Row:
         return json.loads(self.record)
 
 
-_SIGNS = ("positive", "negative")
-
-
 class Analysis:
     """The certificate table of one geometry.  None of its rows depends on
     the surgery strengths; only the checks against the twists do.  A row is
@@ -92,16 +98,19 @@ class Analysis:
         self.X, self.Y = X, Y
         self.frame = eigenframe(A)
         self._rows = {}
-        self._profile = None
         # the (k, X, Y) of each marked point -> (own set, point)
         self.bases = {ints: (own, p) for own, mset in (("X", X), ("Y", Y))
                       for orb in mset.orbits
                       for ints, p in zip(orb.integers, orb.points)}
 
-    def profile(self):
-        if self._profile is None:
-            self._profile = case_profile(self.frame, self.X, self.Y)
-        return self._profile
+    def profile(self) -> dict:
+        """`case_profile`'s booleans and label, read off the domination rows:
+        a row has no certificate exactly when some primitive rectangle of its
+        set and sign misses the other set's lift."""
+        b = tuple(self.row(own, sign).cert is None
+                  for own, sign in _DOMINATION_VARIANTS)
+        case, symmetry = case_label(b)
+        return {"booleans": list(b), "case": case, "symmetry": symmetry}
 
     def row(self, own: str, kind: str, base: tuple | None = None) -> Row:
         key = (own, kind, base)
@@ -112,7 +121,7 @@ class Analysis:
 
     def _build(self, own: str, kind: str, base: tuple | None) -> Row:
         first, second = (self.X, self.Y) if own == "X" else (self.Y, self.X)
-        if kind in _SIGNS:
+        if kind in ("positive", "negative"):
             if base is not None:
                 whole = self.row(own, kind).cert
                 return (Row() if whole is None else
@@ -141,15 +150,10 @@ class Analysis:
     def thresholds(self) -> dict:
         """The four domination and four incompleteness thresholds (None
         where no certificate exists), as the thresholds command prints."""
-        out = {"domination": {}, "incompleteness": {}}
-        for own in ("X", "Y"):
-            for sign in _SIGNS:
-                out["domination"][f"{own}-{sign}"] = \
-                    self.row(own, sign).threshold
-            for quadrant in ("++", "+-"):
-                out["incompleteness"][f"{own}-{quadrant}"] = \
-                    self.row(own, quadrant).threshold
-        return out
+        return {"domination": {f"{own}-{sign}": self.row(own, sign).threshold
+                               for own, sign in _DOMINATION_VARIANTS},
+                "incompleteness": {f"{own}-{q}": self.row(own, q).threshold
+                                   for own in "XY" for q in ("++", "+-")}}
 
 
 @functools.lru_cache(maxsize=32)
@@ -262,22 +266,16 @@ def classify(problem: SurgeryProblem) -> Verdict:
     diagnostics = {"twists": twists}
     if problem.X.is_empty() or problem.Y.is_empty():
         return Verdict("Unknown", "no-rule-applies", diagnostics)
-    shared = analysis_of(problem.geometry())
+    shared = problem.analysis()
     verdict = (_domination_rule(problem, shared)
                or _staircase_rule(problem, shared))
     if verdict is not None:
         return verdict
-    prof = shared.profile()
-    diagnostics["profile"] = {
-        "booleans": list(prof.booleans), "case": prof.case,
-        "symmetry": prof.symmetry,
-    }
-    found = shared.thresholds()
+    diagnostics["profile"] = shared.profile()
     diagnostics["thresholds"] = {
-        f"{prefix}-{key}": value
-        for prefix, kind in (("domination", "domination"),
-                             ("staircase", "incompleteness"))
-        for key, value in found[kind].items() if value is not None}
+        f"{'staircase' if kind == 'incompleteness' else kind}-{key}": value
+        for kind, found in shared.thresholds().items()
+        for key, value in found.items() if value is not None}
     return Verdict("Unknown", "no-rule-applies", diagnostics)
 
 
@@ -294,7 +292,7 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
     Unknown.  Raises if both certificates fire: that would be contradictory.
     """
     contracting = quadrant_contracting(quadrant)
-    shared = analysis_of(problem.geometry())
+    shared = problem.analysis()
     ints = base_integers(point)
     found = shared.bases.get(ints)
     if found is None:

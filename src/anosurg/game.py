@@ -204,8 +204,6 @@ class DominationAnalysis:
             raise DominationHypothesisError(
                 "both marked sets must be nonempty for the domination analysis")
         self.X, self.Y = X, Y
-        self.sign = sign
-        self.frame = frame
         self.view = FrameView(frame, flip_u=(sign == "negative"))
         self.lam = frame.lam
         self._per_base = {}

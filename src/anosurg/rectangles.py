@@ -330,9 +330,22 @@ _SYMMETRIES = (
 )
 
 
+def case_label(b: tuple):
+    """(case, symmetry) of the disjointness booleans b, in `CaseProfile`
+    order, up to interchanging signs or the two sets."""
+    # a negative-diagonal rectangle of one set disjoint from the other must
+    # exist whenever every positive rectangle of the other meets it
+    if (not b[0] and not b[3]) or (not b[1] and not b[2]):
+        raise InvariantError(f"disjointness profile {b} is geometrically impossible")
+    for name, f in _SYMMETRIES:
+        if f(b) in _CASE_PATTERNS:
+            return _CASE_PATTERNS[f(b)], name
+    return "other", "none"
+
+
 def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> CaseProfile:
-    """The four disjointness booleans over primitive representatives, plus the
-    case label up to interchanging signs or the two sets."""
+    """The four disjointness booleans over primitive representatives, with
+    their `case_label` and a disjoint witness for each true one."""
     if set(X.points) & set(Y.points):
         raise ValueError("marked sets overlap")
     wit = {
@@ -342,16 +355,7 @@ def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> CaseProfile:
         "neg_y": disjoint_witness(frame, Y, X, "negative"),
     }
     b = tuple(wit[k] is not None for k in ("pos_x", "neg_x", "pos_y", "neg_y"))
-    # a negative-diagonal rectangle of one set disjoint from the other must
-    # exist whenever every positive rectangle of the other meets it
-    if (not b[0] and not b[3]) or (not b[1] and not b[2]):
-        raise InvariantError(f"disjointness profile {b} is geometrically impossible")
-    case, symmetry = "other", "none"
-    for name, f in _SYMMETRIES:
-        if f(b) in _CASE_PATTERNS:
-            case, symmetry = _CASE_PATTERNS[f(b)], name
-            break
-    return CaseProfile(*b, case=case, symmetry=symmetry,
+    return CaseProfile(*b, *case_label(b),
                        witnesses={k: v for k, v in wit.items() if v is not None})
 
 

@@ -9,13 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem, classify,
-                     marked_set, orbit_of, point, quadrant_report,
-                     verdict_records)
+from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem, case_profile,
+                     classify, eigenframe, marked_set, orbit_of, point,
+                     quadrant_report, verdict_records)
 from anosurg.classify import analysis_of
-from anosurg.cli import main
+from anosurg.cli import FIXTURES, load_problem, main
 
-from conftest import A2, B2, C3, HALF, half_orbit_set, zero_orbit_set
+from conftest import A2, A3, B2, C3, HALF, half_orbit_set, zero_orbit_set
 
 
 def problem(A, x_seeds, y_seeds):
@@ -255,6 +255,22 @@ class TestSharedAnalysis:
                 key = f"{ev['rectangles']}-{ev['sign']}"
                 assert ev["threshold"] == printed["domination"][key]
 
+    def test_a_problem_looks_its_analysis_up_once(self, monkeypatch):
+        lookups = []
+
+        def counted(geometry):
+            lookups.append(geometry)
+            return analysis_of(geometry)
+
+        monkeypatch.setattr(sys.modules["anosurg.classify"], "analysis_of",
+                            counted)
+        prob = b2_problem(-1, 1)
+        assert lookups == []
+        classify(prob)
+        for q in ("++", "+-"):
+            quadrant_report(prob, point(0, 0), q)
+        assert lookups == [prob.geometry()]
+
 
 def count_calls(monkeypatch, names):
     """Count the calls of each named function through every anosurg module
@@ -321,6 +337,50 @@ class TestCertificateTable:
         assert self.operation(b2_problem(-2, 3)) == before
         assert "levels" in classify(b2_problem(-3, 2)).evidence["X_staircase"]
         assert classify(b2_problem(-1, 2)).evidence["thresholds"]
+
+
+def torsion_orbits(A, max_denominator):
+    """One seed per orbit of the points whose coordinates have a common
+    denominator of at most max_denominator."""
+    seeds, covered = [], set()
+    for d in range(1, max_denominator + 1):
+        for a in range(d):
+            for b in range(d):
+                p = point(Fraction(a, d), Fraction(b, d))
+                if p not in covered:
+                    seeds.append(p)
+                    covered |= set(orbit_of(A, p)[0])
+    return seeds
+
+
+class TestProfileFromDominationRows:
+    @pytest.mark.parametrize("A", [A2, A3, C3], ids=["A2", "A3", "C3"])
+    def test_profile_matches_the_census(self, A):
+        # a domination row is absent exactly when some primitive rectangle
+        # of its set and sign misses the other set: the census's boolean
+        seeds = torsion_orbits(A, 3)
+        frame = eigenframe(A)
+        for p in seeds:
+            for q in seeds:
+                if p == q:
+                    continue
+                prob = problem(A, [(p, 0)], [(q, 0)])
+                census = case_profile(frame, prob.X, prob.Y)
+                assert prob.analysis().profile() == {
+                    "booleans": list(census.booleans), "case": census.case,
+                    "symmetry": census.symmetry}, (A, p, q)
+
+    def test_unknown_verdict_takes_no_census(self, monkeypatch):
+        def no_census(*args):
+            raise AssertionError("case_profile was called")
+
+        monkeypatch.setattr(sys.modules["anosurg.rectangles"], "case_profile",
+                            no_census)
+        A, sets, _ = load_problem(dict(FIXTURES["case3"]))
+        v = classify(SurgeryProblem(A, sets["X"], sets["Y"]))
+        assert v.status == "Unknown"
+        assert v.evidence["profile"]["booleans"] == [True, False, True, False]
+        assert v.evidence["profile"]["case"] == 3
 
 
 class TestProblemValidation:
