@@ -17,17 +17,16 @@ globally ordered (R-covered) structure, via:
 - `svgfig`: deterministic SVG figures.
 """
 
-from .quadfield import (QuadFieldError, QuadNum, qn_ceil, qn_floor,
-                        qn_from_str, qn_log_floor, qn_pow, qn_to_str)
+from .quadfield import (QuadFieldError, QuadNum, qn_floor, qn_from_str,
+                        qn_log_floor, qn_pow, qn_to_str)
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, Orbit,
                     UnsupportedMatrixError, eigenframe, hits_in_box,
                     marked_set, mod1, orbit_of, point, quadrant_contracting,
                     quadrant_view, sets_disjoint, QUADRANTS)
-from .rectangles import (CaseProfile, MarkedRect, case_profile,
-                         census_records, disjoint_witness,
-                         enumerate_primitive, is_primitive, lattice_widths,
-                         marked_rect, rect_meets)
+from .rectangles import (MarkedRect, case_profile, census_records,
+                         disjoint_witness, enumerate_primitive, is_primitive,
+                         lattice_widths, marked_rect, rect_meets)
 from .game import (DEFAULT_BUDGET, Crossing, DominationAnalysis,
                    DominationHypothesisError, DominationInterval, GameConfig,
                    GameError, GameOutcome, game_trace_records, play_game)

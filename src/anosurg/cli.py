@@ -46,11 +46,16 @@ class ParseError(ValueError):
 # problem ingestion
 
 
-def _fraction(text, where):
+def _fraction(value, where):
+    """A rational from a string 'p/q' or an integer.  A JSON float is
+    refused: its binary value is not the decimal written in the file."""
+    if not (isinstance(value, str) or _is_int(value)):
+        raise ParseError(f"{where}: expected a string 'p/q' or an integer, "
+                         f"got {value!r}")
     try:
-        return Fraction(str(text))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{where}: not a rational 'p/q': {text!r}")
+        raise ParseError(f"{where}: not a rational 'p/q': {value!r}")
 
 
 def _is_int(value) -> bool:
@@ -172,17 +177,13 @@ def _cmd_profile(args):
         raise ParseError("sets: profile needs nonempty X and Y")
     prof = case_profile(eigenframe(A), sets["X"], sets["Y"])
     _emit({
-        "booleans": {
-            "pos_x_disjoint": prof.pos_x_disjoint,
-            "neg_x_disjoint": prof.neg_x_disjoint,
-            "pos_y_disjoint": prof.pos_y_disjoint,
-            "neg_y_disjoint": prof.neg_y_disjoint,
-        },
-        "case": prof.case,
-        "symmetry": prof.symmetry,
+        "booleans": {f"{k}_disjoint": b for k, b in zip(
+            ("pos_x", "neg_x", "pos_y", "neg_y"), prof["booleans"])},
+        "case": prof["case"],
+        "symmetry": prof["symmetry"],
         "primitive_reduction_assumed": True,
         "witnesses": {k: census_records([v])[0]
-                      for k, v in sorted(prof.witnesses.items())},
+                      for k, v in prof["witnesses"].items()},
     })
     return 0
 
@@ -346,8 +347,8 @@ def _run_examples(out):
         data = dict(FIXTURES["case3"])
         A, sets, _ = load_problem(data)
         prof = case_profile(eigenframe(A), sets["X"], sets["Y"])
-        return (prof.booleans == (True, False, True, False)
-                and prof.case == 3)
+        return (prof["booleans"] == [True, False, True, False]
+                and prof["case"] == 3)
 
     check("[[3,2],[4,3]] with (0,1/2)-orbit: one-sided profile (case 3)", case3_profile)
 

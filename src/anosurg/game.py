@@ -169,14 +169,11 @@ def game_trace_records(outcome: GameOutcome) -> list:
 
 
 class DominationInterval:
-    __slots__ = ("base", "mu", "nu", "height", "delta", "least_n")
+    __slots__ = ("mu", "nu", "delta", "least_n")
 
-    def __init__(self, base: Point, mu: QuadNum, nu: QuadNum, height: QuadNum,
-                 delta: QuadNum, least_n: int):
-        self.base = base            # marked origin in [0,1)^2
+    def __init__(self, mu: QuadNum, nu: QuadNum, delta: QuadNum, least_n: int):
         self.mu = mu                # base length of the interval's rectangle
         self.nu = nu                # next breakpoint
-        self.height = height        # unstable height of that rectangle
         self.delta = delta          # least horizontal Y-offset inside it
         self.least_n = least_n      # least twist contracting below nu(delta)
 
@@ -250,7 +247,7 @@ class DominationAnalysis:
             # least n >= 0 with lam^(-n) (nu - delta) < gap
             gap = next_break(delta) - delta
             n = max(0, qn_log_floor((nu - delta) / gap, self.lam) + 1)
-            intervals.append(DominationInterval(base, mu, nu, rho, delta, n))
+            intervals.append(DominationInterval(mu, nu, delta, n))
         return intervals
 
     def intervals(self, base: Point):

@@ -346,10 +346,6 @@ def qn_floor(x: QuadNum) -> int:
     return _floor(p, q, d, D)
 
 
-def qn_ceil(x: QuadNum) -> int:
-    return -qn_floor(-x)
-
-
 def qn_pow(x: QuadNum, n: int) -> QuadNum:
     """Exact integer power by square-and-multiply."""
     if n < 0:

@@ -71,30 +71,6 @@ class MarkedRect:
         return self.u1 - self.u0
 
 
-class CaseProfile:
-    __slots__ = ("pos_x_disjoint", "neg_x_disjoint", "pos_y_disjoint",
-                 "neg_y_disjoint", "case", "symmetry", "witnesses")
-
-    def __init__(self, pos_x_disjoint: bool, neg_x_disjoint: bool,
-                 pos_y_disjoint: bool, neg_y_disjoint: bool, case: int | str,
-                 symmetry: str, witnesses: dict):
-        # pos_x: some positive X-rectangle is disjoint from the Y lift;
-        # pos_y: some positive Y-rectangle is disjoint from the X lift
-        self.pos_x_disjoint = pos_x_disjoint
-        self.neg_x_disjoint = neg_x_disjoint
-        self.pos_y_disjoint = pos_y_disjoint
-        self.neg_y_disjoint = neg_y_disjoint
-        # case 1..4 after normalizing by the named symmetry, else "other"
-        self.case = case
-        self.symmetry = symmetry
-        self.witnesses = witnesses
-
-    @property
-    def booleans(self):
-        return (self.pos_x_disjoint, self.neg_x_disjoint,
-                self.pos_y_disjoint, self.neg_y_disjoint)
-
-
 def marked_rect(frame: EigenFrame, X: MarkedSet, origin_lift, endpoint_lift,
                 sign: str) -> MarkedRect:
     """MarkedRect from two lifts of X given as rational points."""
@@ -331,7 +307,7 @@ _SYMMETRIES = (
 
 
 def case_label(b: tuple):
-    """(case, symmetry) of the disjointness booleans b, in `CaseProfile`
+    """(case, symmetry) of the disjointness booleans b, in X+, X-, Y+, Y-
     order, up to interchanging signs or the two sets."""
     # a negative-diagonal rectangle of one set disjoint from the other must
     # exist whenever every positive rectangle of the other meets it
@@ -343,9 +319,11 @@ def case_label(b: tuple):
     return "other", "none"
 
 
-def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> CaseProfile:
-    """The four disjointness booleans over primitive representatives, with
-    their `case_label` and a disjoint witness for each true one."""
+def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> dict:
+    """The four disjointness booleans over primitive representatives, in
+    X+, X-, Y+, Y- order (true when some primitive rectangle of that set and
+    sign misses the other set's lift), with their `case_label` and a
+    disjoint witness for each true one, keyed pos_x, neg_x, pos_y, neg_y."""
     if set(X.points) & set(Y.points):
         raise ValueError("marked sets overlap")
     wit = {
@@ -354,9 +332,10 @@ def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> CaseProfile:
         "pos_y": disjoint_witness(frame, Y, X, "positive"),
         "neg_y": disjoint_witness(frame, Y, X, "negative"),
     }
-    b = tuple(wit[k] is not None for k in ("pos_x", "neg_x", "pos_y", "neg_y"))
-    return CaseProfile(*b, *case_label(b),
-                       witnesses={k: v for k, v in wit.items() if v is not None})
+    b = [w is not None for w in wit.values()]
+    case, symmetry = case_label(tuple(b))
+    return {"booleans": b, "case": case, "symmetry": symmetry,
+            "witnesses": {k: v for k, v in wit.items() if v is not None}}
 
 
 def census_records(reps) -> list:

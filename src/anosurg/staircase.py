@@ -28,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
-from .rectangles import (first_window_hits, is_primitive, lattice_widths,
-                         marked_rect, period_window, primitive_family)
+from .rectangles import (first_window_hits, lattice_widths, period_window,
+                         primitive_family)
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Point,
                     QUADRANTS, group_element, hits_in_box, mod1,
                     quadrant_contracting, quadrant_view)
@@ -74,9 +74,8 @@ class Staircase:
     leftover strips are covered by the residual-strip check in verify().
     """
 
-    def __init__(self, frame, view, quadrant, X, avoid, origin,
-                 steps, preperiod, period, g):
-        self.frame = frame
+    def __init__(self, view, quadrant, X, avoid, origin, steps, preperiod,
+                 period, g):
         self.view = view
         self.quadrant = quadrant
         self.X = X
@@ -86,10 +85,10 @@ class Staircase:
         self.preperiod = preperiod
         self.period = period
         self.g = g                      # recurring element: level i -> level i+period
-        self.lam = frame.lam
+        self.lam = view.lam
         self._s_scale = qn_pow(self.lam, -g.k)   # s-lengths scale by this per period
-        self._u_scale = qn_pow(self.lam, g.k)    # u-lengths contract by this per period
-        if not self._u_scale < 1:
+        # u-lengths contract by lam^k per period
+        if not qn_pow(self.lam, g.k) < 1:
             raise InvariantError("recurring element does not contract heights")
         self.constant = self._growth_constant()
         self.limit = self._limit_point()
@@ -109,7 +108,7 @@ class Staircase:
         # the unique fixed point of g; the levels' heights contract toward its
         # stable leaf, so its u-coordinate is the top of the axis
         g = self.g
-        (a, b), (c, d) = self.frame.matrix.power_rows(g.k)
+        (a, b), (c, d) = self.view.frame.matrix.power_rows(g.k)
         det = (1 - a) * (1 - d) - b * c
         if det == 0:
             raise InvariantError("recurring element has no fixed point")
@@ -119,32 +118,12 @@ class Staircase:
             raise InvariantError("limit height is below the origin")
         return p
 
-    # -- step access ---------------------------------------------------------
-
-    def step(self, i: int) -> StairStep:
-        """Step i, extending the raw data periodically by powers of g."""
-        if i < len(self.steps):
-            return self.steps[i]
-        view = self.view
-        m = (i - self.preperiod) // self.period
-        base = self.steps[self.preperiod + (i - self.preperiod) % self.period]
-        o, e = base.delta_origin, base.delta_endpoint
-        for _ in range(m):
-            o, e = self.g.apply(o), self.g.apply(e)
-        s0, u0 = view.s(self.origin), view.u(self.origin)
-        return StairStep(i, o, e, view.s(e) - view.s(o), view.s(e) - s0,
-                         view.u(o) - u0, view.u(e) - u0,
-                         base.safety * qn_pow(self._s_scale, m))
-
     # -- exact verification ---------------------------------------------------
 
     def verify(self) -> None:
         """Check the staircase conditions exactly on all raw steps."""
         view, X, avoid = self.view, self.X, self.avoid
         s0, u0 = view.s(self.origin), view.u(self.origin)
-        # a view-increasing diagonal is increasing in the frame exactly when
-        # the view flips both axes or neither
-        sign = "positive" if view.flip_s == view.flip_u else "negative"
         steps = self.steps
         if steps[0].Ls != steps[0].ds or steps[0].q_lo != 0:
             raise InvariantError("level 0 is not the string seed")
@@ -167,12 +146,11 @@ class Staircase:
                     raise InvariantError(f"string broken at level {i}")
                 if not (nxt.q_lo == st.q_hi and nxt.Ls >= st.Ls):
                     raise InvariantError(f"level {i + 1} does not sit on level {i}")
-            # the frame rectangle's origin is its lower lift
-            lo, hi = st.delta_origin, st.delta_endpoint
-            if view.flip_u:
-                lo, hi = hi, lo
-            if not is_primitive(self.frame,
-                                marked_rect(self.frame, X, lo, hi, sign), X):
+            # primitivity: the closed box spanned by the two corners holds
+            # no other lift of X
+            corners = hits_in_box(view, X, s0 + so, s0 + se, u0 + uo, u0 + ue)
+            if sorted(h.lift for h in corners) != sorted(
+                    (st.delta_origin, st.delta_endpoint)):
                 raise InvariantError(f"level {i} rectangle is not primitive")
             # disjointness of the closed R_i from the avoid set
             if hits_in_box(view, avoid, s0, s0 + st.Ls, u0 + st.q_lo,
@@ -374,8 +352,8 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
     else:
         raise StaircaseError(f"no period found within {MAX_LEVELS} levels")
     preperiod, period, g = found
-    st = Staircase(frame, view, quadrant, X, avoid, origin,
-                   tuple(steps), preperiod, period, g)
+    st = Staircase(view, quadrant, X, avoid, origin, tuple(steps), preperiod,
+                   period, g)
     st.verify()
     return st
 
@@ -390,30 +368,19 @@ def incompleteness_threshold(st: Staircase) -> int:
     return max(1, qn_log_floor(st.constant, st.lam) + 1)
 
 
-def containment_check(st: Staircase, X_twists=None) -> bool:
-    """Exact per-level safety-zone containment for the given twists on the
-    staircase's own set.
+def containment_check(st: Staircase, twist: int) -> bool:
+    """Exact per-level safety-zone containment for one twist at every corner
+    of the staircase's own set.
 
     Crossing the corner x_{i+1} expands the safety zone by lam^e, where
     e = -twist in the contracting quadrants (++, --) and e = +twist in the
     mixed ones; containment needs ds_{i+1} + safety_{i+1} <= lam^e * safety_i
-    at every level.  X_twists may be a dict base point -> twist or a single
-    twist; None uses the twists stored in the marked set.
+    at every level.
     """
-    contracting = quadrant_contracting(st.quadrant)
-    for i in range(len(st.steps) - 1):
-        cur, nxt = st.steps[i], st.steps[i + 1]
-        corner_base = mod1(cur.delta_endpoint)
-        if X_twists is None:
-            w = st.X.twist_of(corner_base)
-        elif isinstance(X_twists, dict):
-            w = X_twists[corner_base]
-        else:
-            w = X_twists
-        e = -w if contracting else w
-        if nxt.ds + nxt.safety > qn_pow(st.lam, e) * cur.safety:
-            return False
-    return True
+    e = -twist if quadrant_contracting(st.quadrant) else twist
+    grow = qn_pow(st.lam, e)
+    return all(nxt.ds + nxt.safety <= grow * cur.safety
+               for cur, nxt in zip(st.steps, st.steps[1:]))
 
 
 def staircase_records(st: Staircase) -> dict:

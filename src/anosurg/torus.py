@@ -227,18 +227,16 @@ class EigenFrame(_Value):
     that makes a box square is bisected over its even rungs
     (`even_log_floor`), and `renormalization(j)` reads rungs j and -j.
     """
-    __slots__ = ("matrix", "D", "lam", "lam_inv", "v_s", "v_u", "s_form",
-                 "u_form", "s_int", "u_int", "root", "ladder", "families")
+    __slots__ = ("matrix", "D", "lam", "lam_inv", "s_form", "u_form",
+                 "s_int", "u_int", "root", "ladder", "families")
 
     def __init__(self, matrix: HyperbolicMatrix, D: int, lam: QuadNum,
-                 lam_inv: QuadNum, v_s: tuple, v_u: tuple, s_form: tuple,
-                 u_form: tuple, s_int: IntForm, u_int: IntForm, root: int):
+                 lam_inv: QuadNum, s_form: tuple, u_form: tuple,
+                 s_int: IntForm, u_int: IntForm, root: int):
         _set(self, "matrix", matrix)
         _set(self, "D", D)
         _set(self, "lam", lam)            # expansive eigenvalue > 1
         _set(self, "lam_inv", lam_inv)
-        _set(self, "v_s", v_s)            # eigenvector for lam_inv, x = 1
-        _set(self, "v_u", v_u)            # eigenvector for lam, x = 1
         _set(self, "s_form", s_form)      # linear form with s_form(v_u) = 0
         _set(self, "u_form", u_form)      # linear form with u_form(v_s) = 0
         # the same forms over the integers
@@ -263,11 +261,6 @@ class EigenFrame(_Value):
     def u(self, p) -> QuadNum:
         """u of a point with int or Fraction coordinates."""
         return self.u_int(p)
-
-    def from_eigen(self, su):
-        s, u = su
-        return (self.v_s[0] * s + self.v_u[0] * u,
-                self.v_s[1] * s + self.v_u[1] * u)
 
     def rung(self, n: int) -> tuple:
         """(lam^n, rows of A^-n), growing the ladder out to rung n."""
@@ -322,14 +315,12 @@ def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
         raise InvariantError("hyperbolic SL(2,Z) matrix with b = 0")
     slope_u = (lam - A.a) / A.b
     slope_s = (lam_inv - A.a) / A.b
-    v_u = (one, slope_u)
-    v_s = (one, slope_s)
     # p = s*v_s + u*v_u; invert the column matrix [[1,1],[slope_s,slope_u]].
     det = slope_u - slope_s  # = sqrt(D)/b, nonzero
     s_form = (slope_u / det, -one / det)
     u_form = (-slope_s / det, one / det)
-    return EigenFrame(A, D, lam, lam_inv, v_s, v_u, s_form, u_form,
-                      IntForm.of(*s_form), IntForm.of(*u_form), fixed_root(D))
+    return EigenFrame(A, D, lam, lam_inv, s_form, u_form, IntForm.of(*s_form),
+                      IntForm.of(*u_form), fixed_root(D))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,17 @@ check rather than a tautology.
 from fractions import Fraction
 import math
 
-from anosurg import QuadNum, qn_pow
+from anosurg import QuadNum, StairStep, qn_pow
+
+
+def oracle_point(frame, s, u):
+    """The point with coordinates (s, u) in frame, which is an eigenframe or
+    any object with linear s and u methods: the exact inverse of the 2x2
+    matrix of s and u on the unit vectors."""
+    sx, sy = frame.s((1, 0)), frame.s((0, 1))
+    ux, uy = frame.u((1, 0)), frame.u((0, 1))
+    det = sx * uy - sy * ux
+    return ((uy * s - sy * u) / det, (sx * u - ux * s) / det)
 
 
 def _window_for_box(frame, s_lo, s_hi, u_lo, u_hi, margin=2):
@@ -18,7 +28,7 @@ def _window_for_box(frame, s_lo, s_hi, u_lo, u_hi, margin=2):
     corners = [(s, u) for s in (s_lo, s_hi) for u in (u_lo, u_hi)]
     xs, ys = [], []
     for s, u in corners:
-        p = frame.from_eigen((s, u))
+        p = oracle_point(frame, s, u)
         xs.append(float(p[0]))
         ys.append(float(p[1]))
     return (math.floor(min(xs)) - margin, math.ceil(max(xs)) + margin,
@@ -81,9 +91,6 @@ class _QuadrantCoords:
     def u(self, p):
         return self.frame.u(p) * self.su
 
-    def from_eigen(self, su):
-        return self.frame.from_eigen((su[0] * self.ss, su[1] * self.su))
-
 
 def oracle_game(config, p, t0, r, budget):
     """The crossing game by brute force: (status, final_t, trace), each
@@ -121,12 +128,29 @@ def oracle_game(config, p, t0, r, budget):
     return "Defined", t, trace
 
 
+def staircase_step(st, i):
+    """Level i of staircase st: a stored level, or past them the g-image of
+    the periodic block, g applied once per period beyond it."""
+    if i < len(st.steps):
+        return st.steps[i]
+    view = st.view
+    m = (i - st.preperiod) // st.period
+    base = st.steps[st.preperiod + (i - st.preperiod) % st.period]
+    o, e = base.delta_origin, base.delta_endpoint
+    for _ in range(m):
+        o, e = st.g.apply(o), st.g.apply(e)
+    s0, u0 = view.s(st.origin), view.u(st.origin)
+    return StairStep(i, o, e, view.s(e) - view.s(o), view.s(e) - s0,
+                     view.u(o) - u0, view.u(e) - u0,
+                     base.safety * qn_pow(st.lam, -st.g.k * m))
+
+
 def index_of_height(st, height):
     """Index of the band of staircase st that holds the given axis height."""
     if height < 0 or height >= st.axis_height:
         raise ValueError("height outside the staircase axis")
     i = 0
-    while st.step(i).q_hi <= height:
+    while staircase_step(st, i).q_hi <= height:
         i += 1
     return i
 
@@ -190,8 +214,8 @@ def oracle_staircase_levels(st):
     least integer with lam^(n k) times the left overhang of g_i o G^(i+1)'s
     pushed seed reaching the axis.  The seed's overhang is found by brute
     force over doubling widths."""
-    A, lam = st.frame.matrix, st.frame.lam
-    coords = _QuadrantCoords(st.frame, st.quadrant)
+    A, lam = st.view.frame.matrix, st.lam
+    coords = _QuadrantCoords(st.view.frame, st.quadrant)
     origin, seed_end = st.origin, st.steps[0].delta_endpoint
     n = len(st.X.orbit_containing(_frac_mod1(origin)).points)
     s0, u0 = coords.s(origin), coords.u(origin)

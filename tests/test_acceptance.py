@@ -66,8 +66,8 @@ def test_mixed_geometry_realizes_case_three():
     X = zero_orbit_set(C3)
     Y = marked_set(C3, [(point(0, HALF), 0)], "Y")
     prof = case_profile(eigenframe(C3), X, Y)
-    assert prof.booleans == (True, False, True, False)
-    assert prof.case == 3 and prof.symmetry == "identity"
+    assert prof["booleans"] == [True, False, True, False]
+    assert prof["case"] == 3 and prof["symmetry"] == "identity"
 
 
 def test_box_scan_and_census_match_brute_force_oracles():

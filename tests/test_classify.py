@@ -366,9 +366,8 @@ class TestProfileFromDominationRows:
                     continue
                 prob = problem(A, [(p, 0)], [(q, 0)])
                 census = case_profile(frame, prob.X, prob.Y)
-                assert prob.analysis().profile() == {
-                    "booleans": list(census.booleans), "case": census.case,
-                    "symmetry": census.symmetry}, (A, p, q)
+                del census["witnesses"]
+                assert prob.analysis().profile() == census, (A, p, q)
 
     def test_unknown_verdict_takes_no_census(self, monkeypatch):
         def no_census(*args):

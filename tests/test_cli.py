@@ -428,6 +428,8 @@ class TestExitCodes:
         ({"sets": [A2_X, A2_X]}, ("census",)),
         ({"matrix": [[2.9, 1], [1, 1]]}, ("classify",)),
         ({"matrix": [["2", 1], [1, 1]]}, ("classify",)),
+        ({"sets": [{**A2_X, "point": [0.1000000000000000055511151231257827,
+                                      "0"]}, A2_Y]}, ("census",)),
         ({"sets": [A2_X, {**A2_Y, "characteristic_number": True}]},
          ("classify",)),
         ({"sets": [A2_X, {**A2_Y, "characteristic_number": 1.0}]},
@@ -439,7 +441,7 @@ class TestExitCodes:
         ({"sets": 5}, ("census",)),
         ({"sets": {"a": 1}}, ("census",)),
     ], ids=["x-on-y-orbit", "x-on-y-orbit-census", "two-seeds-one-orbit",
-            "repeated-seed", "float-matrix", "string-matrix",
+            "repeated-seed", "float-matrix", "string-matrix", "float-point",
             "boolean-characteristic", "float-characteristic",
             "boolean-budget", "string-budget", "origin-off-the-sets",
             "origin-in-the-other-set", "sets-a-number", "sets-an-object"])

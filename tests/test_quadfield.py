@@ -17,8 +17,7 @@ from hypothesis import given, strategies as st
 import anosurg
 from anosurg import quadfield
 from anosurg import (HyperbolicMatrix, QuadFieldError, QuadNum, eigenframe,
-                     qn_ceil, qn_floor, qn_from_str, qn_log_floor, qn_pow,
-                     qn_to_str)
+                     qn_floor, qn_from_str, qn_log_floor, qn_pow, qn_to_str)
 
 from oracles import OracleQuad, oracle_log_floor
 
@@ -71,8 +70,6 @@ class TestWorkedValues:
         assert qn_floor(LAM) == 2
         assert qn_floor(QuadNum(7, 0, 5)) == 7
         assert qn_floor(-LAM) == -3
-        assert qn_ceil(LAM) == 3
-        assert qn_ceil(-LAM) == -2
 
 
 class TestFieldAxioms:
@@ -189,7 +186,6 @@ class TestAgainstFractionOracle:
         assert ((x < y), (x <= y), (x > y), (x >= y), (x == y)) == \
             (diff < 0, diff <= 0, diff > 0, diff >= 0, diff == 0)
         assert qn_floor(x) == ox.floor()
-        assert qn_ceil(x) == -OracleQuad(-a, -b, D).floor()
         assert qn_to_str(x) == ox.to_str()
         assert repr(x) == f"QuadNum({a!r}, {b!r}, D={D})"
 

@@ -282,9 +282,9 @@ class TestProfiles:
     def test_frozen_profiles(self, label):
         A, Y, booleans, case = self.CASES[label]
         prof = case_profile(eigenframe(A), zero_orbit_set(A), Y)
-        assert prof.booleans == booleans
-        assert prof.case == case
-        assert prof.symmetry == "identity"
+        assert prof["booleans"] == list(booleans)
+        assert prof["case"] == case
+        assert prof["symmetry"] == "identity"
 
     @pytest.mark.parametrize("label", sorted(CASES))
     def test_witnesses_certify_the_booleans(self, label):
@@ -292,10 +292,10 @@ class TestProfiles:
         X = zero_orbit_set(A)
         frame = eigenframe(A)
         prof = case_profile(frame, X, Y)
-        assert set(prof.witnesses) == \
+        assert set(prof["witnesses"]) == \
             {k for k, b in zip(("pos_x", "neg_x", "pos_y", "neg_y"),
-                               prof.booleans) if b}
-        for key, rep in prof.witnesses.items():
+                               prof["booleans"]) if b}
+        for key, rep in prof["witnesses"].items():
             sign, own = key.split("_")
             owner = X if own == "x" else Y
             other = Y if own == "x" else X

@@ -2,21 +2,22 @@
 geometry, exact verification, periodic extension, containment, and the
 trapped game certifying incompleteness."""
 
+import copy
 from fractions import Fraction
 
 import pytest
 
-from anosurg import (GameConfig, InvariantError, QUADRANTS, StaircaseError,
-                     build_staircase, containment_check, eigenframe,
-                     incompleteness_threshold, lattice_widths, marked_set,
-                     orbit_of, play_game, point, qn_pow, quadrant_view,
-                     staircase_records)
+from anosurg import (GameConfig, InvariantError, QUADRANTS, StairStep,
+                     StaircaseError, build_staircase, containment_check,
+                     eigenframe, incompleteness_threshold, lattice_widths,
+                     marked_set, orbit_of, play_game, point, qn_pow,
+                     quadrant_view, staircase_records)
 from anosurg.staircase import _first_contact
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
 from oracles import (_QuadrantCoords, index_of_height, oracle_hits,
-                     oracle_staircase_levels)
+                     oracle_staircase_levels, staircase_step)
 
 
 class TestB2Structure:
@@ -48,13 +49,13 @@ class TestB2Structure:
     def test_periodic_extension_matches_recurring_element(self, b2_staircase):
         st = b2_staircase
         for i in range(len(st.steps) - st.period):
-            ext = st.step(i + st.period)
-            img_o = st.g.apply(st.step(i).delta_origin)
-            img_e = st.g.apply(st.step(i).delta_endpoint)
+            ext = staircase_step(st, i + st.period)
+            img_o = st.g.apply(staircase_step(st, i).delta_origin)
+            img_e = st.g.apply(staircase_step(st, i).delta_endpoint)
             if i >= st.preperiod:
                 assert (ext.delta_origin, ext.delta_endpoint) == (img_o, img_e)
         # beyond the stored range the steps keep tiling the axis
-        far = [st.step(i) for i in range(len(st.steps) + 4)]
+        far = [staircase_step(st, i) for i in range(len(st.steps) + 4)]
         for a, b in zip(far, far[1:]):
             assert a.q_hi == b.q_lo
             assert b.q_hi < st.axis_height
@@ -62,13 +63,46 @@ class TestB2Structure:
     def test_index_of_height(self, b2_staircase):
         st = b2_staircase
         for i in range(6):
-            step = st.step(i)
+            step = staircase_step(st, i)
             mid = (step.q_lo + step.q_hi) / 2
             assert index_of_height(st, mid) == i
         with pytest.raises(ValueError):
             index_of_height(st, st.axis_height)
         with pytest.raises(ValueError):
             index_of_height(st, st.axis_height - 2 * st.axis_height)
+
+    @staticmethod
+    def _with_last_level(st, **changes):
+        """A copy of st whose last stored level has the given fields."""
+        last = st.steps[-1]
+        fields = {k: getattr(last, k) for k in StairStep.__slots__}
+        fields.update(changes)
+        tampered = copy.copy(st)
+        tampered.steps = st.steps[:-1] + (StairStep(**fields),)
+        return tampered
+
+    def test_verify_rejects_a_rectangle_that_is_not_primitive(
+            self, b2_staircase):
+        # moving the endpoint up and right by a lattice vector leaves the
+        # old endpoint inside the box
+        st = b2_staircase
+        view, last = st.view, st.steps[-1]
+        v = min(((a, b) for a in range(-3, 4) for b in range(-3, 4)
+                 if view.s((a, b)) > 0 and view.u((a, b)) > 0),
+                key=lambda ab: view.s(ab) + view.u(ab))
+        e = (last.delta_endpoint[0] + v[0], last.delta_endpoint[1] + v[1])
+        s0, u0 = view.s(st.origin), view.u(st.origin)
+        tampered = self._with_last_level(
+            st, delta_endpoint=e, ds=view.s(e) - view.s(last.delta_origin),
+            Ls=view.s(e) - s0, q_hi=view.u(e) - u0)
+        with pytest.raises(InvariantError, match="rectangle is not primitive"):
+            tampered.verify()
+
+    def test_verify_rejects_a_wrong_safety_zone(self, b2_staircase):
+        st = b2_staircase
+        tampered = self._with_last_level(st, safety=st.steps[-1].safety / 2)
+        with pytest.raises(InvariantError, match="safety zone mismatch"):
+            tampered.verify()
 
     def test_records(self, b2_staircase):
         recs = staircase_records(b2_staircase)
@@ -88,16 +122,6 @@ class TestContainment:
         assert not containment_check(st, -(n - 1))
         assert not containment_check(st, n)
 
-    def test_twist_dict_form(self, b2_staircase):
-        st = b2_staircase
-        twists = {base: -2 for base in st.X.points}
-        assert containment_check(st, twists)
-
-    def test_stored_twists_used_by_default(self, frame_b2):
-        X = zero_orbit_set(B2, -2, "X")
-        Y = half_orbit_set(B2, 0, "Y")
-        st = build_staircase(frame_b2, X, Y, point(0, 0), "++")
-        assert containment_check(st)
 
 
 class TestTrappedGame:
