@@ -63,11 +63,11 @@ MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = None
+CLAIM = ("game_grid", "wall_ref")
 
-# alternating parent/change pairs per perfbench row, alternating runs per
-# side of the import time, of each CLI command and of the micro-benchmarks,
-# and Tier-1 runs per side
+# alternating parent/change pairs per perfbench row, and alternating runs
+# per side of the import time, of each CLI command, of the
+# micro-benchmarks and of Tier-1
 PAIRS = 10
 IMPORT_RUNS = 20
 COMMAND_RUNS = 10
@@ -317,6 +317,22 @@ def tier1_run(tree: Path) -> dict:
     return parse_pytest_summary(out)
 
 
+def tier1_record(trees: dict) -> dict:
+    """{side: {"passed", "failed", "errors", "runs"}} from TIER1_RUNS
+    alternating Tier-1 runs per side, parent first in odd runs, so that
+    drift of the host's speed falls on both sides alike.  The counts are
+    those of the side's run with the most failures and errors; runs lists
+    the durations in the order run."""
+    done = alternate(TIER1_RUNS, lambda side: tier1_run(trees[side]))
+    tier1 = {}
+    for side, runs in done.items():
+        worst = max(runs, key=lambda r: r["failed"] + r["errors"])
+        tier1[side] = {"passed": worst["passed"], "failed": worst["failed"],
+                       "errors": worst["errors"],
+                       "runs": [r["seconds"] for r in runs]}
+    return tier1
+
+
 def parse_pytest_summary(stdout: str) -> dict:
     """{"passed", "failed", "errors", "seconds"} from the last line, e.g.
     "2 failed, 354 passed, 1 error in 30.12s"; a count not named is 0."""
@@ -431,13 +447,7 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
     print("micro-benchmarks", file=sys.stderr)
     micro = alternate(MICRO_RUNS, lambda side: micro_us(trees[side], work))
     print("tier-1", file=sys.stderr)
-    tier1 = {}
-    for side in ("parent", "change"):
-        done = [tier1_run(trees[side]) for _ in range(TIER1_RUNS)]
-        worst = max(done, key=lambda r: r["failed"] + r["errors"])
-        tier1[side] = {"passed": worst["passed"], "failed": worst["failed"],
-                       "errors": worst["errors"],
-                       "runs": [r["seconds"] for r in done]}
+    tier1 = tier1_record(trees)
 
     machine = {"nproc": os.cpu_count(), "cpu": cpu_name(),
                "arch": platform.machine(),
@@ -512,8 +522,9 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                         for name in MICRO}},
         "tier1": {
             "command": " ".join(["PYTHONPATH=src python"] + TIER1[1:]) +
-                       f", in each side's export, {TIER1_RUNS} runs "
-                       "each, parent first",
+                       f", in each side's export, {TIER1_RUNS} "
+                       "alternating runs per side, parent first in odd "
+                       "runs",
             "unit": "s",
             "metric": "pytest's reported duration; passed, failed and "
                       "errors are the counts of the side's run with the most "

@@ -48,20 +48,22 @@ class DominationHypothesisError(ValueError):
 
 
 class GameConfig:
-    __slots__ = ("frame", "sets", "quadrant")
+    __slots__ = ("frame", "sets", "quadrant", "marked")
 
     def __init__(self, frame: EigenFrame, sets: tuple, quadrant: str):
         if quadrant not in QUADRANTS:
             raise GameError(f"quadrant must be one of {QUADRANTS}")
-        seen = set()
-        for mset in sets:
-            pts = set(mset.points)
-            if pts & seen:
-                raise GameError("marked sets overlap")
-            seen |= pts
+        try:
+            # the orbits of every set: the one set each strip scan covers,
+            # each hit carrying its own orbit's twist
+            marked = MarkedSet(tuple(orb for mset in sets
+                                     for orb in mset.orbits))
+        except InvariantError:
+            raise GameError("marked sets overlap") from None
         self.frame = frame
         self.sets = sets            # tuple of MarkedSet, pairwise disjoint
         self.quadrant = quadrant
+        self.marked = marked
 
 
 class Crossing:
@@ -98,9 +100,7 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
     """Run the crossing game from p with initial offset t0 up to height r."""
     view = quadrant_view(config.frame, config.quadrant)
     contracting = quadrant_contracting(config.quadrant)
-    lam = view.lam
-    one = lam / lam
-    zero = one - one
+    zero = view.lam * 0
     t0 = t0 if isinstance(t0, QuadNum) else zero + t0
     r = r if isinstance(r, QuadNum) else zero + r
     if not (t0 > 0 and r > 0):
@@ -109,12 +109,9 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
         raise GameError("budget must be at least 1")
 
     sp, up = view.s(p), view.u(p)
-    # one scan covers every marked set: each hit carries its own twist
-    marked = MarkedSet(tuple(orb for mset in config.sets
-                             for orb in mset.orbits))
+    marked, rung = config.marked, config.frame.rung
     t = t0
     trace: list[Crossing] = []
-    lam_pow = {}                # exponent e -> lam^e, each computed once
 
     def strip_hits(right: QuadNum, u_lo: QuadNum, u_hi: QuadNum):
         # offsets in (0, t), heights in (u_lo, u_hi]
@@ -128,9 +125,7 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
             return GameOutcome("BudgetExhausted", None, tuple(trace))
         o, w = c.s - sp, c.twist
         e = -w if contracting else w
-        if e not in lam_pow:
-            lam_pow[e] = qn_pow(lam, e)
-        t_new = o + lam_pow[e] * (t - o)
+        t_new = o + rung(e)[0] * (t - o)
         trace.append(Crossing(c, c.u - up, o, w, e, t, t_new))
         t = t_new
         if e > 0:

@@ -127,6 +127,21 @@ def rounded_float(p: int, q: int, d: int, D: int, root: int) -> float:
     return _to_float(p, q, d, D)
 
 
+def _order(signs):
+    """The QuadNum comparison that holds when the sign of self - other is
+    one of signs: a QuadNum of the same D is read directly, any other
+    operand through `QuadNum._coerce`."""
+    def compare(self, other):
+        p1, q1, d1, D = self._v
+        o = (other._v if type(other) is QuadNum and other._v[3] == D
+             else self._coerce(other))
+        if o is None:
+            return NotImplemented
+        p2, q2, d2, _ = o
+        return _sign(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, D) in signs
+    return compare
+
+
 class QuadNum:
     """(p + q*sqrt(D))/d with integers p, q, d > 0, gcd(p, q, d) = 1, and D a
     fixed positive non-square; built as QuadNum(a, b, D) = a + b*sqrt(D)."""
@@ -166,35 +181,29 @@ class QuadNum:
     # -- helpers -----------------------------------------------------------
 
     def _coerce(self, other):
-        """(p, q, d) of other in this field, or None for an unsupported type."""
+        """(p, q, d, D) of other in this field, or None for an unsupported
+        type.  The operators read a QuadNum of the same D directly and
+        call this only for other operands."""
+        D = self._v[3]
         if isinstance(other, QuadNum):
-            p, q, d, D = other._v
-            if D != self._v[3]:
-                raise QuadFieldError(f"mismatched D: {self._v[3]} vs {D}")
-            return p, q, d
+            if other._v[3] != D:
+                raise QuadFieldError(f"mismatched D: {D} vs {other._v[3]}")
+            return other._v
         if isinstance(other, int):
-            return other, 0, 1
+            return other, 0, 1, D
         if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator
+            return other.numerator, 0, other.denominator, D
         return None
-
-    def _cmp(self, other):
-        """Sign of self - other, or None for an unsupported type."""
-        o = self._coerce(other)
-        if o is None:
-            return None
-        p1, q1, d1, D = self._v
-        p2, q2, d2 = o
-        return _sign(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, D)
 
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        p1, q1, d1, D = self._v
+        o = (other._v if type(other) is QuadNum and other._v[3] == D
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        p1, q1, d1, D = self._v
-        p2, q2, d2 = o
+        p2, q2, d2, _ = o
         return _qn(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2, D)
 
     __radd__ = __add__
@@ -204,22 +213,24 @@ class QuadNum:
         return _qn(-p, -q, d, D)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        p1, q1, d1, D = self._v
+        o = (other._v if type(other) is QuadNum and other._v[3] == D
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        p1, q1, d1, D = self._v
-        p2, q2, d2 = o
+        p2, q2, d2, _ = o
         return _qn(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2, D)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        p1, q1, d1, D = self._v
+        o = (other._v if type(other) is QuadNum and other._v[3] == D
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        p1, q1, d1, D = self._v
-        p2, q2, d2 = o
+        p2, q2, d2, _ = o
         return _qn(p1 * p2 + q1 * q2 * D, p1 * q2 + q1 * p2, d1 * d2, D)
 
     __rmul__ = __mul__
@@ -238,7 +249,7 @@ class QuadNum:
         if o is None:
             return NotImplemented
         p1, q1, d1, D = self._v
-        p2, q2, d2 = o
+        p2, q2, d2, _ = o
         # (p1 + q1 sqrt D)/d1 * d2 (p2 - q2 sqrt D) / (p2^2 - q2^2 D)
         norm = p2 * p2 - q2 * q2 * D
         if norm == 0:
@@ -274,21 +285,10 @@ class QuadNum:
             return hash(Fraction(p, d))     # equal to the int or Fraction's
         return hash(self._v)
 
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
+    __lt__ = _order((-1,))
+    __le__ = _order((-1, 0))
+    __gt__ = _order((1,))
+    __ge__ = _order((0, 1))
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

@@ -96,10 +96,9 @@ def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
 
 
 def lattice_widths(view: FrameView):
-    """W_s = |s(1,0)| + |s(0,1)|, W_u likewise, in view coordinates."""
-    ws = abs(view.s((1, 0))) + abs(view.s((0, 1)))
-    wu = abs(view.u((1, 0))) + abs(view.u((0, 1)))
-    return ws, wu
+    """W_s = |s(1,0)| + |s(0,1)|, W_u likewise, which the view's flips do
+    not change: the frame's `widths`."""
+    return view.frame.widths
 
 
 def period_window(view: FrameView, period: int):

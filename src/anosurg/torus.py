@@ -13,12 +13,16 @@ unit horizontal diagonal spans a positive rectangle.
 
 Box scans run on integers.  The frame keeps s and u as integer linear forms
 (`IntForm`) over one denominator each, together with the reciprocal of
-their y-coefficient and the slope of their level lines.  For a lift
-base + (m, n) each edge of an (s, u)-box is then a bound on n alone, the
-integer floor of a quadratic number computed from integers once per column
-m, rounded up or down by whether the edge is open or closed.  These bounds
-are exact, so every (m, n) between them is a lift in the box and nothing is
-re-checked.  `box_lifts` returns the lifts as integers; `hits_in_box`, the
+their y-coefficient and the slope of their level lines, and the lattice
+widths W_s = |s(1,0)| + |s(0,1)| and W_u, which no view's flips change.
+For a lift base + (m, n) each edge of an (s, u)-box is then a bound on n
+alone, the integer floor of a quadratic number, rounded up or down by
+whether the edge is open or closed.  Per base point the four edge rules
+are set up once, at the box's first column, and one loop over the columns
+steps each rule's numerator by its per-column increment and takes n_lo
+and n_hi from one floor per rule.  These bounds are exact, so every
+(m, n) between them is a lift in the box and nothing is re-checked.
+`box_lifts` returns the lifts as integers; `hits_in_box`, the
 one builder of `MarkedPointHit`s, builds a QuadNum only for the view s and
 u of a lift found and returns the hits in no particular order, and figures
 convert the integers to doubles without any.
@@ -228,7 +232,7 @@ class EigenFrame(_Value):
     (`even_log_floor`), and `renormalization(j)` reads rungs j and -j.
     """
     __slots__ = ("matrix", "D", "lam", "lam_inv", "s_form", "u_form",
-                 "s_int", "u_int", "root", "ladder", "families")
+                 "widths", "s_int", "u_int", "root", "ladder", "families")
 
     def __init__(self, matrix: HyperbolicMatrix, D: int, lam: QuadNum,
                  lam_inv: QuadNum, s_form: tuple, u_form: tuple,
@@ -239,6 +243,10 @@ class EigenFrame(_Value):
         _set(self, "lam_inv", lam_inv)
         _set(self, "s_form", s_form)      # linear form with s_form(v_u) = 0
         _set(self, "u_form", u_form)      # linear form with u_form(v_s) = 0
+        # (W_s, W_u) = (|s(1,0)| + |s(0,1)|, |u(1,0)| + |u(0,1)|), the same
+        # in every view, since a flip only changes the signs
+        _set(self, "widths", tuple(abs(cx) + abs(cy)
+                                   for cx, cy in (s_form, u_form)))
         # the same forms over the integers
         _set(self, "s_int", s_int)
         _set(self, "u_int", u_int)
@@ -518,21 +526,27 @@ def _edges(form: IntForm, lo, hi, lo_closed, hi_closed):
     for n.
 
     A lift (x0 + m, y0 + n) meets the edge at v exactly when y0 + n lies on
-    the right side of t = v*recip - slope*(x0 + m).  With v*recip =
-    (p + q*sqrt(D))/dv and the slope's denominator sd, a rule is
-    (p*sd, q*sd, dv, dv*sd, sign, offset) and bounds n by
-    sign*floor(sign*(t - y0)) + offset, rounded by `_ROUNDING`.  These
-    bounds are exact for rational and irrational t alike.
+    the right side of t = v*recip - slope*(x0 + m), and n is bounded by
+    sign*floor(sign*(t - y0)) + offset, rounded by `_ROUNDING`.  With
+    v*recip = (p + q*sqrt(D))/dv and slope = (sp + sq*sqrt(D))/sd, at the
+    lifts x0 + m = X/k, y0 = Y/k that bound is
+
+        sign*floor((k*a - f*X - h*Y + (k*b - g*X)*sqrt(D)) / (e*k)) + offset
+
+    for the rule (a, b, f, g, h, e, sign, offset).  These bounds are exact
+    for rational and irrational t alike.
     """
     rp, rq, rd = form.recip
-    sd = form.slope[2]
+    sp, sq, sd = form.slope
     D = form.D
 
     def rule(v, closed, lower):
         p, q, d = _parts(v)
         dv = d * rd
-        return ((p * rp + q * rq * D) * sd, (p * rq + q * rp) * sd, dv,
-                dv * sd) + _ROUNDING[lower, closed]
+        sign, offset = _ROUNDING[lower, closed]
+        return (sign * (p * rp + q * rq * D) * sd,
+                sign * (p * rq + q * rp) * sd, sign * dv * sp, sign * dv * sq,
+                sign * dv * sd, dv * sd, sign, offset)
 
     if form.rising:
         return rule(lo, lo_closed, True), rule(hi, hi_closed, False)
@@ -540,31 +554,18 @@ def _edges(form: IntForm, lo, hi, lo_closed, hi_closed):
     return rule(hi, hi_closed, True), rule(lo, lo_closed, False)
 
 
-def _bound_run(rule, form: IntForm, x_num, y_num, k, count):
-    """A rule's bounds on n for the count columns x = x_num/k, x + 1, ...
-    of lifts with y0 = y_num/k: one integer floor per column."""
-    a, b, dv, e, sign, off = rule
-    sp, sq, sd = form.slope
-    D = form.D
-    # (t - y0)*e*k
-    #   = k*(a + b sqrt(D)) - dv*((sp + sq sqrt(D))*x_num + sd*y_num)
-    p = sign * (k * a - dv * (sp * x_num + sd * y_num))
-    q = sign * (k * b - dv * sq * x_num)
-    dp, dq = -sign * dv * sp * k, -sign * dv * sq * k
-    ek = e * k
-    return [sign * _floor(p + i * dp, q + i * dq, ek, D) + off
-            for i in range(count)]
-
-
 def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                include, j: int, rows):
     """(base, (m, n), k, X, Y, twist) for every lift base + (m, n) =
     (X/k, Y/k) of mset in a box, scanned as its image under A^j: the bounds
     are the image's, and rows, the integer rows of A^-j, map each lift found
-    there back; k is the base's common denominator."""
+    there back; k is the base's common denominator.  Per base point the
+    four edge rules are set up at the first column and stepped from column
+    to column in one loop."""
     s_int, u_int, D = frame.s_int, frame.u_int, frame.D
-    s_lower, s_upper = _edges(s_int, s_lo, s_hi, include[0], include[1])
-    u_lower, u_upper = _edges(u_int, u_lo, u_hi, include[2], include[3])
+    # the lower and upper rules of s, then of u
+    rules = (_edges(s_int, s_lo, s_hi, include[0], include[1])
+             + _edges(u_int, u_lo, u_hi, include[2], include[3]))
     # x = s + u at every point (v_s and v_u have first coordinate 1), so the
     # box's columns lie between s_lo + u_lo and s_hi + u_hi
     (p1, q1, d1), (p2, q2, d2) = _parts(s_lo), _parts(u_lo)
@@ -578,18 +579,28 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
         for i, (k, x_num, y_num) in enumerate(orb.integers):
             m_lo = -_floor(x_num * lo_d - lo_p * k, -lo_q * k, lo_d * k, D)
             m_hi = _floor(hi_p * k - x_num * hi_d, hi_q * k, hi_d * k, D)
-            count = m_hi - m_lo + 1
-            if count <= 0:
+            if m_hi < m_lo:
                 continue
             # the lift found at points[i] is A^j of a lift of points[i - j]
             base = points[(i - j) % period]
-            columns = (x_num + m_lo * k, y_num, k, count)
-            lows = map(max, _bound_run(s_lower, s_int, *columns),
-                       _bound_run(u_lower, u_int, *columns))
-            highs = map(min, _bound_run(s_upper, s_int, *columns),
-                        _bound_run(u_upper, u_int, *columns))
+            # each rule's floor argument (p + q*sqrt(D))/(e*k) at column
+            # m_lo, whose p and q move by -f*k and -g*k per column
+            x = x_num + m_lo * k
+            ((sp1, sq1, sf1, sg1, se1, ss1, so1),
+             (sp2, sq2, sf2, sg2, se2, ss2, so2),
+             (up1, uq1, uf1, ug1, ue1, us1, uo1),
+             (up2, uq2, uf2, ug2, ue2, us2, uo2)) = [
+                (k * ra - rf * x - rh * y_num, k * rb - rg * x, rf * k,
+                 rg * k, re * k, sign, offset)
+                for ra, rb, rf, rg, rh, re, sign, offset in rules]
             bk, dk = b * k, d * k
-            for m, n_lo, n_hi in zip(range(m_lo, m_hi + 1), lows, highs):
+            for m in range(m_lo, m_hi + 1):
+                n_lo = max(ss1 * _floor(sp1, sq1, se1, D) + so1,
+                           us1 * _floor(up1, uq1, ue1, D) + uo1)
+                n_hi = min(ss2 * _floor(sp2, sq2, se2, D) + so2,
+                           us2 * _floor(up2, uq2, ue2, D) + uo2)
+                sp1, sq1, sp2, sq2 = sp1 - sf1, sq1 - sg1, sp2 - sf2, sq2 - sg2
+                up1, uq1, up2, uq2 = up1 - uf1, uq1 - ug1, up2 - uf2, uq2 - ug2
                 # the column's lifts mapped back by A^-j, one step of
                 # A^-j (0, k) apart
                 x, y = x_num + m * k, y_num + n_lo * k

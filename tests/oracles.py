@@ -9,7 +9,7 @@ check rather than a tautology.
 from fractions import Fraction
 import math
 
-from anosurg import QuadNum, StairStep, qn_pow
+from anosurg import StairStep, qn_pow
 
 
 def oracle_point(frame, s, u):

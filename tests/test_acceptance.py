@@ -18,11 +18,11 @@ import random
 from fractions import Fraction
 
 from anosurg import (DominationAnalysis, FrameView, GameConfig, QuadNum,
-                     STATUSES, SurgeryProblem, build_staircase, classify,
-                     containment_check, eigenframe, enumerate_primitive,
-                     hits_in_box, incompleteness_threshold, is_primitive,
-                     marked_rect, marked_set, play_game, point, qn_pow,
-                     quadrant_report, rect_meets)
+                     STATUSES, classify, containment_check, eigenframe,
+                     enumerate_primitive, hits_in_box,
+                     incompleteness_threshold, is_primitive, marked_rect,
+                     marked_set, play_game, point, qn_pow, quadrant_report,
+                     rect_meets)
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)

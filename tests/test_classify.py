@@ -15,7 +15,7 @@ from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem, case_profile,
 from anosurg.classify import analysis_of
 from anosurg.cli import FIXTURES, load_problem, main
 
-from conftest import A2, A3, B2, C3, HALF, half_orbit_set, zero_orbit_set
+from conftest import A2, A3, B2, C3, HALF, zero_orbit_set
 
 
 def problem(A, x_seeds, y_seeds):

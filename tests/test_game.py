@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 from anosurg import (DominationAnalysis, DominationHypothesisError,
-                     GameConfig, GameError, HyperbolicMatrix, InvariantError,
-                     QuadNum, QUADRANTS, case_profile, eigenframe,
-                     game_trace_records, marked_set, orbit_of, play_game,
-                     point, qn_pow, quadrant_contracting)
+                     GameConfig, GameError, InvariantError, QuadNum,
+                     QUADRANTS, case_profile, eigenframe,
+                     game_trace_records, lattice_widths, marked_set,
+                     orbit_of, play_game, point, qn_pow, quadrant_contracting,
+                     quadrant_view)
 
-from anosurg import game
+from anosurg import game, torus
 from anosurg.cli import FIXTURES, load_problem
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
@@ -241,6 +242,50 @@ class TestGameBasics:
         assert all(set(X.orbits + Y.orbits) <= set(orbits)
                    for orbits in scanned)
         assert len(scanned) < len({c.height for c in out.trace})
+
+
+class TestPerGameConstants:
+    """What a game reads and does not rebuild: the union of its sets is
+    built once, by its GameConfig, and the lattice widths and powers of
+    lam are read off the frame."""
+
+    def test_a_game_builds_no_marked_set(self, frame_a2, monkeypatch):
+        built = []
+        init = torus.MarkedSet.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(torus.MarkedSet, "__init__", counted)
+        cfg = a2_config(frame_a2, 1, 2)
+        assert len(built) == 3      # X, Y and their union
+        assert cfg.marked.orbits == cfg.sets[0].orbits + cfg.sets[1].orbits
+        out = play_game(cfg, (Fraction(0), Fraction(0)), QuadNum(1, 0, 5),
+                        QuadNum(7, 0, 5))
+        assert out.defined and out.trace and len(built) == 3
+
+    @pytest.mark.parametrize("A", [A2, A3, B2, C3])
+    def test_lattice_widths_in_every_view(self, A):
+        frame = eigenframe(A)
+        for quadrant in QUADRANTS:
+            view = quadrant_view(frame, quadrant)
+            assert lattice_widths(view) == (
+                abs(view.s((1, 0))) + abs(view.s((0, 1))),
+                abs(view.u((1, 0))) + abs(view.u((0, 1))))
+
+    def test_overlapping_sets_rejected(self, frame_a2):
+        # the same orbit in two sets, with the same or another
+        # characteristic number, and one orbit shared by a larger set
+        zero, half = point(0, 0), point(HALF, HALF)
+        overlaps = [(zero_orbit_set(A2, 1), zero_orbit_set(A2, 1)),
+                    (zero_orbit_set(A2, 1), zero_orbit_set(A2, -2)),
+                    (half_orbit_set(A2),
+                     marked_set(A2, [(zero, 1), (half, 2)], "Y"))]
+        for sets in overlaps:
+            with pytest.raises(GameError, match="overlap"):
+                GameConfig(frame_a2, sets, "++")
+        GameConfig(frame_a2, (zero_orbit_set(A2), half_orbit_set(A2)), "++")
 
 
 class TestDomination:

@@ -8,6 +8,7 @@ eigenframe as the only geometry argument of the public API."""
 import ast
 import inspect
 import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,8 +134,14 @@ class TestStrings:
 
 class TestErrors:
     def test_mixed_fields_rejected(self):
-        with pytest.raises(QuadFieldError):
-            _ = QuadNum(1, 1, 5) + QuadNum(1, 1, 8)
+        # the operators read a QuadNum operand of their own D directly;
+        # another D still raises, from every operator
+        x, y = QuadNum(1, 1, 5), QuadNum(1, 1, 8)
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv, operator.lt, operator.le, operator.gt,
+                   operator.ge):
+            with pytest.raises(QuadFieldError):
+                op(x, y)
 
     def test_bad_d(self):
         with pytest.raises(QuadFieldError):

@@ -47,6 +47,25 @@ def test_alternate_runs_the_parent_first_in_odd_pairs():
     assert runs == {"parent": [1, 4, 5], "change": [2, 3, 6]}
 
 
+def test_tier1_runs_alternate_and_keep_the_worst_counts(monkeypatch):
+    order = []
+
+    def fake_tier1_run(tree):
+        order.append(tree)
+        failed = 1 if len(order) == 3 else 0
+        return {"passed": 10 - failed, "failed": failed, "errors": 0,
+                "seconds": float(len(order))}
+
+    monkeypatch.setattr(record, "tier1_run", fake_tier1_run)
+    monkeypatch.setattr(record, "TIER1_RUNS", 3)
+    tier1 = record.tier1_record({"parent": "P", "change": "C"})
+    assert order == ["P", "C", "C", "P", "P", "C"]
+    assert tier1["parent"] == {"passed": 10, "failed": 0, "errors": 0,
+                               "runs": [1.0, 4.0, 5.0]}
+    assert tier1["change"] == {"passed": 9, "failed": 1, "errors": 0,
+                               "runs": [2.0, 3.0, 6.0]}
+
+
 def test_parse_import_time_reads_the_cumulative_column():
     err = ("import time: self [us] | cumulative | imported package\n"
            "import time:       120 |        120 |   anosurg.quadfield\n"

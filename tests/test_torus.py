@@ -20,7 +20,7 @@ from anosurg.cli import load_problem
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
-from oracles import oracle_hits, oracle_point
+from oracles import oracle_band_hits, oracle_hits, oracle_point
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
@@ -214,6 +214,9 @@ KERNEL_MATRICES = {"A2": A2, "A2-": HyperbolicMatrix(2, -1, -1, 1),
 ALL_INCLUDES = list(itertools.product((True, False), repeat=4))
 
 
+ORIGIN_LIFT = ((0, 0), (0, 0))      # (base, lattice) of the lift at 0
+
+
 def kernel_set(A):
     """Orbits of base points with denominators 1, 2, 3 and 4 (disjoint,
     since a point's denominator is invariant under A)."""
@@ -222,15 +225,16 @@ def kernel_set(A):
                           (point(Fraction(1, 4), HALF), -1)], "X")
 
 
-def view_oracle(view, mset, s_lo, s_hi, u_lo, u_hi, include):
-    """oracle_hits on the mirrored raw box, in view coordinates."""
+def view_oracle(view, mset, s_lo, s_hi, u_lo, u_hi, include,
+                oracle=oracle_hits):
+    """oracle_hits, or another oracle of its signature, on the mirrored raw
+    box, in view coordinates."""
     i0, i1, i2, i3 = include
     if view.flip_s:
         s_lo, s_hi, i0, i1 = -s_hi, -s_lo, i1, i0
     if view.flip_u:
         u_lo, u_hi, i2, i3 = -u_hi, -u_lo, i3, i2
-    raw = oracle_hits(view.frame, mset, s_lo, s_hi, u_lo, u_hi,
-                      (i0, i1, i2, i3))
+    raw = oracle(view.frame, mset, s_lo, s_hi, u_lo, u_hi, (i0, i1, i2, i3))
     out = [(b, k, -s if view.flip_s else s, -u if view.flip_u else u, tw)
            for b, k, s, u, tw in raw]
     return sorted(out, key=lambda h: (h[2], h[3]))
@@ -304,6 +308,46 @@ class TestKernelAgainstOracle:
                 for include in ALL_INCLUDES[::4]:
                     got = hit_keys(hits_in_box(view, X, *box, include))
                     assert got == view_oracle(view, X, *box, include)
+
+
+    @pytest.mark.parametrize("label", sorted(KERNEL_MATRICES))
+    def test_stepped_columns_in_every_view(self, label):
+        # the kernel sets each edge rule up at a base point's first column
+        # and steps it from column to column, so a wrong step shows on a
+        # box three or more columns wide per base point; with thin boxes
+        # renormalized by j = 2 and -2 too, in all four views, one
+        # inclusion pattern per box, 12 of the 16 per matrix and all 16
+        # over the four matrices
+        A = KERNEL_MATRICES[label]
+        offset = 4 * sorted(KERNEL_MATRICES).index(label)
+        frame, X = eigenframe(A), kernel_set(A)
+        long_side, ratio = 6, frame.lam ** 4
+        half_short = long_side / ratio / 2
+        for q, quadrant in enumerate(QUADRANTS):
+            view = quadrant_view(frame, quadrant)
+            # a square box spanned by the lift (0, 0) and the nearest lifts
+            # at least 3/2 above it in s and in u
+            lifts = hits_in_box(view, X, 0, 3, 0, 3)
+            s_hi = min(h.s for h in lifts if h.s >= Fraction(3, 2))
+            u_hi = min(h.u for h in lifts if h.u >= Fraction(3, 2))
+            boxes = [((0, s_hi, 0, u_hi), 0, oracle_hits),
+                     ((0, long_side, -half_short, half_short), 2,
+                      oracle_band_hits),
+                     ((0, 2 * half_short, -long_side // 2, long_side // 2),
+                      -2, oracle_hits)]
+            for b, (box, j, oracle) in enumerate(boxes):
+                s_lo, s_hi, u_lo, u_hi = box
+                assert _balance_power(frame, s_hi - s_lo, u_hi - u_lo) == j
+                include = ALL_INCLUDES[(3 * q + b + offset) % 16]
+                want = view_oracle(view, X, *box, include, oracle)
+                assert hit_keys(hits_in_box(view, X, *box, include)) == want
+                # the lift (0, 0) lies on the s_lo edge, and on the u_lo
+                # edge of the square box
+                on_edges = include[0] and (include[2] or j != 0)
+                assert (ORIGIN_LIFT in [h[:2] for h in want]) == on_edges
+                assert len(want) > 3 or j != 0
+            # s + u = x, so the square box is three columns wide or more
+            assert boxes[0][0][1] + boxes[0][0][3] >= 3
 
 
 def long_orbit_set(A):
