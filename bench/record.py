@@ -1,6 +1,7 @@
 """Record a BENCH_<n>.json: perfbench end-to-end metrics of a parent commit
 and its change from alternating pairs of runs, plus import time, per-command
-wall times, the field micro-benchmarks and the Tier-1 wall time.
+wall times, the in-process `play_game` time of the 1,500-crossing game, the
+field micro-benchmarks and the Tier-1 wall time.
 
     python3 bench/record.py PARENT CHANGE --out BENCH_<n>.json
 
@@ -89,9 +90,13 @@ def long_orbit(q: int) -> dict:
 # periods 98 and 200
 PROBLEMS = {"PERIOD_98": long_orbit(97), "PERIOD_200": long_orbit(175)}
 
-# CLI commands timed in fresh processes; PATH is a scratch SVG file.  The
-# 1,500-crossing game renormalizes its scans by powers of A up to about
-# 750; it draws no figure, whose offsets no longer fit in a double.
+# The 1,500-crossing b2 game renormalizes its scans by powers of A up to
+# about 750; it draws no figure, whose offsets no longer fit in a double.
+LONG_GAME = ("game fixtures/b2_half.json --point 0,0 --t0 1 --r 20 "
+             "--budget 1500")
+LONG_GAME_CROSSINGS = 1500
+
+# CLI commands timed in fresh processes; PATH is a scratch SVG file.
 COMMANDS = ("examples",
             "census fixtures/a2_half.json",
             "classify fixtures/b2_half.json",
@@ -99,10 +104,26 @@ COMMANDS = ("examples",
             "staircase fixtures/b2_half.json --svg PATH",
             "game fixtures/b2_half.json --point 0,0 --t0 1 --r 20 "
             "--budget 400 --svg PATH",
-            "game fixtures/b2_half.json --point 0,0 --t0 1 --r 20 "
-            "--budget 1500",
+            LONG_GAME,
             "census PERIOD_98",
             "census PERIOD_200")
+
+# LONG_GAME in process: the `play_game` call alone, without interpreter
+# start-up, problem parsing or the JSON output; its row follows the CLI row
+GAME_SCRIPT = f"""
+import json, time
+from anosurg import GameConfig, QuadNum, eigenframe, play_game, point
+from anosurg.cli import load_problem
+with open("fixtures/b2_half.json") as fh:
+    A, sets, _ = load_problem(json.load(fh))
+frame = eigenframe(A)
+config = GameConfig(frame, (sets["X"], sets["Y"]), "++")
+t0, r = QuadNum(1, 0, frame.D), QuadNum(20, 0, frame.D)
+start = time.perf_counter()
+outcome = play_game(config, point(0, 0), t0, r, {LONG_GAME_CROSSINGS})
+seconds = time.perf_counter() - start
+print(f"play_game {{len(outcome.trace)}} crossings {{seconds:.6f}} s")
+"""
 
 # what each end-to-end metric measures, where that is not the program alone
 METRIC_NOTES = {
@@ -289,6 +310,25 @@ def command_seconds(tree: Path, args: str, scratch: Path) -> float:
     return time.perf_counter() - start
 
 
+def game_seconds(tree: Path) -> float:
+    """Seconds of the `play_game` call of one GAME_SCRIPT run in tree."""
+    out = subprocess.run([sys.executable, "-c", GAME_SCRIPT], cwd=tree,
+                         env=env_for(tree), check=True, capture_output=True,
+                         text=True).stdout
+    return parse_game_seconds(out)
+
+
+def parse_game_seconds(stdout: str) -> float:
+    """The seconds in GAME_SCRIPT's line "play_game N crossings S s"; a
+    game of other than LONG_GAME_CROSSINGS crossings raises ValueError."""
+    found = re.fullmatch(r"play_game (\d+) crossings ([\d.]+) s",
+                         stdout.strip())
+    if not found or int(found.group(1)) != LONG_GAME_CROSSINGS:
+        raise ValueError(f"not a {LONG_GAME_CROSSINGS}-crossing game: "
+                         f"{stdout!r}")
+    return float(found.group(2))
+
+
 def micro_us(tree: Path, work: Path) -> dict:
     """The MICRO figures of one `perfbench/worker.py micro` run in tree."""
     goldens = json.loads((tree / "perfbench" / "goldens.json").read_text())
@@ -444,6 +484,14 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
         rows.append({"args": command,
                      "parent": round(statistics.median(runs["parent"]), 3),
                      "change": round(statistics.median(runs["change"]), 3)})
+        if command == LONG_GAME:
+            print("in-process play_game", file=sys.stderr)
+            runs = alternate(COMMAND_RUNS,
+                             lambda side: game_seconds(trees[side]))
+            rows.append({
+                "args": "play_game of the command above, in process",
+                "parent": round(statistics.median(runs["parent"]), 3),
+                "change": round(statistics.median(runs["change"]), 3)})
     print("micro-benchmarks", file=sys.stderr)
     micro = alternate(MICRO_RUNS, lambda side: micro_us(trees[side], work))
     print("tier-1", file=sys.stderr)
@@ -504,7 +552,10 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                        "side, compiled exports; PERIOD_98 and PERIOD_200 "
                        "are A2 with Y the (0,0) orbit at -1 and X the orbit "
                        "of (1/97, 0) (period 98) or of (1/175, 0) (period "
-                       "200) at +1",
+                       "200) at +1; the row after the 1,500-crossing game "
+                       "times its play_game call alone, in one fresh "
+                       "process per run, without start-up, parsing or JSON "
+                       "output",
             "statistic": "median",
             "unit": "s",
             "rows": rows},

@@ -48,20 +48,21 @@ class DominationHypothesisError(ValueError):
 
 
 class GameConfig:
-    __slots__ = ("frame", "sets", "quadrant", "marked")
+    """A game's frame, quadrant and marked lifts: `sets` is a tuple of
+    pairwise disjoint MarkedSets, and `marked` holds the orbits of all of
+    them, the one set that each strip scan covers, each hit carrying its
+    own orbit's twist."""
+    __slots__ = ("frame", "quadrant", "marked")
 
     def __init__(self, frame: EigenFrame, sets: tuple, quadrant: str):
         if quadrant not in QUADRANTS:
             raise GameError(f"quadrant must be one of {QUADRANTS}")
         try:
-            # the orbits of every set: the one set each strip scan covers,
-            # each hit carrying its own orbit's twist
             marked = MarkedSet(tuple(orb for mset in sets
                                      for orb in mset.orbits))
         except InvariantError:
             raise GameError("marked sets overlap") from None
         self.frame = frame
-        self.sets = sets            # tuple of MarkedSet, pairwise disjoint
         self.quadrant = quadrant
         self.marked = marked
 

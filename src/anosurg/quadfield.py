@@ -23,8 +23,9 @@ doubles differ does it fall back to that exact conversion.
 
 qn_log_floor(x, base) is the exact integer logarithm, the greatest k with
 base^k <= x, found by repeated squaring.  The threshold and recurrence
-exponent searches call it; box renormalization bisects a ladder of powers
-kept on its eigenframe instead.
+exponent searches call it; box renormalization estimates its power from
+fixed-point logarithms and confirms it against a ladder of powers kept on
+its eigenframe instead.
 
 D is stored as given (no square-free reduction): arithmetic is unaffected and
 we avoid integer factorization entirely.

@@ -15,8 +15,13 @@ Box scans run on integers.  The frame keeps s and u as integer linear forms
 (`IntForm`) over one denominator each, together with the reciprocal of
 their y-coefficient and the slope of their level lines, and the lattice
 widths W_s = |s(1,0)| + |s(0,1)| and W_u, which no view's flips change.
-For a lift base + (m, n) each edge of an (s, u)-box is then a bound on n
-alone, the integer floor of a quadratic number, rounded up or down by
+A scan takes each bound apart once, into the integers (p, q, d) of
+(p + q*sqrt(D))/d, and its whole set-up works on those: the range check,
+the widths, the renormalization power j (estimated from fixed-point
+logarithms, then confirmed by two integer sign tests against the frame's
+power ladder) and the bounds scaled by lam^-j and lam^j.  For a lift
+base + (m, n) each edge of an (s, u)-box is then a bound on n alone, the
+integer floor of a quadratic number, rounded up or down by
 whether the edge is open or closed.  Per base point the four edge rules
 are set up once, at the box's first column, and one loop over the columns
 steps each rule's numerator by its per-column increment and takes n_lo
@@ -33,7 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .quadfield import QuadNum, _floor, _parts, _qn, fixed_root
+from .quadfield import (ROOT_BITS, QuadNum, _floor, _parts, _qn, _sign,
+                        fixed_root)
 
 
 class UnsupportedMatrixError(ValueError):
@@ -173,6 +179,11 @@ def _mat_apply(rows, p):
 # ---------------------------------------------------------------------------
 # Eigenframe
 
+# Fractional bits of the fixed-point base-2 logarithms from which a box's
+# renormalization power is estimated
+LOG_BITS = 16
+
+
 class IntForm:
     """A coordinate c_x*x + c_y*y as an integer form over one denominator L:
     at the point (X/k, Y/k) its value is
@@ -228,15 +239,17 @@ class EigenFrame(_Value):
     integer n out to the farthest that box scans have needed so far, on
     both sides of n = 0.  It starts at rung 0 and grows on demand, one
     multiplication from the neighbouring rung per new rung.  The power A^j
-    that makes a box square is bisected over its even rungs
-    (`even_log_floor`), and `renormalization(j)` reads rungs j and -j.
+    that makes a box square is estimated from `log2_lam` and confirmed
+    against the odd rungs 2j - 1 and 2j + 1 (`_balance_power`), and
+    `renormalization(j)` reads rungs j and -j.
     """
     __slots__ = ("matrix", "D", "lam", "lam_inv", "s_form", "u_form",
-                 "widths", "s_int", "u_int", "root", "ladder", "families")
+                 "widths", "s_int", "u_int", "root", "log2_lam", "ladder",
+                 "families")
 
     def __init__(self, matrix: HyperbolicMatrix, D: int, lam: QuadNum,
                  lam_inv: QuadNum, s_form: tuple, u_form: tuple,
-                 s_int: IntForm, u_int: IntForm, root: int):
+                 s_int: IntForm, u_int: IntForm, root: int, log2_lam: int):
         _set(self, "matrix", matrix)
         _set(self, "D", D)
         _set(self, "lam", lam)            # expansive eigenvalue > 1
@@ -252,6 +265,9 @@ class EigenFrame(_Value):
         _set(self, "u_int", u_int)
         # fixed_root(D), which converts coordinates to doubles for figures
         _set(self, "root", root)
+        # floor(log2(lam) * 2^LOG_BITS), from which box scans estimate
+        # their renormalization power
+        _set(self, "log2_lam", log2_lam)
         # the power ladder: rungs 0, 1, 2, ... and rungs 0, -1, -2, ...
         rung0 = (lam * lam_inv, ((1, 0), (0, 1)))
         _set(self, "ladder", ([rung0], [rung0]))
@@ -286,29 +302,6 @@ class EigenFrame(_Value):
         lam_j, rows = self.rung(j)
         return self.rung(-j)[0], lam_j, rows
 
-    def even_log_floor(self, r) -> int:
-        """The greatest j with lam^(2j) <= r, for r > 0: bisected over the
-        even rungs built so far, and past them one rung pair at a time."""
-        def below(j):                   # lam^(2j) <= r
-            return self.rung(2 * j)[0] <= r
-
-        # lo < hi with lam^(2 lo) <= r < lam^(2 hi)
-        if below(0):
-            lo, hi = 0, max(1, (len(self.ladder[0]) - 1) // 2)
-            while below(hi):
-                lo, hi = hi, hi + 1
-        else:
-            lo, hi = min(-1, -((len(self.ladder[1]) - 1) // 2)), 0
-            while not below(lo):
-                lo, hi = lo - 1, lo
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if below(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
 
 def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
     T = A.trace
@@ -328,7 +321,23 @@ def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
     s_form = (slope_u / det, -one / det)
     u_form = (-slope_s / det, one / det)
     return EigenFrame(A, D, lam, lam_inv, s_form, u_form, IntForm.of(*s_form),
-                      IntForm.of(*u_form), fixed_root(D))
+                      IntForm.of(*u_form), fixed_root(D), _log2_fixed(lam))
+
+
+def _log2_fixed(x: QuadNum) -> int:
+    """floor(log2(x) * 2^LOG_BITS), or one less, for x >= 1, bit by bit:
+    y = x / 2^n in [1, 2) is held to 64 fractional bits, and each squaring
+    of y gives the next bit (a square of 2 or more is a 1, and is
+    halved)."""
+    p, q, d = _parts(x)
+    y = _floor(p << 64, q << 64, d, x.D)
+    n = y.bit_length() - 65             # floor(log2(x))
+    y >>= n
+    for _ in range(LOG_BITS):
+        y = y * y >> 64
+        bit = y >> 65
+        n, y = 2 * n + bit, y >> bit
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +468,69 @@ class MarkedPointHit:
         return (self.base[0] + self.lattice[0], self.base[1] + self.lattice[1])
 
 
+def _log2(n: int) -> int:
+    """About log2(n) * 2^LOG_BITS for an integer n > 0, within 0.008 *
+    2^LOG_BITS: the place of the top bit, plus the fraction f that the bits
+    below it make, read through log2(1 + f) ~ f + 0.3466 f (1 - f)."""
+    e = n.bit_length() - 1
+    one = 1 << LOG_BITS
+    f = (n << LOG_BITS >> e) - one
+    return (e << LOG_BITS) + f + (f * (one - f) * 22715 >> 2 * LOG_BITS)
+
+
+def _log2_width(p: int, q: int, D: int, root: int) -> int:
+    """About log2((p + q*sqrt(D)) * 2^ROOT_BITS) * 2^LOG_BITS, within 0.02 *
+    2^LOG_BITS, for p + q*sqrt(D) > 0 and root = fixed_root(D).  That value
+    times 2^ROOT_BITS is n = p*2^ROOT_BITS + q*root, to within |q|.  When p
+    and q*sqrt(D) cancel so far that n is not above |q|*2^12, it is
+    (p^2 - q^2 D) / (p - q*sqrt(D)) instead, as in `_to_float`: the
+    denominator does not cancel."""
+    n = (p << ROOT_BITS) + q * root
+    if n >> 12 > abs(q):
+        return _log2(n)
+    return (_log2(abs(p * p - q * q * D)) + (ROOT_BITS << LOG_BITS + 1)
+            - _log2(abs((p << ROOT_BITS) - q * root)))
+
+
 def _balance_power(frame: EigenFrame, w_s, w_u) -> int:
     """The integer j nearest log_{lam^2}(w_s / w_u), so that lam^(-j) w_s and
     lam^j w_u are within a factor lam of each other: the floor of
-    log_{lam^2}(lam w_s / w_u), read off the frame's ladder."""
-    if not (w_s > 0 and w_u > 0):
+    log_{lam^2}(lam w_s / w_u), for widths that are QuadNums, ints or
+    Fractions; 0 unless both are positive."""
+    (ps, qs, ds), (pu, qu, du) = _parts(w_s), _parts(w_u)
+    D = frame.D
+    if _sign(ps, qs, D) <= 0 or _sign(pu, qu, D) <= 0:
         return 0
-    return frame.even_log_floor(w_s * frame.lam / w_u)
+    return _balance(frame, ps * du, qs * du, pu * ds, qu * ds)
+
+
+def _balance(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int) -> int:
+    """The j of `_balance_power` for positive widths whose ratio w_s / w_u
+    is (P1 + Q1*sqrt(D)) / (P2 + Q2*sqrt(D)): estimated from the widths'
+    logarithms and the frame's `log2_lam`, then confirmed exactly,
+    lam^(2j-1) w_u <= w_s < lam^(2j+1) w_u, by integer sign tests against
+    the ladder's odd rungs.  Each failed test moves j by one toward the
+    other side, so an estimate that is one off costs one more test."""
+    D, root, log_lam = frame.D, frame.root, frame.log2_lam
+    # rounded up by 1/32 of a bit, about the logarithms' largest error,
+    # since many ratios lie exactly on a rung
+    j = ((_log2_width(P1, Q1, D, root) - _log2_width(P2, Q2, D, root)
+          + log_lam + (1 << LOG_BITS - 5)) // (2 * log_lam))
+    QD = Q2 * D
+
+    def below(n):                       # w_s < lam^n w_u
+        a, b, e = _parts(frame.rung(n)[0])
+        return _sign(e * P1 - a * P2 - b * QD, e * Q1 - a * Q2 - b * P2,
+                     D) < 0
+
+    if below(2 * j - 1):
+        j -= 1
+        while below(2 * j - 1):
+            j -= 1
+    else:
+        while not below(2 * j + 1):
+            j += 1
+    return j
 
 
 def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
@@ -475,28 +540,46 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     inclusion, in no particular order; k is the base's common denominator.
 
     include = (s_lo closed, s_hi closed, u_lo closed, u_hi closed); the
-    bounds may be QuadNums, ints or Fractions.  The lattice kernel
-    (`_box_lifts`) works on integers: for each column m of lifts it takes
-    the exact n-interval from four integer floors of quadratic numbers, so
-    every lift it lists is in the box and no lift is re-checked.
+    bounds may be QuadNums, ints or Fractions.  Each bound is taken apart
+    once, into its integer (p, q, d), and the scan is set up and run on
+    those integers: the range check and the widths are sign tests on
+    cross-multiplied differences, and the lattice kernel (`_box_lifts`)
+    takes each column's exact n-interval from four integer floors of
+    quadratic numbers, so every lift it lists is in the box and no lift is
+    re-checked.
 
     Extremely thin boxes (long in one eigen-direction, short in the other) are
     first renormalized by a power A^j: lifts of a marked set are invariant
     under p -> A p, which scales (s, u) by (lam^-1, lam), so the query box can
     be made nearly square.  This keeps the scanned lattice region proportional
-    to the hit count instead of the box's longest side.  The kernel maps each
-    lift it finds back by the integer rows of A^-j, and takes its base from
-    the orbit j steps back (`Orbit.points` is in f_A order), so the cost per
-    lift is the same as in a box that needs no renormalization.
+    to the hit count instead of the box's longest side.  The scaled bounds
+    are unreduced products of the bounds' integers with those of the rungs
+    -j and j.  The kernel maps each lift it finds back by the integer rows
+    of A^-j, and takes its base from the orbit j steps back (`Orbit.points`
+    is in f_A order), so the cost per lift is the same as in a box that
+    needs no renormalization.
     """
-    if s_lo > s_hi or u_lo > u_hi:
+    D = frame.D
+    bounds = ((p1, q1, d1), (p2, q2, d2), (p3, q3, d3), (p4, q4, d4)) = (
+        _parts(s_lo), _parts(s_hi), _parts(u_lo), _parts(u_hi))
+    # the widths s_hi - s_lo over d1 d2 and u_hi - u_lo over d3 d4
+    sp, sq = p2 * d1 - p1 * d2, q2 * d1 - q1 * d2
+    up, uq = p4 * d3 - p3 * d4, q4 * d3 - q3 * d4
+    s_sign, u_sign = _sign(sp, sq, D), _sign(up, uq, D)
+    if s_sign < 0 or u_sign < 0:
         raise ValueError("empty range")
-    j = _balance_power(frame, s_hi - s_lo, u_hi - u_lo)
-    rows = ((1, 0), (0, 1))
+    j, rows = 0, ((1, 0), (0, 1))
+    if s_sign and u_sign:
+        ds, du = d1 * d2, d3 * d4
+        j = _balance(frame, sp * du, sq * du, up * ds, uq * ds)
     if j:
         sc, uc, rows = frame.renormalization(j)
-        s_lo, s_hi, u_lo, u_hi = s_lo * sc, s_hi * sc, u_lo * uc, u_hi * uc
-    return _box_lifts(frame, mset, s_lo, s_hi, u_lo, u_hi, include, j, rows)
+        (a, b, e), (f, g, h) = _parts(sc), _parts(uc)
+        bounds = ((p1 * a + q1 * b * D, p1 * b + q1 * a, d1 * e),
+                  (p2 * a + q2 * b * D, p2 * b + q2 * a, d2 * e),
+                  (p3 * f + q3 * g * D, p3 * g + q3 * f, d3 * h),
+                  (p4 * f + q4 * g * D, p4 * g + q4 * f, d4 * h))
+    return _box_lifts(frame, mset, *bounds, include, j, rows)
 
 
 def hits_in_box(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
@@ -522,8 +605,8 @@ _ROUNDING = {(True, True): (-1, 0),         # n >= x: n >= ceil(x)
 
 
 def _edges(form: IntForm, lo, hi, lo_closed, hi_closed):
-    """The edges lo <= value <= hi of one coordinate as (lower, upper) rules
-    for n.
+    """The edges lo <= value <= hi of one coordinate, given as (p, q, d)
+    triples, as (lower, upper) rules for n.
 
     A lift (x0 + m, y0 + n) meets the edge at v exactly when y0 + n lies on
     the right side of t = v*recip - slope*(x0 + m), and n is bounded by
@@ -541,7 +624,7 @@ def _edges(form: IntForm, lo, hi, lo_closed, hi_closed):
     D = form.D
 
     def rule(v, closed, lower):
-        p, q, d = _parts(v)
+        p, q, d = v
         dv = d * rd
         sign, offset = _ROUNDING[lower, closed]
         return (sign * (p * rp + q * rq * D) * sd,
@@ -558,19 +641,19 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                include, j: int, rows):
     """(base, (m, n), k, X, Y, twist) for every lift base + (m, n) =
     (X/k, Y/k) of mset in a box, scanned as its image under A^j: the bounds
-    are the image's, and rows, the integer rows of A^-j, map each lift found
-    there back; k is the base's common denominator.  Per base point the
-    four edge rules are set up at the first column and stepped from column
-    to column in one loop."""
+    are the image's (p, q, d) triples, and rows, the integer rows of A^-j,
+    map each lift found there back; k is the base's common denominator.
+    Per base point the four edge rules are set up at the first column and
+    stepped from column to column in one loop."""
     s_int, u_int, D = frame.s_int, frame.u_int, frame.D
     # the lower and upper rules of s, then of u
     rules = (_edges(s_int, s_lo, s_hi, include[0], include[1])
              + _edges(u_int, u_lo, u_hi, include[2], include[3]))
     # x = s + u at every point (v_s and v_u have first coordinate 1), so the
     # box's columns lie between s_lo + u_lo and s_hi + u_hi
-    (p1, q1, d1), (p2, q2, d2) = _parts(s_lo), _parts(u_lo)
+    (p1, q1, d1), (p2, q2, d2) = s_lo, u_lo
     lo_p, lo_q, lo_d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
-    (p1, q1, d1), (p2, q2, d2) = _parts(s_hi), _parts(u_hi)
+    (p1, q1, d1), (p2, q2, d2) = s_hi, u_hi
     hi_p, hi_q, hi_d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
     (a, b), (c, d) = rows
     out = []

@@ -107,9 +107,8 @@ def oracle_game(config, p, t0, r, budget):
     sp, up = coords.s(p), coords.u(p)
     t, h, trace = t0, 0, []
     while h < r:
-        hits = [hit for mset in config.sets
-                for hit in oracle_hits(coords, mset, sp, sp + t, up + h,
-                                       up + r, (False, False, False, True))]
+        hits = oracle_hits(coords, config.marked, sp, sp + t, up + h, up + r,
+                           (False, False, False, True))
         if not hits:
             return "Defined", t, trace
         hmin = min(u for _, _, _, u, _ in hits)

@@ -382,6 +382,41 @@ class TestProfileFromDominationRows:
         assert v.evidence["profile"]["case"] == 3
 
 
+ROW_KINDS = ("positive", "negative", "++", "+-")
+
+
+def per_origin_thresholds(prob):
+    """{(own, kind, base): threshold} over every row kind and every point of
+    each set, read through `Analysis.row(own, kind, base)`."""
+    analysis = prob.analysis()
+    return {(own, kind, ints): analysis.row(own, kind, ints).threshold
+            for own, mset in (("X", prob.X), ("Y", prob.Y))
+            for kind in ROW_KINDS
+            for orb in mset.orbits for ints in orb.integers}
+
+
+class TestReseeding:
+    def test_another_seed_of_an_orbit_changes_no_threshold_or_status(self):
+        # a problem names each orbit by one of its points; naming another
+        # point of the same orbit lists the orbit in another order, but
+        # the per-origin thresholds and the verdicts stay the same
+        reseeded = 0
+        for A, p, q in random_geometries(3, 8):
+            want = per_origin_thresholds(problem(A, [(p, 0)], [(q, 0)]))
+            seeds = ([(other, q) for other in orbit_of(A, p)[0][1:]]
+                     + [(p, other) for other in orbit_of(A, q)[0][1:]])
+            for p2, q2 in seeds:
+                reseeded += 1
+                got = per_origin_thresholds(problem(A, [(p2, 0)], [(q2, 0)]))
+                assert got == want, (A, p, q, p2, q2)
+                for x_char, y_char in ((1, -1), (-2, 1), (2, -3), (-1, 3)):
+                    assert classify(problem(
+                        A, [(p, x_char)], [(q, y_char)])).status == \
+                        classify(problem(
+                            A, [(p2, x_char)], [(q2, y_char)])).status
+        assert reseeded == 16
+
+
 class TestProblemValidation:
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError):

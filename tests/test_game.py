@@ -226,7 +226,8 @@ class TestGameBasics:
         # the game_grid set-up, from a start off the X orbit: each window
         # scans X and Y at once, and the lifts a window found answer later
         # steps until a crossing widens the strip
-        cfg = a2_config(frame_a2, x_char=-3, y_char=2)
+        X, Y = zero_orbit_set(A2, -3, "X"), half_orbit_set(A2, 2, "Y")
+        cfg = GameConfig(frame_a2, (X, Y), "++")
         lam2 = qn_pow(frame_a2.lam, 2)
         t0 = 1 + (lam2 - 1) * Fraction(1, 21)
         scanned = []
@@ -238,7 +239,6 @@ class TestGameBasics:
 
         monkeypatch.setattr(game, "hits_in_box", counted)
         out = play_game(cfg, (Fraction(3, 7), Fraction(1, 7)), t0, lam2)
-        X, Y = cfg.sets
         assert all(set(X.orbits + Y.orbits) <= set(orbits)
                    for orbits in scanned)
         assert len(scanned) < len({c.height for c in out.trace})
@@ -258,9 +258,10 @@ class TestPerGameConstants:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(torus.MarkedSet, "__init__", counted)
-        cfg = a2_config(frame_a2, 1, 2)
+        X, Y = zero_orbit_set(A2, 1, "X"), half_orbit_set(A2, 2, "Y")
+        cfg = GameConfig(frame_a2, (X, Y), "++")
         assert len(built) == 3      # X, Y and their union
-        assert cfg.marked.orbits == cfg.sets[0].orbits + cfg.sets[1].orbits
+        assert cfg.marked.orbits == X.orbits + Y.orbits
         out = play_game(cfg, (Fraction(0), Fraction(0)), QuadNum(1, 0, 5),
                         QuadNum(7, 0, 5))
         assert out.defined and out.trace and len(built) == 3

@@ -75,6 +75,15 @@ def test_parse_import_time_reads_the_cumulative_column():
         record.parse_import_time("import time: 1 | 2 | os\n")
 
 
+def test_parse_game_seconds_reads_the_play_game_line():
+    out = f"play_game {record.LONG_GAME_CROSSINGS} crossings 1.823456 s\n"
+    assert record.parse_game_seconds(out) == 1.823456
+    with pytest.raises(ValueError):
+        record.parse_game_seconds("play_game 400 crossings 0.25 s\n")
+    with pytest.raises(ValueError):
+        record.parse_game_seconds("")
+
+
 def test_parse_pytest_summary_keeps_failures_and_errors():
     out = "....\n323 passed, 1 warning in 33.84s\n"
     assert record.parse_pytest_summary(out) == {

@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from anosurg import (InvariantError, QUADRANTS, QuadNum,
-                     UnsupportedMatrixError, eigenframe, hits_in_box,
-                     marked_set, mod1, orbit_of, point, qn_log_floor, qn_pow,
-                     quadrant_contracting, quadrant_view)
+from anosurg import (GameConfig, InvariantError, QUADRANTS, QuadNum,
+                     UnsupportedMatrixError, eigenframe, game, hits_in_box,
+                     marked_set, mod1, orbit_of, play_game, point, qn_floor,
+                     qn_log_floor, qn_pow, quadrant_contracting,
+                     quadrant_view)
 from anosurg.torus import (HyperbolicMatrix, FrameView, _balance_power,
                            box_lifts, group_element)
 from anosurg.classify import SurgeryProblem, analysis_of
-from anosurg.cli import load_problem
+from anosurg.cli import FIXTURES, load_problem
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
@@ -377,6 +378,53 @@ class TestRenormalization:
                 assert _balance_power(grown, w_s, w_u) == want
             w_s, w_u = ratios[j % 3]
             assert _balance_power(eigenframe(A2), w_s, w_u) == \
+                qn_log_floor(lam * w_s / w_u, lam * lam)
+
+    def test_balance_power_where_the_estimate_is_weakest(self, monkeypatch):
+        # j is estimated from the widths' logarithms and then confirmed
+        # exactly.  The estimate is weakest where p and q are huge and
+        # nearly cancel: after crossing 300 the b2 game's windows sit at
+        # heights of order one with coefficients of 800 bits or more, so
+        # their heights cancel to a tiny width.  Int and Fraction widths
+        # just below and just above an odd rung, where the estimate alone
+        # would round the wrong way, and small int ratios come too.
+        A, sets, _ = load_problem(FIXTURES["b2_half"])
+        frame = eigenframe(A)
+        windows = []
+        scan = game.hits_in_box
+
+        def recorded(view, mset, *box):
+            windows.append(box[:4])
+            return scan(view, mset, *box)
+
+        monkeypatch.setattr(game, "hits_in_box", recorded)
+        play_game(GameConfig(frame, (sets["X"], sets["Y"]), "++"),
+                  point(0, 0), QuadNum(1, 0, frame.D),
+                  QuadNum(20, 0, frame.D), budget=330)
+        late = windows[300:]
+        assert len(late) == 30
+
+        def bits(x):
+            return max(abs(x.a.numerator), abs(x.b.numerator)).bit_length()
+
+        widths = []
+        for s_lo, s_hi, u_lo, u_hi in late:
+            w_s, w_u = s_hi - s_lo, u_hi - u_lo
+            assert max(bits(u_lo), bits(u_hi)) >= 800 and 0 < u_lo < 1
+            assert (w_u.a < 0) != (w_u.b < 0)      # its p and q cancel
+            widths += [(w_s, w_u), (w_u, w_s), (w_u, w_u * 5)]
+        lam = frame.lam
+        for j in range(-40, 41):
+            rung = qn_pow(lam, 2 * j - 1)
+            # within 2^-64 of the rung, relative to it
+            scale = (qn_floor(1 / rung) + 1) << 64
+            below = Fraction(qn_floor(rung * scale), scale)
+            above = below + Fraction(1, scale)
+            widths += [(below, 1), (above, 1), (1, 1 / below), (1, 1 / above)]
+        widths += [(n, 1) for n in range(1, 100)]
+        widths += [(3, n) for n in range(1, 100)]
+        for w_s, w_u in widths:
+            assert _balance_power(frame, w_s, w_u) == \
                 qn_log_floor(lam * w_s / w_u, lam * lam)
 
     def test_renormalization_reads_the_powers(self):
