@@ -12,11 +12,9 @@ both exports must be the same tree.  Pair i runs the parent first when i is
 odd and the change first when it is even.  For every metric the record holds
 the runs by pair, their median, first and third quartiles (inclusive
 method), the IQR, how many pairs the change read lower and whether the
-difference is resolved (see `compare`), and so for the per-command figures
-named in REPORTED that a row's workload prints.
-For every row and side it also stores the COUNTS of one traced run, which
-do not drift with the host's clock, and the lines of src/**/*.py in each
-export and their net change.  The field micro-benchmarks are the MICRO
+difference is resolved (see `compare`).  For every row and side it also
+stores the COUNTS of one traced run, which do not drift with the host's
+clock, and the lines of src/**/*.py in each export and their net change.  The field micro-benchmarks are the MICRO
 figures of `perfbench/worker.py micro`, run in each export on operands
 written from that export's perfbench/goldens.json (`big_operands`) and the
 matrix of its fixtures/b2_half.json.  The pair and run counts and the claimed
@@ -51,9 +49,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ROWS = (("fixtures_cli", 1), ("fixtures_cli", 11), ("classify_sweep", 1),
         ("classify_sweep", 5), ("game_grid", 1), ("game_grid", 7))
 METRICS = ("wall_ref", "op_gmean_ref", "setup_s", "peak_rss_mib")
-# figures perfbench prints above its result line, recorded like the metrics
-# on the rows whose workload prints them
-REPORTED = ("cli.staircase.b2_half_s", "cli.game.b2_half_s")
 # per-pass counts read from one --trace 1 run per row and side
 COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
           "game.crossings", "staircase.build_staircase.calls",
@@ -64,7 +59,7 @@ MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = ("game_grid", "wall_ref")
+CLAIM = None
 
 # alternating parent/change pairs per perfbench row, and alternating runs
 # per side of the import time, of each CLI command, of the
@@ -213,8 +208,7 @@ def perfbench_run(tree: Path, workload: str, seed: int) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", "5", "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True).stdout
-    lines = out.strip().splitlines()
-    return dict(json.loads(lines[-1]), report=parse_report(lines[:-1]))
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def traced_counts(tree: Path, workload: str, seed: int) -> dict:
@@ -233,16 +227,6 @@ def parse_counts(stdout: str) -> dict:
     return {name: int(v) if v == int(v) else v for name, v in values.items()}
 
 
-def parse_report(lines: list) -> dict:
-    """{name: (value, unit)} from perfbench's "name value unit" lines."""
-    report = {}
-    for line in lines:
-        fields = line.split()
-        if len(fields) == 3 and not line.startswith("#"):
-            report[fields[0]] = (float(fields[1]), fields[2])
-    return report
-
-
 def record_workload(trees: dict, workload: str, seed: int):
     results = alternate(PAIRS, lambda side: perfbench_run(trees[side],
                                                           workload, seed))
@@ -253,13 +237,6 @@ def record_workload(trees: dict, workload: str, seed: int):
         metrics[name] = compare(
             [r["metrics"][name]["value"] for r in results["parent"]],
             [r["metrics"][name]["value"] for r in results["change"]], unit)
-    reported = {}
-    for name in REPORTED:
-        if name in results["parent"][0]["report"]:
-            reported[name] = compare(
-                [r["report"][name][0] for r in results["parent"]],
-                [r["report"][name][0] for r in results["change"]],
-                results["parent"][0]["report"][name][1])
     counts = {side: traced_counts(tree, workload, seed)
               for side, tree in trees.items()}
     return {"workload": workload, "seed": seed,
@@ -271,7 +248,6 @@ def record_workload(trees: dict, workload: str, seed: int):
             "correct": all(r["correct"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
             "metrics": metrics,
-            "reported": reported,
             "counts": {"command": f"python3 perfbench/run.py --workload "
                                   f"{workload} --seed {seed} --seconds 0 "
                                   "--trace 1, once per side",

@@ -89,8 +89,8 @@ class Analysis:
 
     `row(own, kind, base)` is the certificate of the own set's rectangles
     or staircases: kind is a domination sign or a staircase quadrant, and
-    base the (k, X, Y) of one of the own set's points, as in
-    `Orbit.integers`.  With base None it is the certificate of the whole
+    base the (k, X, Y) of one of the own set's points, a key of its
+    `MarkedSet.index`.  With base None it is the certificate of the whole
     set: the domination threshold over all of its points, or the staircase
     of its first point that admits one."""
 
@@ -98,10 +98,6 @@ class Analysis:
         self.X, self.Y = X, Y
         self.frame = eigenframe(A)
         self._rows = {}
-        # the (k, X, Y) of each marked point -> (own set, point)
-        self.bases = {ints: (own, p) for own, mset in (("X", X), ("Y", Y))
-                      for orb in mset.orbits
-                      for ints, p in zip(orb.integers, orb.points)}
 
     def profile(self) -> dict:
         """`case_profile`'s booleans and label, read off the domination rows:
@@ -121,11 +117,14 @@ class Analysis:
 
     def _build(self, own: str, kind: str, base: tuple | None) -> Row:
         first, second = (self.X, self.Y) if own == "X" else (self.Y, self.X)
+        if base is not None:
+            orb, place = first.index[base]
+            origin = orb.points[place]
         if kind in ("positive", "negative"):
             if base is not None:
                 whole = self.row(own, kind).cert
                 return (Row() if whole is None else
-                        Row(whole, whole.threshold_at(self.bases[base][1])))
+                        Row(whole, whole.threshold_at(origin)))
             # absent when some primitive rectangle misses the other set
             try:
                 analysis = DominationAnalysis(self.frame, first, second,
@@ -134,14 +133,13 @@ class Analysis:
                 return Row()
             return Row(analysis, analysis.threshold)
         if base is None:
-            for ints in (i for orb in first.orbits for i in orb.integers):
+            for ints in first.index:
                 found = self.row(own, kind, ints)
                 if found.cert is not None:
                     return found
             return Row()
         try:
-            st = build_staircase(self.frame, first, second,
-                                 self.bases[base][1], kind)
+            st = build_staircase(self.frame, first, second, origin, kind)
         except StaircaseError:
             return Row()
         return Row(st, incompleteness_threshold(st),
@@ -294,12 +292,12 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
     contracting = quadrant_contracting(quadrant)
     shared = problem.analysis()
     ints = base_integers(point)
-    found = shared.bases.get(ints)
-    if found is None:
+    if ints in problem.X.index:
+        own_name, own, other = "X", problem.X, problem.Y
+    elif ints in problem.Y.index:
+        own_name, own, other = "Y", problem.Y, problem.X
+    else:
         raise ValueError(f"{point} is not a marked point")
-    own_name, base = found
-    own, other = ((problem.X, problem.Y) if own_name == "X"
-                  else (problem.Y, problem.X))
     if other.is_empty():
         return "Unknown", {}
     # the other set completes the quadrant in the direction of the
@@ -323,7 +321,7 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
 
     if complete is not None and incomplete is not None:
         raise InvariantError(
-            f"contradictory certificates for quadrant {quadrant} at {base}")
+            f"contradictory certificates for quadrant {quadrant} at {point}")
     if complete is not None:
         return "CompleteCertified", complete
     if incomplete is not None:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .quadfield import QuadFieldError, qn_from_str, qn_to_str
 from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit,
                     PeriodLimitError, UnsupportedMatrixError, eigenframe,
-                    marked_set, mod1, orbit_of, point, quadrant_contracting)
+                    marked_set, orbit_of, point, quadrant_contracting)
 from .rectangles import (case_profile, census_records, disjoint_witness,
                          enumerate_primitive, is_primitive, marked_rect,
                          rect_meets)
@@ -225,7 +225,7 @@ def _cmd_staircase(args):
     if own.is_empty():
         raise ParseError(f"sets: no points with role {args.set!r}")
     origin = _parse_point(args.origin) if args.origin else own.points[0]
-    if mod1(origin) not in own.points:
+    if own.locate(origin) is None:
         raise ParseError(f"origin: {args.origin} is not a lift of a point "
                          f"with role {args.set!r}")
     try:

@@ -48,10 +48,10 @@ class DominationHypothesisError(ValueError):
 
 
 class GameConfig:
-    """A game's frame, quadrant and marked lifts: `sets` is a tuple of
-    pairwise disjoint MarkedSets, and `marked` holds the orbits of all of
-    them, the one set that each strip scan covers, each hit carrying its
-    own orbit's twist."""
+    """A game's frame, quadrant and marked lifts.  The constructor takes
+    the sets, a tuple of pairwise disjoint MarkedSets, and keeps their
+    union, `marked`: the one set that each strip scan covers, each hit
+    carrying its own orbit's twist."""
     __slots__ = ("frame", "quadrant", "marked")
 
     def __init__(self, frame: EigenFrame, sets: tuple, quadrant: str):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .quadfield import QuadNum, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
-                    MarkedSet, hits_in_box, mod1)
+                    MarkedSet, hits_in_box, sets_disjoint)
 
 
 class MarkedRect:
@@ -75,12 +75,14 @@ def marked_rect(frame: EigenFrame, X: MarkedSet, origin_lift, endpoint_lift,
                 sign: str) -> MarkedRect:
     """MarkedRect from two lifts of X given as rational points."""
     def hit_of(lift):
-        base = mod1(lift)
-        if base not in X.points:
+        found = X.locate(lift)
+        if found is None:
             raise ValueError(f"{lift} is not a lift of the marked set")
+        orb, place = found
+        base = orb.points[place]
         lat = (int(lift[0] - base[0]), int(lift[1] - base[1]))
         return MarkedPointHit(base, lat, frame.s(lift), frame.u(lift),
-                              X.twist_of(base))
+                              orb.twist)
     return MarkedRect(sign, hit_of(origin_lift), hit_of(endpoint_lift))
 
 
@@ -323,7 +325,7 @@ def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> dict:
     X+, X-, Y+, Y- order (true when some primitive rectangle of that set and
     sign misses the other set's lift), with their `case_label` and a
     disjoint witness for each true one, keyed pos_x, neg_x, pos_y, neg_y."""
-    if set(X.points) & set(Y.points):
+    if not sets_disjoint(X, Y):
         raise ValueError("marked sets overlap")
     wit = {
         "pos_x": disjoint_witness(frame, X, Y, "positive"),

@@ -30,8 +30,8 @@ from fractions import Fraction
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .rectangles import (first_window_hits, lattice_widths, period_window,
                          primitive_family)
-from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Point,
-                    QUADRANTS, group_element, hits_in_box, mod1,
+from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
+                    Point, QUADRANTS, group_element, hits_in_box,
                     quadrant_contracting, quadrant_view)
 
 # Levels the raw induction may reach before a period must have recurred
@@ -218,14 +218,14 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
 
 
 def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
-               view: FrameView):
+               view: FrameView, orb: Orbit):
     """Smallest primitive view-increasing rectangle at the origin lift with
-    both diagonal corners in the origin's orbit, disjoint from the avoid set."""
-    orb = X.orbit_containing(mod1(origin))
+    both diagonal corners in the origin's orbit orb, disjoint from the avoid
+    set."""
     big, u_cap = period_window(view, orb.period)
     s0, u0 = view.s(origin), view.u(origin)
     for cand in primitive_family(view, X, origin, big, u_cap):
-        if (1 <= cand.s - s0 < big and cand.base in orb.points
+        if (1 <= cand.s - s0 < big and X.locate(cand.base)[0] is orb
                 and not hits_in_box(view, avoid, s0, cand.s, u0, cand.u)):
             return cand.lift
     raise StaircaseError(
@@ -257,20 +257,21 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
     A = frame.matrix
     view = quadrant_view(frame, quadrant)
     origin = (Fraction(origin[0]), Fraction(origin[1]))
-    if mod1(origin) not in X.points:
+    found = X.locate(origin)
+    if found is None:
         raise ValueError("origin is not a lift of the marked set")
     lam = frame.lam
-    orb = X.orbit_containing(mod1(origin))
-    n, i0 = orb.period, orb.points.index(mod1(origin))
+    orb, i0 = found
+    n = orb.period
 
     def shift(lift):
         # the least m >= 0 with f_A^m(origin's base) = lift's base
-        base = mod1(lift)
-        if base not in orb.points:
+        found = X.locate(lift)
+        if found is None or found[0] is not orb:
             raise InvariantError("staircase corner outside the origin's orbit")
-        return (orb.points.index(base) - i0) % n
+        return (found[1] - i0) % n
 
-    seed_end = _find_seed(X, avoid, origin, view)
+    seed_end = _find_seed(X, avoid, origin, view, orb)
     G_k = shift(seed_end)
     s0, u0 = view.s(origin), view.u(origin)
     seed_ds = view.s(seed_end) - s0

@@ -240,7 +240,7 @@ class EigenFrame(_Value):
     both sides of n = 0.  It starts at rung 0 and grows on demand, one
     multiplication from the neighbouring rung per new rung.  The power A^j
     that makes a box square is estimated from `log2_lam` and confirmed
-    against the odd rungs 2j - 1 and 2j + 1 (`_balance_power`), and
+    against the odd rungs 2j - 1 and 2j + 1 (`_balance`), and
     `renormalization(j)` reads rungs j and -j.
     """
     __slots__ = ("matrix", "D", "lam", "lam_inv", "s_form", "u_form",
@@ -398,38 +398,37 @@ def base_integers(p) -> tuple:
 
 
 class MarkedSet(_HashOnce):
-    __slots__ = ("orbits", "role")
+    """Pairwise disjoint marked orbits.  `index` maps each point's (k, X, Y),
+    as in `Orbit.integers`, to (orbit, place): the orbit holding the point
+    and the point's index in its `points`.  It is the one lookup from a
+    lift to its orbit; building it checks that the orbits are disjoint."""
+    __slots__ = ("orbits", "role", "points", "index")
 
     def __init__(self, orbits: tuple, role: str = ""):
-        seen = set()
+        index = {}
         for orb in orbits:
             if len(orb.points) != orb.period:
                 raise InvariantError("orbit cardinality != period")
-            for p in orb.points:
-                if p in seen:
-                    raise InvariantError(f"orbits not pairwise disjoint at {p}")
-                seen.add(p)
+            for i, ints in enumerate(orb.integers):
+                if ints in index:
+                    raise InvariantError(
+                        f"orbits not pairwise disjoint at {orb.points[i]}")
+                index[ints] = orb, i
         _set(self, "orbits", orbits)      # tuple of Orbit
         _set(self, "role", role)
+        _set(self, "points", tuple(p for orb in orbits for p in orb.points))
+        _set(self, "index", index)
 
     def _key(self):
         return self.orbits, self.role
 
-    @property
-    def points(self):
-        return tuple(p for orb in self.orbits for p in orb.points)
-
     def is_empty(self) -> bool:
         return not self.orbits
 
-    def twist_of(self, base: Point) -> int:
-        return self.orbit_containing(base).twist
-
-    def orbit_containing(self, base: Point) -> Orbit:
-        for orb in self.orbits:
-            if base in orb.points:
-                return orb
-        raise KeyError(base)
+    def locate(self, p):
+        """(orbit, place) of the marked point of which p, an int or
+        Fraction point of the plane, is a lift, or None."""
+        return self.index.get(base_integers(p))
 
 
 def marked_set(A: HyperbolicMatrix, seeds, role: str = "") -> MarkedSet:
@@ -445,7 +444,7 @@ def marked_set(A: HyperbolicMatrix, seeds, role: str = "") -> MarkedSet:
 
 
 def sets_disjoint(X: MarkedSet, Y: MarkedSet) -> bool:
-    return not set(X.points) & set(Y.points)
+    return X.index.keys().isdisjoint(Y.index)
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +491,12 @@ def _log2_width(p: int, q: int, D: int, root: int) -> int:
             - _log2(abs((p << ROOT_BITS) - q * root)))
 
 
-def _balance_power(frame: EigenFrame, w_s, w_u) -> int:
-    """The integer j nearest log_{lam^2}(w_s / w_u), so that lam^(-j) w_s and
-    lam^j w_u are within a factor lam of each other: the floor of
-    log_{lam^2}(lam w_s / w_u), for widths that are QuadNums, ints or
-    Fractions; 0 unless both are positive."""
-    (ps, qs, ds), (pu, qu, du) = _parts(w_s), _parts(w_u)
-    D = frame.D
-    if _sign(ps, qs, D) <= 0 or _sign(pu, qu, D) <= 0:
-        return 0
-    return _balance(frame, ps * du, qs * du, pu * ds, qu * ds)
-
-
 def _balance(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int) -> int:
-    """The j of `_balance_power` for positive widths whose ratio w_s / w_u
-    is (P1 + Q1*sqrt(D)) / (P2 + Q2*sqrt(D)): estimated from the widths'
-    logarithms and the frame's `log2_lam`, then confirmed exactly,
+    """The integer j nearest log_{lam^2}(w_s / w_u), so that lam^(-j) w_s
+    and lam^j w_u are within a factor lam of each other, for positive
+    widths whose ratio w_s / w_u is (P1 + Q1*sqrt(D)) / (P2 + Q2*sqrt(D)):
+    the floor of log_{lam^2}(lam w_s / w_u).  It is estimated from the
+    widths' logarithms and the frame's `log2_lam`, then confirmed exactly,
     lam^(2j-1) w_u <= w_s < lam^(2j+1) w_u, by integer sign tests against
     the ladder's odd rungs.  Each failed test moves j by one toward the
     other side, so an estimate that is one off costs one more test."""

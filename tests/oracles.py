@@ -10,6 +10,8 @@ from fractions import Fraction
 import math
 
 from anosurg import StairStep, qn_pow
+from anosurg.quadfield import _parts, _sign
+from anosurg.torus import _balance
 
 
 def oracle_point(frame, s, u):
@@ -20,6 +22,18 @@ def oracle_point(frame, s, u):
     ux, uy = frame.u((1, 0)), frame.u((0, 1))
     det = sx * uy - sy * ux
     return ((uy * s - sy * u) / det, (sx * u - ux * s) / det)
+
+
+def balance_power(frame, w_s, w_u):
+    """The renormalization power that `torus._balance` finds for widths
+    w_s and w_u given as QuadNums, ints or Fractions, 0 unless both are
+    positive: the integer j nearest log_{lam^2}(w_s / w_u).  Not an oracle:
+    it only takes the widths apart into the integers `_balance` reads, as
+    `torus.box_lifts` does with a box's bounds."""
+    (ps, qs, ds), (pu, qu, du) = _parts(w_s), _parts(w_u)
+    if _sign(ps, qs, frame.D) <= 0 or _sign(pu, qu, frame.D) <= 0:
+        return 0
+    return _balance(frame, ps * du, qs * du, pu * ds, qu * ds)
 
 
 def _window_for_box(frame, s_lo, s_hi, u_lo, u_hi, margin=2):
@@ -216,7 +230,8 @@ def oracle_staircase_levels(st):
     A, lam = st.view.frame.matrix, st.lam
     coords = _QuadrantCoords(st.view.frame, st.quadrant)
     origin, seed_end = st.origin, st.steps[0].delta_endpoint
-    n = len(st.X.orbit_containing(_frac_mod1(origin)).points)
+    n = next(len(orb.points) for orb in st.X.orbits
+             if _frac_mod1(origin) in orb.points)
     s0, u0 = coords.s(origin), coords.u(origin)
     rho0 = coords.u(seed_end) - u0
     width, hits = 1, []
@@ -250,7 +265,8 @@ def equation_holds(analysis, base, t, n):
     delta are the step functions of the analysis's breakpoint intervals at
     base, extended to all t > 0 by their period lam^(period of base)."""
     intervals = analysis.intervals(base)
-    big = qn_pow(analysis.lam, analysis.X.orbit_containing(base).period)
+    big = qn_pow(analysis.lam, next(orb.period for orb in analysis.X.orbits
+                                    if base in orb.points))
 
     def locate(v):
         # the interval holding v moved into the first period, and the scale

@@ -1,7 +1,9 @@
 """Every name imported by the package's modules, the tests and the bench
-scripts is used.  The package has no linter, so this check stands in for
-one's unused-import rule.  anosurg/__init__.py is left out: its imports are
-its exports."""
+scripts is used, and every top-level function and class of the package is
+read by package code or exported.  The package has no linter, so these
+checks stand in for its unused-import and unused-definition rules.
+anosurg/__init__.py is left out of the first: its imports are its
+exports."""
 
 import ast
 from pathlib import Path
@@ -9,9 +11,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "anosurg"
 CHECKED = sorted(
-    [p for p in (ROOT / "src" / "anosurg").glob("*.py")
-     if p.name != "__init__.py"]
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "bench").glob("*.py")))
 
@@ -45,3 +47,45 @@ def test_the_check_finds_unused_names():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _reads(node) -> set:
+    """The names and attribute names that the code under node reads."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def unread_definitions(modules: dict) -> list:
+    """(module, name) of every top-level function or class of the package
+    modules, given as {module name: source}, that no code of the package
+    outside its own definition reads and that "__init__" does not import,
+    and so does not export."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    exported = {a.asname or a.name for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    # each top-level statement of each module with the names it reads
+    statements = [(name, stmt, _reads(stmt))
+                  for name, tree in trees.items() for stmt in tree.body]
+    unread = []
+    for module, stmt, _ in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if stmt.name in exported or any(
+                stmt.name in reads for _, other, reads in statements
+                if other is not stmt):
+            continue
+        unread.append((module, stmt.name))
+    return sorted(unread)
+
+
+def test_the_check_finds_unread_definitions():
+    modules = {"__init__": "from .a import f\n",
+               "a": ("def f():\n    return g()\n\ndef g():\n    pass\n\n"
+                     "def h():\n    return h()\n\nclass C:\n    pass\n"),
+               "b": "from . import a\n\ndef k():\n    return a.C\n"}
+    assert unread_definitions(modules) == [("a", "h"), ("b", "k")]
+
+
+def test_every_package_definition_is_read_or_exported():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_definitions(modules) == []

@@ -98,16 +98,6 @@ def test_parse_pytest_summary_keeps_failures_and_errors():
         record.parse_pytest_summary("2 failed\n")
 
 
-def test_parse_report_reads_the_named_figures():
-    lines = ["# workload: fixtures_cli", "# seed: 1",
-             "cli.game.b2_half_s 0.236284 s", "crossings_per_s 1692.88 1/s",
-             "wall_ref 1234.82 ref"]
-    report = record.parse_report(lines)
-    assert report["cli.game.b2_half_s"] == (0.236284, "s")
-    assert report["crossings_per_s"] == (1692.88, "1/s")
-    assert "# workload:" not in report and len(report) == 3
-
-
 def test_parse_counts_reads_the_traced_result_line():
     out = ("# workload: game_grid\n"
            "torus.hits_in_box.calls 1018 count\n"

@@ -11,7 +11,8 @@ from anosurg.cli import FIXTURES, load_problem
 from anosurg import svgfig
 from anosurg.quadfield import rounded_float
 from anosurg.svgfig import lift_dots
-from anosurg.torus import _balance_power
+
+from oracles import balance_power
 
 PROBLEMS = {name: load_problem(data) for name, data in FIXTURES.items()}
 
@@ -38,7 +39,7 @@ def test_lift_dots_match_exact_hits(name, role, quadrant):
               Fraction(300))]
     powers = []
     for ds_lo, ds_hi, du_lo, du_hi in boxes:
-        powers.append(_balance_power(view.frame, ds_hi - ds_lo, du_hi - du_lo))
+        powers.append(balance_power(view.frame, ds_hi - ds_lo, du_hi - du_lo))
         box = (s0 + ds_lo, s0 + ds_hi, u0 + du_lo, u0 + du_hi)
         want = exact_dots(view, mset, *box, s0, u0)
         assert len(want) > 1

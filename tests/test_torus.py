@@ -9,19 +9,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from anosurg import (GameConfig, InvariantError, QUADRANTS, QuadNum,
-                     UnsupportedMatrixError, eigenframe, game, hits_in_box,
-                     marked_set, mod1, orbit_of, play_game, point, qn_floor,
-                     qn_log_floor, qn_pow, quadrant_contracting,
-                     quadrant_view)
-from anosurg.torus import (HyperbolicMatrix, FrameView, _balance_power,
-                           box_lifts, group_element)
+from anosurg import (GameConfig, InvariantError, MarkedSet, Orbit,
+                     QUADRANTS, QuadNum, UnsupportedMatrixError, eigenframe,
+                     game, hits_in_box, marked_set, mod1, orbit_of, play_game,
+                     point, qn_floor, qn_log_floor, qn_pow,
+                     quadrant_contracting, quadrant_view, sets_disjoint)
+from anosurg.torus import (HyperbolicMatrix, FrameView, box_lifts,
+                           group_element)
 from anosurg.classify import SurgeryProblem, analysis_of
 from anosurg.cli import FIXTURES, load_problem
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
-from oracles import oracle_band_hits, oracle_hits, oracle_point
+from oracles import (balance_power, oracle_band_hits, oracle_hits,
+                     oracle_point)
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
@@ -107,11 +108,75 @@ class TestOrbits:
 
     def test_twist_is_char_times_period(self):
         mset = marked_set(A2, [(point(HALF, HALF), 2)], "Y")
-        assert mset.twist_of(point(HALF, 0)) == 6
+        assert mset.locate(point(HALF, 0))[0].twist == 6
 
     def test_overlapping_seeds_rejected(self):
         with pytest.raises(InvariantError):
             marked_set(A2, [(point(HALF, HALF), 1), (point(HALF, 0), 1)])
+
+
+def scanned_place(mset, p):
+    """(orbit, place) of p's base point by a linear scan of each orbit's
+    points, or None."""
+    base = mod1((Fraction(p[0]), Fraction(p[1])))
+    for orb in mset.orbits:
+        if base in orb.points:
+            return orb, orb.points.index(base)
+    return None
+
+
+class TestMarkedSetIndex:
+    """`MarkedSet.index` and `locate`, the one lookup from a lift to its
+    orbit and place, against linear scans of the orbits' points."""
+
+    SETS = ([marked_set(A2, [(point(Fraction(1, 97), 0), 1)], "X")]
+            + [mset for name in sorted(FIXTURES)
+               for mset in load_problem(FIXTURES[name])[1].values()])
+
+    @pytest.mark.parametrize("mset", SETS,
+                             ids=lambda m: f"{m.role}{len(m.points)}")
+    def test_locate_agrees_with_a_scan_on_every_lift(self, mset):
+        assert len(mset.index) == len(mset.points)
+        for p in mset.points:
+            for m, n in itertools.product(range(-3, 4), repeat=2):
+                lift = (p[0] + m, p[1] + n)
+                want = scanned_place(mset, lift)
+                assert want is not None and want[0].points[want[1]] == p
+                assert mset.locate(lift) == want
+                if lift[0].denominator == lift[1].denominator == 1:
+                    assert mset.locate((int(lift[0]), int(lift[1]))) == want
+
+    def test_the_period_98_orbit_is_indexed(self):
+        (orb,) = self.SETS[0].orbits
+        assert orb.period == 98
+        assert [self.SETS[0].index[i] for i in orb.integers] == \
+            [(orb, i) for i in range(98)]
+
+    @pytest.mark.parametrize("p", [(Fraction(1, 3), 0), (1, 2),
+                                   (Fraction(1, 4), Fraction(-5, 4)),
+                                   (Fraction(2, 97), 0),
+                                   (Fraction(-96, 97), Fraction(1, 97))])
+    def test_a_point_off_the_set_is_not_found(self, p):
+        mset = marked_set(A2, [(point(Fraction(1, 97), 0), 1),
+                               (point(HALF, HALF), -1)])
+        assert scanned_place(mset, p) is None
+        assert mset.locate(p) is None
+
+    def test_overlapping_orbits_name_the_shared_point(self):
+        half, = marked_set(A2, [(point(HALF, HALF), 1)]).orbits
+        zero, = zero_orbit_set(A2).orbits
+        with pytest.raises(InvariantError, match=r"disjoint at \(Fraction"
+                           r"\(1, 2\), Fraction\(1, 2\)\)"):
+            MarkedSet((zero, half, half))
+        shifted = Orbit(half.points[1:] + half.points[:1], 3, 2)
+        with pytest.raises(InvariantError, match="disjoint at"):
+            MarkedSet((half, shifted))
+
+    def test_disjoint_sets_share_no_key(self):
+        X = marked_set(A2, [(point(Fraction(1, 97), 0), 1)], "X")
+        Y = half_points_set(A2, 1)
+        assert sets_disjoint(X, Y) and sets_disjoint(Y, X)
+        assert not sets_disjoint(X, X)
 
     def test_orbit_points_are_in_f_a_order(self):
         # box_lifts takes a renormalized lift's base from its orbit index,
@@ -285,7 +350,7 @@ class TestKernelAgainstOracle:
         long_side, short_side = frame.lam / 2, frame.lam_inv / 2
         w_s, w_u = ((long_side, short_side) if sign > 0
                     else (short_side, long_side))
-        j = _balance_power(frame, w_s, w_u)
+        j = balance_power(frame, w_s, w_u)
         assert j * sign > 0
         for lift in oracle_hits(frame, X, -1, 1, -1, 1)[:3]:
             s, u = lift[2], lift[3]
@@ -338,7 +403,7 @@ class TestKernelAgainstOracle:
                       -2, oracle_hits)]
             for b, (box, j, oracle) in enumerate(boxes):
                 s_lo, s_hi, u_lo, u_hi = box
-                assert _balance_power(frame, s_hi - s_lo, u_hi - u_lo) == j
+                assert balance_power(frame, s_hi - s_lo, u_hi - u_lo) == j
                 include = ALL_INCLUDES[(3 * q + b + offset) % 16]
                 want = view_oracle(view, X, *box, include, oracle)
                 assert hit_keys(hits_in_box(view, X, *box, include)) == want
@@ -375,9 +440,9 @@ class TestRenormalization:
                       (3 * on_rung * lam, 3)]
             for w_s, w_u in ratios:
                 want = qn_log_floor(lam * w_s / w_u, lam * lam)
-                assert _balance_power(grown, w_s, w_u) == want
+                assert balance_power(grown, w_s, w_u) == want
             w_s, w_u = ratios[j % 3]
-            assert _balance_power(eigenframe(A2), w_s, w_u) == \
+            assert balance_power(eigenframe(A2), w_s, w_u) == \
                 qn_log_floor(lam * w_s / w_u, lam * lam)
 
     def test_balance_power_where_the_estimate_is_weakest(self, monkeypatch):
@@ -424,7 +489,7 @@ class TestRenormalization:
         widths += [(n, 1) for n in range(1, 100)]
         widths += [(3, n) for n in range(1, 100)]
         for w_s, w_u in widths:
-            assert _balance_power(frame, w_s, w_u) == \
+            assert balance_power(frame, w_s, w_u) == \
                 qn_log_floor(lam * w_s / w_u, lam * lam)
 
     def test_renormalization_reads_the_powers(self):
@@ -450,14 +515,14 @@ class TestRenormalization:
             w_s, w_u = 2 * lam ** j, 2 * lam ** -j     # w_s / w_u = lam^(2j)
             box = view.box(s0 - w_s / 2, s0 + w_s / 2, u0 - w_u / 2,
                            u0 + w_u / 2)
-            assert _balance_power(frame, box[1] - box[0],
-                                  box[3] - box[2]) == j
+            assert balance_power(frame, box[1] - box[0],
+                                 box[3] - box[2]) == j
             got = box_lifts(frame, X, *box)
             for base, lattice, k, x, y, twist in got:
                 lift = (Fraction(x, k), Fraction(y, k))
                 assert base == mod1(lift)
                 assert lattice == (lift[0] - base[0], lift[1] - base[1])
-                assert twist == X.twist_of(base)
+                assert twist == X.locate(base)[0].twist
             want = oracle_hits(frame, X, *box)
             assert len(want) > 10
             assert sorted((b, m, tw) for b, m, _, _, _, tw in got) == \
