@@ -59,7 +59,7 @@ MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = None
+CLAIM = ("game_grid", "wall_ref")
 
 # alternating parent/change pairs per perfbench row, and alternating runs
 # per side of the import time, of each CLI command, of the
@@ -82,8 +82,16 @@ def long_orbit(q: int) -> dict:
 
 
 # problem files written for the commands, by the name they use: X orbits of
-# periods 98 and 200
-PROBLEMS = {"PERIOD_98": long_orbit(97), "PERIOD_200": long_orbit(175)}
+# periods 98 and 200, whose box scans step through one coset per point, and
+# the undertwisted A2 game's X and Y orbits, which fill (1/2)Z^2 mod Z^2 and
+# are scanned as that one lattice
+PROBLEMS = {"PERIOD_98": long_orbit(97), "PERIOD_200": long_orbit(175),
+            "UNDERTWISTED_A2": {
+                "matrix": [[2, 1], [1, 1]],
+                "sets": [{"point": ["0", "0"], "characteristic_number": 1,
+                          "role": "X"},
+                         {"point": ["1/2", "1/2"],
+                          "characteristic_number": -2, "role": "Y"}]}}
 
 # The 1,500-crossing b2 game renormalizes its scans by powers of A up to
 # about 750; it draws no figure, whose offsets no longer fit in a double.
@@ -101,7 +109,8 @@ COMMANDS = ("examples",
             "--budget 400 --svg PATH",
             LONG_GAME,
             "census PERIOD_98",
-            "census PERIOD_200")
+            "census PERIOD_200",
+            "game UNDERTWISTED_A2 --point 0,0 --t0 1 --r 3 --budget 400")
 
 # LONG_GAME in process: the `play_game` call alone, without interpreter
 # start-up, problem parsing or the JSON output; its row follows the CLI row
@@ -528,7 +537,10 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                        "side, compiled exports; PERIOD_98 and PERIOD_200 "
                        "are A2 with Y the (0,0) orbit at -1 and X the orbit "
                        "of (1/97, 0) (period 98) or of (1/175, 0) (period "
-                       "200) at +1; the row after the 1,500-crossing game "
+                       "200) at +1; UNDERTWISTED_A2 is A2 with X the (0,0) "
+                       "orbit at +1 and Y the (1/2,1/2) orbit at -2, a game "
+                       "that runs to its budget; the row after the "
+                       "1,500-crossing game "
                        "times its play_game call alone, in one fresh "
                        "process per run, without start-up, parsing or JSON "
                        "output",

@@ -26,7 +26,7 @@ from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     quadrant_view, sets_disjoint, QUADRANTS)
 from .rectangles import (MarkedRect, case_profile, census_records,
                          disjoint_witness, enumerate_primitive, is_primitive,
-                         lattice_widths, marked_rect, rect_meets)
+                         marked_rect, rect_meets)
 from .game import (DEFAULT_BUDGET, Crossing, DominationAnalysis,
                    DominationHypothesisError, DominationInterval, GameConfig,
                    GameError, GameOutcome, game_trace_records, play_game)

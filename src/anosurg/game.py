@@ -29,8 +29,7 @@ from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, Point, hits_in_box, quadrant_contracting,
                     quadrant_view, QUADRANTS)
-from .rectangles import (StripClimber, lattice_widths, period_window,
-                         primitive_family)
+from .rectangles import StripClimber, period_window, primitive_family
 
 DEFAULT_BUDGET = 10_000
 
@@ -119,7 +118,7 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
         return hits_in_box(view, marked, sp, right, u_lo, u_hi,
                            (False, False, False, True))
 
-    strip = StripClimber(strip_hits, lattice_widths(view), sp, sp + t, up,
+    strip = StripClimber(strip_hits, view.frame.widths, sp, sp + t, up,
                          up + r)
     while (c := strip.lowest()) is not None:
         if len(trace) >= budget:

@@ -97,17 +97,11 @@ def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
     return got == corners
 
 
-def lattice_widths(view: FrameView):
-    """W_s = |s(1,0)| + |s(0,1)|, W_u likewise, which the view's flips do
-    not change: the frame's `widths`."""
-    return view.frame.widths
-
-
 def period_window(view: FrameView, period: int):
     """(lam^period, lam^2 m^2) with m = max(W_s, W_u): one multiplicative
     period of base lengths for an origin of that period, and a height cap
     below which every primitive box with base length at least 1 fits."""
-    ws, wu = lattice_widths(view)
+    ws, wu = view.frame.widths
     m = max(ws, wu)
     return qn_pow(view.lam, period), view.lam * view.lam * m * m
 
@@ -228,7 +222,7 @@ def _walk_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
         return hits_in_box(view, X, s0, right, a, b,
                            (False, True, False, True))
 
-    strip = StripClimber(scan, lattice_widths(view), s0, s0 + s_width, u0,
+    strip = StripClimber(scan, view.frame.widths, s0, s0 + s_width, u0,
                          u0 + u_cap)
     family = []
     while (low := strip.lowest()) is not None:
@@ -249,7 +243,7 @@ def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):
         raise ValueError(f"sign must be positive|negative, got {sign!r}")
     view = FrameView(frame, flip_s=(sign == "negative"))
     lam2 = view.lam * view.lam
-    ws, wu = lattice_widths(view)
+    ws, wu = view.frame.widths
     s_max = max(ws, lam2 * wu)
     u_max = max(wu, ws)
     reps = []

@@ -28,8 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
-from .rectangles import (first_window_hits, lattice_widths, period_window,
-                         primitive_family)
+from .rectangles import first_window_hits, period_window, primitive_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
                     Point, QUADRANTS, group_element, hits_in_box,
                     quadrant_contracting, quadrant_view)
@@ -197,7 +196,7 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
     which is -qn_log_floor(h / W_u, lam) when h < W_u.  `first_window_hits`,
     with s and u swapped, searches distances from the anchor up to twice it.
     """
-    ws, wu = lattice_widths(view)
+    ws, wu = view.frame.widths
     h = u_hi - u_lo
     if not h > 0:
         raise InvariantError("empty height band")

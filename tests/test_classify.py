@@ -2,17 +2,20 @@
 verdicts on the frozen geometries, per-quadrant certificates, and the
 coherence sweep with its symmetry checks."""
 
+import itertools
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem, case_profile,
-                     classify, eigenframe, marked_set, orbit_of, point,
+                     classify, eigenframe, marked_set, mod1, orbit_of, point,
                      quadrant_report, verdict_records)
 from anosurg.classify import analysis_of
+from anosurg.torus import _mat_mul
 from anosurg.cli import FIXTURES, load_problem, main
 
 from conftest import A2, A3, B2, C3, HALF, zero_orbit_set
@@ -415,6 +418,73 @@ class TestReseeding:
                         classify(problem(
                             A, [(p2, x_char)], [(q2, y_char)])).status
         assert reseeded == 16
+
+
+# S, T and their inverses s and t, which generate SL(2, Z), and the words
+# in them by which the conjugation test conjugates
+LETTERS = {"S": ((0, -1), (1, 0)), "s": ((0, 1), (-1, 0)),
+           "T": ((1, 1), (0, 1)), "t": ((1, -1), (0, 1))}
+CONJUGATORS = ("S", "s", "T", "t", "ST", "TS", "tS", "TT", "STS")
+# the row kinds of the other orientation of the eigenframe
+MIRRORED = {"positive": "negative", "negative": "positive", "++": "+-",
+            "+-": "++"}
+
+
+def conjugate(prob, word):
+    """The problem conjugated by P, the product of the word's letters: the
+    matrix P A P^-1, and each orbit named by P of its first point, with the
+    same characteristic number."""
+    P = P_inv = ((1, 0), (0, 1))
+    for letter in word:
+        P = _mat_mul(P, LETTERS[letter])
+        P_inv = _mat_mul(LETTERS[letter.swapcase()], P_inv)
+    A = HyperbolicMatrix.from_rows(
+        _mat_mul(_mat_mul(P, prob.A.rows()), P_inv))
+    (a, b), (c, d) = P
+
+    def move(mset):
+        seeds = []
+        for orb in mset.orbits:
+            x, y = orb.points[0]
+            seeds.append((mod1((a * x + b * y, c * x + d * y)), orb.char))
+        return marked_set(A, seeds, mset.role)
+
+    return SurgeryProblem(A, move(prob.X), move(prob.Y))
+
+
+def orbit_thresholds(prob):
+    """{(own, orbit, kind): the multiset of per-origin thresholds over the
+    orbit's points}, read through `Analysis.row(own, kind, base)`."""
+    analysis = prob.analysis()
+    return {(own, i, kind): Counter(analysis.row(own, kind, ints).threshold
+                                    for ints in orb.integers)
+            for own, mset in (("X", prob.X), ("Y", prob.Y))
+            for i, orb in enumerate(mset.orbits) for kind in ROW_KINDS}
+
+
+class TestConjugation:
+    def test_conjugate_problems_have_the_same_verdicts_and_thresholds(self):
+        # conjugating by P in SL(2, Z) maps the flow to a conjugate one, so
+        # the verdict stays.  Point by point the thresholds of an orbit may
+        # move, but their multiset over the orbit stays, read in the other
+        # orientation (positive <-> negative, ++ <-> +-) when the frame of
+        # P A P^-1 turns over, which happens when its b is negative
+        mirrored = 0
+        for word in CONJUGATORS:
+            for maker in (a2_problem, c3_problem):
+                for x_char, y_char in itertools.product((1, -1, 2, -2),
+                                                        repeat=2):
+                    prob = maker(x_char, y_char)
+                    image = conjugate(prob, word)
+                    assert classify(image).status == classify(prob).status, \
+                        (word, image.A.rows(), x_char, y_char)
+                want = orbit_thresholds(prob)
+                if image.A.b < 0:
+                    mirrored += 1
+                    want = {(own, i, MIRRORED[kind]): counts
+                            for (own, i, kind), counts in want.items()}
+                assert orbit_thresholds(image) == want, (word, maker)
+        assert 0 < mirrored < 2 * len(CONJUGATORS)
 
 
 class TestProblemValidation:

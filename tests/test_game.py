@@ -10,9 +10,8 @@ import pytest
 from anosurg import (DominationAnalysis, DominationHypothesisError,
                      GameConfig, GameError, InvariantError, QuadNum,
                      QUADRANTS, case_profile, eigenframe,
-                     game_trace_records, lattice_widths, marked_set,
-                     orbit_of, play_game, point, qn_pow, quadrant_contracting,
-                     quadrant_view)
+                     game_trace_records, marked_set, orbit_of, play_game,
+                     point, qn_pow, quadrant_contracting, quadrant_view)
 
 from anosurg import game, torus
 from anosurg.cli import FIXTURES, load_problem
@@ -271,7 +270,7 @@ class TestPerGameConstants:
         frame = eigenframe(A)
         for quadrant in QUADRANTS:
             view = quadrant_view(frame, quadrant)
-            assert lattice_widths(view) == (
+            assert view.frame.widths == (
                 abs(view.s((1, 0))) + abs(view.s((0, 1))),
                 abs(view.u((1, 0))) + abs(view.u((0, 1))))
 

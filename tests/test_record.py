@@ -157,3 +157,20 @@ def test_no_regression_bounds_every_metric():
     del benchmark["end_to_end"][0]
     with pytest.raises(KeyError):
         record.no_regression(benchmark)
+
+
+def test_every_problem_is_named_by_a_command_and_loads():
+    # the PERIOD_* censuses scan one coset per point of their long X orbit;
+    # the undertwisted A2 game's union fills (1/2)Z^2 and is one lattice
+    from anosurg import GameConfig, eigenframe
+    from anosurg.cli import load_problem
+    named = {word for command in record.COMMANDS
+             for word in command.split() if word in record.PROBLEMS}
+    assert named == set(record.PROBLEMS)
+    plans = {}
+    for name, problem in record.PROBLEMS.items():
+        A, sets, _ = load_problem(problem)
+        config = GameConfig(eigenframe(A), (sets["X"], sets["Y"]), "++")
+        plans[name] = len(sets["X"].plan), len(config.marked.plan)
+    assert plans == {"PERIOD_98": (98, 99), "PERIOD_200": (200, 201),
+                     "UNDERTWISTED_A2": (1, 1)}

@@ -9,8 +9,8 @@ import pytest
 
 from anosurg import (FrameView, InvariantError, case_profile, census_records,
                      eigenframe, enumerate_primitive, hits_in_box,
-                     is_primitive, lattice_widths, marked_rect, marked_set,
-                     point, rect_meets)
+                     is_primitive, marked_rect, marked_set, point,
+                     rect_meets)
 from anosurg import rectangles
 from anosurg.classify import Analysis
 from anosurg.rectangles import (StripClimber, period_window,
@@ -200,7 +200,7 @@ class TestStripClimber:
             return hits_in_box(view, X, left, right, a, b,
                                (False, False, False, True))
 
-        strip = StripClimber(scan, lattice_widths(view), left, right, lo, hi)
+        strip = StripClimber(scan, view.frame.widths, left, right, lo, hi)
         narrowed = widened = 0
         for move in range(20):
             lifts = oracle_hits(coords, X, left, right, lo, hi,

@@ -9,9 +9,9 @@ import pytest
 
 from anosurg import (GameConfig, InvariantError, QUADRANTS, StairStep,
                      StaircaseError, build_staircase, containment_check,
-                     eigenframe, incompleteness_threshold, lattice_widths,
-                     marked_set, orbit_of, play_game, point, qn_pow,
-                     quadrant_view, staircase_records)
+                     eigenframe, incompleteness_threshold, marked_set,
+                     orbit_of, play_game, point, qn_pow, quadrant_view,
+                     staircase_records)
 from anosurg.staircase import _first_contact
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
@@ -256,7 +256,7 @@ class TestFirstContact:
         frame = eigenframe(A)
         view = quadrant_view(frame, quadrant)
         coords = _QuadrantCoords(frame, quadrant)
-        ws, wu = lattice_widths(view)
+        ws, wu = view.frame.widths
         mset = half_points_set(A)
         # a band lam^j times thinner than W_u, guaranteed a lift within
         # 2 W_s lam^j, and one taller than W_u, guaranteed one within 2 W_s

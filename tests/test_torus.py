@@ -13,7 +13,8 @@ from anosurg import (GameConfig, InvariantError, MarkedSet, Orbit,
                      QUADRANTS, QuadNum, UnsupportedMatrixError, eigenframe,
                      game, hits_in_box, marked_set, mod1, orbit_of, play_game,
                      point, qn_floor, qn_log_floor, qn_pow,
-                     quadrant_contracting, quadrant_view, sets_disjoint)
+                     quadrant_contracting, quadrant_view, sets_disjoint,
+                     torus)
 from anosurg.torus import (HyperbolicMatrix, FrameView, box_lifts,
                            group_element)
 from anosurg.classify import SurgeryProblem, analysis_of
@@ -196,6 +197,62 @@ class TestMarkedSetIndex:
             for i, p in enumerate(points):
                 assert A2.apply_mod1(p) == points[(i + 1) % len(points)]
 
+    def test_scan_plans(self):
+        # the game_grid union fills (1/2)Z^2 mod Z^2 and is one coset of
+        # it; the period-98 orbit is a coset per point, and an empty set
+        # has no coset
+        union = GameConfig(eigenframe(A2), (zero_orbit_set(A2, 1),
+                                            half_orbit_set(A2, 2)), "++")
+        (coset,) = union.marked.plan
+        assert coset[:4] == (2, 0, 0, 1)
+        assert [(base, k, twist) for base, k, _, twist in coset[4]] == [
+            ((0, 0), 1, 1), ((0, HALF), 2, 6), ((HALF, 0), 2, 6),
+            ((HALF, HALF), 2, 6)]
+        (orb,) = self.SETS[0].orbits
+        assert [coset[4] for coset in self.SETS[0].plan] == \
+            [(orb.points, i, 98, 98) for i in range(98)]
+        assert [coset[:4] for coset in self.SETS[0].plan] == \
+            [(k, X, Y, k) for k, X, Y in orb.integers]
+        assert marked_set(A2, [], "Y").plan == ()
+
+    def test_equal_sets_hash_alike_whatever_their_plans(self, monkeypatch):
+        seeds = [(point(0, 0), 1), (point(HALF, HALF), -2)]
+        dense = marked_set(A2, seeds, "X")
+        monkeypatch.setattr(torus, "DENSE", 0)
+        sparse = marked_set(A2, seeds, "X")
+        assert len(dense.plan) == 1 and len(sparse.plan) == 4
+        assert dense == sparse and hash(dense) == hash(sparse)
+        assert {dense: "found"}[sparse] == "found"
+
+    @pytest.mark.parametrize("quadrant", QUADRANTS)
+    def test_an_unmarked_residue_is_never_a_lift(self, quadrant,
+                                                  monkeypatch):
+        # 4 of the 9 residues of (1/3)Z^2 that the dense plan scans are
+        # unmarked; it finds the lifts that one coset per point finds, in
+        # square boxes and in boxes renormalized by j = 2 and -2
+        frame = eigenframe(A2)
+        view = quadrant_view(frame, quadrant)
+        dense = thirds_set(A2)
+        monkeypatch.setattr(torus, "DENSE", 0)
+        sparse = thirds_set(A2)
+        (coset,) = dense.plan
+        assert coset[:4] == (3, 0, 0, 1) and coset[4].count(None) == 4
+        assert len(sparse.plan) == 5
+        lam = frame.lam
+        for j in (0, 2, -2):
+            w_s, w_u = 6 * lam ** j, 6 * lam ** -j
+            box = view.box(-w_s / 3, w_s, -w_u / 2, w_u)
+            assert balance_power(frame, box[1] - box[0],
+                                 box[3] - box[2]) == j
+            got = box_lifts(frame, dense, *box)
+            assert len(got) > 20
+            for base, lattice, k, X, Y, twist in got:
+                lift = (Fraction(X, k), Fraction(Y, k))
+                found = dense.locate(lift)
+                assert found is not None and found[0].twist == twist
+                assert mod1(lift) == base
+            assert sorted(got) == sorted(box_lifts(frame, sparse, *box))
+
 
 class TestHits:
     def test_unit_square_corners(self, frame_a2):
@@ -285,10 +342,32 @@ ORIGIN_LIFT = ((0, 0), (0, 0))      # (base, lattice) of the lift at 0
 
 def kernel_set(A):
     """Orbits of base points with denominators 1, 2, 3 and 4 (disjoint,
-    since a point's denominator is invariant under A)."""
+    since a point's denominator is invariant under A): K = 12 and P <= 12,
+    so the scan steps through one coset per point."""
     return marked_set(A, [(point(0, 0), 1), (point(HALF, 0), -2),
                           (point(Fraction(1, 3), Fraction(2, 3)), 3),
                           (point(Fraction(1, 4), HALF), -1)], "X")
+
+
+def union_set(A):
+    """The (0,0) and (1/2,1/2) orbits, scanned as the one lattice
+    (1/2)Z^2: P = 4 for A2 and its conjugate, P = 2 = K^2/2 for B2 and C3,
+    on the threshold."""
+    return marked_set(A, [(point(0, 0), 1), (point(HALF, HALF), -2)], "X")
+
+
+def thirds_set(A):
+    """The (0,0) orbit and the period-4 orbit of (1/3, 0), scanned as the
+    one lattice (1/3)Z^2 (K^2 = 9 <= 2P = 10), in which 4 of the 9
+    residues are unmarked."""
+    return marked_set(A, [(point(0, 0), 1), (point(Fraction(1, 3), 0), 2)],
+                      "X")
+
+
+# the set of each plan: one coset per point, and one lattice with every
+# residue marked or with unmarked residues
+KERNEL_SETS = {"per-point": kernel_set, "union": union_set,
+               "thirds": thirds_set}
 
 
 def view_oracle(view, mset, s_lo, s_hi, u_lo, u_hi, include,
@@ -310,12 +389,14 @@ class TestKernelAgainstOracle:
     """hits_in_box's integer kernel against the brute-force double loop."""
 
     @pytest.mark.parametrize("label", sorted(KERNEL_MATRICES))
-    def test_edges_on_lifts_all_includes(self, label):
+    @pytest.mark.parametrize("plan", sorted(KERNEL_SETS))
+    def test_edges_on_lifts_all_includes(self, label, plan):
         # the box is spanned by four lifts, so every edge passes through a
         # lift, as the primitive-family walk's strips do; each of the 16
         # inclusion patterns keeps or drops them
         A = KERNEL_MATRICES[label]
-        frame, X = eigenframe(A), kernel_set(A)
+        frame, X = eigenframe(A), KERNEL_SETS[plan](A)
+        assert (len(X.plan) == 1) == (plan != "per-point")
         view = FrameView(frame)
         lifts = oracle_hits(frame, X, -2, 2, -2, 2)
         corners = lifts[len(lifts) // 3:][:4]
@@ -377,16 +458,17 @@ class TestKernelAgainstOracle:
 
 
     @pytest.mark.parametrize("label", sorted(KERNEL_MATRICES))
-    def test_stepped_columns_in_every_view(self, label):
-        # the kernel sets each edge rule up at a base point's first column
-        # and steps it from column to column, so a wrong step shows on a
-        # box three or more columns wide per base point; with thin boxes
+    @pytest.mark.parametrize("plan", sorted(KERNEL_SETS))
+    def test_stepped_columns_in_every_view(self, label, plan):
+        # the kernel sets each edge rule up at a coset's first column and
+        # steps it from column to column, so a wrong step shows on a box
+        # three or more columns wide per coset; with thin boxes
         # renormalized by j = 2 and -2 too, in all four views, one
         # inclusion pattern per box, 12 of the 16 per matrix and all 16
         # over the four matrices
         A = KERNEL_MATRICES[label]
         offset = 4 * sorted(KERNEL_MATRICES).index(label)
-        frame, X = eigenframe(A), kernel_set(A)
+        frame, X = eigenframe(A), KERNEL_SETS[plan](A)
         long_side, ratio = 6, frame.lam ** 4
         half_short = long_side / ratio / 2
         for q, quadrant in enumerate(QUADRANTS):
