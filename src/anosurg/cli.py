@@ -232,6 +232,9 @@ def _cmd_staircase(args):
         st = build_staircase(eigenframe(A), own, other, origin, args.quadrant)
     except StaircaseError as e:
         _emit({"staircase": None, "reason": str(e)})
+        if args.svg:
+            raise svgfig.FigureError(
+                "staircase figure: there is no staircase to draw") from None
         return 0
     n = incompleteness_threshold(st)
     _emit({

@@ -29,7 +29,7 @@ from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, Point, hits_in_box, quadrant_contracting,
                     quadrant_view, QUADRANTS)
-from .rectangles import StripClimber, period_window, primitive_family
+from .rectangles import StripClimber, period_family
 
 DEFAULT_BUDGET = 10_000
 
@@ -212,11 +212,8 @@ class DominationAnalysis:
 
     def _analyze_base(self, base: Point, period: int):
         view = self.view
-        big, u_cap = period_window(view, period)
+        big, rects = period_family(view, self.X, base, period)
         s0, u0 = view.s(base), view.u(base)
-        rects = [(cand.s - s0, cand.u - u0, cand)   # (mu, height) sorted by mu
-                 for cand in primitive_family(view, self.X, base, big, u_cap)
-                 if 1 <= cand.s - s0 < big]
         if not rects:
             raise InvariantError(f"no primitive rectangle at origin {base}")
         # the breakpoints in one period [mu_0, mu_0 lam^pi], both ends included

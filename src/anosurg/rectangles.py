@@ -19,8 +19,8 @@ normalized this bounds both sides.
 
 The census, the domination analysis and the staircase seed search read the
 primitive rectangles at an origin off one object, its primitive family (the
-lattice's relative minima in a quadrant, its Klein sail), which
-`primitive_family` walks once per frame.
+lattice's relative minima in a quadrant, its Klein sail): `primitive_family`
+walks it, and `period_family` keeps one period of it per frame.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
     if not corners <= got:
         raise ValueError("diagonal endpoints are not lifts of the marked set")
     return got == corners
-
-
-def period_window(view: FrameView, period: int):
-    """(lam^period, lam^2 m^2) with m = max(W_s, W_u): one multiplicative
-    period of base lengths for an origin of that period, and a height cap
-    below which every primitive box with base length at least 1 fits."""
-    ws, wu = view.frame.widths
-    m = max(ws, wu)
-    return qn_pow(view.lam, period), view.lam * view.lam * m * m
 
 
 def first_window_hits(scan, width, lo, hi, widths, covered):
@@ -202,20 +193,7 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
     A strip (s0, right] is searched strictly above the previous lift, which
     sits on its right edge; distinct lifts never share an s or a u
     coordinate, so the strips see exactly the closed box.
-
-    A family is walked once per frame and kept in the frame's `families`
-    table under the view's flips, the set, the origin and the exact window:
-    the domination analysis and the staircase seed search at one origin
-    share it.
     """
-    key = (view.flip_s, view.flip_u, X, origin, s_width, u_cap)
-    families = view.frame.families
-    if key not in families:
-        families[key] = _walk_family(view, X, origin, s_width, u_cap)
-    return families[key]
-
-
-def _walk_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
     s0, u0 = view.s(origin), view.u(origin)
 
     def scan(right, a, b):
@@ -232,6 +210,31 @@ def _walk_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
         family.append(low)
         strip.narrow(low.s)
     return tuple(family[::-1])
+
+
+def period_family(view: FrameView, X: MarkedSet, origin, period: int):
+    """(big, rects): big = lam^period, and one period of the family at an
+    origin of that period, the primitive view-increasing X-rectangles whose
+    base length mu lies in [1, big), as (mu, height, far corner) by mu.
+
+    The walk's window is (big, lam^2 m^2), m = max(W_s, W_u): every
+    primitive box with base length at least 1 is lower than lam^2 m^2.  The
+    frame's `families` table keeps the result under the view's flips, the
+    set, the origin and the period, so the domination analysis and the
+    staircase seed search at one origin share one walk.
+    """
+    key = (view.flip_s, view.flip_u, X, origin, period)
+    families = view.frame.families
+    if key not in families:
+        lam = view.lam
+        big, m = qn_pow(lam, period), max(view.frame.widths)
+        s0, u0 = view.s(origin), view.u(origin)
+        families[key] = big, tuple(
+            (cand.s - s0, cand.u - u0, cand)
+            for cand in primitive_family(view, X, origin, big,
+                                         lam * lam * m * m)
+            if 1 <= cand.s - s0 < big)
+    return families[key]
 
 
 def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):

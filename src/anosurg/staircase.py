@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
-from .rectangles import first_window_hits, period_window, primitive_family
+from .rectangles import first_window_hits, period_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
                     Point, QUADRANTS, group_element, hits_in_box,
                     quadrant_contracting, quadrant_view)
@@ -221,10 +221,9 @@ def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
     """Smallest primitive view-increasing rectangle at the origin lift with
     both diagonal corners in the origin's orbit orb, disjoint from the avoid
     set."""
-    big, u_cap = period_window(view, orb.period)
     s0, u0 = view.s(origin), view.u(origin)
-    for cand in primitive_family(view, X, origin, big, u_cap):
-        if (1 <= cand.s - s0 < big and X.locate(cand.base)[0] is orb
+    for _, _, cand in period_family(view, X, origin, orb.period)[1]:
+        if (X.locate(cand.base)[0] is orb
                 and not hits_in_box(view, avoid, s0, cand.s, u0, cand.u)):
             return cand.lift
     raise StaircaseError(
@@ -312,28 +311,25 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
         new_e = h.apply(seed_end)
         steps.append(make_step(i + 1, x_next, new_e, cur.q_hi,
                                view.s(new_e) - s0))
+        powers.append(h.k)
 
     zero = lam - lam
     steps = [make_step(0, origin, seed_end, zero, seed_ds)]
+    powers = [0]        # level i is the image of level 0 under A^powers[i] + v
 
     def recurring(last):
         # (preperiod, period, g) with g carrying some level j onto level
         # `last`, certified on every stored level from j on, or None
-        step = steps[last]
         for j in range(1, last):
-            prev = steps[j]
-            # the recurring element scales ds by lam^jpow, jpow > 0, so that
-            # it contracts heights
-            ratio = step.ds / prev.ds
-            jpow = qn_log_floor(ratio, lam)
-            if jpow <= 0:
+            # the inverse of level j's element followed by level last's: it
+            # carries level j onto level last and scales ds by lam^-power,
+            # and power < 0 so that it contracts heights
+            power = powers[last] - powers[j]
+            if power >= 0:
                 continue
-            s_scale = qn_pow(lam, jpow)
-            if s_scale != ratio:
-                continue
-            g = group_element(A, -jpow, prev.delta_origin, step.delta_origin)
-            if g is None or g.apply(prev.delta_endpoint) != step.delta_endpoint:
-                continue
+            g = group_element(A, power, steps[j].delta_origin,
+                              steps[last].delta_origin)
+            s_scale = frame.rung(-power)[0]
             # extend the raw induction through a full second period: a
             # candidate that fails to recur there is not the period
             period = last - j

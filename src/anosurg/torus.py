@@ -285,8 +285,8 @@ class EigenFrame(_Value):
         # the power ladder: rungs 0, 1, 2, ... and rungs 0, -1, -2, ...
         rung0 = (lam * lam_inv, ((1, 0), (0, 1)))
         _set(self, "ladder", ([rung0], [rung0]))
-        # primitive families walked in this frame, keyed by view, marked
-        # set, origin and window (see rectangles.primitive_family)
+        # period families walked in this frame, keyed by view, marked set,
+        # origin and period (see rectangles.period_family)
         _set(self, "families", {})
 
     def _key(self):

@@ -385,6 +385,30 @@ class TestProfileFromDominationRows:
         assert v.evidence["profile"]["case"] == 3
 
 
+class TestCertificateDichotomy:
+    def test_a_dominated_set_has_no_staircase(self):
+        # the domination analysis of a sign and the staircase seed search in
+        # the quadrant of the same view read one period of the same
+        # primitive rectangles: when each meets the other set, no seed
+        # avoids it.  Each unordered pair of torsion orbits is analysed with
+        # either orbit as the own set
+        cases = dominated = 0
+        for A in (A2, A3, C3, HyperbolicMatrix(5, 2, 2, 1)):
+            for p, q in itertools.combinations(torsion_orbits(A, 3), 2):
+                analysis = problem(A, [(p, 0)], [(q, 0)]).analysis()
+                for own, mset in (("X", analysis.X), ("Y", analysis.Y)):
+                    for sign, quadrant in (("positive", "++"),
+                                           ("negative", "+-")):
+                        cases += 1
+                        if analysis.row(own, sign).cert is None:
+                            continue
+                        dominated += 1
+                        assert all(analysis.row(own, quadrant, ints).cert
+                                   is None for ints in mset.index), \
+                            (A, p, q, own, sign)
+        assert (cases, dominated) == (184, 52)
+
+
 ROW_KINDS = ("positive", "negative", "++", "+-")
 
 

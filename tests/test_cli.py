@@ -487,6 +487,28 @@ class TestExitCodes:
         assert err == ("unsupported: staircase figure: its box would hold "
                        "more than 1000000 marked lifts\n")
 
+    def test_staircase_figure_without_a_staircase_is_unsupported(
+            self, run, tmp_path):
+        # the undertwisted A2 problem, X the (0,0) orbit at +1 and Y the
+        # (1/2,1/2) orbit at -2, has no staircase at (0,0): there is no
+        # figure to draw, and a file already at PATH keeps its bytes
+        path = tmp_path / "undertwisted.json"
+        path.write_text(json.dumps({**FIXTURES["a2_half"], "sets": [
+            {**A2_X, "characteristic_number": 1},
+            {**A2_Y, "characteristic_number": -2}]}))
+        code, out, err = run("staircase", str(path))
+        assert code == 0 and err == ""
+        assert json.loads(out)["staircase"] is None
+        figure = tmp_path / "figure.svg"
+        earlier = b"<svg>an earlier run's figure</svg>"
+        figure.write_bytes(earlier)
+        code, with_svg, err = run("staircase", str(path), "--svg",
+                                  str(figure))
+        assert code == 2 and with_svg == out
+        assert err == ("unsupported: staircase figure: there is no staircase "
+                       "to draw\n")
+        assert figure.read_bytes() == earlier
+
     def test_game_figure_past_the_double_range_is_unsupported(
             self, run, tmp_path):
         # X the (0,0) orbit at +1 and Y the (1/2,1/2) orbit at -2 on A2:

@@ -13,8 +13,8 @@ from anosurg import (FrameView, InvariantError, case_profile, census_records,
                      rect_meets)
 from anosurg import rectangles
 from anosurg.classify import Analysis
-from anosurg.rectangles import (StripClimber, period_window,
-                                primitive_family)
+from anosurg.quadfield import qn_pow
+from anosurg.rectangles import StripClimber, period_family
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
@@ -89,30 +89,36 @@ class TestPrimitiveFamily:
     @pytest.mark.parametrize("make_set", [zero_orbit_set, half_points_set])
     def test_matches_oracle_frontier_at_domination_window(self, label,
                                                           make_set):
-        # the census oracle covers the ratio window; this covers the
-        # (lam^period, lam^2 m^2) window of the domination analysis and the
-        # staircase seed search, in the unflipped and the u-flipped view
+        # the census oracle covers the ratio window; this covers one period
+        # of the family, which the domination analysis and the staircase
+        # seed search read, in the unflipped and the u-flipped view, over
+        # the walk's (lam^period, lam^2 m^2) window
         A = FROZEN_COUNTS[label][0]
         X = make_set(A)
         frame = eigenframe(A)
-        windows = {base: period_window(FrameView(frame), orb.period)
-                   for orb in X.orbits for base in orb.points}
-        ss = [frame.s(base) for base in windows]
-        us = [frame.u(base) for base in windows]
-        widest = max(w[0] for w in windows.values())
-        tallest = max(w[1] for w in windows.values())
+        lam, m = frame.lam, max(frame.widths)
+        u_cap = lam * lam * m * m
+        bigs = {base: (qn_pow(lam, orb.period), orb.period)
+                for orb in X.orbits for base in orb.points}
+        ss = [frame.s(base) for base in bigs]
+        us = [frame.u(base) for base in bigs]
+        widest = max(big for big, _ in bigs.values())
         lifts = oracle_hits(frame, X, min(ss), max(ss) + widest,
-                            min(us) - tallest, max(us) + tallest)
-        for base, (big, u_cap) in windows.items():
+                            min(us) - u_cap, max(us) + u_cap)
+        for base, (big, period) in bigs.items():
             s0, u0 = frame.s(base), frame.u(base)
             for flip in (False, True):
                 sign = -1 if flip else 1
-                box = [((b, k), s, (u - u0) * sign) for b, k, s, u, _ in lifts
+                box = [((b, k, s - s0, (u - u0) * sign), s, (u - u0) * sign)
+                       for b, k, s, u, _ in lifts
                        if s0 < s <= s0 + big and 0 < (u - u0) * sign <= u_cap]
-                family = primitive_family(FrameView(frame, flip_u=flip),
-                                          X, base, big, u_cap)
-                assert ([(h.base, h.lattice) for h in family]
-                        == oracle_pareto_frontier(box))
+                want = [key for key in oracle_pareto_frontier(box)
+                        if key[2] >= 1]
+                got = period_family(FrameView(frame, flip_u=flip), X, base,
+                                    period)
+                assert got[0] == big
+                assert ([(h.base, h.lattice, mu, rho) for mu, rho, h in got[1]]
+                        == want)
 
     @pytest.mark.parametrize("label", ["A2", "A3", "C3"])
     @pytest.mark.parametrize("make_set", [zero_orbit_set, half_points_set])
@@ -134,8 +140,7 @@ class TestPrimitiveFamily:
                 for flip in (False, True):
                     view = FrameView(eigenframe(A), flip_u=flip)
                     scans.clear()
-                    primitive_family(view, X, base,
-                                     *period_window(view, orb.period))
+                    period_family(view, X, base, orb.period)
                     for i, (a, b) in enumerate(scans):
                         assert all(b <= lo or hi <= a
                                    for lo, hi in scans[:i]), (base, flip)
@@ -153,10 +158,18 @@ class TestPrimitiveFamily:
         # lifts a window found above the member just taken, left of it,
         # answer the next step without a scan
         Y = half_orbit_set(A2)
-        view = FrameView(eigenframe(A2))
-        big, u_cap = period_window(view, Y.orbits[0].period)
+        walks = []
+        walk = rectangles.primitive_family
+
+        def kept(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(rectangles, "primitive_family", kept)
         calls = count_window_scans(monkeypatch)
-        family = primitive_family(view, Y, point(HALF, HALF), big, u_cap)
+        period_family(FrameView(eigenframe(A2)), Y, point(HALF, HALF),
+                      Y.orbits[0].period)
+        [family] = walks
         assert len(family) == 9
         assert len(calls) < len(family)
 
@@ -165,7 +178,6 @@ class TestPrimitiveFamily:
         # previous step ended on; the walk must refuse it, not loop forever
         frame = eigenframe(A2)
         X = zero_orbit_set(A2)
-        big, u_cap = period_window(FrameView(frame), 1)
         exact_hits = rectangles.hits_in_box
 
         def closed_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include):
@@ -174,7 +186,7 @@ class TestPrimitiveFamily:
 
         monkeypatch.setattr(rectangles, "hits_in_box", closed_hits)
         with pytest.raises(InvariantError, match="no progress"):
-            primitive_family(FrameView(frame), X, point(0, 0), big, u_cap)
+            period_family(FrameView(frame), X, point(0, 0), 1)
 
 
 class TestStripClimber:

@@ -12,6 +12,7 @@ from anosurg import (GameConfig, InvariantError, QUADRANTS, StairStep,
                      eigenframe, incompleteness_threshold, marked_set,
                      orbit_of, play_game, point, qn_pow, quadrant_view,
                      staircase_records)
+from anosurg.rectangles import period_family
 from anosurg.staircase import _first_contact
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
@@ -204,6 +205,48 @@ class TestConstruction:
             build_staircase(frame_b2, X, Y, point(Fraction(1, 3), 0), "++")
         with pytest.raises(ValueError):
             build_staircase(frame_b2, X, Y, point(0, 0), "north")
+
+
+class TestAEquivariance:
+    """A maps the ++ view's quadrant at b onto the one at A b, scaling s by
+    lam^-1 and u by lam: the primitive family at A b is the A-image of the
+    one at b.  The seed search is not equivariant, because it reads one
+    period of base lengths anchored at 1 at every origin."""
+
+    def test_family_is_equivariant_and_the_seed_search_is_not(self, frame_a2):
+        X, Y = zero_orbit_set(A2, 0, "X"), half_orbit_set(A2)
+        view, lam = quadrant_view(frame_a2, "++"), frame_a2.lam
+
+        def image(p):
+            (a, b), (c, d) = A2.rows()
+            return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+
+        b = point(HALF, HALF)
+        big, at_b = period_family(view, Y, b, 3)
+        _, at_ab = period_family(view, Y, image(b), 3)
+        # the common window: base lengths in [1, lam^2) at A b, and in
+        # [lam, lam^3) at b
+        common = [(mu, rho, image(h.lift)) for mu, rho, h in at_b
+                  if mu >= lam]
+        assert [(mu * lam, rho / lam, h.lift) for mu, rho, h in at_ab
+                if mu * lam < big] == common
+        assert [round(float(mu), 3) for mu, _, _ in at_b] == [2.48, 12.985,
+                                                              16.997]
+        assert [round(float(mu / lam), 3) for mu, _, _ in common] == [4.96,
+                                                                       6.492]
+        at = build_staircase(frame_a2, Y, X, b, "++")
+        seed = at.steps[0]
+        assert seed.delta_endpoint == (3, Fraction(-7, 2))
+        assert round(float(seed.ds), 2) == 2.48
+        assert incompleteness_threshold(at) == 2
+        # the seed's image at A b = (3/2, 1) has base length 0.947, below the
+        # period that the seed search reads there
+        assert image(b) == (Fraction(3, 2), 1)
+        assert round(float(seed.ds / lam), 3) == 0.947
+        moved = build_staircase(frame_a2, Y, X, image(b), "++")
+        assert moved.steps[0].delta_endpoint == (8, Fraction(-19, 2))
+        assert round(float(moved.steps[0].ds), 2) == 6.49
+        assert incompleteness_threshold(moved) == 3
 
 
 def small_orbits(A, q_max):
