@@ -4,10 +4,10 @@ The package decides, with certificates, whether the orbit space of a
 suspension flow modified by integer surgeries on periodic orbits carries a
 globally ordered (R-covered) structure, via:
 
-- `quadfield`: exact arithmetic in Q(sqrt(D)), including the integer
-  logarithm `qn_log_floor`;
-- `torus`: hyperbolic matrices, eigenframes, marked orbits, and exact
-  enumeration of marked lifts in (stable, unstable) boxes;
+- `quadfield`: exact arithmetic in Q(sqrt(D));
+- `torus`: hyperbolic matrices, eigenframes, whose power ladder gives every
+  power of lam and every integer logarithm to base lam, marked orbits, and
+  exact enumeration of marked lifts in (stable, unstable) boxes;
 - `rectangles`: the primitive marked-rectangle census and disjointness
   profiles;
 - `game`: the holonomy crossing game and the domination threshold;
@@ -18,7 +18,7 @@ globally ordered (R-covered) structure, via:
 """
 
 from .quadfield import (QuadFieldError, QuadNum, qn_floor, qn_from_str,
-                        qn_log_floor, qn_pow, qn_to_str)
+                        qn_pow, qn_to_str)
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, Orbit,
                     UnsupportedMatrixError, eigenframe, hits_in_box,

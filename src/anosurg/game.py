@@ -25,7 +25,7 @@ of the primitive rectangle family at each marked origin.
 
 from __future__ import annotations
 
-from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
+from .quadfield import QuadNum, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, Point, hits_in_box, quadrant_contracting,
                     quadrant_view, QUADRANTS)
@@ -173,10 +173,11 @@ class DominationInterval:
         self.least_n = least_n      # least twist contracting below nu(delta)
 
 
-def _reduce(t: QuadNum, lo: QuadNum, big: QuadNum):
-    """(w, scale) with t = w * scale, lo <= w < lo * big, and scale an
-    integer power of big > 1: t moved into the period starting at lo."""
-    scale = qn_pow(big, qn_log_floor(t / lo, big))
+def _reduce(frame: EigenFrame, t: QuadNum, lo: QuadNum, period: int):
+    """(w, scale) with t = w * scale, lo <= w < lo * lam^period, and scale
+    an integer power of lam^period: t moved into the period starting at
+    lo."""
+    scale = frame.rung(frame.log_floor(t / lo) // period * period)[0]
     return t / scale, scale
 
 
@@ -197,7 +198,6 @@ class DominationAnalysis:
                 "both marked sets must be nonempty for the domination analysis")
         self.X, self.Y = X, Y
         self.view = FrameView(frame, flip_u=(sign == "negative"))
-        self.lam = frame.lam
         self._per_base = {}
         for orb in X.orbits:
             for base in orb.points:
@@ -221,7 +221,7 @@ class DominationAnalysis:
 
         def next_break(v: QuadNum):
             # least breakpoint strictly above v > 0
-            w, scale = _reduce(v, breaks[0], big)
+            w, scale = _reduce(view.frame, v, breaks[0], period)
             return next(b for b in breaks if b > w) * scale
 
         intervals = []
@@ -238,7 +238,7 @@ class DominationAnalysis:
                 raise InvariantError("delta outside (0, mu)")
             # least n >= 0 with lam^(-n) (nu - delta) < gap
             gap = next_break(delta) - delta
-            n = max(0, qn_log_floor((nu - delta) / gap, self.lam) + 1)
+            n = max(0, view.frame.log_floor((nu - delta) / gap) + 1)
             intervals.append(DominationInterval(mu, nu, delta, n))
         return intervals
 

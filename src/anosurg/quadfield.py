@@ -21,12 +21,6 @@ d, D, root) gives the same double from integers and a stored fixed-point
 sqrt(D): it brackets the value between two rationals, and only when their
 doubles differ does it fall back to that exact conversion.
 
-qn_log_floor(x, base) is the exact integer logarithm, the greatest k with
-base^k <= x, found by repeated squaring.  The threshold and recurrence
-exponent searches call it; box renormalization estimates its power from
-fixed-point logarithms and confirms it against a ladder of powers kept on
-its eigenframe instead.
-
 D is stored as given (no square-free reduction): arithmetic is unaffected and
 we avoid integer factorization entirely.
 """
@@ -360,32 +354,6 @@ def qn_pow(x: QuadNum, n: int) -> QuadNum:
         if n:
             base = base * base
     return result
-
-
-def qn_log_floor(x, base) -> int:
-    """Greatest integer k with base^k <= x, for x > 0 and base > 1.
-
-    The base is squared until it passes x, then k is built from the largest
-    square down, one exact comparison per bit; x < 1 goes through 1/x.  x and
-    base may be QuadNums, ints or Fractions.
-    """
-    if not x > 0:
-        raise QuadFieldError(f"logarithm of a non-positive number: {x}")
-    if not base > 1:
-        raise QuadFieldError(f"logarithm base must exceed 1: {base}")
-    below_one = x < 1
-    y = 1 / x if below_one else x
-    squares = [base]                    # base^(2^i) <= y, then one past y
-    while squares[-1] <= y:
-        squares.append(squares[-1] * squares[-1])
-    k, power = 0, 1                     # power = base^k <= y
-    for i in range(len(squares) - 2, -1, -1):
-        step = power * squares[i]
-        if step <= y:
-            k, power = k + (1 << i), step
-    if not below_one:
-        return k
-    return -k if power == y else -k - 1     # base^-(k+1) < x < base^-k
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ walks it, and `period_family` keeps one period of it per frame.
 
 from __future__ import annotations
 
-from .quadfield import QuadNum, qn_pow, qn_to_str
+from .quadfield import QuadNum, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, hits_in_box, sets_disjoint)
 
@@ -226,13 +226,13 @@ def period_family(view: FrameView, X: MarkedSet, origin, period: int):
     key = (view.flip_s, view.flip_u, X, origin, period)
     families = view.frame.families
     if key not in families:
-        lam = view.lam
-        big, m = qn_pow(lam, period), max(view.frame.widths)
+        frame = view.frame
+        big, m = frame.rung(period)[0], max(frame.widths)
         s0, u0 = view.s(origin), view.u(origin)
         families[key] = big, tuple(
             (cand.s - s0, cand.u - u0, cand)
             for cand in primitive_family(view, X, origin, big,
-                                         lam * lam * m * m)
+                                         frame.rung(2)[0] * m * m)
             if 1 <= cand.s - s0 < big)
     return families[key]
 
@@ -245,7 +245,7 @@ def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be positive|negative, got {sign!r}")
     view = FrameView(frame, flip_s=(sign == "negative"))
-    lam2 = view.lam * view.lam
+    lam2 = frame.rung(2)[0]
     ws, wu = view.frame.widths
     s_max = max(ws, lam2 * wu)
     u_max = max(wu, ws)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .quadfield import QuadNum, qn_log_floor, qn_pow, qn_to_str
+from .quadfield import QuadNum, qn_to_str
 from .rectangles import first_window_hits, period_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
                     Point, QUADRANTS, group_element, hits_in_box,
@@ -84,10 +84,10 @@ class Staircase:
         self.preperiod = preperiod
         self.period = period
         self.g = g                      # recurring element: level i -> level i+period
-        self.lam = view.lam
-        self._s_scale = qn_pow(self.lam, -g.k)   # s-lengths scale by this per period
-        # u-lengths contract by lam^k per period
-        if not qn_pow(self.lam, g.k) < 1:
+        # s-lengths scale by lam^-k per period
+        self._s_scale = view.frame.rung(-g.k)[0]
+        # u-lengths contract by lam^k < 1 per period
+        if not g.k < 0:
             raise InvariantError("recurring element does not contract heights")
         self.constant = self._growth_constant()
         self.limit = self._limit_point()
@@ -127,8 +127,9 @@ class Staircase:
         if steps[0].Ls != steps[0].ds or steps[0].q_lo != 0:
             raise InvariantError("level 0 is not the string seed")
         for i, st in enumerate(steps):
-            # (1) inside the quadrant
-            if not (st.q_lo >= 0 and st.q_lo < st.q_hi and 0 < st.ds <= st.Ls):
+            # (1) inside the quadrant, with a safety zone to the right
+            if not (st.q_lo >= 0 and st.q_lo < st.q_hi and 0 < st.ds <= st.Ls
+                    and 0 < st.safety):
                 raise InvariantError(f"level {i} leaves the quadrant")
             # (2) the chained rectangle is the right horizontal subrectangle
             so = view.s(st.delta_origin) - s0
@@ -151,13 +152,13 @@ class Staircase:
             if sorted(h.lift for h in corners) != sorted(
                     (st.delta_origin, st.delta_endpoint)):
                 raise InvariantError(f"level {i} rectangle is not primitive")
-            # disjointness of the closed R_i from the avoid set
-            if hits_in_box(view, avoid, s0, s0 + st.Ls, u0 + st.q_lo,
-                           u0 + st.q_hi):
-                raise InvariantError(f"level {i} meets the avoid set")
-            # the safety zone really is the first contact to the right
+            # one closed scan of the band through R_i and its safety zone:
+            # the closed R_i, the part with s <= s0 + Ls, misses the avoid
+            # set, and the first contact to its right ends the safety zone
             band = hits_in_box(view, avoid, s0, s0 + st.Ls + st.safety,
                                u0 + st.q_lo, u0 + st.q_hi)
+            if any(h.s - s0 <= st.Ls for h in band):
+                raise InvariantError(f"level {i} meets the avoid set")
             if not band or min(h.s for h in band) - s0 != st.Ls + st.safety:
                 raise InvariantError(f"level {i} safety zone mismatch")
         # the recurring element reproduces the second period exactly
@@ -193,15 +194,17 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
     and A^j turns the band into one lam^j times taller while shrinking
     widths by the same factor, so a band of height h > 0 is guaranteed a hit
     within width W_s * lam^j for the least j >= 0 with lam^j * h >= W_u,
-    which is -qn_log_floor(h / W_u, lam) when h < W_u.  `first_window_hits`,
-    with s and u swapped, searches distances from the anchor up to twice it.
+    which is -floor(log_lam(h / W_u)), the frame's `log_floor`, when
+    h < W_u.  `first_window_hits`, with s and u swapped, searches distances
+    from the anchor up to twice it.
     """
-    ws, wu = view.frame.widths
+    frame = view.frame
+    ws, wu = frame.widths
     h = u_hi - u_lo
     if not h > 0:
         raise InvariantError("empty height band")
-    j = max(0, -qn_log_floor(h / wu, view.lam))
-    enough = (ws + ws) * qn_pow(view.lam, j)  # doubled: the near edge is open
+    j = max(0, -frame.log_floor(h / wu))
+    enough = (ws + ws) * frame.rung(j)[0]  # doubled: the near edge is open
 
     def scan(a, b):
         if s_dir > 0:
@@ -258,7 +261,6 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
     found = X.locate(origin)
     if found is None:
         raise ValueError("origin is not a lift of the marked set")
-    lam = frame.lam
     orb, i0 = found
     n = orb.period
 
@@ -277,7 +279,6 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
     # level 0 sides, and the left overhang of the pushed rectangle D_0
     rho0 = view.u(seed_end) - u0
     left0 = _first_contact(view, avoid, s0, -1, u0, u0 + rho0)
-    lam_n = qn_pow(lam, n)
 
     def make_step(i, o_lift, e_lift, q_lo, Ls):
         ds = view.s(e_lift) - view.s(o_lift)
@@ -299,12 +300,12 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
         c = G_k * (i + 1)
         K = c + (shift(x_next) - c) % n
         # left overhang of g_i(pushed level-(i+1) rectangle) around x_{i+1}
-        b = qn_pow(lam, -K) * left0
+        b = frame.rung(-K)[0] * left0
         x_s = view.s(x_next) - s0
         if x_s != cur.Ls:
             raise InvariantError("corner is off the staircase edge")
         # minimal k with lam^(n k) * b reaching the axis
-        k = -qn_log_floor(b / x_s, lam_n)
+        k = -(frame.log_floor(b / x_s) // n)
         h = group_element(A, K - n * k, origin, x_next)
         if h is None:
             raise InvariantError("holonomy step does not chain")
@@ -313,7 +314,7 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
                                view.s(new_e) - s0))
         powers.append(h.k)
 
-    zero = lam - lam
+    zero = frame.lam - frame.lam
     steps = [make_step(0, origin, seed_end, zero, seed_ds)]
     powers = [0]        # level i is the image of level 0 under A^powers[i] + v
 
@@ -361,7 +362,7 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
 def incompleteness_threshold(st: Staircase) -> int:
     """Least positive integer N' with lam^N' > the staircase growth constant:
     one more than its integer logarithm to base lam."""
-    return max(1, qn_log_floor(st.constant, st.lam) + 1)
+    return max(1, st.view.frame.log_floor(st.constant) + 1)
 
 
 def containment_check(st: Staircase, twist: int) -> bool:
@@ -374,7 +375,7 @@ def containment_check(st: Staircase, twist: int) -> bool:
     at every level.
     """
     e = -twist if quadrant_contracting(st.quadrant) else twist
-    grow = qn_pow(st.lam, e)
+    grow = st.view.frame.rung(e)[0]
     return all(nxt.ds + nxt.safety <= grow * cur.safety
                for cur, nxt in zip(st.steps, st.steps[1:]))
 

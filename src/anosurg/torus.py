@@ -51,8 +51,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .quadfield import (ROOT_BITS, QuadNum, _floor, _parts, _qn, _sign,
-                        fixed_root)
+from .quadfield import (ROOT_BITS, QuadFieldError, QuadNum, _floor, _parts,
+                        _qn, _sign, fixed_root)
 
 
 class UnsupportedMatrixError(ValueError):
@@ -249,12 +249,13 @@ class EigenFrame(_Value):
     the `ladder` and `families` caches is a function of the matrix, so
     frames compare and hash by it alone.
 
-    The power ladder holds rung n = (lam^n, rows of A^-n) for every
-    integer n out to the farthest that box scans have needed so far, on
-    both sides of n = 0.  It starts at rung 0 and grows on demand, one
-    multiplication from the neighbouring rung per new rung.  The power A^j
-    that makes a box square is estimated from `log2_lam` and confirmed
-    against the odd rungs 2j - 1 and 2j + 1 (`_balance`), and
+    The power ladder, the engine's one source of lam's powers and
+    logarithms, holds rung n = (lam^n, rows of A^-n) for every integer n
+    out to the farthest that any caller has needed so far, on both sides
+    of n = 0.  It starts at rung 0 and grows on demand, one multiplication
+    from the neighbouring rung per new rung.  `log_floor(x)` is estimated
+    from `log2_lam` and confirmed against rungs n and n + 1 (`_log_ratio`),
+    box scans take their power A^j from the same routine, and
     `renormalization(j)` reads rungs j and -j.
     """
     __slots__ = ("matrix", "D", "lam", "lam_inv", "s_form", "u_form",
@@ -279,8 +280,8 @@ class EigenFrame(_Value):
         _set(self, "u_int", u_int)
         # fixed_root(D), which converts coordinates to doubles for figures
         _set(self, "root", root)
-        # floor(log2(lam) * 2^LOG_BITS), from which box scans estimate
-        # their renormalization power
+        # floor(log2(lam) * 2^LOG_BITS), from which `_log_ratio` estimates
+        # its logarithms to base lam
         _set(self, "log2_lam", log2_lam)
         # the power ladder: rungs 0, 1, 2, ... and rungs 0, -1, -2, ...
         rung0 = (lam * lam_inv, ((1, 0), (0, 1)))
@@ -315,6 +316,14 @@ class EigenFrame(_Value):
         """(lam^-j, lam^j, rows of A^-j), read off the ladder."""
         lam_j, rows = self.rung(j)
         return self.rung(-j)[0], lam_j, rows
+
+    def log_floor(self, x) -> int:
+        """The greatest n with lam^n <= x, for x > 0 given as a QuadNum, int
+        or Fraction."""
+        p, q, d = _parts(x)
+        if _sign(p, q, self.D) <= 0:
+            raise QuadFieldError(f"logarithm of a non-positive number: {x}")
+        return _log_ratio(self, p, q, d, 0)
 
 
 def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
@@ -539,35 +548,34 @@ def _log2_width(p: int, q: int, D: int, root: int) -> int:
             - _log2(abs((p << ROOT_BITS) - q * root)))
 
 
-def _balance(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int) -> int:
-    """The integer j nearest log_{lam^2}(w_s / w_u), so that lam^(-j) w_s
-    and lam^j w_u are within a factor lam of each other, for positive
-    widths whose ratio w_s / w_u is (P1 + Q1*sqrt(D)) / (P2 + Q2*sqrt(D)):
-    the floor of log_{lam^2}(lam w_s / w_u).  It is estimated from the
-    widths' logarithms and the frame's `log2_lam`, then confirmed exactly,
-    lam^(2j-1) w_u <= w_s < lam^(2j+1) w_u, by integer sign tests against
-    the ladder's odd rungs.  Each failed test moves j by one toward the
-    other side, so an estimate that is one off costs one more test."""
-    D, root, log_lam = frame.D, frame.root, frame.log2_lam
+def _log_ratio(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int) -> int:
+    """The greatest n with lam^n <= r, for r = (P1 + Q1*sqrt(D)) /
+    (P2 + Q2*sqrt(D)) with both parts positive: floor(log_lam(r)).  It is
+    estimated from the parts' logarithms and the frame's `log2_lam`, then
+    confirmed exactly, lam^n <= r < lam^(n+1), by integer sign tests
+    against the ladder's rungs n and n + 1.  Each failed test moves n by
+    one toward the other side, so an estimate that is one off costs one
+    more test."""
+    D, root = frame.D, frame.root
     # rounded up by 1/32 of a bit, about the logarithms' largest error,
     # since many ratios lie exactly on a rung
-    j = ((_log2_width(P1, Q1, D, root) - _log2_width(P2, Q2, D, root)
-          + log_lam + (1 << LOG_BITS - 5)) // (2 * log_lam))
+    n = ((_log2_width(P1, Q1, D, root) - _log2_width(P2, Q2, D, root)
+          + (1 << LOG_BITS - 5)) // frame.log2_lam)
     QD = Q2 * D
 
-    def below(n):                       # w_s < lam^n w_u
-        a, b, e = _parts(frame.rung(n)[0])
+    def below(k):                       # r < lam^k
+        a, b, e = _parts(frame.rung(k)[0])
         return _sign(e * P1 - a * P2 - b * QD, e * Q1 - a * Q2 - b * P2,
                      D) < 0
 
-    if below(2 * j - 1):
-        j -= 1
-        while below(2 * j - 1):
-            j -= 1
+    if below(n):
+        n -= 1
+        while below(n):
+            n -= 1
     else:
-        while not below(2 * j + 1):
-            j += 1
-    return j
+        while not below(n + 1):
+            n += 1
+    return n
 
 
 def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
@@ -612,8 +620,10 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
         raise ValueError("empty range")
     j, rows = 0, ((1, 0), (0, 1))
     if s_sign and u_sign:
+        # the integer j nearest log_{lam^2}(w_s / w_u), so that lam^-j w_s
+        # and lam^j w_u are within a factor lam of each other
         ds, du = d1 * d2, d3 * d4
-        j = _balance(frame, sp * du, sq * du, up * ds, uq * ds)
+        j = (_log_ratio(frame, sp * du, sq * du, up * ds, uq * ds) + 1) // 2
     if j:
         sc, uc, rows = frame.renormalization(j)
         (a, b, e), (f, g, h) = _parts(sc), _parts(uc)

@@ -11,7 +11,7 @@ import math
 
 from anosurg import StairStep, qn_pow
 from anosurg.quadfield import _parts, _sign
-from anosurg.torus import _balance
+from anosurg.torus import _log_ratio
 
 
 def oracle_point(frame, s, u):
@@ -25,15 +25,16 @@ def oracle_point(frame, s, u):
 
 
 def balance_power(frame, w_s, w_u):
-    """The renormalization power that `torus._balance` finds for widths
+    """The renormalization power that `torus.box_lifts` finds for widths
     w_s and w_u given as QuadNums, ints or Fractions, 0 unless both are
-    positive: the integer j nearest log_{lam^2}(w_s / w_u).  Not an oracle:
-    it only takes the widths apart into the integers `_balance` reads, as
-    `torus.box_lifts` does with a box's bounds."""
+    positive: the integer j nearest log_{lam^2}(w_s / w_u), taken as
+    (L + 1) // 2 from L = floor(log_lam(w_s / w_u)).  Not an oracle: it
+    only takes the widths apart into the integers `_log_ratio` reads, as
+    `box_lifts` does with a box's bounds."""
     (ps, qs, ds), (pu, qu, du) = _parts(w_s), _parts(w_u)
     if _sign(ps, qs, frame.D) <= 0 or _sign(pu, qu, frame.D) <= 0:
         return 0
-    return _balance(frame, ps * du, qs * du, pu * ds, qu * ds)
+    return (_log_ratio(frame, ps * du, qs * du, pu * ds, qu * ds) + 1) // 2
 
 
 def _window_for_box(frame, s_lo, s_hi, u_lo, u_hi, margin=2):
@@ -155,7 +156,7 @@ def staircase_step(st, i):
     s0, u0 = view.s(st.origin), view.u(st.origin)
     return StairStep(i, o, e, view.s(e) - view.s(o), view.s(e) - s0,
                      view.u(o) - u0, view.u(e) - u0,
-                     base.safety * qn_pow(st.lam, -st.g.k * m))
+                     base.safety * qn_pow(view.lam, -st.g.k * m))
 
 
 def index_of_height(st, height):
@@ -227,7 +228,7 @@ def oracle_staircase_levels(st):
     least integer with lam^(n k) times the left overhang of g_i o G^(i+1)'s
     pushed seed reaching the axis.  The seed's overhang is found by brute
     force over doubling widths."""
-    A, lam = st.view.frame.matrix, st.lam
+    A, lam = st.view.frame.matrix, st.view.lam
     coords = _QuadrantCoords(st.view.frame, st.quadrant)
     origin, seed_end = st.origin, st.steps[0].delta_endpoint
     n = next(len(orb.points) for orb in st.X.orbits
@@ -265,8 +266,8 @@ def equation_holds(analysis, base, t, n):
     delta are the step functions of the analysis's breakpoint intervals at
     base, extended to all t > 0 by their period lam^(period of base)."""
     intervals = analysis.intervals(base)
-    big = qn_pow(analysis.lam, next(orb.period for orb in analysis.X.orbits
-                                    if base in orb.points))
+    big = qn_pow(analysis.view.lam, next(
+        orb.period for orb in analysis.X.orbits if base in orb.points))
 
     def locate(v):
         # the interval holding v moved into the first period, and the scale
@@ -280,7 +281,7 @@ def equation_holds(analysis, base, t, n):
 
     iv, scale = locate(t)
     d = iv.delta * scale
-    return mu(d + qn_pow(analysis.lam, -n) * (t - d)) == mu(d)
+    return mu(d + qn_pow(analysis.view.lam, -n) * (t - d)) == mu(d)
 
 
 def oracle_primitive_census(A, X, sign, frame):

@@ -1,8 +1,9 @@
 """Exact arithmetic in Q(sqrt(D)): worked values, field axioms, exact signs
 and floors, string round-trips, error handling, agreement with a Fraction
 oracle on big coefficients, correctly rounded float conversion (exact, and
-from a fixed-point square root with an exact fallback), the exact integer
-logarithm, the absence of floats from the engine's decisions, and the
+from a fixed-point square root with an exact fallback), the eigenframe's
+exact integer logarithm to base lam, the absence of floats from the engine's
+decisions and of powers and logarithms outside the eigenframe, and the
 eigenframe as the only geometry argument of the public API."""
 
 import ast
@@ -18,7 +19,7 @@ from hypothesis import given, strategies as st
 import anosurg
 from anosurg import quadfield
 from anosurg import (HyperbolicMatrix, QuadFieldError, QuadNum, eigenframe,
-                     qn_floor, qn_from_str, qn_log_floor, qn_pow, qn_to_str)
+                     qn_floor, qn_from_str, qn_pow, qn_to_str)
 
 from oracles import OracleQuad, oracle_log_floor
 
@@ -298,59 +299,59 @@ class TestFloatConversion:
         assert any(taken) and not all(taken)
 
 
-# expansive eigenvalues of the A2, B2 and case3 fixture matrices
-FRAME_LAMS = {name: eigenframe(HyperbolicMatrix.from_rows(rows)).lam
-              for name, rows in (("A2", ((2, 1), (1, 1))),
-                                 ("B2", ((13, 8), (8, 5))),
-                                 ("case3", ((3, 2), (4, 3))))}
+# the eigenframes of the A2, B2 and case3 fixture matrices
+FRAMES = {name: eigenframe(HyperbolicMatrix.from_rows(rows))
+          for name, rows in (("A2", ((2, 1), (1, 1))),
+                             ("B2", ((13, 8), (8, 5))),
+                             ("case3", ((3, 2), (4, 3))))}
 
 
 @st.composite
 def log_cases(draw, lam):
-    """(x, base): base 2 or lam^n (n <= 4) in lam's field; x an exact power
-    of the base, one just above or below it, or any positive value with
+    """(x, m): a base lam^m (m <= 4) and x in lam's field, an exact power of
+    the base, one just above or below it, or any positive value with
     coefficients of several hundred bits (near 0, near 1 or huge)."""
     D = lam.D
-    base = draw(st.one_of(st.just(QuadNum(2, 0, D)),
-                          st.integers(1, 4).map(lambda n: qn_pow(lam, n))))
+    m = draw(st.integers(1, 4))
+    base = qn_pow(lam, m)
     power = st.integers(-60, 60).map(lambda k: qn_pow(base, k))
-    nudge = st.builds(lambda sgn, m: 1 + Fraction(sgn, 2 ** m),
+    nudge = st.builds(lambda sgn, e: 1 + Fraction(sgn, 2 ** e),
                       st.sampled_from((-1, 1)), st.integers(1, 300))
     big = st.one_of(st.tuples(big_rationals, big_rationals),
                     near_conjugates(D)).map(lambda ab: QuadNum(*ab, D))
     x = draw(st.one_of(power, st.builds(lambda p, e: p * e, power, nudge),
                        big.filter(lambda v: v > 0)))
-    return x, base
+    return x, m
 
 
 class TestLogFloor:
-    @pytest.mark.parametrize("frame", sorted(FRAME_LAMS))
+    """`EigenFrame.log_floor`, the greatest n with lam^n <= x; to base
+    lam^m it is floor(log_floor(x) / m)."""
+
+    @pytest.mark.parametrize("frame", sorted(FRAMES))
     @given(data=st.data())
     def test_matches_linear_oracle(self, frame, data):
-        x, base = data.draw(log_cases(FRAME_LAMS[frame]))
-        k = qn_log_floor(x, base)
-        assert k == oracle_log_floor(x, base)
-        assert qn_pow(base, k) <= x < qn_pow(base, k + 1)
+        frame = FRAMES[frame]
+        lam = frame.lam
+        x, m = data.draw(log_cases(lam))
+        k = frame.log_floor(x) // m
+        assert k == oracle_log_floor(x, qn_pow(lam, m))
+        assert qn_pow(lam, k * m) <= x < qn_pow(lam, (k + 1) * m)
 
-    def test_int_and_fraction_arguments(self):
-        assert qn_log_floor(8, 2) == 3
-        assert qn_log_floor(Fraction(1, 8), 2) == -3
-        assert qn_log_floor(Fraction(1, 9), 2) == -4
-        assert qn_log_floor(Fraction(9, 10), Fraction(3, 2)) == -1
-        assert qn_log_floor(1, 2) == 0
-        assert qn_log_floor(LAM, 2) == 1
+    @pytest.mark.parametrize("frame", sorted(FRAMES))
+    def test_int_and_fraction_arguments(self, frame):
+        frame = FRAMES[frame]
+        values = list(range(1, 300, 7)) + [
+            Fraction(1, n) for n in range(2, 300, 7)] + [
+            Fraction(9, 10), Fraction(10 ** 40, 3), Fraction(3, 10 ** 40)]
+        for x in values:
+            assert frame.log_floor(x) == oracle_log_floor(x, frame.lam)
 
     @pytest.mark.parametrize("x", [0, -1, QuadNum(0, 0, 5), -LAM,
-                                   QuadNum(2, -1, 5)])
+                                   QuadNum(2, -1, 5), Fraction(-1, 2)])
     def test_non_positive_argument_rejected(self, x):
         with pytest.raises(QuadFieldError):
-            qn_log_floor(x, LAM)
-
-    @pytest.mark.parametrize("base", [1, Fraction(1, 2), 0, -LAM,
-                                      QuadNum(1, 0, 5), 1 / LAM])
-    def test_base_at_most_one_rejected(self, base):
-        with pytest.raises(QuadFieldError):
-            qn_log_floor(LAM, base)
+            FRAMES["A2"].log_floor(x)
 
 
 # the modules that make decisions; svgfig draws with floats and cli prints
@@ -388,6 +389,27 @@ def public_signatures():
             obj = vars(obj).get("__init__")
         if inspect.isfunction(obj):
             yield name, inspect.signature(obj).parameters
+
+
+# the modules that take thresholds and scales from lam's powers and
+# logarithms, all of which the eigenframe's ladder provides
+LADDER_MODULES = ("rectangles", "game", "staircase", "classify")
+
+
+class TestOnePowerTable:
+    @pytest.mark.parametrize("module", LADDER_MODULES)
+    def test_no_power_or_logarithm_helper(self, module):
+        path = Path(anosurg.__file__).with_name(f"{module}.py")
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{module}.py:{getattr(node, 'lineno', '?')}"
+            assert not isinstance(node, ast.Pow), f"** at {where}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "pow", f"pow() call at {where}"
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "quadfield"):
+                helpers = {a.name for a in node.names
+                           if "pow" in a.name or "log" in a.name}
+                assert not helpers, f"quadfield.{helpers} at {where}"
 
 
 class TestFrameIsTheGeometryArgument:

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import (GameConfig, InvariantError, QUADRANTS, StairStep,
-                     StaircaseError, build_staircase, containment_check,
-                     eigenframe, incompleteness_threshold, marked_set,
-                     orbit_of, play_game, point, qn_pow, quadrant_view,
-                     staircase_records)
+from anosurg import (GameConfig, InvariantError, MarkedSet, QUADRANTS,
+                     StairStep, StaircaseError, build_staircase,
+                     containment_check, eigenframe, incompleteness_threshold,
+                     marked_set, orbit_of, play_game, point, qn_pow,
+                     quadrant_view, staircase_records)
 from anosurg.rectangles import period_family
 from anosurg.staircase import _first_contact
 
@@ -27,7 +27,7 @@ class TestB2Structure:
         assert st.preperiod == 1 and st.period == 1
         assert (st.g.k, st.g.v) == (-1, (2, -3))
         assert incompleteness_threshold(st) == 2
-        assert st.lam < st.constant < st.lam * st.lam
+        assert st.view.lam < st.constant < st.view.lam * st.view.lam
         assert st.limit == (Fraction(0), Fraction(1, 4))
 
     def test_axis_height_is_exact_limit_height(self, b2_staircase):
@@ -97,6 +97,16 @@ class TestB2Structure:
             st, delta_endpoint=e, ds=view.s(e) - view.s(last.delta_origin),
             Ls=view.s(e) - s0, q_hi=view.u(e) - u0)
         with pytest.raises(InvariantError, match="rectangle is not primitive"):
+            tampered.verify()
+
+    def test_verify_rejects_a_level_that_meets_the_avoid_set(
+            self, b2_staircase):
+        # with its own set added to the avoid set, level 0's corners are
+        # avoid lifts inside the closed R_0
+        st = b2_staircase
+        tampered = copy.copy(st)
+        tampered.avoid = MarkedSet(st.X.orbits + st.avoid.orbits)
+        with pytest.raises(InvariantError, match="level 0 meets the avoid set"):
             tampered.verify()
 
     def test_verify_rejects_a_wrong_safety_zone(self, b2_staircase):

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from anosurg import (GameConfig, InvariantError, MarkedSet, Orbit,
                      QUADRANTS, QuadNum, UnsupportedMatrixError, eigenframe,
                      game, hits_in_box, marked_set, mod1, orbit_of, play_game,
-                     point, qn_floor, qn_log_floor, qn_pow,
+                     point, qn_floor, qn_pow,
                      quadrant_contracting, quadrant_view, sets_disjoint,
                      torus)
 from anosurg.torus import (HyperbolicMatrix, FrameView, box_lifts,
@@ -23,7 +23,7 @@ from anosurg.cli import FIXTURES, load_problem
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
 from oracles import (balance_power, oracle_band_hits, oracle_hits,
-                     oracle_point)
+                     oracle_log_floor, oracle_point)
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
@@ -521,11 +521,11 @@ class TestRenormalization:
             ratios = [(on_rung, 1), (on_rung * Fraction(999, 1000), 1),
                       (3 * on_rung * lam, 3)]
             for w_s, w_u in ratios:
-                want = qn_log_floor(lam * w_s / w_u, lam * lam)
+                want = oracle_log_floor(lam * w_s / w_u, lam * lam)
                 assert balance_power(grown, w_s, w_u) == want
             w_s, w_u = ratios[j % 3]
             assert balance_power(eigenframe(A2), w_s, w_u) == \
-                qn_log_floor(lam * w_s / w_u, lam * lam)
+                oracle_log_floor(lam * w_s / w_u, lam * lam)
 
     def test_balance_power_where_the_estimate_is_weakest(self, monkeypatch):
         # j is estimated from the widths' logarithms and then confirmed
@@ -572,7 +572,7 @@ class TestRenormalization:
         widths += [(3, n) for n in range(1, 100)]
         for w_s, w_u in widths:
             assert balance_power(frame, w_s, w_u) == \
-                qn_log_floor(lam * w_s / w_u, lam * lam)
+                oracle_log_floor(lam * w_s / w_u, lam * lam)
 
     def test_renormalization_reads_the_powers(self):
         grown = eigenframe(A2)
