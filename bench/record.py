@@ -59,7 +59,7 @@ MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = None
+CLAIM = ("classify_sweep", "wall_ref")
 
 # alternating parent/change pairs per perfbench row, and alternating runs
 # per side of the import time, of each CLI command, of the
@@ -82,10 +82,11 @@ def long_orbit(q: int) -> dict:
 
 
 # problem files written for the commands, by the name they use: X orbits of
-# periods 98 and 200, whose box scans step through one coset per point, and
-# the undertwisted A2 game's X and Y orbits, which fill (1/2)Z^2 mod Z^2 and
-# are scanned as that one lattice
+# periods 98, 200 and 384, whose box scans step through one coset per point,
+# and the undertwisted A2 game's X and Y orbits, which fill (1/2)Z^2 mod Z^2
+# and are scanned as that one lattice
 PROBLEMS = {"PERIOD_98": long_orbit(97), "PERIOD_200": long_orbit(175),
+            "PERIOD_384": long_orbit(254),
             "UNDERTWISTED_A2": {
                 "matrix": [[2, 1], [1, 1]],
                 "sets": [{"point": ["0", "0"], "characteristic_number": 1,
@@ -100,8 +101,9 @@ LONG_GAME = ("game fixtures/b2_half.json --point 0,0 --t0 1 --r 20 "
 LONG_GAME_CROSSINGS = 1500
 
 # CLI commands timed in fresh processes; PATH is a scratch SVG file.  The
-# staircase seed searches of `thresholds PERIOD_200` read the period
-# families that its domination analyses walked.
+# long-orbit `classify` and `thresholds` commands read each period family
+# only up to the member that decides, and the staircase seed searches of
+# `thresholds` share what the domination analyses read.
 COMMANDS = ("examples",
             "census fixtures/a2_half.json",
             "classify fixtures/b2_half.json",
@@ -112,7 +114,10 @@ COMMANDS = ("examples",
             LONG_GAME,
             "census PERIOD_98",
             "census PERIOD_200",
+            "classify PERIOD_200",
             "thresholds PERIOD_200",
+            "classify PERIOD_384",
+            "thresholds PERIOD_384",
             "game UNDERTWISTED_A2 --point 0,0 --t0 1 --r 3 --budget 400")
 
 # LONG_GAME in process: the `play_game` call alone, without interpreter
@@ -537,11 +542,12 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
         "cli_commands": {
             "command": "wall time of python -m anosurg.cli <args> in a fresh "
                        f"process, {COMMAND_RUNS} alternating runs per "
-                       "side, compiled exports; PERIOD_98 and PERIOD_200 "
-                       "are A2 with Y the (0,0) orbit at -1 and X the orbit "
-                       "of (1/97, 0) (period 98) or of (1/175, 0) (period "
-                       "200) at +1; UNDERTWISTED_A2 is A2 with X the (0,0) "
-                       "orbit at +1 and Y the (1/2,1/2) orbit at -2, a game "
+                       "side, compiled exports; PERIOD_98, PERIOD_200 and "
+                       "PERIOD_384 are A2 with Y the (0,0) orbit at -1 and X "
+                       "the orbit of (1/97, 0) (period 98), of (1/175, 0) "
+                       "(period 200) or of (1/254, 0) (period 384) at +1; "
+                       "UNDERTWISTED_A2 is A2 with X the (0,0) orbit at +1 "
+                       "and Y the (1/2,1/2) orbit at -2, a game "
                        "that runs to its budget; the row after the "
                        "1,500-crossing game "
                        "times its play_game call alone, in one fresh "

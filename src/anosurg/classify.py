@@ -22,7 +22,7 @@ from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit, Point,
                     sets_disjoint)
 from .rectangles import case_label
 from .game import DominationAnalysis, DominationHypothesisError
-from .staircase import (StaircaseError, build_staircase,
+from .staircase import (SeedError, StaircaseError, build_staircase,
                         incompleteness_threshold, staircase_records)
 
 STATUSES = ("Suspension", "RCoveredPositive", "RCoveredNegative",
@@ -71,11 +71,13 @@ class Verdict:
 class Row:
     """One certificate of an Analysis: a DominationAnalysis or a Staircase
     (None when there is none), its threshold and, for a staircase, its
-    `staircase_records` as JSON text."""
-    __slots__ = ("cert", "threshold", "record")
+    `staircase_records` as JSON text; an empty staircase row of one origin
+    keeps the StaircaseError that left it empty."""
+    __slots__ = ("cert", "threshold", "record", "error")
 
-    def __init__(self, cert=None, threshold=None, record=None):
+    def __init__(self, cert=None, threshold=None, record=None, error=None):
         self.cert, self.threshold, self.record = cert, threshold, record
+        self.error = error
 
     def records(self) -> dict:
         """A fresh copy of the staircase's record, the caller's to change."""
@@ -92,7 +94,9 @@ class Analysis:
     base the (k, X, Y) of one of the own set's points, a key of its
     `MarkedSet.index`.  With base None it is the certificate of the whole
     set: the domination threshold over all of its points, or the staircase
-    of its first point that admits one."""
+    of its first point that admits one.  That search tries an orbit's later
+    points only when the build at its first point failed for a reason other
+    than `SeedError`, which holds at every point of an orbit or at none."""
 
     def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet):
         self.X, self.Y = X, Y
@@ -133,15 +137,18 @@ class Analysis:
                 return Row()
             return Row(analysis, analysis.threshold)
         if base is None:
-            for ints in first.index:
-                found = self.row(own, kind, ints)
-                if found.cert is not None:
-                    return found
+            for orb in first.orbits:
+                for ints in orb.integers:
+                    found = self.row(own, kind, ints)
+                    if found.cert is not None:
+                        return found
+                    if isinstance(found.error, SeedError):
+                        break
             return Row()
         try:
             st = build_staircase(self.frame, first, second, origin, kind)
-        except StaircaseError:
-            return Row()
+        except StaircaseError as err:
+            return Row(error=err)
         return Row(st, incompleteness_threshold(st),
                    json.dumps(staircase_records(st)))
 

@@ -20,7 +20,7 @@ it.
 The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,
 computed exactly from the breakpoints of the step functions mu, nu, delta
-of the primitive rectangle family at each marked origin.
+of the primitive rectangle family at the first point of each marked orbit.
 """
 
 from __future__ import annotations
@@ -187,6 +187,12 @@ class DominationAnalysis:
     sign "positive" works with positive (increasing-diagonal) rectangles;
     "negative" mirrors the unstable axis, turning decreasing diagonals into
     increasing ones, so the same analysis covers the mixed quadrants.
+
+    One origin decides for its orbit, so the analysis reads each orbit's
+    first point.  This is exact: the family at A b is the A-image of the
+    family at b, Y is A-invariant, and an interval's least n does not
+    change when A scales its lengths.  So the hypothesis holds at every
+    origin of an orbit or at none, and the threshold is the same at all.
     """
 
     def __init__(self, frame: EigenFrame, X: MarkedSet, Y: MarkedSet,
@@ -199,25 +205,46 @@ class DominationAnalysis:
         self.X, self.Y = X, Y
         self.view = FrameView(frame, flip_u=(sign == "negative"))
         self._per_base = {}
-        for orb in X.orbits:
-            for base in orb.points:
-                self._per_base[base] = self._analyze_base(base, orb.period)
-        self.threshold = max(map(self.threshold_at, self._per_base))
+        self.threshold = max(self.threshold_at(orb.points[0])
+                             for orb in X.orbits)
 
     def threshold_at(self, base: Point) -> int:
-        """The least positive twist dominating every interval at one origin."""
-        return max(1, max(iv.least_n for iv in self._per_base[base]))
+        """The least positive twist dominating every interval at one origin:
+        the value of its orbit, read at the orbit's first point."""
+        orb, _ = self.X.locate(base)
+        return max(1, max(iv.least_n for iv in self.intervals(orb.points[0])))
+
+    def intervals(self, base: Point):
+        """The breakpoint intervals at one origin over one period, by mu;
+        an origin other than its orbit's first point is analysed when first
+        asked for."""
+        if base not in self._per_base:
+            orb, _ = self.X.locate(base)
+            self._per_base[base] = self._analyze_base(base, orb.period)
+        return self._per_base[base]
 
     # -- per-origin analysis -------------------------------------------------
 
     def _analyze_base(self, base: Point, period: int):
         view = self.view
-        big, rects = period_family(view, self.X, base, period)
-        s0, u0 = view.s(base), view.u(base)
+        family = period_family(view, self.X, base, period)
+        # the hypothesis: every member's closed box meets Y; the first
+        # member that misses it decides, and the rest are not read
+        rects = []
+        for i, (mu, _, corner) in enumerate(family):
+            delta = family.contact(i, self.Y)
+            if delta is None:
+                raise DominationHypothesisError(
+                    f"primitive rectangle at {base} with endpoint lift "
+                    f"{corner.lift} is disjoint from the other marked set",
+                    witness=(base, corner))
+            if not (0 < delta < mu):
+                raise InvariantError("delta outside (0, mu)")
+            rects.append((mu, delta))
         if not rects:
             raise InvariantError(f"no primitive rectangle at origin {base}")
         # the breakpoints in one period [mu_0, mu_0 lam^pi], both ends included
-        breaks = [mu for mu, _, _ in rects] + [rects[0][0] * big]
+        breaks = [mu for mu, _ in rects] + [rects[0][0] * family.big]
 
         def next_break(v: QuadNum):
             # least breakpoint strictly above v > 0
@@ -225,23 +252,10 @@ class DominationAnalysis:
             return next(b for b in breaks if b > w) * scale
 
         intervals = []
-        for i, (mu, rho, cand) in enumerate(rects):
+        for i, (mu, delta) in enumerate(rects):
             nu = breaks[i + 1]
-            yhits = hits_in_box(view, self.Y, s0, s0 + mu, u0, u0 + rho)
-            if not yhits:
-                raise DominationHypothesisError(
-                    f"primitive rectangle at {base} with endpoint lift "
-                    f"{cand.lift} is disjoint from the other marked set",
-                    witness=(base, cand))
-            delta = min(h.s for h in yhits) - s0
-            if not (0 < delta < mu):
-                raise InvariantError("delta outside (0, mu)")
             # least n >= 0 with lam^(-n) (nu - delta) < gap
             gap = next_break(delta) - delta
             n = max(0, view.frame.log_floor((nu - delta) / gap) + 1)
             intervals.append(DominationInterval(mu, nu, delta, n))
-        return intervals
-
-    def intervals(self, base: Point):
-        """The breakpoint intervals at one origin over one period, by mu."""
-        return tuple(self._per_base[base])
+        return tuple(intervals)

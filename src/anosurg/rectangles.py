@@ -20,7 +20,8 @@ normalized this bounds both sides.
 The census, the domination analysis and the staircase seed search read the
 primitive rectangles at an origin off one object, its primitive family (the
 lattice's relative minima in a quadrant, its Klein sail): `primitive_family`
-walks it, and `period_family` keeps one period of it per frame.
+walks it, and `period_family` reads one period of it lazily, by base
+length, and keeps what it read per frame.
 """
 
 from __future__ import annotations
@@ -182,17 +183,20 @@ class StripClimber:
         self.covered = self.lo
 
 
-def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
+def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,
+                     above=0):
     """The Pareto-minimal lifts of X in the view box (s0, s0 + s_width] x
-    (u0, u0 + u_cap] at the origin (s0, u0), sorted by s: the far corners of
-    the primitive view-increasing X-rectangles at the origin, as a tuple.
+    (u0 + above, u0 + u_cap] at the origin (s0, u0), lazily, lowest first:
+    the far corners of the primitive view-increasing X-rectangles at the
+    origin.
 
     These are the lattice's relative minima in the quadrant (its Klein
     sail), listed right to left, each the lowest lift in the strip left of
     the previous one: the work grows with their number, not the box's area.
     A strip (s0, right] is searched strictly above the previous lift, which
     sits on its right edge; distinct lifts never share an s or a u
-    coordinate, so the strips see exactly the closed box.
+    coordinate, so the strips see exactly the closed box.  In a transposed
+    view the same walk runs along the base, from left to right.
     """
     s0, u0 = view.s(origin), view.u(origin)
 
@@ -200,40 +204,99 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap):
         return hits_in_box(view, X, s0, right, a, b,
                            (False, True, False, True))
 
-    strip = StripClimber(scan, view.frame.widths, s0, s0 + s_width, u0,
-                         u0 + u_cap)
-    family = []
+    strip = StripClimber(scan, view.frame.widths, s0, s0 + s_width,
+                         u0 + above, u0 + u_cap)
     while (low := strip.lowest()) is not None:
         if not s0 < low.s <= strip.right:
             raise InvariantError(
                 f"primitive family walk left its strip at {low.lift}")
-        family.append(low)
+        yield low
         strip.narrow(low.s)
-    return tuple(family[::-1])
 
 
-def period_family(view: FrameView, X: MarkedSet, origin, period: int):
-    """(big, rects): big = lam^period, and one period of the family at an
-    origin of that period, the primitive view-increasing X-rectangles whose
-    base length mu lies in [1, big), as (mu, height, far corner) by mu.
+class PeriodFamily:
+    """One period of the family at an origin of that period: the primitive
+    view-increasing X-rectangles whose base length mu lies in [1, big),
+    big = lam^period, as (mu, height, far corner), read lazily by mu.
 
-    The walk's window is (big, lam^2 m^2), m = max(W_s, W_u): every
-    primitive box with base length at least 1 is lower than lam^2 m^2.  The
-    frame's `families` table keeps the result under the view's flips, the
-    set, the origin and the period, so the domination analysis and the
-    staircase seed search at one origin share one walk.
+    Iterating reads members only as far as the caller goes, and keeps
+    those read in `members` for the next caller.  The first read climbs
+    the strip of base lengths (0, 1] in the view to its lowest lift, at
+    base length l and height h: every member with base length at least 1
+    is at most h high, and every lift between base lengths l and 1 is
+    higher.  Then the walk runs along the base in the transposed view,
+    left to right over the heights (0, h], from above base length l (from
+    0 when l = 1, so that the lift is the first member), and stops at base
+    length big.  Every primitive box with base length at least 1 is lower
+    than lam^2 m^2, m = max(W_s, W_u), which caps the first climb.
+
+    `contact(i, other)` is member i's scan of another marked set, kept
+    per member and set, so the domination analysis and the staircase seed
+    search of one view share it.
     """
+    __slots__ = ("view", "s0", "u0", "big", "members", "_walk", "_contacts")
+
+    def __init__(self, view: FrameView, X: MarkedSet, origin, period: int):
+        frame = view.frame
+        self.view, self.s0, self.u0 = view, view.s(origin), view.u(origin)
+        self.big = frame.rung(period)[0]
+        self.members = []
+        m = max(frame.widths)
+        self._walk = self._read(X, origin, frame.rung(2)[0] * m * m)
+        self._contacts = {}
+
+    def _read(self, X, origin, cap):
+        s0, u0, big = self.s0, self.u0, self.big
+        lowest = next(primitive_family(self.view, X, origin, 1, cap), None)
+        top, above = cap, 0
+        if lowest is not None:
+            top = lowest.u - u0
+            if lowest.s - s0 < 1:
+                above = lowest.s - s0
+        # the transposed walk's s is the view's u, and its u the view's s
+        for h in primitive_family(self.view.transposed(), X, origin, top,
+                                  big, above):
+            mu = h.u - s0
+            if mu >= big:
+                return
+            yield mu, h.s - u0, MarkedPointHit(h.base, h.lattice, h.u, h.s,
+                                               h.twist)
+
+    def __iter__(self):
+        members, i = self.members, 0
+        while True:
+            if i == len(members):
+                member = next(self._walk, None)
+                if member is None:
+                    return
+                members.append(member)
+            yield members[i]
+            i += 1
+
+    def contact(self, i: int, other: MarkedSet):
+        """The least view s, less s0, of the other set's lifts in member
+        i's closed box, or None when the box misses the other set."""
+        key = (i, other)
+        if key not in self._contacts:
+            _, _, corner = self.members[i]
+            hits = hits_in_box(self.view, other, self.s0, corner.s, self.u0,
+                               corner.u)
+            self._contacts[key] = (min(h.s for h in hits) - self.s0
+                                   if hits else None)
+        return self._contacts[key]
+
+
+def period_family(view: FrameView, X: MarkedSet, origin,
+                  period: int) -> PeriodFamily:
+    """The `PeriodFamily` at an origin of the given period, in an
+    untransposed view.  The frame's `families` table keeps it under the
+    view's flips, the set, the origin and the period, so the domination
+    analysis and the staircase seed search at one origin share one walk
+    and its scans."""
     key = (view.flip_s, view.flip_u, X, origin, period)
     families = view.frame.families
     if key not in families:
-        frame = view.frame
-        big, m = frame.rung(period)[0], max(frame.widths)
-        s0, u0 = view.s(origin), view.u(origin)
-        families[key] = big, tuple(
-            (cand.s - s0, cand.u - u0, cand)
-            for cand in primitive_family(view, X, origin, big,
-                                         frame.rung(2)[0] * m * m)
-            if 1 <= cand.s - s0 < big)
+        families[key] = PeriodFamily(view, X, origin, period)
     return families[key]
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .quadfield import QuadNum, qn_to_str
-from .rectangles import first_window_hits, period_family
+from .rectangles import StripClimber, period_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
                     Point, QUADRANTS, group_element, hits_in_box,
                     quadrant_contracting, quadrant_view)
@@ -39,6 +39,13 @@ MAX_LEVELS = 64
 
 class StaircaseError(ValueError):
     """No staircase can be built from the given data."""
+
+
+class SeedError(StaircaseError):
+    """No primitive rectangle at the origin avoids the other set.  A seed's
+    conditions are invariant under A and under the lift of A^period that
+    fixes the origin, so this holds at every origin of the orbit or at
+    none."""
 
 
 class StairStep:
@@ -107,7 +114,7 @@ class Staircase:
         # the unique fixed point of g; the levels' heights contract toward its
         # stable leaf, so its u-coordinate is the top of the axis
         g = self.g
-        (a, b), (c, d) = self.view.frame.matrix.power_rows(g.k)
+        (a, b), (c, d) = g.rows
         det = (1 - a) * (1 - d) - b * c
         if det == 0:
             raise InvariantError("recurring element has no fixed point")
@@ -195,8 +202,9 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
     widths by the same factor, so a band of height h > 0 is guaranteed a hit
     within width W_s * lam^j for the least j >= 0 with lam^j * h >= W_u,
     which is -floor(log_lam(h / W_u)), the frame's `log_floor`, when
-    h < W_u.  `first_window_hits`, with s and u swapped, searches distances
-    from the anchor up to twice it.
+    h < W_u.  In the view transposed, and reversed for s_dir = -1, the band
+    is a strip and the distance a height, and one `StripClimber` step
+    takes the lowest lift up to twice that width.
     """
     frame = view.frame
     ws, wu = frame.widths
@@ -205,31 +213,30 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
         raise InvariantError("empty height band")
     j = max(0, -frame.log_floor(h / wu))
     enough = (ws + ws) * frame.rung(j)[0]  # doubled: the near edge is open
+    outward = view.transposed(reverse=s_dir < 0)
+    lo = s_dir * s_anchor
 
-    def scan(a, b):
-        if s_dir > 0:
-            return hits_in_box(view, mset, s_anchor + a, s_anchor + b, u_lo,
-                               u_hi, (False, True, True, True))
-        return hits_in_box(view, mset, s_anchor - b, s_anchor - a, u_lo, u_hi,
-                           (True, False, True, True))
+    def scan(right, a, b):
+        return hits_in_box(outward, mset, u_lo, right, a, b,
+                           (True, True, False, True))
 
-    hits, _ = first_window_hits(scan, h, 0, enough, (wu, ws), 0)
-    if not hits:
+    hit = StripClimber(scan, (wu, ws), u_lo, u_hi, lo, lo + enough).lowest()
+    if hit is None:
         raise InvariantError("no contact found in the height band")
-    return min(s_dir * (hit.s - s_anchor) for hit in hits)
+    return hit.u - lo
 
 
 def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
                view: FrameView, orb: Orbit):
     """Smallest primitive view-increasing rectangle at the origin lift with
     both diagonal corners in the origin's orbit orb, disjoint from the avoid
-    set."""
-    s0, u0 = view.s(origin), view.u(origin)
-    for _, _, cand in period_family(view, X, origin, orb.period)[1]:
-        if (X.locate(cand.base)[0] is orb
-                and not hits_in_box(view, avoid, s0, cand.s, u0, cand.u)):
-            return cand.lift
-    raise StaircaseError(
+    set: the first member of the period family that qualifies."""
+    family = period_family(view, X, origin, orb.period)
+    for i, (_, _, corner) in enumerate(family):
+        if (X.locate(corner.base)[0] is orb
+                and family.contact(i, avoid) is None):
+            return corner.lift
+    raise SeedError(
         "no primitive rectangle at the origin avoids the other set")
 
 

@@ -639,13 +639,12 @@ def hits_in_box(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], with
     per-edge inclusion as in `box_lifts`, as hits whose exact s and u are
     view coordinates.  The hits come in no particular order."""
-    frame = view.frame
-    s_int, u_int = frame.s_int, frame.u_int
-    ss, su = -1 if view.flip_s else 1, -1 if view.flip_u else 1
+    s_int, ss, u_int, su = view.forms
     return [MarkedPointHit(base, lattice, s_int.at(ss * X, ss * Y, k),
                            u_int.at(su * X, su * Y, k), twist)
             for base, lattice, k, X, Y, twist in box_lifts(
-                frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi, include))]
+                view.frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi,
+                                            include))]
 
 
 # How an edge at x becomes a bound on the integer n: (sign, offset) in
@@ -769,19 +768,22 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
 
 
 class GroupElement(_Value):
-    """p |-> A^k p + v, for integer k and integer vector v."""
-    __slots__ = ("A", "k", "v")
+    """p |-> A^k p + v, for integer k and integer vector v.  `rows`, the
+    integer rows of A^k, are a function of A and k and stay out of
+    `_key()`."""
+    __slots__ = ("A", "k", "v", "rows")
 
-    def __init__(self, A: HyperbolicMatrix, k: int, v: tuple):
+    def __init__(self, A: HyperbolicMatrix, k: int, v: tuple, rows):
         _set(self, "A", A)
         _set(self, "k", k)
         _set(self, "v", v)                # (int, int)
+        _set(self, "rows", rows)
 
     def _key(self):
         return self.A, self.k, self.v
 
     def apply(self, p: Point) -> Point:
-        q = _mat_apply(self.A.power_rows(self.k), p)
+        q = _mat_apply(self.rows, p)
         return (q[0] + self.v[0], q[1] + self.v[1])
 
 
@@ -789,34 +791,54 @@ def group_element(A: HyperbolicMatrix, k: int, src: Point,
                   dst: Point) -> GroupElement | None:
     """The element A^k + v mapping the lift src to dst, or None when the
     translation v is not integral."""
-    img = _mat_apply(A.power_rows(k), src)
+    rows = A.power_rows(k)
+    img = _mat_apply(rows, src)
     v = (dst[0] - img[0], dst[1] - img[1])
     if v[0].denominator != 1 or v[1].denominator != 1:
         return None
-    return GroupElement(A, k, (int(v[0]), int(v[1])))
+    return GroupElement(A, k, (int(v[0]), int(v[1])), rows)
 
 
 class FrameView:
-    """Eigen-coordinates with optional sign flips.
+    """Eigen-coordinates with optional sign flips and an optional s <-> u
+    transposition; together they make the eight symmetries of the square.
 
     Flipping u turns decreasing diagonals into increasing ones, so negative
     rectangles and the mixed quadrants C_{+,-}, C_{-,+} reduce to the
-    positive/(+,+) theory in the view.
+    positive/(+,+) theory in the view.  A transposed view's s is the
+    frame's u and its u the frame's s, each then flipped as its flag says,
+    so a climb in its u is a walk along the frame's s (`transposed`).  The
+    view decides once, when it is built, what the transposition changes:
+    `forms` holds the integer form and the sign of the view's s and of its
+    u, and a transposed view's `box` swaps the flipped bounds.
     """
 
-    def __init__(self, frame: EigenFrame, flip_s: bool = False, flip_u: bool = False):
+    def __init__(self, frame: EigenFrame, flip_s: bool = False,
+                 flip_u: bool = False, transpose: bool = False):
         self.frame = frame
         self.flip_s = flip_s
         self.flip_u = flip_u
+        self.transpose = transpose
         self.lam = frame.lam
+        s_int, u_int = frame.s_int, frame.u_int
+        if transpose:
+            s_int, u_int = u_int, s_int
+            self.box = self._transposed_box
+        self.forms = (s_int, -1 if flip_s else 1, u_int, -1 if flip_u else 1)
 
     def s(self, p) -> QuadNum:
-        v = self.frame.s(p)
+        v = self.forms[0](p)
         return -v if self.flip_s else v
 
     def u(self, p) -> QuadNum:
-        v = self.frame.u(p)
+        v = self.forms[2](p)
         return -v if self.flip_u else v
+
+    def transposed(self, reverse: bool = False) -> FrameView:
+        """The view whose s is this view's u and whose u is this view's s,
+        negated when reverse."""
+        return FrameView(self.frame, self.flip_u, self.flip_s != reverse,
+                         not self.transpose)
 
     def box(self, s_lo, s_hi, u_lo, u_hi, include=(True, True, True, True)):
         """The view's box as the frame's (s_lo, s_hi, u_lo, u_hi, include)."""
@@ -827,6 +849,13 @@ class FrameView:
         if self.flip_u:
             ru_lo, ru_hi, i2, i3 = (-u_hi, -u_lo, include[3], include[2])
         return rs_lo, rs_hi, ru_lo, ru_hi, (i0, i1, i2, i3)
+
+    def _transposed_box(self, s_lo, s_hi, u_lo, u_hi,
+                        include=(True, True, True, True)):
+        # the flipped s bounds lie on the frame's u, the u bounds on its s
+        a_lo, a_hi, b_lo, b_hi, (i0, i1, i2, i3) = FrameView.box(
+            self, s_lo, s_hi, u_lo, u_hi, include)
+        return b_lo, b_hi, a_lo, a_hi, (i2, i3, i0, i1)
 
 
 QUADRANTS = ("++", "--", "+-", "-+")

@@ -92,19 +92,22 @@ def oracle_band_hits(frame, mset, s_lo, s_hi, u_lo, u_hi, include):
 
 
 class _QuadrantCoords:
-    """The frame's (s, u) with the signs a quadrant flips, so that
-    oracle_hits can scan a quadrant's view box directly."""
+    """The frame's (s, u), exchanged when transpose, with the signs a
+    quadrant flips, so that oracle_hits can scan a view's box directly."""
 
-    def __init__(self, frame, quadrant):
+    def __init__(self, frame, quadrant, transpose=False):
         self.frame = frame
         self.ss = -1 if quadrant[0] == "-" else 1
         self.su = -1 if quadrant[1] == "-" else 1
+        self.transpose = transpose
 
     def s(self, p):
-        return self.frame.s(p) * self.ss
+        return (self.frame.u(p) if self.transpose else self.frame.s(p)) * \
+            self.ss
 
     def u(self, p):
-        return self.frame.u(p) * self.su
+        return (self.frame.s(p) if self.transpose else self.frame.u(p)) * \
+            self.su
 
 
 def oracle_game(config, p, t0, r, budget):

@@ -511,6 +511,22 @@ class TestConjugation:
         assert 0 < mirrored < 2 * len(CONJUGATORS)
 
 
+class TestTheoremEpsilon:
+    def test_a_long_orbit_decides_every_mixed_sign_surgery(self):
+        # the paper's Theorem t.epsilon on A2: X is a long (200-point)
+        # orbit, the orbit of (1/175, 0), at +-1 and Y the (0,0) orbit at
+        # +-1..+-3; every surgery of mixed signs is R-covered, with X's sign
+        x_seed, y_seed = point(Fraction(1, 175), 0), point(0, 0)
+        for x_char in (1, -1):
+            for strength in (1, 2, 3):
+                prob = problem(A2, [(x_seed, x_char)],
+                               [(y_seed, -x_char * strength)])
+                assert prob.X.orbits[0].period == 200
+                assert classify(prob).status == ("RCoveredPositive"
+                                                 if x_char > 0 else
+                                                 "RCoveredNegative")
+
+
 class TestProblemValidation:
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError):

@@ -8,13 +8,15 @@ from fractions import Fraction
 import pytest
 
 from anosurg import (DominationAnalysis, DominationHypothesisError,
-                     GameConfig, GameError, InvariantError, QuadNum,
-                     QUADRANTS, case_profile, eigenframe,
-                     game_trace_records, marked_set, orbit_of, play_game,
-                     point, qn_pow, quadrant_contracting, quadrant_view)
+                     FrameView, GameConfig, GameError, InvariantError,
+                     QuadNum, QUADRANTS, case_profile, eigenframe,
+                     game_trace_records, hits_in_box, marked_set, orbit_of,
+                     play_game, point, qn_pow, quadrant_contracting,
+                     quadrant_view)
 
 from anosurg import game, torus
 from anosurg.cli import FIXTURES, load_problem
+from anosurg.rectangles import period_family
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
@@ -339,6 +341,24 @@ class TestDomination:
             DominationAnalysis(frame_b2, X, Y, sign="positive")
         assert exc.value.witness is not None
 
+    def test_hypothesis_witness_keeps_its_base_and_lift(self):
+        # the witness is the first member, by base length, of the first
+        # origin's period family whose closed box misses the other set
+        third, long = Fraction(1, 97), point(Fraction(1, 97), 0)
+        cases = [(B2, point(0, 0), point(HALF, HALF), "positive", (2, -3)),
+                 (B2, point(0, 0), point(HALF, HALF), "negative", (1, -2)),
+                 (A2, long, point(0, 0), "positive",
+                  (228 * third, -367 * third)),
+                 (A2, long, point(0, 0), "negative",
+                  (130 * third, -209 * third))]
+        for A, x, y, sign, lift in cases:
+            X = marked_set(A, [(x, 0)], "X")
+            Y = marked_set(A, [(y, 0)], "Y")
+            with pytest.raises(DominationHypothesisError) as exc:
+                DominationAnalysis(eigenframe(A), X, Y, sign=sign)
+            base, corner = exc.value.witness
+            assert (base, corner.lift) == (x, lift), (A, x, sign)
+
     def test_hypothesis_fails_exactly_when_the_profile_is_disjoint(self):
         # DominationAnalysis(own, other, sign) and the profile boolean
         # "a primitive sign-rectangle of own avoids other" judge the same
@@ -383,3 +403,80 @@ class TestDomination:
         Y = half_orbit_set(A2, 0, "Y")
         with pytest.raises(ValueError):
             DominationAnalysis(frame_a2, X, Y, sign="sideways")
+
+
+def origin_misses(view, own, other, base, period):
+    """Whether some member of the period family at base misses the other
+    set: the domination hypothesis fails at that origin."""
+    s0, u0 = view.s(base), view.u(base)
+    return any(not hits_in_box(view, other, s0, h.s, u0, h.u)
+               for _, _, h in period_family(view, own, base, period))
+
+
+def per_origin_threshold(analysis, base):
+    """The domination threshold of one origin, from its own intervals."""
+    return max(1, max(iv.least_n for iv in analysis.intervals(base)))
+
+
+class TestOneOriginPerOrbit:
+    """The family at A b is the A-image of the family at b, the other set
+    is A-invariant, and an interval's least n does not change when its
+    lengths are scaled: so the domination hypothesis and threshold are the
+    same at every origin of an orbit, and one origin decides for it."""
+
+    def test_thresholds_and_failures_are_the_same_along_each_orbit(self):
+        # the coherence sweep's geometries, plus seeded torsion points of
+        # denominators 3 to 5 in other orbits, every ordered pair of
+        # distinct orbits and both signs
+        rng = random.Random(26)
+        outcomes = []
+        for A, seeds in ((A2, [point(0, 0), point(HALF, HALF)]),
+                         (C3, [point(0, 0), point(0, HALF)])):
+            frame = eigenframe(A)
+            while len(seeds) < 5:
+                d = rng.choice((3, 4, 5))
+                p = point(Fraction(rng.randrange(d), d),
+                          Fraction(rng.randrange(d), d))
+                if all(p not in orbit_of(A, q)[0] for q in seeds):
+                    seeds.append(p)
+            for p in seeds:
+                X = marked_set(A, [(p, 0)], "X")
+                period = X.orbits[0].period
+                for q in seeds:
+                    if q == p:
+                        continue
+                    Y = marked_set(A, [(q, 0)], "Y")
+                    for sign in ("positive", "negative"):
+                        view = FrameView(frame, flip_u=(sign == "negative"))
+                        misses = {origin_misses(view, X, Y, b, period)
+                                  for b in X.points}
+                        assert len(misses) == 1, (A, p, q, sign)
+                        try:
+                            analysis = DominationAnalysis(frame, X, Y, sign)
+                        except DominationHypothesisError:
+                            assert misses == {True}
+                            outcomes.append((period, None))
+                            continue
+                        assert misses == {False}
+                        for b in X.points:
+                            assert (per_origin_threshold(analysis, b)
+                                    == analysis.threshold_at(b)
+                                    == analysis.threshold), (A, p, q, sign)
+                        outcomes.append((period, analysis.threshold))
+        # 26 analyses hold, at orbits of periods up to 3, and 54 fail, at
+        # orbits of periods up to 10
+        assert len(outcomes) == 80
+        assert sum(n is not None for _, n in outcomes) == 26
+        assert max(period for period, n in outcomes if n) == 3
+        assert max(period for period, n in outcomes if n is None) == 10
+
+    def test_long_pair_has_one_threshold_at_all_twenty_origins(self,
+                                                               frame_a2):
+        X = marked_set(A2, [(point(Fraction(1, 41), 0), 0)], "X")
+        Y = marked_set(A2, [(point(Fraction(2, 43), Fraction(1, 43)), 0)],
+                       "Y")
+        assert (X.orbits[0].period, Y.orbits[0].period) == (20, 44)
+        analysis = DominationAnalysis(frame_a2, X, Y, "positive")
+        assert analysis.threshold == 18
+        assert [per_origin_threshold(analysis, b) for b in X.points] == \
+            [18] * 20

@@ -173,4 +173,4 @@ def test_every_problem_is_named_by_a_command_and_loads():
         config = GameConfig(eigenframe(A), (sets["X"], sets["Y"]), "++")
         plans[name] = len(sets["X"].plan), len(config.marked.plan)
     assert plans == {"PERIOD_98": (98, 99), "PERIOD_200": (200, 201),
-                     "UNDERTWISTED_A2": (1, 1)}
+                     "PERIOD_384": (384, 385), "UNDERTWISTED_A2": (1, 1)}

@@ -7,14 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import (FrameView, InvariantError, case_profile, census_records,
-                     eigenframe, enumerate_primitive, hits_in_box,
-                     is_primitive, marked_rect, marked_set, point,
+from anosurg import (FrameView, HyperbolicMatrix, InvariantError, QUADRANTS,
+                     case_profile, census_records, eigenframe,
+                     enumerate_primitive, hits_in_box, is_primitive,
+                     marked_rect, marked_set, point, quadrant_view,
                      rect_meets)
 from anosurg import rectangles
 from anosurg.classify import Analysis
+from anosurg.cli import FIXTURES, load_problem
 from anosurg.quadfield import qn_pow
-from anosurg.rectangles import StripClimber, period_family
+from anosurg.rectangles import StripClimber, period_family, primitive_family
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
@@ -116,22 +118,56 @@ class TestPrimitiveFamily:
                         if key[2] >= 1]
                 got = period_family(FrameView(frame, flip_u=flip), X, base,
                                     period)
-                assert got[0] == big
-                assert ([(h.base, h.lattice, mu, rho) for mu, rho, h in got[1]]
+                assert got.big == big
+                assert ([(h.base, h.lattice, mu, rho) for mu, rho, h in got]
                         == want)
+
+    @pytest.mark.parametrize("quadrant", QUADRANTS)
+    def test_period_family_is_the_walk_over_its_window(self, quadrant):
+        # one period of the family, base lengths in [1, lam^period), is
+        # the members in that window of the walk over (lam^period,
+        # lam^2 m^2): at every origin of the fixtures, at the first point
+        # of a period-98 orbit, and at the origin of [[4,5],[-1,-1]], whose
+        # lattice has its lowest lift over base lengths (0, 1] at base
+        # length and height exactly 1, in ++ and in --
+        cases = []
+        for name in sorted(FIXTURES):
+            A, sets, _ = load_problem(dict(FIXTURES[name]))
+            cases += [(A, mset, base) for mset in sets.values()
+                      for base in mset.points]
+        long = marked_set(A2, [(point(Fraction(1, 97), 0), 0)], "X")
+        cases.append((A2, long, long.points[0]))
+        unit = HyperbolicMatrix(4, 5, -1, -1)
+        cases.append((unit, zero_orbit_set(unit), point(0, 0)))
+        for A, X, base in cases:
+            frame = eigenframe(A)
+            view = quadrant_view(frame, quadrant)
+            period = X.locate(base)[0].period
+            big, m = frame.rung(period)[0], max(frame.widths)
+            s0, u0 = view.s(base), view.u(base)
+            walk = primitive_family(view, X, base, big,
+                                    frame.rung(2)[0] * m * m)
+            want = [(h.base, h.lattice, h.s - s0, h.u - u0)
+                    for h in sorted(walk, key=lambda h: h.s)
+                    if 1 <= h.s - s0 < big]
+            got = [(h.base, h.lattice, mu, rho) for mu, rho, h in
+                   period_family(view, X, base, period)]
+            assert want and got == want, (A.rows(), base)
 
     @pytest.mark.parametrize("label", ["A2", "A3", "C3"])
     @pytest.mark.parametrize("make_set", [zero_orbit_set, half_points_set])
     def test_walk_scans_each_height_once(self, label, make_set, monkeypatch):
         # the strip only narrows, so a search that finds no survivor resumes
-        # above the heights the last window scanned
+        # above the heights the last window scanned; the climb in the view
+        # and the walk along the base in its transposed view each scan a
+        # height once
         A = FROZEN_COUNTS[label][0]
         X = make_set(A)
         scans = []
         exact_hits = rectangles.hits_in_box
 
         def scanned(view, mset, s_lo, s_hi, u_lo, u_hi, include):
-            scans.append((u_lo, u_hi))
+            scans.append((view.transpose, u_lo, u_hi))
             return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include)
 
         monkeypatch.setattr(rectangles, "hits_in_box", scanned)
@@ -140,10 +176,12 @@ class TestPrimitiveFamily:
                 for flip in (False, True):
                     view = FrameView(eigenframe(A), flip_u=flip)
                     scans.clear()
-                    period_family(view, X, base, orb.period)
-                    for i, (a, b) in enumerate(scans):
+                    assert list(period_family(view, X, base, orb.period))
+                    assert {t for t, _, _ in scans} == {False, True}
+                    for i, (t, a, b) in enumerate(scans):
                         assert all(b <= lo or hi <= a
-                                   for lo, hi in scans[:i]), (base, flip)
+                                   for s, lo, hi in scans[:i] if s == t), \
+                            (base, flip)
 
     def test_domination_and_staircase_share_one_walk(self, monkeypatch):
         # the positive domination analysis and the ++ staircase seed search
@@ -156,22 +194,24 @@ class TestPrimitiveFamily:
 
     def test_walk_steps_on_its_windows_surviving_lifts(self, monkeypatch):
         # lifts a window found above the member just taken, left of it,
-        # answer the next step without a scan
+        # answer the next step without a scan: the census walk at (1/2, 1/2)
         Y = half_orbit_set(A2)
         walks = []
         walk = rectangles.primitive_family
 
         def kept(*args):
-            walks.append(walk(*args))
-            return walks[-1]
+            before = len(calls)
+            family = tuple(walk(*args))
+            walks.append((args[2], len(family), len(calls) - before))
+            return family
 
         monkeypatch.setattr(rectangles, "primitive_family", kept)
         calls = count_window_scans(monkeypatch)
-        period_family(FrameView(eigenframe(A2)), Y, point(HALF, HALF),
-                      Y.orbits[0].period)
-        [family] = walks
-        assert len(family) == 9
-        assert len(calls) < len(family)
+        enumerate_primitive(eigenframe(A2), Y, "positive")
+        [(members, scans)] = [(n, k) for origin, n, k in walks
+                              if origin == point(HALF, HALF)]
+        assert members == 5
+        assert scans < members
 
     def test_walk_stops_when_a_strip_keeps_its_edge_lift(self, monkeypatch):
         # with the strips' open edges closed, each strip holds the lift the
@@ -186,7 +226,7 @@ class TestPrimitiveFamily:
 
         monkeypatch.setattr(rectangles, "hits_in_box", closed_hits)
         with pytest.raises(InvariantError, match="no progress"):
-            period_family(FrameView(frame), X, point(0, 0), 1)
+            list(period_family(FrameView(frame), X, point(0, 0), 1))
 
 
 class TestStripClimber:

@@ -232,8 +232,9 @@ class TestAEquivariance:
             return (a * p[0] + b * p[1], c * p[0] + d * p[1])
 
         b = point(HALF, HALF)
-        big, at_b = period_family(view, Y, b, 3)
-        _, at_ab = period_family(view, Y, image(b), 3)
+        at_b = period_family(view, Y, b, 3)
+        at_ab = period_family(view, Y, image(b), 3)
+        big = at_b.big
         # the common window: base lengths in [1, lam^2) at A b, and in
         # [lam, lam^3) at b
         common = [(mu, rho, image(h.lift)) for mu, rho, h in at_b
@@ -271,6 +272,38 @@ def small_orbits(A, q_max):
                     seeds.append(p)
                     covered |= set(orbit_of(A, p)[0])
     return seeds
+
+
+class TestSeedAbsenceIsOrbitWide:
+    """A seed's conditions, both corners in the origin's orbit and a closed
+    box that misses the other set, are invariant under A and under the lift
+    of A^period that fixes the origin.  So a staircase exists at every
+    origin of an orbit or at none, and a build at one origin that finds no
+    seed speaks for the whole orbit."""
+
+    @pytest.mark.parametrize("A", [A2, C3], ids=["A2", "C3"])
+    def test_a_staircase_exists_at_every_origin_or_at_none(self, A):
+        frame = eigenframe(A)
+        seeds = small_orbits(A, 3)
+        outcomes = set()
+        for x_seed in seeds:
+            X = marked_set(A, [(x_seed, 0)], "X")
+            for y_seed in seeds:
+                if y_seed == x_seed:
+                    continue
+                Y = marked_set(A, [(y_seed, 0)], "Y")
+                for quadrant in QUADRANTS:
+                    found = set()
+                    for origin in X.points:
+                        try:
+                            build_staircase(frame, X, Y, origin, quadrant)
+                            found.add(True)
+                        except StaircaseError as err:
+                            assert "avoids the other set" in str(err)
+                            found.add(False)
+                    assert len(found) == 1, (x_seed, y_seed, quadrant)
+                    outcomes |= found
+        assert outcomes == {True, False}
 
 
 class TestOracleLevels:

@@ -22,8 +22,8 @@ from anosurg.cli import FIXTURES, load_problem
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
-from oracles import (balance_power, oracle_band_hits, oracle_hits,
-                     oracle_log_floor, oracle_point)
+from oracles import (_QuadrantCoords, balance_power, oracle_band_hits,
+                     oracle_hits, oracle_log_floor, oracle_point)
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
@@ -285,6 +285,48 @@ class TestHits:
                 want = oracle_hits(frame_a2, mset, vals[0], vals[1],
                                    uvals[0], uvals[1], include)
                 assert got == want
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("quadrant", QUADRANTS)
+    def test_every_view_matches_the_oracle(self, quadrant, transpose):
+        # a quadrant's flips, with s and u exchanged or not: the eight
+        # symmetries of the square.  Half the box edges pass through lifts,
+        # so that each edge's inclusion decides
+        rng = random.Random(f"{quadrant} {transpose}")
+        for A in (A2, C3):
+            frame = eigenframe(A)
+            view = FrameView(frame, quadrant[0] == "-", quadrant[1] == "-",
+                             transpose)
+            coords = _QuadrantCoords(frame, quadrant, transpose)
+            mset = half_points_set(A, 1)
+
+            def edge(coordinate):
+                if rng.random() < 0.5:
+                    return Fraction(rng.randint(-14, 14), 7)
+                x, y = rng.choice(mset.points)
+                return coordinate((x + rng.randint(-2, 2),
+                                   y + rng.randint(-2, 2)))
+
+            for _ in range(12):
+                s_lo, s_hi = sorted((edge(coords.s), edge(coords.s)))
+                u_lo, u_hi = sorted((edge(coords.u), edge(coords.u)))
+                if s_lo == s_hi or u_lo == u_hi:
+                    continue
+                include = tuple(rng.choice((True, False)) for _ in range(4))
+                got = hit_keys(hits_in_box(view, mset, s_lo, s_hi, u_lo,
+                                           u_hi, include))
+                assert got == oracle_hits(coords, mset, s_lo, s_hi, u_lo,
+                                          u_hi, include), (A.rows(), include)
+
+    def test_transposed_view_exchanges_s_and_u(self, frame_a2):
+        p = (Fraction(1, 3), Fraction(2, 5))
+        for q in QUADRANTS:
+            view = quadrant_view(frame_a2, q)
+            flipped = view.transposed()
+            assert (flipped.s(p), flipped.u(p)) == (view.u(p), view.s(p))
+            back = flipped.transposed(reverse=True)
+            assert (back.s(p), back.u(p)) == (view.s(p), -view.u(p))
+            assert not back.transpose and flipped.transpose
 
     def test_translation_equivariance(self, frame_a2):
         view = FrameView(frame_a2)
