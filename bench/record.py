@@ -59,7 +59,7 @@ MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = ("classify_sweep", "wall_ref")
+CLAIM = None
 
 # alternating parent/change pairs per perfbench row, and alternating runs
 # per side of the import time, of each CLI command, of the
@@ -103,7 +103,8 @@ LONG_GAME_CROSSINGS = 1500
 # CLI commands timed in fresh processes; PATH is a scratch SVG file.  The
 # long-orbit `classify` and `thresholds` commands read each period family
 # only up to the member that decides, and the staircase seed searches of
-# `thresholds` share what the domination analyses read.
+# `thresholds` share what the domination analyses read.  The long-orbit
+# `census` and `profile` read one whole period family per orbit and sign.
 COMMANDS = ("examples",
             "census fixtures/a2_half.json",
             "classify fixtures/b2_half.json",
@@ -114,8 +115,10 @@ COMMANDS = ("examples",
             LONG_GAME,
             "census PERIOD_98",
             "census PERIOD_200",
+            "profile PERIOD_200",
             "classify PERIOD_200",
             "thresholds PERIOD_200",
+            "census PERIOD_384",
             "classify PERIOD_384",
             "thresholds PERIOD_384",
             "game UNDERTWISTED_A2 --point 0,0 --t0 1 --r 3 --budget 400")

@@ -12,23 +12,24 @@ representative per orbit, as a `MarkedRect`:
 
     ratio l_s/l_u in [1, lam^2)  and  origin base point in [0,1)^2.
 
-Completeness of the bounded search: any box with l_s >= W_s and l_u >= W_u,
-where W_s = |s(1,0)| + |s(0,1)| and W_u likewise, contains a lift of every
-base point, so a primitive box has l_s < W_s or l_u < W_u; with the ratio
-normalized this bounds both sides.
-
 The census, the domination analysis and the staircase seed search read the
 primitive rectangles at an origin off one object, its primitive family (the
 lattice's relative minima in a quadrant, its Klein sail): `primitive_family`
 walks it, and `period_family` reads one period of it lazily, by base
-length, and keeps what it read per frame.
+length, and keeps what it read per frame.  The census reads it at each
+orbit's first point b, of period pi, and moves a member of ratio r by A^e,
+e = floor(log_lam(r) / 2), plus the integer vector that takes b to f_A^e(b).
+This is exact.  The family at b is invariant under the lift of A^pi that
+fixes b.  Base lengths [1, lam^pi) and ratios [1, lam^2pi) are both
+fundamental domains of that action.  A^e takes ratio r to r lam^-2e and the
+origin to the base point f_A^e(b).
 """
 
 from __future__ import annotations
 
 from .quadfield import QuadNum, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
-                    MarkedSet, hits_in_box, sets_disjoint)
+                    MarkedSet, group_element, hits_in_box, sets_disjoint)
 
 
 class MarkedRect:
@@ -290,9 +291,9 @@ def period_family(view: FrameView, X: MarkedSet, origin,
                   period: int) -> PeriodFamily:
     """The `PeriodFamily` at an origin of the given period, in an
     untransposed view.  The frame's `families` table keeps it under the
-    view's flips, the set, the origin and the period, so the domination
-    analysis and the staircase seed search at one origin share one walk
-    and its scans."""
+    view's flips, the set, the origin and the period, so the census, the
+    domination analysis and the staircase seed search at one origin and
+    view share one walk and its scans."""
     key = (view.flip_s, view.flip_u, X, origin, period)
     families = view.frame.families
     if key not in families:
@@ -308,27 +309,23 @@ def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be positive|negative, got {sign!r}")
     view = FrameView(frame, flip_s=(sign == "negative"))
-    lam2 = frame.rung(2)[0]
-    ws, wu = view.frame.widths
-    s_max = max(ws, lam2 * wu)
-    u_max = max(wu, ws)
     reps = []
     seen = set()
     for orb in X.orbits:
-        for base in orb.points:
-            s0, u0 = view.s(base), view.u(base)
-            for cand in primitive_family(view, X, base, s_max, u_max):
-                ratio = (cand.s - s0) / (cand.u - u0)
-                # ratio == lam^2 can happen (the A-image of a ratio-1 box);
-                # the half-open window counts that orbit once, at ratio 1
-                if not (1 <= ratio < lam2):
-                    continue
-                mr = marked_rect(frame, X, base, cand.lift, sign)
-                key = (base, cand.base, cand.lattice)
-                if key in seen:
-                    raise InvariantError("duplicate normalized representative")
-                seen.add(key)
-                reps.append(mr)
+        base, period = orb.points[0], orb.period
+        for mu, height, corner in period_family(view, X, base, period):
+            # A^e takes the ratio into [1, lam^2); exactly lam^2k goes to 1
+            e = frame.log_floor(mu / height) // 2
+            g = group_element(frame.matrix, e, base, orb.points[e % period])
+            if g is None:
+                raise InvariantError("census origin outside its orbit")
+            mr = marked_rect(frame, X, g.apply(base), g.apply(corner.lift),
+                             sign)
+            key = (mr.origin.base, mr.endpoint.base, mr.endpoint.lattice)
+            if key in seen:
+                raise InvariantError("duplicate normalized representative")
+            seen.add(key)
+            reps.append(mr)
     reps.sort(key=lambda r: (r.ls, r.lu, r.origin.base, r.endpoint.base,
                              r.endpoint.lattice))
     return reps

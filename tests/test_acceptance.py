@@ -71,9 +71,13 @@ def test_mixed_geometry_realizes_case_three():
 
 
 def test_box_scan_and_census_match_brute_force_oracles():
-    # censuses for the four small matrices, both signs
-    for A in (A2, A3, A4, C3):
-        X = zero_orbit_set(A)
+    # censuses for the four small matrices, both signs, and for A2's
+    # period-3 (1/2,1/2) orbit alone and with the (0,0) orbit
+    cases = [(A, zero_orbit_set(A)) for A in (A2, A3, A4, C3)]
+    cases += [(A2, half_orbit_set(A2, 0, "X")),
+              (A2, marked_set(A2, [(point(0, 0), 0), (point(HALF, HALF), 0)],
+                              "X"))]
+    for A, X in cases:
         frame = eigenframe(A)
         for sign in ("positive", "negative"):
             reps = enumerate_primitive(frame, X, sign)

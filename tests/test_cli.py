@@ -247,6 +247,31 @@ def test_fixture_stdout_is_byte_identical(run, argv, tmp_path):
                 == SVG_SHA256[argv])
 
 
+# A2 with X the period-98 orbit of (1/97, 0) at +1 and Y the (0,0) orbit at
+# -1, `long_orbit(97)` of bench/record.py: the census's origins run along an
+# orbit far longer than any fixture's
+PERIOD_98 = {"matrix": [[2, 1], [1, 1]], "sets": [
+    {"point": ["1/97", "0"], "characteristic_number": 1, "role": "X"},
+    {"point": ["0", "0"], "characteristic_number": -1, "role": "Y"}]}
+
+PERIOD_98_STDOUT_SHA256 = {
+    "census":
+        "13d3c800f85fef88553922240762dcb5927301be0b0158b5c5ac6e0e7f892362",
+    "profile":
+        "7a42b1dd39920c84a27d7d16f5c6f0475693e03c45b025d4188e5f7693e8bfe9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PERIOD_98_STDOUT_SHA256))
+def test_period_98_stdout_is_byte_identical(run, command, tmp_path):
+    path = tmp_path / "p98.json"
+    path.write_text(json.dumps(PERIOD_98))
+    code, out, _ = run(command, str(path))
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == PERIOD_98_STDOUT_SHA256[command])
+
+
 class TestCensus:
     def test_census_output(self, run, a2_path):
         code, out, err = run("census", a2_path, "--set", "X")
@@ -469,11 +494,7 @@ class TestExitCodes:
         # A2 with X the period-98 orbit of (1/97, 0): the figure's box is
         # about 2*10^77 wide and would hold about 4*10^78 lifts
         path = tmp_path / "p98.json"
-        path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "sets": [
-            {"point": ["1/97", "0"], "characteristic_number": 1,
-             "role": "X"},
-            {"point": ["0", "0"], "characteristic_number": -1,
-             "role": "Y"}]}))
+        path.write_text(json.dumps(PERIOD_98))
         code, out, err = run("staircase", str(path))
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == \

@@ -3,8 +3,9 @@ and floors, string round-trips, error handling, agreement with a Fraction
 oracle on big coefficients, correctly rounded float conversion (exact, and
 from a fixed-point square root with an exact fallback), the eigenframe's
 exact integer logarithm to base lam, the absence of floats from the engine's
-decisions and of powers and logarithms outside the eigenframe, and the
-eigenframe as the only geometry argument of the public API."""
+decisions and of powers and logarithms outside the eigenframe, the period
+family as the only caller of the primitive-family walk, and the eigenframe
+as the only geometry argument of the public API."""
 
 import ast
 import inspect
@@ -410,6 +411,41 @@ class TestOnePowerTable:
                 helpers = {a.name for a in node.names
                            if "pow" in a.name or "log" in a.name}
                 assert not helpers, f"quadfield.{helpers} at {where}"
+
+
+def enclosing_classes_of_calls(tree, name):
+    """The name of the class around each call of `name` in tree, or None
+    for a call outside every class."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    found.append(owner)
+            visit(child, child.name if isinstance(child, ast.ClassDef)
+                  else owner)
+
+    visit(tree, None)
+    return found
+
+
+class TestOneFamilyWindow:
+    def test_primitive_family_is_walked_only_by_period_family(self):
+        # one definition of the family's window: the census, the domination
+        # analysis and the staircase seed search all read `period_family`
+        callers = []
+        for path in sorted(Path(anosurg.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            callers += [(path.stem, owner) for owner in
+                        enclosing_classes_of_calls(tree, "primitive_family")]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = {a.name for a in node.names}
+                    assert "primitive_family" not in names, path.name
+        assert callers
+        assert set(callers) == {("rectangles", "PeriodFamily")}
 
 
 class TestFrameIsTheGeometryArgument:

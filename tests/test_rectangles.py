@@ -32,6 +32,23 @@ FROZEN_COUNTS = {
     "B2": (B2, 3, 3),
 }
 
+# label: (matrix, seed points of X's orbits).  Past the period-1 (0,0)
+# orbits, the representatives' origins run along orbits of periods 3 and 4
+# under A2, of a set of two orbits, and of orbits of [[4,5],[-1,-1]] and
+# [[5,2],[2,1]], so a census that moved a rectangle to the wrong point of
+# its orbit would show.
+ORACLE_CENSUSES = {
+    **{label: (FROZEN_COUNTS[label][0], [point(0, 0)])
+       for label in ("A2", "A3", "A4", "C3")},
+    "A2 (1/2,1/2)": (A2, [point(HALF, HALF)]),
+    "A2 (1/3,0)": (A2, [point(Fraction(1, 3), 0)]),
+    "A2 (0,0) and (1/2,1/2)": (A2, [point(0, 0), point(HALF, HALF)]),
+    "[[4,5],[-1,-1]] (1/2,0)": (HyperbolicMatrix(4, 5, -1, -1),
+                                [point(HALF, 0)]),
+    "[[5,2],[2,1]] (1/4,0)": (HyperbolicMatrix(5, 2, 2, 1),
+                              [point(Fraction(1, 4), 0)]),
+}
+
 
 class TestCensus:
     @pytest.mark.parametrize("label", sorted(FROZEN_COUNTS))
@@ -42,11 +59,11 @@ class TestCensus:
         assert len(enumerate_primitive(frame, X, "positive")) == pos
         assert len(enumerate_primitive(frame, X, "negative")) == neg
 
-    @pytest.mark.parametrize("label", ["A2", "A3", "A4", "C3"])
+    @pytest.mark.parametrize("label", sorted(ORACLE_CENSUSES))
     @pytest.mark.parametrize("sign", ["positive", "negative"])
     def test_matches_oracle(self, label, sign):
-        A = FROZEN_COUNTS[label][0]
-        X = zero_orbit_set(A)
+        A, seeds = ORACLE_CENSUSES[label]
+        X = marked_set(A, [(p, 0) for p in seeds], "X")
         frame = eigenframe(A)
         reps = enumerate_primitive(frame, X, sign)
         assert census_keys(reps) == oracle_primitive_census(A, X, sign, frame)
@@ -194,24 +211,16 @@ class TestPrimitiveFamily:
 
     def test_walk_steps_on_its_windows_surviving_lifts(self, monkeypatch):
         # lifts a window found above the member just taken, left of it,
-        # answer the next step without a scan: the census walk at (1/2, 1/2)
-        Y = half_orbit_set(A2)
-        walks = []
-        walk = rectangles.primitive_family
-
-        def kept(*args):
-            before = len(calls)
-            family = tuple(walk(*args))
-            walks.append((args[2], len(family), len(calls) - before))
-            return family
-
-        monkeypatch.setattr(rectangles, "primitive_family", kept)
+        # answer the next step without a scan: the census of A2's period-10
+        # orbit of (1/5, 0) reads the family at (1/5, 0), climb and walk
+        frame = eigenframe(A2)
+        X = marked_set(A2, [(point(Fraction(1, 5), 0), 0)], "X")
         calls = count_window_scans(monkeypatch)
-        enumerate_primitive(eigenframe(A2), Y, "positive")
-        [(members, scans)] = [(n, k) for origin, n, k in walks
-                              if origin == point(HALF, HALF)]
-        assert members == 5
-        assert scans < members
+        reps = enumerate_primitive(frame, X, "positive")
+        family = period_family(FrameView(frame), X, point(Fraction(1, 5), 0),
+                               10)
+        assert len(family.members) == len(reps) == 20
+        assert len(calls) < len(reps)
 
     def test_walk_stops_when_a_strip_keeps_its_edge_lift(self, monkeypatch):
         # with the strips' open edges closed, each strip holds the lift the
