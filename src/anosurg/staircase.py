@@ -30,8 +30,8 @@ from fractions import Fraction
 from .quadfield import QuadNum, qn_to_str
 from .rectangles import StripClimber, period_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
-                    Point, QUADRANTS, group_element, hits_in_box,
-                    quadrant_contracting, quadrant_view)
+                    Point, QUADRANTS, _integer_point, group_element,
+                    hits_in_box, quadrant_contracting, quadrant_view)
 
 # Levels the raw induction may reach before a period must have recurred
 MAX_LEVELS = 64
@@ -118,8 +118,9 @@ class Staircase:
         det = (1 - a) * (1 - d) - b * c
         if det == 0:
             raise InvariantError("recurring element has no fixed point")
-        vx, vy = Fraction(g.v[0]), Fraction(g.v[1])
-        p = (((1 - d) * vx + b * vy) / det, (c * vx + (1 - a) * vy) / det)
+        vx, vy = g.v
+        p = (Fraction((1 - d) * vx + b * vy, det),
+             Fraction(c * vx + (1 - a) * vy, det))
         if self.view.u(p) <= self.view.u(self.origin):
             raise InvariantError("limit height is below the origin")
         return p
@@ -138,13 +139,12 @@ class Staircase:
             if not (st.q_lo >= 0 and st.q_lo < st.q_hi and 0 < st.ds <= st.Ls
                     and 0 < st.safety):
                 raise InvariantError(f"level {i} leaves the quadrant")
-            # (2) the chained rectangle is the right horizontal subrectangle
-            so = view.s(st.delta_origin) - s0
-            se = view.s(st.delta_endpoint) - s0
-            uo = view.u(st.delta_origin) - u0
-            ue = view.u(st.delta_endpoint) - u0
-            if not (se == st.Ls and se - so == st.ds
-                    and uo == st.q_lo and ue == st.q_hi):
+            # (2) the chained rectangle is the right horizontal subrectangle;
+            # its corners' view coordinates are (so, uo) and (se, ue)
+            so, uo = view.s(st.delta_origin), view.u(st.delta_origin)
+            se, ue = view.s(st.delta_endpoint), view.u(st.delta_endpoint)
+            if not (se - s0 == st.Ls and se - so == st.ds
+                    and uo - u0 == st.q_lo and ue - u0 == st.q_hi):
                 raise InvariantError(f"level {i} chained rectangle mismatch")
             if i + 1 < len(steps):
                 nxt = steps[i + 1]
@@ -154,19 +154,20 @@ class Staircase:
                 if not (nxt.q_lo == st.q_hi and nxt.Ls >= st.Ls):
                     raise InvariantError(f"level {i + 1} does not sit on level {i}")
             # primitivity: the closed box spanned by the two corners holds
-            # no other lift of X
-            corners = hits_in_box(view, X, s0 + so, s0 + se, u0 + uo, u0 + ue)
-            if sorted(h.lift for h in corners) != sorted(
-                    (st.delta_origin, st.delta_endpoint)):
+            # no other lift of X; when both corners are lifts of X, they
+            # are two of its hits
+            corners = hits_in_box(view, X, so, se, uo, ue)
+            if not (len(corners) == 2 and X.locate(st.delta_origin)
+                    and X.locate(st.delta_endpoint)):
                 raise InvariantError(f"level {i} rectangle is not primitive")
             # one closed scan of the band through R_i and its safety zone:
-            # the closed R_i, the part with s <= s0 + Ls, misses the avoid
-            # set, and the first contact to its right ends the safety zone
-            band = hits_in_box(view, avoid, s0, s0 + st.Ls + st.safety,
-                               u0 + st.q_lo, u0 + st.q_hi)
-            if any(h.s - s0 <= st.Ls for h in band):
+            # the closed R_i, the part with s <= se, misses the avoid set,
+            # and the first contact to its right ends the safety zone
+            edge = se + st.safety
+            band = hits_in_box(view, avoid, s0, edge, uo, ue)
+            if any(h.s <= se for h in band):
                 raise InvariantError(f"level {i} meets the avoid set")
-            if not band or min(h.s for h in band) - s0 != st.Ls + st.safety:
+            if not band or min(h.s for h in band) != edge:
                 raise InvariantError(f"level {i} safety zone mismatch")
         # the recurring element reproduces the second period exactly
         g = self.g
@@ -247,8 +248,10 @@ def _recurrence_break(steps, start: int, period: int, g, s_scale: QuadNum):
     the level's edge is g-equivariant."""
     for i in range(start, len(steps) - period):
         got, st = steps[i + period], steps[i]
-        if (got.delta_origin != g.apply(st.delta_origin)
-                or got.delta_endpoint != g.apply(st.delta_endpoint)
+        if (_integer_point(got.delta_origin)
+                != g.act(*_integer_point(st.delta_origin))
+                or _integer_point(got.delta_endpoint)
+                != g.act(*_integer_point(st.delta_endpoint))
                 or got.safety != st.safety * s_scale):
             return i
     return None

@@ -18,8 +18,9 @@ widths W_s = |s(1,0)| + |s(0,1)| and W_u, which no view's flips change.
 A scan takes each bound apart once, into the integers (p, q, d) of
 (p + q*sqrt(D))/d, and its whole set-up works on those: the range check,
 the widths, the renormalization power j (estimated from fixed-point
-logarithms, then confirmed by two integer sign tests against the frame's
-power ladder) and the bounds scaled by lam^-j and lam^j.
+logarithms, and confirmed by two integer sign tests against the frame's
+power ladder only when the estimate's error band cannot decide it) and
+the bounds scaled by lam^-j and lam^j.
 
 The kernel scans the lattice cosets of the set's scan plan
 (`MarkedSet.plan`, built by `_scan_plan`).  Let K be the lcm of the marked
@@ -185,11 +186,6 @@ def _mat_mul(r1, r2):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _mat_apply(rows, p):
-    (a, b), (c, d) = rows
-    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
-
-
 # ---------------------------------------------------------------------------
 # Eigenframe
 
@@ -254,9 +250,10 @@ class EigenFrame(_Value):
     out to the farthest that any caller has needed so far, on both sides
     of n = 0.  It starts at rung 0 and grows on demand, one multiplication
     from the neighbouring rung per new rung.  `log_floor(x)` is estimated
-    from `log2_lam` and confirmed against rungs n and n + 1 (`_log_ratio`),
-    box scans take their power A^j from the same routine, and
-    `renormalization(j)` reads rungs j and -j.
+    from `log2_lam` and returned as it is when the estimate's error band
+    lies inside one rung interval, or else confirmed against rungs n and
+    n + 1 (`_log_ratio`); box scans take their power A^j from the same
+    routine, and `renormalization(j)` reads rungs j and -j.
     """
     __slots__ = ("matrix", "D", "lam", "lam_inv", "s_form", "u_form",
                  "widths", "s_int", "u_int", "root", "log2_lam", "ladder",
@@ -521,7 +518,9 @@ class MarkedPointHit:
 
     @property
     def lift(self) -> Point:
-        return (self.base[0] + self.lattice[0], self.base[1] + self.lattice[1])
+        (x, y), (m, n) = self.base, self.lattice
+        return (Fraction(x.numerator + m * x.denominator, x.denominator),
+                Fraction(y.numerator + n * y.denominator, y.denominator))
 
 
 def _log2(n: int) -> int:
@@ -548,19 +547,35 @@ def _log2_width(p: int, q: int, D: int, root: int) -> int:
             - _log2(abs((p << ROOT_BITS) - q * root)))
 
 
+# The error bound of a difference of two `_log2_width`s, each within
+# 0.02 * 2^LOG_BITS, in units of 2^-LOG_BITS, rounded up with room to spare
+LOG_ERROR = 2700
+
+
 def _log_ratio(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int) -> int:
     """The greatest n with lam^n <= r, for r = (P1 + Q1*sqrt(D)) /
-    (P2 + Q2*sqrt(D)) with both parts positive: floor(log_lam(r)).  It is
-    estimated from the parts' logarithms and the frame's `log2_lam`, then
-    confirmed exactly, lam^n <= r < lam^(n+1), by integer sign tests
-    against the ladder's rungs n and n + 1.  Each failed test moves n by
-    one toward the other side, so an estimate that is one off costs one
-    more test."""
-    D, root = frame.D, frame.root
+    (P2 + Q2*sqrt(D)) with both parts positive: floor(log_lam(r)).
+
+    A filtered exact predicate (Fortune and Van Wyk, SoCG 1993): t =
+    log2(r) * 2^LOG_BITS lies within LOG_ERROR of the estimate est, the
+    difference of the parts' `_log2_width`s, and l = log2(lam) *
+    2^LOG_BITS lies in [L, L + 2) for L the frame's `log2_lam`, which
+    `_log2_fixed` may leave one low.  n is estimated from est and L.  When
+    the band [est - LOG_ERROR, est + LOG_ERROR] lies inside
+    [n*l, (n + 1)*l) for every such l, n is the answer and no rung is
+    read.  Otherwise it is confirmed exactly, lam^n <= r < lam^(n+1), by
+    integer sign tests against the ladder's rungs n and n + 1.  Each
+    failed test moves n by one toward the other side, so an estimate that
+    is one off costs one more test.  Either way n is the exact floor."""
+    D, root, L = frame.D, frame.root, frame.log2_lam
+    est = _log2_width(P1, Q1, D, root) - _log2_width(P2, Q2, D, root)
     # rounded up by 1/32 of a bit, about the logarithms' largest error,
     # since many ratios lie exactly on a rung
-    n = ((_log2_width(P1, Q1, D, root) - _log2_width(P2, Q2, D, root)
-          + (1 << LOG_BITS - 5)) // frame.log2_lam)
+    n = (est + (1 << LOG_BITS - 5)) // L
+    # n*l and (n + 1)*l are extreme at l = L or l -> L + 2
+    if (max(n * L, n * (L + 2)) <= est - LOG_ERROR
+            and est + LOG_ERROR < min((n + 1) * L, (n + 1) * (L + 2))):
+        return n
     QD = Q2 * D
 
     def below(k):                       # r < lam^k
@@ -770,7 +785,9 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
 class GroupElement(_Value):
     """p |-> A^k p + v, for integer k and integer vector v.  `rows`, the
     integer rows of A^k, are a function of A and k and stay out of
-    `_key()`."""
+    `_key()`.  It acts on a point's integers (k, X, Y), as in
+    `_integer_point`: A^k is in SL(2, Z), so the image keeps the least
+    common denominator k."""
     __slots__ = ("A", "k", "v", "rows")
 
     def __init__(self, A: HyperbolicMatrix, k: int, v: tuple, rows):
@@ -782,21 +799,34 @@ class GroupElement(_Value):
     def _key(self):
         return self.A, self.k, self.v
 
+    def act(self, k: int, X: int, Y: int) -> tuple:
+        """(k, X', Y') of the image of the point (X/k, Y/k)."""
+        (a, b), (c, d) = self.rows
+        v0, v1 = self.v
+        return k, a * X + b * Y + v0 * k, c * X + d * Y + v1 * k
+
     def apply(self, p: Point) -> Point:
-        q = _mat_apply(self.rows, p)
-        return (q[0] + self.v[0], q[1] + self.v[1])
+        k, X, Y = self.act(*_integer_point(p))
+        return Fraction(X, k), Fraction(Y, k)
 
 
 def group_element(A: HyperbolicMatrix, k: int, src: Point,
                   dst: Point) -> GroupElement | None:
     """The element A^k + v mapping the lift src to dst, or None when the
-    translation v is not integral."""
-    rows = A.power_rows(k)
-    img = _mat_apply(rows, src)
-    v = (dst[0] - img[0], dst[1] - img[1])
-    if v[0].denominator != 1 or v[1].denominator != 1:
+    translation v is not integral.  A^k and integer translations keep a
+    point's least common denominator, so there is none when src and dst
+    have different ones; otherwise v is read off with `divmod`."""
+    K, X, Y = _integer_point(src)
+    K2, X2, Y2 = _integer_point(dst)
+    if K != K2:
         return None
-    return GroupElement(A, k, (int(v[0]), int(v[1])), rows)
+    rows = A.power_rows(k)
+    (a, b), (c, d) = rows
+    v0, r0 = divmod(X2 - a * X - b * Y, K)
+    v1, r1 = divmod(Y2 - c * X - d * Y, K)
+    if r0 or r1:
+        return None
+    return GroupElement(A, k, (v0, v1), rows)
 
 
 class FrameView:
@@ -827,12 +857,14 @@ class FrameView:
         self.forms = (s_int, -1 if flip_s else 1, u_int, -1 if flip_u else 1)
 
     def s(self, p) -> QuadNum:
-        v = self.forms[0](p)
-        return -v if self.flip_s else v
+        s_int, ss, _, _ = self.forms
+        k, X, Y = _integer_point(p)
+        return s_int.at(ss * X, ss * Y, k)
 
     def u(self, p) -> QuadNum:
-        v = self.forms[2](p)
-        return -v if self.flip_u else v
+        _, _, u_int, su = self.forms
+        k, X, Y = _integer_point(p)
+        return u_int.at(su * X, su * Y, k)
 
     def transposed(self, reverse: bool = False) -> FrameView:
         """The view whose s is this view's u and whose u is this view's s,

@@ -413,3 +413,38 @@ def oracle_log_floor(x, base):
     while v < 1:
         v, k = v * base, k - 1
     return k
+
+
+def _log2_digits(y, F, up):
+    """A bound on floor(log2(y / 2^F) * 2^16) for 2^F <= y < 2^(F+1), by
+    squaring the fixed-point value 16 times: each square and halving is
+    rounded down, or up when up, so the digits read off are a lower, or
+    an upper, bound of the exact ones."""
+    n = 0
+    for _ in range(16):
+        y = -(-y * y >> F) if up else y * y >> F
+        bit = int(y >= 2 << F)
+        if bit:
+            y = -(-y >> 1) if up else y >> 1
+        n = 2 * n + bit
+    return n
+
+
+def oracle_log2_bounds(p, q, D, shift):
+    """(lo, hi) with lo <= log2((p + q*sqrt(D)) * 2^shift) * 2^16 < hi, for
+    p + q*sqrt(D) > 0 and D not a square, from integers alone: the value
+    times 2^K lies in [N, N + 1) for N its exact floor, taken with K large
+    enough that N has at least 96 bits, and the fractional digits of the
+    logarithms of N and N + 1 are read off by squaring."""
+    def floor_times(K):             # floor((p + q*sqrt(D)) * 2^K)
+        r = math.isqrt(q * q * D << 2 * K)
+        return (p << K) + (r if q >= 0 else -r - 1)
+
+    K = 64
+    while floor_times(K) < 1 << 95:
+        K *= 2
+    N = floor_times(K)
+    e_lo, e_hi = N.bit_length() - 1, (N + 1).bit_length() - 1
+    lo = (e_lo - K + shift << 16) + _log2_digits(N, e_lo, False)
+    hi = (e_hi - K + shift << 16) + _log2_digits(N + 1, e_hi, True) + 1
+    return lo, hi

@@ -11,6 +11,7 @@ import ast
 import inspect
 import math
 import operator
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,11 +19,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import anosurg
-from anosurg import quadfield
-from anosurg import (HyperbolicMatrix, QuadFieldError, QuadNum, eigenframe,
+from anosurg import quadfield, torus
+from anosurg import (HyperbolicMatrix, QuadFieldError, QuadNum,
+                     build_staircase, eigenframe,
                      qn_floor, qn_from_str, qn_pow, qn_to_str)
+from anosurg.cli import FIXTURES, load_problem
+from anosurg.torus import group_element
 
-from oracles import OracleQuad, oracle_log_floor
+from oracles import (OracleQuad, _group_act, _group_power, oracle_log2_bounds,
+                     oracle_log_floor)
 
 LAM = QuadNum(Fraction(3, 2), Fraction(1, 2), 5)     # (3 + sqrt(5)) / 2
 
@@ -348,6 +353,61 @@ class TestLogFloor:
         for x in values:
             assert frame.log_floor(x) == oracle_log_floor(x, frame.lam)
 
+    @pytest.mark.parametrize("frame", sorted(FRAMES))
+    def test_exact_on_and_beside_each_rung(self, frame):
+        # lam^n and lam^n (1 +- 2^-k): the estimate answers without a rung
+        # test only when its error band cannot reach a rung, so a value
+        # within 2^-64 of one is still put on its side
+        frame = FRAMES[frame]
+        lam = frame.lam
+        for n in range(-30, 31):
+            rung = qn_pow(lam, n)
+            for x in [rung] + [rung * (1 + Fraction(sign, 1 << k))
+                               for k in (10, 24, 40, 64) for sign in (-1, 1)]:
+                assert frame.log_floor(x) == oracle_log_floor(x, lam), (n, x)
+
+    @pytest.mark.parametrize("D", sorted(set(FIELDS) | {f.D for f in
+                                                       FRAMES.values()}))
+    def test_log2_width_is_within_its_documented_bound(self, D):
+        # 0.02 * 2^LOG_BITS, against bounds on the exact logarithm, on
+        # seeded values of every size and on values whose p and q*sqrt(D)
+        # cancel
+        rng = random.Random(D)
+        root = quadfield.fixed_root(D)
+        cases = []
+        for _ in range(150):
+            p = rng.randint(-2 ** 400, 2 ** 400) >> rng.randrange(400)
+            q = rng.randint(-2 ** 400, 2 ** 400) >> rng.randrange(401)
+            cases.append((p, q))
+            qc = rng.choice((-1, 1)) * (rng.randint(1, 2 ** 500)
+                                         >> rng.randrange(500))
+            pc = -math.isqrt(qc * qc * D) * (1 if qc > 0 else -1)
+            cases.append((pc + rng.randint(-3, 3), qc))
+        checked = 0
+        for p, q in cases:
+            if quadfield._sign(p, q, D) <= 0:
+                continue
+            est = torus._log2_width(p, q, D, root)
+            lo, hi = oracle_log2_bounds(p, q, D, quadfield.ROOT_BITS)
+            # hi - 0.02 * 2^16 <= est <= lo + 0.02 * 2^16
+            assert 100 * hi - 131072 <= 100 * est <= 100 * lo + 131072, \
+                (p, q, D)
+            checked += 1
+        assert checked > 120
+
+    @pytest.mark.parametrize("rows", [((2, 1), (1, 1)), ((13, 8), (8, 5)),
+                                      ((3, 2), (4, 3)), ((4, 5), (-1, -1)),
+                                      ((7, 6), (1, 1)), ((610, 377),
+                                                         (377, 233))])
+    def test_log2_lam_is_within_its_documented_bound(self, rows):
+        # the logarithms' filter takes log2(lam) * 2^LOG_BITS to lie in
+        # [log2_lam, log2_lam + 2)
+        frame = eigenframe(HyperbolicMatrix.from_rows(rows))
+        p, q, d = quadfield._parts(frame.lam)
+        assert d & (d - 1) == 0                  # d is 1 or 2
+        lo, hi = oracle_log2_bounds(p, q, frame.D, -(d.bit_length() - 1))
+        assert frame.log2_lam <= lo and hi <= frame.log2_lam + 2
+
     @pytest.mark.parametrize("x", [0, -1, QuadNum(0, 0, 5), -LAM,
                                    QuadNum(2, -1, 5), Fraction(-1, 2)])
     def test_non_positive_argument_rejected(self, x):
@@ -411,6 +471,51 @@ class TestOnePowerTable:
                 helpers = {a.name for a in node.names
                            if "pow" in a.name or "log" in a.name}
                 assert not helpers, f"quadfield.{helpers} at {where}"
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                      "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def counted_fraction_operators(monkeypatch):
+    """The list to which every Fraction arithmetic operator call appends its
+    name, from now until the test ends."""
+    calls = []
+    for name in FRACTION_OPERATORS:
+        def counted(*args, op=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return op(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+class TestNoFractionArithmetic:
+    """Lifts are integers (k, X, Y) with the point (X/k, Y/k): staircases
+    and the group action build the Fractions of their public fields and
+    compute with none."""
+
+    @pytest.mark.parametrize("fixture, quadrant", [
+        ("b2_half", "++"), ("b2_half", "+-"), ("case3", "++")])
+    def test_a_staircase_build_computes_with_no_fraction(self, monkeypatch,
+                                                         fixture, quadrant):
+        A, sets, _ = load_problem(FIXTURES[fixture])
+        frame = eigenframe(A)
+        calls = counted_fraction_operators(monkeypatch)
+        st = build_staircase(frame, sets["X"], sets["Y"], (0, 0), quadrant)
+        st.verify()
+        assert calls == []
+        assert len(st.steps) >= 3
+
+    def test_the_group_action_computes_with_no_fraction(self, monkeypatch):
+        A = HyperbolicMatrix(13, 8, 8, 5)
+        src, p = (Fraction(1, 3), Fraction(-5, 6)), (Fraction(7, 4), 2)
+        moves = [(k, _group_act((_group_power((A.rows(), (0, 0)), k)[0],
+                                 (k, 1 - k)), src)) for k in range(-4, 5)]
+        calls = counted_fraction_operators(monkeypatch)
+        for k, dst in moves:
+            assert group_element(A, k, src, dst).apply(p)
+            assert group_element(A, k, src, p) is None
+        assert calls == []
 
 
 def enclosing_classes_of_calls(tree, name):

@@ -22,8 +22,9 @@ from anosurg.cli import FIXTURES, load_problem
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
-from oracles import (_QuadrantCoords, balance_power, oracle_band_hits,
-                     oracle_hits, oracle_log_floor, oracle_point)
+from oracles import (_QuadrantCoords, _group_act, _group_power, balance_power,
+                     oracle_band_hits, oracle_hits, oracle_log_floor,
+                     oracle_point)
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
@@ -616,6 +617,44 @@ class TestRenormalization:
             assert balance_power(frame, w_s, w_u) == \
                 oracle_log_floor(lam * w_s / w_u, lam * lam)
 
+    def test_the_estimate_decides_most_logarithms_alone(self, monkeypatch):
+        # the logarithms' exactness beside every rung is checked in
+        # test_quadfield; here that the estimate's error band decides
+        # alone, reading no rung, for at least 90% of the logarithms of a
+        # grid of A2 games above the domination threshold, as in game_grid
+        counts = {"calls": 0, "read": 0}
+        reading = []
+        log_ratio, rung = torus._log_ratio, torus.EigenFrame.rung
+
+        def counted_log_ratio(*args):
+            counts["calls"] += 1
+            reading.append(False)
+            try:
+                return log_ratio(*args)
+            finally:
+                counts["read"] += reading.pop()
+
+        def counted_rung(frame, n):
+            if reading:
+                reading[-1] = True
+            return rung(frame, n)
+
+        monkeypatch.setattr(torus, "_log_ratio", counted_log_ratio)
+        monkeypatch.setattr(torus.EigenFrame, "rung", counted_rung)
+        frame = eigenframe(A2)
+        lam2 = frame.lam * frame.lam
+        Y = half_orbit_set(A2, 2, "Y")
+        rng = random.Random(1)
+        for i in range(1, 21):
+            for j in range(1, 21):
+                X = zero_orbit_set(A2, rng.randint(-6, 6), "X")
+                t0 = 1 + (lam2 - 1) * Fraction(i, 21)
+                out = play_game(GameConfig(frame, (X, Y), "++"), point(0, 0),
+                                t0, lam2 * Fraction(j, 21), budget=2000)
+                assert out.defined
+        assert counts["calls"] > 800
+        assert 10 * counts["read"] <= counts["calls"]
+
     def test_renormalization_reads_the_powers(self):
         grown = eigenframe(A2)
         grown.rung(400), grown.rung(-400)
@@ -653,7 +692,73 @@ class TestRenormalization:
                 sorted((b, m, tw) for b, m, _, _, tw in want)
 
 
+# A2, B2, case3 and a matrix with negative entries
+GROUP_MATRICES = {"A2": A2, "B2": B2, "case3": C3,
+                  "M45": HyperbolicMatrix(4, 5, -1, -1)}
+
+
+def seeded_lift(rng, integral=False):
+    """A point of the plane whose coordinates have denominators <= 12, or
+    integer coordinates."""
+    if integral:
+        return (Fraction(rng.randint(-40, 40)), Fraction(rng.randint(-40, 40)))
+    return tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                 for _ in range(2))
+
+
 class TestGroupAndViews:
+    @pytest.mark.parametrize("name", sorted(GROUP_MATRICES))
+    def test_integer_action_matches_the_fraction_oracle(self, name):
+        # group_element and apply work on the points' integers; the oracle
+        # composes A's rows and acts on Fractions
+        A = GROUP_MATRICES[name]
+        rng = random.Random(28)
+        for k in range(-6, 7):
+            M, _ = _group_power((A.rows(), (0, 0)), k)
+            for integral in (False, True):
+                for _ in range(12):
+                    src = seeded_lift(rng, integral)
+                    v = (rng.randint(-9, 9), rng.randint(-9, 9))
+                    dst = _group_act((M, v), src)
+                    g = group_element(A, k, src, dst)
+                    assert (g.k, g.v, g.rows) == (k, v, M)
+                    p = seeded_lift(rng, integral)
+                    got = g.apply(p)
+                    assert got == _group_act((M, v), p)
+                    assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("name", sorted(GROUP_MATRICES))
+    def test_group_element_is_none_without_an_integral_translation(self,
+                                                                   name):
+        A = GROUP_MATRICES[name]
+        rng = random.Random(29)
+        for k in range(-6, 7):
+            M, _ = _group_power((A.rows(), (0, 0)), k)
+            src = seeded_lift(rng)
+            while torus._integer_point(src)[0] == 1:
+                src = seeded_lift(rng)
+            lcd = torus._integer_point(src)[0]
+            img = _group_act((M, (0, 0)), src)
+            # another least common denominator, with one more factor 2
+            dst = (img[0] + Fraction(1, 2 * lcd), img[1])
+            assert torus._integer_point(dst)[0] != lcd
+            assert group_element(A, k, src, dst) is None
+            # the image's own integers over another denominator m*lcd,
+            # with m prime to them: no remainder over lcd gives it away
+            _, X2, Y2 = torus._integer_point(img)
+            m = abs(X2 or Y2) + 1
+            dst = (Fraction(X2, m * lcd), Fraction(Y2, m * lcd))
+            assert torus._integer_point(dst) == (m * lcd, X2, Y2)
+            assert group_element(A, k, src, dst) is None
+            # the same one, but dst - A^k src is not integral
+            while True:
+                shift = (Fraction(rng.randrange(lcd), lcd),
+                         Fraction(rng.randrange(lcd), lcd))
+                dst = (img[0] + shift[0] - 3, img[1] + shift[1] + 2)
+                if any(shift) and torus._integer_point(dst)[0] == lcd:
+                    break
+            assert group_element(A, k, src, dst) is None
+
     def test_group_element_maps_src_to_dst(self):
         z = point(HALF, HALF)
         g = group_element(A2, 3, z, z)                # 3 is z's period
@@ -663,6 +768,8 @@ class TestGroupAndViews:
         assert (g.k, g.v) == (-1, (3, -4)) and g.apply(z) == dst
         # 2 is not a period of (1/2, 1/2): no integral translation exists
         assert group_element(A2, 2, z, z) is None
+        # (1, 0) - (1/2, 0) is not integral, though the numerators agree
+        assert group_element(A2, 0, point(HALF, 0), point(1, 0)) is None
 
     def test_quadrant_views(self, frame_a2):
         p = (Fraction(1, 3), Fraction(2, 5))
