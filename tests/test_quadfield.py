@@ -2,10 +2,12 @@
 and floors, string round-trips, error handling, agreement with a Fraction
 oracle on big coefficients, correctly rounded float conversion (exact, and
 from a fixed-point square root with an exact fallback), the eigenframe's
-exact integer logarithm to base lam, the absence of floats from the engine's
-decisions and of powers and logarithms outside the eigenframe, the period
-family as the only caller of the primitive-family walk, and the eigenframe
-as the only geometry argument of the public API."""
+exact integer logarithm to base lam and the error bounds of its estimate,
+the absence of floats from the engine's decisions, of powers and
+logarithms outside the eigenframe and of Fraction arithmetic from
+staircases and the group action, the period family as the only caller of
+the primitive-family walk, and the eigenframe as the only geometry
+argument of the public API."""
 
 import ast
 import inspect
