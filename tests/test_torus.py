@@ -1,6 +1,7 @@
-"""Hyperbolic matrices, eigenframes, marked orbits, and the exact
+"""Hyperbolic matrices, eigenframes, marked orbits, the exact
 enumeration of marked lifts in (s, u) boxes, cross-checked against the
-brute-force oracle."""
+brute-force oracle, and the integer group action, cross-checked against
+the Fraction oracle."""
 
 import itertools
 import random
@@ -750,7 +751,7 @@ class TestGroupAndViews:
             dst = (Fraction(X2, m * lcd), Fraction(Y2, m * lcd))
             assert torus._integer_point(dst) == (m * lcd, X2, Y2)
             assert group_element(A, k, src, dst) is None
-            # the same one, but dst - A^k src is not integral
+            # lcd again, but dst - A^k src is not integral
             while True:
                 shift = (Fraction(rng.randrange(lcd), lcd),
                          Fraction(rng.randrange(lcd), lcd))
