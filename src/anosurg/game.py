@@ -13,9 +13,10 @@ with a finite offset (Defined) or exhausts its crossing budget
 (BudgetExhausted); the simulator never claims divergence.
 
 A step takes the lowest lift of the strip (0, t) x (h, r] from a
-`StripClimber`, and one scan covers the lifts of every marked set.  A
-crossing that contracts t narrows the strip and one that expands t widens
-it.
+`StripClimber`, and one scan covers the lifts of every marked set.  The
+climber is handed the strip's new edge at each step: a crossing that
+expands t (exponent e > 0) widens the strip, and one with e <= 0 narrows
+it or keeps it.
 
 The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,
@@ -118,20 +119,14 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
         return hits_in_box(view, marked, sp, right, u_lo, u_hi,
                            (False, False, False, True))
 
-    strip = StripClimber(strip_hits, view.frame.widths, sp, sp + t, up,
-                         up + r)
-    while (c := strip.lowest()) is not None:
+    strip = StripClimber(strip_hits, view.frame.widths, sp, up, up + r)
+    while (c := strip.lowest(sp + t)) is not None:
         if len(trace) >= budget:
             return GameOutcome("BudgetExhausted", None, tuple(trace))
         o, w = c.s - sp, c.twist
         e = -w if contracting else w
-        t_new = o + rung(e)[0] * (t - o)
-        trace.append(Crossing(c, c.u - up, o, w, e, t, t_new))
-        t = t_new
-        if e > 0:
-            strip.widen(sp + t)
-        else:
-            strip.narrow(sp + t)
+        t_before, t = t, o + rung(e)[0] * (t - o)
+        trace.append(Crossing(c, c.u - up, o, w, e, t_before, t))
     return GameOutcome("Defined", t, tuple(trace))
 
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from .quadfield import QuadNum, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
-                    MarkedSet, group_element, hits_in_box, sets_disjoint)
+                    MarkedSet, _integer_point, group_element, hits_in_box,
+                    sets_disjoint)
 
 
 class MarkedRect:
@@ -75,16 +76,18 @@ class MarkedRect:
 
 def marked_rect(frame: EigenFrame, X: MarkedSet, origin_lift, endpoint_lift,
                 sign: str) -> MarkedRect:
-    """MarkedRect from two lifts of X given as rational points."""
+    """MarkedRect from two lifts (X/k, Y/k) of X given as rational points:
+    the base of each is (X % k, Y % k) / k, its lattice vector (X // k,
+    Y // k)."""
     def hit_of(lift):
-        found = X.locate(lift)
+        k, x, y = _integer_point(lift)
+        found = X.index.get((k, x % k, y % k))
         if found is None:
             raise ValueError(f"{lift} is not a lift of the marked set")
         orb, place = found
-        base = orb.points[place]
-        lat = (int(lift[0] - base[0]), int(lift[1] - base[1]))
-        return MarkedPointHit(base, lat, frame.s(lift), frame.u(lift),
-                              orb.twist)
+        return MarkedPointHit(orb.points[place], (x // k, y // k),
+                              frame.s_int.at(x, y, k),
+                              frame.u_int.at(x, y, k), orb.twist)
     return MarkedRect(sign, hit_of(origin_lift), hit_of(endpoint_lift))
 
 
@@ -130,13 +133,12 @@ class StripClimber:
     game and the primitive-family walk.
 
     scan(right, a, b) lists the strip's lifts at heights (a, b], with the
-    s edges open or closed as the caller needs.  lowest() takes the lowest
-    lift above the last one taken, or None when there is none up to hi,
-    searching the height windows of `first_window_hits`.  After each lift
-    taken the caller moves the right edge, once: narrow(right) keeps the
-    other lifts the window found with s < right, and widen(right) drops
-    them.  Until then the lift taken stays among the hits, and a second
-    lowest() would find it again and raise.
+    s edges open or closed as the caller needs.  lowest(right) moves the
+    right edge and takes the lowest lift above the last one taken, or None
+    when there is none up to hi, searching the height windows of
+    `first_window_hits`.  When the edge grew, it drops the other lifts the
+    last window found and resets covered to lo; otherwise it keeps those
+    with s < right, less the lift it took last.  Each lift is taken once.
 
     Exactness: the heights up to covered, the top of the window that found
     the hits, were scanned over a strip that holds the current one, because
@@ -144,21 +146,27 @@ class StripClimber:
     height in (lo, covered] is among the survivors: the lowest survivor,
     when there is one, is the true next lift, and otherwise the search
     resumes above covered.  A widened strip may hold lifts at any height
-    above lo, so widen resets covered to lo.  Distinct lifts never share a
-    u (the level lines have irrational slope), so the lowest is unique.
+    above lo, hence the reset.  Distinct lifts never share a u (the level
+    lines have irrational slope), so the lowest is unique.
     """
     __slots__ = ("scan", "widths", "left", "right", "lo", "hi", "covered",
                  "hits", "last")
 
-    def __init__(self, scan, widths, left, right, lo, hi):
+    def __init__(self, scan, widths, left, lo, hi):
         self.scan, self.widths = scan, widths
-        self.left, self.right, self.lo, self.hi = left, right, lo, hi
+        # the strip starts empty, so that the first edge widens it
+        self.left, self.right, self.lo, self.hi = left, left, lo, hi
         self.covered, self.hits, self.last = lo, [], None
 
-    def lowest(self) -> MarkedPointHit | None:
+    def lowest(self, right) -> MarkedPointHit | None:
+        if right > self.right:
+            self.hits, self.covered = [], self.lo
+        else:
+            last = self.last
+            self.hits = [h for h in self.hits if h is not last and h.s < right]
+        self.right = right
         hits = self.hits
         if not hits:
-            right = self.right
             hits, self.covered = first_window_hits(
                 lambda a, b: self.scan(right, a, b), right - self.left,
                 self.lo, self.hi, self.widths, self.covered)
@@ -172,16 +180,6 @@ class StripClimber:
             raise InvariantError(f"strip climb made no progress at {low.lift}")
         self.lo, self.last = low.u, low
         return low
-
-    def narrow(self, right) -> None:
-        last = self.last
-        self.right = right
-        self.hits = [h for h in self.hits if h is not last and h.s < right]
-
-    def widen(self, right) -> None:
-        self.right = right
-        self.hits = []
-        self.covered = self.lo
 
 
 def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,
@@ -205,14 +203,14 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,
         return hits_in_box(view, X, s0, right, a, b,
                            (False, True, False, True))
 
-    strip = StripClimber(scan, view.frame.widths, s0, s0 + s_width,
-                         u0 + above, u0 + u_cap)
-    while (low := strip.lowest()) is not None:
-        if not s0 < low.s <= strip.right:
+    strip = StripClimber(scan, view.frame.widths, s0, u0 + above, u0 + u_cap)
+    right = s0 + s_width
+    while (low := strip.lowest(right)) is not None:
+        if not s0 < low.s <= right:
             raise InvariantError(
                 f"primitive family walk left its strip at {low.lift}")
         yield low
-        strip.narrow(low.s)
+        right = low.s
 
 
 class PeriodFamily:

@@ -221,7 +221,7 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
         return hits_in_box(outward, mset, u_lo, right, a, b,
                            (True, True, False, True))
 
-    hit = StripClimber(scan, (wu, ws), u_lo, u_hi, lo, lo + enough).lowest()
+    hit = StripClimber(scan, (wu, ws), u_lo, lo, lo + enough).lowest(u_hi)
     if hit is None:
         raise InvariantError("no contact found in the height band")
     return hit.u - lo
@@ -282,51 +282,37 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
         return (found[1] - i0) % n
 
     seed_end = _find_seed(X, avoid, origin, view, orb)
-    G_k = shift(seed_end)
     s0, u0 = view.s(origin), view.u(origin)
-    seed_ds = view.s(seed_end) - s0
 
-    # level 0 sides, and the left overhang of the pushed rectangle D_0
-    rho0 = view.u(seed_end) - u0
-    left0 = _first_contact(view, avoid, s0, -1, u0, u0 + rho0)
+    def make_step(i, o_lift, e_lift):
+        # R_i reaches from the axis to the chained rectangle's far corner,
+        # between the heights of its two corners
+        se, uo, ue = view.s(e_lift), view.u(o_lift), view.u(e_lift)
+        safety = _first_contact(view, avoid, se, +1, uo, ue)
+        return StairStep(i, o_lift, e_lift, se - view.s(o_lift), se - s0,
+                         uo - u0, ue - u0, safety)
 
-    def make_step(i, o_lift, e_lift, q_lo, Ls):
-        ds = view.s(e_lift) - view.s(o_lift)
-        q_hi = view.u(e_lift) - u0
-        safety = _first_contact(view, avoid, s0 + Ls, +1, u0 + q_lo,
-                                u0 + q_hi)
-        return StairStep(i, o_lift, e_lift, ds, Ls, q_lo, q_hi, safety)
+    steps = [make_step(0, origin, seed_end)]
+    powers = [0]        # level i is the image of level 0 under A^powers[i] + v
+    # the left overhang of the pushed rectangle D_0
+    left0 = _first_contact(view, avoid, s0, -1, u0, view.u(seed_end))
 
     def advance(steps):
-        # Level i+1 is the image of the seed under h = f^-k o g_i o G^(i+1):
-        # G the seed's element, g_i the least power carrying G^(i+1)'s image
-        # of the origin onto the corner x_{i+1}, and f the lift of A^n fixing
-        # x_{i+1}.  An element A^m + v is fixed by m and the image of one
-        # point, so h is the one element of power K - n k that takes the
-        # origin to x_{i+1}, K = (i+1) G_k + g_i's power.
+        # Level i+1 is the image of the seed under the element A^p + v that
+        # takes the origin to the corner x_{i+1}, Ls_i right of the axis,
+        # with the least image lam^-p left0 of D_0's left overhang that
+        # still reaches the axis: p <= L = floor(log_lam(left0 / Ls_i)), and
+        # p = shift(x_{i+1}) mod n, so that A^p moves the origin's base to
+        # x_{i+1}'s.  The greatest such p is L - (L - shift(x_{i+1})) % n.
         i = len(steps) - 1
         cur = steps[i]
         x_next = cur.delta_endpoint       # corner of R_i, base of level i+1
-        c = G_k * (i + 1)
-        K = c + (shift(x_next) - c) % n
-        # left overhang of g_i(pushed level-(i+1) rectangle) around x_{i+1}
-        b = frame.rung(-K)[0] * left0
-        x_s = view.s(x_next) - s0
-        if x_s != cur.Ls:
-            raise InvariantError("corner is off the staircase edge")
-        # minimal k with lam^(n k) * b reaching the axis
-        k = -(frame.log_floor(b / x_s) // n)
-        h = group_element(A, K - n * k, origin, x_next)
+        L = frame.log_floor(left0 / cur.Ls)
+        h = group_element(A, L - (L - shift(x_next)) % n, origin, x_next)
         if h is None:
             raise InvariantError("holonomy step does not chain")
-        new_e = h.apply(seed_end)
-        steps.append(make_step(i + 1, x_next, new_e, cur.q_hi,
-                               view.s(new_e) - s0))
+        steps.append(make_step(i + 1, x_next, h.apply(seed_end)))
         powers.append(h.k)
-
-    zero = frame.lam - frame.lam
-    steps = [make_step(0, origin, seed_end, zero, seed_ds)]
-    powers = [0]        # level i is the image of level 0 under A^powers[i] + v
 
     def recurring(last):
         # (preperiod, period, g) with g carrying some level j onto level

@@ -7,10 +7,10 @@ formatted with a fixed precision and elements are emitted in insertion order,
 so identical input produces byte-identical output.
 
 The marked lifts of census and staircase figures come straight from the
-lattice kernel's integers (`torus.box_lifts`): view flips are sign changes
-and the origin is subtracted on integers, and `quadfield.rounded_float`
-turns each coordinate into its double with no QuadNum per lift.  The dots
-are drawn in exact increasing view s.  The game figure converts each exact
+lattice kernel's integers (`torus.box_lifts`): each coordinate is the
+view's integer form times its sign (`FrameView.forms`), less the origin,
+on integers, and `quadfield.rounded_float` turns it into its double with
+no QuadNum per lift.  The dots are drawn in exact increasing view s.  The game figure converts each exact
 value of its trace once, with the same `rounded_float`.  A figure that
 cannot be drawn, one with too many lifts or values beyond a double, raises
 `FigureError`.
@@ -112,9 +112,9 @@ def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
     in increasing exact s: the lifts of `torus.hits_in_box`."""
     frame = view.frame
     D, root = frame.D, frame.root
-    s_sign, u_sign = -1 if view.flip_s else 1, -1 if view.flip_u else 1
-    sa, sb, sc, se, sf, sg, sh = frame.s_int.affine(s_sign, s0)
-    ua, ub, uc, ue, uf, ug, uh = frame.u_int.affine(u_sign, u0)
+    s_int, ss, u_int, su = view.forms
+    sa, sb, sc, se, sf, sg, sh = s_int.affine(ss, s0)
+    ua, ub, uc, ue, uf, ug, uh = u_int.affine(su, u0)
     dots = [(rounded_float(sa * X + sb * Y - sc * k, se * X + sf * Y - sg * k,
                            sh * k, D, root),
              rounded_float(ua * X + ub * Y - uc * k, ue * X + uf * Y - ug * k,
@@ -125,8 +125,7 @@ def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
     if len({dot[0] for dot in dots}) < len(dots):
         # rounding is monotone, so only lifts whose s rounds to one double
         # can be out of order; the exact s orders them all
-        s_int = frame.s_int
-        dots.sort(key=lambda dot: s_sign * s_int.at(dot[3], dot[4], dot[2]))
+        dots.sort(key=lambda dot: ss * s_int.at(dot[3], dot[4], dot[2]))
     return [dot[:2] for dot in dots]
 
 

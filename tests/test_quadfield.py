@@ -5,7 +5,7 @@ from a fixed-point square root with an exact fallback), the eigenframe's
 exact integer logarithm to base lam and the error bounds of its estimate,
 the absence of floats from the engine's decisions, of powers and
 logarithms outside the eigenframe and of Fraction arithmetic from
-staircases and the group action, the period family as the only caller of
+staircases, the census and the group action, the period family as the only caller of
 the primitive-family walk, and the eigenframe as the only geometry
 argument of the public API."""
 
@@ -23,7 +23,7 @@ from hypothesis import given, strategies as st
 import anosurg
 from anosurg import quadfield, torus
 from anosurg import (HyperbolicMatrix, QuadFieldError, QuadNum,
-                     build_staircase, eigenframe,
+                     build_staircase, eigenframe, enumerate_primitive,
                      qn_floor, qn_from_str, qn_pow, qn_to_str)
 from anosurg.cli import FIXTURES, load_problem
 from anosurg.torus import group_element
@@ -492,9 +492,9 @@ def counted_fraction_operators(monkeypatch):
 
 
 class TestNoFractionArithmetic:
-    """Lifts are integers (k, X, Y) with the point (X/k, Y/k): staircases
-    and the group action build the Fractions of their public fields and
-    compute with none."""
+    """Lifts are integers (k, X, Y) with the point (X/k, Y/k): staircases,
+    the census and the group action build the Fractions of their public
+    fields and compute with none."""
 
     @pytest.mark.parametrize("fixture, quadrant", [
         ("b2_half", "++"), ("b2_half", "+-"), ("case3", "++")])
@@ -507,6 +507,16 @@ class TestNoFractionArithmetic:
         st.verify()
         assert calls == []
         assert len(st.steps) >= 3
+
+    @pytest.mark.parametrize("fixture", ["a2_half", "b2_half", "case3"])
+    def test_a_census_computes_with_no_fraction(self, monkeypatch, fixture):
+        A, sets, _ = load_problem(FIXTURES[fixture])
+        frame = eigenframe(A)
+        calls = counted_fraction_operators(monkeypatch)
+        reps = [enumerate_primitive(frame, sets["X"], sign)
+                for sign in ("positive", "negative")]
+        assert calls == []
+        assert all(reps)
 
     def test_the_group_action_computes_with_no_fraction(self, monkeypatch):
         A = HyperbolicMatrix(13, 8, 8, 5)

@@ -244,7 +244,8 @@ class TestStripClimber:
     @pytest.mark.parametrize("flip", [False, True])
     def test_lowest_matches_the_oracle_through_narrow_and_widen(
             self, label, make_set, flip):
-        # seeded runs of narrow and widen moves, each followed by lowest():
+        # seeded runs of narrow and widen moves, each followed by
+        # lowest(right):
         # a widen must forget the heights covered over the narrower strip,
         # and a narrow must drop a survivor on the new right edge
         A = FROZEN_COUNTS[label][0]
@@ -261,12 +262,12 @@ class TestStripClimber:
             return hits_in_box(view, X, left, right, a, b,
                                (False, False, False, True))
 
-        strip = StripClimber(scan, view.frame.widths, left, right, lo, hi)
+        strip = StripClimber(scan, view.frame.widths, left, lo, hi)
         narrowed = widened = 0
         for move in range(20):
             lifts = oracle_hits(coords, X, left, right, lo, hi,
                                 (False, False, False, True))
-            low = strip.lowest()
+            low = strip.lowest(right)
             if not lifts:
                 assert low is None, move
             else:
@@ -276,7 +277,6 @@ class TestStripClimber:
                 lo = u
             if rng.random() < 0.4 and right - left < 6:
                 right += (right - left) * rng.choice((Fraction(1, 2), 1, 2))
-                strip.widen(right)
                 widened += 1
                 continue
             above = [h for h in lifts if h[3] > lo]
@@ -288,7 +288,6 @@ class TestStripClimber:
                 right = edge + (right - edge) * rng.choice(
                     (Fraction(1, 3), Fraction(2, 3)) if low is None else
                     (0, Fraction(1, 3), Fraction(2, 3)))
-            strip.narrow(right)
             narrowed += 1
         assert narrowed and widened
 

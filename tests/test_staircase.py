@@ -3,6 +3,8 @@ geometry, exact verification, periodic extension, containment, and the
 trapped game certifying incompleteness."""
 
 import copy
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -330,6 +332,42 @@ class TestOracleLevels:
                     assert [(s.delta_origin, s.delta_endpoint)
                             for s in st.steps] == oracle_staircase_levels(st)
         assert built >= 20
+
+
+# sha256 of the JSON list of `staircase_records` (or, where no staircase
+# exists, the StaircaseError's message) over the sweep below, recorded
+# before a level's power and sides were derived from its lifts
+SWEEP_SHA256 = \
+    "29db0c3db20455b0be600637e1cfb8f27401d0b837f79668e446f9a51f39925b"
+
+
+class TestSweepRecords:
+    def test_sweep_records_are_byte_identical(self):
+        # A2, A3 and C3; X and Y one orbit each, seeded at every point with
+        # denominator at most 3, Y off X's orbit; X's seed as the origin and
+        # every quadrant: 1,232 builds, 952 of them staircases
+        records = []
+        for A in (A2, A3, C3):
+            frame = eigenframe(A)
+            seeds = list(dict.fromkeys(
+                point(Fraction(x, q), Fraction(y, q))
+                for q in (1, 2, 3) for x in range(q) for y in range(q)))
+            for x_seed in seeds:
+                X = marked_set(A, [(x_seed, 0)], "X")
+                for y_seed in seeds:
+                    if X.locate(y_seed):
+                        continue
+                    Y = marked_set(A, [(y_seed, 0)], "Y")
+                    for quadrant in QUADRANTS:
+                        try:
+                            records.append(staircase_records(build_staircase(
+                                frame, X, Y, x_seed, quadrant)))
+                        except StaircaseError as err:
+                            records.append(str(err))
+        assert len(records) == 1232
+        assert sum(isinstance(r, dict) for r in records) == 952
+        assert (hashlib.sha256(json.dumps(records).encode()).hexdigest()
+                == SWEEP_SHA256)
 
 
 class TestFirstContact:

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import QUADRANTS, eigenframe, hits_in_box, quadrant_view
+from anosurg import (QUADRANTS, FrameView, HyperbolicMatrix, eigenframe,
+                     hits_in_box, marked_set, point, quadrant_view)
 from anosurg.cli import FIXTURES, load_problem
 from anosurg import svgfig
 from anosurg.quadfield import rounded_float
@@ -53,6 +54,22 @@ def test_lift_dots_default_origin_is_zero():
     box = (Fraction(-3), Fraction(2), Fraction(-2), Fraction(3))
     assert lift_dots(view, sets["X"], *box) == \
         exact_dots(view, sets["X"], *box, 0, 0)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("flip_u", [False, True])
+@pytest.mark.parametrize("flip_s", [False, True])
+def test_lift_dots_follow_every_view(flip_s, flip_u, transpose):
+    # the eight symmetries of the square: a transposed view's s is the
+    # frame's u, and its dots must be the hits' too
+    A = HyperbolicMatrix(2, 1, 1, 1)
+    view = FrameView(eigenframe(A), flip_s, flip_u, transpose)
+    X = marked_set(A, [(point(0, 0), 0)], "X")
+    box = (Fraction(-2), Fraction(3), Fraction(-1), Fraction(2))
+    s0, u0 = Fraction(1, 2), Fraction(-1, 3)
+    want = exact_dots(view, X, *box, s0, u0)
+    assert len(want) > 1
+    assert lift_dots(view, X, *box, s0, u0) == want
 
 
 def test_dots_whose_s_rounds_alike_keep_the_exact_order(monkeypatch):
