@@ -1,7 +1,8 @@
 """Record a BENCH_<n>.json: perfbench end-to-end metrics of a parent commit
 and its change from alternating pairs of runs, plus import time, per-command
 wall times, the in-process `play_game` time of the 1,500-crossing game, the
-field micro-benchmarks and the Tier-1 wall time.
+in-process `load_problem` times of the long-orbit problems, the field
+micro-benchmarks and the Tier-1 wall time.
 
     python3 bench/record.py PARENT CHANGE --out BENCH_<n>.json
 
@@ -82,11 +83,12 @@ def long_orbit(q: int) -> dict:
 
 
 # problem files written for the commands, by the name they use: X orbits of
-# periods 98, 200 and 384, whose box scans step through one coset per point,
-# and the undertwisted A2 game's X and Y orbits, which fill (1/2)Z^2 mod Z^2
-# and are scanned as that one lattice
+# periods 98, 200, 384, 1,000 and 2,004, whose box scans step through one
+# coset per point, and the undertwisted A2 game's X and Y orbits, which fill
+# (1/2)Z^2 mod Z^2 and are scanned as that one lattice
 PROBLEMS = {"PERIOD_98": long_orbit(97), "PERIOD_200": long_orbit(175),
-            "PERIOD_384": long_orbit(254),
+            "PERIOD_384": long_orbit(254), "PERIOD_1000": long_orbit(4001),
+            "PERIOD_2004": long_orbit(2003),
             "UNDERTWISTED_A2": {
                 "matrix": [[2, 1], [1, 1]],
                 "sets": [{"point": ["0", "0"], "characteristic_number": 1,
@@ -104,7 +106,9 @@ LONG_GAME_CROSSINGS = 1500
 # long-orbit `classify` and `thresholds` commands read each period family
 # only up to the member that decides, and the staircase seed searches of
 # `thresholds` share what the domination analyses read.  The long-orbit
-# `census` and `profile` read one whole period family per orbit and sign.
+# `census` and `profile` read one whole period family per orbit and sign,
+# which takes minutes at periods 1,000 and 2,004, so those two problems
+# are only classified.
 COMMANDS = ("examples",
             "census fixtures/a2_half.json",
             "classify fixtures/b2_half.json",
@@ -121,6 +125,8 @@ COMMANDS = ("examples",
             "census PERIOD_384",
             "classify PERIOD_384",
             "thresholds PERIOD_384",
+            "classify PERIOD_1000",
+            "classify PERIOD_2004",
             "game UNDERTWISTED_A2 --point 0,0 --t0 1 --r 3 --budget 400")
 
 # LONG_GAME in process: the `play_game` call alone, without interpreter
@@ -138,6 +144,19 @@ start = time.perf_counter()
 outcome = play_game(config, point(0, 0), t0, r, {LONG_GAME_CROSSINGS})
 seconds = time.perf_counter() - start
 print(f"play_game {{len(outcome.trace)}} crossings {{seconds:.6f}} s")
+"""
+
+# `load_problem` of each of these problems in process: one call in a fresh
+# process per run, without start-up or reading the file
+LOADS = ("PERIOD_384", "PERIOD_1000", "PERIOD_2004")
+LOAD_SCRIPT = """
+import json, sys, time
+from anosurg.cli import load_problem
+with open(sys.argv[1]) as fh:
+    data = json.load(fh)
+start = time.perf_counter()
+load_problem(data)
+print(f"load_problem {time.perf_counter() - start:.6f} s")
 """
 
 # what each end-to-end metric measures, where that is not the program alone
@@ -325,6 +344,22 @@ def parse_game_seconds(stdout: str) -> float:
     return float(found.group(2))
 
 
+def load_seconds(tree: Path, problem: Path) -> float:
+    """Seconds of the `load_problem` call of one LOAD_SCRIPT run in tree."""
+    out = subprocess.run([sys.executable, "-c", LOAD_SCRIPT, str(problem)],
+                         cwd=tree, env=env_for(tree), check=True,
+                         capture_output=True, text=True).stdout
+    return parse_load_seconds(out)
+
+
+def parse_load_seconds(stdout: str) -> float:
+    """The seconds in LOAD_SCRIPT's line "load_problem S s"."""
+    found = re.fullmatch(r"load_problem ([\d.]+) s", stdout.strip())
+    if not found:
+        raise ValueError(f"not a load_problem line: {stdout!r}")
+    return float(found.group(1))
+
+
 def micro_us(tree: Path, work: Path) -> dict:
     """The MICRO figures of one `perfbench/worker.py micro` run in tree."""
     goldens = json.loads((tree / "perfbench" / "goldens.json").read_text())
@@ -488,6 +523,12 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                 "args": "play_game of the command above, in process",
                 "parent": round(statistics.median(runs["parent"]), 3),
                 "change": round(statistics.median(runs["change"]), 3)})
+    loads = {}
+    for name in LOADS:
+        print(f"load_problem {name}", file=sys.stderr)
+        runs = alternate(COMMAND_RUNS, lambda side: load_seconds(
+            trees[side], work / f"{name}.json"))
+        loads[name] = compare(runs["parent"], runs["change"], "s")
     print("micro-benchmarks", file=sys.stderr)
     micro = alternate(MICRO_RUNS, lambda side: micro_us(trees[side], work))
     print("tier-1", file=sys.stderr)
@@ -551,7 +592,10 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                        "(period 200) or of (1/254, 0) (period 384) at +1; "
                        "UNDERTWISTED_A2 is A2 with X the (0,0) orbit at +1 "
                        "and Y the (1/2,1/2) orbit at -2, a game "
-                       "that runs to its budget; the row after the "
+                       "that runs to its budget; PERIOD_1000 and "
+                       "PERIOD_2004 are those problems with X the orbit of "
+                       "(1/4001, 0) (period 1,000) or of (1/2003, 0) "
+                       "(period 2,004); the row after the "
                        "1,500-crossing game "
                        "times its play_game call alone, in one fresh "
                        "process per run, without start-up, parsing or JSON "
@@ -559,6 +603,12 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
             "statistic": "median",
             "unit": "s",
             "rows": rows},
+        "load_problem": {
+            "command": "python -c LOAD_SCRIPT PROBLEM in each side's "
+                       "compiled export: one anosurg.cli.load_problem call "
+                       "on the parsed JSON of the problem, timed in process, "
+                       f"{COMMAND_RUNS} alternating runs per side",
+            "metrics": loads},
         "quadfield_micro": {
             "command": "python perfbench/worker.py micro OPERANDS OUT in "
                        "each side's compiled export, OPERANDS from its "

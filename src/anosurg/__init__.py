@@ -22,7 +22,7 @@ from .quadfield import (QuadFieldError, QuadNum, qn_floor, qn_from_str,
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, Orbit,
                     UnsupportedMatrixError, eigenframe, hits_in_box,
-                    marked_set, mod1, orbit_of, point, quadrant_contracting,
+                    marked_set, orbit_of, point, quadrant_contracting,
                     quadrant_view, sets_disjoint, QUADRANTS)
 from .rectangles import (MarkedRect, case_profile, census_records,
                          disjoint_witness, enumerate_primitive, is_primitive,

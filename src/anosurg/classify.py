@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import functools
 import json
-from fractions import Fraction
 
-from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit, Point,
-                    base_integers, eigenframe, quadrant_contracting,
-                    sets_disjoint)
+from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit,
+                    as_point, eigenframe, quadrant_contracting, sets_disjoint)
 from .rectangles import case_label
 from .game import DominationAnalysis, DominationHypothesisError
 from .staircase import (SeedError, StaircaseError, build_staircase,
@@ -47,10 +45,10 @@ class SurgeryProblem:
 
     def geometry(self):
         """Hashable key identifying the problem up to the surgery strengths:
-        the matrix and each orbit's `integers`, so hashing it hashes ints."""
+        the matrix and each orbit's points, so hashing it hashes ints."""
         return (self.A,
-                tuple(orb.integers for orb in self.X.orbits),
-                tuple(orb.integers for orb in self.Y.orbits))
+                tuple(orb.points for orb in self.X.orbits),
+                tuple(orb.points for orb in self.Y.orbits))
 
 
 class Verdict:
@@ -91,7 +89,7 @@ class Analysis:
 
     `row(own, kind, base)` is the certificate of the own set's rectangles
     or staircases: kind is a domination sign or a staircase quadrant, and
-    base the (k, X, Y) of one of the own set's points, a key of its
+    base one of the own set's points (k, X, Y), a key of its
     `MarkedSet.index`.  With base None it is the certificate of the whole
     set: the domination threshold over all of its points, or the staircase
     of its first point that admits one.  That search tries an orbit's later
@@ -121,14 +119,11 @@ class Analysis:
 
     def _build(self, own: str, kind: str, base: tuple | None) -> Row:
         first, second = (self.X, self.Y) if own == "X" else (self.Y, self.X)
-        if base is not None:
-            orb, place = first.index[base]
-            origin = orb.points[place]
         if kind in ("positive", "negative"):
             if base is not None:
                 whole = self.row(own, kind).cert
                 return (Row() if whole is None else
-                        Row(whole, whole.threshold_at(origin)))
+                        Row(whole, whole.threshold_at(base)))
             # absent when some primitive rectangle misses the other set
             try:
                 analysis = DominationAnalysis(self.frame, first, second,
@@ -138,15 +133,15 @@ class Analysis:
             return Row(analysis, analysis.threshold)
         if base is None:
             for orb in first.orbits:
-                for ints in orb.integers:
-                    found = self.row(own, kind, ints)
+                for p in orb.points:
+                    found = self.row(own, kind, p)
                     if found.cert is not None:
                         return found
                     if isinstance(found.error, SeedError):
                         break
             return Row()
         try:
-            st = build_staircase(self.frame, first, second, origin, kind)
+            st = build_staircase(self.frame, first, second, base, kind)
         except StaircaseError as err:
             return Row(error=err)
         return Row(st, incompleteness_threshold(st),
@@ -169,10 +164,8 @@ def analysis_of(geometry) -> Analysis:
     A, x_orbits, y_orbits = geometry
 
     def untwisted(orbits, role):
-        return MarkedSet(tuple(
-            Orbit(tuple((Fraction(X, k), Fraction(Y, k)) for k, X, Y in ints),
-                  len(ints), 0)
-            for ints in orbits), role)
+        return MarkedSet(tuple(Orbit(points, len(points), 0)
+                               for points in orbits), role)
 
     return Analysis(A, untwisted(x_orbits, "X"), untwisted(y_orbits, "Y"))
 
@@ -288,8 +281,9 @@ def classify(problem: SurgeryProblem) -> Verdict:
 # per-quadrant certificates
 
 
-def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
-    """Certificate for the quadrant at a marked point.
+def quadrant_report(problem: SurgeryProblem, point, quadrant: str):
+    """Certificate for the quadrant at a marked point, or a lift of one,
+    given as a point or a pair.
 
     Returns (status, evidence) with status CompleteCertified (the domination
     threshold is met by the other set's twists), IncompleteCertified (a
@@ -298,10 +292,11 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
     """
     contracting = quadrant_contracting(quadrant)
     shared = problem.analysis()
-    ints = base_integers(point)
-    if ints in problem.X.index:
+    k, X, Y = point = as_point(point)
+    base = k, X % k, Y % k
+    if base in problem.X.index:
         own_name, own, other = "X", problem.X, problem.Y
-    elif ints in problem.Y.index:
+    elif base in problem.Y.index:
         own_name, own, other = "Y", problem.Y, problem.X
     else:
         raise ValueError(f"{point} is not a marked point")
@@ -312,14 +307,14 @@ def quadrant_report(problem: SurgeryProblem, point: Point, quadrant: str):
     sign, direction = ("positive", 1) if contracting else ("negative", -1)
 
     complete = None
-    row = shared.row(own_name, sign, ints)
+    row = shared.row(own_name, sign, base)
     if row.cert is not None:
         tw = _twists(other)
         if _meets(tw, direction, row.threshold):
             complete = {"threshold": row.threshold, "other_twists": list(tw)}
 
     incomplete = None
-    row = shared.row(own_name, quadrant, ints)
+    row = shared.row(own_name, quadrant, base)
     if row.cert is not None:
         tw = _twists(own)
         if _meets(tw, -direction, row.threshold):

@@ -301,8 +301,7 @@ def _run_examples(out):
         A = HyperbolicMatrix.from_rows(rows)
         frame = eigenframe(A)
         X = marked_set(A, [(point(0, 0), 0)], "X")
-        halves = [point(0, Fraction(1, 2)), point(Fraction(1, 2), 0),
-                  point(Fraction(1, 2), Fraction(1, 2))]
+        halves = [point(0, "1/2"), point("1/2", 0), point("1/2", "1/2")]
         seeds, covered = [], set()
         for p in halves:                # the three points may share orbits
             if p not in covered:
@@ -324,7 +323,7 @@ def _run_examples(out):
         A = HyperbolicMatrix.from_rows(rows)
         frame = eigenframe(A)
         X = marked_set(A, [(point(0, 0), 0)], "X")
-        Y = marked_set(A, [(point(Fraction(1, 2), Fraction(1, 2)), 0)], "Y")
+        Y = marked_set(A, [(point("1/2", "1/2"), 0)], "Y")
         return all(disjoint_witness(frame, X, Y, sign) is not None
                    for sign in ("positive", "negative"))
 
@@ -339,7 +338,7 @@ def _run_examples(out):
         A = HyperbolicMatrix.from_rows(A2.power_rows(3))
         frame = eigenframe(A)
         X = marked_set(A, [(point(0, 0), 0)], "X")
-        Y = marked_set(A, [(point(Fraction(1, 2), Fraction(1, 2)), 0)], "Y")
+        Y = marked_set(A, [(point("1/2", "1/2"), 0)], "Y")
         mr = marked_rect(frame, X, point(0, 0), point(1, 0), "positive")
         return is_primitive(frame, mr, X) and not rect_meets(frame, mr, Y)
 

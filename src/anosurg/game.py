@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from .quadfield import QuadNum, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
-                    MarkedSet, Point, hits_in_box, quadrant_contracting,
-                    quadrant_view, QUADRANTS)
+                    MarkedSet, Point, as_point, hits_in_box, point_strings,
+                    quadrant_contracting, quadrant_view, QUADRANTS)
 from .rectangles import StripClimber, period_family
 
 DEFAULT_BUDGET = 10_000
@@ -96,9 +96,10 @@ class GameOutcome:
         return self.status == "Defined"
 
 
-def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
+def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
               budget: int = DEFAULT_BUDGET) -> GameOutcome:
-    """Run the crossing game from p with initial offset t0 up to height r."""
+    """Run the crossing game from p, a point or a pair, with initial offset
+    t0 up to height r."""
     view = quadrant_view(config.frame, config.quadrant)
     contracting = quadrant_contracting(config.quadrant)
     zero = view.lam * 0
@@ -109,6 +110,7 @@ def play_game(config: GameConfig, p: Point, t0: QuadNum, r: QuadNum,
     if budget < 1:
         raise GameError("budget must be at least 1")
 
+    p = as_point(p)
     sp, up = view.s(p), view.u(p)
     marked, rung = config.marked, config.frame.rung
     t = t0
@@ -135,7 +137,7 @@ def game_trace_records(outcome: GameOutcome) -> list:
     out = []
     for c in outcome.trace:
         out.append({
-            "base": [str(c.hit.base[0]), str(c.hit.base[1])],
+            "base": point_strings(c.hit.base),
             "lattice": list(c.hit.lattice),
             "height": qn_to_str(c.height),
             "offset": qn_to_str(c.offset),
@@ -203,16 +205,18 @@ class DominationAnalysis:
         self.threshold = max(self.threshold_at(orb.points[0])
                              for orb in X.orbits)
 
-    def threshold_at(self, base: Point) -> int:
-        """The least positive twist dominating every interval at one origin:
-        the value of its orbit, read at the orbit's first point."""
+    def threshold_at(self, base) -> int:
+        """The least positive twist dominating every interval at one origin,
+        a point or a pair: the value of its orbit, read at the orbit's first
+        point."""
         orb, _ = self.X.locate(base)
         return max(1, max(iv.least_n for iv in self.intervals(orb.points[0])))
 
-    def intervals(self, base: Point):
-        """The breakpoint intervals at one origin over one period, by mu;
-        an origin other than its orbit's first point is analysed when first
-        asked for."""
+    def intervals(self, base):
+        """The breakpoint intervals at one origin, a point or a pair, over
+        one period, by mu; an origin other than its orbit's first point is
+        analysed when first asked for."""
+        base = as_point(base)
         if base not in self._per_base:
             orb, _ = self.X.locate(base)
             self._per_base[base] = self._analyze_base(base, orb.period)

@@ -27,10 +27,12 @@ origin to the base point f_A^e(b).
 
 from __future__ import annotations
 
+from math import lcm
+
 from .quadfield import QuadNum, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
-                    MarkedSet, _integer_point, group_element, hits_in_box,
-                    sets_disjoint)
+                    MarkedSet, as_point, group_element, hits_in_box,
+                    point_strings, sets_disjoint)
 
 
 class MarkedRect:
@@ -76,18 +78,15 @@ class MarkedRect:
 
 def marked_rect(frame: EigenFrame, X: MarkedSet, origin_lift, endpoint_lift,
                 sign: str) -> MarkedRect:
-    """MarkedRect from two lifts (X/k, Y/k) of X given as rational points:
-    the base of each is (X % k, Y % k) / k, its lattice vector (X // k,
-    Y // k)."""
+    """MarkedRect from two lifts of X, points or pairs."""
     def hit_of(lift):
-        k, x, y = _integer_point(lift)
-        found = X.index.get((k, x % k, y % k))
+        lift = as_point(lift)
+        found = X.locate(lift)
         if found is None:
             raise ValueError(f"{lift} is not a lift of the marked set")
         orb, place = found
-        return MarkedPointHit(orb.points[place], (x // k, y // k),
-                              frame.s_int.at(x, y, k),
-                              frame.u_int.at(x, y, k), orb.twist)
+        return MarkedPointHit(orb.points[place], lift, frame.s(lift),
+                              frame.u(lift), orb.twist)
     return MarkedRect(sign, hit_of(origin_lift), hit_of(endpoint_lift))
 
 
@@ -258,7 +257,7 @@ class PeriodFamily:
             mu = h.u - s0
             if mu >= big:
                 return
-            yield mu, h.s - u0, MarkedPointHit(h.base, h.lattice, h.u, h.s,
+            yield mu, h.s - u0, MarkedPointHit(h.base, h.lift, h.u, h.s,
                                                h.twist)
 
     def __iter__(self):
@@ -317,15 +316,23 @@ def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):
             g = group_element(frame.matrix, e, base, orb.points[e % period])
             if g is None:
                 raise InvariantError("census origin outside its orbit")
-            mr = marked_rect(frame, X, g.apply(base), g.apply(corner.lift),
+            mr = marked_rect(frame, X, g.act(base), g.act(corner.lift),
                              sign)
-            key = (mr.origin.base, mr.endpoint.base, mr.endpoint.lattice)
+            key = (mr.origin.base, mr.endpoint.lift)
             if key in seen:
                 raise InvariantError("duplicate normalized representative")
             seen.add(key)
             reps.append(mr)
-    reps.sort(key=lambda r: (r.ls, r.lu, r.origin.base, r.endpoint.base,
-                             r.endpoint.lattice))
+    # ties in the lengths go by the bases' rational order: (k, x, y) is
+    # (x*(K//k), y*(K//k))/K over the lcm K of X's denominators
+    K = lcm(*(k for k, _, _ in X.index))
+
+    def rational(p):
+        k, x, y = p
+        return x * (K // k), y * (K // k)
+
+    reps.sort(key=lambda r: (r.ls, r.lu, rational(r.origin.base),
+                             rational(r.endpoint.base), r.endpoint.lattice))
     return reps
 
 
@@ -400,9 +407,9 @@ def census_records(reps) -> list:
     for mr in reps:
         out.append({
             "sign": mr.sign,
-            "origin": {"base": [str(mr.origin.base[0]), str(mr.origin.base[1])],
+            "origin": {"base": point_strings(mr.origin.base),
                        "lattice": list(mr.origin.lattice)},
-            "endpoint": {"base": [str(mr.endpoint.base[0]), str(mr.endpoint.base[1])],
+            "endpoint": {"base": point_strings(mr.endpoint.base),
                          "lattice": list(mr.endpoint.lattice)},
             "lengths": {"s": qn_to_str(mr.ls), "u": qn_to_str(mr.lu)},
             # every representative is already normalized: the identity

@@ -25,13 +25,11 @@ each extended level outright and nothing is left to check.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .quadfield import QuadNum, qn_to_str
 from .rectangles import StripClimber, period_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
-                    Point, QUADRANTS, _integer_point, group_element,
-                    hits_in_box, quadrant_contracting, quadrant_view)
+                    Point, QUADRANTS, as_point, group_element, hits_in_box,
+                    point_strings, quadrant_contracting, quadrant_view)
 
 # Levels the raw induction may reach before a period must have recurred
 MAX_LEVELS = 64
@@ -112,15 +110,17 @@ class Staircase:
 
     def _limit_point(self) -> Point:
         # the unique fixed point of g; the levels' heights contract toward its
-        # stable leaf, so its u-coordinate is the top of the axis
+        # stable leaf, so its u-coordinate is the top of the axis.  It is
+        # only evaluated and printed, so its k = |det| need not be least
         g = self.g
         (a, b), (c, d) = g.rows
         det = (1 - a) * (1 - d) - b * c
         if det == 0:
             raise InvariantError("recurring element has no fixed point")
         vx, vy = g.v
-        p = (Fraction((1 - d) * vx + b * vy, det),
-             Fraction(c * vx + (1 - a) * vy, det))
+        if det < 0:                     # so that k = |det| > 0
+            det, vx, vy = -det, -vx, -vy
+        p = (det, (1 - d) * vx + b * vy, c * vx + (1 - a) * vy)
         if self.view.u(p) <= self.view.u(self.origin):
             raise InvariantError("limit height is below the origin")
         return p
@@ -181,7 +181,7 @@ class Staircase:
         # box below the limit height.  When g slides the leaf left (or fixes
         # it), the g-image already covers the whole extended level including
         # its axis extension, so nothing is left to check.
-        sg = view.s(g.apply(self.origin))
+        sg = view.s(g.act(self.origin))
         if sg > s0 and hits_in_box(view, avoid, s0, sg, u0 + steps[-1].q_hi,
                                    u0 + self.axis_height,
                                    (True, False, True, False)):
@@ -228,7 +228,7 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
 
 
 def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
-               view: FrameView, orb: Orbit):
+               view: FrameView, orb: Orbit) -> Point:
     """Smallest primitive view-increasing rectangle at the origin lift with
     both diagonal corners in the origin's orbit orb, disjoint from the avoid
     set: the first member of the period family that qualifies."""
@@ -248,18 +248,17 @@ def _recurrence_break(steps, start: int, period: int, g, s_scale: QuadNum):
     the level's edge is g-equivariant."""
     for i in range(start, len(steps) - period):
         got, st = steps[i + period], steps[i]
-        if (_integer_point(got.delta_origin)
-                != g.act(*_integer_point(st.delta_origin))
-                or _integer_point(got.delta_endpoint)
-                != g.act(*_integer_point(st.delta_endpoint))
+        if (got.delta_origin != g.act(st.delta_origin)
+                or got.delta_endpoint != g.act(st.delta_endpoint)
                 or got.safety != st.safety * s_scale):
             return i
     return None
 
 
 def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
-                    origin: Point, quadrant: str) -> Staircase:
-    """Construct and verify the periodic staircase at the given origin lift."""
+                    origin, quadrant: str) -> Staircase:
+    """Construct and verify the periodic staircase at the given origin lift,
+    a point or a pair."""
     if quadrant not in QUADRANTS:
         raise ValueError(f"quadrant must be one of {QUADRANTS}")
     if avoid.is_empty():
@@ -267,7 +266,7 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
             "avoid set is empty: the pushed rectangles are undefined")
     A = frame.matrix
     view = quadrant_view(frame, quadrant)
-    origin = (Fraction(origin[0]), Fraction(origin[1]))
+    origin = as_point(origin)
     found = X.locate(origin)
     if found is None:
         raise ValueError("origin is not a lift of the marked set")
@@ -311,7 +310,7 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
         h = group_element(A, L - (L - shift(x_next)) % n, origin, x_next)
         if h is None:
             raise InvariantError("holonomy step does not chain")
-        steps.append(make_step(i + 1, x_next, h.apply(seed_end)))
+        steps.append(make_step(i + 1, x_next, h.act(seed_end)))
         powers.append(h.k)
 
     def recurring(last):
@@ -380,17 +379,17 @@ def staircase_records(st: Staircase) -> dict:
     """JSON-ready description of the staircase (exact values as strings)."""
     return {
         "quadrant": st.quadrant,
-        "origin": [str(st.origin[0]), str(st.origin[1])],
+        "origin": point_strings(st.origin),
         "preperiod": st.preperiod,
         "period": st.period,
         "recurring": {"power": st.g.k, "translation": list(st.g.v)},
         "growth_constant": qn_to_str(st.constant),
-        "limit_point": [str(st.limit[0]), str(st.limit[1])],
+        "limit_point": point_strings(st.limit),
         "axis_height": qn_to_str(st.axis_height),
         "levels": [{
             "index": s.index,
-            "delta_origin": [str(s.delta_origin[0]), str(s.delta_origin[1])],
-            "delta_endpoint": [str(s.delta_endpoint[0]), str(s.delta_endpoint[1])],
+            "delta_origin": point_strings(s.delta_origin),
+            "delta_endpoint": point_strings(s.delta_endpoint),
             "ds": qn_to_str(s.ds),
             "Ls": qn_to_str(s.Ls),
             "q_lo": qn_to_str(s.q_lo),

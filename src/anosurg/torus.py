@@ -6,6 +6,10 @@ usual (x, y) with the integer lattice; "eigen" coordinates (s, u) diagonalize
 A as (s, u) -> (lam^-1 s, lam u), so the stable foliation is horizontal and
 the unstable one vertical.  All conversions are exact in Q(sqrt(D)).
 
+A rational point is one data format from parse to print, the integers
+(k, X, Y) of (X/k, Y/k) (`Point`), on which f_A and the group <A> x| Z^2
+act with A's integer rows.
+
 Orientation convention: v_u = (1, slope_u) and v_s = (1, slope_s), both with
 positive first coordinate.  For positive matrices slope_u in (0, 1) and
 slope_s < 0, so the segment from (0,0) to (1,0) has increasing (s, u): the
@@ -74,16 +78,32 @@ class PeriodLimitError(ValueError):
 MAX_PERIOD = 10_000
 
 
-Point = tuple[Fraction, Fraction]  # rational point, standard coordinates
+# A rational point (x, y) of the plane, standard coordinates, as the
+# integers (k, X, Y) with (x, y) = (X/k, Y/k), k >= 1 the least common
+# denominator, so that gcd(k, X, Y) = 1; built by `point`
+Point = tuple[int, int, int]
 
 
 def point(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
+    """The point (x, y) of int, Fraction or 'p/q' coordinates: the one
+    place where numbers become a point."""
+    if isinstance(x, str) or isinstance(y, str):
+        x, y = Fraction(x), Fraction(y)
+    dx, dy = x.denominator, y.denominator
+    k = lcm(dx, dy)
+    return k, x.numerator * (k // dx), y.numerator * (k // dy)
 
 
-def mod1(p: Point) -> Point:
-    return (p[0] - (p[0].numerator // p[0].denominator),
-            p[1] - (p[1].numerator // p[1].denominator))
+def as_point(p) -> Point:
+    """p when it is a point, else the point of the pair p: the conversion
+    by which the entry points that take a point also take a pair."""
+    return p if len(p) == 3 else point(*p)
+
+
+def point_strings(p: Point) -> list:
+    """The coordinates as reduced rationals, as records print them."""
+    k, X, Y = p
+    return [str(Fraction(X, k)), str(Fraction(Y, k))]
 
 
 _set = object.__setattr__
@@ -113,7 +133,7 @@ class _Value:
 class _HashOnce(_Value):
     """A value record that computes its hash on first use and keeps it in a
     slot outside its `_key()`: orbits and marked sets key memo tables, and
-    their keys hold every point's Fractions."""
+    their keys hold every point's integers."""
 
     __slots__ = ("_hash",)
 
@@ -156,12 +176,6 @@ class HyperbolicMatrix(_Value):
 
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
-
-    def apply(self, p: Point) -> Point:
-        return (self.a * p[0] + self.b * p[1], self.c * p[0] + self.d * p[1])
-
-    def apply_mod1(self, p: Point) -> Point:
-        return mod1(self.apply(p))
 
     def power_rows(self, n: int):
         """Integer rows of A^n (n may be negative; det 1 so inverse is integral)."""
@@ -223,10 +237,6 @@ class IntForm:
     def at(self, X: int, Y: int, k: int) -> QuadNum:
         return _qn(self.px * X + self.py * Y, self.qx * X + self.qy * Y,
                    self.L * k, self.D)
-
-    def __call__(self, p) -> QuadNum:
-        k, X, Y = _integer_point(p)
-        return self.at(X, Y, k)
 
     def affine(self, sign: int, origin) -> tuple:
         """(a, b, c, e, f, g, h) such that sign*form - origin at (X/k, Y/k) is
@@ -291,12 +301,14 @@ class EigenFrame(_Value):
         return self.matrix
 
     def s(self, p) -> QuadNum:
-        """s of a point with int or Fraction coordinates."""
-        return self.s_int(p)
+        """s of a point, or of a pair of int or Fraction coordinates."""
+        k, X, Y = as_point(p)
+        return self.s_int.at(X, Y, k)
 
     def u(self, p) -> QuadNum:
-        """u of a point with int or Fraction coordinates."""
-        return self.u_int(p)
+        """u of a point, or of a pair of int or Fraction coordinates."""
+        k, X, Y = as_point(p)
+        return self.u_int.at(X, Y, k)
 
     def rung(self, n: int) -> tuple:
         """(lam^n, rows of A^-n), growing the ladder out to rung n."""
@@ -326,9 +338,8 @@ class EigenFrame(_Value):
 def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
     T = A.trace
     D = T * T - 4
-    half = Fraction(1, 2)
-    lam = QuadNum(Fraction(T, 2), half, D)
-    lam_inv = QuadNum(Fraction(T, 2), -half, D)
+    lam = _qn(T, 1, 2, D)               # (T + sqrt(D)) / 2
+    lam_inv = _qn(T, -1, 2, D)
     one = QuadNum(1, 0, D)
     # b != 0: otherwise the (integer) diagonal entries would be unit eigenvalues,
     # impossible for det 1, trace >= 3.
@@ -364,34 +375,35 @@ def _log2_fixed(x: QuadNum) -> int:
 # Periodic orbits and marked sets
 
 
-def orbit_of(A: HyperbolicMatrix, q: Point):
-    """Full f_A-orbit of a rational point and its exact period; raises
-    PeriodLimitError when the period exceeds MAX_PERIOD."""
-    q = mod1((Fraction(q[0]), Fraction(q[1])))
-    pts = [q]
-    cur = A.apply_mod1(q)
-    while cur != q:
+def orbit_of(A: HyperbolicMatrix, q):
+    """The f_A-orbit of q mod 1, q a point or a pair, as points (k, X, Y),
+    0 <= X, Y < k, and its period; f_A keeps k and steps (X, Y) to (aX +
+    bY, cX + dY) mod k.  Raises PeriodLimitError past MAX_PERIOD."""
+    k, X0, Y0 = as_point(q)
+    X0, Y0 = X0 % k, Y0 % k
+    a, b, c, d = A.a, A.b, A.c, A.d
+    pts = [(k, X0, Y0)]
+    X, Y = (a * X0 + b * Y0) % k, (c * X0 + d * Y0) % k
+    while X != X0 or Y != Y0:
         if len(pts) == MAX_PERIOD:
             raise PeriodLimitError(f"orbit period exceeds {MAX_PERIOD}")
-        pts.append(cur)
-        cur = A.apply_mod1(cur)
+        pts.append((k, X, Y))
+        X, Y = (a * X + b * Y) % k, (c * X + d * Y) % k
     return pts, len(pts)
 
 
 class Orbit(_HashOnce):
-    """A periodic orbit of f_A with its characteristic number.  `points` is
-    in f_A order: points[(i + 1) % period] = f_A(points[i]).  `box_lifts`
-    relies on it: a lift found at points[i] in a box renormalized by A^j
-    is A^j of a lift of points[(i - j) % period]."""
-    __slots__ = ("points", "period", "char", "integers")
+    """A periodic orbit of f_A with its characteristic number.  `points`,
+    the torus points (k, X, Y) with 0 <= X, Y < k, is in f_A order:
+    points[(i + 1) % period] = f_A(points[i]).  `box_lifts` relies on it:
+    a lift found at points[i] in a box renormalized by A^j is A^j of a
+    lift of points[(i - j) % period]."""
+    __slots__ = ("points", "period", "char")
 
     def __init__(self, points: tuple, period: int, char: int):
         _set(self, "points", points)      # tuple of Point, in f_A order
         _set(self, "period", period)
         _set(self, "char", char)          # signed characteristic number
-        # (k, X, Y) with point = (X/k, Y/k), k the common denominator: the
-        # keys of `MarkedSet.index`, from which the scan plan is built
-        _set(self, "integers", tuple(map(_integer_point, points)))
 
     def _key(self):
         return self.points, self.period, self.char
@@ -401,27 +413,11 @@ class Orbit(_HashOnce):
         return self.char * self.period
 
 
-def _integer_point(p) -> tuple:
-    """(k, X, Y) with p = (X/k, Y/k) and k the least common denominator of
-    p's int or Fraction coordinates."""
-    x, y = p
-    dx, dy = x.denominator, y.denominator
-    k = lcm(dx, dy)
-    return k, x.numerator * (k // dx), y.numerator * (k // dy)
-
-
-def base_integers(p) -> tuple:
-    """The (k, X, Y) of `Orbit.integers` for the torus point of p, a point
-    of the plane: p mod 1, reduced with integer %."""
-    k, X, Y = _integer_point(p)
-    return k, X % k, Y % k
-
-
 class MarkedSet(_HashOnce):
-    """Pairwise disjoint marked orbits.  `index` maps each point's (k, X, Y),
-    as in `Orbit.integers`, to (orbit, place): the orbit holding the point
-    and the point's index in its `points`.  It is the one lookup from a
-    lift to its orbit; building it checks that the orbits are disjoint.
+    """Pairwise disjoint marked orbits.  `index` maps each of their points
+    (k, X, Y) to (orbit, place): the orbit holding the point and the
+    point's index in its `points`.  It is the one lookup from a lift to its
+    orbit; building it checks that the orbits are disjoint.
     `plan` is the set's box-scan plan (`_scan_plan`); like `index`, it is a
     function of the orbits and stays out of `_key()`."""
     __slots__ = ("orbits", "role", "points", "index", "plan")
@@ -431,11 +427,10 @@ class MarkedSet(_HashOnce):
         for orb in orbits:
             if len(orb.points) != orb.period:
                 raise InvariantError("orbit cardinality != period")
-            for i, ints in enumerate(orb.integers):
-                if ints in index:
-                    raise InvariantError(
-                        f"orbits not pairwise disjoint at {orb.points[i]}")
-                index[ints] = orb, i
+            for i, p in enumerate(orb.points):
+                if p in index:
+                    raise InvariantError(f"orbits not pairwise disjoint at {p}")
+                index[p] = orb, i
         _set(self, "orbits", orbits)      # tuple of Orbit
         _set(self, "role", role)
         _set(self, "points", tuple(p for orb in orbits for p in orb.points))
@@ -449,9 +444,10 @@ class MarkedSet(_HashOnce):
         return not self.orbits
 
     def locate(self, p):
-        """(orbit, place) of the marked point of which p, an int or
-        Fraction point of the plane, is a lift, or None."""
-        return self.index.get(base_integers(p))
+        """(orbit, place) of the marked point of which p, a point of the
+        plane or a pair, is a lift, or None."""
+        k, X, Y = as_point(p)
+        return self.index.get((k, X % k, Y % k))
 
 
 # A set whose P points have the common denominator K > 1 is scanned as the
@@ -506,21 +502,21 @@ def sets_disjoint(X: MarkedSet, Y: MarkedSet) -> bool:
 
 
 class MarkedPointHit:
-    __slots__ = ("base", "lattice", "s", "u", "twist")
+    __slots__ = ("base", "lift", "s", "u", "twist")
 
-    def __init__(self, base: Point, lattice: tuple, s: QuadNum, u: QuadNum,
+    def __init__(self, base: Point, lift: Point, s: QuadNum, u: QuadNum,
                  twist: int):
-        self.base = base            # base point in [0,1)^2
-        self.lattice = lattice      # (m, n) in Z^2; lift = base + lattice
+        self.base = base            # marked point in [0,1)^2
+        self.lift = lift            # base + lattice, over base's k
         self.s = s
         self.u = u
         self.twist = twist
 
     @property
-    def lift(self) -> Point:
-        (x, y), (m, n) = self.base, self.lattice
-        return (Fraction(x.numerator + m * x.denominator, x.denominator),
-                Fraction(y.numerator + n * y.denominator, y.denominator))
+    def lattice(self) -> tuple:
+        """(m, n) in Z^2 with lift = base + (m, n)."""
+        k, X, Y = self.lift
+        return X // k, Y // k
 
 
 def _log2(n: int) -> int:
@@ -655,9 +651,9 @@ def hits_in_box(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     per-edge inclusion as in `box_lifts`, as hits whose exact s and u are
     view coordinates.  The hits come in no particular order."""
     s_int, ss, u_int, su = view.forms
-    return [MarkedPointHit(base, lattice, s_int.at(ss * X, ss * Y, k),
+    return [MarkedPointHit(base, (k, X, Y), s_int.at(ss * X, ss * Y, k),
                            u_int.at(su * X, su * Y, k), twist)
-            for base, lattice, k, X, Y, twist in box_lifts(
+            for base, _, k, X, Y, twist in box_lifts(
                 view.frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi,
                                             include))]
 
@@ -785,9 +781,8 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
 class GroupElement(_Value):
     """p |-> A^k p + v, for integer k and integer vector v.  `rows`, the
     integer rows of A^k, are a function of A and k and stay out of
-    `_key()`.  It acts on a point's integers (k, X, Y), as in
-    `_integer_point`: A^k is in SL(2, Z), so the image keeps the least
-    common denominator k."""
+    `_key()`.  A^k is in SL(2, Z), so the image of a point (k, X, Y) keeps
+    the least common denominator k."""
     __slots__ = ("A", "k", "v", "rows")
 
     def __init__(self, A: HyperbolicMatrix, k: int, v: tuple, rows):
@@ -799,25 +794,23 @@ class GroupElement(_Value):
     def _key(self):
         return self.A, self.k, self.v
 
-    def act(self, k: int, X: int, Y: int) -> tuple:
-        """(k, X', Y') of the image of the point (X/k, Y/k)."""
+    def act(self, p: Point) -> Point:
+        """The image of the point p."""
+        k, X, Y = p
         (a, b), (c, d) = self.rows
         v0, v1 = self.v
         return k, a * X + b * Y + v0 * k, c * X + d * Y + v1 * k
 
-    def apply(self, p: Point) -> Point:
-        k, X, Y = self.act(*_integer_point(p))
-        return Fraction(X, k), Fraction(Y, k)
 
-
-def group_element(A: HyperbolicMatrix, k: int, src: Point,
-                  dst: Point) -> GroupElement | None:
-    """The element A^k + v mapping the lift src to dst, or None when the
-    translation v is not integral.  A^k and integer translations keep a
-    point's least common denominator, so there is none when src and dst
-    have different ones; otherwise v is read off with `divmod`."""
-    K, X, Y = _integer_point(src)
-    K2, X2, Y2 = _integer_point(dst)
+def group_element(A: HyperbolicMatrix, k: int, src,
+                  dst) -> GroupElement | None:
+    """The element A^k + v mapping the lift src to dst, points or pairs,
+    or None when the translation v is not integral.  A^k and integer
+    translations keep a point's least common denominator, so there is none
+    when src and dst have different ones; otherwise v is read off with
+    `divmod`."""
+    K, X, Y = as_point(src)
+    K2, X2, Y2 = as_point(dst)
     if K != K2:
         return None
     rows = A.power_rows(k)
@@ -840,7 +833,8 @@ class FrameView:
     so a climb in its u is a walk along the frame's s (`transposed`).  The
     view decides once, when it is built, what the transposition changes:
     `forms` holds the integer form and the sign of the view's s and of its
-    u, and a transposed view's `box` swaps the flipped bounds.
+    u, and a transposed view's `box` swaps the flipped bounds.  s and u
+    take a point or a pair.
     """
 
     def __init__(self, frame: EigenFrame, flip_s: bool = False,
@@ -858,12 +852,12 @@ class FrameView:
 
     def s(self, p) -> QuadNum:
         s_int, ss, _, _ = self.forms
-        k, X, Y = _integer_point(p)
+        k, X, Y = as_point(p)
         return s_int.at(ss * X, ss * Y, k)
 
     def u(self, p) -> QuadNum:
         _, _, u_int, su = self.forms
-        k, X, Y = _integer_point(p)
+        k, X, Y = as_point(p)
         return u_int.at(su * X, su * Y, k)
 
     def transposed(self, reverse: bool = False) -> FrameView:

@@ -9,9 +9,46 @@ check rather than a tautology.
 from fractions import Fraction
 import math
 
-from anosurg import StairStep, qn_pow
+from anosurg import StairStep, point, qn_pow, torus
 from anosurg.quadfield import _parts, _sign
-from anosurg.torus import _log_ratio
+from anosurg.torus import PeriodLimitError, _log_ratio
+
+
+def pair(p):
+    """The Fraction coordinates (x, y) of the engine's point p = (k, X, Y):
+    the one conversion from the engine's points to the oracles' pairs."""
+    k, X, Y = p
+    return Fraction(X, k), Fraction(Y, k)
+
+
+def mod1(p):
+    """The torus point of a pair, its coordinates reduced into [0, 1)."""
+    return (p[0] - math.floor(p[0]), p[1] - math.floor(p[1]))
+
+
+def apply(A, p):
+    """A p for a pair p of int or Fraction coordinates."""
+    return (A.a * p[0] + A.b * p[1], A.c * p[0] + A.d * p[1])
+
+
+def apply_mod1(A, p):
+    """f_A of a pair: A p reduced mod 1."""
+    return mod1(apply(A, p))
+
+
+def oracle_orbit(A, q):
+    """(points, period) of the f_A-orbit of the pair q, stepped on
+    Fractions with `apply_mod1`: the points are pairs in [0, 1)^2, in f_A
+    order.  Raises PeriodLimitError past `torus.MAX_PERIOD` points."""
+    q = mod1((Fraction(q[0]), Fraction(q[1])))
+    pts = [q]
+    cur = apply_mod1(A, q)
+    while cur != q:
+        if len(pts) == torus.MAX_PERIOD:
+            raise PeriodLimitError(f"orbit period exceeds {torus.MAX_PERIOD}")
+        pts.append(cur)
+        cur = apply_mod1(A, cur)
+    return pts, len(pts)
 
 
 def oracle_point(frame, s, u):
@@ -61,9 +98,10 @@ def oracle_hits(frame, mset, s_lo, s_hi, u_lo, u_hi,
     out = []
     for orb in mset.orbits:
         for base in orb.points:
+            x, y = pair(base)
             for kx in range(x0, x1 + 1):
                 for ky in rows(base, kx) if rows else range(y0, y1 + 1):
-                    lift = (base[0] + kx, base[1] + ky)
+                    lift = (x + kx, y + ky)
                     s, u = frame.s(lift), frame.u(lift)
                     if not ((s > s_lo or (lo_s and s == s_lo)) and
                             (s < s_hi or (hi_s and s == s_hi))):
@@ -155,7 +193,7 @@ def staircase_step(st, i):
     base = st.steps[st.preperiod + (i - st.preperiod) % st.period]
     o, e = base.delta_origin, base.delta_endpoint
     for _ in range(m):
-        o, e = st.g.apply(o), st.g.apply(e)
+        o, e = st.g.act(o), st.g.act(e)
     s0, u0 = view.s(st.origin), view.u(st.origin)
     return StairStep(i, o, e, view.s(e) - view.s(o), view.s(e) - s0,
                      view.u(o) - u0, view.u(e) - u0,
@@ -207,17 +245,13 @@ def _group_element(A, k, src, dst):
     return M, (int(v[0]), int(v[1]))
 
 
-def _frac_mod1(p):
-    return (p[0] - math.floor(p[0]), p[1] - math.floor(p[1]))
-
-
 def _least_power(A, src, dst):
     """Least k >= 0 with f_A^k(src mod 1) = dst mod 1, by iteration."""
-    a, b = _frac_mod1(src), _frac_mod1(dst)
+    a, b = mod1(src), mod1(dst)
     k = 0
     while a != b:
-        a, k = _frac_mod1(A.apply(a)), k + 1
-        assert a != _frac_mod1(src), "lifts lie in different orbits"
+        a, k = apply_mod1(A, a), k + 1
+        assert a != mod1(src), "lifts lie in different orbits"
     return k
 
 
@@ -233,9 +267,9 @@ def oracle_staircase_levels(st):
     force over doubling widths."""
     A, lam = st.view.frame.matrix, st.view.lam
     coords = _QuadrantCoords(st.view.frame, st.quadrant)
-    origin, seed_end = st.origin, st.steps[0].delta_endpoint
+    origin, seed_end = pair(st.origin), pair(st.steps[0].delta_endpoint)
     n = next(len(orb.points) for orb in st.X.orbits
-             if _frac_mod1(origin) in orb.points)
+             if mod1(origin) in map(pair, orb.points))
     s0, u0 = coords.s(origin), coords.u(origin)
     rho0 = coords.u(seed_end) - u0
     width, hits = 1, []
@@ -261,7 +295,7 @@ def oracle_staircase_levels(st):
         fix = _group_element(A, n, x_next, x_next)
         h = _group_compose(_group_power(fix, -k), gi)
         levels.append((_group_act(h, o_lift), _group_act(h, e_lift)))
-    return levels
+    return [(point(*o), point(*e)) for o, e in levels]
 
 
 def equation_holds(analysis, base, t, n):

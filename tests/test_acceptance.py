@@ -26,7 +26,7 @@ from anosurg import (DominationAnalysis, FrameView, GameConfig, QuadNum,
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
-from oracles import (census_keys, equation_holds, oracle_hits,
+from oracles import (apply_mod1, census_keys, equation_holds, oracle_hits,
                      oracle_primitive_census)
 from test_classify import (FLIP_STATUS, a2_problem, antidiagonal_flip,
                            c3_problem, role_swap)
@@ -122,7 +122,7 @@ def test_game_identity_and_renormalization_equivariance():
             # the A-image run sees every height and final offset scaled by
             # the corresponding power of the expansion factor
             base = play_game(twisted_cfg, p, t0, r)
-            img = play_game(twisted_cfg, A2.apply_mod1(p), t0 / lam, r * lam)
+            img = play_game(twisted_cfg, apply_mod1(A2, p), t0 / lam, r * lam)
             assert img.status == base.status
             assert len(img.trace) == len(base.trace)
             for c, ci in zip(base.trace, img.trace):

@@ -12,13 +12,14 @@ from fractions import Fraction
 import pytest
 
 from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem, case_profile,
-                     classify, eigenframe, marked_set, mod1, orbit_of, point,
+                     classify, eigenframe, marked_set, orbit_of, point,
                      quadrant_report, verdict_records)
 from anosurg.classify import analysis_of
 from anosurg.torus import _mat_mul
 from anosurg.cli import FIXTURES, load_problem, main
 
 from conftest import A2, A3, B2, C3, HALF, zero_orbit_set
+from oracles import mod1, pair
 
 
 def problem(A, x_seeds, y_seeds):
@@ -46,7 +47,7 @@ def antidiagonal_flip(prob):
     flipped = HyperbolicMatrix(A.d, A.c, A.b, A.a)
 
     def move(mset, role):
-        seeds = [((orb.points[0][1], orb.points[0][0]), -orb.char)
+        seeds = [(pair(orb.points[0])[::-1], -orb.char)
                  for orb in mset.orbits]
         return marked_set(flipped, seeds, role)
 
@@ -234,8 +235,8 @@ class TestSharedAnalysis:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({
             "matrix": [list(row) for row in A.rows()],
-            "sets": [{"point": [str(p[0]), str(p[1])], "role": "X"},
-                     {"point": [str(q[0]), str(q[1])], "role": "Y"}]}))
+            "sets": [{"point": list(map(str, pair(p))), "role": "X"},
+                     {"point": list(map(str, pair(q))), "role": "Y"}]}))
         assert main(["thresholds", str(path)]) == 0
         printed = json.loads(capsys.readouterr().out)
         for v in verdicts:
@@ -419,7 +420,7 @@ def per_origin_thresholds(prob):
     return {(own, kind, ints): analysis.row(own, kind, ints).threshold
             for own, mset in (("X", prob.X), ("Y", prob.Y))
             for kind in ROW_KINDS
-            for orb in mset.orbits for ints in orb.integers}
+            for orb in mset.orbits for ints in orb.points}
 
 
 class TestReseeding:
@@ -469,7 +470,7 @@ def conjugate(prob, word):
     def move(mset):
         seeds = []
         for orb in mset.orbits:
-            x, y = orb.points[0]
+            x, y = pair(orb.points[0])
             seeds.append((mod1((a * x + b * y, c * x + d * y)), orb.char))
         return marked_set(A, seeds, mset.role)
 
@@ -481,7 +482,7 @@ def orbit_thresholds(prob):
     orbit's points}, read through `Analysis.row(own, kind, base)`."""
     analysis = prob.analysis()
     return {(own, i, kind): Counter(analysis.row(own, kind, ints).threshold
-                                    for ints in orb.integers)
+                                    for ints in orb.points)
             for own, mset in (("X", prob.X), ("Y", prob.Y))
             for i, orb in enumerate(mset.orbits) for kind in ROW_KINDS}
 

@@ -2,8 +2,10 @@
 equivariance properties, monotonicity, the frozen threshold for the
 golden-mean geometry, and the grid soundness check."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,8 @@ from anosurg.rectangles import period_family
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
-from oracles import OracleQuad, equation_holds, oracle_game
+from oracles import (OracleQuad, apply_mod1, equation_holds, oracle_game,
+                     pair)
 
 
 def a2_config(frame, x_char=0, y_char=0, quadrant="++"):
@@ -78,7 +81,7 @@ class TestGameBasics:
             t0 = QuadNum(Fraction(rng.randint(1, 30), 10), 0, 5)
             r = QuadNum(Fraction(rng.randint(1, 20), 10), 0, 5)
             out = play_game(cfg, p, t0, r)
-            img = play_game(cfg, A2.apply_mod1(p), t0 / lam, r * lam)
+            img = play_game(cfg, apply_mod1(A2, p), t0 / lam, r * lam)
             assert img.status == out.status
             assert len(img.trace) == len(out.trace)
             for c, ci in zip(out.trace, img.trace):
@@ -357,7 +360,7 @@ class TestDomination:
             with pytest.raises(DominationHypothesisError) as exc:
                 DominationAnalysis(eigenframe(A), X, Y, sign=sign)
             base, corner = exc.value.witness
-            assert (base, corner.lift) == (x, lift), (A, x, sign)
+            assert (base, pair(corner.lift)) == (x, lift), (A, x, sign)
 
     def test_hypothesis_fails_exactly_when_the_profile_is_disjoint(self):
         # DominationAnalysis(own, other, sign) and the profile boolean
@@ -411,6 +414,33 @@ def origin_misses(view, own, other, base, period):
     s0, u0 = view.s(base), view.u(base)
     return any(not hits_in_box(view, other, s0, h.s, u0, h.u)
                for _, _, h in period_family(view, own, base, period))
+
+
+_RECORD = Path(__file__).resolve().parent.parent / "bench" / "record.py"
+_spec = importlib.util.spec_from_file_location("record", _RECORD)
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
+
+
+class TestFailingAnalysisScaling:
+    """The work of a failing domination analysis, counted without a clock:
+    on bench/record.py's long-orbit problems it reads one member of one
+    period family, whatever the period."""
+
+    @pytest.mark.parametrize("sign", ["positive", "negative"])
+    @pytest.mark.parametrize("q, period", [(97, 98), (175, 200), (254, 384),
+                                           (4001, 1000), (2003, 2004)])
+    def test_a_failing_analysis_reads_one_member(self, q, period, sign):
+        A, sets, _ = load_problem(record.long_orbit(q))
+        X, Y = sets["X"], sets["Y"]
+        (orb,) = X.orbits
+        assert orb.period == period
+        frame = eigenframe(A)
+        with pytest.raises(DominationHypothesisError):
+            DominationAnalysis(frame, X, Y, sign=sign)
+        key = (False, sign == "negative", X, orb.points[0], period)
+        assert list(frame.families) == [key]
+        assert len(frame.families[key].members) == 1
 
 
 def per_origin_threshold(analysis, base):

@@ -4,8 +4,9 @@ oracle on big coefficients, correctly rounded float conversion (exact, and
 from a fixed-point square root with an exact fallback), the eigenframe's
 exact integer logarithm to base lam and the error bounds of its estimate,
 the absence of floats from the engine's decisions, of powers and
-logarithms outside the eigenframe and of Fraction arithmetic from
-staircases, the census and the group action, the period family as the only caller of
+logarithms outside the eigenframe and of Fraction arithmetic after parsing
+(loading a problem, classification and quadrant reports, staircases, the
+census, games and the group action), the period family as the only caller of
 the primitive-family walk, and the eigenframe as the only geometry
 argument of the public API."""
 
@@ -22,11 +23,15 @@ from hypothesis import given, strategies as st
 
 import anosurg
 from anosurg import quadfield, torus
-from anosurg import (HyperbolicMatrix, QuadFieldError, QuadNum,
-                     build_staircase, eigenframe, enumerate_primitive,
-                     qn_floor, qn_from_str, qn_pow, qn_to_str)
+from anosurg import (GameConfig, HyperbolicMatrix, QuadFieldError, QuadNum,
+                     SurgeryProblem, build_staircase, classify, eigenframe,
+                     enumerate_primitive, play_game, qn_floor, qn_from_str,
+                     qn_pow, qn_to_str, quadrant_report)
+from anosurg.classify import analysis_of
 from anosurg.cli import FIXTURES, load_problem
-from anosurg.torus import group_element
+from anosurg.torus import group_element, point
+
+from conftest import A2, half_orbit_set, zero_orbit_set
 
 from oracles import (OracleQuad, _group_act, _group_power, oracle_log2_bounds,
                      oracle_log_floor)
@@ -491,10 +496,62 @@ def counted_fraction_operators(monkeypatch):
     return calls
 
 
+# A2 with X the period-98 orbit of (1/97, 0) at +1 and Y the (0,0) orbit
+# at -1, and the fixtures
+PERIOD_98 = {"matrix": [[2, 1], [1, 1]], "sets": [
+    {"point": ["1/97", "0"], "characteristic_number": 1, "role": "X"},
+    {"point": ["0", "0"], "characteristic_number": -1, "role": "Y"}]}
+PROBLEMS = {**FIXTURES, "period_98": PERIOD_98}
+
+
 class TestNoFractionArithmetic:
-    """Lifts are integers (k, X, Y) with the point (X/k, Y/k): staircases,
-    the census and the group action build the Fractions of their public
-    fields and compute with none."""
+    """Points are integers (k, X, Y) with the point (X/k, Y/k) from parse
+    to print: after the parser has read a coordinate, nothing computes with
+    a Fraction."""
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_loading_a_problem_computes_with_no_fraction(self, monkeypatch,
+                                                         name):
+        calls = counted_fraction_operators(monkeypatch)
+        _, sets, _ = load_problem(PROBLEMS[name])
+        assert calls == []
+        assert sets["X"].points and sets["Y"].points
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_a_classification_computes_with_no_fraction(self, monkeypatch,
+                                                        name):
+        A, sets, _ = load_problem(PROBLEMS[name])
+        problem = SurgeryProblem(A, sets["X"], sets["Y"])
+        analysis_of.cache_clear()       # so that the analysis is counted
+        calls = counted_fraction_operators(monkeypatch)
+        verdict = classify(problem)
+        reports = [quadrant_report(problem, (Fraction(0), Fraction(0)), q)
+                   for q in ("++", "+-")]
+        assert calls == []
+        assert verdict.rule != "sign-rule" and len(reports) == 2
+
+    def test_a_long_orbit_census_computes_with_no_fraction(self,
+                                                           monkeypatch):
+        A, sets, _ = load_problem(PERIOD_98)
+        frame = eigenframe(A)
+        calls = counted_fraction_operators(monkeypatch)
+        reps = [enumerate_primitive(frame, sets["X"], sign)
+                for sign in ("positive", "negative")]
+        assert calls == []
+        assert all(reps)
+
+    def test_a_game_from_a_fraction_pair_computes_with_no_fraction(
+            self, monkeypatch):
+        frame = eigenframe(A2)
+        config = GameConfig(frame, (zero_orbit_set(A2, 1),
+                                    half_orbit_set(A2, 2)), "++")
+        lam2 = frame.lam * frame.lam
+        t0, r = 1 + (lam2 - 1) * Fraction(1, 3), lam2 * Fraction(7, 3)
+        calls = counted_fraction_operators(monkeypatch)
+        outcome = play_game(config, (Fraction(0), Fraction(0)), t0, r,
+                            budget=400)
+        assert calls == []
+        assert outcome.trace
 
     @pytest.mark.parametrize("fixture, quadrant", [
         ("b2_half", "++"), ("b2_half", "+-"), ("case3", "++")])
@@ -525,7 +582,7 @@ class TestNoFractionArithmetic:
                                  (k, 1 - k)), src)) for k in range(-4, 5)]
         calls = counted_fraction_operators(monkeypatch)
         for k, dst in moves:
-            assert group_element(A, k, src, dst).apply(p)
+            assert group_element(A, k, src, dst).act(point(*p))
             assert group_element(A, k, src, p) is None
         assert calls == []
 

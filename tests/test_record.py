@@ -84,6 +84,12 @@ def test_parse_game_seconds_reads_the_play_game_line():
         record.parse_game_seconds("")
 
 
+def test_parse_load_seconds_reads_the_load_problem_line():
+    assert record.parse_load_seconds("load_problem 0.002641 s\n") == 0.002641
+    with pytest.raises(ValueError):
+        record.parse_load_seconds("play_game 400 crossings 0.25 s\n")
+
+
 def test_parse_pytest_summary_keeps_failures_and_errors():
     out = "....\n323 passed, 1 warning in 33.84s\n"
     assert record.parse_pytest_summary(out) == {
@@ -173,4 +179,6 @@ def test_every_problem_is_named_by_a_command_and_loads():
         config = GameConfig(eigenframe(A), (sets["X"], sets["Y"]), "++")
         plans[name] = len(sets["X"].plan), len(config.marked.plan)
     assert plans == {"PERIOD_98": (98, 99), "PERIOD_200": (200, 201),
-                     "PERIOD_384": (384, 385), "UNDERTWISTED_A2": (1, 1)}
+                     "PERIOD_384": (384, 385), "PERIOD_1000": (1000, 1001),
+                     "PERIOD_2004": (2004, 2005), "UNDERTWISTED_A2": (1, 1)}
+    assert set(record.LOADS) <= set(record.PROBLEMS)

@@ -20,7 +20,7 @@ from anosurg.staircase import _first_contact
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
 from oracles import (_QuadrantCoords, index_of_height, oracle_hits,
-                     oracle_staircase_levels, staircase_step)
+                     oracle_staircase_levels, pair, staircase_step)
 
 
 class TestB2Structure:
@@ -30,7 +30,7 @@ class TestB2Structure:
         assert (st.g.k, st.g.v) == (-1, (2, -3))
         assert incompleteness_threshold(st) == 2
         assert st.view.lam < st.constant < st.view.lam * st.view.lam
-        assert st.limit == (Fraction(0), Fraction(1, 4))
+        assert pair(st.limit) == (Fraction(0), Fraction(1, 4))
 
     def test_axis_height_is_exact_limit_height(self, b2_staircase):
         st = b2_staircase
@@ -53,8 +53,8 @@ class TestB2Structure:
         st = b2_staircase
         for i in range(len(st.steps) - st.period):
             ext = staircase_step(st, i + st.period)
-            img_o = st.g.apply(staircase_step(st, i).delta_origin)
-            img_e = st.g.apply(staircase_step(st, i).delta_endpoint)
+            img_o = st.g.act(staircase_step(st, i).delta_origin)
+            img_e = st.g.act(staircase_step(st, i).delta_endpoint)
             if i >= st.preperiod:
                 assert (ext.delta_origin, ext.delta_endpoint) == (img_o, img_e)
         # beyond the stored range the steps keep tiling the axis
@@ -93,7 +93,8 @@ class TestB2Structure:
         v = min(((a, b) for a in range(-3, 4) for b in range(-3, 4)
                  if view.s((a, b)) > 0 and view.u((a, b)) > 0),
                 key=lambda ab: view.s(ab) + view.u(ab))
-        e = (last.delta_endpoint[0] + v[0], last.delta_endpoint[1] + v[1])
+        x, y = pair(last.delta_endpoint)
+        e = point(x + v[0], y + v[1])
         s0, u0 = view.s(st.origin), view.u(st.origin)
         tampered = self._with_last_level(
             st, delta_endpoint=e, ds=view.s(e) - view.s(last.delta_origin),
@@ -231,7 +232,8 @@ class TestAEquivariance:
 
         def image(p):
             (a, b), (c, d) = A2.rows()
-            return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+            x, y = pair(p)
+            return point(a * x + b * y, c * x + d * y)
 
         b = point(HALF, HALF)
         at_b = period_family(view, Y, b, 3)
@@ -249,15 +251,15 @@ class TestAEquivariance:
                                                                        6.492]
         at = build_staircase(frame_a2, Y, X, b, "++")
         seed = at.steps[0]
-        assert seed.delta_endpoint == (3, Fraction(-7, 2))
+        assert pair(seed.delta_endpoint) == (3, Fraction(-7, 2))
         assert round(float(seed.ds), 2) == 2.48
         assert incompleteness_threshold(at) == 2
         # the seed's image at A b = (3/2, 1) has base length 0.947, below the
         # period that the seed search reads there
-        assert image(b) == (Fraction(3, 2), 1)
+        assert pair(image(b)) == (Fraction(3, 2), 1)
         assert round(float(seed.ds / lam), 3) == 0.947
         moved = build_staircase(frame_a2, Y, X, image(b), "++")
-        assert moved.steps[0].delta_endpoint == (8, Fraction(-19, 2))
+        assert pair(moved.steps[0].delta_endpoint) == (8, Fraction(-19, 2))
         assert round(float(moved.steps[0].ds), 2) == 6.49
         assert incompleteness_threshold(moved) == 3
 

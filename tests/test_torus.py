@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from anosurg import (GameConfig, InvariantError, MarkedSet, Orbit,
                      QUADRANTS, QuadNum, UnsupportedMatrixError, eigenframe,
-                     game, hits_in_box, marked_set, mod1, orbit_of, play_game,
+                     game, hits_in_box, marked_set, orbit_of, play_game,
                      point, qn_floor, qn_pow,
                      quadrant_contracting, quadrant_view, sets_disjoint,
                      torus)
@@ -23,9 +23,10 @@ from anosurg.cli import FIXTURES, load_problem
 
 from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
                       zero_orbit_set)
-from oracles import (_QuadrantCoords, _group_act, _group_power, balance_power,
-                     oracle_band_hits, oracle_hits, oracle_log_floor,
-                     oracle_point)
+from oracles import (_QuadrantCoords, _group_act, _group_power, apply,
+                     apply_mod1, balance_power, mod1, oracle_band_hits,
+                     oracle_hits, oracle_log_floor, oracle_orbit,
+                     oracle_point, pair)
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
@@ -91,7 +92,7 @@ class TestMatricesAndFrames:
     def test_diagonal_action(self, x, y):
         frame = eigenframe(C3)
         p = (x, y)
-        ap = C3.apply(p)
+        ap = apply(C3, p)
         assert frame.s(ap) == frame.lam_inv * frame.s(p)
         assert frame.u(ap) == frame.lam * frame.u(p)
 
@@ -104,10 +105,11 @@ class TestOrbits:
 
     def test_orbit_closure(self):
         pts, period = orbit_of(A2, point(HALF, HALF))
+        pts = [pair(p) for p in pts]
         assert set(pts) == {(HALF, HALF), (HALF, Fraction(0)),
                             (Fraction(0), HALF)}
         for p in pts:
-            assert A2.apply_mod1(p) in pts
+            assert apply_mod1(A2, p) in pts
 
     def test_twist_is_char_times_period(self):
         mset = marked_set(A2, [(point(HALF, HALF), 2)], "Y")
@@ -118,13 +120,56 @@ class TestOrbits:
             marked_set(A2, [(point(HALF, HALF), 1), (point(HALF, 0), 1)])
 
 
+# the seven matrices of the certificate sweeps, and integer shifts that
+# move a torus point's seed below 0 or above 1
+SWEEP_MATRICES = [HyperbolicMatrix(*entries) for entries in (
+    (2, 1, 1, 1), (3, 2, 1, 1), (3, 2, 4, 3), (5, 2, 2, 1), (3, 1, 2, 1),
+    (5, 4, 1, 1), (4, 5, -1, -1))]
+SEED_SHIFTS = ((0, 0), (-1, 2), (3, -2), (-2, -1))
+
+
+class TestOrbitOracle:
+    """`orbit_of` steps a point's integers mod k; `oracles.oracle_orbit`
+    steps Fractions with A p mod 1.  Both list the same points in the same
+    f_A order."""
+
+    @pytest.mark.parametrize("A", SWEEP_MATRICES, ids=lambda A: str(A.rows()))
+    def test_every_seed_of_denominator_at_most_12(self, A):
+        for q in range(1, 13):
+            for a, b in itertools.product(range(q), repeat=2):
+                m, n = SEED_SHIFTS[(a + b) % 4]
+                seed = (Fraction(a, q) + m, Fraction(b, q) + n)
+                pts, period = orbit_of(A, seed)
+                assert ([pair(p) for p in pts], period) == \
+                    oracle_orbit(A, seed), (seed, A.rows())
+                assert orbit_of(A, point(*seed)) == (pts, period)
+
+    @pytest.mark.parametrize("q, period", [(4001, 1000), (2003, 2004)])
+    def test_long_orbits(self, q, period):
+        pts, got = orbit_of(A2, (Fraction(1, q), 0))
+        assert got == period
+        assert ([pair(p) for p in pts], got) == \
+            oracle_orbit(A2, (Fraction(1, q), 0))
+
+    def test_the_period_limit_still_holds(self, monkeypatch):
+        seed = point(Fraction(1, 97), 0)            # period 98
+        monkeypatch.setattr(torus, "MAX_PERIOD", 98)
+        assert orbit_of(A2, seed)[1] == 98
+        monkeypatch.setattr(torus, "MAX_PERIOD", 97)
+        with pytest.raises(torus.PeriodLimitError, match="exceeds 97"):
+            orbit_of(A2, seed)
+        with pytest.raises(torus.PeriodLimitError, match="exceeds 97"):
+            oracle_orbit(A2, pair(seed))
+
+
 def scanned_place(mset, p):
     """(orbit, place) of p's base point by a linear scan of each orbit's
     points, or None."""
     base = mod1((Fraction(p[0]), Fraction(p[1])))
     for orb in mset.orbits:
-        if base in orb.points:
-            return orb, orb.points.index(base)
+        points = [pair(q) for q in orb.points]
+        if base in points:
+            return orb, points.index(base)
     return None
 
 
@@ -141,18 +186,20 @@ class TestMarkedSetIndex:
     def test_locate_agrees_with_a_scan_on_every_lift(self, mset):
         assert len(mset.index) == len(mset.points)
         for p in mset.points:
+            x, y = pair(p)
             for m, n in itertools.product(range(-3, 4), repeat=2):
-                lift = (p[0] + m, p[1] + n)
+                lift = (x + m, y + n)
                 want = scanned_place(mset, lift)
                 assert want is not None and want[0].points[want[1]] == p
                 assert mset.locate(lift) == want
+                assert mset.locate(point(*lift)) == want
                 if lift[0].denominator == lift[1].denominator == 1:
                     assert mset.locate((int(lift[0]), int(lift[1]))) == want
 
     def test_the_period_98_orbit_is_indexed(self):
         (orb,) = self.SETS[0].orbits
         assert orb.period == 98
-        assert [self.SETS[0].index[i] for i in orb.integers] == \
+        assert [self.SETS[0].index[i] for i in orb.points] == \
             [(orb, i) for i in range(98)]
 
     @pytest.mark.parametrize("p", [(Fraction(1, 3), 0), (1, 2),
@@ -168,8 +215,7 @@ class TestMarkedSetIndex:
     def test_overlapping_orbits_name_the_shared_point(self):
         half, = marked_set(A2, [(point(HALF, HALF), 1)]).orbits
         zero, = zero_orbit_set(A2).orbits
-        with pytest.raises(InvariantError, match=r"disjoint at \(Fraction"
-                           r"\(1, 2\), Fraction\(1, 2\)\)"):
+        with pytest.raises(InvariantError, match=r"disjoint at \(2, 1, 1\)"):
             MarkedSet((zero, half, half))
         shifted = Orbit(half.points[1:] + half.points[:1], 3, 2)
         with pytest.raises(InvariantError, match="disjoint at"):
@@ -197,7 +243,8 @@ class TestMarkedSetIndex:
         assert sorted(map(len, orbits)) == [1, 3, 3, 4, 4, 4, 10, 10, 10]
         for points in orbits:
             for i, p in enumerate(points):
-                assert A2.apply_mod1(p) == points[(i + 1) % len(points)]
+                assert apply_mod1(A2, pair(p)) == \
+                    pair(points[(i + 1) % len(points)])
 
     def test_scan_plans(self):
         # the game_grid union fills (1/2)Z^2 mod Z^2 and is one coset of
@@ -207,14 +254,14 @@ class TestMarkedSetIndex:
                                             half_orbit_set(A2, 2)), "++")
         (coset,) = union.marked.plan
         assert coset[:4] == (2, 0, 0, 1)
-        assert [(base, k, twist) for base, k, _, twist in coset[4]] == [
+        assert [(pair(base), k, twist) for base, k, _, twist in coset[4]] == [
             ((0, 0), 1, 1), ((0, HALF), 2, 6), ((HALF, 0), 2, 6),
             ((HALF, HALF), 2, 6)]
         (orb,) = self.SETS[0].orbits
         assert [coset[4] for coset in self.SETS[0].plan] == \
             [(orb.points, i, 98, 98) for i in range(98)]
         assert [coset[:4] for coset in self.SETS[0].plan] == \
-            [(k, X, Y, k) for k, X, Y in orb.integers]
+            [(k, X, Y, k) for k, X, Y in orb.points]
         assert marked_set(A2, [], "Y").plan == ()
 
     def test_equal_sets_hash_alike_whatever_their_plans(self, monkeypatch):
@@ -252,7 +299,7 @@ class TestMarkedSetIndex:
                 lift = (Fraction(X, k), Fraction(Y, k))
                 found = dense.locate(lift)
                 assert found is not None and found[0].twist == twist
-                assert mod1(lift) == base
+                assert mod1(lift) == pair(base)
             assert sorted(got) == sorted(box_lifts(frame, sparse, *box))
 
 
@@ -305,7 +352,7 @@ class TestHits:
             def edge(coordinate):
                 if rng.random() < 0.5:
                     return Fraction(rng.randint(-14, 14), 7)
-                x, y = rng.choice(mset.points)
+                x, y = pair(rng.choice(mset.points))
                 return coordinate((x + rng.randint(-2, 2),
                                    y + rng.randint(-2, 2)))
 
@@ -357,10 +404,11 @@ class TestHits:
             image = HyperbolicMatrix.from_rows(A2.power_rows(power))
             mapped = []
             for h in square:
-                img = image.apply(h.lift)
+                img = apply(image, pair(h.lift))
                 mapped.append((mod1(img), (img[0] - mod1(img)[0],
                                            img[1] - mod1(img)[1])))
-            assert thin and sorted((h.base, h.lattice) for h in thin) == \
+            assert thin and sorted((pair(h.base), h.lattice)
+                                   for h in thin) == \
                 sorted((b, (int(k[0]), int(k[1]))) for b, k in mapped)
             assert all(h.s == frame_a2.s(h.lift) and h.u == frame_a2.u(h.lift)
                        for h in thin)
@@ -381,7 +429,7 @@ KERNEL_MATRICES = {"A2": A2, "A2-": HyperbolicMatrix(2, -1, -1, 1),
 ALL_INCLUDES = list(itertools.product((True, False), repeat=4))
 
 
-ORIGIN_LIFT = ((0, 0), (0, 0))      # (base, lattice) of the lift at 0
+ORIGIN_LIFT = (point(0, 0), (0, 0))     # (base, lattice) of the lift at 0
 
 
 def kernel_set(A):
@@ -684,8 +732,9 @@ class TestRenormalization:
             got = box_lifts(frame, X, *box)
             for base, lattice, k, x, y, twist in got:
                 lift = (Fraction(x, k), Fraction(y, k))
-                assert base == mod1(lift)
-                assert lattice == (lift[0] - base[0], lift[1] - base[1])
+                assert pair(base) == mod1(lift)
+                assert lattice == (lift[0] - pair(base)[0],
+                                   lift[1] - pair(base)[1])
                 assert twist == X.locate(base)[0].twist
             want = oracle_hits(frame, X, *box)
             assert len(want) > 10
@@ -724,7 +773,7 @@ class TestGroupAndViews:
                     g = group_element(A, k, src, dst)
                     assert (g.k, g.v, g.rows) == (k, v, M)
                     p = seeded_lift(rng, integral)
-                    got = g.apply(p)
+                    got = pair(g.act(point(*p)))
                     assert got == _group_act((M, v), p)
                     assert all(type(c) is Fraction for c in got)
 
@@ -736,37 +785,37 @@ class TestGroupAndViews:
         for k in range(-6, 7):
             M, _ = _group_power((A.rows(), (0, 0)), k)
             src = seeded_lift(rng)
-            while torus._integer_point(src)[0] == 1:
+            while point(*src)[0] == 1:
                 src = seeded_lift(rng)
-            lcd = torus._integer_point(src)[0]
+            lcd = point(*src)[0]
             img = _group_act((M, (0, 0)), src)
             # another least common denominator, with one more factor 2
             dst = (img[0] + Fraction(1, 2 * lcd), img[1])
-            assert torus._integer_point(dst)[0] != lcd
+            assert point(*dst)[0] != lcd
             assert group_element(A, k, src, dst) is None
             # the image's own integers over another denominator m*lcd,
             # with m prime to them: no remainder over lcd gives it away
-            _, X2, Y2 = torus._integer_point(img)
+            _, X2, Y2 = point(*img)
             m = abs(X2 or Y2) + 1
             dst = (Fraction(X2, m * lcd), Fraction(Y2, m * lcd))
-            assert torus._integer_point(dst) == (m * lcd, X2, Y2)
+            assert point(*dst) == (m * lcd, X2, Y2)
             assert group_element(A, k, src, dst) is None
             # lcd again, but dst - A^k src is not integral
             while True:
                 shift = (Fraction(rng.randrange(lcd), lcd),
                          Fraction(rng.randrange(lcd), lcd))
                 dst = (img[0] + shift[0] - 3, img[1] + shift[1] + 2)
-                if any(shift) and torus._integer_point(dst)[0] == lcd:
+                if any(shift) and point(*dst)[0] == lcd:
                     break
             assert group_element(A, k, src, dst) is None
 
     def test_group_element_maps_src_to_dst(self):
         z = point(HALF, HALF)
         g = group_element(A2, 3, z, z)                # 3 is z's period
-        assert g.apply(z) == z
+        assert g.act(z) == z
         dst = point(3, Fraction(-7, 2))
         g = group_element(A2, -1, z, dst)
-        assert (g.k, g.v) == (-1, (3, -4)) and g.apply(z) == dst
+        assert (g.k, g.v) == (-1, (3, -4)) and g.act(z) == dst
         # 2 is not a period of (1/2, 1/2): no integral translation exists
         assert group_element(A2, 2, z, z) is None
         # (1, 0) - (1/2, 0) is not integral, though the numerators agree
