@@ -21,7 +21,7 @@ from anosurg.rectangles import StripClimber, period_family, primitive_family
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
 from oracles import (_QuadrantCoords, census_keys, oracle_hits,
-                     oracle_pareto_frontier, oracle_primitive_census)
+                     oracle_pareto_frontier, oracle_primitive_census, pair)
 
 FROZEN_COUNTS = {
     # matrix label: (positive count, negative count) for the (0,0) orbit
@@ -67,6 +67,22 @@ class TestCensus:
         frame = eigenframe(A)
         reps = enumerate_primitive(frame, X, sign)
         assert census_keys(reps) == oracle_primitive_census(A, X, sign, frame)
+
+    @pytest.mark.parametrize("sign", ["positive", "negative"])
+    def test_equal_lengths_go_by_the_rational_order_of_the_bases(self, sign):
+        # A2's orbits of (0, 1/2) and (0, 1/3): representatives of equal
+        # lengths at bases of denominators 2 and 3, which the order of the
+        # triples (k, X, Y) would put the other way round
+        X = marked_set(A2, [(point(0, HALF), 0),
+                            (point(0, Fraction(1, 3)), 0)], "X")
+        reps = enumerate_primitive(eigenframe(A2), X, sign)
+        keys = [(r.ls, r.lu, pair(r.origin.base), pair(r.endpoint.base),
+                 r.endpoint.lattice) for r in reps]
+        assert keys == sorted(keys)
+        assert any(a[:2] == b[:2] and (a[2], a[3]) < (b[2], b[3])
+                   and (x.origin.base, x.endpoint.base)
+                   > (y.origin.base, y.endpoint.base)
+                   for a, b, x, y in zip(keys, keys[1:], reps, reps[1:]))
 
     def test_all_representatives_primitive_with_normalized_ratio(self):
         for A, _, _ in FROZEN_COUNTS.values():
