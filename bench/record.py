@@ -53,7 +53,8 @@ METRICS = ("wall_ref", "op_gmean_ref", "setup_s", "peak_rss_mib")
 # per-pass counts read from one --trace 1 run per row and side
 COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
           "game.crossings", "staircase.build_staircase.calls",
-          "staircase.levels", "rectangles.case_profile.calls")
+          "staircase.build_staircase.failed", "staircase.levels",
+          "rectangles.case_profile.calls")
 # microseconds per field operation, on small and on big operands, that
 # `perfbench/worker.py micro` writes
 MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")

@@ -8,7 +8,8 @@ sign/role variants) -> RCovered regardless of the other set's surgeries; a
 pair of staircases undertwisting adjacent quadrant types -> NonRCovered;
 otherwise Unknown with full diagnostics, whose disjointness profile is read
 off the domination rows (`Analysis.profile`).  All thresholds compare
-against twists (characteristic number times orbit period).
+against twists (characteristic number times orbit period).  The two
+certificates exclude each other: a dominated sign has no staircase row.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import functools
 import json
 
-from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit,
-                    as_point, eigenframe, quadrant_contracting, sets_disjoint)
+from .torus import (HyperbolicMatrix, MarkedSet, Orbit, as_point,
+                    eigenframe, quadrant_contracting, sets_disjoint)
 from .rectangles import case_label
 from .game import DominationAnalysis, DominationHypothesisError
 from .staircase import (SeedError, StaircaseError, build_staircase,
@@ -94,7 +95,10 @@ class Analysis:
     set: the domination threshold over all of its points, or the staircase
     of its first point that admits one.  That search tries an orbit's later
     points only when the build at its first point failed for a reason other
-    than `SeedError`, which holds at every point of an orbit or at none."""
+    than `SeedError`, which holds at every point of an orbit or at none.
+    A staircase row is empty, with no build, when the whole-set domination
+    row of its quadrant's sign (`positive` for `++` and `--`) holds: every
+    primitive rectangle of the sign meets the other set, so none seeds."""
 
     def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet):
         self.X, self.Y = X, Y
@@ -131,6 +135,9 @@ class Analysis:
             except DominationHypothesisError:
                 return Row()
             return Row(analysis, analysis.threshold)
+        sign = "positive" if quadrant_contracting(kind) else "negative"
+        if self.row(own, sign).cert is not None:
+            return Row()
         if base is None:
             for orb in first.orbits:
                 for p in orb.points:
@@ -288,7 +295,7 @@ def quadrant_report(problem: SurgeryProblem, point, quadrant: str):
     Returns (status, evidence) with status CompleteCertified (the domination
     threshold is met by the other set's twists), IncompleteCertified (a
     staircase exists and the point's own twists exceed its threshold), or
-    Unknown.  Raises if both certificates fire: that would be contradictory.
+    Unknown.  A sign with a domination certificate has no staircase row.
     """
     contracting = quadrant_contracting(quadrant)
     shared = problem.analysis()
@@ -306,28 +313,17 @@ def quadrant_report(problem: SurgeryProblem, point, quadrant: str):
     # domination sign; the own set's staircase needs the opposite one
     sign, direction = ("positive", 1) if contracting else ("negative", -1)
 
-    complete = None
     row = shared.row(own_name, sign, base)
-    if row.cert is not None:
-        tw = _twists(other)
-        if _meets(tw, direction, row.threshold):
-            complete = {"threshold": row.threshold, "other_twists": list(tw)}
-
-    incomplete = None
+    tw = _twists(other)
+    if row.cert is not None and _meets(tw, direction, row.threshold):
+        return "CompleteCertified", {"threshold": row.threshold,
+                                     "other_twists": list(tw)}
     row = shared.row(own_name, quadrant, base)
-    if row.cert is not None:
-        tw = _twists(own)
-        if _meets(tw, -direction, row.threshold):
-            incomplete = {"threshold": row.threshold, "own_twists": list(tw),
-                          "staircase": row.records()}
-
-    if complete is not None and incomplete is not None:
-        raise InvariantError(
-            f"contradictory certificates for quadrant {quadrant} at {point}")
-    if complete is not None:
-        return "CompleteCertified", complete
-    if incomplete is not None:
-        return "IncompleteCertified", incomplete
+    tw = _twists(own)
+    if row.cert is not None and _meets(tw, -direction, row.threshold):
+        return "IncompleteCertified", {"threshold": row.threshold,
+                                       "own_twists": list(tw),
+                                       "staircase": row.records()}
     return "Unknown", {}
 
 

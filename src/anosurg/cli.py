@@ -11,9 +11,13 @@ Problem files are JSON:
 Every exact value in machine output is a string ("a/b + c/d*sqrt(D)" or a
 plain rational) that the parser round-trips losslessly; output is
 byte-identical for identical input.  Exit codes: 0 ok, 1 parse or usage
-error or invalid game parameters, 2 unsupported input (a matrix outside the
-supported class, a marked orbit longer than torus.MAX_PERIOD, or a figure
-that cannot be drawn), 3 internal invariant violation.
+error or invalid game parameters (an integer in the input with more digits
+than the interpreter converts from text is one), 2 unsupported input (a
+matrix outside the supported class, a marked orbit longer than
+torus.MAX_PERIOD, a figure that cannot be drawn, or a result holding an
+integer with more digits than the interpreter converts to text), 3
+internal invariant violation.  That digit limit is the interpreter's own,
+`sys.get_int_max_str_digits()`, 4300 unless the environment sets it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,15 @@ class ParseError(ValueError):
     """Malformed problem file or argument; the message names the field."""
 
 
+def _digit_limit(e: Exception) -> str | None:
+    """For the interpreter's refusal to convert an integer of more than
+    `sys.get_int_max_str_digits()` digits to or from text, that limit in
+    words; None for any other error."""
+    if not str(e).startswith("Exceeds the limit ("):
+        return None
+    return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
 # ---------------------------------------------------------------------------
 # problem ingestion
 
@@ -54,8 +67,9 @@ def _fraction(value, where):
                          f"got {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{where}: not a rational 'p/q': {value!r}")
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"{where}: " + (
+            _digit_limit(e) or f"not a rational 'p/q': {value!r}"))
 
 
 def _is_int(value) -> bool:
@@ -127,6 +141,11 @@ def _read_problem(path):
         raise ParseError(f"problem file: {e}")
     except json.JSONDecodeError as e:
         raise ParseError(f"problem file: invalid JSON: {e}")
+    except ValueError as e:
+        limit = _digit_limit(e)
+        if limit is None:
+            raise
+        raise ParseError(f"problem file: {limit}") from None
     return load_problem(data)
 
 
@@ -203,6 +222,11 @@ def _cmd_game(args):
         r = qn_from_str(args.r, frame.D)
     except QuadFieldError as e:
         raise ParseError(f"t0/r: {e}")
+    except ValueError as e:
+        limit = _digit_limit(e)
+        if limit is None:
+            raise
+        raise ParseError(f"t0/r: {limit}") from None
     p = _parse_point(args.point)
     cfg = GameConfig(frame, (sets["X"], sets["Y"]), args.quadrant)
     budget = args.budget if args.budget is not None else options["budget"]
@@ -451,6 +475,12 @@ def main(argv=None) -> int:
     except InvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
+    except ValueError as e:
+        limit = _digit_limit(e)
+        if limit is None:
+            raise
+        print(f"unsupported: a result holds {limit}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

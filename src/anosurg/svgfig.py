@@ -119,7 +119,7 @@ def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
                            sh * k, D, root),
              rounded_float(ua * X + ub * Y - uc * k, ue * X + uf * Y - ug * k,
                            uh * k, D, root), k, X, Y)
-            for _, _, k, X, Y, _ in box_lifts(
+            for _, (k, X, Y), _ in box_lifts(
                 frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi))]
     dots.sort()
     if len({dot[0] for dot in dots}) < len(dots):

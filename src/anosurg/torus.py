@@ -464,7 +464,7 @@ def _scan_plan(index) -> tuple:
 
     A dense set is one coset (K, 0, 0, 1, residues) of (1/K)Z^2, with K the
     lcm of the points' denominators, and residues[(X % K)*K + Y % K] is
-    (base, k, K // k, twist) for the marked point (X/K, Y/K) mod 1 with
+    (base, K // k, twist) for the marked point base = (X/K, Y/K) mod 1 with
     least denominator k, or None for an unmarked residue.  Otherwise each
     point (X/k, Y/k), at `place` in its orbit, is its own coset
     (k, X, Y, k, (points, place, period, twist)) with its orbit's points,
@@ -474,7 +474,7 @@ def _scan_plan(index) -> tuple:
         residues = [None] * (K * K)
         for (k, X, Y), (orb, place) in index.items():
             scale = K // k
-            residues[X * scale * K + Y * scale] = (orb.points[place], k, scale,
+            residues[X * scale * K + Y * scale] = (orb.points[place], scale,
                                                   orb.twist)
         return ((K, 0, 0, 1, tuple(residues)),)
     return tuple((k, X, Y, k, (orb.points, place, orb.period, orb.twist))
@@ -591,10 +591,10 @@ def _log_ratio(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int) -> int:
 
 def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
               include=(True, True, True, True)):
-    """(base, (m, n), k, X, Y, twist) for every lift base + (m, n) =
-    (X/k, Y/k) of mset inside [s_lo,s_hi] x [u_lo,u_hi] with per-edge
-    inclusion, in no particular order; k is the base's least common
-    denominator, whichever lattice of the set's scan plan found the lift.
+    """(base, lift, twist) for every lift = (k, X, Y) of a marked point
+    base of mset inside [s_lo,s_hi] x [u_lo,u_hi] with per-edge inclusion,
+    in no particular order; k is the base's least common denominator,
+    whichever lattice of the set's scan plan found the lift.
 
     include = (s_lo closed, s_hi closed, u_lo closed, u_hi closed); the
     bounds may be QuadNums, ints or Fractions.  Each bound is taken apart
@@ -651,11 +651,12 @@ def hits_in_box(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     per-edge inclusion as in `box_lifts`, as hits whose exact s and u are
     view coordinates.  The hits come in no particular order."""
     s_int, ss, u_int, su = view.forms
-    return [MarkedPointHit(base, (k, X, Y), s_int.at(ss * X, ss * Y, k),
+    return [MarkedPointHit(base, lift, s_int.at(ss * X, ss * Y, k),
                            u_int.at(su * X, su * Y, k), twist)
-            for base, _, k, X, Y, twist in box_lifts(
+            for base, lift, twist in box_lifts(
                 view.frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi,
-                                            include))]
+                                            include))
+            for k, X, Y in (lift,)]
 
 
 # How an edge at x becomes a bound on the integer n: (sign, offset) in
@@ -701,8 +702,8 @@ def _edges(form: IntForm, lo, hi, lo_closed, hi_closed):
 
 def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                include, j: int, rows):
-    """(base, (m, n), k, X, Y, twist) for every lift base + (m, n) =
-    (X/k, Y/k) of mset in a box, scanned as its image under A^j: the bounds
+    """(base, (k, X, Y), twist) for every lift (X/k, Y/k) of a marked
+    point base of mset in a box, scanned as its image under A^j: the bounds
     are the image's (p, q, d) triples, and rows, the integer rows of A^-j,
     map each lift found there back; k is the base's least denominator.
 
@@ -759,16 +760,16 @@ def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
             X, Y = a * x + b * y, c * x + d * y
             if single:
                 for _ in range(n_lo, n_hi + 1):
-                    out.append((base, (X // K, Y // K), K, X, Y, twist))
+                    out.append((base, (K, X, Y), twist))
                     X += bs
                     Y += ds
                 continue
             for _ in range(n_lo, n_hi + 1):
                 found = lift[X % K * K + Y % K]
                 if found:
-                    base, k, scale, twist = found
-                    out.append((base, (X // K, Y // K), k, X // scale,
-                                Y // scale, twist))
+                    base, scale, twist = found
+                    out.append((base, (base[0], X // scale, Y // scale),
+                                twist))
                 X += bs
                 Y += ds
     return out

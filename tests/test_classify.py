@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem, case_profile,
-                     classify, eigenframe, marked_set, orbit_of, point,
-                     quadrant_report, verdict_records)
+from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem,
+                     build_staircase, case_profile, classify, eigenframe,
+                     marked_set, orbit_of, point, quadrant_report,
+                     verdict_records)
 from anosurg.classify import analysis_of
+from anosurg.staircase import SeedError
 from anosurg.torus import _mat_mul
 from anosurg.cli import FIXTURES, load_problem, main
 
@@ -408,6 +410,89 @@ class TestCertificateDichotomy:
                                    is None for ints in mset.index), \
                             (A, p, q, own, sign)
         assert (cases, dominated) == (184, 52)
+
+
+# the matrices of TestCertificateDichotomy, and the two quadrants whose
+# staircases are seeded by primitive rectangles of each domination sign
+DICHOTOMY_MATRICES = (A2, A3, C3, HyperbolicMatrix(5, 2, 2, 1))
+SIGN_QUADRANTS = {"positive": ("++", "--"), "negative": ("+-", "-+")}
+
+
+def one_orbit_problems():
+    """Every unordered pair of torsion orbits of denominator at most 3, the
+    first orbit marked X and the second Y."""
+    return [problem(A, [(p, 0)], [(q, 0)]) for A in DICHOTOMY_MATRICES
+            for p, q in itertools.combinations(torsion_orbits(A, 3), 2)]
+
+
+def multi_orbit_problems():
+    """80 seeded draws of three to five torsion orbits of denominator at
+    most 5, split at a random place into X and Y."""
+    rng = random.Random(7)
+    seeds = {A: torsion_orbits(A, 5) for A in DICHOTOMY_MATRICES}
+    out = []
+    for _ in range(80):
+        A = rng.choice(DICHOTOMY_MATRICES)
+        picked = rng.sample(seeds[A], rng.randrange(3, 6))
+        cut = rng.randrange(1, len(picked))
+        out.append(problem(A, [(p, 0) for p in picked[:cut]],
+                           [(q, 0) for q in picked[cut:]]))
+    return out
+
+
+class TestDichotomyAgainstTheEngine:
+    @pytest.mark.parametrize("problems, builds", [
+        (one_orbit_problems, 122), (multi_orbit_problems, 242)],
+        ids=["one-orbit", "multi-orbit"])
+    def test_a_dominated_sign_seeds_no_staircase(self, problems, builds):
+        # a domination certificate says that every primitive rectangle of
+        # its set and sign meets the other set; then `build_staircase`,
+        # called directly, finds no seed at any origin of the set, in
+        # either quadrant of the sign
+        made = 0
+        for prob in problems():
+            analysis = prob.analysis()
+            for own, mset, other in (("X", prob.X, prob.Y),
+                                     ("Y", prob.Y, prob.X)):
+                for sign, quadrants in SIGN_QUADRANTS.items():
+                    if analysis.row(own, sign).cert is None:
+                        continue
+                    for base in mset.index:
+                        for quadrant in quadrants:
+                            made += 1
+                            with pytest.raises(SeedError):
+                                build_staircase(analysis.frame, mset, other,
+                                                base, quadrant)
+        assert made == builds
+
+    @pytest.mark.parametrize("problems, expected", [
+        (one_orbit_problems, {(1, "domination"): 104,
+                              (1, "staircase"): 264}),
+        (multi_orbit_problems, {(1, "domination"): 110, (1, "staircase"): 106,
+                                (2, "domination"): 16, (2, "staircase"): 342,
+                                (2, "neither"): 66})],
+        ids=["one-orbit", "multi-orbit"])
+    def test_each_row_has_at_most_one_certificate(self, problems, expected):
+        # a set of one orbit has exactly one certificate per sign and
+        # quadrant: the domination row or the whole-set staircase row.  A
+        # set of two or more orbits never has both, and may have neither
+        # when only rectangles whose corners lie in two of its orbits miss
+        # the other set
+        found = Counter()
+        for prob in problems():
+            analysis = prob.analysis()
+            for own, mset in (("X", prob.X), ("Y", prob.Y)):
+                orbits = min(len(mset.orbits), 2)
+                for sign, quadrants in SIGN_QUADRANTS.items():
+                    dominated = analysis.row(own, sign).cert is not None
+                    for quadrant in quadrants:
+                        staircase = analysis.row(own, quadrant).cert
+                        assert not (dominated and staircase is not None), \
+                            (prob.A, own, sign, quadrant)
+                        found[orbits, "domination" if dominated else
+                              "staircase" if staircase is not None
+                              else "neither"] += 1
+        assert found == expected
 
 
 ROW_KINDS = ("positive", "negative", "++", "+-")

@@ -489,6 +489,50 @@ class TestExitCodes:
         assert err == (f"unsupported: sets[0].point: orbit period exceeds "
                        f"{MAX_PERIOD}\n")
 
+    @pytest.mark.parametrize("where", [
+        "point", "t0", "r", "file-point", "file-integer"])
+    def test_an_input_past_the_digit_limit_is_invalid_input(
+            self, run, tmp_path, where):
+        # Python converts no integer of more digits than its limit from
+        # text; such an input is refused with the field and the limit named
+        limit = sys.get_int_max_str_digits()
+        long = "1" * (limit + 1)
+        sets = [dict(A2_X), dict(A2_Y)]
+        if where == "file-point":
+            sets[1]["point"] = [f"1/{long}", "0"]
+        elif where == "file-integer":
+            sets[1]["characteristic_number"] = "CHAR"
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**FIXTURES["a2_half"], "sets": sets})
+                        .replace('"CHAR"', long))
+        game = {"point": "0,0", "t0": "1", "r": "2"}
+        if where in game:
+            game[where] = long if where != "point" else f"0,{long}"
+        code, out, err = run("game", str(path), *(
+            arg for key, value in game.items()
+            for arg in (f"--{key}", value)))
+        field = {"point": "point[1]", "t0": "t0/r", "r": "t0/r",
+                 "file-point": "sets[1].point[0]",
+                 "file-integer": "problem file"}[where]
+        assert (code, out) == (1, "")
+        assert err == (f"error: {field}: an integer of more than {limit} "
+                       f"digits\n")
+
+    def test_a_result_past_the_digit_limit_is_unsupported(
+            self, run, tmp_path):
+        # A2, X the (0,0) orbit at +1 and Y the (1/2,1/2) orbit at -3500:
+        # the first crossing's offset has a numerator of more digits than
+        # Python converts to text
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({**FIXTURES["a2_half"], "sets": [
+            {**A2_X, "characteristic_number": 1},
+            {**A2_Y, "characteristic_number": -3500}]}))
+        code, out, err = run("game", str(path), "--point", "1/3,2/5",
+                             "--t0", "1/2", "--r", "3", "--budget", "1")
+        assert (code, out) == (2, "")
+        assert err == (f"unsupported: a result holds an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
     def test_staircase_figure_past_the_lift_bound_is_unsupported(
             self, run, tmp_path):
         # A2 with X the period-98 orbit of (1/97, 0): the figure's box is

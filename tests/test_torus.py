@@ -254,9 +254,10 @@ class TestMarkedSetIndex:
                                             half_orbit_set(A2, 2)), "++")
         (coset,) = union.marked.plan
         assert coset[:4] == (2, 0, 0, 1)
-        assert [(pair(base), k, twist) for base, k, _, twist in coset[4]] == [
-            ((0, 0), 1, 1), ((0, HALF), 2, 6), ((HALF, 0), 2, 6),
-            ((HALF, HALF), 2, 6)]
+        assert [(pair(base), scale, twist)
+                for base, scale, twist in coset[4]] == [
+            ((0, 0), 2, 1), ((0, HALF), 1, 6), ((HALF, 0), 1, 6),
+            ((HALF, HALF), 1, 6)]
         (orb,) = self.SETS[0].orbits
         assert [coset[4] for coset in self.SETS[0].plan] == \
             [(orb.points, i, 98, 98) for i in range(98)]
@@ -295,7 +296,7 @@ class TestMarkedSetIndex:
                                  box[3] - box[2]) == j
             got = box_lifts(frame, dense, *box)
             assert len(got) > 20
-            for base, lattice, k, X, Y, twist in got:
+            for base, (k, X, Y), twist in got:
                 lift = (Fraction(X, k), Fraction(Y, k))
                 found = dense.locate(lift)
                 assert found is not None and found[0].twist == twist
@@ -730,15 +731,16 @@ class TestRenormalization:
             assert balance_power(frame, box[1] - box[0],
                                  box[3] - box[2]) == j
             got = box_lifts(frame, X, *box)
-            for base, lattice, k, x, y, twist in got:
+            for base, (k, x, y), twist in got:
                 lift = (Fraction(x, k), Fraction(y, k))
                 assert pair(base) == mod1(lift)
-                assert lattice == (lift[0] - pair(base)[0],
-                                   lift[1] - pair(base)[1])
+                assert k == base[0]
                 assert twist == X.locate(base)[0].twist
             want = oracle_hits(frame, X, *box)
             assert len(want) > 10
-            assert sorted((b, m, tw) for b, m, _, _, _, tw in got) == \
+            # the lattice vector of a lift (k, X, Y) is (X // k, Y // k)
+            assert sorted((b, (x // k, y // k), tw)
+                          for b, (k, x, y), tw in got) == \
                 sorted((b, m, tw) for b, m, _, _, tw in want)
 
 
