@@ -489,31 +489,29 @@ class TestExitCodes:
         assert err == (f"unsupported: sets[0].point: orbit period exceeds "
                        f"{MAX_PERIOD}\n")
 
-    @pytest.mark.parametrize("where", [
-        "point", "t0", "r", "file-point", "file-integer"])
+    @pytest.mark.parametrize("where, field", [
+        ("--point", "point[1]"), ("--t0", "t0/r"), ("--r", "t0/r"),
+        ("point", "sets[1].point[0]"),
+        ("characteristic_number", "problem file")])
     def test_an_input_past_the_digit_limit_is_invalid_input(
-            self, run, tmp_path, where):
+            self, run, tmp_path, where, field):
         # Python converts no integer of more digits than its limit from
         # text; such an input is refused with the field and the limit named
         limit = sys.get_int_max_str_digits()
         long = "1" * (limit + 1)
-        sets = [dict(A2_X), dict(A2_Y)]
-        if where == "file-point":
-            sets[1]["point"] = [f"1/{long}", "0"]
-        elif where == "file-integer":
-            sets[1]["characteristic_number"] = "CHAR"
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps({**FIXTURES["a2_half"], "sets": sets})
-                        .replace('"CHAR"', long))
-        game = {"point": "0,0", "t0": "1", "r": "2"}
+        game = {"--point": "0,0", "--t0": "1", "--r": "2"}
+        y = dict(A2_Y)
         if where in game:
-            game[where] = long if where != "point" else f"0,{long}"
-        code, out, err = run("game", str(path), *(
-            arg for key, value in game.items()
-            for arg in (f"--{key}", value)))
-        field = {"point": "point[1]", "t0": "t0/r", "r": "t0/r",
-                 "file-point": "sets[1].point[0]",
-                 "file-integer": "problem file"}[where]
+            game[where] = f"0,{long}" if where == "--point" else long
+        else:
+            # json.dumps cannot write the long integer either, so a
+            # placeholder string stands in for its digits
+            y[where] = [f"1/{long}", "0"] if where == "point" else "LONG"
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**FIXTURES["a2_half"], "sets": [A2_X, y]})
+                        .replace('"LONG"', long))
+        argv = [arg for option in game.items() for arg in option]
+        code, out, err = run("game", str(path), *argv)
         assert (code, out) == (1, "")
         assert err == (f"error: {field}: an integer of more than {limit} "
                        f"digits\n")
