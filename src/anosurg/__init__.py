@@ -23,7 +23,8 @@ from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, Orbit,
                     UnsupportedMatrixError, eigenframe, hits_in_box,
                     marked_set, orbit_of, point, quadrant_contracting,
-                    quadrant_view, sets_disjoint, QUADRANTS)
+                    quadrant_direction, quadrant_view, sets_disjoint,
+                    QUADRANTS)
 from .rectangles import (MarkedRect, case_profile, census_records,
                          disjoint_witness, enumerate_primitive, is_primitive,
                          marked_rect, rect_meets)

@@ -18,7 +18,7 @@ import functools
 import json
 
 from .torus import (HyperbolicMatrix, MarkedSet, Orbit, as_point,
-                    eigenframe, quadrant_contracting, sets_disjoint)
+                    eigenframe, quadrant_direction, sets_disjoint)
 from .rectangles import case_label
 from .game import DominationAnalysis, DominationHypothesisError
 from .staircase import (SeedError, StaircaseError, build_staircase,
@@ -135,7 +135,7 @@ class Analysis:
             except DominationHypothesisError:
                 return Row()
             return Row(analysis, analysis.threshold)
-        sign = "positive" if quadrant_contracting(kind) else "negative"
+        sign = _SIGNS[-quadrant_direction(kind)]
         if self.row(own, sign).cert is not None:
             return Row()
         if base is None:
@@ -202,8 +202,12 @@ def _sign_rule(twists: dict):
     return None
 
 
-# (own rectangles, sign); the other set's twists must reach the threshold
-# in the sign's direction
+# the domination sign of each direction: the other set's twists must reach
+# a sign's threshold in its direction, and a quadrant of direction d is
+# completed by the sign of direction -d
+_SIGNS = {1: "positive", -1: "negative"}
+
+# (own rectangles, sign)
 _DOMINATION_VARIANTS = (("X", "positive"), ("X", "negative"),
                         ("Y", "positive"), ("Y", "negative"))
 
@@ -235,12 +239,6 @@ _STAIRCASE_VARIANTS = (
 )
 
 
-def _undertwist_direction(quadrant: str) -> int:
-    """The direction in which a staircase's own twists must reach its
-    threshold: negative in the contracting quadrants."""
-    return -1 if quadrant_contracting(quadrant) else 1
-
-
 def _staircase_rule(problem: SurgeryProblem, shared: Analysis):
     for qx, qy in _STAIRCASE_VARIANTS:
         row_x, row_y = shared.row("X", qx), shared.row("Y", qy)
@@ -248,8 +246,10 @@ def _staircase_rule(problem: SurgeryProblem, shared: Analysis):
             continue
         nx, ny = row_x.threshold, row_y.threshold
         tx, ty = _twists(problem.X), _twists(problem.Y)
-        if not (_meets(tx, _undertwist_direction(qx), nx)
-                and _meets(ty, _undertwist_direction(qy), ny)):
+        # a staircase's own twists reach its threshold in its quadrant's
+        # direction
+        if not (_meets(tx, quadrant_direction(qx), nx)
+                and _meets(ty, quadrant_direction(qy), ny)):
             continue
         rule = ("staircase-adjacent-quadrants" if qx == "++"
                 else "staircase-adjacent-quadrants-mirror")
@@ -297,7 +297,7 @@ def quadrant_report(problem: SurgeryProblem, point, quadrant: str):
     staircase exists and the point's own twists exceed its threshold), or
     Unknown.  A sign with a domination certificate has no staircase row.
     """
-    contracting = quadrant_contracting(quadrant)
+    d = quadrant_direction(quadrant)
     shared = problem.analysis()
     k, X, Y = point = as_point(point)
     base = k, X % k, Y % k
@@ -309,18 +309,16 @@ def quadrant_report(problem: SurgeryProblem, point, quadrant: str):
         raise ValueError(f"{point} is not a marked point")
     if other.is_empty():
         return "Unknown", {}
-    # the other set completes the quadrant in the direction of the
-    # domination sign; the own set's staircase needs the opposite one
-    sign, direction = ("positive", 1) if contracting else ("negative", -1)
-
-    row = shared.row(own_name, sign, base)
+    # the other set completes the quadrant in the direction -d of its
+    # domination sign; the own set's staircase needs the quadrant's own d
+    row = shared.row(own_name, _SIGNS[-d], base)
     tw = _twists(other)
-    if row.cert is not None and _meets(tw, direction, row.threshold):
+    if row.cert is not None and _meets(tw, -d, row.threshold):
         return "CompleteCertified", {"threshold": row.threshold,
                                      "other_twists": list(tw)}
     row = shared.row(own_name, quadrant, base)
     tw = _twists(own)
-    if row.cert is not None and _meets(tw, -direction, row.threshold):
+    if row.cert is not None and _meets(tw, d, row.threshold):
         return "IncompleteCertified", {"threshold": row.threshold,
                                        "own_twists": list(tw),
                                        "staircase": row.records()}

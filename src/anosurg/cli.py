@@ -30,7 +30,7 @@ from fractions import Fraction
 from .quadfield import QuadFieldError, qn_from_str, qn_to_str
 from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit,
                     PeriodLimitError, UnsupportedMatrixError, eigenframe,
-                    marked_set, orbit_of, point, quadrant_contracting)
+                    marked_set, orbit_of, point, quadrant_direction)
 from .rectangles import (case_profile, census_records, disjoint_witness,
                          enumerate_primitive, is_primitive, marked_rect,
                          rect_meets)
@@ -141,12 +141,24 @@ def _read_problem(path):
         raise ParseError(f"problem file: {e}")
     except json.JSONDecodeError as e:
         raise ParseError(f"problem file: invalid JSON: {e}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"problem file: not UTF-8 text: {e}") from None
     except ValueError as e:
         limit = _digit_limit(e)
         if limit is None:
             raise
         raise ParseError(f"problem file: {limit}") from None
     return load_problem(data)
+
+
+def _int_option(text):
+    """An integer option's value; one past the digit limit is refused with
+    the limit named, not echoed, and any other with argparse's message."""
+    try:
+        return int(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(
+            _digit_limit(e) or f"invalid int value: {text!r}") from None
 
 
 def _parse_point(text):
@@ -265,7 +277,7 @@ def _cmd_staircase(args):
         "staircase": staircase_records(st),
         "incompleteness_threshold": n,
         "containment_at_threshold": containment_check(
-            st, -n if quadrant_contracting(args.quadrant) else n),
+            st, quadrant_direction(args.quadrant) * n),
     })
     if args.svg:
         _write_svg(args.svg, svgfig.staircase_figure(st))
@@ -441,7 +453,7 @@ def _build_parser():
     sp.add_argument("--t0", required=True, help="initial offset (exact string)")
     sp.add_argument("--r", required=True, help="target height (exact string)")
     sp.add_argument("--quadrant", choices=("++", "--", "+-", "-+"), default="++")
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--budget", type=_int_option)
     sp.add_argument("--svg", metavar="PATH")
 
     sp = add("staircase", _cmd_staircase, help="build and verify a staircase")

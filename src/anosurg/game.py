@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from .quadfield import QuadNum, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
-                    MarkedSet, Point, as_point, hits_in_box, point_strings,
-                    quadrant_contracting, quadrant_view, QUADRANTS)
+                    MarkedSet, Point, as_point, point_strings,
+                    quadrant_direction, quadrant_view, QUADRANTS)
 from .rectangles import StripClimber, period_family
 
 DEFAULT_BUDGET = 10_000
@@ -101,7 +101,7 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
     """Run the crossing game from p, a point or a pair, with initial offset
     t0 up to height r."""
     view = quadrant_view(config.frame, config.quadrant)
-    contracting = quadrant_contracting(config.quadrant)
+    direction = quadrant_direction(config.quadrant)
     zero = view.lam * 0
     t0 = t0 if isinstance(t0, QuadNum) else zero + t0
     r = r if isinstance(r, QuadNum) else zero + r
@@ -116,17 +116,14 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
     t = t0
     trace: list[Crossing] = []
 
-    def strip_hits(right: QuadNum, u_lo: QuadNum, u_hi: QuadNum):
-        # offsets in (0, t), heights in (u_lo, u_hi]
-        return hits_in_box(view, marked, sp, right, u_lo, u_hi,
-                           (False, False, False, True))
-
-    strip = StripClimber(strip_hits, view.frame.widths, sp, up, up + r)
+    # offsets in (0, t), heights in (a, b]
+    strip = StripClimber(view, marked, (False, False, False, True), sp, up,
+                         up + r)
     while (c := strip.lowest(sp + t)) is not None:
         if len(trace) >= budget:
             return GameOutcome("BudgetExhausted", None, tuple(trace))
         o, w = c.s - sp, c.twist
-        e = -w if contracting else w
+        e = direction * w
         t_before, t = t, o + rung(e)[0] * (t - o)
         trace.append(Crossing(c, c.u - up, o, w, e, t_before, t))
     return GameOutcome("Defined", t, tuple(trace))

@@ -101,25 +101,26 @@ def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
     return got == corners
 
 
-def first_window_hits(scan, width, lo, hi, widths, covered):
-    """(hits, top): the hits of the first nonempty scan(a, b) over the
+def first_window_hits(strip):
+    """(hits, top): the hits of the strip's first nonempty scan over the
     height windows (a, b] climbing from lo to hi, and the top of the window
     that found them; ([], hi) when there are none.
 
     The first window is W_s W_u / width tall, the area of a box that holds
     a lift of every base point, and the windows double, so the scanned area
     stays proportional to the hit count however wide or narrow the strip
-    is.  The caller knows that the heights (lo, covered] hold no lift: a
+    is.  The climber knows that the heights (lo, covered] hold no lift: a
     window wholly below covered is skipped and one that straddles it is
     scanned from covered up.  The windows stay anchored at lo whatever
     covered is, so a resumed search scans the same tops as a fresh one.
     """
-    ws, wu = widths
-    window = ws * wu / width
+    left, right, lo, hi = strip.left, strip.right, strip.lo, strip.hi
+    covered, window = strip.covered, strip.area / (right - left)
     while lo < hi:
         top = min(lo + window, hi)
         if top > covered:
-            hits = scan(max(lo, covered), top)
+            hits = hits_in_box(strip.view, strip.mset, left, right,
+                               max(lo, covered), top, strip.include)
             if hits:
                 return hits, top
         lo, window = top, window + window
@@ -127,17 +128,19 @@ def first_window_hits(scan, width, lo, hi, widths, covered):
 
 
 class StripClimber:
-    """The lowest lifts of the strip between s = left and s = right above
-    height lo, up to hi, one at a time: the one search under the holonomy
-    game and the primitive-family walk.
+    """The lowest lifts of mset in the view's strip between s = left and
+    s = right above height lo, up to hi, one at a time: the one search
+    under the holonomy game, the primitive-family walk and the staircase
+    safety contacts.
 
-    scan(right, a, b) lists the strip's lifts at heights (a, b], with the
-    s edges open or closed as the caller needs.  lowest(right) moves the
-    right edge and takes the lowest lift above the last one taken, or None
-    when there is none up to hi, searching the height windows of
-    `first_window_hits`.  When the edge grew, it drops the other lifts the
-    last window found and resets covered to lo; otherwise it keeps those
-    with s < right, less the lift it took last.  Each lift is taken once.
+    Every scan is hits_in_box(view, mset, left, right, a, b, include): the
+    strip's lifts at heights (a, b], with the edges open or closed as the
+    caller's include says.  lowest(right) moves the right edge and takes
+    the lowest lift above the last one taken, or None when there is none
+    up to hi, searching the height windows of `first_window_hits`.  When
+    the edge grew, it drops the other lifts the last window found and
+    resets covered to lo; otherwise it keeps those with s < right, less
+    the lift it took last.  Each lift is taken once.
 
     Exactness: the heights up to covered, the top of the window that found
     the hits, were scanned over a strip that holds the current one, because
@@ -148,11 +151,13 @@ class StripClimber:
     above lo, hence the reset.  Distinct lifts never share a u (the level
     lines have irrational slope), so the lowest is unique.
     """
-    __slots__ = ("scan", "widths", "left", "right", "lo", "hi", "covered",
-                 "hits", "last")
+    __slots__ = ("view", "mset", "include", "area", "left", "right", "lo",
+                 "hi", "covered", "hits", "last")
 
-    def __init__(self, scan, widths, left, lo, hi):
-        self.scan, self.widths = scan, widths
+    def __init__(self, view, mset, include, left, lo, hi):
+        self.view, self.mset, self.include = view, mset, include
+        ws, wu = view.frame.widths
+        self.area = ws * wu
         # the strip starts empty, so that the first edge widens it
         self.left, self.right, self.lo, self.hi = left, left, lo, hi
         self.covered, self.hits, self.last = lo, [], None
@@ -166,9 +171,7 @@ class StripClimber:
         self.right = right
         hits = self.hits
         if not hits:
-            hits, self.covered = first_window_hits(
-                lambda a, b: self.scan(right, a, b), right - self.left,
-                self.lo, self.hi, self.widths, self.covered)
+            hits, self.covered = first_window_hits(self)
             if not hits:
                 return None
             self.hits = hits
@@ -197,12 +200,8 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,
     view the same walk runs along the base, from left to right.
     """
     s0, u0 = view.s(origin), view.u(origin)
-
-    def scan(right, a, b):
-        return hits_in_box(view, X, s0, right, a, b,
-                           (False, True, False, True))
-
-    strip = StripClimber(scan, view.frame.widths, s0, u0 + above, u0 + u_cap)
+    strip = StripClimber(view, X, (False, True, False, True), s0, u0 + above,
+                         u0 + u_cap)
     right = s0 + s_width
     while (low := strip.lowest(right)) is not None:
         if not s0 < low.s <= right:

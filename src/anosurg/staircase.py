@@ -29,7 +29,7 @@ from .quadfield import QuadNum, qn_to_str
 from .rectangles import StripClimber, period_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
                     Point, QUADRANTS, as_point, group_element, hits_in_box,
-                    point_strings, quadrant_contracting, quadrant_view)
+                    point_strings, quadrant_direction, quadrant_view)
 
 # Levels the raw induction may reach before a period must have recurred
 MAX_LEVELS = 64
@@ -216,12 +216,8 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
     enough = (ws + ws) * frame.rung(j)[0]  # doubled: the near edge is open
     outward = view.transposed(reverse=s_dir < 0)
     lo = s_dir * s_anchor
-
-    def scan(right, a, b):
-        return hits_in_box(outward, mset, u_lo, right, a, b,
-                           (True, True, False, True))
-
-    hit = StripClimber(scan, (wu, ws), u_lo, lo, lo + enough).lowest(u_hi)
+    hit = StripClimber(outward, mset, (True, True, False, True), u_lo, lo,
+                       lo + enough).lowest(u_hi)
     if hit is None:
         raise InvariantError("no contact found in the height band")
     return hit.u - lo
@@ -369,7 +365,7 @@ def containment_check(st: Staircase, twist: int) -> bool:
     mixed ones; containment needs ds_{i+1} + safety_{i+1} <= lam^e * safety_i
     at every level.
     """
-    e = -twist if quadrant_contracting(st.quadrant) else twist
+    e = quadrant_direction(st.quadrant) * twist
     grow = st.view.frame.rung(e)[0]
     return all(nxt.ds + nxt.safety <= grow * cur.safety
                for cur, nxt in zip(st.steps, st.steps[1:]))

@@ -895,8 +895,14 @@ def quadrant_view(frame: EigenFrame, quadrant: str) -> FrameView:
     return FrameView(frame, flip_s=(quadrant[0] == "-"), flip_u=(quadrant[1] == "-"))
 
 
-def quadrant_contracting(quadrant: str) -> bool:
-    """True when crossing factors are lam^{-w} (quadrants ++/--), else lam^{+w}."""
+def quadrant_direction(quadrant: str) -> int:
+    """The quadrant's exponent direction d: a crossing of twist w scales
+    the offset by lam^(d*w), with d = -1 in ++ and -- and +1 in +- and -+."""
     if quadrant not in QUADRANTS:
         raise ValueError(f"quadrant must be one of {QUADRANTS}, got {quadrant!r}")
-    return quadrant in ("++", "--")
+    return -1 if quadrant in ("++", "--") else 1
+
+
+def quadrant_contracting(quadrant: str) -> bool:
+    """True when crossing factors are lam^{-w} (quadrants ++/--), else lam^{+w}."""
+    return quadrant_direction(quadrant) < 0

@@ -477,6 +477,16 @@ class TestExitCodes:
         code, out, err = run(argv[0], str(path), *argv[1:])
         assert code == 1 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00 garbage", b"\x80"],
+                             ids=["ff-fe-00-garbage", "lone-0x80"])
+    def test_a_problem_file_that_is_not_utf8_is_invalid_input(
+            self, run, tmp_path, content):
+        path = tmp_path / "problem.json"
+        path.write_bytes(content)
+        code, out, err = run("classify", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: problem file: ") and err.count("\n") == 1
+
     def test_long_orbit_is_unsupported_and_fails_fast(self, run, tmp_path):
         # the period of (1/(10^9 + 7), 0) under A2 is of the order of 10^9
         path = tmp_path / "long.json"
@@ -492,7 +502,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("where, field", [
         ("--point", "point[1]"), ("--t0", "t0/r"), ("--r", "t0/r"),
         ("point", "sets[1].point[0]"),
-        ("characteristic_number", "problem file")])
+        ("characteristic_number", "problem file"),
+        ("--budget", "anosurg game: argument --budget")])
     def test_an_input_past_the_digit_limit_is_invalid_input(
             self, run, tmp_path, where, field):
         # Python converts no integer of more digits than its limit from
@@ -501,7 +512,7 @@ class TestExitCodes:
         long = "1" * (limit + 1)
         game = {"--point": "0,0", "--t0": "1", "--r": "2"}
         y = dict(A2_Y)
-        if where in game:
+        if where in game or where == "--budget":
             game[where] = f"0,{long}" if where == "--point" else long
         else:
             # json.dumps cannot write the long integer either, so a

@@ -9,7 +9,7 @@ import pytest
 
 from anosurg import (FrameView, HyperbolicMatrix, InvariantError, QUADRANTS,
                      case_profile, census_records, eigenframe,
-                     enumerate_primitive, hits_in_box, is_primitive,
+                     enumerate_primitive, is_primitive,
                      marked_rect, marked_set, point, quadrant_view,
                      rect_meets)
 from anosurg import rectangles
@@ -273,12 +273,8 @@ class TestStripClimber:
         origin = point(HALF, Fraction(1, 3))
         left, lo = view.s(origin), view.u(origin)
         right, hi = left + 3, lo + 8
-
-        def scan(right, a, b):
-            return hits_in_box(view, X, left, right, a, b,
-                               (False, False, False, True))
-
-        strip = StripClimber(scan, view.frame.widths, left, lo, hi)
+        strip = StripClimber(view, X, (False, False, False, True), left, lo,
+                             hi)
         narrowed = widened = 0
         for move in range(20):
             lifts = oracle_hits(coords, X, left, right, lo, hi,

@@ -12,10 +12,10 @@ from hypothesis import given, strategies as st
 
 from anosurg import (GameConfig, InvariantError, MarkedSet, Orbit,
                      QUADRANTS, QuadNum, UnsupportedMatrixError, eigenframe,
-                     game, hits_in_box, marked_set, orbit_of, play_game,
+                     hits_in_box, marked_set, orbit_of, play_game,
                      point, qn_floor, qn_pow,
-                     quadrant_contracting, quadrant_view, sets_disjoint,
-                     torus)
+                     quadrant_contracting, quadrant_view, rectangles,
+                     sets_disjoint, torus)
 from anosurg.torus import (HyperbolicMatrix, FrameView, box_lifts,
                            group_element)
 from anosurg.classify import SurgeryProblem, analysis_of
@@ -631,13 +631,13 @@ class TestRenormalization:
         A, sets, _ = load_problem(FIXTURES["b2_half"])
         frame = eigenframe(A)
         windows = []
-        scan = game.hits_in_box
+        scan = rectangles.hits_in_box
 
         def recorded(view, mset, *box):
             windows.append(box[:4])
             return scan(view, mset, *box)
 
-        monkeypatch.setattr(game, "hits_in_box", recorded)
+        monkeypatch.setattr(rectangles, "hits_in_box", recorded)
         play_game(GameConfig(frame, (sets["X"], sets["Y"]), "++"),
                   point(0, 0), QuadNum(1, 0, frame.D),
                   QuadNum(20, 0, frame.D), budget=330)

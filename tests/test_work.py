@@ -1,0 +1,68 @@
+"""Work digests: the exact log of the box scans that a fixed workload
+makes, kept as one SHA-256.  Every verdict and output byte can stay the
+same while a change scans other boxes, more boxes or the same boxes in
+another order; the digest tells.  A change that means to change the log
+re-records the digest and says why."""
+
+import hashlib
+import sys
+
+from anosurg import (Analysis, GameConfig, QuadNum, SurgeryProblem, classify,
+                     eigenframe, enumerate_primitive, play_game, point,
+                     qn_to_str, torus)
+from anosurg.cli import FIXTURES, load_problem
+
+from conftest import A2
+from test_game import seeded_games
+
+# the number of scans and the digest of their log, recorded while each
+# caller of the strip climber still built its own scan
+SCANS, SCAN_LOG_SHA256 = (
+    425, "b1d02b473f309899f7647b0d0af4bb1cca12dfb870430141bd5ba5bbaede49a4")
+
+
+def exact(x) -> str:
+    return qn_to_str(x) if isinstance(x, QuadNum) else str(x)
+
+
+def workload():
+    """Games in all four quadrants, some of whose crossings widen the
+    strip, the classifications, thresholds and censuses of the three
+    fixtures, and the first 60 crossings of the b2 game: every caller of
+    the strip climber, each in a frame of its own."""
+    for cfg, p, t0, r in seeded_games(eigenframe(A2)):
+        play_game(cfg, p, t0, r, budget=40)
+    for name in sorted(FIXTURES):
+        A, sets, _ = load_problem(FIXTURES[name])
+        X, Y = sets["X"], sets["Y"]
+        classify(SurgeryProblem(A, X, Y))
+        Analysis(A, X, Y).thresholds()
+        frame = eigenframe(A)
+        for sign in ("positive", "negative"):
+            enumerate_primitive(frame, X, sign)
+    A, sets, _ = load_problem(FIXTURES["b2_half"])
+    frame = eigenframe(A)
+    play_game(GameConfig(frame, (sets["X"], sets["Y"]), "++"), point(0, 0),
+              QuadNum(1, 0, frame.D), QuadNum(20, 0, frame.D), budget=60)
+
+
+def test_scan_log_digest(monkeypatch):
+    # torus.box_lifts is where every hits_in_box scan lands, whichever
+    # module asks for it; each line is the set's marked points, the
+    # frame-coordinate bounds as exact strings and the edge flags
+    log = []
+    box_lifts = torus.box_lifts
+
+    def logged(frame, mset, s_lo, s_hi, u_lo, u_hi, include=(True,) * 4):
+        log.append(f"{mset.points} {exact(s_lo)} {exact(s_hi)} "
+                   f"{exact(u_lo)} {exact(u_hi)} {include}")
+        return box_lifts(frame, mset, s_lo, s_hi, u_lo, u_hi, include)
+
+    monkeypatch.setattr(torus, "box_lifts", logged)
+    # a fresh Analysis per problem: a memoized one would hide its scans
+    classify_module = sys.modules["anosurg.classify"]
+    monkeypatch.setattr(classify_module, "analysis_of",
+                        classify_module.analysis_of.__wrapped__)
+    workload()
+    digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
+    assert (len(log), digest) == (SCANS, SCAN_LOG_SHA256)
