@@ -13,17 +13,19 @@ both exports must be the same tree.  Pair i runs the parent first when i is
 odd and the change first when it is even.  For every metric the record holds
 the runs by pair, their median, first and third quartiles (inclusive
 method), the IQR, how many pairs the change read lower and whether the
-difference is resolved (see `compare`).  For every row and side it also
-stores the COUNTS of one traced run, which do not drift with the host's
-clock, and the lines of src/**/*.py in each export and their net change.  The field micro-benchmarks are the MICRO
+difference is resolved (see `compare`).  For every row it also makes PAIRS
+alternating pairs of traced runs: it stores the COUNTS of each side's first
+traced run, which do not drift with the host's clock, and compares the
+TRACED_TIMES of all of them like the metrics.  It stores the lines of
+src/**/*.py in each export and their net change.  The field micro-benchmarks are the MICRO
 figures of `perfbench/worker.py micro`, run in each export on operands
 written from that export's perfbench/goldens.json (`big_operands`) and the
 matrix of its fixtures/b2_half.json.  The pair and run counts and the claimed
 metric, if any, are the module constants below; the record also gives each
 metric's no-regression bound from BENCHMARK.json.  At the end it prints that line
-change, the counts of both sides, the micro-benchmark medians of both
-sides, and the change's medians against those of the newest BENCH_*.json in
-the change's tree.
+change, the counts and traced times of both sides, the micro-benchmark
+medians of both sides, and the change's medians against those of the newest
+BENCH_*.json in the change's tree.
 
 Nothing here is a test: timings are recorded, never asserted.
 """
@@ -55,13 +57,17 @@ COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
           "game.crossings", "staircase.build_staircase.calls",
           "staircase.build_staircase.failed", "staircase.levels",
           "rectangles.case_profile.calls")
+# per-pass times of the traced runs, stored and printed with COUNTS: the
+# game's time per crossing and play_game's own time, outside the spans it
+# calls; one traced run cannot resolve them, as the host's clock swings
+TRACED_TIMES = ("game.crossing_us", "game.play_game.self_s")
 # microseconds per field operation, on small and on big operands, that
 # `perfbench/worker.py micro` writes
 MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = None
+CLAIM = ("game_grid", "wall_ref")
 
 # alternating parent/change pairs per perfbench row, and alternating runs
 # per side of the import time, of each CLI command, of the
@@ -251,12 +257,12 @@ def perfbench_run(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def traced_counts(tree: Path, workload: str, seed: int) -> dict:
+def traced_run(tree: Path, workload: str, seed: int) -> dict:
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", "0", "--trace", "1"],
         cwd=tree, check=True, capture_output=True, text=True).stdout
-    return parse_counts(out)
+    return {"counts": parse_counts(out), "times": parse_traced_times(out)}
 
 
 def parse_counts(stdout: str) -> dict:
@@ -265,6 +271,12 @@ def parse_counts(stdout: str) -> dict:
     metrics = json.loads(stdout.strip().splitlines()[-1])["metrics"]
     values = {name: metrics[name]["value"] for name in COUNTS}
     return {name: int(v) if v == int(v) else v for name, v in values.items()}
+
+
+def parse_traced_times(stdout: str) -> dict:
+    """{name: per-pass value} of TRACED_TIMES from the same result line."""
+    metrics = json.loads(stdout.strip().splitlines()[-1])["metrics"]
+    return {name: metrics[name]["value"] for name in TRACED_TIMES}
 
 
 def record_workload(trees: dict, workload: str, seed: int):
@@ -277,8 +289,12 @@ def record_workload(trees: dict, workload: str, seed: int):
         metrics[name] = compare(
             [r["metrics"][name]["value"] for r in results["parent"]],
             [r["metrics"][name]["value"] for r in results["change"]], unit)
-    counts = {side: traced_counts(tree, workload, seed)
-              for side, tree in trees.items()}
+    traced = alternate(PAIRS, lambda side: traced_run(trees[side], workload,
+                                                      seed))
+    times = {name: compare([r["times"][name] for r in traced["parent"]],
+                           [r["times"][name] for r in traced["change"]],
+                           "us" if name.endswith("_us") else "s")
+             for name in TRACED_TIMES}
     return {"workload": workload, "seed": seed,
             "command": f"python3 perfbench/run.py --workload {workload} "
                        f"--seed {seed} --seconds 5 --trace 0",
@@ -290,8 +306,11 @@ def record_workload(trees: dict, workload: str, seed: int):
             "metrics": metrics,
             "counts": {"command": f"python3 perfbench/run.py --workload "
                                   f"{workload} --seed {seed} --seconds 0 "
-                                  "--trace 1, once per side",
-                       **counts}}
+                                  f"--trace 1, {PAIRS} alternating pairs; "
+                                  "the counts are the first run's",
+                       **{side: runs[0]["counts"]
+                          for side, runs in traced.items()},
+                       "times": times}}
 
 
 def env_for(tree: Path) -> dict:
@@ -429,12 +448,17 @@ def previous_record(tree: Path, out_name: str):
 
 
 def print_counts(record: dict):
-    print("traced counts per pass, parent -> change:")
+    print("traced counts and median times per pass, parent -> change:")
     for row in record["results"]:
         counts = row["counts"]
         for name in COUNTS:
             print(f"  {row['workload']} seed {row['seed']} {name}: "
                   f"{counts['parent'][name]:g} -> {counts['change'][name]:g}")
+        for name, m in counts["times"].items():
+            print(f"  {row['workload']} seed {row['seed']} {name}: "
+                  f"{m['parent']['median']:.4g} -> {m['change']['median']:.4g}"
+                  f" (change lower in {m['pairs_change_lower']} of {PAIRS}"
+                  " pairs)")
 
 
 def print_ratios(record: dict, previous: Path):

@@ -14,9 +14,16 @@ with a finite offset (Defined) or exhausts its crossing budget
 
 A step takes the lowest lift of the strip (0, t) x (h, r] from a
 `StripClimber`, and one scan covers the lifts of every marked set.  The
-climber is handed the strip's new edge at each step: a crossing that
-expands t (exponent e > 0) widens the strip, and one with e <= 0 narrows
-it or keeps it.
+game carries the strip's right edge, s0 + t in view s for the origin's
+s0, so a crossing at s_gamma = s0 + u_gamma is the three field operations
+
+    right  <-  s_gamma + lam^e * (right - s_gamma),
+
+and the climber is handed that edge at each step: a crossing that expands
+t (exponent e > 0) widens the strip, and one with e <= 0 narrows it or
+keeps it.  A crossing record keeps its lift, the origin and the strip's
+edges before and after it; its offset, height and lengths t are read off
+them when asked for.
 
 The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,
@@ -68,19 +75,40 @@ class GameConfig:
 
 
 class Crossing:
-    __slots__ = ("hit", "height", "offset", "twist", "exponent", "t_before",
-                 "t_after")
+    """One crossing of the game from the origin (s0, u0), in view
+    coordinates: the hit crossed, the exponent applied to lam, and the
+    strip's right edge in view s before and after it.  The offsets,
+    height and lengths t are read off them."""
+    __slots__ = ("hit", "s0", "u0", "exponent", "before", "after")
 
-    def __init__(self, hit: MarkedPointHit, height: QuadNum, offset: QuadNum,
-                 twist: int, exponent: int, t_before: QuadNum,
-                 t_after: QuadNum):
+    def __init__(self, hit: MarkedPointHit, s0: QuadNum, u0: QuadNum,
+                 exponent: int, before: QuadNum, after: QuadNum):
         self.hit = hit              # view coordinates relative to the frame
-        self.height = height        # unstable offset from the game origin
-        self.offset = offset        # stable offset from the game origin
-        self.twist = twist
+        self.s0, self.u0 = s0, u0
         self.exponent = exponent    # signed exponent actually applied to lam
-        self.t_before = t_before
-        self.t_after = t_after
+        self.before, self.after = before, after
+
+    @property
+    def twist(self) -> int:
+        return self.hit.twist
+
+    @property
+    def height(self) -> QuadNum:
+        """Unstable offset from the game origin."""
+        return self.hit.u - self.u0
+
+    @property
+    def offset(self) -> QuadNum:
+        """Stable offset from the game origin."""
+        return self.hit.s - self.s0
+
+    @property
+    def t_before(self) -> QuadNum:
+        return self.before - self.s0
+
+    @property
+    def t_after(self) -> QuadNum:
+        return self.after - self.s0
 
 
 class GameOutcome:
@@ -113,20 +141,19 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
     p = as_point(p)
     sp, up = view.s(p), view.u(p)
     marked, rung = config.marked, config.frame.rung
-    t = t0
+    right = sp + t0
     trace: list[Crossing] = []
 
     # offsets in (0, t), heights in (a, b]
     strip = StripClimber(view, marked, (False, False, False, True), sp, up,
                          up + r)
-    while (c := strip.lowest(sp + t)) is not None:
+    while (c := strip.lowest(right)) is not None:
         if len(trace) >= budget:
             return GameOutcome("BudgetExhausted", None, tuple(trace))
-        o, w = c.s - sp, c.twist
-        e = direction * w
-        t_before, t = t, o + rung(e)[0] * (t - o)
-        trace.append(Crossing(c, c.u - up, o, w, e, t_before, t))
-    return GameOutcome("Defined", t, tuple(trace))
+        e, s = direction * c.twist, c.s
+        before, right = right, s + rung(e)[0] * (right - s)
+        trace.append(Crossing(c, sp, up, e, before, right))
+    return GameOutcome("Defined", right - sp, tuple(trace))
 
 
 def game_trace_records(outcome: GameOutcome) -> list:

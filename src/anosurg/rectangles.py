@@ -28,6 +28,7 @@ origin to the base point f_A^e(b).
 from __future__ import annotations
 
 from math import lcm
+from operator import attrgetter
 
 from .quadfield import QuadNum, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
@@ -101,6 +102,10 @@ def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
     return got == corners
 
 
+# a hit's height in the view, the key of the climber's lowest hit
+_height = attrgetter("u")
+
+
 def first_window_hits(strip):
     """(hits, top): the hits of the strip's first nonempty scan over the
     height windows (a, b] climbing from lo to hi, and the top of the window
@@ -140,7 +145,8 @@ class StripClimber:
     up to hi, searching the height windows of `first_window_hits`.  When
     the edge grew, it drops the other lifts the last window found and
     resets covered to lo; otherwise it keeps those with s < right, less
-    the lift it took last.  Each lift is taken once.
+    the lift it took last, and finds the lowest of them in the same one
+    pass over the window's hits.  Each lift is taken once.
 
     Exactness: the heights up to covered, the top of the window that found
     the hits, were scanned over a strip that holds the current one, because
@@ -165,17 +171,19 @@ class StripClimber:
     def lowest(self, right) -> MarkedPointHit | None:
         if right > self.right:
             self.hits, self.covered = [], self.lo
-        else:
-            last = self.last
-            self.hits = [h for h in self.hits if h is not last and h.s < right]
         self.right = right
-        hits = self.hits
-        if not hits:
-            hits, self.covered = first_window_hits(self)
-            if not hits:
-                return None
-            self.hits = hits
-        low = min(hits, key=lambda h: h.u)
+        last, low, kept = self.last, None, []
+        for h in self.hits:
+            if h is not last and h.s < right:
+                kept.append(h)
+                if low is None or h.u < low.u:
+                    low = h
+        if low is None:
+            kept, self.covered = first_window_hits(self)
+            low = min(kept, key=_height, default=None)
+        self.hits = kept
+        if low is None:
+            return None
         if not low.u > self.lo:
             # a lift on the strip's open lower edge would be taken again and
             # again, forever

@@ -649,10 +649,14 @@ def hits_in_box(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                 include=(True, True, True, True)):
     """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], with
     per-edge inclusion as in `box_lifts`, as hits whose exact s and u are
-    view coordinates.  The hits come in no particular order."""
-    s_int, ss, u_int, su = view.forms
-    return [MarkedPointHit(base, lift, s_int.at(ss * X, ss * Y, k),
-                           u_int.at(su * X, su * Y, k), twist)
+    view coordinates, each one `_qn` of the view's signed coefficients
+    (`FrameView.coefficients`).  The hits come in no particular order."""
+    # s = (a*X + b*Y + (c*X + d*Y)*sqrt(D)) / (e*k), and u likewise
+    a, b, c, d, e, f, g, h, i, j = view.coefficients
+    D = view.frame.D
+    return [MarkedPointHit(base, lift,
+                           _qn(a * X + b * Y, c * X + d * Y, e * k, D),
+                           _qn(f * X + g * Y, h * X + i * Y, j * k, D), twist)
             for base, lift, twist in box_lifts(
                 view.frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi,
                                             include))
@@ -682,22 +686,24 @@ def _edges(form: IntForm, lo, hi, lo_closed, hi_closed):
     for the rule (a, b, f, g, h, e, sign, offset).  These bounds are exact
     for rational and irrational t alike.
     """
+    if form.rising:
+        return (_rule(form, lo, lo_closed, True),
+                _rule(form, hi, hi_closed, False))
+    # dividing by c_y < 0 swaps the edges
+    return _rule(form, hi, hi_closed, True), _rule(form, lo, lo_closed, False)
+
+
+def _rule(form: IntForm, v, closed, lower):
+    """The rule (a, b, f, g, h, e, sign, offset) of `_edges` for the edge
+    at v, a (p, q, d) triple."""
     rp, rq, rd = form.recip
     sp, sq, sd = form.slope
-    D = form.D
-
-    def rule(v, closed, lower):
-        p, q, d = v
-        dv = d * rd
-        sign, offset = _ROUNDING[lower, closed]
-        return (sign * (p * rp + q * rq * D) * sd,
-                sign * (p * rq + q * rp) * sd, sign * dv * sp, sign * dv * sq,
-                sign * dv * sd, dv * sd, sign, offset)
-
-    if form.rising:
-        return rule(lo, lo_closed, True), rule(hi, hi_closed, False)
-    # dividing by c_y < 0 swaps the edges
-    return rule(hi, hi_closed, True), rule(lo, lo_closed, False)
+    p, q, d = v
+    dv = d * rd
+    sign, offset = _ROUNDING[lower, closed]
+    return (sign * (p * rp + q * rq * form.D) * sd,
+            sign * (p * rq + q * rp) * sd, sign * dv * sp, sign * dv * sq,
+            sign * dv * sd, dv * sd, sign, offset)
 
 
 def _box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
@@ -834,8 +840,11 @@ class FrameView:
     so a climb in its u is a walk along the frame's s (`transposed`).  The
     view decides once, when it is built, what the transposition changes:
     `forms` holds the integer form and the sign of the view's s and of its
-    u, and a transposed view's `box` swaps the flipped bounds.  s and u
-    take a point or a pair.
+    u, `coefficients` their signed integers (px, py, qx, qy, L) for s,
+    then for u, so that s at (X/k, Y/k) is
+    (px*X + py*Y + (qx*X + qy*Y)*sqrt(D)) / (L*k), and a transposed
+    view's `box` swaps the flipped bounds.  s and u take a point or a
+    pair.
     """
 
     def __init__(self, frame: EigenFrame, flip_s: bool = False,
@@ -849,7 +858,12 @@ class FrameView:
         if transpose:
             s_int, u_int = u_int, s_int
             self.box = self._transposed_box
-        self.forms = (s_int, -1 if flip_s else 1, u_int, -1 if flip_u else 1)
+        ss, su = -1 if flip_s else 1, -1 if flip_u else 1
+        self.forms = (s_int, ss, u_int, su)
+        self.coefficients = (ss * s_int.px, ss * s_int.py, ss * s_int.qx,
+                             ss * s_int.qy, s_int.L, su * u_int.px,
+                             su * u_int.py, su * u_int.qx, su * u_int.qy,
+                             u_int.L)
 
     def s(self, p) -> QuadNum:
         s_int, ss, _, _ = self.forms

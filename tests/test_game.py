@@ -183,6 +183,10 @@ class TestGameBasics:
             assert (out.status, out.final_t) == (status, final_t), k
             assert [(c.hit.base, c.hit.lattice, c.height, c.offset,
                      c.exponent, c.t_after) for c in out.trace] == trace, k
+            # each crossing starts from the length the last one left
+            ts = [t0] + [c.t_after for c in out.trace]
+            assert [c.t_before for c in out.trace] == ts[:-1], k
+            assert all(c.twist == c.hit.twist for c in out.trace), k
             if any(c.exponent > 0 for c in out.trace):
                 widened.add(cfg.quadrant)
         assert widened == set(QUADRANTS)
@@ -199,9 +203,9 @@ class TestGameBasics:
             events.append(("scan", u_lo, u_hi))
             return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include)
 
-        def crossed(hit, height, offset, twist, exponent, *rest):
+        def crossed(hit, s0, u0, exponent, *rest):
             events.append(("cross", hit.u, exponent))
-            return crossing(hit, height, offset, twist, exponent, *rest)
+            return crossing(hit, s0, u0, exponent, *rest)
 
         monkeypatch.setattr(rectangles, "hits_in_box", scanned)
         monkeypatch.setattr(game, "Crossing", crossed)

@@ -129,6 +129,17 @@ def test_parse_counts_reads_the_traced_result_line():
         record.parse_counts('{"metrics": {}}\n')
 
 
+def test_parse_traced_times_reads_the_game_times():
+    out = ('{"correct": true, "attempted": 800, "failed": 0, "metrics": {'
+           '"game.crossing_us": {"value": 47.25, "unit": "us"}, '
+           '"game.play_game.self_s": {"value": 0.0125, "unit": "s"}, '
+           '"game.crossings": {"value": 2140.0, "unit": "count"}}}\n')
+    assert record.parse_traced_times(out) == {
+        "game.crossing_us": 47.25, "game.play_game.self_s": 0.0125}
+    with pytest.raises(KeyError):
+        record.parse_traced_times('{"metrics": {}}\n')
+
+
 def test_src_line_change_counts_python_files_under_src(tmp_path):
     trees = {side: tmp_path / side for side in ("parent", "change")}
     for tree, lines in zip(trees.values(), (5, 2)):

@@ -9,7 +9,7 @@ import sys
 
 from anosurg import (Analysis, GameConfig, QuadNum, SurgeryProblem, classify,
                      eigenframe, enumerate_primitive, play_game, point,
-                     qn_to_str, torus)
+                     quadfield, qn_to_str, torus)
 from anosurg.cli import FIXTURES, load_problem
 
 from conftest import A2
@@ -19,19 +19,35 @@ from test_game import seeded_games
 # caller of the strip climber still built its own scan
 SCANS, SCAN_LOG_SHA256 = (
     425, "b1d02b473f309899f7647b0d0af4bb1cca12dfb870430141bd5ba5bbaede49a4")
+# the QuadNums that the workload's games build, recorded when a crossing
+# became three field operations on the strip's right edge
+GAME_QUADNUMS = 3495
 
 
 def exact(x) -> str:
     return qn_to_str(x) if isinstance(x, QuadNum) else str(x)
 
 
-def workload():
-    """Games in all four quadrants, some of whose crossings widen the
-    strip, the classifications, thresholds and censuses of the three
-    fixtures, and the first 60 crossings of the b2 game: every caller of
-    the strip climber, each in a frame of its own."""
+def games():
+    """(config, p, t0, r, budget) of the workload's games: the 48 seeded
+    games in all four quadrants, some of whose crossings widen the strip,
+    and the first 60 crossings of the b2 game, each set in a fresh
+    frame."""
     for cfg, p, t0, r in seeded_games(eigenframe(A2)):
-        play_game(cfg, p, t0, r, budget=40)
+        yield cfg, p, t0, r, 40
+    A, sets, _ = load_problem(FIXTURES["b2_half"])
+    frame = eigenframe(A)
+    yield (GameConfig(frame, (sets["X"], sets["Y"]), "++"), point(0, 0),
+           QuadNum(1, 0, frame.D), QuadNum(20, 0, frame.D), 60)
+
+
+def workload():
+    """The seeded games, the classifications, thresholds and censuses of
+    the three fixtures, and the b2 game: every caller of the strip
+    climber, each in a frame of its own."""
+    *seeded, b2_game = games()
+    for game in seeded:
+        play_game(*game)
     for name in sorted(FIXTURES):
         A, sets, _ = load_problem(FIXTURES[name])
         X, Y = sets["X"], sets["Y"]
@@ -40,10 +56,7 @@ def workload():
         frame = eigenframe(A)
         for sign in ("positive", "negative"):
             enumerate_primitive(frame, X, sign)
-    A, sets, _ = load_problem(FIXTURES["b2_half"])
-    frame = eigenframe(A)
-    play_game(GameConfig(frame, (sets["X"], sets["Y"]), "++"), point(0, 0),
-              QuadNum(1, 0, frame.D), QuadNum(20, 0, frame.D), budget=60)
+    play_game(*b2_game)
 
 
 def test_scan_log_digest(monkeypatch):
@@ -66,3 +79,23 @@ def test_scan_log_digest(monkeypatch):
     workload()
     digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
     assert (len(log), digest) == (SCANS, SCAN_LOG_SHA256)
+
+
+def test_quadnum_count_of_the_games(monkeypatch):
+    # every QuadNum the engine builds is one `_qn` call: the field
+    # operations in quadfield and the hit coordinates in torus; a game step
+    # that does more field work than its decision needs shows here
+    played = list(games())
+    built = 0
+    qn = quadfield._qn
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return qn(*args)
+
+    for module in (quadfield, torus):
+        monkeypatch.setattr(module, "_qn", counted)
+    for game in played:
+        play_game(*game)
+    assert built == GAME_QUADNUMS
