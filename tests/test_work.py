@@ -2,7 +2,9 @@
 makes, kept as one SHA-256.  Every verdict and output byte can stay the
 same while a change scans other boxes, more boxes or the same boxes in
 another order; the digest tells.  A change that means to change the log
-re-records the digest and says why."""
+re-records the digest and says why.  The number of QuadNums that the
+workload's games build is kept the same way, so field work a game step
+does not need shows without a clock."""
 
 import hashlib
 import sys
