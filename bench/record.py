@@ -56,7 +56,7 @@ METRICS = ("wall_ref", "op_gmean_ref", "setup_s", "peak_rss_mib")
 COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
           "game.crossings", "staircase.build_staircase.calls",
           "staircase.build_staircase.failed", "staircase.levels",
-          "rectangles.case_profile.calls")
+          "rectangles.enumerate_primitive.calls")
 # per-pass times of the traced runs, stored and printed with COUNTS: the
 # game's time per crossing and play_game's own time, outside the spans it
 # calls; one traced run cannot resolve them, as the host's clock swings
@@ -67,7 +67,7 @@ MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = ("game_grid", "wall_ref")
+CLAIM = None
 
 # alternating parent/change pairs per perfbench row, and alternating runs
 # per side of the import time, of each CLI command, of the

@@ -22,12 +22,11 @@ from .quadfield import (QuadFieldError, QuadNum, qn_floor, qn_from_str,
 from .torus import (EigenFrame, FrameView, GroupElement, HyperbolicMatrix,
                     InvariantError, MarkedPointHit, MarkedSet, Orbit,
                     UnsupportedMatrixError, eigenframe, hits_in_box,
-                    marked_set, orbit_of, point, quadrant_contracting,
-                    quadrant_direction, quadrant_view, sets_disjoint,
-                    QUADRANTS)
-from .rectangles import (MarkedRect, case_profile, census_records,
-                         disjoint_witness, enumerate_primitive, is_primitive,
-                         marked_rect, rect_meets)
+                    marked_set, orbit_of, point, quadrant_direction,
+                    quadrant_view, sets_disjoint, QUADRANTS)
+from .rectangles import (MarkedRect, census_records, disjoint_witness,
+                         enumerate_primitive, is_primitive, marked_rect,
+                         rect_meets)
 from .game import (DEFAULT_BUDGET, Crossing, DominationAnalysis,
                    DominationHypothesisError, DominationInterval, GameConfig,
                    GameError, GameOutcome, game_trace_records, play_game)

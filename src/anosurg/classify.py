@@ -106,9 +106,13 @@ class Analysis:
         self._rows = {}
 
     def profile(self) -> dict:
-        """`case_profile`'s booleans and label, read off the domination rows:
-        a row has no certificate exactly when some primitive rectangle of its
-        set and sign misses the other set's lift."""
+        """The disjointness profile: its booleans in X+, X-, Y+, Y- order,
+        each true when some primitive rectangle of that set and sign misses
+        the other set's lift, with their `case_label`.  They are read off
+        the domination rows, with no census: a row has no certificate
+        exactly when such a rectangle exists, on sets of any number of
+        orbits, since the census and the domination analysis both read the
+        whole period family at each orbit's first point."""
         b = tuple(self.row(own, sign).cert is None
                   for own, sign in _DOMINATION_VARIANTS)
         case, symmetry = case_label(b)

@@ -31,9 +31,8 @@ from .quadfield import QuadFieldError, qn_from_str, qn_to_str
 from .torus import (HyperbolicMatrix, InvariantError, MarkedSet, Orbit,
                     PeriodLimitError, UnsupportedMatrixError, eigenframe,
                     marked_set, orbit_of, point, quadrant_direction)
-from .rectangles import (case_profile, census_records, disjoint_witness,
-                         enumerate_primitive, is_primitive, marked_rect,
-                         rect_meets)
+from .rectangles import (census_records, disjoint_witness, enumerate_primitive,
+                         is_primitive, marked_rect, rect_meets)
 from .game import (DEFAULT_BUDGET, GameConfig, GameError, game_trace_records,
                    play_game)
 from .staircase import (StaircaseError, build_staircase, containment_check,
@@ -204,17 +203,23 @@ def _cmd_census(args):
 
 def _cmd_profile(args):
     A, sets, _ = _read_problem(args.problem)
-    if sets["X"].is_empty() or sets["Y"].is_empty():
+    X, Y = sets["X"], sets["Y"]
+    if X.is_empty() or Y.is_empty():
         raise ParseError("sets: profile needs nonempty X and Y")
-    prof = case_profile(eigenframe(A), sets["X"], sets["Y"])
+    analysis = Analysis(A, X, Y)
+    prof = analysis.profile()
+    variants = {"pos_x": (X, Y, "positive"), "neg_x": (X, Y, "negative"),
+                "pos_y": (Y, X, "positive"), "neg_y": (Y, X, "negative")}
     _emit({
         "booleans": {f"{k}_disjoint": b for k, b in zip(
-            ("pos_x", "neg_x", "pos_y", "neg_y"), prof["booleans"])},
+            variants, prof["booleans"])},
         "case": prof["case"],
         "symmetry": prof["symmetry"],
         "primitive_reduction_assumed": True,
-        "witnesses": {k: census_records([v])[0]
-                      for k, v in prof["witnesses"].items()},
+        # a false boolean is a domination certificate and needs no census
+        "witnesses": {
+            k: census_records([disjoint_witness(analysis.frame, *v)])[0]
+            for (k, v), b in zip(variants.items(), prof["booleans"]) if b},
     })
     return 0
 
@@ -382,9 +387,8 @@ def _run_examples(out):
           b2_unit_rectangle)
 
     def case3_profile():
-        data = dict(FIXTURES["case3"])
-        A, sets, _ = load_problem(data)
-        prof = case_profile(eigenframe(A), sets["X"], sets["Y"])
+        A, sets, _ = load_problem(dict(FIXTURES["case3"]))
+        prof = Analysis(A, sets["X"], sets["Y"]).profile()
         return (prof["booleans"] == [True, False, True, False]
                 and prof["case"] == 3)
 

@@ -157,9 +157,12 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
 
 
 def game_trace_records(outcome: GameOutcome) -> list:
-    """JSON-ready crossing records (exact values as strings)."""
-    out = []
+    """JSON-ready crossing records (exact values as strings).  A crossing's
+    t_before is the t_after of the one before it, so only the first is
+    derived."""
+    out, t_before = [], None
     for c in outcome.trace:
+        t_after = qn_to_str(c.t_after)
         out.append({
             "base": point_strings(c.hit.base),
             "lattice": list(c.hit.lattice),
@@ -167,9 +170,10 @@ def game_trace_records(outcome: GameOutcome) -> list:
             "offset": qn_to_str(c.offset),
             "twist": c.twist,
             "exponent": c.exponent,
-            "t_before": qn_to_str(c.t_before),
-            "t_after": qn_to_str(c.t_after),
+            "t_before": qn_to_str(c.t_before) if t_before is None else t_before,
+            "t_after": t_after,
         })
+        t_before = t_after
     return out
 
 

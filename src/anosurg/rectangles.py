@@ -1,5 +1,6 @@
-"""Primitive marked-rectangle census up to the <A> x| Z^2 action and
-disjointness profiles.
+"""Primitive marked-rectangle census up to the <A> x| Z^2 action, and the
+disjoint witnesses and case labels of disjointness profiles (the profile's
+booleans are `classify.Analysis.profile`'s, read off its domination rows).
 
 A marked rectangle is an axis-aligned box in (s,u)-coordinates whose
 increasing (positive) or decreasing (negative) diagonal has both endpoints on
@@ -33,7 +34,7 @@ from operator import attrgetter
 from .quadfield import QuadNum, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, as_point, group_element, hits_in_box,
-                    point_strings, sets_disjoint)
+                    point_strings)
 
 
 class MarkedRect:
@@ -387,25 +388,6 @@ def case_label(b: tuple):
         if f(b) in _CASE_PATTERNS:
             return _CASE_PATTERNS[f(b)], name
     return "other", "none"
-
-
-def case_profile(frame: EigenFrame, X: MarkedSet, Y: MarkedSet) -> dict:
-    """The four disjointness booleans over primitive representatives, in
-    X+, X-, Y+, Y- order (true when some primitive rectangle of that set and
-    sign misses the other set's lift), with their `case_label` and a
-    disjoint witness for each true one, keyed pos_x, neg_x, pos_y, neg_y."""
-    if not sets_disjoint(X, Y):
-        raise ValueError("marked sets overlap")
-    wit = {
-        "pos_x": disjoint_witness(frame, X, Y, "positive"),
-        "neg_x": disjoint_witness(frame, X, Y, "negative"),
-        "pos_y": disjoint_witness(frame, Y, X, "positive"),
-        "neg_y": disjoint_witness(frame, Y, X, "negative"),
-    }
-    b = [w is not None for w in wit.values()]
-    case, symmetry = case_label(tuple(b))
-    return {"booleans": b, "case": case, "symmetry": symmetry,
-            "witnesses": {k: v for k, v in wit.items() if v is not None}}
 
 
 def census_records(reps) -> list:

@@ -197,28 +197,28 @@ def _doubles(values) -> list:
 
 
 def game_figure(outcome, t0, r, y_points=()) -> str:
-    """The game's offset-versus-height path with one dot per crossing."""
+    """The game's offset-versus-height path with one dot per crossing.  A
+    crossing's t_before is t0 or the t_after of the one before it."""
     y_points = set(y_points)
     trace = outcome.trace
     try:
         t0, r, *rest = _doubles([t0, r] + [x for c in trace for x in
-                                           (c.t_before, c.t_after, c.height,
-                                            c.offset)])
+                                           (c.t_after, c.height, c.offset)])
     except OverflowError:
         raise FigureError("game figure: an offset or a height of the trace "
                           "is beyond the range of a double") from None
-    crossings = [rest[i:i + 4] for i in range(0, len(rest), 4)]
-    ts = [t0] + [t_after for _, t_after, _, _ in crossings]
-    hs = [0.0] + [height for _, _, height, _ in crossings]
+    crossings = [rest[i:i + 3] for i in range(0, len(rest), 3)]
+    ts = [t0] + [t_after for t_after, _, _ in crossings]
+    hs = [0.0] + [height for _, height, _ in crossings]
     t_hi, h_hi = max(ts + [1.0]), max(hs + [r])
     fig = Figure(-0.05 * t_hi, 1.05 * t_hi, -0.05 * h_hi, 1.05 * h_hi)
     _axes(fig)
     path = [(t0, 0.0)]
-    for t_before, t_after, height, _ in crossings:
+    for t_before, (t_after, height, _) in zip(ts, crossings):
         path.append((t_before, height))
         path.append((t_after, height))
     fig.polyline(path, "trace")
-    for c, (_, _, height, offset) in zip(trace, crossings):
+    for c, (_, height, offset) in zip(trace, crossings):
         cls = "mark-Y" if c.hit.base in y_points else "mark-X"
         fig.dots([(offset, height)], cls, r=2.5)
     fig.line(-0.05 * t_hi, r, 1.05 * t_hi, r, "axis")

@@ -916,7 +916,3 @@ def quadrant_direction(quadrant: str) -> int:
         raise ValueError(f"quadrant must be one of {QUADRANTS}, got {quadrant!r}")
     return -1 if quadrant in ("++", "--") else 1
 
-
-def quadrant_contracting(quadrant: str) -> bool:
-    """True when crossing factors are lam^{-w} (quadrants ++/--), else lam^{+w}."""
-    return quadrant_direction(quadrant) < 0

@@ -62,10 +62,10 @@ def test_iterated_matrices_admit_disjoint_primitive_rectangles():
 
 
 def test_mixed_geometry_realizes_case_three():
-    from anosurg import case_profile
+    from anosurg import Analysis
     X = zero_orbit_set(C3)
     Y = marked_set(C3, [(point(0, HALF), 0)], "Y")
-    prof = case_profile(eigenframe(C3), X, Y)
+    prof = Analysis(C3, X, Y).profile()
     assert prof["booleans"] == [True, False, True, False]
     assert prof["case"] == 3 and prof["symmetry"] == "identity"
 

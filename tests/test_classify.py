@@ -12,10 +12,11 @@ from fractions import Fraction
 import pytest
 
 from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem,
-                     build_staircase, case_profile, classify, eigenframe,
+                     build_staircase, classify, disjoint_witness, eigenframe,
                      marked_set, orbit_of, point, quadrant_report,
                      verdict_records)
 from anosurg.classify import analysis_of
+from anosurg.rectangles import case_label
 from anosurg.staircase import SeedError
 from anosurg.torus import _mat_mul
 from anosurg.cli import FIXTURES, load_problem, main
@@ -359,28 +360,45 @@ def torsion_orbits(A, max_denominator):
     return seeds
 
 
+def torsion_pairs(A):
+    """Every ordered pair of distinct torsion orbits of denominator at most
+    3, the first marked X and the second Y."""
+    seeds = torsion_orbits(A, 3)
+    return [problem(A, [(p, 0)], [(q, 0)]) for p in seeds for q in seeds
+            if p != q]
+
+
+def census_profile(prob):
+    """The profile as the census gives it: each boolean is whether
+    `disjoint_witness` finds a primitive rectangle of its set and sign that
+    misses the other set, with their `case_label`."""
+    frame = eigenframe(prob.A)
+    b = tuple(disjoint_witness(frame, own, other, sign) is not None
+              for own, other in ((prob.X, prob.Y), (prob.Y, prob.X))
+              for sign in ("positive", "negative"))
+    case, symmetry = case_label(b)
+    return {"booleans": list(b), "case": case, "symmetry": symmetry}
+
+
 class TestProfileFromDominationRows:
-    @pytest.mark.parametrize("A", [A2, A3, C3], ids=["A2", "A3", "C3"])
-    def test_profile_matches_the_census(self, A):
+    @pytest.mark.parametrize("problems", [
+        lambda: torsion_pairs(A2), lambda: torsion_pairs(A3),
+        lambda: torsion_pairs(C3), lambda: multi_orbit_problems()],
+        ids=["A2", "A3", "C3", "multi-orbit"])
+    def test_profile_matches_the_census(self, problems):
         # a domination row is absent exactly when some primitive rectangle
-        # of its set and sign misses the other set: the census's boolean
-        seeds = torsion_orbits(A, 3)
-        frame = eigenframe(A)
-        for p in seeds:
-            for q in seeds:
-                if p == q:
-                    continue
-                prob = problem(A, [(p, 0)], [(q, 0)])
-                census = case_profile(frame, prob.X, prob.Y)
-                del census["witnesses"]
-                assert prob.analysis().profile() == census, (A, p, q)
+        # of its set and sign misses the other set: the census's boolean.
+        # Each multi-orbit draw marks two to four orbits in one of its sets
+        for prob in problems():
+            assert prob.analysis().profile() == census_profile(prob), \
+                (prob.A, prob.geometry())
 
     def test_unknown_verdict_takes_no_census(self, monkeypatch):
         def no_census(*args):
-            raise AssertionError("case_profile was called")
+            raise AssertionError("enumerate_primitive was called")
 
-        monkeypatch.setattr(sys.modules["anosurg.rectangles"], "case_profile",
-                            no_census)
+        monkeypatch.setattr(sys.modules["anosurg.rectangles"],
+                            "enumerate_primitive", no_census)
         A, sets, _ = load_problem(dict(FIXTURES["case3"]))
         v = classify(SurgeryProblem(A, sets["X"], sets["Y"]))
         assert v.status == "Unknown"

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from anosurg import (GameConfig, QuadNum, eigenframe, play_game, point,
-                     qn_from_str, qn_to_str)
+                     qn_from_str, qn_to_str, rectangles)
 from anosurg.cli import FIXTURES, load_problem, main
 from anosurg.torus import MAX_PERIOD
 
@@ -306,6 +306,27 @@ class TestProfileAndClassify:
             "pos_y_disjoint": True, "neg_y_disjoint": False,
         }
         assert set(data["witnesses"]) == {"pos_x", "pos_y"}
+
+    @pytest.mark.parametrize("fixture, censuses", [
+        ("case3", 2), ("a2_half", 2), ("b2_half", 4)])
+    def test_profile_builds_a_census_only_for_a_disjoint_sign(
+            self, run, tmp_path, monkeypatch, fixture, censuses):
+        # a false boolean is a domination certificate, read off its row;
+        # only a true one takes a census, to find its witness
+        built = []
+        census = rectangles.enumerate_primitive
+
+        def counted(*args):
+            built.append(args)
+            return census(*args)
+
+        monkeypatch.setattr(rectangles, "enumerate_primitive", counted)
+        path = tmp_path / f"{fixture}.json"
+        path.write_text(json.dumps(FIXTURES[fixture]))
+        code, out, _ = run("profile", str(path))
+        assert code == 0
+        disjoint = sum(json.loads(out)["booleans"].values())
+        assert len(built) == disjoint == censuses
 
     def test_classify_a2(self, run, a2_path):
         code, out, _ = run("classify", a2_path)

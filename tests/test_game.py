@@ -11,9 +11,9 @@ import pytest
 
 from anosurg import (DominationAnalysis, DominationHypothesisError,
                      FrameView, GameConfig, GameError, InvariantError,
-                     QuadNum, QUADRANTS, case_profile, eigenframe,
+                     QuadNum, QUADRANTS, disjoint_witness, eigenframe,
                      game_trace_records, hits_in_box, marked_set, orbit_of,
-                     play_game, point, qn_pow, quadrant_contracting,
+                     play_game, point, qn_pow, quadrant_direction,
                      quadrant_view)
 
 from anosurg import game, rectangles, torus
@@ -46,7 +46,7 @@ def seeded_games(frame_a2):
     for k in range(48):
         A = (A2, A3)[k % 2]
         quadrant = QUADRANTS[k // 2 % 4]
-        y_char = 3 if quadrant_contracting(quadrant) else -3
+        y_char = 3 if quadrant_direction(quadrant) < 0 else -3
         X = zero_orbit_set(A, rng.randint(-3, 3), "X")
         Y = (half_orbit_set(A, y_char) if A == A2
              else half_points_set(A, y_char))
@@ -394,8 +394,9 @@ class TestDomination:
                     raised.append(False)
                 except DominationHypothesisError:
                     raised.append(True)
-            profile = case_profile(frame, X, Y)
-            assert raised == profile["booleans"], (A, p, q)
+            disjoint = [disjoint_witness(frame, own, other, sign) is not None
+                        for own, other, sign in variants]
+            assert raised == disjoint, (A, p, q)
             outcomes.update(raised)
         assert outcomes == {False, True}
 

@@ -444,7 +444,7 @@ class TestNoFloatInDecisions:
 
 
 # the engine entry points whose one geometry argument is the eigenframe
-FRAME_ENTRY_POINTS = {"enumerate_primitive", "disjoint_witness", "case_profile",
+FRAME_ENTRY_POINTS = {"enumerate_primitive", "disjoint_witness",
                       "DominationAnalysis", "build_staircase"}
 
 

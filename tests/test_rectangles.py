@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from anosurg import (FrameView, HyperbolicMatrix, InvariantError, QUADRANTS,
-                     case_profile, census_records, eigenframe,
+                     census_records, disjoint_witness, eigenframe,
                      enumerate_primitive, is_primitive,
                      marked_rect, marked_set, point, quadrant_view,
                      rect_meets)
@@ -353,7 +353,7 @@ class TestProfiles:
     @pytest.mark.parametrize("label", sorted(CASES))
     def test_frozen_profiles(self, label):
         A, Y, booleans, case = self.CASES[label]
-        prof = case_profile(eigenframe(A), zero_orbit_set(A), Y)
+        prof = Analysis(A, zero_orbit_set(A), Y).profile()
         assert prof["booleans"] == list(booleans)
         assert prof["case"] == case
         assert prof["symmetry"] == "identity"
@@ -363,11 +363,14 @@ class TestProfiles:
         A, Y, _, _ = self.CASES[label]
         X = zero_orbit_set(A)
         frame = eigenframe(A)
-        prof = case_profile(frame, X, Y)
-        assert set(prof["witnesses"]) == \
-            {k for k, b in zip(("pos_x", "neg_x", "pos_y", "neg_y"),
-                               prof["booleans"]) if b}
-        for key, rep in prof["witnesses"].items():
+        prof = Analysis(A, X, Y).profile()
+        variants = {"pos_x": (X, Y, "positive"), "neg_x": (X, Y, "negative"),
+                    "pos_y": (Y, X, "positive"), "neg_y": (Y, X, "negative")}
+        witnesses = {k: rep for k, v in variants.items()
+                     if (rep := disjoint_witness(frame, *v)) is not None}
+        assert set(witnesses) == \
+            {k for k, b in zip(variants, prof["booleans"]) if b}
+        for key, rep in witnesses.items():
             sign, own = key.split("_")
             owner = X if own == "x" else Y
             other = Y if own == "x" else X

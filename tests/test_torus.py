@@ -14,7 +14,7 @@ from anosurg import (GameConfig, InvariantError, MarkedSet, Orbit,
                      QUADRANTS, QuadNum, UnsupportedMatrixError, eigenframe,
                      hits_in_box, marked_set, orbit_of, play_game,
                      point, qn_floor, qn_pow,
-                     quadrant_contracting, quadrant_view, rectangles,
+                     quadrant_direction, quadrant_view, rectangles,
                      sets_disjoint, torus)
 from anosurg.torus import (HyperbolicMatrix, FrameView, box_lifts,
                            group_element)
@@ -831,8 +831,8 @@ class TestGroupAndViews:
             view = quadrant_view(frame_a2, q)
             es, eu = signs[q]
             assert view.s(p) == es * s and view.u(p) == eu * u
-        assert quadrant_contracting("++") and quadrant_contracting("--")
-        assert not quadrant_contracting("+-")
+        assert quadrant_direction("++") < 0 and quadrant_direction("--") < 0
+        assert not quadrant_direction("+-") < 0
         with pytest.raises(ValueError):
             quadrant_view(frame_a2, "xx")
 

@@ -3,15 +3,15 @@ makes, kept as one SHA-256.  Every verdict and output byte can stay the
 same while a change scans other boxes, more boxes or the same boxes in
 another order; the digest tells.  A change that means to change the log
 re-records the digest and says why.  The number of QuadNums that the
-workload's games build is kept the same way, so field work a game step
-does not need shows without a clock."""
+workload's games build, and their records and figures, is kept the same
+way, so field work a game step does not need shows without a clock."""
 
 import hashlib
 import sys
 
 from anosurg import (Analysis, GameConfig, QuadNum, SurgeryProblem, classify,
-                     eigenframe, enumerate_primitive, play_game, point,
-                     quadfield, qn_to_str, torus)
+                     eigenframe, enumerate_primitive, game_trace_records,
+                     play_game, point, quadfield, qn_to_str, svgfig, torus)
 from anosurg.cli import FIXTURES, load_problem
 
 from conftest import A2
@@ -83,11 +83,9 @@ def test_scan_log_digest(monkeypatch):
     assert (len(log), digest) == (SCANS, SCAN_LOG_SHA256)
 
 
-def test_quadnum_count_of_the_games(monkeypatch):
-    # every QuadNum the engine builds is one `_qn` call: the field
-    # operations in quadfield and the hit coordinates in torus; a game step
-    # that does more field work than its decision needs shows here
-    played = list(games())
+def quadnums_built(monkeypatch, work) -> int:
+    """The QuadNums built while work() runs: each is one `_qn` call, the
+    field operations in quadfield and the hit coordinates in torus."""
     built = 0
     qn = quadfield._qn
 
@@ -96,8 +94,31 @@ def test_quadnum_count_of_the_games(monkeypatch):
         built += 1
         return qn(*args)
 
-    for module in (quadfield, torus):
-        monkeypatch.setattr(module, "_qn", counted)
-    for game in played:
-        play_game(*game)
-    assert built == GAME_QUADNUMS
+    with monkeypatch.context() as patch:
+        for module in (quadfield, torus):
+            patch.setattr(module, "_qn", counted)
+        work()
+    return built
+
+
+def test_quadnum_count_of_the_games(monkeypatch):
+    # a game step that does more field work than its decision needs shows
+    # here
+    played = list(games())
+    assert quadnums_built(
+        monkeypatch, lambda: [play_game(*game) for game in played]) \
+        == GAME_QUADNUMS
+
+
+def test_quadnum_count_of_the_game_records_and_figures(monkeypatch):
+    # the records and the figure each derive a crossing's height, offset
+    # and t_after; its t_before is the t_after before it, or t0, so only
+    # the first record of a game derives one
+    played = [(game, play_game(*game)) for game in games()]
+    crossings = sum(len(outcome.trace) for _, outcome in played)
+    records = quadnums_built(monkeypatch, lambda: [
+        game_trace_records(outcome) for _, outcome in played])
+    figures = quadnums_built(monkeypatch, lambda: [
+        svgfig.game_figure(outcome, t0, r)
+        for (_, _, t0, r, _), outcome in played])
+    assert (crossings, records, figures) == (262, 3 * 262 + 48, 3 * 262)
