@@ -9,9 +9,10 @@ check rather than a tautology.
 from fractions import Fraction
 import math
 
-from anosurg import StairStep, point, qn_pow, torus
+from anosurg import FrameView, StairStep, marked_rect, point, qn_pow, torus
+from anosurg.rectangles import period_family
 from anosurg.quadfield import _parts, _sign
-from anosurg.torus import PeriodLimitError, _log_ratio
+from anosurg.torus import PeriodLimitError, _log_ratio, group_element
 
 
 def pair(p):
@@ -361,6 +362,33 @@ def oracle_primitive_census(A, X, sign, frame):
                 if primitive:
                     keys.add((origin, b, k))
     return keys
+
+
+def origin_view_census(frame, X, sign):
+    """The census as it read the negative sign before it shared the
+    domination analysis's view: the family of the view with s flipped for
+    that sign, whose members are indexed by the rectangle's origin (its
+    lower-right corner when negative), each normalized at that origin.  It
+    reads the engine's period families, so it is a reference for the
+    other view, not an independent oracle."""
+    view = FrameView(frame, flip_s=(sign == "negative"))
+    reps = []
+    for orb in X.orbits:
+        base, period = orb.points[0], orb.period
+        for mu, height, corner in period_family(view, X, base, period):
+            e = frame.log_floor(mu / height) // 2
+            g = group_element(frame.matrix, e, base, orb.points[e % period])
+            reps.append(marked_rect(frame, X, g.act(base), g.act(corner.lift),
+                                    sign))
+    K = math.lcm(*(k for k, _, _ in X.index))
+
+    def rational(p):
+        k, x, y = p
+        return x * (K // k), y * (K // k)
+
+    reps.sort(key=lambda r: (r.ls, r.lu, rational(r.origin.base),
+                             rational(r.endpoint.base), r.endpoint.lattice))
+    return reps
 
 
 def census_keys(reps):

@@ -3,6 +3,7 @@ climber under the primitive-family walk, with frozen counts and brute-force
 oracle cross-checks."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from anosurg.rectangles import StripClimber, period_family, primitive_family
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
 from oracles import (_QuadrantCoords, census_keys, oracle_hits,
-                     oracle_pareto_frontier, oracle_primitive_census, pair)
+                     oracle_pareto_frontier, oracle_primitive_census,
+                     origin_view_census, pair)
+from test_corpus import MATRICES as CORPUS_MATRICES, orbit_seeds
 
 FROZEN_COUNTS = {
     # matrix label: (positive count, negative count) for the (0,0) orbit
@@ -48,6 +51,10 @@ ORACLE_CENSUSES = {
     "[[5,2],[2,1]] (1/4,0)": (HyperbolicMatrix(5, 2, 2, 1),
                               [point(Fraction(1, 4), 0)]),
 }
+
+
+# draws of TestCensusViews by orbit count: one, and two or three
+ORBIT_DRAWS = {1: 71, 2: 129}
 
 
 class TestCensus:
@@ -117,6 +124,31 @@ def count_window_scans(monkeypatch):
 
     monkeypatch.setattr(rectangles, "first_window_hits", counted)
     return calls
+
+
+class TestCensusViews:
+    def test_census_records_equal_the_origin_view_census(self):
+        # the negative census reads the domination analysis's family, whose
+        # members are indexed by the upper-left corner, and normalizes each
+        # at its lower-right corner, which may lie in another orbit: its
+        # records equal, byte for byte, those of the census indexed by the
+        # lower-right corner, on seeded sets of one to three orbits
+        rng = random.Random(5)
+        seeds = {A: orbit_seeds(A, 4) for A in CORPUS_MATRICES}
+        frames = {A: eigenframe(A) for A in CORPUS_MATRICES}
+        orbits = Counter()
+        for _ in range(200):
+            A = rng.choice(CORPUS_MATRICES)
+            picked = rng.sample(seeds[A], rng.randrange(1, 4))
+            X = marked_set(A, [(p, 0) for p in picked], "X")
+            orbits[min(len(picked), 2)] += 1
+            for sign in ("positive", "negative"):
+                assert (census_records(enumerate_primitive(frames[A], X,
+                                                           sign))
+                        == census_records(origin_view_census(frames[A], X,
+                                                             sign))), \
+                    (A, picked, sign)
+        assert orbits == ORBIT_DRAWS
 
 
 class TestPrimitiveFamily:
