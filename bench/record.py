@@ -56,7 +56,8 @@ METRICS = ("wall_ref", "op_gmean_ref", "setup_s", "peak_rss_mib")
 COUNTS = ("torus.hits_in_box.calls", "torus.hits_in_box.hits",
           "game.crossings", "staircase.build_staircase.calls",
           "staircase.build_staircase.failed", "staircase.levels",
-          "rectangles.enumerate_primitive.calls")
+          "rectangles.enumerate_primitive.calls",
+          "rectangles.rect_meets.calls")
 # per-pass times of the traced runs, stored and printed with COUNTS: the
 # game's time per crossing and play_game's own time, outside the spans it
 # calls; one traced run cannot resolve them, as the host's clock swings

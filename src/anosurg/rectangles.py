@@ -16,14 +16,14 @@ representative per orbit, as a `MarkedRect`:
 The census, the domination analysis and the staircase seed search read the
 primitive rectangles at an origin off one object, its primitive family (the
 lattice's relative minima in a quadrant, its Klein sail): `primitive_family`
-walks it, and `period_family` reads one period of it lazily, by base
-length, and keeps what it read per frame.  The census reads it at each
-orbit's first point b, of period pi, and moves a member of ratio r by A^e,
-e = floor(log_lam(r) / 2), plus the integer vector that takes b to f_A^e(b).
-This is exact.  The family at b is invariant under the lift of A^pi that
-fixes b.  Base lengths [1, lam^pi) and ratios [1, lam^2pi) are both
-fundamental domains of that action.  A^e takes ratio r to r lam^-2e and the
-origin to the base point f_A^e(b).
+walks it, and `period_family` reads one period of it lazily, by base length,
+and keeps what it read per frame.  The census reads it at each orbit's first
+point b, of period pi, flipped in u when negative (b is then the upper-left
+corner), and moves a member of ratio r by A^e, e = floor(log_lam(r) / 2),
+plus the integer vector that takes its diagonal's lower corner o to
+f_A^e(o).  This is exact.  The family at b is invariant under the lift of
+A^pi that fixes b.  Base lengths [1, lam^pi) and ratios [1, lam^2pi) are
+both fundamental domains of that action, and A^e divides ratios by lam^2e.
 """
 
 from __future__ import annotations
@@ -237,8 +237,8 @@ class PeriodFamily:
     than lam^2 m^2, m = max(W_s, W_u), which caps the first climb.
 
     `contact(i, other)` is member i's scan of another marked set, kept
-    per member and set, so the domination analysis and the staircase seed
-    search of one view share it.
+    per member and set, so the domination analysis, the staircase seed
+    search and the census's witness search of one view share it.
     """
     __slots__ = ("view", "s0", "u0", "big", "members", "_walk", "_contacts")
 
@@ -306,31 +306,35 @@ def period_family(view: FrameView, X: MarkedSet, origin,
     return families[key]
 
 
-def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):
-    """One normalized representative per orbit of primitive sign-diagonal
-    X-rectangles, as MarkedRects."""
+def _census(frame: EigenFrame, X: MarkedSet, sign: str) -> list:
+    """The census as (representative, family, member index) triples."""
     if X.is_empty():
         raise ValueError("marked set is empty")
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be positive|negative, got {sign!r}")
-    view = FrameView(frame, flip_s=(sign == "negative"))
-    reps = []
-    seen = set()
+    negative = sign == "negative"
+    view = FrameView(frame, flip_u=negative)
+    found, seen = [], set()
     for orb in X.orbits:
-        base, period = orb.points[0], orb.period
-        for mu, height, corner in period_family(view, X, base, period):
+        base = orb.points[0]
+        family = period_family(view, X, base, orb.period)
+        for i, (mu, height, corner) in enumerate(family):
+            # the diagonal's lower point is the far corner when negative
+            low, high = ((corner.lift, base) if negative
+                         else (base, corner.lift))
             # A^e takes the ratio into [1, lam^2); exactly lam^2k goes to 1
             e = frame.log_floor(mu / height) // 2
-            g = group_element(frame.matrix, e, base, orb.points[e % period])
+            low_orb, place = X.locate(low)
+            g = group_element(frame.matrix, e, low, low_orb.points[
+                (place + e) % low_orb.period])
             if g is None:
                 raise InvariantError("census origin outside its orbit")
-            mr = marked_rect(frame, X, g.act(base), g.act(corner.lift),
-                             sign)
+            mr = marked_rect(frame, X, g.act(low), g.act(high), sign)
             key = (mr.origin.base, mr.endpoint.lift)
             if key in seen:
                 raise InvariantError("duplicate normalized representative")
             seen.add(key)
-            reps.append(mr)
+            found.append((mr, family, i))
     # ties in the lengths go by the bases' rational order: (k, x, y) is
     # (x*(K//k), y*(K//k))/K over the lcm K of X's denominators
     K = lcm(*(k for k, _, _ in X.index))
@@ -339,9 +343,16 @@ def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):
         k, x, y = p
         return x * (K // k), y * (K // k)
 
-    reps.sort(key=lambda r: (r.ls, r.lu, rational(r.origin.base),
-                             rational(r.endpoint.base), r.endpoint.lattice))
-    return reps
+    found.sort(key=lambda f: (f[0].ls, f[0].lu, rational(f[0].origin.base),
+                              rational(f[0].endpoint.base),
+                              f[0].endpoint.lattice))
+    return found
+
+
+def enumerate_primitive(frame: EigenFrame, X: MarkedSet, sign: str):
+    """One normalized representative per orbit of primitive sign-diagonal
+    X-rectangles, as MarkedRects."""
+    return [rep for rep, _, _ in _census(frame, X, sign)]
 
 
 def rect_meets(frame: EigenFrame, rect: MarkedRect, S: MarkedSet) -> bool:
@@ -355,9 +366,10 @@ def rect_meets(frame: EigenFrame, rect: MarkedRect, S: MarkedSet) -> bool:
 def disjoint_witness(frame: EigenFrame, own: MarkedSet, other: MarkedSet,
                      sign: str) -> MarkedRect | None:
     """The first primitive sign-diagonal representative of own whose closed
-    box misses the lift of other, or None when every one meets it."""
-    for rep in enumerate_primitive(frame, own, sign):
-        if not rect_meets(frame, rep, other):
+    box misses the lift of other, or None; its family member's contact
+    tells, since the group element between them preserves other."""
+    for rep, family, i in _census(frame, own, sign):
+        if family.contact(i, other) is None:
             return rep
     return None
 

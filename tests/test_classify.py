@@ -395,10 +395,11 @@ class TestProfileFromDominationRows:
 
     def test_unknown_verdict_takes_no_census(self, monkeypatch):
         def no_census(*args):
-            raise AssertionError("enumerate_primitive was called")
+            raise AssertionError("a census was built")
 
-        monkeypatch.setattr(sys.modules["anosurg.rectangles"],
-                            "enumerate_primitive", no_census)
+        # the one census under enumerate_primitive and disjoint_witness
+        monkeypatch.setattr(sys.modules["anosurg.rectangles"], "_census",
+                            no_census)
         A, sets, _ = load_problem(dict(FIXTURES["case3"]))
         v = classify(SurgeryProblem(A, sets["X"], sets["Y"]))
         assert v.status == "Unknown"

@@ -314,13 +314,13 @@ class TestProfileAndClassify:
         # a false boolean is a domination certificate, read off its row;
         # only a true one takes a census, to find its witness
         built = []
-        census = rectangles.enumerate_primitive
+        census = rectangles._census
 
         def counted(*args):
             built.append(args)
             return census(*args)
 
-        monkeypatch.setattr(rectangles, "enumerate_primitive", counted)
+        monkeypatch.setattr(rectangles, "_census", counted)
         path = tmp_path / f"{fixture}.json"
         path.write_text(json.dumps(FIXTURES[fixture]))
         code, out, _ = run("profile", str(path))

@@ -117,12 +117,15 @@ def test_parse_counts_reads_the_traced_result_line():
            '"unit": "count"}, "staircase.levels": {"value": 0.0, "unit": '
            '"count"}, '
            '"rectangles.enumerate_primitive.calls": {"value": 4.0, "unit": '
+           '"count"}, '
+           '"rectangles.rect_meets.calls": {"value": 0.0, "unit": '
            '"count"}}}\n')
     assert record.parse_counts(out) == {
         "torus.hits_in_box.calls": 1018, "torus.hits_in_box.hits": 5435,
         "game.crossings": 1070.5, "staircase.build_staircase.calls": 0,
         "staircase.build_staircase.failed": 0, "staircase.levels": 0,
-        "rectangles.enumerate_primitive.calls": 4}
+        "rectangles.enumerate_primitive.calls": 4,
+        "rectangles.rect_meets.calls": 0}
     with pytest.raises(KeyError):
         record.parse_counts('{"metrics": {}}\n')
 

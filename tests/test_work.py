@@ -7,20 +7,30 @@ workload's games build, and their records and figures, is kept the same
 way, so field work a game step does not need shows without a clock."""
 
 import hashlib
+import json
 import sys
 
+import pytest
+
 from anosurg import (Analysis, GameConfig, QuadNum, SurgeryProblem, classify,
-                     eigenframe, enumerate_primitive, game_trace_records,
-                     play_game, point, quadfield, qn_to_str, svgfig, torus)
-from anosurg.cli import FIXTURES, load_problem
+                     disjoint_witness, eigenframe, enumerate_primitive,
+                     game_trace_records, play_game, point, quadfield,
+                     qn_to_str, rectangles, svgfig, torus)
+from anosurg.cli import FIXTURES, load_problem, main
 
 from conftest import A2
 from test_game import seeded_games
 
-# the number of scans and the digest of their log, recorded while each
-# caller of the strip climber still built its own scan
+# the number of scans and the digest of their log, re-recorded when the
+# negative census began to walk the u-flipped family that the negative
+# domination analysis walks: it scans that view's boxes, as many as the
+# s-flipped walk did
 SCANS, SCAN_LOG_SHA256 = (
-    425, "b1d02b473f309899f7647b0d0af4bb1cca12dfb870430141bd5ba5bbaede49a4")
+    425, "3059c62a8ae11aa61bd1213431b95f0dff19252b56bfeac1510437a021d41475")
+# the box scans of one in-process `profile` of each fixture
+PROFILE_SCANS = {"a2_half": 16, "b2_half": 26, "case3": 16}
+# the signs of each fixture whose domination row holds
+DOMINATED_SIGNS = {"a2_half": 2, "b2_half": 0, "case3": 2}
 # the QuadNums that the workload's games build, recorded when a crossing
 # became three field operations on the strip's right edge
 GAME_QUADNUMS = 3495
@@ -81,6 +91,80 @@ def test_scan_log_digest(monkeypatch):
     workload()
     digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
     assert (len(log), digest) == (SCANS, SCAN_LOG_SHA256)
+
+
+def scans_made(monkeypatch, work) -> int:
+    """The box scans made while work() runs."""
+    made = 0
+    box_lifts = torus.box_lifts
+
+    def counted(*args):
+        nonlocal made
+        made += 1
+        return box_lifts(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(torus, "box_lifts", counted)
+        work()
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_box_scans_of_a_profile(monkeypatch, tmp_path, name):
+    # the negative census reads the family that the negative domination
+    # analysis walked, and a witness is read off its members' kept
+    # contacts, never by rect_meets
+    def no_rect_meets(*args):
+        raise AssertionError("rect_meets was called")
+
+    monkeypatch.setattr(rectangles, "rect_meets", no_rect_meets)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(FIXTURES[name]))
+    codes = []
+    assert scans_made(monkeypatch, lambda: codes.append(
+        main(["profile", str(path)]))) == PROFILE_SCANS[name]
+    assert codes == [0]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_one_family_per_set_sign_and_origin(name):
+    # the profile, its four witnesses and both censuses of each set walk
+    # one family per (set, sign, orbit origin): the negative sign's census,
+    # domination analysis and witnesses share the u-flipped view
+    A, sets, _ = load_problem(FIXTURES[name])
+    X, Y = sets["X"], sets["Y"]
+    analysis = Analysis(A, X, Y)
+    analysis.profile()
+    frame = analysis.frame
+    for own, other in ((X, Y), (Y, X)):
+        for sign in ("positive", "negative"):
+            disjoint_witness(frame, own, other, sign)
+            enumerate_primitive(frame, own, sign)
+    assert set(frame.families) == {
+        (False, flip_u, mset, orb.points[0], orb.period)
+        for mset in (X, Y) for orb in mset.orbits for flip_u in (False, True)}
+    assert len(frame.families) == 4
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_a_dominated_witness_search_scans_nothing(monkeypatch, name):
+    # every member of a dominated sign's family met the other set in the
+    # domination analysis, which kept its contact: after the profile, the
+    # witness search reads them all, finds none that misses and scans no
+    # box
+    A, sets, _ = load_problem(FIXTURES[name])
+    X, Y = sets["X"], sets["Y"]
+    analysis = Analysis(A, X, Y)
+    variants = [(own, other, sign) for own, other in ((X, Y), (Y, X))
+                for sign in ("positive", "negative")]
+    dominated = [v for v, disjoint in zip(
+        variants, analysis.profile()["booleans"]) if not disjoint]
+    assert len(dominated) == DOMINATED_SIGNS[name]
+    for own, other, sign in dominated:
+        found = []
+        assert scans_made(monkeypatch, lambda: found.append(disjoint_witness(
+            analysis.frame, own, other, sign))) == 0
+        assert found == [None]
 
 
 def quadnums_built(monkeypatch, work) -> int:
