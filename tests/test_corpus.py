@@ -7,8 +7,12 @@ pinned output covers the rectangles whose corners lie in two orbits of a
 set, where a domination row and a staircase row can both be absent.  A
 change that turns a verdict, a threshold, a profile or a witness here
 re-records the digest and lists every turned verdict; the status histogram
-and the gap count beside it say what moved."""
+and the gap count beside it say what moved.  A second SHA-256 keeps the
+`quadrant_report` of each orbit's seed point in `++` and `+-` at every
+strength, and each fired certificate rule is checked against the
+per-quadrant reports of its set."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from anosurg import (HyperbolicMatrix, SurgeryProblem, census_records,
                      classify, disjoint_witness, marked_set, orbit_of, point,
-                     verdict_records)
+                     quadrant_report, verdict_records)
 
 from conftest import A2, A3, C3
 
@@ -44,6 +48,19 @@ STATUSES = {"RCoveredPositive": 140, "RCoveredNegative": 141,
 # geometries with a gap row: a sign whose domination row and whose
 # staircase row of the quadrant `thresholds()` prints are both absent
 GAP_GEOMETRIES = 54
+
+# the quadrants pinned at each orbit's seed point, one of each direction
+PINNED_QUADRANTS = ("++", "+-")
+QUADRANT_SHA256 = (
+    "6ad24cde2ae301c8375780ccc206b57a2bedc13d0accb431a3d4105caa681612")
+QUADRANT_STATUSES = {"Unknown": 6246, "IncompleteCertified": 1032,
+                     "CompleteCertified": 86}
+
+# the quadrants that a domination sign completes (README, "the two
+# certificates exclude each other")
+COMPLETED = {"positive": ("++", "--"), "negative": ("+-", "-+")}
+# fired certificate rules checked against `quadrant_report`
+AGREEMENTS = {"domination": 41, "staircase": 113}
 
 
 def orbit_seeds(A, max_denominator=5):
@@ -72,11 +89,43 @@ def geometries():
         yield A, picked[:nx], picked[nx:]
 
 
+def disagreements(problem, verdict):
+    """The `quadrant_report`s that contradict a fired certificate rule: a
+    domination verdict on (own, sign) needs `CompleteCertified`, with a
+    threshold no larger than the verdict's, at every point of own in both
+    quadrants that sign completes; a staircase verdict needs
+    `IncompleteCertified` in each staircase's quadrant at its origin."""
+    ev = verdict.evidence
+    if verdict.rule.startswith("domination-"):
+        own = problem.X if ev["rectangles"] == "X" else problem.Y
+        checks = [(p, q) for orb in own.orbits for p in orb.points
+                  for q in COMPLETED[ev["sign"]]]
+        return [(verdict.rule, p, q, report)
+                for p, q in checks
+                for report in [quadrant_report(problem, p, q)]
+                if report[0] != "CompleteCertified"
+                or report[1]["threshold"] > ev["threshold"]]
+    found = []
+    for name in ("X_staircase", "Y_staircase"):
+        st = ev[name]
+        origin = point(*st["origin"])
+        report = quadrant_report(problem, origin, st["quadrant"])
+        if report[0] != "IncompleteCertified":
+            found.append((verdict.rule, origin, st["quadrant"], report))
+    return found
+
+
+@functools.cache
 def corpus():
-    """(records, statuses, gap geometries) of the corpus: per geometry, its
-    verdicts at each strength, then the thresholds, the profile and the
-    census witness of each true boolean of its shared Analysis."""
+    """The corpus, built once: per geometry, its verdicts at each strength,
+    then the thresholds, the profile and the census witness of each true
+    boolean of its shared Analysis (`records`, with the status histogram
+    and the gap count); the seed points' `quadrant_report`s (`quadrants`,
+    with their histogram); and the fired certificate rules checked against
+    those reports (`agreements`), with every report that disagrees."""
     records, statuses, gaps = [], Counter(), 0
+    quadrants, quadrant_statuses = [], Counter()
+    agreements, disagreeing = Counter(), []
     for A, xs, ys in geometries():
         verdicts = []
         for cx, cy in STRENGTHS:
@@ -87,6 +136,15 @@ def corpus():
             verdict = classify(problem)
             statuses[verdict.status] += 1
             verdicts.append(verdict_records(verdict))
+            for seed in xs + ys:
+                for q in PINNED_QUADRANTS:
+                    status, ev = quadrant_report(problem, seed, q)
+                    quadrant_statuses[status] += 1
+                    quadrants.append([status, ev.get("threshold")])
+            kind = verdict.rule.split("-")[0]
+            if kind in AGREEMENTS:
+                agreements[kind] += 1
+                disagreeing += disagreements(problem, verdict)
         analysis = problem.analysis()
         profile = analysis.profile()
         sets = {"X": analysis.X, "Y": analysis.Y}
@@ -104,7 +162,15 @@ def corpus():
                         "verdicts": verdicts,
                         "thresholds": analysis.thresholds(),
                         "profile": profile, "witnesses": witnesses})
-    return records, dict(statuses), gaps
+    return {"records": records, "statuses": dict(statuses), "gaps": gaps,
+            "quadrants": quadrants,
+            "quadrant_statuses": dict(quadrant_statuses),
+            "agreements": dict(agreements), "disagreeing": disagreeing}
+
+
+def digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()
+                          ).hexdigest()
 
 
 def test_the_corpus_is_multi_orbit():
@@ -115,8 +181,18 @@ def test_the_corpus_is_multi_orbit():
 
 
 def test_corpus_digest():
-    records, statuses, gaps = corpus()
-    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()
-                            ).hexdigest()
-    assert (statuses, gaps) == (STATUSES, GAP_GEOMETRIES)
-    assert digest == CORPUS_SHA256
+    built = corpus()
+    assert (built["statuses"], built["gaps"]) == (STATUSES, GAP_GEOMETRIES)
+    assert digest(built["records"]) == CORPUS_SHA256
+
+
+def test_quadrant_report_digest():
+    built = corpus()
+    assert built["quadrant_statuses"] == QUADRANT_STATUSES
+    assert digest(built["quadrants"]) == QUADRANT_SHA256
+
+
+def test_fired_rules_agree_with_quadrant_report():
+    built = corpus()
+    assert built["agreements"] == AGREEMENTS
+    assert built["disagreeing"] == []
