@@ -3,13 +3,13 @@ domination thresholds, and staircase thresholds into a machine-checkable
 classification.
 
 Decision order: all surgeries zero -> Suspension; all nonzero surgery signs
-equal -> RCovered with that sign; a domination certificate (one of four
-sign/role variants) -> RCovered regardless of the other set's surgeries; a
-pair of staircases undertwisting adjacent quadrant types -> NonRCovered;
+equal -> RCovered with that sign; then the first rule of `_RULES` whose
+rows are all met: a domination certificate (four sign/role variants) ->
+RCovered, then staircases in adjacent quadrant types -> NonRCovered;
 otherwise Unknown with full diagnostics, whose disjointness profile is read
-off the domination rows (`Analysis.profile`).  All thresholds compare
-against twists (characteristic number times orbit period).  The two
-certificates exclude each other: a dominated sign has no staircase row.
+off the domination rows (`Analysis.profile`).  One check, `_met`, compares
+a threshold with twists (characteristic number times orbit period).  The
+two certificates exclude each other: a dominated sign has no staircase row.
 """
 
 from __future__ import annotations
@@ -139,8 +139,7 @@ class Analysis:
             except DominationHypothesisError:
                 return Row()
             return Row(analysis, analysis.threshold)
-        sign = _SIGNS[-quadrant_direction(kind)]
-        if self.row(own, sign).cert is not None:
+        if self.row(own, _completing_sign(kind)).cert is not None:
             return Row()
         if base is None:
             for orb in first.orbits:
@@ -185,12 +184,6 @@ def _twists(mset: MarkedSet):
     return tuple(orb.twist for orb in mset.orbits)
 
 
-def _meets(twists, direction: int, n: int) -> bool:
-    """Every twist, taken with the rule's direction (+1 or -1), reaches the
-    threshold n."""
-    return all(t * direction >= n for t in twists)
-
-
 # ---------------------------------------------------------------------------
 # the decision procedure
 
@@ -206,63 +199,52 @@ def _sign_rule(twists: dict):
     return None
 
 
-# the domination sign of each direction: the other set's twists must reach
-# a sign's threshold in its direction, and a quadrant of direction d is
-# completed by the sign of direction -d
-_SIGNS = {1: "positive", -1: "negative"}
+def _completing_sign(quadrant: str) -> str:
+    """The domination sign of direction -d that completes a quadrant of
+    direction d, and whose row excludes its staircases: `positive` for ++
+    and --, `negative` for +- and -+."""
+    return "positive" if quadrant_direction(quadrant) < 0 else "negative"
+
 
 # (own rectangles, sign)
 _DOMINATION_VARIANTS = (("X", "positive"), ("X", "negative"),
                         ("Y", "positive"), ("Y", "negative"))
 
-
-def _domination_rule(problem: SurgeryProblem, shared: Analysis):
-    for own, sign in _DOMINATION_VARIANTS:
-        row = shared.row(own, sign)
-        if row.cert is None:
-            continue
-        twisted, other = ("Y", problem.Y) if own == "X" else ("X", problem.X)
-        tw = _twists(other)
-        if not _meets(tw, 1 if sign == "positive" else -1, row.threshold):
-            continue
-        status = ("RCoveredPositive" if sign == "positive"
-                  else "RCoveredNegative")
-        rule = f"domination-{sign}" + ("" if own == "X" else "-roles-swapped")
-        return Verdict(status, rule, {
-            "rectangles": own, "sign": sign,
-            "threshold": row.threshold,
-            "twisted_set": twisted, "twists": list(tw),
-        })
-    return None
-
-
-_STAIRCASE_VARIANTS = (
-    # (X staircase quadrant, Y staircase quadrant)
-    ("++", "+-"),   # positive X-staircase, negative Y-staircase
-    ("+-", "++"),   # mirror: negative X-staircase, positive Y
+# the certificate rules in decision order, after the sign rule: (status,
+# rule, rows), each row an (own set, sign or quadrant) of `Analysis.row`
+_RULES = (
+    ("RCoveredPositive", "domination-positive", (("X", "positive"),)),
+    ("RCoveredNegative", "domination-negative", (("X", "negative"),)),
+    ("RCoveredPositive", "domination-positive-roles-swapped",
+     (("Y", "positive"),)),
+    ("RCoveredNegative", "domination-negative-roles-swapped",
+     (("Y", "negative"),)),
+    # a positive X-staircase with a negative Y-staircase, and its mirror
+    ("NonRCovered", "staircase-adjacent-quadrants", (("X", "++"), ("Y", "+-"))),
+    ("NonRCovered", "staircase-adjacent-quadrants-mirror",
+     (("X", "+-"), ("Y", "++"))),
 )
 
 
-def _staircase_rule(problem: SurgeryProblem, shared: Analysis):
-    for qx, qy in _STAIRCASE_VARIANTS:
-        row_x, row_y = shared.row("X", qx), shared.row("Y", qy)
-        if row_x.cert is None or row_y.cert is None:
-            continue
-        nx, ny = row_x.threshold, row_y.threshold
-        tx, ty = _twists(problem.X), _twists(problem.Y)
-        # a staircase's own twists reach its threshold in its quadrant's
-        # direction
-        if not (_meets(tx, quadrant_direction(qx), nx)
-                and _meets(ty, quadrant_direction(qy), ny)):
-            continue
-        rule = ("staircase-adjacent-quadrants" if qx == "++"
-                else "staircase-adjacent-quadrants-mirror")
-        return Verdict("NonRCovered", rule, {
-            "X_staircase": row_x.records(),
-            "Y_staircase": row_y.records(),
-            "thresholds": {"X": nx, "Y": ny},
-            "twists": {"X": list(tx), "Y": list(ty)},
-        })
+def _met(problem: SurgeryProblem, shared: Analysis, own: str, kind: str,
+         base: tuple | None = None):
+    """(row, twisted set, twists) when the row (own, kind, base) has a
+    certificate whose threshold every twist reaches in the row's direction,
+    else None.  A domination sign reads the other set's twists in the
+    sign's direction; a staircase quadrant reads the own set's twists in
+    `quadrant_direction(kind)`.  Both marked sets are nonempty."""
+    row = shared.row(own, kind, base)
+    if row.cert is None:
+        return None
+    if kind in ("positive", "negative"):
+        twisted = "Y" if own == "X" else "X"
+        direction = 1 if kind == "positive" else -1
+    else:
+        twisted, direction = own, quadrant_direction(kind)
+    tw = _twists(problem.X if twisted == "X" else problem.Y)
+    # every twist reaches the threshold in the direction when the least does
+    if (min(tw) if direction > 0 else -max(tw)) >= row.threshold:
+        return row, twisted, tw
     return None
 
 
@@ -276,10 +258,22 @@ def classify(problem: SurgeryProblem) -> Verdict:
     if problem.X.is_empty() or problem.Y.is_empty():
         return Verdict("Unknown", "no-rule-applies", diagnostics)
     shared = problem.analysis()
-    verdict = (_domination_rule(problem, shared)
-               or _staircase_rule(problem, shared))
-    if verdict is not None:
-        return verdict
+    for status, rule, rows in _RULES:
+        # every row is read before deciding, so which rows get built does
+        # not depend on which of them is met
+        met = [_met(problem, shared, own, kind) for own, kind in rows]
+        if not all(met):
+            continue
+        if len(rows) == 1:
+            (own, sign), (row, twisted, tw) = rows[0], met[0]
+            return Verdict(status, rule, {
+                "rectangles": own, "sign": sign, "threshold": row.threshold,
+                "twisted_set": twisted, "twists": list(tw)})
+        evidence = {f"{name}_staircase": row.records()
+                    for row, name, _ in met}
+        evidence["thresholds"] = {name: row.threshold for row, name, _ in met}
+        evidence["twists"] = {name: list(tw) for _, name, tw in met}
+        return Verdict(status, rule, evidence)
     diagnostics["profile"] = shared.profile()
     diagnostics["thresholds"] = {
         f"{'staircase' if kind == 'incompleteness' else kind}-{key}": value
@@ -301,28 +295,24 @@ def quadrant_report(problem: SurgeryProblem, point, quadrant: str):
     staircase exists and the point's own twists exceed its threshold), or
     Unknown.  A sign with a domination certificate has no staircase row.
     """
-    d = quadrant_direction(quadrant)
+    sign = _completing_sign(quadrant)
     shared = problem.analysis()
     k, X, Y = point = as_point(point)
     base = k, X % k, Y % k
     if base in problem.X.index:
-        own_name, own, other = "X", problem.X, problem.Y
+        own, other = "X", problem.Y
     elif base in problem.Y.index:
-        own_name, own, other = "Y", problem.Y, problem.X
+        own, other = "Y", problem.X
     else:
         raise ValueError(f"{point} is not a marked point")
     if other.is_empty():
         return "Unknown", {}
-    # the other set completes the quadrant in the direction -d of its
-    # domination sign; the own set's staircase needs the quadrant's own d
-    row = shared.row(own_name, _SIGNS[-d], base)
-    tw = _twists(other)
-    if row.cert is not None and _meets(tw, -d, row.threshold):
+    if met := _met(problem, shared, own, sign, base):
+        row, _, tw = met
         return "CompleteCertified", {"threshold": row.threshold,
                                      "other_twists": list(tw)}
-    row = shared.row(own_name, quadrant, base)
-    tw = _twists(own)
-    if row.cert is not None and _meets(tw, d, row.threshold):
+    if met := _met(problem, shared, own, quadrant, base):
+        row, _, tw = met
         return "IncompleteCertified", {"threshold": row.threshold,
                                        "own_twists": list(tw),
                                        "staircase": row.records()}

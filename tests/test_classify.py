@@ -4,7 +4,9 @@ coherence sweep with its symmetry checks."""
 
 import itertools
 import json
+import pathlib
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +17,7 @@ from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem,
                      build_staircase, classify, disjoint_witness, eigenframe,
                      marked_set, orbit_of, point, quadrant_report,
                      verdict_records)
-from anosurg.classify import analysis_of
+from anosurg.classify import _RULES, _completing_sign, analysis_of
 from anosurg.rectangles import case_label
 from anosurg.staircase import SeedError
 from anosurg.torus import _mat_mul
@@ -216,6 +218,56 @@ class TestQuadrantReports:
                             no_analysis)
         with pytest.raises(ValueError, match="quadrant"):
             quadrant_report(a2_problem(-5, 1), point(0, 0), "xx")
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestRuleTable:
+    """`_RULES` is the decision order of the certificate rules, and the
+    README's **classify** bullet names every rule in that order."""
+
+    def test_rule_order_matches_the_readme(self):
+        text = README.read_text(encoding="utf-8")
+        bullet = text.split("- **classify** —", 1)[1].split("\n- **", 1)[0]
+        names = re.findall(r"`([a-z]+(?:-[a-z]+)+)`", bullet)
+        assert names == ["zero-surgeries", "sign-rule",
+                         *(rule for _, rule, _ in _RULES), "no-rule-applies"]
+
+    def test_each_rule_yields_the_status_of_its_rows(self):
+        for status, rule, rows in _RULES:
+            if rule.startswith("domination-"):
+                (own, sign), = rows
+                assert status == ("RCoveredPositive" if sign == "positive"
+                                  else "RCoveredNegative")
+                assert own == ("Y" if rule.endswith("-roles-swapped")
+                               else "X")
+            else:
+                # one staircase of each set, in adjacent quadrant types
+                assert status == "NonRCovered"
+                assert [own for own, _ in rows] == ["X", "Y"]
+                assert {q for _, q in rows} == {"++", "+-"}
+
+    def test_a_rule_reads_every_row_before_deciding(self, monkeypatch):
+        # X's twists are positive, so X's ++ row is never met; the first
+        # staircase rule reads Y's +- row all the same, so which rows get
+        # built does not depend on which of them fails
+        fresh = []
+
+        def build(geometry):
+            fresh.append(analysis_of.__wrapped__(geometry))
+            return fresh[-1]
+
+        monkeypatch.setattr(sys.modules["anosurg.classify"], "analysis_of",
+                            build)
+        assert classify(b2_problem(9, -9)).rule == _RULES[-1][1]
+        assert {key[:2] for key in fresh[0]._rows if key[2] is None} == \
+            {row for _, _, rows in _RULES for row in rows}
+
+    def test_completing_sign_of_each_quadrant(self):
+        assert {q: _completing_sign(q) for q in ("++", "+-", "-+", "--")} \
+            == {"++": "positive", "--": "positive",
+                "+-": "negative", "-+": "negative"}
 
 
 class TestSharedAnalysis:
