@@ -29,12 +29,11 @@ both fundamental domains of that action, and A^e divides ratios by lam^2e.
 from __future__ import annotations
 
 from math import lcm
-from operator import attrgetter
 
-from .quadfield import QuadNum, qn_to_str
+from .quadfield import QuadNum, _parts, _sign, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, as_point, group_element, hits_in_box,
-                    point_strings)
+                    point_strings, view_hit, view_lifts)
 
 
 class MarkedRect:
@@ -103,14 +102,11 @@ def is_primitive(frame: EigenFrame, rect: MarkedRect, X: MarkedSet) -> bool:
     return got == corners
 
 
-# a hit's height in the view, the key of the climber's lowest hit
-_height = attrgetter("u")
-
-
 def first_window_hits(strip):
-    """(hits, top): the hits of the strip's first nonempty scan over the
-    height windows (a, b] climbing from lo to hi, and the top of the window
-    that found them; ([], hi) when there are none.
+    """(lifts, top): the lifts of the strip's first nonempty scan over the
+    height windows (a, b] climbing from lo to hi, as `view_lifts` gives
+    them, and the top of the window that found them; ([], hi) when there
+    are none.
 
     The first window is W_s W_u / width tall, the area of a box that holds
     a lift of every base point, and the windows double, so the scanned area
@@ -121,16 +117,34 @@ def first_window_hits(strip):
     covered is, so a resumed search scans the same tops as a fresh one.
     """
     left, right, lo, hi = strip.left, strip.right, strip.lo, strip.hi
-    covered, window = strip.covered, strip.area / (right - left)
+    covered = strip.covered
+    if covered >= hi:
+        # every window up to hi lies below covered: the search that ends
+        # a climb scans nothing
+        return [], hi
+    window = strip.area / (right - left)
     while lo < hi:
         top = min(lo + window, hi)
         if top > covered:
-            hits = hits_in_box(strip.view, strip.mset, left, right,
+            lifts = view_lifts(strip.view, strip.mset, left, right,
                                max(lo, covered), top, strip.include)
-            if hits:
-                return hits, top
+            if lifts:
+                return lifts, top
         lo, window = top, window + window
     return [], hi
+
+
+def _lowest(lifts, D):
+    """The lowest in the view of lifts given as `view_lifts` gives them, or
+    None when there are none.  Over the view's one L_u, u_a < u_b for lifts
+    a and b exactly when (up_a*k_b - up_b*k_a) + (uq_a*k_b -
+    uq_b*k_a)*sqrt(D) is negative."""
+    low = None
+    for lift in lifts:
+        _, (k, _, _), _, _, _, up, uq = lift
+        if low is None or _sign(up * lk - lup * k, uq * lk - luq * k, D) < 0:
+            low, lk, lup, luq = lift, k, up, uq
+    return low
 
 
 class StripClimber:
@@ -139,27 +153,32 @@ class StripClimber:
     under the holonomy game, the primitive-family walk and the staircase
     safety contacts.
 
-    Every scan is hits_in_box(view, mset, left, right, a, b, include): the
+    Every scan is view_lifts(view, mset, left, right, a, b, include): the
     strip's lifts at heights (a, b], with the edges open or closed as the
     caller's include says.  lowest(right) moves the right edge and takes
     the lowest lift above the last one taken, or None when there is none
     up to hi, searching the height windows of `first_window_hits`.  When
     the edge grew, it drops the other lifts the last window found and
     resets covered to lo; otherwise it keeps those with s < right, less
-    the lift it took last, and finds the lowest of them in the same one
-    pass over the window's hits.  Each lift is taken once.
+    the lift it took last, and takes the lowest of them.  Each lift is
+    taken once.
+
+    A window's lifts stay integers, as `view_lifts` gives them: "s < right"
+    and "lower" are `_sign` tests on their view numerators, cross-multiplied
+    by the lifts' denominators k and by right's, and only the lift taken
+    becomes a `MarkedPointHit` (`view_hit`).
 
     Exactness: the heights up to covered, the top of the window that found
-    the hits, were scanned over a strip that holds the current one, because
-    it has only narrowed since.  So every lift of the current strip at a
-    height in (lo, covered] is among the survivors: the lowest survivor,
-    when there is one, is the true next lift, and otherwise the search
-    resumes above covered.  A widened strip may hold lifts at any height
-    above lo, hence the reset.  Distinct lifts never share a u (the level
-    lines have irrational slope), so the lowest is unique.
+    the lifts, were scanned over a strip that holds the current one,
+    because it has only narrowed since.  So every lift of the current
+    strip at a height in (lo, covered] is among the survivors: the lowest
+    survivor, when there is one, is the true next lift, and otherwise the
+    search resumes above covered.  A widened strip may hold lifts at any
+    height above lo, hence the reset.  Distinct lifts never share a u (the
+    level lines have irrational slope), so the lowest is unique.
     """
     __slots__ = ("view", "mset", "include", "area", "left", "right", "lo",
-                 "hi", "covered", "hits", "last")
+                 "hi", "covered", "lifts", "last")
 
     def __init__(self, view, mset, include, left, lo, hi):
         self.view, self.mset, self.include = view, mset, include
@@ -167,30 +186,42 @@ class StripClimber:
         self.area = ws * wu
         # the strip starts empty, so that the first edge widens it
         self.left, self.right, self.lo, self.hi = left, left, lo, hi
-        self.covered, self.hits, self.last = lo, [], None
+        self.covered, self.lifts, self.last = lo, [], None
 
     def lowest(self, right) -> MarkedPointHit | None:
         if right > self.right:
-            self.hits, self.covered = [], self.lo
+            self.lifts, self.covered = [], self.lo
         self.right = right
+        view = self.view
+        D, ls = view.frame.D, view.coefficients[4]
+        # s < right, for s = (sp + sq*sqrt(D))/(L_s*k) and right = (p +
+        # q*sqrt(D))/d, is the sign of (sp*d - p*L_s*k) + (sq*d -
+        # q*L_s*k)*sqrt(D)
+        p, q, d = _parts(right)
+        p, q = p * ls, q * ls
         last, low, kept = self.last, None, []
-        for h in self.hits:
-            if h is not last and h.s < right:
-                kept.append(h)
-                if low is None or h.u < low.u:
-                    low = h
+        for lift in self.lifts:
+            _, (k, _, _), _, sp, sq, up, uq = lift
+            if (lift is not last
+                    and _sign(sp * d - p * k, sq * d - q * k, D) < 0):
+                kept.append(lift)
+                # lower than the lowest so far, as in `_lowest`
+                if (low is None or _sign(up * lk - lup * k, uq * lk - luq * k,
+                                         D) < 0):
+                    low, lk, lup, luq = lift, k, up, uq
         if low is None:
             kept, self.covered = first_window_hits(self)
-            low = min(kept, key=_height, default=None)
-        self.hits = kept
+            low = _lowest(kept, D)
+        self.lifts = kept
         if low is None:
             return None
-        if not low.u > self.lo:
+        hit = view_hit(view, low)
+        if not hit.u > self.lo:
             # a lift on the strip's open lower edge would be taken again and
             # again, forever
-            raise InvariantError(f"strip climb made no progress at {low.lift}")
-        self.lo, self.last = low.u, low
-        return low
+            raise InvariantError(f"strip climb made no progress at {hit.lift}")
+        self.lo, self.last = hit.u, low
+        return hit
 
 
 def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,

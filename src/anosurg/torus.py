@@ -45,10 +45,13 @@ one loop over the columns steps each rule's numerator by its per-column
 increment and takes n_lo and n_hi from one floor per rule.  These bounds
 are exact, so every (m, n) between them is a lattice point in the box and
 nothing is re-checked.
-`box_lifts` returns the lifts as integers; `hits_in_box`, the
-one builder of `MarkedPointHit`s, builds a QuadNum only for the view s and
-u of a lift found and returns the hits in no particular order, and figures
-convert the integers to doubles without any.
+`box_lifts` returns the lifts as integers, and `view_lifts` adds the
+integer numerators of each lift's view s and u.  `view_hit` builds a
+`MarkedPointHit`, one QuadNum each for s and u, from those integers:
+`hits_in_box` for every lift it returns, in no particular order, and the
+strip climber only for the lift it takes, as it orders a window's lifts
+by sign tests on the numerators.  Figures convert the integers to doubles
+without any QuadNum.
 """
 
 from __future__ import annotations
@@ -548,30 +551,36 @@ def _log2_width(p: int, q: int, D: int, root: int) -> int:
 LOG_ERROR = 2700
 
 
-def _log_ratio(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int) -> int:
+def _log_ratio(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int,
+               halve: bool = False) -> int:
     """The greatest n with lam^n <= r, for r = (P1 + Q1*sqrt(D)) /
-    (P2 + Q2*sqrt(D)) with both parts positive: floor(log_lam(r)).
+    (P2 + Q2*sqrt(D)) with both parts positive: floor(log_lam(r)); with
+    halve, (n + 1) // 2 instead (`_balance_power`).
 
     A filtered exact predicate (Fortune and Van Wyk, SoCG 1993): t =
     log2(r) * 2^LOG_BITS lies within LOG_ERROR of the estimate est, the
     difference of the parts' `_log2_width`s, and l = log2(lam) *
     2^LOG_BITS lies in [L, L + 2) for L the frame's `log2_lam`, which
-    `_log2_fixed` may leave one low.  n is estimated from est and L.  When
-    the band [est - LOG_ERROR, est + LOG_ERROR] lies inside
-    [n*l, (n + 1)*l) for every such l, n is the answer and no rung is
-    read.  Otherwise it is confirmed exactly, lam^n <= r < lam^(n+1), by
-    integer sign tests against the ladder's rungs n and n + 1.  Each
-    failed test moves n by one toward the other side, so an estimate that
-    is one off costs one more test.  Either way n is the exact floor."""
+    `_log2_fixed` may leave one low.  So n = floor(t / l) lies between
+    the floors that the band [est - LOG_ERROR, est + LOG_ERROR] gives at
+    l = L and l -> L + 2.  When they are all one answer (n, or with halve
+    (n + 1) // 2), it is returned and no rung is read.  Otherwise n is
+    estimated from est and L and confirmed exactly, lam^n <= r <
+    lam^(n+1), by integer sign tests against the ladder's rungs n and
+    n + 1.  Each failed test moves n by one toward the other side, so an
+    estimate that is one off costs one more test.  Either way the answer
+    is exact."""
     D, root, L = frame.D, frame.root, frame.log2_lam
     est = _log2_width(P1, Q1, D, root) - _log2_width(P2, Q2, D, root)
+    lo, hi = est - LOG_ERROR, est + LOG_ERROR
+    n_lo, n_hi = min(lo // L, lo // (L + 2)), max(hi // L, hi // (L + 2))
+    if halve:
+        n_lo, n_hi = (n_lo + 1) // 2, (n_hi + 1) // 2
+    if n_lo == n_hi:
+        return n_lo
     # rounded up by 1/32 of a bit, about the logarithms' largest error,
     # since many ratios lie exactly on a rung
     n = (est + (1 << LOG_BITS - 5)) // L
-    # n*l and (n + 1)*l are extreme at l = L or l -> L + 2
-    if (max(n * L, n * (L + 2)) <= est - LOG_ERROR
-            and est + LOG_ERROR < min((n + 1) * L, (n + 1) * (L + 2))):
-        return n
     QD = Q2 * D
 
     def below(k):                       # r < lam^k
@@ -586,7 +595,19 @@ def _log_ratio(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int) -> int:
     else:
         while not below(n + 1):
             n += 1
-    return n
+    return (n + 1) // 2 if halve else n
+
+
+def _balance_power(frame: EigenFrame, sp: int, sq: int, ds: int, up: int,
+                   uq: int, du: int) -> int:
+    """The renormalization power j of a box whose widths w_s = (sp +
+    sq*sqrt(D))/ds and w_u = (up + uq*sqrt(D))/du are positive: the
+    integer nearest log_{lam^2}(w_s / w_u), so that lam^-j w_s and lam^j
+    w_u are within a factor lam of each other.  It is (L + 1) // 2 for
+    L = floor(log_lam(w_s / w_u)), so a ratio on an even rung lam^2j,
+    where the error band leaves L between 2j - 1 and 2j, reads no rung;
+    one on an odd rung still does, as j depends on which side it lies."""
+    return _log_ratio(frame, sp * du, sq * du, up * ds, uq * ds, True)
 
 
 def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
@@ -631,10 +652,7 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
         raise ValueError("empty range")
     j, rows = 0, ((1, 0), (0, 1))
     if s_sign and u_sign:
-        # the integer j nearest log_{lam^2}(w_s / w_u), so that lam^-j w_s
-        # and lam^j w_u are within a factor lam of each other
-        ds, du = d1 * d2, d3 * d4
-        j = (_log_ratio(frame, sp * du, sq * du, up * ds, uq * ds) + 1) // 2
+        j = _balance_power(frame, sp, sq, d1 * d2, up, uq, d3 * d4)
     if j:
         sc, uc, rows = frame.renormalization(j)
         (a, b, e), (f, g, h) = _parts(sc), _parts(uc)
@@ -645,22 +663,47 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     return _box_lifts(frame, mset, *bounds, include, j, rows)
 
 
+def view_lifts(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
+               include=(True, True, True, True)) -> list:
+    """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], with
+    per-edge inclusion as in `box_lifts`, in no particular order, each as
+    the integers (base, lift, twist, sp, sq, up, uq) of the lift (k, X, Y)
+    whose view coordinates are
+
+        s = (sp + sq*sqrt(D)) / (L_s*k),    u = (up + uq*sqrt(D)) / (L_u*k)
+
+    over the view's denominators L_s and L_u: the numerators are the view's
+    signed coefficients (`FrameView.coefficients`) at X and Y.  This is the
+    one place where a lift's view coordinates are computed: `hits_in_box`
+    builds its hits from them, and the strip climber orders a window's
+    lifts on them."""
+    a, b, c, d, _, f, g, h, i, _ = view.coefficients
+    return [(base, lift, twist, a * X + b * Y, c * X + d * Y, f * X + g * Y,
+             h * X + i * Y)
+            for base, lift, twist in box_lifts(
+                view.frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi,
+                                            include))
+            for _, X, Y in (lift,)]
+
+
+def view_hit(view: FrameView, lift: tuple) -> MarkedPointHit:
+    """The hit of a lift of `view_lifts`: its exact view s and u, each one
+    `_qn` of its numerator over L_s*k or L_u*k."""
+    base, at, twist, sp, sq, up, uq = lift
+    k, D, coefficients = at[0], view.frame.D, view.coefficients
+    return MarkedPointHit(base, at, _qn(sp, sq, coefficients[4] * k, D),
+                          _qn(up, uq, coefficients[9] * k, D), twist)
+
+
 def hits_in_box(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                 include=(True, True, True, True)):
     """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], with
     per-edge inclusion as in `box_lifts`, as hits whose exact s and u are
-    view coordinates, each one `_qn` of the view's signed coefficients
-    (`FrameView.coefficients`).  The hits come in no particular order."""
-    # s = (a*X + b*Y + (c*X + d*Y)*sqrt(D)) / (e*k), and u likewise
-    a, b, c, d, e, f, g, h, i, j = view.coefficients
-    D = view.frame.D
-    return [MarkedPointHit(base, lift,
-                           _qn(a * X + b * Y, c * X + d * Y, e * k, D),
-                           _qn(f * X + g * Y, h * X + i * Y, j * k, D), twist)
-            for base, lift, twist in box_lifts(
-                view.frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi,
-                                            include))
-            for k, X, Y in (lift,)]
+    view coordinates (`view_lifts`, `view_hit`).  The hits come in no
+    particular order."""
+    return [view_hit(view, lift)
+            for lift in view_lifts(view, mset, s_lo, s_hi, u_lo, u_hi,
+                                   include)]
 
 
 # How an edge at x becomes a bound on the integer n: (sign, offset) in

@@ -12,7 +12,7 @@ import math
 from anosurg import FrameView, StairStep, marked_rect, point, qn_pow, torus
 from anosurg.rectangles import period_family
 from anosurg.quadfield import _parts, _sign
-from anosurg.torus import PeriodLimitError, _log_ratio, group_element
+from anosurg.torus import PeriodLimitError, _balance_power, group_element
 
 
 def pair(p):
@@ -65,14 +65,13 @@ def oracle_point(frame, s, u):
 def balance_power(frame, w_s, w_u):
     """The renormalization power that `torus.box_lifts` finds for widths
     w_s and w_u given as QuadNums, ints or Fractions, 0 unless both are
-    positive: the integer j nearest log_{lam^2}(w_s / w_u), taken as
-    (L + 1) // 2 from L = floor(log_lam(w_s / w_u)).  Not an oracle: it
-    only takes the widths apart into the integers `_log_ratio` reads, as
-    `box_lifts` does with a box's bounds."""
+    positive: `torus._balance_power` of their integers.  Not an oracle: it
+    only takes the widths apart, as `box_lifts` does with a box's
+    bounds."""
     (ps, qs, ds), (pu, qu, du) = _parts(w_s), _parts(w_u)
     if _sign(ps, qs, frame.D) <= 0 or _sign(pu, qu, frame.D) <= 0:
         return 0
-    return (_log_ratio(frame, ps * du, qs * du, pu * ds, qu * ds) + 1) // 2
+    return _balance_power(frame, ps, qs, ds, pu, qu, du)
 
 
 def _window_for_box(frame, s_lo, s_hi, u_lo, u_hi, margin=2):

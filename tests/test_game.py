@@ -165,13 +165,13 @@ class TestGameBasics:
         t0, r = QuadNum(1, 0, 5), QuadNum(2, 0, 5)
         out = play_game(cfg, p, t0, r, budget=50)
         assert any(c.exponent > 0 for c in out.trace)
-        exact_hits = rectangles.hits_in_box
+        exact_hits = rectangles.view_lifts
 
         def closed_below(view, mset, s_lo, s_hi, u_lo, u_hi, include):
             return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi,
                               include[:2] + (True,) + include[3:])
 
-        monkeypatch.setattr(rectangles, "hits_in_box", closed_below)
+        monkeypatch.setattr(rectangles, "view_lifts", closed_below)
         with pytest.raises(InvariantError, match="no progress"):
             play_game(cfg, p, t0, r, budget=50)
 
@@ -197,7 +197,7 @@ class TestGameBasics:
         # heights the last window scanned; after a widening crossing it
         # starts again at the crossing height
         events = []
-        exact_hits, crossing = rectangles.hits_in_box, game.Crossing
+        exact_hits, crossing = rectangles.view_lifts, game.Crossing
 
         def scanned(view, mset, s_lo, s_hi, u_lo, u_hi, include):
             events.append(("scan", u_lo, u_hi))
@@ -207,7 +207,7 @@ class TestGameBasics:
             events.append(("cross", hit.u, exponent))
             return crossing(hit, s0, u0, exponent, *rest)
 
-        monkeypatch.setattr(rectangles, "hits_in_box", scanned)
+        monkeypatch.setattr(rectangles, "view_lifts", scanned)
         monkeypatch.setattr(game, "Crossing", crossed)
         resumed = restarted = 0
         for k, (cfg, p, t0, r) in enumerate(seeded_games(frame_a2)):
@@ -239,13 +239,13 @@ class TestGameBasics:
         lam2 = qn_pow(frame_a2.lam, 2)
         t0 = 1 + (lam2 - 1) * Fraction(1, 21)
         scanned = []
-        exact_hits = rectangles.hits_in_box
+        exact_hits = rectangles.view_lifts
 
         def counted(view, mset, *args):
             scanned.append(mset.orbits)
             return exact_hits(view, mset, *args)
 
-        monkeypatch.setattr(rectangles, "hits_in_box", counted)
+        monkeypatch.setattr(rectangles, "view_lifts", counted)
         out = play_game(cfg, (Fraction(3, 7), Fraction(1, 7)), t0, lam2)
         assert all(set(X.orbits + Y.orbits) <= set(orbits)
                    for orbits in scanned)

@@ -229,13 +229,13 @@ class TestPrimitiveFamily:
         A = FROZEN_COUNTS[label][0]
         X = make_set(A)
         scans = []
-        exact_hits = rectangles.hits_in_box
+        exact_hits = rectangles.view_lifts
 
         def scanned(view, mset, s_lo, s_hi, u_lo, u_hi, include):
             scans.append((view.transpose, u_lo, u_hi))
             return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include)
 
-        monkeypatch.setattr(rectangles, "hits_in_box", scanned)
+        monkeypatch.setattr(rectangles, "view_lifts", scanned)
         for orb in X.orbits:
             for base in orb.points:
                 for flip in (False, True):
@@ -275,23 +275,38 @@ class TestPrimitiveFamily:
         # previous step ended on; the walk must refuse it, not loop forever
         frame = eigenframe(A2)
         X = zero_orbit_set(A2)
-        exact_hits = rectangles.hits_in_box
+        exact_hits = rectangles.view_lifts
 
         def closed_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include):
             return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi,
                               (True, True, True, True))
 
-        monkeypatch.setattr(rectangles, "hits_in_box", closed_hits)
+        monkeypatch.setattr(rectangles, "view_lifts", closed_hits)
         with pytest.raises(InvariantError, match="no progress"):
             list(period_family(FrameView(frame), X, point(0, 0), 1))
 
 
+def zero_and_half_orbits(A):
+    """The (0,0) and (1/2,1/2) orbits as one set, as a game of the two
+    scans them: under A2 its 4 points fill (1/2)Z^2 mod Z^2, so one scan of
+    the one lattice finds lifts of denominators 1 and 2 together."""
+    return marked_set(A, [(point(0, 0), 0), (point(HALF, HALF), 0)])
+
+
 class TestStripClimber:
     @pytest.mark.parametrize("label", ["A2", "C3"])
-    @pytest.mark.parametrize("make_set", [zero_orbit_set, half_points_set])
-    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("make_set", [zero_orbit_set, half_points_set,
+                                          zero_and_half_orbits])
+    # flip flips u; flip_s negates the view's s and transpose swaps the
+    # frame's s and u, so the lifts' view numerators change sign and place
+    @pytest.mark.parametrize("flip, flip_s, transpose", [
+        pytest.param(False, False, False, id="False"),
+        pytest.param(True, False, False, id="True"),
+        pytest.param(False, True, False, id="flip_s"),
+        pytest.param(False, False, True, id="transposed"),
+        pytest.param(True, True, True, id="transposed-flipped")])
     def test_lowest_matches_the_oracle_through_narrow_and_widen(
-            self, label, make_set, flip):
+            self, label, make_set, flip, flip_s, transpose):
         # seeded runs of narrow and widen moves, each followed by
         # lowest(right):
         # a widen must forget the heights covered over the narrower strip,
@@ -299,9 +314,11 @@ class TestStripClimber:
         A = FROZEN_COUNTS[label][0]
         X = make_set(A)
         frame = eigenframe(A)
-        view = FrameView(frame, flip_u=flip)
-        coords = _QuadrantCoords(frame, "+-" if flip else "++")
-        rng = random.Random(f"{label} {make_set.__name__} {flip}")
+        view = FrameView(frame, flip_s, flip, transpose)
+        coords = _QuadrantCoords(frame, ("-" if flip_s else "+")
+                                 + ("-" if flip else "+"), transpose)
+        rng = random.Random(f"{label} {make_set.__name__} {flip}"
+                            + " flip_s" * flip_s + " transposed" * transpose)
         origin = point(HALF, Fraction(1, 3))
         left, lo = view.s(origin), view.u(origin)
         right, hi = left + 3, lo + 8

@@ -631,13 +631,13 @@ class TestRenormalization:
         A, sets, _ = load_problem(FIXTURES["b2_half"])
         frame = eigenframe(A)
         windows = []
-        scan = rectangles.hits_in_box
+        scan = rectangles.view_lifts
 
         def recorded(view, mset, *box):
             windows.append(box[:4])
             return scan(view, mset, *box)
 
-        monkeypatch.setattr(rectangles, "hits_in_box", recorded)
+        monkeypatch.setattr(rectangles, "view_lifts", recorded)
         play_game(GameConfig(frame, (sets["X"], sets["Y"]), "++"),
                   point(0, 0), QuadNum(1, 0, frame.D),
                   QuadNum(20, 0, frame.D), budget=330)

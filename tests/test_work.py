@@ -3,8 +3,9 @@ makes, kept as one SHA-256.  Every verdict and output byte can stay the
 same while a change scans other boxes, more boxes or the same boxes in
 another order; the digest tells.  A change that means to change the log
 re-records the digest and says why.  The number of QuadNums that the
-workload's games build, and their records and figures, is kept the same
-way, so field work a game step does not need shows without a clock."""
+workload's games and censuses build, and the games' records and figures,
+is kept the same way, so field work a game step or a family walk does not
+need shows without a clock."""
 
 import hashlib
 import json
@@ -31,9 +32,13 @@ SCANS, SCAN_LOG_SHA256 = (
 PROFILE_SCANS = {"a2_half": 16, "b2_half": 26, "case3": 16}
 # the signs of each fixture whose domination row holds
 DOMINATED_SIGNS = {"a2_half": 2, "b2_half": 0, "case3": 2}
-# the QuadNums that the workload's games build, recorded when a crossing
-# became three field operations on the strip's right edge
-GAME_QUADNUMS = 3495
+# the QuadNums that the workload's games and censuses build, re-recorded
+# when the strip climber began to order a window's lifts on their integers,
+# to build a hit only for the lift it takes and to skip the window
+# arithmetic of a search whose covered heights reach its top (games 3,495
+# before, censuses 386)
+GAME_QUADNUMS = 2453
+CENSUS_QUADNUMS = 354
 
 
 def exact(x) -> str:
@@ -192,6 +197,17 @@ def test_quadnum_count_of_the_games(monkeypatch):
     assert quadnums_built(
         monkeypatch, lambda: [play_game(*game) for game in played]) \
         == GAME_QUADNUMS
+
+
+def test_quadnum_count_of_the_censuses(monkeypatch):
+    # the workload's censuses, both signs of each fixture's X, each in a
+    # fresh frame: a window's lifts are ordered on their integers, and only
+    # a lift the walk takes becomes a hit
+    sets = [(eigenframe(A), sets["X"]) for A, sets, _ in (
+        load_problem(FIXTURES[name]) for name in sorted(FIXTURES))]
+    assert quadnums_built(monkeypatch, lambda: [
+        enumerate_primitive(frame, X, sign) for frame, X in sets
+        for sign in ("positive", "negative")]) == CENSUS_QUADNUMS
 
 
 def test_quadnum_count_of_the_game_records_and_figures(monkeypatch):
