@@ -8,12 +8,13 @@ so identical input produces byte-identical output.
 
 The marked lifts of census and staircase figures come straight from the
 lattice kernel's integers (`torus.box_lifts`): each coordinate is the
-view's integer form times its sign (`FrameView.forms`), less the origin,
-on integers, and `quadfield.rounded_float` turns it into its double with
-no QuadNum per lift.  The dots are drawn in exact increasing view s.  The game figure converts each exact
-value of its trace once, with the same `rounded_float`.  A figure that
-cannot be drawn, one with too many lifts or values beyond a double, raises
-`FigureError`.
+view's one integer table (`FrameView.coefficients`), scaled once by the
+origin's denominator, at the lift, less the origin, on integers, and
+`quadfield.rounded_float` turns it into its double with no QuadNum per
+lift.  The dots are drawn in exact increasing view s.  The game figure
+converts each exact value of its trace once, with the same
+`rounded_float`.  A figure that cannot be drawn, one with too many lifts
+or values beyond a double, raises `FigureError`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .torus import FrameView, box_lifts
 
 # The most marked lifts a staircase figure may have to list
 MAX_FIGURE_LIFTS = 10**6
+
+# Every figure's canvas size and the margin around its data window, in pixels
+WIDTH, HEIGHT, MARGIN = 640, 640, 20
 
 
 class FigureError(ValueError):
@@ -51,21 +55,19 @@ def _fmt(v) -> str:
 class Figure:
     """An SVG canvas over a data window in (s, u) coordinates."""
 
-    def __init__(self, s_min, s_max, u_min, u_max, width=640, height=640,
-                 margin=20):
+    def __init__(self, s_min, s_max, u_min, u_max):
         self.s_min, self.u_min = float(s_min), float(u_min)
         s_span = max(float(s_max) - self.s_min, 1e-9)
         u_span = max(float(u_max) - self.u_min, 1e-9)
-        self.width, self.height, self.margin = width, height, margin
-        self._xs = (width - 2 * margin) / s_span
-        self._ys = (height - 2 * margin) / u_span
+        self._xs = (WIDTH - 2 * MARGIN) / s_span
+        self._ys = (HEIGHT - 2 * MARGIN) / u_span
         self._elems: list[str] = []
 
     def _x(self, s) -> float:
-        return self.margin + (float(s) - self.s_min) * self._xs
+        return MARGIN + (float(s) - self.s_min) * self._xs
 
     def _y(self, u) -> float:
-        return self.height - self.margin - (float(u) - self.u_min) * self._ys
+        return HEIGHT - MARGIN - (float(u) - self.u_min) * self._ys
 
     def line(self, s0, u0, s1, u1, cls):
         self._elems.append(
@@ -97,8 +99,8 @@ class Figure:
         return (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">\n'
+            f'width="{WIDTH}" height="{HEIGHT}" '
+            f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
             f"<style>{_STYLE}</style>\n{body}\n</svg>\n")
 
 
@@ -112,9 +114,15 @@ def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
     in increasing exact s: the lifts of `torus.hits_in_box`."""
     frame = view.frame
     D, root = frame.D, frame.root
-    s_int, ss, u_int, su = view.forms
-    sa, sb, sc, se, sf, sg, sh = s_int.affine(ss, s0)
-    ua, ub, uc, ue, uf, ug, uh = u_int.affine(su, u0)
+    sa, sb, se, sf, sh, ua, ub, ue, uf, uh = view.coefficients
+    # with the origin's (p, q, d), the view's s - s0 at (X/k, Y/k) is
+    # (sa*X + sb*Y - sc*k + (se*X + sf*Y - sg*k)*sqrt(D)) / (sh*k) once
+    # the coefficients are scaled by d and the origin by L_s, and so is u
+    (sc, sg, d), (uc, ug, e) = _parts(s0), _parts(u0)
+    sa, sb, se, sf, sc, sg, sh = (sa * d, sb * d, se * d, sf * d, sc * sh,
+                                  sg * sh, sh * d)
+    ua, ub, ue, uf, uc, ug, uh = (ua * e, ub * e, ue * e, uf * e, uc * uh,
+                                  ug * uh, uh * e)
     dots = [(rounded_float(sa * X + sb * Y - sc * k, se * X + sf * Y - sg * k,
                            sh * k, D, root),
              rounded_float(ua * X + ub * Y - uc * k, ue * X + uf * Y - ug * k,
@@ -125,7 +133,7 @@ def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
     if len({dot[0] for dot in dots}) < len(dots):
         # rounding is monotone, so only lifts whose s rounds to one double
         # can be out of order; the exact s orders them all
-        dots.sort(key=lambda dot: ss * s_int.at(dot[3], dot[4], dot[2]))
+        dots.sort(key=lambda dot: view.s(dot[2:]))
     return [dot[:2] for dot in dots]
 
 

@@ -45,13 +45,16 @@ one loop over the columns steps each rule's numerator by its per-column
 increment and takes n_lo and n_hi from one floor per rule.  These bounds
 are exact, so every (m, n) between them is a lattice point in the box and
 nothing is re-checked.
-`box_lifts` returns the lifts as integers, and `view_lifts` adds the
-integer numerators of each lift's view s and u.  `view_hit` builds a
-`MarkedPointHit`, one QuadNum each for s and u, from those integers:
-`hits_in_box` for every lift it returns, in no particular order, and the
-strip climber only for the lift it takes, as it orders a window's lifts
-by sign tests on the numerators.  Figures convert the integers to doubles
-without any QuadNum.
+`box_lifts` returns the lifts as integers.  A view reads its s and u off
+one integer table, `FrameView.coefficients`, the frame's forms with the
+view's flips and transposition applied: `view_lifts` adds the integer
+numerators of each lift's view s and u, and `FrameView.s` and `u` take
+them at one point.  `view_hit` builds a `MarkedPointHit`, one QuadNum
+each for s and u, from those integers: `hits_in_box` for every lift it
+returns, in no particular order, and the strip climber only for the lift
+it takes, as it orders a window's lifts by sign tests on the numerators.
+Figures scale the table by their origin's denominator and convert the
+integers to doubles without any QuadNum.
 """
 
 from __future__ import annotations
@@ -182,11 +185,10 @@ class HyperbolicMatrix(_Value):
 
     def power_rows(self, n: int):
         """Integer rows of A^n (n may be negative; det 1 so inverse is integral)."""
+        rows = ((1, 0), (0, 1))
         if n >= 0:
-            rows = ((1, 0), (0, 1))
             base = self.rows()
         else:
-            rows = ((1, 0), (0, 1))
             base = ((self.d, -self.b), (-self.c, self.a))
             n = -n
         while n:
@@ -240,17 +242,6 @@ class IntForm:
     def at(self, X: int, Y: int, k: int) -> QuadNum:
         return _qn(self.px * X + self.py * Y, self.qx * X + self.qy * Y,
                    self.L * k, self.D)
-
-    def affine(self, sign: int, origin) -> tuple:
-        """(a, b, c, e, f, g, h) such that sign*form - origin at (X/k, Y/k) is
-
-            (a*X + b*Y - c*k + (e*X + f*Y - g*k)*sqrt(D)) / (h*k),
-
-        for sign = 1 or -1 and an origin that is a QuadNum, int or Fraction."""
-        p0, q0, d0 = _parts(origin)
-        return (sign * self.px * d0, sign * self.py * d0, p0 * self.L,
-                sign * self.qx * d0, sign * self.qy * d0, q0 * self.L,
-                self.L * d0)
 
 
 class EigenFrame(_Value):
@@ -673,10 +664,11 @@ def view_lifts(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
         s = (sp + sq*sqrt(D)) / (L_s*k),    u = (up + uq*sqrt(D)) / (L_u*k)
 
     over the view's denominators L_s and L_u: the numerators are the view's
-    signed coefficients (`FrameView.coefficients`) at X and Y.  This is the
-    one place where a lift's view coordinates are computed: `hits_in_box`
-    builds its hits from them, and the strip climber orders a window's
-    lifts on them."""
+    signed coefficients (`FrameView.coefficients`) at X and Y.  That table
+    is the one integer encoding of the view's coordinates: `hits_in_box`
+    builds its hits from these numerators, the strip climber orders a
+    window's lifts on them, and `FrameView.s` and `u` and the figures'
+    `svgfig.lift_dots` apply the same table to their points."""
     a, b, c, d, _, f, g, h, i, _ = view.coefficients
     return [(base, lift, twist, a * X + b * Y, c * X + d * Y, f * X + g * Y,
              h * X + i * Y)
@@ -882,12 +874,11 @@ class FrameView:
     frame's u and its u the frame's s, each then flipped as its flag says,
     so a climb in its u is a walk along the frame's s (`transposed`).  The
     view decides once, when it is built, what the transposition changes:
-    `forms` holds the integer form and the sign of the view's s and of its
-    u, `coefficients` their signed integers (px, py, qx, qy, L) for s,
-    then for u, so that s at (X/k, Y/k) is
-    (px*X + py*Y + (qx*X + qy*Y)*sqrt(D)) / (L*k), and a transposed
+    `coefficients`, its one integer table, holds the signed integers
+    (px, py, qx, qy, L) of its s, then of its u, so that s at (X/k, Y/k)
+    is (px*X + py*Y + (qx*X + qy*Y)*sqrt(D)) / (L*k), and a transposed
     view's `box` swaps the flipped bounds.  s and u take a point or a
-    pair.
+    pair and read that table.
     """
 
     def __init__(self, frame: EigenFrame, flip_s: bool = False,
@@ -902,21 +893,20 @@ class FrameView:
             s_int, u_int = u_int, s_int
             self.box = self._transposed_box
         ss, su = -1 if flip_s else 1, -1 if flip_u else 1
-        self.forms = (s_int, ss, u_int, su)
         self.coefficients = (ss * s_int.px, ss * s_int.py, ss * s_int.qx,
                              ss * s_int.qy, s_int.L, su * u_int.px,
                              su * u_int.py, su * u_int.qx, su * u_int.qy,
                              u_int.L)
 
     def s(self, p) -> QuadNum:
-        s_int, ss, _, _ = self.forms
+        a, b, c, d, L = self.coefficients[:5]
         k, X, Y = as_point(p)
-        return s_int.at(ss * X, ss * Y, k)
+        return _qn(a * X + b * Y, c * X + d * Y, L * k, self.frame.D)
 
     def u(self, p) -> QuadNum:
-        _, _, u_int, su = self.forms
+        a, b, c, d, L = self.coefficients[5:]
         k, X, Y = as_point(p)
-        return u_int.at(su * X, su * Y, k)
+        return _qn(a * X + b * Y, c * X + d * Y, L * k, self.frame.D)
 
     def transposed(self, reverse: bool = False) -> FrameView:
         """The view whose s is this view's u and whose u is this view's s,

@@ -4,7 +4,8 @@ oracle on big coefficients, correctly rounded float conversion (exact, and
 from a fixed-point square root with an exact fallback), the eigenframe's
 exact integer logarithm to base lam and the error bounds of its estimate,
 the absence of floats from the engine's decisions, of powers and
-logarithms outside the eigenframe and of Fraction arithmetic after parsing
+logarithms outside the eigenframe, of the frame's integer forms outside
+torus and of Fraction arithmetic after parsing
 (loading a problem, classification and quadrant reports, staircases, the
 census, games and the group action), the period family as the only caller of
 the primitive-family walk, and the eigenframe as the only geometry
@@ -478,6 +479,28 @@ class TestOnePowerTable:
                 helpers = {a.name for a in node.names
                            if "pow" in a.name or "log" in a.name}
                 assert not helpers, f"quadfield.{helpers} at {where}"
+
+
+# the names of the frame's integer forms, which only torus's kernel rules
+# read: every other module reads a view's coordinates off its one integer
+# table, `FrameView.coefficients`
+FORM_NAMES = {"IntForm", "s_int", "u_int", "forms", "affine"}
+NOT_TORUS = sorted(path.stem for path in
+                   Path(anosurg.__file__).parent.glob("*.py")
+                   if path.stem != "torus")
+
+
+class TestOneCoordinateTable:
+    @pytest.mark.parametrize("module", NOT_TORUS)
+    def test_no_integer_form_outside_torus(self, module):
+        path = Path(anosurg.__file__).with_name(f"{module}.py")
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            assert not names & FORM_NAMES, \
+                f"{names & FORM_NAMES} at {module}.py:" \
+                f"{getattr(node, 'lineno', '?')}"
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",

@@ -363,10 +363,15 @@ class TestHits:
                 if s_lo == s_hi or u_lo == u_hi:
                     continue
                 include = tuple(rng.choice((True, False)) for _ in range(4))
-                got = hit_keys(hits_in_box(view, mset, s_lo, s_hi, u_lo,
-                                           u_hi, include))
-                assert got == oracle_hits(coords, mset, s_lo, s_hi, u_lo,
-                                          u_hi, include), (A.rows(), include)
+                hits = hits_in_box(view, mset, s_lo, s_hi, u_lo, u_hi,
+                                   include)
+                assert hit_keys(hits) == oracle_hits(
+                    coords, mset, s_lo, s_hi, u_lo, u_hi, include), \
+                    (A.rows(), include)
+                # the view's s and u read its coefficient table as the
+                # scan's hits do
+                assert all((h.s, h.u) == (view.s(h.lift), view.u(h.lift))
+                           for h in hits)
 
     def test_transposed_view_exchanges_s_and_u(self, frame_a2):
         p = (Fraction(1, 3), Fraction(2, 5))
