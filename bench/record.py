@@ -10,10 +10,10 @@ PARENT and CHANGE are git revisions of this repository.  Each side is
 exported with `git archive` into a fresh directory, and every measurement
 runs in those exports, never in the working tree.  The perfbench/ files of
 both exports must be the same tree.  Pair i runs the parent first when i is
-odd and the change first when it is even.  For every metric the record holds
-the runs by pair, their median, first and third quartiles (inclusive
-method), the IQR, how many pairs the change read lower and whether the
-difference is resolved (see `compare`).  For every row it also makes PAIRS
+odd and the change first when it is even.  For every metric, and for the
+time of every command, the record holds the runs by pair, their median,
+first and third quartiles (inclusive method), the IQR, how many pairs the
+change read lower and whether the difference is resolved (see `compare`).  For every row it also makes PAIRS
 alternating pairs of traced runs: it stores the COUNTS of each side's first
 traced run, which do not drift with the host's clock, and compares the
 TRACED_TIMES of all of them like the metrics.  It stores the lines of
@@ -539,16 +539,13 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
         runs = alternate(COMMAND_RUNS, lambda side: command_seconds(
             trees[side], command, work))
         rows.append({"args": command,
-                     "parent": round(statistics.median(runs["parent"]), 3),
-                     "change": round(statistics.median(runs["change"]), 3)})
+                     **compare(runs["parent"], runs["change"], "s")})
         if command == LONG_GAME:
             print("in-process play_game", file=sys.stderr)
             runs = alternate(COMMAND_RUNS,
                              lambda side: game_seconds(trees[side]))
-            rows.append({
-                "args": "play_game of the command above, in process",
-                "parent": round(statistics.median(runs["parent"]), 3),
-                "change": round(statistics.median(runs["change"]), 3)})
+            rows.append({"args": "play_game of the command above, in process",
+                         **compare(runs["parent"], runs["change"], "s")})
     loads = {}
     for name in LOADS:
         print(f"load_problem {name}", file=sys.stderr)
@@ -626,8 +623,6 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                        "times its play_game call alone, in one fresh "
                        "process per run, without start-up, parsing or JSON "
                        "output",
-            "statistic": "median",
-            "unit": "s",
             "rows": rows},
         "load_problem": {
             "command": "python -c LOAD_SCRIPT PROBLEM in each side's "
