@@ -13,10 +13,11 @@ both exports must be the same tree.  Pair i runs the parent first when i is
 odd and the change first when it is even.  For every metric, and for the
 time of every command, the record holds the runs by pair, their median,
 first and third quartiles (inclusive method), the IQR, how many pairs the
-change read lower and whether the difference is resolved (see `compare`).  For every row it also makes PAIRS
-alternating pairs of traced runs: it stores the COUNTS of each side's first
-traced run, which do not drift with the host's clock, and compares the
-TRACED_TIMES of all of them like the metrics.  It stores the lines of
+change read lower and whether the difference is resolved (see `compare`).
+For every row it also makes PAIRS alternating pairs of traced runs: it
+stores the COUNTS of each side's first traced run, which do not drift with
+the host's clock, and compares the TRACED_TIMES of all of them like the
+metrics.  It stores the lines of
 src/**/*.py in each export and their net change.  The field micro-benchmarks are the MICRO
 figures of `perfbench/worker.py micro`, run in each export on operands
 written from that export's perfbench/goldens.json (`big_operands`) and the
