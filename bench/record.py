@@ -1,8 +1,9 @@
 """Record a BENCH_<n>.json: perfbench end-to-end metrics of a parent commit
 and its change from alternating pairs of runs, plus import time, per-command
 wall times, the in-process `play_game` time of the 1,500-crossing game, the
-in-process `load_problem` times of the long-orbit problems, the field
-micro-benchmarks and the Tier-1 wall time.
+box scans and QuadNums of one in-process `game_grid` pass, the in-process
+`load_problem` times of the long-orbit problems, the field micro-benchmarks
+and the Tier-1 wall time.
 
     python3 bench/record.py PARENT CHANGE --out BENCH_<n>.json
 
@@ -17,7 +18,8 @@ change read lower and whether the difference is resolved (see `compare`).
 For every row it also makes PAIRS alternating pairs of traced runs: it
 stores the COUNTS of each side's first traced run, which do not drift with
 the host's clock, and compares the TRACED_TIMES of all of them like the
-metrics.  It stores the lines of
+metrics.  The scans and QuadNums of a seed-1 `game_grid` pass are counted
+once per side, in process (COUNT_SCRIPT).  It stores the lines of
 src/**/*.py in each export and their net change.  The field micro-benchmarks are the MICRO
 figures of `perfbench/worker.py micro`, run in each export on operands
 written from that export's perfbench/goldens.json (`big_operands`) and the
@@ -69,7 +71,7 @@ MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = None
+CLAIM = ("game_grid", "wall_ref")
 
 # alternating parent/change pairs per perfbench row, and alternating runs
 # per side of the import time, of each CLI command, of the
@@ -153,6 +155,39 @@ start = time.perf_counter()
 outcome = play_game(config, point(0, 0), t0, r, {LONG_GAME_CROSSINGS})
 seconds = time.perf_counter() - start
 print(f"play_game {{len(outcome.trace)}} crossings {{seconds:.6f}} s")
+"""
+
+# one seed-1 `game_grid` pass in process, its games built and played as
+# perfbench/worker.py does, counting the box scans (`torus.box_lifts`
+# calls, which perfbench's traced `torus.hits_in_box` no longer sees) and
+# the QuadNums built (`_qn` calls, through every module's binding of it)
+COUNT_SCRIPT = """
+import sys
+from fractions import Fraction
+sys.path.insert(0, "perfbench")
+from run import make_inputs
+from worker import build
+import anosurg
+from anosurg import play_game, quadfield, torus
+counts = {"box_lifts": 0, "_qn": 0}
+def counted(name, f):
+    def call(*args):
+        counts[name] += 1
+        return f(*args)
+    return call
+inputs = make_inputs("game_grid", 1)
+games = build("game_grid", inputs)
+torus.box_lifts = counted("box_lifts", torus.box_lifts)
+qn, counted_qn = quadfield._qn, counted("_qn", quadfield._qn)
+for module in list(sys.modules.values()):
+    if (module.__name__.startswith("anosurg.")
+            and getattr(module, "_qn", None) is qn):
+        module._qn = counted_qn
+crossings = sum(len(play_game(cfg, (Fraction(0), Fraction(0)), t0, r,
+                              inputs["budget"]).trace)
+                for cfg, t0, r in games)
+print(f"game_grid seed 1 crossings {crossings} box_lifts "
+      f"{counts['box_lifts']} _qn {counts['_qn']}")
 """
 
 # `load_problem` of each of these problems in process: one call in a fresh
@@ -366,6 +401,25 @@ def parse_game_seconds(stdout: str) -> float:
     return float(found.group(2))
 
 
+def pass_counts(tree: Path) -> dict:
+    """The counts of one COUNT_SCRIPT run in tree."""
+    out = subprocess.run([sys.executable, "-c", COUNT_SCRIPT], cwd=tree,
+                         env=env_for(tree), check=True, capture_output=True,
+                         text=True).stdout
+    return parse_pass_counts(out)
+
+
+def parse_pass_counts(stdout: str) -> dict:
+    """{"crossings", "box_lifts", "_qn"} from COUNT_SCRIPT's line
+    "game_grid seed 1 crossings C box_lifts S _qn Q"."""
+    found = re.fullmatch(r"game_grid seed 1 crossings (\d+) box_lifts (\d+) "
+                         r"_qn (\d+)", stdout.strip())
+    if not found:
+        raise ValueError(f"not a game_grid count line: {stdout!r}")
+    return dict(zip(("crossings", "box_lifts", "_qn"),
+                    map(int, found.groups())))
+
+
 def load_seconds(tree: Path, problem: Path) -> float:
     """Seconds of the `load_problem` call of one LOAD_SCRIPT run in tree."""
     out = subprocess.run([sys.executable, "-c", LOAD_SCRIPT, str(problem)],
@@ -503,6 +557,10 @@ def main(argv=None):
         print(f"src/**/*.py lines: {lines['parent']} -> {lines['change']} "
               f"(net {lines['net']:+d})")
         print_counts(record)
+        work = record["game_grid_pass"]
+        print("seed-1 game_grid pass, parent -> change: " + ", ".join(
+            f"{name} {work['parent'][name]} -> {work['change'][name]}"
+            for name in work["parent"]))
         print("quadfield micro-benchmark medians, parent -> change (us):")
         for name, m in record["quadfield_micro"]["metrics"].items():
             print(f"  {name}: {m['parent']['median']:.4g} -> "
@@ -547,6 +605,8 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                              lambda side: game_seconds(trees[side]))
             rows.append({"args": "play_game of the command above, in process",
                          **compare(runs["parent"], runs["change"], "s")})
+    print("game_grid pass counts", file=sys.stderr)
+    pass_work = {side: pass_counts(tree) for side, tree in trees.items()}
     loads = {}
     for name in LOADS:
         print(f"load_problem {name}", file=sys.stderr)
@@ -625,6 +685,15 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                        "process per run, without start-up, parsing or JSON "
                        "output",
             "rows": rows},
+        "game_grid_pass": {
+            "command": "python -c COUNT_SCRIPT in each side's compiled "
+                       "export, once per side: one seed-1 game_grid pass in "
+                       "process, its 400 games built and played as "
+                       "perfbench/worker.py does",
+            "metric": "crossings, torus.box_lifts calls and _qn calls (the "
+                      "QuadNums built, through every module's binding) of "
+                      "the pass's play_game calls; counts, not times",
+            **pass_work},
         "load_problem": {
             "command": "python -c LOAD_SCRIPT PROBLEM in each side's "
                        "compiled export: one anosurg.cli.load_problem call "

@@ -15,13 +15,14 @@ with a finite offset (Defined) or exhausts its crossing budget
 A step takes the lowest lift of the strip (0, t) x (h, r] from a
 `StripClimber`, and one scan covers the lifts of every marked set.  The
 game carries the strip's right edge, s0 + t in view s for the origin's
-s0, so a crossing at s_gamma = s0 + u_gamma is the three field operations
+s0, so a crossing at s_gamma = s0 + u_gamma is the update
 
     right  <-  s_gamma + lam^e * (right - s_gamma),
 
-and the climber is handed that edge at each step: a crossing that expands
-t (exponent e > 0) widens the strip, and one with e <= 0 narrows it or
-keeps it.  A crossing record keeps its lift, the origin and the strip's
+computed on the integers (p, q, d) of s_gamma, lam^e and right and built
+as one QuadNum.  The climber is handed that edge at each step: a crossing
+that expands t (exponent e > 0) widens the strip, and one with e <= 0
+narrows it or keeps it.  A crossing record keeps its lift, the origin and the strip's
 edges before and after it; its offset, height and lengths t are read off
 them when asked for.
 
@@ -33,7 +34,7 @@ of the primitive rectangle family at the first point of each marked orbit.
 
 from __future__ import annotations
 
-from .quadfield import QuadNum, qn_to_str
+from .quadfield import QuadNum, _parts, _qn, _sign, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, Point, as_point, point_strings,
                     quadrant_direction, quadrant_view, QUADRANTS)
@@ -130,10 +131,9 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
     t0 up to height r."""
     view = quadrant_view(config.frame, config.quadrant)
     direction = quadrant_direction(config.quadrant)
-    zero = view.lam * 0
-    t0 = t0 if isinstance(t0, QuadNum) else zero + t0
-    r = r if isinstance(r, QuadNum) else zero + r
-    if not (t0 > 0 and r > 0):
+    D = config.frame.D
+    (tp, tq, _), (rp, rq, _) = _parts(t0), _parts(r)
+    if not (_sign(tp, tq, D) > 0 and _sign(rp, rq, D) > 0):
         raise GameError("t0 and r must be positive")
     if budget < 1:
         raise GameError("budget must be at least 1")
@@ -150,8 +150,15 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
     while (c := strip.lowest(right)) is not None:
         if len(trace) >= budget:
             return GameOutcome("BudgetExhausted", None, tuple(trace))
-        e, s = direction * c.twist, c.s
-        before, right = right, s + rung(e)[0] * (right - s)
+        e = direction * c.twist
+        # s + lam^e*(right - s) for s = (a + b*sqrt(D))/f, lam^e = (g +
+        # h*sqrt(D))/k and right = (x + y*sqrt(D))/z: right - s is (m +
+        # n*sqrt(D))/(f*z), and the sum is over k*z*f
+        (a, b, f), (g, h, k), (x, y, z) = (_parts(c.s), _parts(rung(e)[0]),
+                                           _parts(right))
+        m, n, kz = x * f - a * z, y * f - b * z, k * z
+        before, right = right, _qn(a * kz + g * m + h * n * D,
+                                   b * kz + g * n + h * m, kz * f, D)
         trace.append(Crossing(c, sp, up, e, before, right))
     return GameOutcome("Defined", right - sp, tuple(trace))
 

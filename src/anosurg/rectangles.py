@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .quadfield import QuadNum, _parts, _sign, qn_to_str
+from .quadfield import QuadNum, _parts, _qn, _sign, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, as_point, group_element, hits_in_box,
                     point_strings, view_hit, view_lifts)
@@ -111,27 +111,53 @@ def first_window_hits(strip):
     The first window is W_s W_u / width tall, the area of a box that holds
     a lift of every base point, and the windows double, so the scanned area
     stays proportional to the hit count however wide or narrow the strip
-    is.  The climber knows that the heights (lo, covered] hold no lift: a
-    window wholly below covered is skipped and one that straddles it is
-    scanned from covered up.  The windows stay anchored at lo whatever
-    covered is, so a resumed search scans the same tops as a fresh one.
+    is: window i reaches min(lo + (2^(i+1) - 1) W_s W_u / width, hi).  The
+    climber knows that the heights (lo, covered] hold no lift, and covered
+    is never below lo: a window wholly below covered is skipped and one
+    that straddles it is scanned from covered up.  The windows stay
+    anchored at lo whatever covered is, so a resumed search scans the same
+    tops as a fresh one.
+
+    The window and the tops are integers: each top's numerators over one
+    denominator, the lo's plus a doubling multiple of the window's, and the
+    tests against covered and hi are `_sign` tests on cross-multiplied
+    numerators.  Only a top that is scanned becomes a QuadNum.
     """
-    left, right, lo, hi = strip.left, strip.right, strip.lo, strip.hi
-    covered = strip.covered
-    if covered >= hi:
+    D = strip.view.frame.D
+    left, right, hi, covered = strip.left, strip.right, strip.hi, strip.covered
+    (hp, hq, hd), (cp, cq, cd) = _parts(hi), _parts(covered)
+    if _sign(cp * hd - hp * cd, cq * hd - hq * cd, D) >= 0:
         # every window up to hi lies below covered: the search that ends
         # a climb scans nothing
         return [], hi
-    window = strip.area / (right - left)
-    while lo < hi:
-        top = min(lo + window, hi)
-        if top > covered:
-            lifts = view_lifts(strip.view, strip.mset, left, right,
-                               max(lo, covered), top, strip.include)
+    # the width right - left is (wp + wq*sqrt(D))/(d1*d2) > 0, so the first
+    # window, the area (ap + aq*sqrt(D))/ad over it, is d1*d2*(ap +
+    # aq*sqrt(D))*(wp - wq*sqrt(D))/(ad*norm) for the width's norm
+    # wp^2 - wq^2*D
+    (p1, q1, d1), (p2, q2, d2) = _parts(left), _parts(right)
+    wp, wq = p2 * d1 - p1 * d2, q2 * d1 - q1 * d2
+    norm = wp * wp - wq * wq * D
+    (ap, aq, ad), (lp, lq, ld) = _parts(strip.area), _parts(strip.lo)
+    # over e = ld*ad*|norm|, a top's numerators (tp, tq) start at lo's and
+    # grow by the window's (xp, xq), which double from window to window
+    x = ld * d1 * d2 if norm > 0 else -ld * d1 * d2
+    xp, xq = x * (ap * wp - aq * wq * D), x * (aq * wp - ap * wq)
+    f = ad * abs(norm)
+    tp, tq, e = lp * f, lq * f, ld * f
+    view, mset, include = strip.view, strip.mset, strip.include
+    start = covered
+    while True:
+        tp, tq = tp + xp, tq + xq
+        if _sign(tp * hd - hp * e, tq * hd - hq * e, D) >= 0:
+            # the window reaches hi, which lies above covered
+            return view_lifts(view, mset, left, right, start, hi, include), hi
+        if _sign(tp * cd - cp * e, tq * cd - cq * e, D) > 0:
+            top = _qn(tp, tq, e, D)
+            lifts = view_lifts(view, mset, left, right, start, top, include)
             if lifts:
                 return lifts, top
-        lo, window = top, window + window
-    return [], hi
+            start = top
+        xp, xq = xp + xp, xq + xq
 
 
 def _lowest(lifts, D):
@@ -166,7 +192,9 @@ class StripClimber:
     A window's lifts stay integers, as `view_lifts` gives them: "s < right"
     and "lower" are `_sign` tests on their view numerators, cross-multiplied
     by the lifts' denominators k and by right's, and only the lift taken
-    becomes a `MarkedPointHit` (`view_hit`).
+    becomes a `MarkedPointHit` (`view_hit`).  Whether the edge grew is a
+    `_sign` test on the integers of the old and new edges, and the window
+    search computes on integers too.
 
     Exactness: the heights up to covered, the top of the window that found
     the lifts, were scanned over a strip that holds the current one,
@@ -189,15 +217,17 @@ class StripClimber:
         self.covered, self.lifts, self.last = lo, [], None
 
     def lowest(self, right) -> MarkedPointHit | None:
-        if right > self.right:
-            self.lifts, self.covered = [], self.lo
-        self.right = right
         view = self.view
         D, ls = view.frame.D, view.coefficients[4]
+        p, q, d = _parts(right)
+        p0, q0, d0 = _parts(self.right)
+        if _sign(p * d0 - p0 * d, q * d0 - q0 * d, D) > 0:
+            # the edge grew
+            self.lifts, self.covered = [], self.lo
+        self.right = right
         # s < right, for s = (sp + sq*sqrt(D))/(L_s*k) and right = (p +
         # q*sqrt(D))/d, is the sign of (sp*d - p*L_s*k) + (sq*d -
         # q*L_s*k)*sqrt(D)
-        p, q, d = _parts(right)
         p, q = p * ls, q * ls
         last, low, kept = self.last, None, []
         for lift in self.lifts:

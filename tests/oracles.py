@@ -396,6 +396,24 @@ def census_keys(reps):
             for rep in reps}
 
 
+def oracle_window_scans(frame, left, right, lo, hi, covered):
+    """The (start, top) of each height window that a strip search scans
+    when no window holds a lift, by the QuadNum operators: window i of the
+    strip (left, right) reaches min(lo + (2^(i+1) - 1)*w, hi), for w =
+    W_s*W_u/(right - left), from the top of window i - 1 (lo for i = 0)
+    or from covered when that is higher; a window whose top is at or
+    below covered is skipped."""
+    ws, wu = frame.widths
+    w = ws * wu / (right - left)
+    scans, start, i = [], lo, 0
+    while start < hi:
+        top = min(lo + (2 ** (i + 1) - 1) * w, hi)
+        if top > covered:
+            scans.append((max(start, covered), top))
+        start, i = top, i + 1
+    return scans
+
+
 def oracle_pareto_frontier(points):
     """Keys of the Pareto-minimal (key, s, u) points, sorted by s: those with
     no other point below-left of them (coordinates are pairwise distinct)."""

@@ -191,6 +191,28 @@ class TestGameBasics:
                 widened.add(cfg.quadrant)
         assert widened == set(QUADRANTS)
 
+    def test_each_edge_update_matches_the_field_operations(self, frame_a2):
+        # the game updates the strip's right edge on integers; each
+        # crossing's edges, widening ones included, are those of the
+        # QuadNum operators, and final_t is the last edge less s0
+        widened = set()
+        for k, (cfg, p, t0, r) in enumerate(seeded_games(frame_a2)):
+            out = play_game(cfg, p, t0, r, budget=40)
+            rung = cfg.frame.rung
+            s0 = quadrant_view(cfg.frame, cfg.quadrant).s(point(*p))
+            right = s0 + t0
+            for c in out.trace:
+                s = c.hit.s
+                assert c.before == right, k
+                right = s + rung(c.exponent)[0] * (right - s)
+                assert c.after == right, k
+                assert type(c.after) is QuadNum, k
+                if c.exponent > 0:
+                    widened.add(cfg.quadrant)
+            if out.defined:
+                assert out.final_t == right - s0, k
+        assert widened == set(QUADRANTS)
+
     def test_no_height_is_scanned_twice_until_the_strip_widens(
             self, frame_a2, monkeypatch):
         # while crossings only narrow the strip, a search resumes above the

@@ -84,6 +84,16 @@ def test_parse_game_seconds_reads_the_play_game_line():
         record.parse_game_seconds("")
 
 
+def test_parse_pass_counts_reads_the_count_line():
+    out = "game_grid seed 1 crossings 2140 box_lifts 1018 _qn 9446\n"
+    assert record.parse_pass_counts(out) == {
+        "crossings": 2140, "box_lifts": 1018, "_qn": 9446}
+    with pytest.raises(ValueError):
+        record.parse_pass_counts("game_grid seed 1 crossings 2140\n")
+    with pytest.raises(ValueError):
+        record.parse_pass_counts("")
+
+
 def test_parse_load_seconds_reads_the_load_problem_line():
     assert record.parse_load_seconds("load_problem 0.002641 s\n") == 0.002641
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 climber under the primitive-family walk, with frozen counts and brute-force
 oracle cross-checks."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,13 +18,14 @@ from anosurg import rectangles
 from anosurg.classify import Analysis
 from anosurg.cli import FIXTURES, load_problem
 from anosurg.quadfield import qn_pow
-from anosurg.rectangles import StripClimber, period_family, primitive_family
+from anosurg.rectangles import (StripClimber, first_window_hits,
+                                period_family, primitive_family)
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
                       half_points_set, zero_orbit_set)
 from oracles import (_QuadrantCoords, census_keys, oracle_hits,
                      oracle_pareto_frontier, oracle_primitive_census,
-                     origin_view_census, pair)
+                     oracle_window_scans, origin_view_census, pair)
 from test_corpus import MATRICES as CORPUS_MATRICES, orbit_seeds
 
 FROZEN_COUNTS = {
@@ -351,6 +353,81 @@ class TestStripClimber:
                     (0, Fraction(1, 3), Fraction(2, 3)))
             narrowed += 1
         assert narrowed and widened
+
+
+def seeded_strip(rng, view, kind):
+    """(left, right, lo, hi) of a seeded strip with edges of one kind: ints,
+    Fractions, or QuadNums (the view's s and u at a rational point, with
+    irrational width and height)."""
+    if kind == "int":
+        left, lo = rng.randint(-5, 5), rng.randint(-5, 5)
+        return left, left + rng.randint(1, 4), lo, lo + rng.randint(1, 60)
+    width = Fraction(rng.randint(1, 30), rng.randint(2, 9))
+    height = Fraction(rng.randint(1, 400), rng.randint(2, 9))
+    if kind == "Fraction":
+        left = Fraction(rng.randint(-40, 40), rng.randint(2, 9))
+        lo = Fraction(rng.randint(-40, 40), rng.randint(2, 9))
+        return left, left + width, lo, lo + height
+    origin = point(Fraction(rng.randint(0, 20), 21),
+                   Fraction(rng.randint(0, 20), 21))
+    rung = view.frame.rung
+    left, lo = view.s(origin), view.u(origin)
+    return (left, left + width * rung(rng.randint(-2, 2))[0], lo,
+            lo + height * rung(rng.randint(-2, 2))[0])
+
+
+class TestWindows:
+    @pytest.mark.parametrize("kind", ["int", "Fraction", "QuadNum"])
+    @pytest.mark.parametrize("flip_s, flip_u, transpose",
+                             list(itertools.product((False, True), repeat=3)))
+    def test_each_scan_matches_the_oracle_windows(
+            self, monkeypatch, kind, flip_s, flip_u, transpose):
+        # the search computes its windows on the edges' integers: with
+        # covered at lo, straddling a window, on the top of a window past
+        # the first, and at or above hi, each scan's (start, top) is the
+        # oracle's, and a search returns the lifts and the top of the
+        # first window that holds any
+        include = (False, False, False, True)
+        scans, found = [], {}
+
+        def scan(v, mset, s_lo, s_hi, u_lo, u_hi, inc):
+            assert (v, mset, s_lo, s_hi, inc) == (view, X, left, right,
+                                                  include)
+            scans.append((u_lo, u_hi))
+            return found.get(len(scans), [])
+
+        monkeypatch.setattr(rectangles, "view_lifts", scan)
+        rng = random.Random(f"{kind} {flip_s} {flip_u} {transpose}")
+        strips = 0
+        while strips < 8:
+            A = (A2, C3)[strips % 2]
+            frame = eigenframe(A)
+            view, X = FrameView(frame, flip_s, flip_u, transpose), \
+                zero_orbit_set(A)
+            left, right, lo, hi = seeded_strip(rng, view, kind)
+            tops = [top for _, top in oracle_window_scans(frame, left, right,
+                                                          lo, hi, lo)]
+            if len(tops) < 3:
+                continue
+            strips += 1
+            i, j = rng.randrange(len(tops)), rng.randrange(1, len(tops) - 1)
+            for covered in (lo, (([lo] + tops)[i] + tops[i]) / 2, tops[j],
+                            hi, hi + 1):
+                expected = oracle_window_scans(frame, left, right, lo, hi,
+                                               covered)
+                strip = StripClimber(view, X, include, left, lo, hi)
+                strip.right, strip.covered = right, covered
+                scans.clear()
+                found.clear()
+                assert first_window_hits(strip) == ([], hi)
+                assert scans == expected
+                if expected:
+                    n = rng.randrange(len(expected))
+                    scans.clear()
+                    found[n + 1] = ["lift"]
+                    assert first_window_hits(strip) == (["lift"],
+                                                        expected[n][1])
+                    assert scans == expected[:n + 1]
 
 
 class TestHalfIntegerCovering:

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from anosurg import (Analysis, GameConfig, QuadNum, SurgeryProblem, classify,
-                     disjoint_witness, eigenframe, enumerate_primitive,
+                     disjoint_witness, eigenframe, enumerate_primitive, game,
                      game_trace_records, play_game, point, quadfield,
                      qn_to_str, rectangles, svgfig, torus)
 from anosurg.cli import FIXTURES, load_problem, main
@@ -33,12 +33,12 @@ PROFILE_SCANS = {"a2_half": 16, "b2_half": 26, "case3": 16}
 # the signs of each fixture whose domination row holds
 DOMINATED_SIGNS = {"a2_half": 2, "b2_half": 0, "case3": 2}
 # the QuadNums that the workload's games and censuses build, re-recorded
-# when the strip climber began to order a window's lifts on their integers,
-# to build a hit only for the lift it takes and to skip the window
-# arithmetic of a search whose covered heights reach its top (games 3,495
-# before, censuses 386)
-GAME_QUADNUMS = 2453
-CENSUS_QUADNUMS = 354
+# when the window search and the game's edge update moved onto integers: a
+# search builds only the tops it scans, and a crossing one edge where it
+# built three (games 2,453 before, censuses 354; the count now also sees
+# the `_qn` calls of rectangles and game)
+GAME_QUADNUMS = 1494
+CENSUS_QUADNUMS = 307
 
 
 def exact(x) -> str:
@@ -174,7 +174,8 @@ def test_a_dominated_witness_search_scans_nothing(monkeypatch, name):
 
 def quadnums_built(monkeypatch, work) -> int:
     """The QuadNums built while work() runs: each is one `_qn` call, the
-    field operations in quadfield and the hit coordinates in torus."""
+    field operations in quadfield, the hit coordinates in torus, the
+    scanned window tops in rectangles and the strip edges in game."""
     built = 0
     qn = quadfield._qn
 
@@ -184,7 +185,7 @@ def quadnums_built(monkeypatch, work) -> int:
         return qn(*args)
 
     with monkeypatch.context() as patch:
-        for module in (quadfield, torus):
+        for module in (quadfield, torus, rectangles, game):
             patch.setattr(module, "_qn", counted)
         work()
     return built
