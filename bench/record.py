@@ -557,10 +557,10 @@ def main(argv=None):
         print(f"src/**/*.py lines: {lines['parent']} -> {lines['change']} "
               f"(net {lines['net']:+d})")
         print_counts(record)
-        work = record["game_grid_pass"]
+        counted = record["game_grid_pass"]
         print("seed-1 game_grid pass, parent -> change: " + ", ".join(
-            f"{name} {work['parent'][name]} -> {work['change'][name]}"
-            for name in work["parent"]))
+            f"{name} {counted['parent'][name]} -> {counted['change'][name]}"
+            for name in counted["parent"]))
         print("quadfield micro-benchmark medians, parent -> change (us):")
         for name, m in record["quadfield_micro"]["metrics"].items():
             print(f"  {name}: {m['parent']['median']:.4g} -> "

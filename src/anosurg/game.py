@@ -22,9 +22,9 @@ s0, so a crossing at s_gamma = s0 + u_gamma is the update
 computed on the integers (p, q, d) of s_gamma, lam^e and right and built
 as one QuadNum.  The climber is handed that edge at each step: a crossing
 that expands t (exponent e > 0) widens the strip, and one with e <= 0
-narrows it or keeps it.  A crossing record keeps its lift, the origin and the strip's
-edges before and after it; its offset, height and lengths t are read off
-them when asked for.
+narrows it or keeps it.  A crossing record keeps its lift, the origin and
+the strip's edges before and after it; its offset, height and lengths t
+are read off them when asked for.
 
 The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,

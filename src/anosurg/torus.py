@@ -887,7 +887,6 @@ class FrameView:
         self.flip_s = flip_s
         self.flip_u = flip_u
         self.transpose = transpose
-        self.lam = frame.lam
         s_int, u_int = frame.s_int, frame.u_int
         if transpose:
             s_int, u_int = u_int, s_int

@@ -197,7 +197,7 @@ def staircase_step(st, i):
     s0, u0 = view.s(st.origin), view.u(st.origin)
     return StairStep(i, o, e, view.s(e) - view.s(o), view.s(e) - s0,
                      view.u(o) - u0, view.u(e) - u0,
-                     base.safety * qn_pow(view.lam, -st.g.k * m))
+                     base.safety * qn_pow(view.frame.lam, -st.g.k * m))
 
 
 def index_of_height(st, height):
@@ -265,7 +265,7 @@ def oracle_staircase_levels(st):
     least integer with lam^(n k) times the left overhang of g_i o G^(i+1)'s
     pushed seed reaching the axis.  The seed's overhang is found by brute
     force over doubling widths."""
-    A, lam = st.view.frame.matrix, st.view.lam
+    A, lam = st.view.frame.matrix, st.view.frame.lam
     coords = _QuadrantCoords(st.view.frame, st.quadrant)
     origin, seed_end = pair(st.origin), pair(st.steps[0].delta_endpoint)
     n = next(len(orb.points) for orb in st.X.orbits
@@ -303,7 +303,7 @@ def equation_holds(analysis, base, t, n):
     delta are the step functions of the analysis's breakpoint intervals at
     base, extended to all t > 0 by their period lam^(period of base)."""
     intervals = analysis.intervals(base)
-    big = qn_pow(analysis.view.lam, next(
+    big = qn_pow(analysis.view.frame.lam, next(
         orb.period for orb in analysis.X.orbits if base in orb.points))
 
     def locate(v):
@@ -318,7 +318,7 @@ def equation_holds(analysis, base, t, n):
 
     iv, scale = locate(t)
     d = iv.delta * scale
-    return mu(d + qn_pow(analysis.view.lam, -n) * (t - d)) == mu(d)
+    return mu(d + qn_pow(analysis.view.frame.lam, -n) * (t - d)) == mu(d)
 
 
 def oracle_primitive_census(A, X, sign, frame):

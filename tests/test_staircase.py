@@ -29,7 +29,8 @@ class TestB2Structure:
         assert st.preperiod == 1 and st.period == 1
         assert (st.g.k, st.g.v) == (-1, (2, -3))
         assert incompleteness_threshold(st) == 2
-        assert st.view.lam < st.constant < st.view.lam * st.view.lam
+        lam = st.view.frame.lam
+        assert lam < st.constant < lam * lam
         assert pair(st.limit) == (Fraction(0), Fraction(1, 4))
 
     def test_axis_height_is_exact_limit_height(self, b2_staircase):
