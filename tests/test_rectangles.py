@@ -402,8 +402,8 @@ class TestWindows:
         while strips < 8:
             A = (A2, C3)[strips % 2]
             frame = eigenframe(A)
-            view, X = FrameView(frame, flip_s, flip_u, transpose), \
-                zero_orbit_set(A)
+            view = FrameView(frame, flip_s, flip_u, transpose)
+            X = zero_orbit_set(A)
             left, right, lo, hi = seeded_strip(rng, view, kind)
             tops = [top for _, top in oracle_window_scans(frame, left, right,
                                                           lo, hi, lo)]
