@@ -159,8 +159,10 @@ print(f"play_game {{len(outcome.trace)}} crossings {{seconds:.6f}} s")
 
 # one seed-1 `game_grid` pass in process, its games built and played as
 # perfbench/worker.py does, counting the box scans (`torus.box_lifts`
-# calls, which perfbench's traced `torus.hits_in_box` no longer sees) and
-# the QuadNums built (`_qn` calls, through every module's binding of it)
+# calls, which perfbench's traced `torus.hits_in_box` no longer sees), the
+# QuadNums built (`_qn` calls), the values taken apart into their integers
+# (`_parts` calls), both through every module's binding of them, and the
+# QuadNum order comparisons (calls of its four order methods)
 COUNT_SCRIPT = """
 import sys
 from fractions import Fraction
@@ -169,7 +171,7 @@ from run import make_inputs
 from worker import build
 import anosurg
 from anosurg import play_game, quadfield, torus
-counts = {"box_lifts": 0, "_qn": 0}
+counts = {"box_lifts": 0, "_qn": 0, "_parts": 0, "compare": 0}
 def counted(name, f):
     def call(*args):
         counts[name] += 1
@@ -178,16 +180,22 @@ def counted(name, f):
 inputs = make_inputs("game_grid", 1)
 games = build("game_grid", inputs)
 torus.box_lifts = counted("box_lifts", torus.box_lifts)
-qn, counted_qn = quadfield._qn, counted("_qn", quadfield._qn)
-for module in list(sys.modules.values()):
-    if (module.__name__.startswith("anosurg.")
-            and getattr(module, "_qn", None) is qn):
-        module._qn = counted_qn
+for name in ("_qn", "_parts"):
+    f, counted_f = getattr(quadfield, name), counted(name, getattr(quadfield,
+                                                                   name))
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("anosurg.")
+                and getattr(module, name, None) is f):
+            setattr(module, name, counted_f)
+for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+    setattr(quadfield.QuadNum, name,
+            counted("compare", getattr(quadfield.QuadNum, name)))
 crossings = sum(len(play_game(cfg, (Fraction(0), Fraction(0)), t0, r,
                               inputs["budget"]).trace)
                 for cfg, t0, r in games)
 print(f"game_grid seed 1 crossings {crossings} box_lifts "
-      f"{counts['box_lifts']} _qn {counts['_qn']}")
+      f"{counts['box_lifts']} _qn {counts['_qn']} _parts {counts['_parts']} "
+      f"compare {counts['compare']}")
 """
 
 # `load_problem` of each of these problems in process: one call in a fresh
@@ -410,13 +418,15 @@ def pass_counts(tree: Path) -> dict:
 
 
 def parse_pass_counts(stdout: str) -> dict:
-    """{"crossings", "box_lifts", "_qn"} from COUNT_SCRIPT's line
-    "game_grid seed 1 crossings C box_lifts S _qn Q"."""
+    """{"crossings", "box_lifts", "_qn", "_parts", "compare"} from
+    COUNT_SCRIPT's line "game_grid seed 1 crossings C box_lifts S _qn Q
+    _parts P compare O"."""
     found = re.fullmatch(r"game_grid seed 1 crossings (\d+) box_lifts (\d+) "
-                         r"_qn (\d+)", stdout.strip())
+                         r"_qn (\d+) _parts (\d+) compare (\d+)",
+                         stdout.strip())
     if not found:
         raise ValueError(f"not a game_grid count line: {stdout!r}")
-    return dict(zip(("crossings", "box_lifts", "_qn"),
+    return dict(zip(("crossings", "box_lifts", "_qn", "_parts", "compare"),
                     map(int, found.groups())))
 
 
@@ -690,9 +700,11 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                        "export, once per side: one seed-1 game_grid pass in "
                        "process, its 400 games built and played as "
                        "perfbench/worker.py does",
-            "metric": "crossings, torus.box_lifts calls and _qn calls (the "
-                      "QuadNums built, through every module's binding) of "
-                      "the pass's play_game calls; counts, not times",
+            "metric": "crossings, torus.box_lifts calls, _qn calls (the "
+                      "QuadNums built) and _parts calls (the values taken "
+                      "apart), each through every module's binding, and "
+                      "QuadNum order comparisons (compare) of the pass's "
+                      "play_game calls; counts, not times",
             **pass_work},
         "load_problem": {
             "command": "python -c LOAD_SCRIPT PROBLEM in each side's "

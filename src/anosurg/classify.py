@@ -69,17 +69,21 @@ class Verdict:
 
 class Row:
     """One certificate of an Analysis: a DominationAnalysis or a Staircase
-    (None when there is none), its threshold and, for a staircase, its
-    `staircase_records` as JSON text; an empty staircase row of one origin
-    keeps the StaircaseError that left it empty."""
+    (None when there is none) and its threshold; an empty staircase row of
+    one origin keeps the StaircaseError that left it empty.  A staircase's
+    `staircase_records` are built as JSON text on the first `records()`
+    call and kept: a row that no caller prints never writes its numbers
+    out."""
     __slots__ = ("cert", "threshold", "record", "error")
 
-    def __init__(self, cert=None, threshold=None, record=None, error=None):
-        self.cert, self.threshold, self.record = cert, threshold, record
+    def __init__(self, cert=None, threshold=None, error=None):
+        self.cert, self.threshold, self.record = cert, threshold, None
         self.error = error
 
     def records(self) -> dict:
         """A fresh copy of the staircase's record, the caller's to change."""
+        if self.record is None:
+            self.record = json.dumps(staircase_records(self.cert))
         return json.loads(self.record)
 
 
@@ -154,8 +158,7 @@ class Analysis:
             st = build_staircase(self.frame, first, second, base, kind)
         except StaircaseError as err:
             return Row(error=err)
-        return Row(st, incompleteness_threshold(st),
-                   json.dumps(staircase_records(st)))
+        return Row(st, incompleteness_threshold(st))
 
     def thresholds(self) -> dict:
         """The four domination and four incompleteness thresholds (None

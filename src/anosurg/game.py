@@ -19,12 +19,16 @@ s0, so a crossing at s_gamma = s0 + u_gamma is the update
 
     right  <-  s_gamma + lam^e * (right - s_gamma),
 
-computed on the integers (p, q, d) of s_gamma, lam^e and right and built
-as one QuadNum.  The climber is handed that edge at each step: a crossing
-that expands t (exponent e > 0) widens the strip, and one with e <= 0
-narrows it or keeps it.  A crossing record keeps its lift, the origin and
-the strip's edges before and after it; its offset, height and lengths t
-are read off them when asked for.
+computed on integers from start to end: s_gamma is the lift's own view
+numerators (sp, sq, L_s*k), lam^e the ladder's (p, q, d) of its rung, and
+right a (p, q, d) triple reduced after each update (`_triple`).  The
+climber is handed that edge at each step: a crossing that expands t
+(exponent e > 0) widens the strip, and one with e <= 0 narrows it or
+keeps it.  A game step builds no QuadNum.  A crossing record keeps its
+lift, the origin and the strip's edges before and after it, all
+integers; its hit and edges are built on first read, and its offset,
+height and lengths t are read off the integers, one QuadNum each, when
+asked for.
 
 The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,
@@ -34,10 +38,10 @@ of the primitive rectangle family at the first point of each marked orbit.
 
 from __future__ import annotations
 
-from .quadfield import QuadNum, _parts, _qn, _sign, qn_to_str
+from .quadfield import QuadNum, _parts, _qn, _sign, _triple, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, Point, as_point, point_strings,
-                    quadrant_direction, quadrant_view, QUADRANTS)
+                    quadrant_direction, quadrant_view, view_hit, QUADRANTS)
 from .rectangles import StripClimber, period_family
 
 DEFAULT_BUDGET = 10_000
@@ -75,41 +79,91 @@ class GameConfig:
         self.marked = marked
 
 
+def _sum(x: tuple, y: tuple) -> tuple:
+    """x + y for (p, q, d) triples x and y, reduced."""
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return _triple(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
+
+
+def _difference(x: tuple, y: tuple, D: int) -> QuadNum:
+    """x - y for (p, q, d) triples x and y, as one QuadNum."""
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return _qn(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2, D)
+
+
 class Crossing:
     """One crossing of the game from the origin (s0, u0), in view
-    coordinates: the hit crossed, the exponent applied to lam, and the
-    strip's right edge in view s before and after it.  The offsets,
-    height and lengths t are read off them."""
-    __slots__ = ("hit", "s0", "u0", "exponent", "before", "after")
+    coordinates, kept as integers: the lift crossed, as `view_lifts` gives
+    it, the exponent applied to lam, and the (p, q, d) triples of the
+    origin and of the strip's right edge in view s before and after it
+    (`edges`).  Its `hit` and the QuadNums `before` and `after` are built
+    on first read and then kept; the offsets, height and lengths t are
+    read off the integers, one QuadNum each."""
+    __slots__ = ("view", "lift", "s0", "u0", "exponent", "edges", "_hit",
+                 "_before", "_after")
 
-    def __init__(self, hit: MarkedPointHit, s0: QuadNum, u0: QuadNum,
-                 exponent: int, before: QuadNum, after: QuadNum):
-        self.hit = hit              # view coordinates relative to the frame
+    def __init__(self, view: FrameView, lift: tuple, s0: tuple, u0: tuple,
+                 exponent: int, before: tuple, after: tuple):
+        self.view, self.lift = view, lift
         self.s0, self.u0 = s0, u0
         self.exponent = exponent    # signed exponent actually applied to lam
-        self.before, self.after = before, after
+        self.edges = before, after
+        self._hit = self._before = self._after = None
+
+    @property
+    def hit(self) -> MarkedPointHit:
+        """The lift crossed, in view coordinates relative to the frame."""
+        if self._hit is None:
+            self._hit = view_hit(self.view, self.lift)
+        return self._hit
+
+    @property
+    def before(self) -> QuadNum:
+        if self._before is None:
+            self._before = _qn(*self.edges[0], self.view.frame.D)
+        return self._before
+
+    @property
+    def after(self) -> QuadNum:
+        if self._after is None:
+            self._after = _qn(*self.edges[1], self.view.frame.D)
+        return self._after
+
+    @property
+    def base(self) -> Point:
+        return self.lift[0]
+
+    @property
+    def lattice(self) -> tuple:
+        """(m, n) in Z^2 with lift = base + (m, n)."""
+        k, X, Y = self.lift[1]
+        return X // k, Y // k
 
     @property
     def twist(self) -> int:
-        return self.hit.twist
+        return self.lift[2]
 
     @property
     def height(self) -> QuadNum:
         """Unstable offset from the game origin."""
-        return self.hit.u - self.u0
+        _, (k, _, _), _, _, _, up, uq = self.lift
+        return _difference((up, uq, self.view.coefficients[9] * k), self.u0,
+                           self.view.frame.D)
 
     @property
     def offset(self) -> QuadNum:
         """Stable offset from the game origin."""
-        return self.hit.s - self.s0
+        _, (k, _, _), _, sp, sq, _, _ = self.lift
+        return _difference((sp, sq, self.view.coefficients[4] * k), self.s0,
+                           self.view.frame.D)
 
     @property
     def t_before(self) -> QuadNum:
-        return self.before - self.s0
+        return _difference(self.edges[0], self.s0, self.view.frame.D)
 
     @property
     def t_after(self) -> QuadNum:
-        return self.after - self.s0
+        return _difference(self.edges[1], self.s0, self.view.frame.D)
 
 
 class GameOutcome:
@@ -132,35 +186,36 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
     view = quadrant_view(config.frame, config.quadrant)
     direction = quadrant_direction(config.quadrant)
     D = config.frame.D
-    (tp, tq, _), (rp, rq, _) = _parts(t0), _parts(r)
-    if not (_sign(tp, tq, D) > 0 and _sign(rp, rq, D) > 0):
+    t0, r = _parts(t0), _parts(r)
+    if not (_sign(t0[0], t0[1], D) > 0 and _sign(r[0], r[1], D) > 0):
         raise GameError("t0 and r must be positive")
     if budget < 1:
         raise GameError("budget must be at least 1")
 
     p = as_point(p)
-    sp, up = view.s(p), view.u(p)
-    marked, rung = config.marked, config.frame.rung
-    right = sp + t0
+    s0, u0 = _parts(view.s(p)), _parts(view.u(p))
+    marked, rung, ls = config.marked, config.frame.rung, view.coefficients[4]
+    right = _sum(s0, t0)
     trace: list[Crossing] = []
 
     # offsets in (0, t), heights in (a, b]
-    strip = StripClimber(view, marked, (False, False, False, True), sp, up,
-                         up + r)
-    while (c := strip.lowest(right)) is not None:
+    strip = StripClimber(view, marked, (False, False, False, True), s0, u0,
+                         _sum(u0, r))
+    while (lift := strip.lowest(right)) is not None:
         if len(trace) >= budget:
             return GameOutcome("BudgetExhausted", None, tuple(trace))
-        e = direction * c.twist
-        # s + lam^e*(right - s) for s = (a + b*sqrt(D))/f, lam^e = (g +
-        # h*sqrt(D))/k and right = (x + y*sqrt(D))/z: right - s is (m +
-        # n*sqrt(D))/(f*z), and the sum is over k*z*f
-        (a, b, f), (g, h, k), (x, y, z) = (_parts(c.s), _parts(rung(e)[0]),
-                                           _parts(right))
-        m, n, kz = x * f - a * z, y * f - b * z, k * z
-        before, right = right, _qn(a * kz + g * m + h * n * D,
-                                   b * kz + g * n + h * m, kz * f, D)
-        trace.append(Crossing(c, sp, up, e, before, right))
-    return GameOutcome("Defined", right - sp, tuple(trace))
+        _, (k, _, _), twist, a, b, _, _ = lift
+        e = direction * twist
+        # s + lam^e*(right - s) for the lift's s = (a + b*sqrt(D))/f, f =
+        # L_s*k, the ladder's lam^e = (g + h*sqrt(D))/c and right = (x +
+        # y*sqrt(D))/z: right - s is (m + n*sqrt(D))/(f*z), and the sum is
+        # over c*z*f
+        f, (g, h, c), (x, y, z) = ls * k, rung(e)[2], right
+        m, n, cz = x * f - a * z, y * f - b * z, c * z
+        before, right = right, _triple(a * cz + g * m + h * n * D,
+                                       b * cz + g * n + h * m, cz * f)
+        trace.append(Crossing(view, lift, s0, u0, e, before, right))
+    return GameOutcome("Defined", _difference(right, s0, D), tuple(trace))
 
 
 def game_trace_records(outcome: GameOutcome) -> list:
@@ -171,8 +226,8 @@ def game_trace_records(outcome: GameOutcome) -> list:
     for c in outcome.trace:
         t_after = qn_to_str(c.t_after)
         out.append({
-            "base": point_strings(c.hit.base),
-            "lattice": list(c.hit.lattice),
+            "base": point_strings(c.base),
+            "lattice": list(c.lattice),
             "height": qn_to_str(c.height),
             "offset": qn_to_str(c.offset),
             "twist": c.twist,

@@ -323,6 +323,15 @@ def _qn(p: int, q: int, d: int, D: int) -> QuadNum:
     return x
 
 
+def _triple(p: int, q: int, d: int) -> tuple:
+    """(p, q, d) for d != 0 normalized as `_qn` normalizes a QuadNum's: the
+    integers that the strip climber and the game carry."""
+    g = gcd(d, p, q)
+    if d < 0:
+        g = -g
+    return (p // g, q // g, d // g) if g != 1 else (p, q, d)
+
+
 def _parts(x) -> tuple:
     """(p, q, d) with x = (p + q*sqrt(D))/d and d > 0, for a QuadNum, int or
     Fraction: the integers that the lattice kernel works on."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .quadfield import QuadNum, _parts, _qn, _sign, qn_to_str
+from .quadfield import QuadNum, _parts, _sign, _triple, qn_to_str
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, as_point, group_element, hits_in_box,
                     point_strings, view_hit, view_lifts)
@@ -106,7 +106,8 @@ def first_window_hits(strip):
     """(lifts, top): the lifts of the strip's first nonempty scan over the
     height windows (a, b] climbing from lo to hi, as `view_lifts` gives
     them, and the top of the window that found them; ([], hi) when there
-    are none.
+    are none.  The strip's edges and heights and the top are (p, q, d)
+    triples.
 
     The first window is W_s W_u / width tall, the area of a box that holds
     a lift of every base point, and the windows double, so the scanned area
@@ -121,11 +122,13 @@ def first_window_hits(strip):
     The window and the tops are integers: each top's numerators over one
     denominator, the lo's plus a doubling multiple of the window's, and the
     tests against covered and hi are `_sign` tests on cross-multiplied
-    numerators.  Only a top that is scanned becomes a QuadNum.
+    numerators.  A top that is scanned is reduced (`_triple`) first.  The
+    frame keeps the area's integers (`EigenFrame.area`), so nothing is
+    taken apart.
     """
     D = strip.view.frame.D
     left, right, hi, covered = strip.left, strip.right, strip.hi, strip.covered
-    (hp, hq, hd), (cp, cq, cd) = _parts(hi), _parts(covered)
+    (hp, hq, hd), (cp, cq, cd) = hi, covered
     if _sign(cp * hd - hp * cd, cq * hd - hq * cd, D) >= 0:
         # every window up to hi lies below covered: the search that ends
         # a climb scans nothing
@@ -134,10 +137,10 @@ def first_window_hits(strip):
     # window, the area (ap + aq*sqrt(D))/ad over it, is d1*d2*(ap +
     # aq*sqrt(D))*(wp - wq*sqrt(D))/(ad*norm) for the width's norm
     # wp^2 - wq^2*D
-    (p1, q1, d1), (p2, q2, d2) = _parts(left), _parts(right)
+    (p1, q1, d1), (p2, q2, d2) = left, right
     wp, wq = p2 * d1 - p1 * d2, q2 * d1 - q1 * d2
     norm = wp * wp - wq * wq * D
-    (ap, aq, ad), (lp, lq, ld) = _parts(strip.area), _parts(strip.lo)
+    (ap, aq, ad), (lp, lq, ld) = strip.view.frame.area, strip.lo
     # over e = ld*ad*|norm|, a top's numerators (tp, tq) start at lo's and
     # grow by the window's (xp, xq), which double from window to window
     x = ld * d1 * d2 if norm > 0 else -ld * d1 * d2
@@ -152,7 +155,7 @@ def first_window_hits(strip):
             # the window reaches hi, which lies above covered
             return view_lifts(view, mset, left, right, start, hi, include), hi
         if _sign(tp * cd - cp * e, tq * cd - cq * e, D) > 0:
-            top = _qn(tp, tq, e, D)
+            top = _triple(tp, tq, e)
             lifts = view_lifts(view, mset, left, right, start, top, include)
             if lifts:
                 return lifts, top
@@ -179,22 +182,24 @@ class StripClimber:
     under the holonomy game, the primitive-family walk and the staircase
     safety contacts.
 
+    The climber's state is integers from start to end: its edges left and
+    right, its heights lo, hi and covered are (p, q, d) triples of (p +
+    q*sqrt(D))/d with d > 0, and the lifts are those of `view_lifts`.
     Every scan is view_lifts(view, mset, left, right, a, b, include): the
     strip's lifts at heights (a, b], with the edges open or closed as the
-    caller's include says.  lowest(right) moves the right edge and takes
-    the lowest lift above the last one taken, or None when there is none
-    up to hi, searching the height windows of `first_window_hits`.  When
-    the edge grew, it drops the other lifts the last window found and
-    resets covered to lo; otherwise it keeps those with s < right, less
-    the lift it took last, and takes the lowest of them.  Each lift is
-    taken once.
+    caller's include says.  lowest(right) moves the right edge, a triple,
+    and returns the lowest lift above the last one taken, or None when
+    there is none up to hi, searching the height windows of
+    `first_window_hits`.  When the edge grew, it drops the other lifts the
+    last window found and resets covered to lo; otherwise it keeps those
+    with s < right, less the lift it took last, and takes the lowest of
+    them.  Each lift is taken once, and lo becomes its u, (up, uq, L_u*k).
 
-    A window's lifts stay integers, as `view_lifts` gives them: "s < right"
-    and "lower" are `_sign` tests on their view numerators, cross-multiplied
-    by the lifts' denominators k and by right's, and only the lift taken
-    becomes a `MarkedPointHit` (`view_hit`).  Whether the edge grew is a
-    `_sign` test on the integers of the old and new edges, and the window
-    search computes on integers too.
+    "s < right" and "lower" are `_sign` tests on the lifts' view
+    numerators, cross-multiplied by their denominators L*k and by right's,
+    and so are whether the edge grew and whether the lift taken is above
+    lo.  The caller builds a `MarkedPointHit` (`view_hit`) of a lift only
+    where it needs its QuadNums.
 
     Exactness: the heights up to covered, the top of the window that found
     the lifts, were scanned over a strip that holds the current one,
@@ -205,22 +210,20 @@ class StripClimber:
     height above lo, hence the reset.  Distinct lifts never share a u (the
     level lines have irrational slope), so the lowest is unique.
     """
-    __slots__ = ("view", "mset", "include", "area", "left", "right", "lo",
-                 "hi", "covered", "lifts", "last")
+    __slots__ = ("view", "mset", "include", "left", "right", "lo", "hi",
+                 "covered", "lifts", "last")
 
     def __init__(self, view, mset, include, left, lo, hi):
         self.view, self.mset, self.include = view, mset, include
-        ws, wu = view.frame.widths
-        self.area = ws * wu
         # the strip starts empty, so that the first edge widens it
         self.left, self.right, self.lo, self.hi = left, left, lo, hi
         self.covered, self.lifts, self.last = lo, [], None
 
-    def lowest(self, right) -> MarkedPointHit | None:
+    def lowest(self, right) -> tuple | None:
         view = self.view
-        D, ls = view.frame.D, view.coefficients[4]
-        p, q, d = _parts(right)
-        p0, q0, d0 = _parts(self.right)
+        D, ls, lu = view.frame.D, view.coefficients[4], view.coefficients[9]
+        p, q, d = right
+        p0, q0, d0 = self.right
         if _sign(p * d0 - p0 * d, q * d0 - q0 * d, D) > 0:
             # the edge grew
             self.lifts, self.covered = [], self.lo
@@ -245,13 +248,16 @@ class StripClimber:
         self.lifts = kept
         if low is None:
             return None
-        hit = view_hit(view, low)
-        if not hit.u > self.lo:
+        # u > lo, for u = (up + uq*sqrt(D))/(L_u*k), is one sign test
+        _, (k, _, _), _, _, _, up, uq = low
+        lp, lq, ld = self.lo
+        uk = lu * k
+        if _sign(up * ld - lp * uk, uq * ld - lq * uk, D) <= 0:
             # a lift on the strip's open lower edge would be taken again and
             # again, forever
-            raise InvariantError(f"strip climb made no progress at {hit.lift}")
-        self.lo, self.last = hit.u, low
-        return hit
+            raise InvariantError(f"strip climb made no progress at {low[1]}")
+        self.lo, self.last = (up, uq, uk), low
+        return low
 
 
 def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,
@@ -266,19 +272,24 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,
     the previous one: the work grows with their number, not the box's area.
     A strip (s0, right] is searched strictly above the previous lift, which
     sits on its right edge; distinct lifts never share an s or a u
-    coordinate, so the strips see exactly the closed box.  In a transposed
+    coordinate, so the strips see exactly the closed box.  Each lift the
+    climber takes becomes a hit (`view_hit`), and its own view numerators,
+    (sp, sq, L_s*k), are the next strip's right edge.  In a transposed
     view the same walk runs along the base, from left to right.
     """
     s0, u0 = view.s(origin), view.u(origin)
-    strip = StripClimber(view, X, (False, True, False, True), s0, u0 + above,
-                         u0 + u_cap)
-    right = s0 + s_width
-    while (low := strip.lowest(right)) is not None:
+    strip = StripClimber(view, X, (False, True, False, True), _parts(s0),
+                         _parts(u0 + above), _parts(u0 + u_cap))
+    right, ls = s0 + s_width, view.coefficients[4]
+    edge = _parts(right)
+    while (lift := strip.lowest(edge)) is not None:
+        low = view_hit(view, lift)
         if not s0 < low.s <= right:
             raise InvariantError(
                 f"primitive family walk left its strip at {low.lift}")
         yield low
-        right = low.s
+        _, (k, _, _), _, sp, sq, _, _ = lift
+        right, edge = low.s, (sp, sq, ls * k)
 
 
 class PeriodFamily:

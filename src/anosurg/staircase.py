@@ -25,11 +25,12 @@ each extended level outright and nothing is left to check.
 
 from __future__ import annotations
 
-from .quadfield import QuadNum, qn_to_str
+from .quadfield import QuadNum, _parts, qn_to_str
 from .rectangles import StripClimber, period_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
                     Point, QUADRANTS, as_point, group_element, hits_in_box,
-                    point_strings, quadrant_direction, quadrant_view)
+                    point_strings, quadrant_direction, quadrant_view,
+                    view_hit)
 
 # Levels the raw induction may reach before a period must have recurred
 MAX_LEVELS = 64
@@ -205,7 +206,8 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
     which is -floor(log_lam(h / W_u)), the frame's `log_floor`, when
     h < W_u.  In the view transposed, and reversed for s_dir = -1, the band
     is a strip and the distance a height, and one `StripClimber` step
-    takes the lowest lift up to twice that width.
+    takes the lowest lift up to twice that width, whose hit (`view_hit`)
+    gives the distance.
     """
     frame = view.frame
     ws, wu = frame.widths
@@ -216,11 +218,12 @@ def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
     enough = (ws + ws) * frame.rung(j)[0]  # doubled: the near edge is open
     outward = view.transposed(reverse=s_dir < 0)
     lo = s_dir * s_anchor
-    hit = StripClimber(outward, mset, (True, True, False, True), u_lo, lo,
-                       lo + enough).lowest(u_hi)
-    if hit is None:
+    lift = StripClimber(outward, mset, (True, True, False, True),
+                        _parts(u_lo), _parts(lo),
+                        _parts(lo + enough)).lowest(_parts(u_hi))
+    if lift is None:
         raise InvariantError("no contact found in the height band")
-    return hit.u - lo
+    return view_hit(outward, lift).u - lo
 
 
 def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,

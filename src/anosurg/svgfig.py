@@ -128,7 +128,8 @@ def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
              rounded_float(ua * X + ub * Y - uc * k, ue * X + uf * Y - ug * k,
                            uh * k, D, root), k, X, Y)
             for _, (k, X, Y), _ in box_lifts(
-                frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi))]
+                frame, mset, *view.box(_parts(s_lo), _parts(s_hi),
+                                       _parts(u_lo), _parts(u_hi)))]
     dots.sort()
     if len({dot[0] for dot in dots}) < len(dots):
         # rounding is monotone, so only lifts whose s rounds to one double
@@ -227,7 +228,7 @@ def game_figure(outcome, t0, r, y_points=()) -> str:
         path.append((t_after, height))
     fig.polyline(path, "trace")
     for c, (_, height, offset) in zip(trace, crossings):
-        cls = "mark-Y" if c.hit.base in y_points else "mark-X"
+        cls = "mark-Y" if c.base in y_points else "mark-X"
         fig.dots([(offset, height)], cls, r=2.5)
     fig.line(-0.05 * t_hi, r, 1.05 * t_hi, r, "axis")
     return fig.render()

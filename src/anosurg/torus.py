@@ -19,12 +19,12 @@ Box scans run on integers.  The frame keeps s and u as integer linear forms
 (`IntForm`) over one denominator each, together with the reciprocal of
 their y-coefficient and the slope of their level lines, and the lattice
 widths W_s = |s(1,0)| + |s(0,1)| and W_u, which no view's flips change.
-A scan takes each bound apart once, into the integers (p, q, d) of
-(p + q*sqrt(D))/d, and its whole set-up works on those: the range check,
-the widths, the renormalization power j (estimated from fixed-point
-logarithms, and confirmed by two integer sign tests against the frame's
-power ladder only when the estimate's error band cannot decide it) and
-the bounds scaled by lam^-j and lam^j.
+A scan takes its bounds as the integers (p, q, d) of (p + q*sqrt(D))/d,
+and its whole set-up works on those: the range check, the widths, the
+renormalization power j (estimated from fixed-point logarithms, and
+confirmed by two integer sign tests against the frame's power ladder only
+when the estimate's error band cannot decide it) and the bounds scaled by
+lam^-j and lam^j.
 
 The kernel scans the lattice cosets of the set's scan plan
 (`MarkedSet.plan`, built by `_scan_plan`).  Let K be the lcm of the marked
@@ -51,8 +51,10 @@ view's flips and transposition applied: `view_lifts` adds the integer
 numerators of each lift's view s and u, and `FrameView.s` and `u` take
 them at one point.  `view_hit` builds a `MarkedPointHit`, one QuadNum
 each for s and u, from those integers: `hits_in_box` for every lift it
-returns, in no particular order, and the strip climber only for the lift
-it takes, as it orders a window's lifts by sign tests on the numerators.
+returns, in no particular order, and the family walk and the staircase's
+contacts for the lift they take.  The strip climber builds none: it
+orders a window's lifts by sign tests on the numerators and returns the
+lift itself.
 Figures scale the table by their origin's denominator and convert the
 integers to doubles without any QuadNum.
 """
@@ -250,18 +252,19 @@ class EigenFrame(_Value):
     frames compare and hash by it alone.
 
     The power ladder, the engine's one source of lam's powers and
-    logarithms, holds rung n = (lam^n, rows of A^-n) for every integer n
-    out to the farthest that any caller has needed so far, on both sides
-    of n = 0.  It starts at rung 0 and grows on demand, one multiplication
-    from the neighbouring rung per new rung.  `log_floor(x)` is estimated
-    from `log2_lam` and returned as it is when the estimate's error band
-    lies inside one rung interval, or else confirmed against rungs n and
-    n + 1 (`_log_ratio`); box scans take their power A^j from the same
-    routine, and `renormalization(j)` reads rungs j and -j.
+    logarithms, holds rung n = (lam^n, rows of A^-n, the integers (p, q,
+    d) of lam^n) for every integer n out to the farthest that any caller
+    has needed so far, on both sides of n = 0.  It starts at rung 0 and
+    grows on demand, one multiplication from the neighbouring rung per new
+    rung.  `log_floor(x)` is estimated from `log2_lam` and returned as it
+    is when the estimate's error band lies inside one rung interval, or
+    else confirmed against rungs n and n + 1 (`_log_ratio`); box scans take
+    their power A^j from the same routine, and `renormalization(j)` reads
+    rungs j and -j.
     """
     __slots__ = ("matrix", "D", "lam", "lam_inv", "s_form", "u_form",
-                 "widths", "s_int", "u_int", "root", "log2_lam", "ladder",
-                 "families")
+                 "widths", "area", "s_int", "u_int", "root", "log2_lam",
+                 "ladder", "families")
 
     def __init__(self, matrix: HyperbolicMatrix, D: int, lam: QuadNum,
                  lam_inv: QuadNum, s_form: tuple, u_form: tuple,
@@ -276,6 +279,9 @@ class EigenFrame(_Value):
         # in every view, since a flip only changes the signs
         _set(self, "widths", tuple(abs(cx) + abs(cy)
                                    for cx, cy in (s_form, u_form)))
+        # the integers of W_s W_u, the area of a box that holds a lift of
+        # every point, from which the strip climber sizes its windows
+        _set(self, "area", _parts(self.widths[0] * self.widths[1]))
         # the same forms over the integers
         _set(self, "s_int", s_int)
         _set(self, "u_int", u_int)
@@ -285,7 +291,7 @@ class EigenFrame(_Value):
         # its logarithms to base lam
         _set(self, "log2_lam", log2_lam)
         # the power ladder: rungs 0, 1, 2, ... and rungs 0, -1, -2, ...
-        rung0 = (lam * lam_inv, ((1, 0), (0, 1)))
+        rung0 = (lam * lam_inv, ((1, 0), (0, 1)), (1, 0, 1))
         _set(self, "ladder", ([rung0], [rung0]))
         # period families walked in this frame, keyed by view, marked set,
         # origin and period (see rectangles.period_family)
@@ -305,20 +311,23 @@ class EigenFrame(_Value):
         return self.u_int.at(X, Y, k)
 
     def rung(self, n: int) -> tuple:
-        """(lam^n, rows of A^-n), growing the ladder out to rung n."""
+        """(lam^n, rows of A^-n, (p, q, d) of lam^n), growing the ladder out
+        to rung n."""
         side = self.ladder[n < 0]
         if abs(n) >= len(side):
             lam = self.lam_inv if n < 0 else self.lam
             step = self.matrix.power_rows(1 if n < 0 else -1)
             while len(side) <= abs(n):
-                power, rows = side[-1]
-                side.append((power * lam, _mat_mul(rows, step)))
+                power, rows, _ = side[-1]
+                power *= lam
+                side.append((power, _mat_mul(rows, step), _parts(power)))
         return side[abs(n)]
 
     def renormalization(self, j: int):
-        """(lam^-j, lam^j, rows of A^-j), read off the ladder."""
-        lam_j, rows = self.rung(j)
-        return self.rung(-j)[0], lam_j, rows
+        """((p, q, d) of lam^-j, (p, q, d) of lam^j, rows of A^-j), read off
+        the ladder."""
+        _, rows, lam_j = self.rung(j)
+        return self.rung(-j)[2], lam_j, rows
 
     def log_floor(self, x) -> int:
         """The greatest n with lam^n <= x, for x > 0 given as a QuadNum, int
@@ -575,7 +584,7 @@ def _log_ratio(frame: EigenFrame, P1: int, Q1: int, P2: int, Q2: int,
     QD = Q2 * D
 
     def below(k):                       # r < lam^k
-        a, b, e = _parts(frame.rung(k)[0])
+        a, b, e = frame.rung(k)[2]
         return _sign(e * P1 - a * P2 - b * QD, e * Q1 - a * Q2 - b * P2,
                      D) < 0
 
@@ -608,33 +617,33 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     in no particular order; k is the base's least common denominator,
     whichever lattice of the set's scan plan found the lift.
 
-    include = (s_lo closed, s_hi closed, u_lo closed, u_hi closed); the
-    bounds may be QuadNums, ints or Fractions.  Each bound is taken apart
-    once, into its integer (p, q, d), and the scan is set up and run on
-    those integers: the range check and the widths are sign tests on
-    cross-multiplied differences, and the lattice kernel (`_box_lifts`)
-    takes each column's exact n-interval from four integer floors of
-    quadratic numbers, so every lift it lists is in the box and no lift is
-    re-checked.  It steps through the cosets of `mset.plan`: the one
-    lattice (1/K)Z^2 of a set that fills at least half of its residues
-    (K^2 <= 2P), each lattice point looked up by its residue, or else one
-    coset base + Z^2 per marked point.
+    include = (s_lo closed, s_hi closed, u_lo closed, u_hi closed); each
+    bound is the integers (p, q, d) of (p + q*sqrt(D))/d with d > 0, and
+    the scan is set up and run on those integers: the range check and the
+    widths are sign tests on cross-multiplied differences, and the lattice
+    kernel (`_box_lifts`) takes each column's exact n-interval from four
+    integer floors of quadratic numbers, so every lift it lists is in the
+    box and no lift is re-checked.  It steps through the cosets of
+    `mset.plan`: the one lattice (1/K)Z^2 of a set that fills at least half
+    of its residues (K^2 <= 2P), each lattice point looked up by its
+    residue, or else one coset base + Z^2 per marked point.
 
     Extremely thin boxes (long in one eigen-direction, short in the other) are
     first renormalized by a power A^j: lifts of a marked set are invariant
     under p -> A p, which scales (s, u) by (lam^-1, lam), so the query box can
     be made nearly square.  This keeps the scanned lattice region proportional
     to the hit count instead of the box's longest side.  The scaled bounds
-    are unreduced products of the bounds' integers with those of the rungs
-    -j and j.  The kernel maps each lift it finds back by the integer rows
-    of A^-j, and takes its base from the orbit j steps back (`Orbit.points`
-    is in f_A order), so the cost per lift is the same as in a box that
-    needs no renormalization; a lattice point of a dense set is looked up
-    after it is mapped back, so its residue names its base.
+    are unreduced products of the bounds' integers with those the ladder
+    keeps of the rungs -j and j.  The kernel maps each lift it finds back
+    by the integer rows of A^-j, and takes its base from the orbit j steps
+    back (`Orbit.points` is in f_A order), so the cost per lift is the same
+    as in a box that needs no renormalization; a lattice point of a dense
+    set is looked up after it is mapped back, so its residue names its
+    base.
     """
     D = frame.D
     bounds = ((p1, q1, d1), (p2, q2, d2), (p3, q3, d3), (p4, q4, d4)) = (
-        _parts(s_lo), _parts(s_hi), _parts(u_lo), _parts(u_hi))
+        s_lo, s_hi, u_lo, u_hi)
     # the widths s_hi - s_lo over d1 d2 and u_hi - u_lo over d3 d4
     sp, sq = p2 * d1 - p1 * d2, q2 * d1 - q1 * d2
     up, uq = p4 * d3 - p3 * d4, q4 * d3 - q3 * d4
@@ -645,8 +654,7 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     if s_sign and u_sign:
         j = _balance_power(frame, sp, sq, d1 * d2, up, uq, d3 * d4)
     if j:
-        sc, uc, rows = frame.renormalization(j)
-        (a, b, e), (f, g, h) = _parts(sc), _parts(uc)
+        (a, b, e), (f, g, h), rows = frame.renormalization(j)
         bounds = ((p1 * a + q1 * b * D, p1 * b + q1 * a, d1 * e),
                   (p2 * a + q2 * b * D, p2 * b + q2 * a, d2 * e),
                   (p3 * f + q3 * g * D, p3 * g + q3 * f, d3 * h),
@@ -656,10 +664,10 @@ def box_lifts(frame: EigenFrame, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
 
 def view_lifts(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                include=(True, True, True, True)) -> list:
-    """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], with
-    per-edge inclusion as in `box_lifts`, in no particular order, each as
-    the integers (base, lift, twist, sp, sq, up, uq) of the lift (k, X, Y)
-    whose view coordinates are
+    """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], its
+    bounds (p, q, d) triples and its edges included as in `box_lifts`, in
+    no particular order, each as the integers (base, lift, twist, sp, sq,
+    up, uq) of the lift (k, X, Y) whose view coordinates are
 
         s = (sp + sq*sqrt(D)) / (L_s*k),    u = (up + uq*sqrt(D)) / (L_u*k)
 
@@ -667,8 +675,11 @@ def view_lifts(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
     signed coefficients (`FrameView.coefficients`) at X and Y.  That table
     is the one integer encoding of the view's coordinates: `hits_in_box`
     builds its hits from these numerators, the strip climber orders a
-    window's lifts on them, and `FrameView.s` and `u` and the figures'
-    `svgfig.lift_dots` apply the same table to their points."""
+    window's lifts and tests its progress on them, the family walk takes
+    its next edge from them, and `FrameView.s` and `u` and the figures'
+    `svgfig.lift_dots` apply the same table to their points.  It is the
+    one scan entry of the climber, whose edges and window tops are
+    triples already."""
     a, b, c, d, _, f, g, h, i, _ = view.coefficients
     return [(base, lift, twist, a * X + b * Y, c * X + d * Y, f * X + g * Y,
              h * X + i * Y)
@@ -689,13 +700,13 @@ def view_hit(view: FrameView, lift: tuple) -> MarkedPointHit:
 
 def hits_in_box(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                 include=(True, True, True, True)):
-    """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], with
-    per-edge inclusion as in `box_lifts`, as hits whose exact s and u are
-    view coordinates (`view_lifts`, `view_hit`).  The hits come in no
-    particular order."""
+    """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], its
+    bounds QuadNums, ints or Fractions and its edges included as in
+    `box_lifts`, as hits whose exact s and u are view coordinates
+    (`view_lifts`, `view_hit`).  The hits come in no particular order."""
     return [view_hit(view, lift)
-            for lift in view_lifts(view, mset, s_lo, s_hi, u_lo, u_hi,
-                                   include)]
+            for lift in view_lifts(view, mset, _parts(s_lo), _parts(s_hi),
+                                   _parts(u_lo), _parts(u_hi), include)]
 
 
 # How an edge at x becomes a bound on the integer n: (sign, offset) in
@@ -877,8 +888,8 @@ class FrameView:
     `coefficients`, its one integer table, holds the signed integers
     (px, py, qx, qy, L) of its s, then of its u, so that s at (X/k, Y/k)
     is (px*X + py*Y + (qx*X + qy*Y)*sqrt(D)) / (L*k), and a transposed
-    view's `box` swaps the flipped bounds.  s and u take a point or a
-    pair and read that table.
+    view's `box` swaps the flipped bounds, (p, q, d) triples as the scans
+    take them.  s and u take a point or a pair and read that table.
     """
 
     def __init__(self, frame: EigenFrame, flip_s: bool = False,
@@ -914,14 +925,16 @@ class FrameView:
                          not self.transpose)
 
     def box(self, s_lo, s_hi, u_lo, u_hi, include=(True, True, True, True)):
-        """The view's box as the frame's (s_lo, s_hi, u_lo, u_hi, include)."""
-        rs_lo, rs_hi, i0, i1 = (s_lo, s_hi, include[0], include[1])
+        """The view's box, its bounds (p, q, d) triples, as the frame's
+        (s_lo, s_hi, u_lo, u_hi, include)."""
+        i0, i1, i2, i3 = include
         if self.flip_s:
-            rs_lo, rs_hi, i0, i1 = (-s_hi, -s_lo, include[1], include[0])
-        ru_lo, ru_hi, i2, i3 = (u_lo, u_hi, include[2], include[3])
+            (p1, q1, d1), (p2, q2, d2) = s_lo, s_hi
+            s_lo, s_hi, i0, i1 = (-p2, -q2, d2), (-p1, -q1, d1), i1, i0
         if self.flip_u:
-            ru_lo, ru_hi, i2, i3 = (-u_hi, -u_lo, include[3], include[2])
-        return rs_lo, rs_hi, ru_lo, ru_hi, (i0, i1, i2, i3)
+            (p1, q1, d1), (p2, q2, d2) = u_lo, u_hi
+            u_lo, u_hi, i2, i3 = (-p2, -q2, d2), (-p1, -q1, d1), i3, i2
+        return s_lo, s_hi, u_lo, u_hi, (i0, i1, i2, i3)
 
     def _transposed_box(self, s_lo, s_hi, u_lo, u_hi,
                         include=(True, True, True, True)):

@@ -12,6 +12,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from anosurg import (HyperbolicMatrix, build_staircase, eigenframe,
                      marked_set, orbit_of, point)
+from anosurg.quadfield import _qn
 
 HALF = Fraction(1, 2)
 
@@ -21,6 +22,12 @@ A4 = HyperbolicMatrix(4, 3, 1, 1)
 C3 = HyperbolicMatrix(3, 2, 4, 3)
 B2 = HyperbolicMatrix.from_rows(A2.power_rows(3))   # [[13, 8], [8, 5]]
 B3 = HyperbolicMatrix.from_rows(A3.power_rows(2))   # [[11, 8], [4, 3]]
+
+
+def as_quadnum(x, D):
+    """The QuadNum of a (p, q, d) triple, as the scans and the strip
+    climber take their bounds, for a check that compares or prints it."""
+    return _qn(*x, D)
 
 
 def zero_orbit_set(A, char=0, role="X"):

@@ -17,7 +17,8 @@ from anosurg import (HyperbolicMatrix, STATUSES, SurgeryProblem,
                      build_staircase, classify, disjoint_witness, eigenframe,
                      marked_set, orbit_of, point, quadrant_report,
                      verdict_records)
-from anosurg.classify import _RULES, _completing_sign, analysis_of
+from anosurg.classify import (Analysis, _RULES, _completing_sign,
+                              analysis_of)
 from anosurg.rectangles import case_label
 from anosurg.staircase import SeedError
 from anosurg.torus import _mat_mul
@@ -365,6 +366,9 @@ class TestCertificateTable:
         firsts = {a2_problem: (1, -1), b2_problem: (-1, 1)}
         for make, strengths in firsts.items():
             self.operation(make(*strengths))
+        # a staircase row writes its records on their first read, which
+        # B2's first NonRCovered verdict makes
+        self.operation(b2_problem(-3, 3))
         counts = count_calls(monkeypatch, (
             "hits_in_box", "build_staircase", "staircase_records",
             "incompleteness_threshold", "qn_to_str"))
@@ -396,6 +400,15 @@ class TestCertificateTable:
         assert self.operation(b2_problem(-2, 3)) == before
         assert "levels" in classify(b2_problem(-3, 2)).evidence["X_staircase"]
         assert classify(b2_problem(-1, 2)).evidence["thresholds"]
+
+    def test_thresholds_build_no_staircase_records(self, monkeypatch):
+        # a staircase row writes its records out on its first records()
+        # call, so the thresholds, which print none, build none
+        A, sets, _ = load_problem(FIXTURES["b2_half"])
+        counts = count_calls(monkeypatch, ("staircase_records",))
+        found = Analysis(A, sets["X"], sets["Y"]).thresholds()
+        assert any(found["incompleteness"].values())
+        assert counts == {"staircase_records": 0}
 
 
 def torsion_orbits(A, max_denominator):

@@ -20,8 +20,8 @@ from anosurg import game, rectangles, torus
 from anosurg.cli import FIXTURES, load_problem
 from anosurg.rectangles import period_family
 
-from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
-                      zero_orbit_set)
+from conftest import (A2, A3, B2, C3, HALF, as_quadnum, half_orbit_set,
+                      half_points_set, zero_orbit_set)
 from oracles import (OracleQuad, apply_mod1, equation_holds, oracle_game,
                      pair)
 
@@ -222,12 +222,14 @@ class TestGameBasics:
         exact_hits, crossing = rectangles.view_lifts, game.Crossing
 
         def scanned(view, mset, s_lo, s_hi, u_lo, u_hi, include):
-            events.append(("scan", u_lo, u_hi))
+            D = view.frame.D
+            events.append(("scan", as_quadnum(u_lo, D), as_quadnum(u_hi, D)))
             return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include)
 
-        def crossed(hit, s0, u0, exponent, *rest):
-            events.append(("cross", hit.u, exponent))
-            return crossing(hit, s0, u0, exponent, *rest)
+        def crossed(*args):
+            c = crossing(*args)
+            events.append(("cross", c.hit.u, c.exponent))
+            return c
 
         monkeypatch.setattr(rectangles, "view_lifts", scanned)
         monkeypatch.setattr(game, "Crossing", crossed)
@@ -272,6 +274,34 @@ class TestGameBasics:
         assert all(set(X.orbits + Y.orbits) <= set(orbits)
                    for orbits in scanned)
         assert len(scanned) < len({c.height for c in out.trace})
+
+
+class TestLazyCrossings:
+    """A crossing keeps its lift and edges as integers and builds its hit
+    and edge QuadNums only when read."""
+
+    def test_a_game_builds_no_hit_until_its_trace_is_read(self, frame_a2,
+                                                         monkeypatch):
+        built = []
+        view_hit = torus.view_hit
+
+        def counted(*args):
+            built.append(args)
+            return view_hit(*args)
+
+        for module in (torus, rectangles, game):
+            monkeypatch.setattr(module, "view_hit", counted)
+        outcomes = [play_game(cfg, p, t0, r, budget=40)
+                    for cfg, p, t0, r in seeded_games(frame_a2)]
+        assert len(outcomes) == 48 and built == []
+        crossing = next(c for out in outcomes for c in out.trace)
+        hit = crossing.hit
+        assert crossing.hit is hit and len(built) == 1
+        assert (hit.base, hit.lattice, hit.twist) == (
+            crossing.base, crossing.lattice, crossing.twist)
+        assert crossing.before is crossing.before
+        assert crossing.after is crossing.after
+        assert len(built) == 1
 
 
 class TestPerGameConstants:

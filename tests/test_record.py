@@ -85,11 +85,14 @@ def test_parse_game_seconds_reads_the_play_game_line():
 
 
 def test_parse_pass_counts_reads_the_count_line():
-    out = "game_grid seed 1 crossings 2140 box_lifts 1018 _qn 9446\n"
+    out = ("game_grid seed 1 crossings 2140 box_lifts 1018 _qn 9446 "
+           "_parts 25108 compare 2140\n")
     assert record.parse_pass_counts(out) == {
-        "crossings": 2140, "box_lifts": 1018, "_qn": 9446}
+        "crossings": 2140, "box_lifts": 1018, "_qn": 9446, "_parts": 25108,
+        "compare": 2140}
     with pytest.raises(ValueError):
-        record.parse_pass_counts("game_grid seed 1 crossings 2140\n")
+        record.parse_pass_counts("game_grid seed 1 crossings 2140 box_lifts "
+                                 "1018 _qn 9446\n")
     with pytest.raises(ValueError):
         record.parse_pass_counts("")
 

@@ -17,11 +17,12 @@ from anosurg import (FrameView, HyperbolicMatrix, InvariantError, QUADRANTS,
 from anosurg import rectangles
 from anosurg.classify import Analysis
 from anosurg.cli import FIXTURES, load_problem
-from anosurg.quadfield import qn_pow
+from anosurg.quadfield import _parts, qn_pow
 from anosurg.rectangles import (StripClimber, first_window_hits,
                                 period_family, primitive_family)
+from anosurg.torus import view_hit
 
-from conftest import (A2, A3, A4, B2, B3, C3, HALF, half_orbit_set,
+from conftest import (A2, A3, A4, B2, B3, C3, HALF, as_quadnum, half_orbit_set,
                       half_points_set, zero_orbit_set)
 from oracles import (_QuadrantCoords, census_keys, oracle_hits,
                      oracle_pareto_frontier, oracle_primitive_census,
@@ -234,7 +235,9 @@ class TestPrimitiveFamily:
         exact_hits = rectangles.view_lifts
 
         def scanned(view, mset, s_lo, s_hi, u_lo, u_hi, include):
-            scans.append((view.transpose, u_lo, u_hi))
+            D = view.frame.D
+            scans.append((view.transpose, as_quadnum(u_lo, D),
+                          as_quadnum(u_hi, D)))
             return exact_hits(view, mset, s_lo, s_hi, u_lo, u_hi, include)
 
         monkeypatch.setattr(rectangles, "view_lifts", scanned)
@@ -324,16 +327,17 @@ class TestStripClimber:
         origin = point(HALF, Fraction(1, 3))
         left, lo = view.s(origin), view.u(origin)
         right, hi = left + 3, lo + 8
-        strip = StripClimber(view, X, (False, False, False, True), left, lo,
-                             hi)
+        strip = StripClimber(view, X, (False, False, False, True),
+                             _parts(left), _parts(lo), _parts(hi))
         narrowed = widened = 0
         for move in range(20):
             lifts = oracle_hits(coords, X, left, right, lo, hi,
                                 (False, False, False, True))
-            low = strip.lowest(right)
+            low = strip.lowest(_parts(right))
             if not lifts:
                 assert low is None, move
             else:
+                low = view_hit(view, low)
                 base, lattice, _, u, _ = min(lifts, key=lambda h: h[3])
                 assert (low.base, low.lattice, low.u) == (base, lattice, u), \
                     move
@@ -391,10 +395,15 @@ class TestWindows:
         scans, found = [], {}
 
         def scan(v, mset, s_lo, s_hi, u_lo, u_hi, inc):
-            assert (v, mset, s_lo, s_hi, inc) == (view, X, left, right,
-                                                  include)
-            scans.append((u_lo, u_hi))
+            D = v.frame.D
+            assert (v, mset, as_quadnum(s_lo, D), as_quadnum(s_hi, D),
+                    inc) == (view, X, left, right, include)
+            scans.append((as_quadnum(u_lo, D), as_quadnum(u_hi, D)))
             return found.get(len(scans), [])
+
+        def search(strip):
+            lifts, top = first_window_hits(strip)
+            return lifts, as_quadnum(top, strip.view.frame.D)
 
         monkeypatch.setattr(rectangles, "view_lifts", scan)
         rng = random.Random(f"{kind} {flip_s} {flip_u} {transpose}")
@@ -415,18 +424,18 @@ class TestWindows:
                             hi, hi + 1):
                 expected = oracle_window_scans(frame, left, right, lo, hi,
                                                covered)
-                strip = StripClimber(view, X, include, left, lo, hi)
-                strip.right, strip.covered = right, covered
+                strip = StripClimber(view, X, include, _parts(left),
+                                     _parts(lo), _parts(hi))
+                strip.right, strip.covered = _parts(right), _parts(covered)
                 scans.clear()
                 found.clear()
-                assert first_window_hits(strip) == ([], hi)
+                assert search(strip) == ([], hi)
                 assert scans == expected
                 if expected:
                     n = rng.randrange(len(expected))
                     scans.clear()
                     found[n + 1] = ["lift"]
-                    assert first_window_hits(strip) == (["lift"],
-                                                        expected[n][1])
+                    assert search(strip) == (["lift"], expected[n][1])
                     assert scans == expected[:n + 1]
 
 

@@ -20,9 +20,10 @@ from anosurg.torus import (HyperbolicMatrix, FrameView, box_lifts,
                            group_element)
 from anosurg.classify import SurgeryProblem, analysis_of
 from anosurg.cli import FIXTURES, load_problem
+from anosurg.quadfield import _parts
 
-from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
-                      zero_orbit_set)
+from conftest import (A2, A3, B2, C3, HALF, as_quadnum, half_orbit_set,
+                      half_points_set, zero_orbit_set)
 from oracles import (_QuadrantCoords, _group_act, _group_power, apply,
                      apply_mod1, balance_power, mod1, oracle_band_hits,
                      oracle_hits, oracle_log_floor, oracle_orbit,
@@ -291,9 +292,9 @@ class TestMarkedSetIndex:
         lam = frame.lam
         for j in (0, 2, -2):
             w_s, w_u = 6 * lam ** j, 6 * lam ** -j
-            box = view.box(-w_s / 3, w_s, -w_u / 2, w_u)
-            assert balance_power(frame, box[1] - box[0],
-                                 box[3] - box[2]) == j
+            box = view.box(*map(_parts, (-w_s / 3, w_s, -w_u / 2, w_u)))
+            s_lo, s_hi, u_lo, u_hi = (as_quadnum(x, frame.D) for x in box[:4])
+            assert balance_power(frame, s_hi - s_lo, u_hi - u_lo) == j
             got = box_lifts(frame, dense, *box)
             assert len(got) > 20
             for base, (k, X, Y), twist in got:
@@ -639,7 +640,7 @@ class TestRenormalization:
         scan = rectangles.view_lifts
 
         def recorded(view, mset, *box):
-            windows.append(box[:4])
+            windows.append([as_quadnum(x, frame.D) for x in box[:4]])
             return scan(view, mset, *box)
 
         monkeypatch.setattr(rectangles, "view_lifts", recorded)
@@ -715,7 +716,8 @@ class TestRenormalization:
         grown.rung(400), grown.rung(-400)
         lam = grown.lam
         for j in range(-300, 301):
-            want = (qn_pow(lam, -j), qn_pow(lam, j), A2.power_rows(-j))
+            want = (_parts(qn_pow(lam, -j)), _parts(qn_pow(lam, j)),
+                    A2.power_rows(-j))
             assert grown.renormalization(j) == want
             assert eigenframe(A2).renormalization(j) == want
 
@@ -731,17 +733,18 @@ class TestRenormalization:
         s0, u0 = view.s(centre), view.u(centre)
         for j in (1, -1, 2, -2):
             w_s, w_u = 2 * lam ** j, 2 * lam ** -j     # w_s / w_u = lam^(2j)
-            box = view.box(s0 - w_s / 2, s0 + w_s / 2, u0 - w_u / 2,
-                           u0 + w_u / 2)
-            assert balance_power(frame, box[1] - box[0],
-                                 box[3] - box[2]) == j
+            box = view.box(*map(_parts, (s0 - w_s / 2, s0 + w_s / 2,
+                                         u0 - w_u / 2, u0 + w_u / 2)))
+            bounds = [as_quadnum(x, frame.D) for x in box[:4]]
+            s_lo, s_hi, u_lo, u_hi = bounds
+            assert balance_power(frame, s_hi - s_lo, u_hi - u_lo) == j
             got = box_lifts(frame, X, *box)
             for base, (k, x, y), twist in got:
                 lift = (Fraction(x, k), Fraction(y, k))
                 assert pair(base) == mod1(lift)
                 assert k == base[0]
                 assert twist == X.locate(base)[0].twist
-            want = oracle_hits(frame, X, *box)
+            want = oracle_hits(frame, X, *bounds, box[4])
             assert len(want) > 10
             # the lattice vector of a lift (k, X, Y) is (X // k, Y // k)
             assert sorted((b, (x // k, y // k), tw)

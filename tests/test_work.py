@@ -14,12 +14,12 @@ import sys
 import pytest
 
 from anosurg import (Analysis, GameConfig, QuadNum, SurgeryProblem, classify,
-                     disjoint_witness, eigenframe, enumerate_primitive, game,
+                     disjoint_witness, eigenframe, enumerate_primitive,
                      game_trace_records, play_game, point, quadfield,
                      qn_to_str, rectangles, svgfig, torus)
 from anosurg.cli import FIXTURES, load_problem, main
 
-from conftest import A2
+from conftest import A2, as_quadnum
 from test_game import seeded_games
 
 # the number of scans and the digest of their log, re-recorded when the
@@ -33,16 +33,22 @@ PROFILE_SCANS = {"a2_half": 16, "b2_half": 26, "case3": 16}
 # the signs of each fixture whose domination row holds
 DOMINATED_SIGNS = {"a2_half": 2, "b2_half": 0, "case3": 2}
 # the QuadNums that the workload's games and censuses build, re-recorded
-# when the window search and the game's edge update moved onto integers: a
-# search builds only the tops it scans, and a crossing one edge where it
-# built three (games 2,453 before, censuses 354; the count now also sees
-# the `_qn` calls of rectangles and game)
-GAME_QUADNUMS = 1494
-CENSUS_QUADNUMS = 307
+# when the strip climber and the game came to carry their state as integer
+# triples: a game step builds no QuadNum, since a crossing builds its hit
+# and edges only when read, and a search scans its tops as triples (games
+# 1,494 before, censuses 307: a family walk no longer builds its window
+# tops, only the hits of the lifts it takes)
+GAME_QUADNUMS = 227
+CENSUS_QUADNUMS = 260
+# the values the games take apart into their integers (`_parts` calls):
+# each game's t0, r and origin s and u, and the rungs its frame first
+# builds (3,510 when the climber took its edges apart at every search)
+GAME_PARTS = 277
 
 
-def exact(x) -> str:
-    return qn_to_str(x) if isinstance(x, QuadNum) else str(x)
+def exact(x, D) -> str:
+    """A scan bound, a (p, q, d) triple, as the exact string of its value."""
+    return qn_to_str(as_quadnum(x, D))
 
 
 def games():
@@ -84,8 +90,9 @@ def test_scan_log_digest(monkeypatch):
     box_lifts = torus.box_lifts
 
     def logged(frame, mset, s_lo, s_hi, u_lo, u_hi, include=(True,) * 4):
-        log.append(f"{mset.points} {exact(s_lo)} {exact(s_hi)} "
-                   f"{exact(u_lo)} {exact(u_hi)} {include}")
+        D = frame.D
+        log.append(f"{mset.points} {exact(s_lo, D)} {exact(s_hi, D)} "
+                   f"{exact(u_lo, D)} {exact(u_hi, D)} {include}")
         return box_lifts(frame, mset, s_lo, s_hi, u_lo, u_hi, include)
 
     monkeypatch.setattr(torus, "box_lifts", logged)
@@ -172,23 +179,50 @@ def test_a_dominated_witness_search_scans_nothing(monkeypatch, name):
         assert found == [None]
 
 
-def quadnums_built(monkeypatch, work) -> int:
-    """The QuadNums built while work() runs: each is one `_qn` call, the
-    field operations in quadfield, the hit coordinates in torus, the
-    scanned window tops in rectangles and the strip edges in game."""
-    built = 0
-    qn = quadfield._qn
+def calls_made(monkeypatch, name, work) -> int:
+    """The calls of quadfield's function name made while work() runs,
+    through every module's binding of it."""
+    made = 0
+    f = getattr(quadfield, name)
 
     def counted(*args):
-        nonlocal built
-        built += 1
-        return qn(*args)
+        nonlocal made
+        made += 1
+        return f(*args)
 
     with monkeypatch.context() as patch:
-        for module in (quadfield, torus, rectangles, game):
-            patch.setattr(module, "_qn", counted)
+        for module in list(sys.modules.values()):
+            if (module.__name__.split(".")[0] == "anosurg"
+                    and getattr(module, name, None) is f):
+                patch.setattr(module, name, counted)
         work()
-    return built
+    return made
+
+
+def quadnums_built(monkeypatch, work) -> int:
+    """The QuadNums built while work() runs: each is one `_qn` call, the
+    field operations in quadfield, the hit coordinates in torus and the
+    values that a crossing record derives in game."""
+    return calls_made(monkeypatch, "_qn", work)
+
+
+def comparisons_made(monkeypatch, work) -> int:
+    """The QuadNum order comparisons made while work() runs: the calls of
+    its four order methods."""
+    made = 0
+
+    def counted(compare):
+        def call(*args):
+            nonlocal made
+            made += 1
+            return compare(*args)
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            patch.setattr(QuadNum, name, counted(getattr(QuadNum, name)))
+        work()
+    return made
 
 
 def test_quadnum_count_of_the_games(monkeypatch):
@@ -198,6 +232,20 @@ def test_quadnum_count_of_the_games(monkeypatch):
     assert quadnums_built(
         monkeypatch, lambda: [play_game(*game) for game in played]) \
         == GAME_QUADNUMS
+
+
+def test_games_take_apart_and_compare_nothing_per_step(monkeypatch):
+    # the strip climber's and the game's state is integers from start to
+    # end: a game takes apart its t0, r and origin, and its frame's new
+    # rungs, and compares no QuadNum; its crossings include widening ones
+    played = list(games())
+    outcomes = []
+    assert calls_made(monkeypatch, "_parts", lambda: outcomes.extend(
+        play_game(*game) for game in played)) == GAME_PARTS
+    assert any(c.exponent > 0 for out in outcomes for c in out.trace)
+    played = list(games())
+    assert comparisons_made(
+        monkeypatch, lambda: [play_game(*game) for game in played]) == 0
 
 
 def test_quadnum_count_of_the_censuses(monkeypatch):
@@ -213,8 +261,9 @@ def test_quadnum_count_of_the_censuses(monkeypatch):
 
 def test_quadnum_count_of_the_game_records_and_figures(monkeypatch):
     # the records and the figure each derive a crossing's height, offset
-    # and t_after; its t_before is the t_after before it, or t0, so only
-    # the first record of a game derives one
+    # and t_after, one QuadNum each off the crossing's integers, with no
+    # hit built; its t_before is the t_after before it, or t0, so only the
+    # first record of a game derives one
     played = [(game, play_game(*game)) for game in games()]
     crossings = sum(len(outcome.trace) for _, outcome in played)
     records = quadnums_built(monkeypatch, lambda: [
