@@ -19,16 +19,15 @@ s0, so a crossing at s_gamma = s0 + u_gamma is the update
 
     right  <-  s_gamma + lam^e * (right - s_gamma),
 
-computed on integers from start to end: s_gamma is the lift's own view
-numerators (sp, sq, L_s*k), lam^e the ladder's (p, q, d) of its rung, and
-right a (p, q, d) triple reduced after each update (`_triple`).  The
-climber is handed that edge at each step: a crossing that expands t
-(exponent e > 0) widens the strip, and one with e <= 0 narrows it or
-keeps it.  A game step builds no QuadNum.  A crossing record keeps its
-lift, the origin and the strip's edges before and after it, all
-integers; its hit and edges are built on first read, and its offset,
-height and lengths t are read off the integers, one QuadNum each, when
-asked for.
+computed on integers from start to end: s_gamma is the lift's view s,
+a (p, q, d) triple as `view_lifts` gives it, lam^e the ladder's (p, q, d)
+of its rung, and right a (p, q, d) triple reduced after each update
+(`_triple`).  The climber is handed that edge at each step: a crossing
+that expands t (exponent e > 0) widens the strip, and one with e <= 0
+narrows it or keeps it.  A game step builds no QuadNum.  A crossing
+record keeps its lift, the origin and the strip's edges before and after
+it, all triples; its offset, height and lengths t are differences of
+those triples, one QuadNum each, built when asked for.
 
 The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,
@@ -39,9 +38,9 @@ of the primitive rectangle family at the first point of each marked orbit.
 from __future__ import annotations
 
 from .quadfield import QuadNum, _parts, _qn, _sign, _triple, qn_to_str
-from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
-                    MarkedSet, Point, as_point, point_strings,
-                    quadrant_direction, quadrant_view, view_hit, QUADRANTS)
+from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Point,
+                    as_point, point_strings, quadrant_direction,
+                    quadrant_view, QUADRANTS)
 from .rectangles import StripClimber, period_family
 
 DEFAULT_BUDGET = 10_000
@@ -96,11 +95,9 @@ class Crossing:
     coordinates, kept as integers: the lift crossed, as `view_lifts` gives
     it, the exponent applied to lam, and the (p, q, d) triples of the
     origin and of the strip's right edge in view s before and after it
-    (`edges`).  Its `hit` and the QuadNums `before` and `after` are built
-    on first read and then kept; the offsets, height and lengths t are
-    read off the integers, one QuadNum each."""
-    __slots__ = ("view", "lift", "s0", "u0", "exponent", "edges", "_hit",
-                 "_before", "_after")
+    (`edges`).  The offsets, height and lengths t are read off the
+    triples, one QuadNum each."""
+    __slots__ = ("view", "lift", "s0", "u0", "exponent", "edges")
 
     def __init__(self, view: FrameView, lift: tuple, s0: tuple, u0: tuple,
                  exponent: int, before: tuple, after: tuple):
@@ -108,26 +105,6 @@ class Crossing:
         self.s0, self.u0 = s0, u0
         self.exponent = exponent    # signed exponent actually applied to lam
         self.edges = before, after
-        self._hit = self._before = self._after = None
-
-    @property
-    def hit(self) -> MarkedPointHit:
-        """The lift crossed, in view coordinates relative to the frame."""
-        if self._hit is None:
-            self._hit = view_hit(self.view, self.lift)
-        return self._hit
-
-    @property
-    def before(self) -> QuadNum:
-        if self._before is None:
-            self._before = _qn(*self.edges[0], self.view.frame.D)
-        return self._before
-
-    @property
-    def after(self) -> QuadNum:
-        if self._after is None:
-            self._after = _qn(*self.edges[1], self.view.frame.D)
-        return self._after
 
     @property
     def base(self) -> Point:
@@ -146,16 +123,12 @@ class Crossing:
     @property
     def height(self) -> QuadNum:
         """Unstable offset from the game origin."""
-        _, (k, _, _), _, _, _, up, uq = self.lift
-        return _difference((up, uq, self.view.coefficients[9] * k), self.u0,
-                           self.view.frame.D)
+        return _difference(self.lift[4], self.u0, self.view.frame.D)
 
     @property
     def offset(self) -> QuadNum:
         """Stable offset from the game origin."""
-        _, (k, _, _), _, sp, sq, _, _ = self.lift
-        return _difference((sp, sq, self.view.coefficients[4] * k), self.s0,
-                           self.view.frame.D)
+        return _difference(self.lift[3], self.s0, self.view.frame.D)
 
     @property
     def t_before(self) -> QuadNum:
@@ -194,7 +167,7 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
 
     p = as_point(p)
     s0, u0 = _parts(view.s(p)), _parts(view.u(p))
-    marked, rung, ls = config.marked, config.frame.rung, view.coefficients[4]
+    marked, rung = config.marked, config.frame.rung
     right = _sum(s0, t0)
     trace: list[Crossing] = []
 
@@ -204,13 +177,12 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
     while (lift := strip.lowest(right)) is not None:
         if len(trace) >= budget:
             return GameOutcome("BudgetExhausted", None, tuple(trace))
-        _, (k, _, _), twist, a, b, _, _ = lift
+        _, _, twist, (a, b, f), _ = lift
         e = direction * twist
-        # s + lam^e*(right - s) for the lift's s = (a + b*sqrt(D))/f, f =
-        # L_s*k, the ladder's lam^e = (g + h*sqrt(D))/c and right = (x +
-        # y*sqrt(D))/z: right - s is (m + n*sqrt(D))/(f*z), and the sum is
-        # over c*z*f
-        f, (g, h, c), (x, y, z) = ls * k, rung(e)[2], right
+        # s + lam^e*(right - s) for the lift's s = (a + b*sqrt(D))/f, the
+        # ladder's lam^e = (g + h*sqrt(D))/c and right = (x + y*sqrt(D))/z:
+        # right - s is (m + n*sqrt(D))/(f*z), and the sum is over c*z*f
+        (g, h, c), (x, y, z) = rung(e)[2], right
         m, n, cz = x * f - a * z, y * f - b * z, c * z
         before, right = right, _triple(a * cz + g * m + h * n * D,
                                        b * cz + g * n + h * m, cz * f)

@@ -165,14 +165,14 @@ def first_window_hits(strip):
 
 def _lowest(lifts, D):
     """The lowest in the view of lifts given as `view_lifts` gives them, or
-    None when there are none.  Over the view's one L_u, u_a < u_b for lifts
-    a and b exactly when (up_a*k_b - up_b*k_a) + (uq_a*k_b -
-    uq_b*k_a)*sqrt(D) is negative."""
+    None when there are none.  u_a < u_b for lifts a and b whose u are the
+    triples (p_a, q_a, d_a) and (p_b, q_b, d_b) exactly when (p_a*d_b -
+    p_b*d_a) + (q_a*d_b - q_b*d_a)*sqrt(D) is negative."""
     low = None
     for lift in lifts:
-        _, (k, _, _), _, _, _, up, uq = lift
-        if low is None or _sign(up * lk - lup * k, uq * lk - luq * k, D) < 0:
-            low, lk, lup, luq = lift, k, up, uq
+        _, _, _, _, (p, q, d) = lift
+        if low is None or _sign(p * ld - lp * d, q * ld - lq * d, D) < 0:
+            low, lp, lq, ld = lift, p, q, d
     return low
 
 
@@ -193,13 +193,13 @@ class StripClimber:
     `first_window_hits`.  When the edge grew, it drops the other lifts the
     last window found and resets covered to lo; otherwise it keeps those
     with s < right, less the lift it took last, and takes the lowest of
-    them.  Each lift is taken once, and lo becomes its u, (up, uq, L_u*k).
+    them.  Each lift is taken once, and lo becomes its u.
 
-    "s < right" and "lower" are `_sign` tests on the lifts' view
-    numerators, cross-multiplied by their denominators L*k and by right's,
-    and so are whether the edge grew and whether the lift taken is above
-    lo.  The caller builds a `MarkedPointHit` (`view_hit`) of a lift only
-    where it needs its QuadNums.
+    "s < right" and "lower" are `_sign` tests on the lifts' s and u
+    triples, cross-multiplied as for any two triples, and so are whether
+    the edge grew and whether the lift taken is above lo.  The caller
+    builds a `MarkedPointHit` (`view_hit`) of a lift only where it needs
+    its QuadNums.
 
     Exactness: the heights up to covered, the top of the window that found
     the lifts, were scanned over a strip that holds the current one,
@@ -220,43 +220,35 @@ class StripClimber:
         self.covered, self.lifts, self.last = lo, [], None
 
     def lowest(self, right) -> tuple | None:
-        view = self.view
-        D, ls, lu = view.frame.D, view.coefficients[4], view.coefficients[9]
+        D = self.view.frame.D
         p, q, d = right
         p0, q0, d0 = self.right
         if _sign(p * d0 - p0 * d, q * d0 - q0 * d, D) > 0:
             # the edge grew
             self.lifts, self.covered = [], self.lo
         self.right = right
-        # s < right, for s = (sp + sq*sqrt(D))/(L_s*k) and right = (p +
-        # q*sqrt(D))/d, is the sign of (sp*d - p*L_s*k) + (sq*d -
-        # q*L_s*k)*sqrt(D)
-        p, q = p * ls, q * ls
         last, low, kept = self.last, None, []
         for lift in self.lifts:
-            _, (k, _, _), _, sp, sq, up, uq = lift
+            _, _, _, (sp, sq, sd), (up, uq, ud) = lift
             if (lift is not last
-                    and _sign(sp * d - p * k, sq * d - q * k, D) < 0):
+                    and _sign(sp * d - p * sd, sq * d - q * sd, D) < 0):
                 kept.append(lift)
                 # lower than the lowest so far, as in `_lowest`
-                if (low is None or _sign(up * lk - lup * k, uq * lk - luq * k,
+                if (low is None or _sign(up * ld - lp * ud, uq * ld - lq * ud,
                                          D) < 0):
-                    low, lk, lup, luq = lift, k, up, uq
+                    low, lp, lq, ld = lift, up, uq, ud
         if low is None:
             kept, self.covered = first_window_hits(self)
             low = _lowest(kept, D)
         self.lifts = kept
         if low is None:
             return None
-        # u > lo, for u = (up + uq*sqrt(D))/(L_u*k), is one sign test
-        _, (k, _, _), _, _, _, up, uq = low
-        lp, lq, ld = self.lo
-        uk = lu * k
-        if _sign(up * ld - lp * uk, uq * ld - lq * uk, D) <= 0:
+        (up, uq, ud), (lp, lq, ld) = low[4], self.lo
+        if _sign(up * ld - lp * ud, uq * ld - lq * ud, D) <= 0:
             # a lift on the strip's open lower edge would be taken again and
             # again, forever
             raise InvariantError(f"strip climb made no progress at {low[1]}")
-        self.lo, self.last = (up, uq, uk), low
+        self.lo, self.last = low[4], low
         return low
 
 
@@ -273,14 +265,14 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,
     A strip (s0, right] is searched strictly above the previous lift, which
     sits on its right edge; distinct lifts never share an s or a u
     coordinate, so the strips see exactly the closed box.  Each lift the
-    climber takes becomes a hit (`view_hit`), and its own view numerators,
-    (sp, sq, L_s*k), are the next strip's right edge.  In a transposed
-    view the same walk runs along the base, from left to right.
+    climber takes becomes a hit (`view_hit`), and its view s, a (p, q, d)
+    triple as `view_lifts` gives it, is the next strip's right edge.  In a
+    transposed view the same walk runs along the base, from left to right.
     """
     s0, u0 = view.s(origin), view.u(origin)
     strip = StripClimber(view, X, (False, True, False, True), _parts(s0),
                          _parts(u0 + above), _parts(u0 + u_cap))
-    right, ls = s0 + s_width, view.coefficients[4]
+    right = s0 + s_width
     edge = _parts(right)
     while (lift := strip.lowest(edge)) is not None:
         low = view_hit(view, lift)
@@ -288,8 +280,7 @@ def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,
             raise InvariantError(
                 f"primitive family walk left its strip at {low.lift}")
         yield low
-        _, (k, _, _), _, sp, sq, _, _ = lift
-        right, edge = low.s, (sp, sq, ls * k)
+        right, edge = low.s, lift[3]
 
 
 class PeriodFamily:

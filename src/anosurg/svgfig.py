@@ -7,9 +7,8 @@ formatted with a fixed precision and elements are emitted in insertion order,
 so identical input produces byte-identical output.
 
 The marked lifts of census and staircase figures come straight from the
-lattice kernel's integers (`torus.box_lifts`): each coordinate is the
-view's one integer table (`FrameView.coefficients`), scaled once by the
-origin's denominator, at the lift, less the origin, on integers, and
+scan's integers (`torus.view_lifts`): each coordinate is the lift's
+(p, q, d) triple less the origin's, on integers, and
 `quadfield.rounded_float` turns it into its double with no QuadNum per
 lift.  The dots are drawn in exact increasing view s.  The game figure
 converts each exact value of its trace once, with the same
@@ -22,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .quadfield import QuadNum, _parts, fixed_root, rounded_float
-from .torus import FrameView, box_lifts
+from .torus import FrameView, view_lifts
 
 # The most marked lifts a staircase figure may have to list
 MAX_FIGURE_LIFTS = 10**6
@@ -111,30 +110,23 @@ def _axes(fig: Figure):
 
 def lift_dots(view, mset, s_lo, s_hi, u_lo, u_hi, s0=0, u0=0):
     """(s - s0, u - u0) as doubles for each lift of mset in the view's box,
-    in increasing exact s: the lifts of `torus.hits_in_box`."""
-    frame = view.frame
-    D, root = frame.D, frame.root
-    sa, sb, se, sf, sh, ua, ub, ue, uf, uh = view.coefficients
-    # with the origin's (p, q, d), the view's s - s0 at (X/k, Y/k) is
-    # (sa*X + sb*Y - sc*k + (se*X + sf*Y - sg*k)*sqrt(D)) / (sh*k) once
-    # the coefficients are scaled by d and the origin by L_s, and so is u
+    in increasing exact s: the lifts of `torus.view_lifts`, whose s and u
+    triples, less the origin's (sc, sg, d) and (uc, ug, e), are (sp*d -
+    sc*sd + (sq*d - sg*sd)*sqrt(D)) / (sd*d) and the same for u."""
+    D, root = view.frame.D, view.frame.root
     (sc, sg, d), (uc, ug, e) = _parts(s0), _parts(u0)
-    sa, sb, se, sf, sc, sg, sh = (sa * d, sb * d, se * d, sf * d, sc * sh,
-                                  sg * sh, sh * d)
-    ua, ub, ue, uf, uc, ug, uh = (ua * e, ub * e, ue * e, uf * e, uc * uh,
-                                  ug * uh, uh * e)
-    dots = [(rounded_float(sa * X + sb * Y - sc * k, se * X + sf * Y - sg * k,
-                           sh * k, D, root),
-             rounded_float(ua * X + ub * Y - uc * k, ue * X + uf * Y - ug * k,
-                           uh * k, D, root), k, X, Y)
-            for _, (k, X, Y), _ in box_lifts(
-                frame, mset, *view.box(_parts(s_lo), _parts(s_hi),
-                                       _parts(u_lo), _parts(u_hi)))]
+    dots = [(rounded_float(sp * d - sc * sd, sq * d - sg * sd, sd * d, D,
+                           root),
+             rounded_float(up * e - uc * ud, uq * e - ug * ud, ud * e, D,
+                           root), lift)
+            for _, lift, _, (sp, sq, sd), (up, uq, ud) in view_lifts(
+                view, mset, _parts(s_lo), _parts(s_hi), _parts(u_lo),
+                _parts(u_hi))]
     dots.sort()
     if len({dot[0] for dot in dots}) < len(dots):
         # rounding is monotone, so only lifts whose s rounds to one double
         # can be out of order; the exact s orders them all
-        dots.sort(key=lambda dot: view.s(dot[2:]))
+        dots.sort(key=lambda dot: view.s(dot[2]))
     return [dot[:2] for dot in dots]
 
 

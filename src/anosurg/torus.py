@@ -47,16 +47,16 @@ are exact, so every (m, n) between them is a lattice point in the box and
 nothing is re-checked.
 `box_lifts` returns the lifts as integers.  A view reads its s and u off
 one integer table, `FrameView.coefficients`, the frame's forms with the
-view's flips and transposition applied: `view_lifts` adds the integer
-numerators of each lift's view s and u, and `FrameView.s` and `u` take
-them at one point.  `view_hit` builds a `MarkedPointHit`, one QuadNum
-each for s and u, from those integers: `hits_in_box` for every lift it
-returns, in no particular order, and the family walk and the staircase's
-contacts for the lift they take.  The strip climber builds none: it
-orders a window's lifts by sign tests on the numerators and returns the
-lift itself.
-Figures scale the table by their origin's denominator and convert the
-integers to doubles without any QuadNum.
+view's flips and transposition applied, which only this module reads:
+`view_lifts` gives each lift's view s and u as (p, q, d) triples, as the
+scans take their bounds, and `FrameView.s` and `u` take them at one
+point.  `view_hit` builds a `MarkedPointHit`, one QuadNum each for s and
+u, from those triples: `hits_in_box` for every lift it returns, in no
+particular order, and the family walk and the staircase's contacts for
+the lift they take.  The strip climber builds none: it orders a window's
+lifts by sign tests on the triples and returns the lift itself.  Figures
+subtract their origin's triple and convert the integers to doubles
+without any QuadNum.
 """
 
 from __future__ import annotations
@@ -666,36 +666,31 @@ def view_lifts(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,
                include=(True, True, True, True)) -> list:
     """The lifts of mset in the view's box [s_lo,s_hi] x [u_lo,u_hi], its
     bounds (p, q, d) triples and its edges included as in `box_lifts`, in
-    no particular order, each as the integers (base, lift, twist, sp, sq,
-    up, uq) of the lift (k, X, Y) whose view coordinates are
+    no particular order, each as (base, lift, twist, s, u): the lift (k,
+    X, Y) and its view coordinates s and u as (p, q, d) triples, over the
+    view's denominators L_s*k and L_u*k.
 
-        s = (sp + sq*sqrt(D)) / (L_s*k),    u = (up + uq*sqrt(D)) / (L_u*k)
-
-    over the view's denominators L_s and L_u: the numerators are the view's
-    signed coefficients (`FrameView.coefficients`) at X and Y.  That table
-    is the one integer encoding of the view's coordinates: `hits_in_box`
-    builds its hits from these numerators, the strip climber orders a
-    window's lifts and tests its progress on them, the family walk takes
-    its next edge from them, and `FrameView.s` and `u` and the figures'
-    `svgfig.lift_dots` apply the same table to their points.  It is the
-    one scan entry of the climber, whose edges and window tops are
-    triples already."""
-    a, b, c, d, _, f, g, h, i, _ = view.coefficients
-    return [(base, lift, twist, a * X + b * Y, c * X + d * Y, f * X + g * Y,
-             h * X + i * Y)
+    This is the one place where a lift's view coordinates are made, from
+    the view's one integer table (`FrameView.coefficients`), and the one
+    scan entry of the strip climber: every reader takes s and u as it
+    takes an edge or a height, `view_hit` as one QuadNum each, the climber
+    and the game by sign tests and sums on their integers, and the
+    figures' `svgfig.lift_dots` less the origin's triple."""
+    a, b, c, d, ls, f, g, h, i, lu = view.coefficients
+    return [(base, lift, twist, (a * X + b * Y, c * X + d * Y, ls * k),
+             (f * X + g * Y, h * X + i * Y, lu * k))
             for base, lift, twist in box_lifts(
                 view.frame, mset, *view.box(s_lo, s_hi, u_lo, u_hi,
                                             include))
-            for _, X, Y in (lift,)]
+            for k, X, Y in (lift,)]
 
 
 def view_hit(view: FrameView, lift: tuple) -> MarkedPointHit:
-    """The hit of a lift of `view_lifts`: its exact view s and u, each one
-    `_qn` of its numerator over L_s*k or L_u*k."""
-    base, at, twist, sp, sq, up, uq = lift
-    k, D, coefficients = at[0], view.frame.D, view.coefficients
-    return MarkedPointHit(base, at, _qn(sp, sq, coefficients[4] * k, D),
-                          _qn(up, uq, coefficients[9] * k, D), twist)
+    """The hit of a lift of `view_lifts`: its exact view s and u, one
+    QuadNum of each triple."""
+    base, at, twist, s, u = lift
+    D = view.frame.D
+    return MarkedPointHit(base, at, _qn(*s, D), _qn(*u, D), twist)
 
 
 def hits_in_box(view: FrameView, mset: MarkedSet, s_lo, s_hi, u_lo, u_hi,

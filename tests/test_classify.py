@@ -110,6 +110,14 @@ class TestSignRule:
         v = classify(one)
         assert (v.status, v.rule) == ("RCoveredPositive", "sign-rule")
 
+    def test_one_empty_set_with_mixed_signs_is_unknown(self):
+        # C3 fixes each half point, so the Y points are two orbits
+        Y = marked_set(C3, [(point(0, HALF), 1), (point(HALF, HALF), -1)],
+                       "Y")
+        v = classify(SurgeryProblem(C3, marked_set(C3, [], "X"), Y))
+        assert (v.status, v.rule) == ("Unknown", "no-rule-applies")
+        assert v.evidence == {"twists": {"X": [], "Y": [1, -1]}}
+
     def test_uniform_signs(self):
         assert classify(a2_problem(3, 1)).status == "RCoveredPositive"
         assert classify(a2_problem(-2, -7)).status == "RCoveredNegative"
@@ -177,6 +185,14 @@ class TestQuadrantReports:
     def test_b2_below_threshold_unknown(self):
         status, ev = quadrant_report(b2_problem(-1, 1), point(0, 0), "++")
         assert (status, ev) == ("Unknown", {})
+
+    def test_a_point_with_no_other_set_is_unknown(self):
+        Y = marked_set(C3, [(point(0, HALF), 1), (point(HALF, HALF), -1)],
+                       "Y")
+        prob = SurgeryProblem(C3, marked_set(C3, [], "X"), Y)
+        for quadrant in ("++", "+-", "-+", "--"):
+            assert quadrant_report(prob, point(0, HALF), quadrant) == (
+                "Unknown", {})
 
     def test_a2_complete_certificate(self):
         status, ev = quadrant_report(a2_problem(-5, 1), point(0, 0), "++")

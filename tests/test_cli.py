@@ -409,6 +409,8 @@ class TestStaircaseAndThresholds:
 
 # the two seed entries of the a2_half fixture
 A2_X, A2_Y = FIXTURES["a2_half"]["sets"]
+A2 = FIXTURES["a2_half"]
+A2_ONLY_X = {**A2, "sets": [A2_X]}
 
 
 class TestExitCodes:
@@ -497,6 +499,32 @@ class TestExitCodes:
         path.write_text(json.dumps({**FIXTURES["a2_half"], **edit}))
         code, out, err = run(argv[0], str(path), *argv[1:])
         assert code == 1 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("problem, argv, field", [
+        ([], ("classify",), "problem"),
+        ({"sets": [A2_X, A2_Y]}, ("classify",), "matrix"),
+        ({**A2, "sets": [A2_X, 5]}, ("classify",), "sets[1]"),
+        ({**A2, "sets": [{**A2_X, "role": "Z"}]}, ("classify",),
+         "sets[0].role"),
+        ({**A2, "sets": [{**A2_X, "point": ["0", "0", "0"]}]},
+         ("classify",), "sets[0].point"),
+        ({**A2, "options": [1]}, ("classify",), "options"),
+        (A2, ("game", "--point", "0", "--t0", "1", "--r", "1"), "point"),
+        (A2_ONLY_X, ("census", "--set", "Y"), "sets"),
+        (A2_ONLY_X, ("staircase", "--set", "Y"), "sets"),
+        (A2_ONLY_X, ("profile",), "sets"),
+        (A2_ONLY_X, ("thresholds",), "sets"),
+    ], ids=["problem-a-list", "matrix-missing", "set-a-number",
+            "role-not-x-or-y", "point-a-triple", "options-a-list",
+            "game-point-not-a-pair", "census-empty-role",
+            "staircase-empty-role", "profile-empty-y", "thresholds-empty-y"])
+    def test_a_refused_input_names_its_field(self, run, tmp_path, problem,
+                                             argv, field):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run(argv[0], str(path), *argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("content", [b"\xff\xfe\x00 garbage", b"\x80"],
                              ids=["ff-fe-00-garbage", "lone-0x80"])

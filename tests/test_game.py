@@ -19,6 +19,7 @@ from anosurg import (DominationAnalysis, DominationHypothesisError,
 from anosurg import game, rectangles, torus
 from anosurg.cli import FIXTURES, load_problem
 from anosurg.rectangles import period_family
+from anosurg.torus import view_hit
 
 from conftest import (A2, A3, B2, C3, HALF, as_quadnum, half_orbit_set,
                       half_points_set, zero_orbit_set)
@@ -181,12 +182,13 @@ class TestGameBasics:
             out = play_game(cfg, p, t0, r, budget=40)
             status, final_t, trace = oracle_game(cfg, p, t0, r, 40)
             assert (out.status, out.final_t) == (status, final_t), k
-            assert [(c.hit.base, c.hit.lattice, c.height, c.offset,
-                     c.exponent, c.t_after) for c in out.trace] == trace, k
+            assert [(c.base, c.lattice, c.height, c.offset, c.exponent,
+                     c.t_after) for c in out.trace] == trace, k
             # each crossing starts from the length the last one left
             ts = [t0] + [c.t_after for c in out.trace]
             assert [c.t_before for c in out.trace] == ts[:-1], k
-            assert all(c.twist == c.hit.twist for c in out.trace), k
+            assert all(c.twist == view_hit(c.view, c.lift).twist
+                       for c in out.trace), k
             if any(c.exponent > 0 for c in out.trace):
                 widened.add(cfg.quadrant)
         assert widened == set(QUADRANTS)
@@ -198,15 +200,15 @@ class TestGameBasics:
         widened = set()
         for k, (cfg, p, t0, r) in enumerate(seeded_games(frame_a2)):
             out = play_game(cfg, p, t0, r, budget=40)
-            rung = cfg.frame.rung
+            rung, D = cfg.frame.rung, cfg.frame.D
             s0 = quadrant_view(cfg.frame, cfg.quadrant).s(point(*p))
             right = s0 + t0
             for c in out.trace:
-                s = c.hit.s
-                assert c.before == right, k
+                s = view_hit(c.view, c.lift).s
+                assert as_quadnum(c.edges[0], D) == right, k
                 right = s + rung(c.exponent)[0] * (right - s)
-                assert c.after == right, k
-                assert type(c.after) is QuadNum, k
+                assert as_quadnum(c.edges[1], D) == right, k
+                assert all(type(x) is int for x in c.edges[1]), k
                 if c.exponent > 0:
                     widened.add(cfg.quadrant)
             if out.defined:
@@ -228,7 +230,8 @@ class TestGameBasics:
 
         def crossed(*args):
             c = crossing(*args)
-            events.append(("cross", c.hit.u, c.exponent))
+            events.append(("cross", view_hit(c.view, c.lift).u,
+                           c.exponent))
             return c
 
         monkeypatch.setattr(rectangles, "view_lifts", scanned)
@@ -277,31 +280,25 @@ class TestGameBasics:
 
 
 class TestLazyCrossings:
-    """A crossing keeps its lift and edges as integers and builds its hit
-    and edge QuadNums only when read."""
+    """A crossing keeps its lift and edges as integers, and a game builds
+    no hit of the lifts it crosses."""
 
-    def test_a_game_builds_no_hit_until_its_trace_is_read(self, frame_a2,
-                                                         monkeypatch):
+    def test_a_game_builds_no_hit(self, frame_a2, monkeypatch):
         built = []
-        view_hit = torus.view_hit
 
         def counted(*args):
             built.append(args)
             return view_hit(*args)
 
-        for module in (torus, rectangles, game):
+        for module in (torus, rectangles):
             monkeypatch.setattr(module, "view_hit", counted)
         outcomes = [play_game(cfg, p, t0, r, budget=40)
                     for cfg, p, t0, r in seeded_games(frame_a2)]
         assert len(outcomes) == 48 and built == []
         crossing = next(c for out in outcomes for c in out.trace)
-        hit = crossing.hit
-        assert crossing.hit is hit and len(built) == 1
+        hit = view_hit(crossing.view, crossing.lift)
         assert (hit.base, hit.lattice, hit.twist) == (
             crossing.base, crossing.lattice, crossing.twist)
-        assert crossing.before is crossing.before
-        assert crossing.after is crossing.after
-        assert len(built) == 1
 
 
 class TestPerGameConstants:

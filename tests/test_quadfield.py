@@ -481,10 +481,10 @@ class TestOnePowerTable:
                 assert not helpers, f"quadfield.{helpers} at {where}"
 
 
-# the names of the frame's integer forms, which only torus's kernel rules
-# read: every other module reads a view's coordinates off its one integer
-# table, `FrameView.coefficients`
-FORM_NAMES = {"IntForm", "s_int", "u_int", "forms", "affine"}
+# the names of the frame's integer forms and of a view's integer table,
+# which only torus reads: every other module takes a lift's view s and u
+# as the (p, q, d) triples that `view_lifts` makes
+FORM_NAMES = {"IntForm", "s_int", "u_int", "forms", "affine", "coefficients"}
 NOT_TORUS = sorted(path.stem for path in
                    Path(anosurg.__file__).parent.glob("*.py")
                    if path.stem != "torus")

@@ -161,7 +161,7 @@ class TestTrappedGame:
             assert h < st.axis_height
         bands = [index_of_height(st, h) for h in heights]
         assert all(b2 >= b1 for b1, b2 in zip(bands, bands[1:]))
-        assert out.trace[0].hit.lattice == (2, -3)
+        assert out.trace[0].lattice == (2, -3)
 
     def test_untwisted_game_crosses_the_axis(self, b2_staircase, frame_b2):
         st = b2_staircase
