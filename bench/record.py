@@ -94,12 +94,13 @@ def long_orbit(q: int) -> dict:
 
 
 # problem files written for the commands, by the name they use: X orbits of
-# periods 98, 200, 384, 1,000 and 2,004, whose box scans step through one
-# coset per point, and the undertwisted A2 game's X and Y orbits, which fill
-# (1/2)Z^2 mod Z^2 and are scanned as that one lattice
+# periods 98, 200, 384, 1,000, 2,004, 5,004 and 8,018, whose box scans step
+# through one coset per point, and the undertwisted A2 game's X and Y
+# orbits, which fill (1/2)Z^2 mod Z^2 and are scanned as that one lattice
 PROBLEMS = {"PERIOD_98": long_orbit(97), "PERIOD_200": long_orbit(175),
             "PERIOD_384": long_orbit(254), "PERIOD_1000": long_orbit(4001),
-            "PERIOD_2004": long_orbit(2003),
+            "PERIOD_2004": long_orbit(2003), "PERIOD_5004": long_orbit(5003),
+            "PERIOD_8018": long_orbit(8017),
             "UNDERTWISTED_A2": {
                 "matrix": [[2, 1], [1, 1]],
                 "sets": [{"point": ["0", "0"], "characteristic_number": 1,
@@ -118,8 +119,9 @@ LONG_GAME_CROSSINGS = 1500
 # only up to the member that decides, and the staircase seed searches of
 # `thresholds` share what the domination analyses read.  The long-orbit
 # `census` and `profile` read one whole period family per orbit and sign,
-# which takes minutes at periods 1,000 and 2,004, so those two problems
-# are only classified.
+# which takes minutes at periods 1,000 and 2,004, so the problems of
+# period 1,000 and more are only classified, and those of periods 5,004
+# and 8,018, whose staircases read rungs past 4,000, also thresholded.
 COMMANDS = ("examples",
             "census fixtures/a2_half.json",
             "classify fixtures/b2_half.json",
@@ -138,6 +140,10 @@ COMMANDS = ("examples",
             "thresholds PERIOD_384",
             "classify PERIOD_1000",
             "classify PERIOD_2004",
+            "classify PERIOD_5004",
+            "thresholds PERIOD_5004",
+            "classify PERIOD_8018",
+            "thresholds PERIOD_8018",
             "game UNDERTWISTED_A2 --point 0,0 --t0 1 --r 3 --budget 400")
 
 # LONG_GAME in process: the `play_game` call alone, without interpreter
@@ -686,10 +692,12 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                        "(period 200) or of (1/254, 0) (period 384) at +1; "
                        "UNDERTWISTED_A2 is A2 with X the (0,0) orbit at +1 "
                        "and Y the (1/2,1/2) orbit at -2, a game "
-                       "that runs to its budget; PERIOD_1000 and "
-                       "PERIOD_2004 are those problems with X the orbit of "
-                       "(1/4001, 0) (period 1,000) or of (1/2003, 0) "
-                       "(period 2,004); the row after the "
+                       "that runs to its budget; PERIOD_1000, "
+                       "PERIOD_2004, PERIOD_5004 and PERIOD_8018 are those "
+                       "problems with X the orbit of (1/4001, 0) (period "
+                       "1,000), of (1/2003, 0) (period 2,004), of "
+                       "(1/5003, 0) (period 5,004) or of (1/8017, 0) "
+                       "(period 8,018); the row after the "
                        "1,500-crossing game "
                        "times its play_game call alone, in one fresh "
                        "process per run, without start-up, parsing or JSON "

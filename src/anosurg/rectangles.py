@@ -462,7 +462,6 @@ def case_label(b: tuple):
     for name, f in _SYMMETRIES:
         if f(b) in _CASE_PATTERNS:
             return _CASE_PATTERNS[f(b)], name
-    return "other", "none"
 
 
 def census_records(reps) -> list:

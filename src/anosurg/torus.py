@@ -24,7 +24,7 @@ and its whole set-up works on those: the range check, the widths, the
 renormalization power j (estimated from fixed-point logarithms, and
 confirmed by two integer sign tests against the frame's power ladder only
 when the estimate's error band cannot decide it) and the bounds scaled by
-lam^-j and lam^j.
+lam^-j and lam^j, rungs that the ladder builds from halves it holds.
 
 The kernel scans the lattice cosets of the set's scan plan
 (`MarkedSet.plan`, built by `_scan_plan`).  Let K be the lcm of the marked
@@ -253,10 +253,10 @@ class EigenFrame(_Value):
 
     The power ladder, the engine's one source of lam's powers and
     logarithms, holds rung n = (lam^n, rows of A^-n, the integers (p, q,
-    d) of lam^n) for every integer n out to the farthest that any caller
-    has needed so far, on both sides of n = 0.  It starts at rung 0 and
-    grows on demand, one multiplication from the neighbouring rung per new
-    rung.  `log_floor(x)` is estimated from `log2_lam` and returned as it
+    d) of lam^n) for the n read so far and their halves: from rungs 0, 1
+    and -1, rung n is rung n // 2 times rung n - n // 2 (binary powering,
+    TAOCP 4.6.3), one product per new rung and at most two new per halving.
+    `log_floor(x)` is estimated from `log2_lam` and returned as it
     is when the estimate's error band lies inside one rung interval, or
     else confirmed against rungs n and n + 1 (`_log_ratio`); box scans take
     their power A^j from the same routine, and `renormalization(j)` reads
@@ -290,9 +290,11 @@ class EigenFrame(_Value):
         # floor(log2(lam) * 2^LOG_BITS), from which `_log_ratio` estimates
         # its logarithms to base lam
         _set(self, "log2_lam", log2_lam)
-        # the power ladder: rungs 0, 1, 2, ... and rungs 0, -1, -2, ...
-        rung0 = (lam * lam_inv, ((1, 0), (0, 1)), (1, 0, 1))
-        _set(self, "ladder", ([rung0], [rung0]))
+        # the power ladder: the rungs built so far, by n
+        _set(self, "ladder", {
+            0: (lam * lam_inv, ((1, 0), (0, 1)), (1, 0, 1)),
+            1: (lam, matrix.power_rows(-1), _parts(lam)),
+            -1: (lam_inv, matrix.rows(), _parts(lam_inv))})
         # period families walked in this frame, keyed by view, marked set,
         # origin and period (see rectangles.period_family)
         _set(self, "families", {})
@@ -311,17 +313,14 @@ class EigenFrame(_Value):
         return self.u_int.at(X, Y, k)
 
     def rung(self, n: int) -> tuple:
-        """(lam^n, rows of A^-n, (p, q, d) of lam^n), growing the ladder out
-        to rung n."""
-        side = self.ladder[n < 0]
-        if abs(n) >= len(side):
-            lam = self.lam_inv if n < 0 else self.lam
-            step = self.matrix.power_rows(1 if n < 0 else -1)
-            while len(side) <= abs(n):
-                power, rows, _ = side[-1]
-                power *= lam
-                side.append((power, _mat_mul(rows, step), _parts(power)))
-        return side[abs(n)]
+        """(lam^n, rows of A^-n, (p, q, d) of lam^n): the held rung, or else
+        rung n // 2 times rung n - n // 2, kept."""
+        held = self.ladder.get(n)
+        if held is None:
+            (x, xr, _), (y, yr, _) = self.rung(n // 2), self.rung(n - n // 2)
+            power = x * y
+            held = self.ladder[n] = (power, _mat_mul(xr, yr), _parts(power))
+        return held
 
     def renormalization(self, j: int):
         """((p, q, d) of lam^-j, (p, q, d) of lam^j, rows of A^-j), read off

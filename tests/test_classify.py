@@ -21,7 +21,7 @@ from anosurg.classify import (Analysis, _RULES, _completing_sign,
                               analysis_of)
 from anosurg.rectangles import case_label
 from anosurg.staircase import SeedError
-from anosurg.torus import _mat_mul
+from anosurg.torus import InvariantError, _mat_mul
 from anosurg.cli import FIXTURES, load_problem, main
 
 from conftest import A2, A3, B2, C3, HALF, zero_orbit_set
@@ -486,6 +486,26 @@ class TestProfileFromDominationRows:
         assert v.status == "Unknown"
         assert v.evidence["profile"]["booleans"] == [True, False, True, False]
         assert v.evidence["profile"]["case"] == 3
+
+    def test_every_possible_profile_has_a_case(self):
+        # of the 16 boolean patterns, the 7 with X+ and Y- both false or
+        # X- and Y+ both false raise as impossible, and the other 9 are
+        # cases 1 to 4 under one of the four symmetries
+        labels, impossible = {}, 0
+        for b in itertools.product((False, True), repeat=4):
+            if (not b[0] and not b[3]) or (not b[1] and not b[2]):
+                with pytest.raises(InvariantError):
+                    case_label(b)
+                impossible += 1
+            else:
+                labels[b] = case_label(b)
+        assert impossible == 7
+        assert Counter(case for case, _ in labels.values()) == \
+            {1: 1, 2: 2, 3: 2, 4: 4}
+        assert labels[(True, True, True, True)] == (1, "identity")
+        assert labels[(True, True, False, False)] == (2, "swap-roles")
+        assert labels[(False, True, False, True)] == (3, "swap-signs")
+        assert labels[(True, True, True, False)] == (4, "swap-both")
 
 
 class TestCertificateDichotomy:

@@ -208,5 +208,6 @@ def test_every_problem_is_named_by_a_command_and_loads():
         plans[name] = len(sets["X"].plan), len(config.marked.plan)
     assert plans == {"PERIOD_98": (98, 99), "PERIOD_200": (200, 201),
                      "PERIOD_384": (384, 385), "PERIOD_1000": (1000, 1001),
-                     "PERIOD_2004": (2004, 2005), "UNDERTWISTED_A2": (1, 1)}
+                     "PERIOD_2004": (2004, 2005), "PERIOD_5004": (5004, 5005),
+                     "PERIOD_8018": (8018, 8019), "UNDERTWISTED_A2": (1, 1)}
     assert set(record.LOADS) <= set(record.PROBLEMS)

@@ -18,16 +18,16 @@ from anosurg import (GameConfig, InvariantError, MarkedSet, Orbit,
                      sets_disjoint, torus)
 from anosurg.torus import (HyperbolicMatrix, FrameView, box_lifts,
                            group_element)
-from anosurg.classify import SurgeryProblem, analysis_of
+from anosurg.classify import Analysis, SurgeryProblem, analysis_of
 from anosurg.cli import FIXTURES, load_problem
-from anosurg.quadfield import _parts
+from anosurg.quadfield import ROOT_BITS, _parts
 
 from conftest import (A2, A3, B2, C3, HALF, as_quadnum, half_orbit_set,
                       half_points_set, zero_orbit_set)
 from oracles import (_QuadrantCoords, _group_act, _group_power, apply,
                      apply_mod1, balance_power, mod1, oracle_band_hits,
-                     oracle_hits, oracle_log_floor, oracle_orbit,
-                     oracle_point, pair)
+                     oracle_hits, oracle_log2_bounds, oracle_log_floor,
+                     oracle_orbit, oracle_point, pair)
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
@@ -604,6 +604,26 @@ def long_orbit_set(A):
                           (point(Fraction(1, 5), 0), 2)], "X")
 
 
+def counted_rung_reads(monkeypatch):
+    """(reads, active): from now until the test ends, each
+    `EigenFrame.rung` call from outside the ladder appends its n to reads,
+    and active is nonempty while a rung call runs."""
+    reads, active = [], []
+    rung = torus.EigenFrame.rung
+
+    def counted(frame, n):
+        if not active:
+            reads.append(n)
+        active.append(None)
+        try:
+            return rung(frame, n)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(torus.EigenFrame, "rung", counted)
+    return reads, active
+
+
 class TestRenormalization:
     """The frame's power ladder, and the bases that renormalized scans take
     from the orbit index."""
@@ -711,6 +731,36 @@ class TestRenormalization:
         assert counts["calls"] > 800
         assert 10 * counts["read"] <= counts["calls"]
 
+    def test_the_exact_step_corrects_an_estimate_at_its_error_bound(
+            self, monkeypatch):
+        # each width's logarithm exact but pushed to its documented error,
+        # 0.02 * 2^16 (1,310), the numerator's by push and the
+        # denominator's against it, so the ratio's estimate is 2,620 too
+        # high or too low, within LOG_ERROR: beside a rung it is then one
+        # rung off, and the sign tests against the ladder correct it
+        widths, push = [], [1]
+
+        def pushed(p, q, D, root):
+            widths.append(None)
+            edge = push[0] if len(widths) % 2 else -push[0]
+            return oracle_log2_bounds(p, q, D, ROOT_BITS)[0] + edge * 1310
+
+        monkeypatch.setattr(torus, "_log2_width", pushed)
+        reads, _ = counted_rung_reads(monkeypatch)
+        raised = 0
+        for push[0], A in itertools.product((1, -1), (A2, B2, C3)):
+            frame = eigenframe(A)
+            lam = frame.lam
+            for k in range(-40, 41):
+                on_rung = qn_pow(lam, k)
+                for x in (on_rung, on_rung * Fraction(10**9 - 1, 10**9),
+                          on_rung * Fraction(10**9 + 1, 10**9)):
+                    reads.clear()
+                    assert frame.log_floor(x) == oracle_log_floor(x, lam)
+                    # three sign tests: an estimate one rung low was raised
+                    raised += len(reads) == 3
+        assert raised > 100
+
     def test_renormalization_reads_the_powers(self):
         grown = eigenframe(A2)
         grown.rung(400), grown.rung(-400)
@@ -750,6 +800,56 @@ class TestRenormalization:
             assert sorted((b, (x // k, y // k), tw)
                           for b, (k, x, y), tw in got) == \
                 sorted((b, m, tw) for b, m, _, _, tw in want)
+
+
+def long_orbit_analysis(q):
+    """The Analysis of A2 with X the orbit of (1/q, 0) at +1 and Y the (0,0)
+    orbit at -1."""
+    return Analysis(A2, marked_set(A2, [(point(Fraction(1, q), 0), 1)], "X"),
+                    marked_set(A2, [(point(0, 0), -1)], "Y"))
+
+
+class TestPowerLadder:
+    """The ladder holds the rungs read and their halves."""
+
+    def test_rungs_held_per_rung_read_are_bounded(self, monkeypatch):
+        # rung n is built from rungs n // 2 and n - n // 2, at most two
+        # rungs per halving, so the rungs held after the period-2,004
+        # thresholds, rungs 0, 1 and -1 and one per product of rows built
+        # within a rung read, are bounded by the distinct rungs that
+        # callers outside the ladder read; the farthest read is rung 2,004
+        # or more, which a ladder of every rung out to it would hold
+        reads, active = counted_rung_reads(monkeypatch)
+        built, mat_mul = [], torus._mat_mul
+
+        def counted_mat_mul(r1, r2):
+            if active:
+                built.append(None)
+            return mat_mul(r1, r2)
+
+        monkeypatch.setattr(torus, "_mat_mul", counted_mat_mul)
+        analysis = long_orbit_analysis(2003)
+        analysis.thresholds()
+        held = 3 + len(built)
+        assert len(analysis.frame.ladder) == held
+        assert held <= 3 + sum(2 * abs(n).bit_length() for n in set(reads))
+        assert 10 * held < max(abs(n) for n in reads)
+
+    def test_period_5004_thresholds(self):
+        # the two incompleteness thresholds are one more than the exact
+        # logarithm of their staircases' growth constants, by the
+        # oracle's search
+        analysis = long_orbit_analysis(5003)
+        assert analysis.thresholds() == {
+            "domination": {"X-positive": None, "X-negative": None,
+                           "Y-positive": 18, "Y-negative": 8},
+            "incompleteness": {"X-++": 1372, "X-+-": 4486, "Y-++": None,
+                               "Y-+-": None}}
+        lam = analysis.frame.lam
+        for quadrant in ("++", "+-"):
+            row = analysis.row("X", quadrant)
+            assert row.threshold == \
+                oracle_log_floor(row.cert.constant, lam) + 1
 
 
 # A2, B2, case3 and a matrix with negative entries

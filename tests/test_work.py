@@ -33,17 +33,18 @@ PROFILE_SCANS = {"a2_half": 16, "b2_half": 26, "case3": 16}
 # the signs of each fixture whose domination row holds
 DOMINATED_SIGNS = {"a2_half": 2, "b2_half": 0, "case3": 2}
 # the QuadNums that the workload's games and censuses build, re-recorded
-# when the strip climber and the game came to carry their state as integer
-# triples: a game step builds no QuadNum, since a crossing builds its hit
-# and edges only when read, and a search scans its tops as triples (games
-# 1,494 before, censuses 307: a family walk no longer builds its window
-# tops, only the hits of the lifts it takes)
-GAME_QUADNUMS = 227
-CENSUS_QUADNUMS = 260
+# when the power ladder came to build a far rung from its two halves, and
+# to start from rungs 1 and -1 as lam and lam^-1 themselves, not as rung 0
+# times lam: it builds fewer rungs (games 227 before, censuses 260; games
+# 1,494 and censuses 307 before the strip climber and the game came to
+# carry their state as integer triples)
+GAME_QUADNUMS = 216
+CENSUS_QUADNUMS = 254
 # the values the games take apart into their integers (`_parts` calls):
 # each game's t0, r and origin s and u, and the rungs its frame first
-# builds (3,510 when the climber took its edges apart at every search)
-GAME_PARTS = 277
+# builds (277 when the ladder built every rung out to the farthest read,
+# 3,510 when the climber took its edges apart at every search)
+GAME_PARTS = 266
 
 
 def exact(x, D) -> str:
