@@ -40,6 +40,10 @@ DOMINATED_SIGNS = {"a2_half": 2, "b2_half": 0, "case3": 2}
 # carry their state as integer triples)
 GAME_QUADNUMS = 216
 CENSUS_QUADNUMS = 254
+# the QuadNums that a fresh Analysis of each fixture builds for its
+# thresholds: its frame, the ladder rungs it reads, and the certificate
+# path (the family walks, the domination analyses and the staircases)
+CERTIFICATE_QUADNUMS = {"a2_half": 489, "b2_half": 778, "case3": 499}
 # the values the games take apart into their integers (`_parts` calls):
 # each game's t0, r and origin s and u, and the rungs its frame first
 # builds (277 when the ladder built every rung out to the farthest read,
@@ -258,6 +262,17 @@ def test_quadnum_count_of_the_censuses(monkeypatch):
     assert quadnums_built(monkeypatch, lambda: [
         enumerate_primitive(frame, X, sign) for frame, X in sets
         for sign in ("positive", "negative")]) == CENSUS_QUADNUMS
+
+
+def test_quadnum_count_of_the_certificates(monkeypatch):
+    # each fixture's eight thresholds from a fresh Analysis, not through
+    # classify, whose memo would make the count depend on the test order
+    built = {}
+    for name in sorted(FIXTURES):
+        A, sets, _ = load_problem(FIXTURES[name])
+        built[name] = quadnums_built(
+            monkeypatch, lambda: Analysis(A, sets["X"], sets["Y"]).thresholds())
+    assert built == CERTIFICATE_QUADNUMS
 
 
 def test_quadnum_count_of_the_game_records_and_figures(monkeypatch):
