@@ -1,9 +1,9 @@
 """Record a BENCH_<n>.json: perfbench end-to-end metrics of a parent commit
 and its change from alternating pairs of runs, plus import time, per-command
 wall times, the in-process `play_game` time of the 1,500-crossing game, the
-box scans and QuadNums of one in-process `game_grid` pass, the in-process
-`load_problem` times of the long-orbit problems, the field micro-benchmarks
-and the Tier-1 wall time.
+box scans and QuadNums of one in-process `game_grid` pass and of one cold
+in-process `classify_sweep` pass, the in-process `load_problem` times of the
+long-orbit problems, the field micro-benchmarks and the Tier-1 wall time.
 
     python3 bench/record.py PARENT CHANGE --out BENCH_<n>.json
 
@@ -18,14 +18,16 @@ change read lower and whether the difference is resolved (see `compare`).
 For every row it also makes PAIRS alternating pairs of traced runs: it
 stores the COUNTS of each side's first traced run, which do not drift with
 the host's clock, and compares the TRACED_TIMES of all of them like the
-metrics.  The scans and QuadNums of a seed-1 `game_grid` pass are counted
-once per side, in process (COUNT_SCRIPT).  It stores the lines of
-src/**/*.py in each export and their net change.  The field micro-benchmarks are the MICRO
-figures of `perfbench/worker.py micro`, run in each export on operands
-written from that export's perfbench/goldens.json (`big_operands`) and the
-matrix of its fixtures/b2_half.json.  The pair and run counts and the claimed
-metric, if any, are the module constants below; the record also gives each
-metric's no-regression bound from BENCHMARK.json.  At the end it prints that line
+metrics.  The scans and QuadNums of a seed-1 `game_grid` pass
+(COUNT_SCRIPT) and of a cold seed-1 `classify_sweep` pass
+(CLASSIFY_COUNT_SCRIPT) are counted once per side, in process.  It stores
+the lines of src/**/*.py in each export and their net change.  The field
+micro-benchmarks are the MICRO figures of `perfbench/worker.py micro`, run
+in each export on operands written from that export's
+perfbench/goldens.json (`big_operands`) and the matrix of its
+fixtures/b2_half.json.  The pair and run counts and the claimed metric, if
+any, are the module constants below; the record also gives each metric's
+no-regression bound from BENCHMARK.json.  At the end it prints that line
 change, the counts and traced times of both sides, the micro-benchmark
 medians of both sides, and the change's medians against those of the newest
 BENCH_*.json in the change's tree.
@@ -71,7 +73,7 @@ MICRO = tuple(f"quadfield.{op}{size}_us" for size in ("", "_big")
               for op in ("add", "mul", "lt", "floor"))
 # the workload and metric whose gain the change claims, or None when it
 # claims no gain and only each metric's no-regression bound applies
-CLAIM = None
+CLAIM = ("classify_sweep", "wall_ref")
 
 # alternating parent/change pairs per perfbench row, and alternating runs
 # per side of the import time, of each CLI command, of the
@@ -163,45 +165,73 @@ seconds = time.perf_counter() - start
 print(f"play_game {{len(outcome.trace)}} crossings {{seconds:.6f}} s")
 """
 
-# one seed-1 `game_grid` pass in process, its games built and played as
-# perfbench/worker.py does, counting the box scans (`torus.box_lifts`
-# calls, which perfbench's traced `torus.hits_in_box` no longer sees), the
-# QuadNums built (`_qn` calls), the values taken apart into their integers
-# (`_parts` calls), both through every module's binding of them, and the
-# QuadNum order comparisons (calls of its four order methods)
-COUNT_SCRIPT = """
+# the counters of the in-process passes below: counted(name, f) counts the
+# calls of f in counts[name], and count_work() counts the box scans
+# (`torus.box_lifts` calls, which perfbench's traced `torus.hits_in_box`
+# no longer sees), the QuadNums built (`_qn` calls), the values taken apart
+# into their integers (`_parts` calls), both through every module's
+# binding of them, and the QuadNum order comparisons (calls of its four
+# order methods)
+PASS_COUNTERS = """
 import sys
-from fractions import Fraction
 sys.path.insert(0, "perfbench")
 from run import make_inputs
 from worker import build
 import anosurg
-from anosurg import play_game, quadfield, torus
+from anosurg import quadfield, torus
 counts = {"box_lifts": 0, "_qn": 0, "_parts": 0, "compare": 0}
 def counted(name, f):
     def call(*args):
         counts[name] += 1
         return f(*args)
     return call
+def count_work():
+    torus.box_lifts = counted("box_lifts", torus.box_lifts)
+    for name in ("_qn", "_parts"):
+        f = getattr(quadfield, name)
+        counted_f = counted(name, f)
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("anosurg.")
+                    and getattr(module, name, None) is f):
+                setattr(module, name, counted_f)
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        setattr(quadfield.QuadNum, name,
+                counted("compare", getattr(quadfield.QuadNum, name)))
+"""
+
+# one seed-1 `game_grid` pass in process, its games built and played as
+# perfbench/worker.py does, counted from after the build
+COUNT_SCRIPT = PASS_COUNTERS + """
+from fractions import Fraction
+from anosurg import play_game
 inputs = make_inputs("game_grid", 1)
 games = build("game_grid", inputs)
-torus.box_lifts = counted("box_lifts", torus.box_lifts)
-for name in ("_qn", "_parts"):
-    f, counted_f = getattr(quadfield, name), counted(name, getattr(quadfield,
-                                                                   name))
-    for module in list(sys.modules.values()):
-        if (module.__name__.startswith("anosurg.")
-                and getattr(module, name, None) is f):
-            setattr(module, name, counted_f)
-for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-    setattr(quadfield.QuadNum, name,
-            counted("compare", getattr(quadfield.QuadNum, name)))
+count_work()
 crossings = sum(len(play_game(cfg, (Fraction(0), Fraction(0)), t0, r,
                               inputs["budget"]).trace)
                 for cfg, t0, r in games)
 print(f"game_grid seed 1 crossings {crossings} box_lifts "
       f"{counts['box_lifts']} _qn {counts['_qn']} _parts {counts['_parts']} "
       f"compare {counts['compare']}")
+"""
+
+# one cold seed-1 `classify_sweep` pass in process: its problems built as
+# perfbench/worker.py builds them, then one `classify` and the `++` and
+# `+-` `quadrant_report`s at the origin per problem, as its sweep runs
+# them, counted with the build; the first problem of each geometry builds
+# its analysis, the rest are memo hits
+CLASSIFY_COUNT_SCRIPT = PASS_COUNTERS + """
+from anosurg import classify, point, quadrant_report
+count_work()
+problems = build("classify_sweep", make_inputs("classify_sweep", 1))
+origin = point(0, 0)
+for problem in problems:
+    classify(problem)
+    for quadrant in ("++", "+-"):
+        quadrant_report(problem, origin, quadrant)
+print(f"classify_sweep seed 1 problems {len(problems)} box_lifts "
+      f"{counts['box_lifts']} _qn {counts['_qn']} compare "
+      f"{counts['compare']}")
 """
 
 # `load_problem` of each of these problems in process: one call in a fresh
@@ -415,12 +445,13 @@ def parse_game_seconds(stdout: str) -> float:
     return float(found.group(2))
 
 
-def pass_counts(tree: Path) -> dict:
-    """The counts of one COUNT_SCRIPT run in tree."""
-    out = subprocess.run([sys.executable, "-c", COUNT_SCRIPT], cwd=tree,
+def pass_counts(tree: Path, script: str, parse) -> dict:
+    """parse() of the output of one run of script, COUNT_SCRIPT or
+    CLASSIFY_COUNT_SCRIPT, in tree."""
+    out = subprocess.run([sys.executable, "-c", script], cwd=tree,
                          env=env_for(tree), check=True, capture_output=True,
                          text=True).stdout
-    return parse_pass_counts(out)
+    return parse(out)
 
 
 def parse_pass_counts(stdout: str) -> dict:
@@ -433,6 +464,18 @@ def parse_pass_counts(stdout: str) -> dict:
     if not found:
         raise ValueError(f"not a game_grid count line: {stdout!r}")
     return dict(zip(("crossings", "box_lifts", "_qn", "_parts", "compare"),
+                    map(int, found.groups())))
+
+
+def parse_classify_counts(stdout: str) -> dict:
+    """{"problems", "box_lifts", "_qn", "compare"} from
+    CLASSIFY_COUNT_SCRIPT's line "classify_sweep seed 1 problems P
+    box_lifts S _qn Q compare O"."""
+    found = re.fullmatch(r"classify_sweep seed 1 problems (\d+) box_lifts "
+                         r"(\d+) _qn (\d+) compare (\d+)", stdout.strip())
+    if not found:
+        raise ValueError(f"not a classify_sweep count line: {stdout!r}")
+    return dict(zip(("problems", "box_lifts", "_qn", "compare"),
                     map(int, found.groups())))
 
 
@@ -573,10 +616,11 @@ def main(argv=None):
         print(f"src/**/*.py lines: {lines['parent']} -> {lines['change']} "
               f"(net {lines['net']:+d})")
         print_counts(record)
-        counted = record["game_grid_pass"]
-        print("seed-1 game_grid pass, parent -> change: " + ", ".join(
-            f"{name} {counted['parent'][name]} -> {counted['change'][name]}"
-            for name in counted["parent"]))
+        for workload in ("game_grid", "classify_sweep"):
+            counted = record[f"{workload}_pass"]
+            print(f"seed-1 {workload} pass, parent -> change: " + ", ".join(
+                f"{name} {counted['parent'][name]} -> "
+                f"{counted['change'][name]}" for name in counted["parent"]))
         print("quadfield micro-benchmark medians, parent -> change (us):")
         for name, m in record["quadfield_micro"]["metrics"].items():
             print(f"  {name}: {m['parent']['median']:.4g} -> "
@@ -621,8 +665,12 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                              lambda side: game_seconds(trees[side]))
             rows.append({"args": "play_game of the command above, in process",
                          **compare(runs["parent"], runs["change"], "s")})
-    print("game_grid pass counts", file=sys.stderr)
-    pass_work = {side: pass_counts(tree) for side, tree in trees.items()}
+    print("game_grid and classify_sweep pass counts", file=sys.stderr)
+    pass_work = {side: pass_counts(tree, COUNT_SCRIPT, parse_pass_counts)
+                 for side, tree in trees.items()}
+    sweep_work = {side: pass_counts(tree, CLASSIFY_COUNT_SCRIPT,
+                                    parse_classify_counts)
+                  for side, tree in trees.items()}
     loads = {}
     for name in LOADS:
         print(f"load_problem {name}", file=sys.stderr)
@@ -714,6 +762,18 @@ def build_record(revs: dict, trees: dict, work: Path) -> dict:
                       "QuadNum order comparisons (compare) of the pass's "
                       "play_game calls; counts, not times",
             **pass_work},
+        "classify_sweep_pass": {
+            "command": "python -c CLASSIFY_COUNT_SCRIPT in each side's "
+                       "compiled export, once per side: one cold seed-1 "
+                       "classify_sweep pass in process, its problems built "
+                       "as perfbench/worker.py does, then one classify and "
+                       "the ++ and +- quadrant_reports at the origin per "
+                       "problem, counted with the build",
+            "metric": "problems, torus.box_lifts calls, _qn calls (the "
+                      "QuadNums built), through every module's binding, "
+                      "and QuadNum order comparisons (compare) of the "
+                      "pass; counts, not times",
+            **sweep_work},
         "load_problem": {
             "command": "python -c LOAD_SCRIPT PROBLEM in each side's "
                        "compiled export: one anosurg.cli.load_problem call "

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 
-from .torus import (HyperbolicMatrix, MarkedSet, Orbit, as_point,
+from .torus import (HyperbolicMatrix, MarkedSet, Orbit, QUADRANTS, as_point,
                     eigenframe, quadrant_direction, sets_disjoint)
 from .rectangles import case_label
 from .game import DominationAnalysis, DominationHypothesisError
@@ -29,14 +29,18 @@ STATUSES = ("Suspension", "RCoveredPositive", "RCoveredNegative",
 
 
 class SurgeryProblem:
-    """A matrix and two disjoint marked sets, never reassigned: the first
-    `analysis()` looks the geometry's Analysis up and keeps it."""
-    __slots__ = ("A", "X", "Y", "_analysis")
+    """A matrix and two disjoint marked sets, never reassigned, and
+    `twists`, each set's twists by role as a tuple, which `classify` and
+    every certificate check read: the first `analysis()` looks the
+    geometry's Analysis up and keeps it."""
+    __slots__ = ("A", "X", "Y", "twists", "_analysis")
 
     def __init__(self, A: HyperbolicMatrix, X: MarkedSet, Y: MarkedSet):
         if not sets_disjoint(X, Y):
             raise ValueError("marked sets overlap")
         self.A, self.X, self.Y = A, X, Y
+        self.twists = {role: tuple(orb.twist for orb in mset.orbits)
+                       for role, mset in (("X", X), ("Y", Y))}
         self._analysis = None
 
     def analysis(self) -> Analysis:
@@ -183,10 +187,6 @@ def analysis_of(geometry) -> Analysis:
     return Analysis(A, untwisted(x_orbits, "X"), untwisted(y_orbits, "Y"))
 
 
-def _twists(mset: MarkedSet):
-    return tuple(orb.twist for orb in mset.orbits)
-
-
 # ---------------------------------------------------------------------------
 # the decision procedure
 
@@ -229,22 +229,28 @@ _RULES = (
 )
 
 
+# (twisted set, direction) of each row (own set, kind): a domination sign
+# reads the other set's twists in the sign's direction, a staircase
+# quadrant the own set's twists in `quadrant_direction(kind)`
+_TWISTED = {
+    **{(own, sign): ("Y" if own == "X" else "X",
+                     1 if sign == "positive" else -1)
+       for own in "XY" for sign in ("positive", "negative")},
+    **{(own, q): (own, quadrant_direction(q))
+       for own in "XY" for q in QUADRANTS}}
+
+
 def _met(problem: SurgeryProblem, shared: Analysis, own: str, kind: str,
          base: tuple | None = None):
     """(row, twisted set, twists) when the row (own, kind, base) has a
-    certificate whose threshold every twist reaches in the row's direction,
-    else None.  A domination sign reads the other set's twists in the
-    sign's direction; a staircase quadrant reads the own set's twists in
-    `quadrant_direction(kind)`.  Both marked sets are nonempty."""
+    certificate whose threshold every twist of the row's twisted set
+    reaches in the row's direction (`_TWISTED`), else None.  Both marked
+    sets are nonempty."""
     row = shared.row(own, kind, base)
     if row.cert is None:
         return None
-    if kind in ("positive", "negative"):
-        twisted = "Y" if own == "X" else "X"
-        direction = 1 if kind == "positive" else -1
-    else:
-        twisted, direction = own, quadrant_direction(kind)
-    tw = _twists(problem.X if twisted == "X" else problem.Y)
+    twisted, direction = _TWISTED[own, kind]
+    tw = problem.twists[twisted]
     # every twist reaches the threshold in the direction when the least does
     if (min(tw) if direction > 0 else -max(tw)) >= row.threshold:
         return row, twisted, tw
@@ -253,7 +259,7 @@ def _met(problem: SurgeryProblem, shared: Analysis, own: str, kind: str,
 
 def classify(problem: SurgeryProblem) -> Verdict:
     """Classify the surgered flow; see the module docstring for the order."""
-    twists = {"X": list(_twists(problem.X)), "Y": list(_twists(problem.Y))}
+    twists = {role: list(tw) for role, tw in problem.twists.items()}
     verdict = _sign_rule(twists)
     if verdict is not None:
         return verdict

@@ -37,7 +37,8 @@ of the primitive rectangle family at the first point of each marked orbit.
 
 from __future__ import annotations
 
-from .quadfield import QuadNum, _parts, _qn, _sign, _triple, qn_to_str
+from .quadfield import (QuadNum, _cmp, _minus, _parts, _plus, _qn, _sign,
+                        _times, _triple, qn_to_str)
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Point,
                     as_point, point_strings, quadrant_direction,
                     quadrant_view, QUADRANTS)
@@ -76,12 +77,6 @@ class GameConfig:
         self.frame = frame
         self.quadrant = quadrant
         self.marked = marked
-
-
-def _sum(x: tuple, y: tuple) -> tuple:
-    """x + y for (p, q, d) triples x and y, reduced."""
-    (p1, q1, d1), (p2, q2, d2) = x, y
-    return _triple(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
 
 def _difference(x: tuple, y: tuple, D: int) -> QuadNum:
@@ -168,12 +163,12 @@ def play_game(config: GameConfig, p, t0: QuadNum, r: QuadNum,
     p = as_point(p)
     s0, u0 = _parts(view.s(p)), _parts(view.u(p))
     marked, rung = config.marked, config.frame.rung
-    right = _sum(s0, t0)
+    right = _plus(s0, t0)
     trace: list[Crossing] = []
 
     # offsets in (0, t), heights in (a, b]
     strip = StripClimber(view, marked, (False, False, False, True), s0, u0,
-                         _sum(u0, r))
+                         _plus(u0, r))
     while (lift := strip.lowest(right)) is not None:
         if len(trace) >= budget:
             return GameOutcome("BudgetExhausted", None, tuple(trace))
@@ -223,21 +218,27 @@ def game_trace_records(outcome: GameOutcome) -> list:
 
 
 class DominationInterval:
-    __slots__ = ("mu", "nu", "delta", "least_n")
+    """One breakpoint interval at an origin: its base length mu, the next
+    breakpoint nu and the least horizontal Y-offset delta inside its
+    rectangle, kept as (p, q, d) triples and read as QuadNums, and the
+    least twist that contracts below nu(delta)."""
+    __slots__ = ("D", "lengths", "least_n")
 
-    def __init__(self, mu: QuadNum, nu: QuadNum, delta: QuadNum, least_n: int):
-        self.mu = mu                # base length of the interval's rectangle
-        self.nu = nu                # next breakpoint
-        self.delta = delta          # least horizontal Y-offset inside it
-        self.least_n = least_n      # least twist contracting below nu(delta)
+    def __init__(self, mu: tuple, nu: tuple, delta: tuple, least_n: int,
+                 D: int):
+        self.D, self.lengths, self.least_n = D, (mu, nu, delta), least_n
 
+    @property
+    def mu(self) -> QuadNum:
+        return _qn(*self.lengths[0], self.D)
 
-def _reduce(frame: EigenFrame, t: QuadNum, lo: QuadNum, period: int):
-    """(w, scale) with t = w * scale, lo <= w < lo * lam^period, and scale
-    an integer power of lam^period: t moved into the period starting at
-    lo."""
-    scale = frame.rung(frame.log_floor(t / lo) // period * period)[0]
-    return t / scale, scale
+    @property
+    def nu(self) -> QuadNum:
+        return _qn(*self.lengths[1], self.D)
+
+    @property
+    def delta(self) -> QuadNum:
+        return _qn(*self.lengths[2], self.D)
 
 
 class DominationAnalysis:
@@ -288,35 +289,46 @@ class DominationAnalysis:
 
     def _analyze_base(self, base: Point, period: int):
         view = self.view
+        frame = view.frame
+        D = frame.D
         family = period_family(view, self.X, base, period)
         # the hypothesis: every member's closed box meets Y; the first
         # member that misses it decides, and the rest are not read
         rects = []
-        for i, (mu, _, corner) in enumerate(family):
+        for i, (mu, _, (_, corner, *_)) in enumerate(family.read()):
             delta = family.contact(i, self.Y)
             if delta is None:
                 raise DominationHypothesisError(
                     f"primitive rectangle at {base} with endpoint lift "
-                    f"{corner.lift} is disjoint from the other marked set",
-                    witness=(base, corner))
-            if not (0 < delta < mu):
+                    f"{corner} is disjoint from the other marked set",
+                    witness=(base, family.corner(i)))
+            if not (_sign(delta[0], delta[1], D) > 0
+                    and _cmp(delta, mu, D) < 0):
                 raise InvariantError("delta outside (0, mu)")
             rects.append((mu, delta))
         if not rects:
             raise InvariantError(f"no primitive rectangle at origin {base}")
-        # the breakpoints in one period [mu_0, mu_0 lam^pi], both ends included
-        breaks = [mu for mu, _ in rects] + [rects[0][0] * family.big]
+        # the breakpoints in one period [mu_0, mu_0 lam^pi], both ends
+        # included, all (p, q, d) triples
+        first = rects[0][0]
+        breaks = [mu for mu, _ in rects] + [
+            _times(first, frame.rung(period)[2], D)]
 
-        def next_break(v: QuadNum):
-            # least breakpoint strictly above v > 0
-            w, scale = _reduce(view.frame, v, breaks[0], period)
-            return next(b for b in breaks if b > w) * scale
+        def next_break(v):
+            # least breakpoint strictly above v > 0: v lies in the period
+            # [first, first lam^pi) scaled by lam^n, n a multiple of pi,
+            # and the breakpoint is the least b of that period with
+            # b lam^n > v
+            n = frame.log_ratio(v, first) // period * period
+            scale = frame.rung(n)[2]
+            return next(above for b in breaks
+                        if _cmp(above := _times(b, scale, D), v, D) > 0)
 
         intervals = []
         for i, (mu, delta) in enumerate(rects):
             nu = breaks[i + 1]
             # least n >= 0 with lam^(-n) (nu - delta) < gap
-            gap = next_break(delta) - delta
-            n = max(0, view.frame.log_floor((nu - delta) / gap) + 1)
-            intervals.append(DominationInterval(mu, nu, delta, n))
+            gap = _minus(next_break(delta), delta)
+            n = max(0, frame.log_ratio(_minus(nu, delta), gap) + 1)
+            intervals.append(DominationInterval(mu, nu, delta, n, D))
         return tuple(intervals)

@@ -332,6 +332,35 @@ def _triple(p: int, q: int, d: int) -> tuple:
     return (p // g, q // g, d // g) if g != 1 else (p, q, d)
 
 
+# Arithmetic on (p, q, d) triples with d > 0, as the certificates carry
+# their lengths: no QuadNum is built, and the results are reduced
+
+
+def _plus(x: tuple, y: tuple) -> tuple:
+    """x + y."""
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return _triple(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
+
+
+def _minus(x: tuple, y: tuple) -> tuple:
+    """x - y."""
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return _triple(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2)
+
+
+def _times(x: tuple, y: tuple, D: int) -> tuple:
+    """x * y."""
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return _triple(p1 * p2 + q1 * q2 * D, p1 * q2 + q1 * p2, d1 * d2)
+
+
+def _cmp(x: tuple, y: tuple, D: int) -> int:
+    """The sign of x - y, from one `_sign` test on cross-multiplied
+    integers."""
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return _sign(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, D)
+
+
 def _parts(x) -> tuple:
     """(p, q, d) with x = (p + q*sqrt(D))/d and d > 0, for a QuadNum, int or
     Fraction: the integers that the lattice kernel works on."""

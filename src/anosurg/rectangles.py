@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .quadfield import QuadNum, _parts, _sign, _triple, qn_to_str
+from .quadfield import (QuadNum, _cmp, _minus, _parts, _plus, _qn, _sign,
+                        _times, _triple, qn_to_str)
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, as_point, group_element, hits_in_box,
                     point_strings, view_hit, view_lifts)
@@ -163,14 +164,15 @@ def first_window_hits(strip):
         xp, xq = xp + xp, xq + xq
 
 
-def _lowest(lifts, D):
-    """The lowest in the view of lifts given as `view_lifts` gives them, or
-    None when there are none.  u_a < u_b for lifts a and b whose u are the
-    triples (p_a, q_a, d_a) and (p_b, q_b, d_b) exactly when (p_a*d_b -
-    p_b*d_a) + (q_a*d_b - q_b*d_a)*sqrt(D) is negative."""
+def _least(lifts, i, D):
+    """The lift of least view coordinate i (3 for s, 4 for u) among lifts
+    given as `view_lifts` gives them, or None when there are none.  x_a <
+    x_b for lifts whose coordinates are the triples (p_a, q_a, d_a) and
+    (p_b, q_b, d_b) exactly when (p_a*d_b - p_b*d_a) + (q_a*d_b -
+    q_b*d_a)*sqrt(D) is negative."""
     low = None
     for lift in lifts:
-        _, _, _, _, (p, q, d) = lift
+        p, q, d = lift[i]
         if low is None or _sign(p * ld - lp * d, q * ld - lq * d, D) < 0:
             low, lp, lq, ld = lift, p, q, d
     return low
@@ -233,13 +235,13 @@ class StripClimber:
             if (lift is not last
                     and _sign(sp * d - p * sd, sq * d - q * sd, D) < 0):
                 kept.append(lift)
-                # lower than the lowest so far, as in `_lowest`
+                # lower than the lowest so far, as in `_least`
                 if (low is None or _sign(up * ld - lp * ud, uq * ld - lq * ud,
                                          D) < 0):
                     low, lp, lq, ld = lift, up, uq, ud
         if low is None:
             kept, self.covered = first_window_hits(self)
-            low = _lowest(kept, D)
+            low = _least(kept, 4, D)
         self.lifts = kept
         if low is None:
             return None
@@ -252,86 +254,98 @@ class StripClimber:
         return low
 
 
-def primitive_family(view: FrameView, X: MarkedSet, origin, s_width, u_cap,
-                     above=0):
-    """The Pareto-minimal lifts of X in the view box (s0, s0 + s_width] x
-    (u0 + above, u0 + u_cap] at the origin (s0, u0), lazily, lowest first:
-    the far corners of the primitive view-increasing X-rectangles at the
-    origin.
+def primitive_family(view: FrameView, X: MarkedSet, s0, right, lo, hi):
+    """The Pareto-minimal lifts of X in the view box (s0, right] x (lo,
+    hi], lazily, lowest first, as `view_lifts` gives them: with lo the
+    origin's u, the far corners of the primitive view-increasing
+    X-rectangles at the origin (s0, lo).  The bounds are (p, q, d)
+    triples.
 
     These are the lattice's relative minima in the quadrant (its Klein
     sail), listed right to left, each the lowest lift in the strip left of
     the previous one: the work grows with their number, not the box's area.
     A strip (s0, right] is searched strictly above the previous lift, which
     sits on its right edge; distinct lifts never share an s or a u
-    coordinate, so the strips see exactly the closed box.  Each lift the
-    climber takes becomes a hit (`view_hit`), and its view s, a (p, q, d)
-    triple as `view_lifts` gives it, is the next strip's right edge.  In a
+    coordinate, so the strips see exactly the closed box.  The view s of
+    each lift the climber takes is the next strip's right edge.  In a
     transposed view the same walk runs along the base, from left to right.
     """
-    s0, u0 = view.s(origin), view.u(origin)
-    strip = StripClimber(view, X, (False, True, False, True), _parts(s0),
-                         _parts(u0 + above), _parts(u0 + u_cap))
-    right = s0 + s_width
-    edge = _parts(right)
-    while (lift := strip.lowest(edge)) is not None:
-        low = view_hit(view, lift)
-        if not s0 < low.s <= right:
+    D = view.frame.D
+    strip = StripClimber(view, X, (False, True, False, True), s0, lo, hi)
+    while (lift := strip.lowest(right)) is not None:
+        s = lift[3]
+        if not (_cmp(s, s0, D) > 0 and _cmp(s, right, D) <= 0):
             raise InvariantError(
-                f"primitive family walk left its strip at {low.lift}")
-        yield low
-        right, edge = low.s, lift[3]
+                f"primitive family walk left its strip at {lift[1]}")
+        yield lift
+        right = s
 
 
 class PeriodFamily:
     """One period of the family at an origin of that period: the primitive
     view-increasing X-rectangles whose base length mu lies in [1, big),
-    big = lam^period, as (mu, height, far corner), read lazily by mu.
+    big = lam^period, read lazily by mu (`read`), each as (mu, height,
+    corner): mu and the height (p, q, d) triples and corner the far
+    corner's lift, as `view_lifts` gives it in the view.  The origin's s0
+    and u0 are triples too, and nothing on the walk builds a QuadNum;
+    iterating gives each member's mu, height and corner hit as QuadNums,
+    built when read.
 
-    Iterating reads members only as far as the caller goes, and keeps
-    those read in `members` for the next caller.  The first read climbs
-    the strip of base lengths (0, 1] in the view to its lowest lift, at
-    base length l and height h: every member with base length at least 1
-    is at most h high, and every lift between base lengths l and 1 is
-    higher.  Then the walk runs along the base in the transposed view,
-    left to right over the heights (0, h], from above base length l (from
-    0 when l = 1, so that the lift is the first member), and stops at base
-    length big.  Every primitive box with base length at least 1 is lower
-    than lam^2 m^2, m = max(W_s, W_u), which caps the first climb.
+    Reading keeps the members read in `members` for the next reader.  The
+    first read climbs the strip of base lengths (0, 1] in the view to its
+    lowest lift, at base length l and height h: every member with base
+    length at least 1 is at most h high, and every lift between base
+    lengths l and 1 is higher.  Then the walk runs along the base in the
+    transposed view, left to right over the heights (0, h], from above base
+    length l (from 0 when l = 1, so that the lift is the first member), and
+    stops at base length big.  Every primitive box with base length at
+    least 1 is lower than lam^2 m^2, m = max(W_s, W_u), which caps the
+    first climb.
 
     `contact(i, other)` is member i's scan of another marked set, kept
     per member and set, so the domination analysis, the staircase seed
     search and the census's witness search of one view share it.
     """
-    __slots__ = ("view", "s0", "u0", "big", "members", "_walk", "_contacts")
+    __slots__ = ("view", "s0", "u0", "period", "members", "_walk",
+                 "_contacts")
 
     def __init__(self, view: FrameView, X: MarkedSet, origin, period: int):
         frame = view.frame
-        self.view, self.s0, self.u0 = view, view.s(origin), view.u(origin)
-        self.big = frame.rung(period)[0]
+        D = frame.D
+        self.view, self.period = view, period
+        self.s0, self.u0 = view.triples(origin)
         self.members = []
-        m = max(frame.widths)
-        self._walk = self._read(X, origin, frame.rung(2)[0] * m * m)
+        ws, wu = (_parts(w) for w in frame.widths)
+        m = ws if _cmp(ws, wu, D) > 0 else wu
+        self._walk = self._read(X, _times(frame.rung(2)[2], _times(m, m, D),
+                                          D))
         self._contacts = {}
 
-    def _read(self, X, origin, cap):
-        s0, u0, big = self.s0, self.u0, self.big
-        lowest = next(primitive_family(self.view, X, origin, 1, cap), None)
-        top, above = cap, 0
-        if lowest is not None:
-            top = lowest.u - u0
-            if lowest.s - s0 < 1:
-                above = lowest.s - s0
-        # the transposed walk's s is the view's u, and its u the view's s
-        for h in primitive_family(self.view.transposed(), X, origin, top,
-                                  big, above):
-            mu = h.u - s0
-            if mu >= big:
-                return
-            yield mu, h.s - u0, MarkedPointHit(h.base, h.lift, h.u, h.s,
-                                               h.twist)
+    @property
+    def big(self) -> QuadNum:
+        """lam^period, where the period's base lengths end."""
+        return self.view.frame.rung(self.period)[0]
 
-    def __iter__(self):
+    def _read(self, X, cap):
+        view, s0, u0 = self.view, self.s0, self.u0
+        D = view.frame.D
+        end = _plus(s0, view.frame.rung(self.period)[2])
+        unit = _plus(s0, (1, 0, 1))
+        right, lo = _plus(u0, cap), s0
+        lowest = next(primitive_family(view, X, s0, unit, u0, right), None)
+        if lowest is not None:
+            right = lowest[4]
+            if _cmp(lowest[3], unit, D) < 0:
+                lo = lowest[3]
+        # the transposed walk's s is the view's u, and its u the view's s
+        for base, lift, twist, u, s in primitive_family(
+                view.transposed(), X, u0, right, lo, end):
+            if _cmp(s, end, D) >= 0:
+                return
+            yield _minus(s, s0), _minus(u, u0), (base, lift, twist, s, u)
+
+    def read(self):
+        """The members, those read before and then the walk's next."""
         members, i = self.members, 0
         while True:
             if i == len(members):
@@ -342,16 +356,26 @@ class PeriodFamily:
             yield members[i]
             i += 1
 
+    def __iter__(self):
+        D = self.view.frame.D
+        for i, (mu, height, _) in enumerate(self.read()):
+            yield _qn(*mu, D), _qn(*height, D), self.corner(i)
+
+    def corner(self, i: int) -> MarkedPointHit:
+        """Member i's far corner as a hit, its s and u QuadNums."""
+        return view_hit(self.view, self.members[i][2])
+
     def contact(self, i: int, other: MarkedSet):
         """The least view s, less s0, of the other set's lifts in member
-        i's closed box, or None when the box misses the other set."""
+        i's closed box, a triple, or None when the box misses the other
+        set."""
         key = (i, other)
         if key not in self._contacts:
-            _, _, corner = self.members[i]
-            hits = hits_in_box(self.view, other, self.s0, corner.s, self.u0,
-                               corner.u)
-            self._contacts[key] = (min(h.s for h in hits) - self.s0
-                                   if hits else None)
+            *_, s, u = self.members[i][2]
+            first = _least(view_lifts(self.view, other, self.s0, s, self.u0,
+                                      u), 3, self.view.frame.D)
+            self._contacts[key] = (None if first is None
+                                   else _minus(first[3], self.s0))
         return self._contacts[key]
 
 
@@ -381,12 +405,11 @@ def _census(frame: EigenFrame, X: MarkedSet, sign: str) -> list:
     for orb in X.orbits:
         base = orb.points[0]
         family = period_family(view, X, base, orb.period)
-        for i, (mu, height, corner) in enumerate(family):
+        for i, (mu, height, (_, corner, *_)) in enumerate(family.read()):
             # the diagonal's lower point is the far corner when negative
-            low, high = ((corner.lift, base) if negative
-                         else (base, corner.lift))
+            low, high = (corner, base) if negative else (base, corner)
             # A^e takes the ratio into [1, lam^2); exactly lam^2k goes to 1
-            e = frame.log_floor(mu / height) // 2
+            e = frame.log_ratio(mu, height) // 2
             low_orb, place = X.locate(low)
             g = group_element(frame.matrix, e, low, low_orb.points[
                 (place + e) % low_orb.period])

@@ -25,12 +25,12 @@ each extended level outright and nothing is left to check.
 
 from __future__ import annotations
 
-from .quadfield import QuadNum, _parts, qn_to_str
-from .rectangles import StripClimber, period_family
+from .quadfield import (QuadNum, _cmp, _minus, _parts, _plus, _qn, _sign,
+                        _times, qn_to_str)
+from .rectangles import StripClimber, _least, period_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
-                    Point, QUADRANTS, as_point, group_element, hits_in_box,
-                    point_strings, quadrant_direction, quadrant_view,
-                    view_hit)
+                    Point, QUADRANTS, as_point, group_element, point_strings,
+                    quadrant_direction, quadrant_view, view_lifts)
 
 # Levels the raw induction may reach before a period must have recurred
 MAX_LEVELS = 64
@@ -47,24 +47,35 @@ class SeedError(StaircaseError):
     none."""
 
 
+def _length(i: int, doc: str) -> property:
+    """The QuadNum of a level's length i, built when read."""
+    return property(lambda step: _qn(*step.lengths[i], step.D), doc=doc)
+
+
 class StairStep:
-    """One staircase level, in view coordinates relative to the origin x."""
-    __slots__ = ("index", "delta_origin", "delta_endpoint", "ds", "Ls", "q_lo",
-                 "q_hi", "safety")
+    """One staircase level, in view coordinates relative to the origin x.
+    Its five lengths are kept as (p, q, d) triples, `lengths` in the order
+    of the constructor's arguments, and read as QuadNums.  The constructor
+    takes them as QuadNums, or as triples of the field of the given D."""
+    __slots__ = ("index", "delta_origin", "delta_endpoint", "lengths", "D")
 
     def __init__(self, index: int, delta_origin: Point, delta_endpoint: Point,
-                 ds: QuadNum, Ls: QuadNum, q_lo: QuadNum, q_hi: QuadNum,
-                 safety: QuadNum):
+                 ds, Ls, q_lo, q_hi, safety, D: int | None = None):
         self.index = index
         # lifts of the chained rectangle's diagonal origin and endpoint; the
         # endpoint is the next level's corner
         self.delta_origin = delta_origin
         self.delta_endpoint = delta_endpoint
-        self.ds = ds                # stable length of the chained rectangle
-        self.Ls = Ls                # offset of R_i's right edge from the axis
-        self.q_lo = q_lo            # height of the bottom side of R_i
-        self.q_hi = q_hi            # height of the top side of R_i
-        self.safety = safety        # stable length of the safety zone S_i
+        lengths = (ds, Ls, q_lo, q_hi, safety)
+        if D is None:
+            D, lengths = ds.D, tuple(_parts(x) for x in lengths)
+        self.lengths, self.D = lengths, D
+
+    ds = _length(0, "stable length of the chained rectangle")
+    Ls = _length(1, "offset of R_i's right edge from the axis")
+    q_lo = _length(2, "height of the bottom side of R_i")
+    q_hi = _length(3, "height of the top side of R_i")
+    safety = _length(4, "stable length of the safety zone S_i")
 
 
 class Staircase:
@@ -77,6 +88,11 @@ class Staircase:
     staircase conditions are g-equivariant (the marked sets are invariant
     under the full group) except the left extension to the axis, whose
     leftover strips are covered by the residual-strip check in verify().
+
+    The growth constant C is kept as `growth`, the (p, q, d) triples of the
+    numerator and denominator of the level ratio that attains it, and the
+    axis height as a triple; `constant` and `axis_height` are their
+    QuadNums, built when read.
     """
 
     def __init__(self, view, quadrant, X, avoid, origin, steps, preperiod,
@@ -90,24 +106,43 @@ class Staircase:
         self.preperiod = preperiod
         self.period = period
         self.g = g                      # recurring element: level i -> level i+period
+        D = view.frame.D
         # s-lengths scale by lam^-k per period
-        self._s_scale = view.frame.rung(-g.k)[0]
+        self._s_scale = view.frame.rung(-g.k)[2]
         # u-lengths contract by lam^k < 1 per period
         if not g.k < 0:
             raise InvariantError("recurring element does not contract heights")
-        self.constant = self._growth_constant()
+        self.growth = self._growth_constant()
         self.limit = self._limit_point()
-        self.axis_height = view.u(self.limit) - view.u(origin)
-        if self.axis_height <= self.steps[-1].q_hi:
+        u0, top = view.triples(origin)[1], view.triples(self.limit)[1]
+        if _cmp(top, u0, D) <= 0:
+            raise InvariantError("limit height is below the origin")
+        self._axis = _minus(top, u0)
+        if _cmp(self._axis, steps[-1].lengths[3], D) <= 0:
             raise InvariantError("limit height below the stored levels")
 
     # -- derived constants ---------------------------------------------------
 
-    def _growth_constant(self) -> QuadNum:
-        ratios = [(self.steps[i + 1].ds + self.steps[i + 1].safety)
-                  / self.steps[i].safety
-                  for i in range(len(self.steps) - 1)]
-        return max(ratios)
+    @property
+    def constant(self) -> QuadNum:
+        num, den = self.growth
+        D = self.view.frame.D
+        return _qn(*num, D) / _qn(*den, D)
+
+    @property
+    def axis_height(self) -> QuadNum:
+        return _qn(*self._axis, self.view.frame.D)
+
+    def _growth_constant(self) -> tuple:
+        # the greatest (ds_{i+1} + safety_{i+1}) / safety_i, the first that
+        # attains it, compared by cross-multiplying
+        D, best = self.view.frame.D, None
+        for cur, nxt in zip(self.steps, self.steps[1:]):
+            num, den = _plus(nxt.lengths[0], nxt.lengths[4]), cur.lengths[4]
+            if best is None or _cmp(_times(num, best[1], D),
+                                    _times(best[0], den, D), D) > 0:
+                best = num, den
+        return best
 
     def _limit_point(self) -> Point:
         # the unique fixed point of g; the levels' heights contract toward its
@@ -121,54 +156,61 @@ class Staircase:
         vx, vy = g.v
         if det < 0:                     # so that k = |det| > 0
             det, vx, vy = -det, -vx, -vy
-        p = (det, (1 - d) * vx + b * vy, c * vx + (1 - a) * vy)
-        if self.view.u(p) <= self.view.u(self.origin):
-            raise InvariantError("limit height is below the origin")
-        return p
+        return det, (1 - d) * vx + b * vy, c * vx + (1 - a) * vy
 
     # -- exact verification ---------------------------------------------------
 
     def verify(self) -> None:
-        """Check the staircase conditions exactly on all raw steps."""
+        """Check the staircase conditions exactly on all raw steps: `_cmp`
+        tests on the levels' triples and the corners' view coordinates,
+        and scans that read the lifts' triples (`view_lifts`)."""
         view, X, avoid = self.view, self.X, self.avoid
-        s0, u0 = view.s(self.origin), view.u(self.origin)
+        D = view.frame.D
+        zero = (0, 0, 1)
+        s0, u0 = view.triples(self.origin)
         steps = self.steps
-        if steps[0].Ls != steps[0].ds or steps[0].q_lo != 0:
+        ds, Ls, q_lo, _, _ = steps[0].lengths
+        if _cmp(Ls, ds, D) or _cmp(q_lo, zero, D):
             raise InvariantError("level 0 is not the string seed")
         for i, st in enumerate(steps):
+            ds, Ls, q_lo, q_hi, safety = st.lengths
             # (1) inside the quadrant, with a safety zone to the right
-            if not (st.q_lo >= 0 and st.q_lo < st.q_hi and 0 < st.ds <= st.Ls
-                    and 0 < st.safety):
+            if not (_cmp(q_lo, zero, D) >= 0 and _cmp(q_lo, q_hi, D) < 0
+                    and _cmp(ds, zero, D) > 0 and _cmp(ds, Ls, D) <= 0
+                    and _cmp(safety, zero, D) > 0):
                 raise InvariantError(f"level {i} leaves the quadrant")
             # (2) the chained rectangle is the right horizontal subrectangle;
             # its corners' view coordinates are (so, uo) and (se, ue)
-            so, uo = view.s(st.delta_origin), view.u(st.delta_origin)
-            se, ue = view.s(st.delta_endpoint), view.u(st.delta_endpoint)
-            if not (se - s0 == st.Ls and se - so == st.ds
-                    and uo - u0 == st.q_lo and ue - u0 == st.q_hi):
+            (so, uo), (se, ue) = (view.triples(st.delta_origin),
+                                  view.triples(st.delta_endpoint))
+            if (_cmp(_minus(se, s0), Ls, D) or _cmp(_minus(se, so), ds, D)
+                    or _cmp(_minus(uo, u0), q_lo, D)
+                    or _cmp(_minus(ue, u0), q_hi, D)):
                 raise InvariantError(f"level {i} chained rectangle mismatch")
             if i + 1 < len(steps):
                 nxt = steps[i + 1]
                 # string chaining and (3) stacking
                 if nxt.delta_origin != st.delta_endpoint:
                     raise InvariantError(f"string broken at level {i}")
-                if not (nxt.q_lo == st.q_hi and nxt.Ls >= st.Ls):
+                if (_cmp(nxt.lengths[2], q_hi, D)
+                        or _cmp(nxt.lengths[1], Ls, D) < 0):
                     raise InvariantError(f"level {i + 1} does not sit on level {i}")
             # primitivity: the closed box spanned by the two corners holds
             # no other lift of X; when both corners are lifts of X, they
-            # are two of its hits
-            corners = hits_in_box(view, X, so, se, uo, ue)
+            # are two of its lifts
+            corners = view_lifts(view, X, so, se, uo, ue)
             if not (len(corners) == 2 and X.locate(st.delta_origin)
                     and X.locate(st.delta_endpoint)):
                 raise InvariantError(f"level {i} rectangle is not primitive")
             # one closed scan of the band through R_i and its safety zone:
             # the closed R_i, the part with s <= se, misses the avoid set,
             # and the first contact to its right ends the safety zone
-            edge = se + st.safety
-            band = hits_in_box(view, avoid, s0, edge, uo, ue)
-            if any(h.s <= se for h in band):
+            edge = _plus(se, safety)
+            band = view_lifts(view, avoid, s0, edge, uo, ue)
+            if any(_cmp(lift[3], se, D) <= 0 for lift in band):
                 raise InvariantError(f"level {i} meets the avoid set")
-            if not band or min(h.s for h in band) != edge:
+            first = _least(band, 3, D)
+            if first is None or _cmp(first[3], edge, D):
                 raise InvariantError(f"level {i} safety zone mismatch")
         # the recurring element reproduces the second period exactly
         g = self.g
@@ -182,10 +224,10 @@ class Staircase:
         # box below the limit height.  When g slides the leaf left (or fixes
         # it), the g-image already covers the whole extended level including
         # its axis extension, so nothing is left to check.
-        sg = view.s(g.act(self.origin))
-        if sg > s0 and hits_in_box(view, avoid, s0, sg, u0 + steps[-1].q_hi,
-                                   u0 + self.axis_height,
-                                   (True, False, True, False)):
+        sg = view.triples(g.act(self.origin))[0]
+        if _cmp(sg, s0, D) > 0 and view_lifts(
+                view, avoid, s0, sg, _plus(u0, steps[-1].lengths[3]),
+                _plus(u0, self._axis), (True, False, True, False)):
             raise StaircaseError(
                 "extended staircase levels meet the avoid set near the axis")
 
@@ -195,35 +237,38 @@ class Staircase:
 
 
 def _first_contact(view: FrameView, mset: MarkedSet, s_anchor, s_dir,
-                   u_lo, u_hi) -> QuadNum:
+                   u_lo, u_hi) -> tuple:
     """Distance from s_anchor to the nearest mset lift in the closed height
-    band [u_lo, u_hi] strictly on the s_dir side (+1 right, -1 left).
+    band [u_lo, u_hi] strictly on the s_dir side (+1 right, -1 left); the
+    anchor, the band and the distance are (p, q, d) triples.
 
     A box of width W_s and height W_u contains a lift of every base point,
     and A^j turns the band into one lam^j times taller while shrinking
     widths by the same factor, so a band of height h > 0 is guaranteed a hit
     within width W_s * lam^j for the least j >= 0 with lam^j * h >= W_u,
-    which is -floor(log_lam(h / W_u)), the frame's `log_floor`, when
+    which is -floor(log_lam(h / W_u)), the frame's `log_ratio`, when
     h < W_u.  In the view transposed, and reversed for s_dir = -1, the band
     is a strip and the distance a height, and one `StripClimber` step
-    takes the lowest lift up to twice that width, whose hit (`view_hit`)
-    gives the distance.
+    takes the lowest lift up to twice that width, whose u less the anchor's
+    is the distance.
     """
     frame = view.frame
-    ws, wu = frame.widths
-    h = u_hi - u_lo
-    if not h > 0:
+    D = frame.D
+    ws, wu = (_parts(w) for w in frame.widths)
+    h = _minus(u_hi, u_lo)
+    if _sign(h[0], h[1], D) <= 0:
         raise InvariantError("empty height band")
-    j = max(0, -frame.log_floor(h / wu))
-    enough = (ws + ws) * frame.rung(j)[0]  # doubled: the near edge is open
+    j = max(0, -frame.log_ratio(h, wu))
+    # doubled: the near edge is open
+    enough = _times((2 * ws[0], 2 * ws[1], ws[2]), frame.rung(j)[2], D)
     outward = view.transposed(reverse=s_dir < 0)
-    lo = s_dir * s_anchor
-    lift = StripClimber(outward, mset, (True, True, False, True),
-                        _parts(u_lo), _parts(lo),
-                        _parts(lo + enough)).lowest(_parts(u_hi))
+    p, q, d = s_anchor
+    lo = s_anchor if s_dir > 0 else (-p, -q, d)
+    lift = StripClimber(outward, mset, (True, True, False, True), u_lo, lo,
+                        _plus(lo, enough)).lowest(u_hi)
     if lift is None:
         raise InvariantError("no contact found in the height band")
-    return view_hit(outward, lift).u - lo
+    return _minus(lift[4], lo)
 
 
 def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
@@ -232,24 +277,24 @@ def _find_seed(X: MarkedSet, avoid: MarkedSet, origin: Point,
     both diagonal corners in the origin's orbit orb, disjoint from the avoid
     set: the first member of the period family that qualifies."""
     family = period_family(view, X, origin, orb.period)
-    for i, (_, _, corner) in enumerate(family):
-        if (X.locate(corner.base)[0] is orb
-                and family.contact(i, avoid) is None):
-            return corner.lift
+    for i, (_, _, (base, corner, *_)) in enumerate(family.read()):
+        if X.locate(base)[0] is orb and family.contact(i, avoid) is None:
+            return corner
     raise SeedError(
         "no primitive rectangle at the origin avoids the other set")
 
 
-def _recurrence_break(steps, start: int, period: int, g, s_scale: QuadNum):
+def _recurrence_break(steps, start: int, period: int, g, s_scale: tuple):
     """First level i >= start that g does not carry onto level i + period,
     or None.  The lifts determine ds, Ls and the heights, and the safety
-    lengths scale by g's stable factor s_scale because everything right of
-    the level's edge is g-equivariant."""
+    lengths scale by g's stable factor s_scale, a triple, because
+    everything right of the level's edge is g-equivariant."""
     for i in range(start, len(steps) - period):
         got, st = steps[i + period], steps[i]
         if (got.delta_origin != g.act(st.delta_origin)
                 or got.delta_endpoint != g.act(st.delta_endpoint)
-                or got.safety != st.safety * s_scale):
+                or _cmp(got.lengths[4], _times(st.lengths[4], s_scale, st.D),
+                        st.D)):
             return i
     return None
 
@@ -263,7 +308,7 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
     if avoid.is_empty():
         raise StaircaseError(
             "avoid set is empty: the pushed rectangles are undefined")
-    A = frame.matrix
+    A, D = frame.matrix, frame.D
     view = quadrant_view(frame, quadrant)
     origin = as_point(origin)
     found = X.locate(origin)
@@ -280,20 +325,20 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
         return (found[1] - i0) % n
 
     seed_end = _find_seed(X, avoid, origin, view, orb)
-    s0, u0 = view.s(origin), view.u(origin)
+    s0, u0 = view.triples(origin)
 
     def make_step(i, o_lift, e_lift):
         # R_i reaches from the axis to the chained rectangle's far corner,
         # between the heights of its two corners
-        se, uo, ue = view.s(e_lift), view.u(o_lift), view.u(e_lift)
+        (so, uo), (se, ue) = view.triples(o_lift), view.triples(e_lift)
         safety = _first_contact(view, avoid, se, +1, uo, ue)
-        return StairStep(i, o_lift, e_lift, se - view.s(o_lift), se - s0,
-                         uo - u0, ue - u0, safety)
+        return StairStep(i, o_lift, e_lift, _minus(se, so), _minus(se, s0),
+                         _minus(uo, u0), _minus(ue, u0), safety, D)
 
     steps = [make_step(0, origin, seed_end)]
     powers = [0]        # level i is the image of level 0 under A^powers[i] + v
     # the left overhang of the pushed rectangle D_0
-    left0 = _first_contact(view, avoid, s0, -1, u0, view.u(seed_end))
+    left0 = _first_contact(view, avoid, s0, -1, u0, view.triples(seed_end)[1])
 
     def advance(steps):
         # Level i+1 is the image of the seed under the element A^p + v that
@@ -305,7 +350,7 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
         i = len(steps) - 1
         cur = steps[i]
         x_next = cur.delta_endpoint       # corner of R_i, base of level i+1
-        L = frame.log_floor(left0 / cur.Ls)
+        L = frame.log_ratio(left0, cur.lengths[1])
         h = group_element(A, L - (L - shift(x_next)) % n, origin, x_next)
         if h is None:
             raise InvariantError("holonomy step does not chain")
@@ -324,7 +369,7 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
                 continue
             g = group_element(A, power, steps[j].delta_origin,
                               steps[last].delta_origin)
-            s_scale = frame.rung(-power)[0]
+            s_scale = frame.rung(-power)[2]
             # extend the raw induction through a full second period: a
             # candidate that fails to recur there is not the period
             period = last - j
@@ -356,7 +401,7 @@ def build_staircase(frame: EigenFrame, X: MarkedSet, avoid: MarkedSet,
 def incompleteness_threshold(st: Staircase) -> int:
     """Least positive integer N' with lam^N' > the staircase growth constant:
     one more than its integer logarithm to base lam."""
-    return max(1, st.view.frame.log_floor(st.constant) + 1)
+    return max(1, st.view.frame.log_ratio(*st.growth) + 1)
 
 
 def containment_check(st: Staircase, twist: int) -> bool:
@@ -369,8 +414,9 @@ def containment_check(st: Staircase, twist: int) -> bool:
     at every level.
     """
     e = quadrant_direction(st.quadrant) * twist
-    grow = st.view.frame.rung(e)[0]
-    return all(nxt.ds + nxt.safety <= grow * cur.safety
+    D, grow = st.view.frame.D, st.view.frame.rung(e)[2]
+    return all(_cmp(_plus(nxt.lengths[0], nxt.lengths[4]),
+                    _times(grow, cur.lengths[4], D), D) <= 0
                for cur, nxt in zip(st.steps, st.steps[1:]))
 
 

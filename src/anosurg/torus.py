@@ -336,6 +336,13 @@ class EigenFrame(_Value):
             raise QuadFieldError(f"logarithm of a non-positive number: {x}")
         return _log_ratio(self, p, q, d, 0)
 
+    def log_ratio(self, x: tuple, y: tuple) -> int:
+        """The greatest n with lam^n <= x / y, for x, y > 0 given as (p, q,
+        d) triples: `_log_ratio` on their cross-multiplied integers, with
+        no division."""
+        (p1, q1, d1), (p2, q2, d2) = x, y
+        return _log_ratio(self, p1 * d2, q1 * d2, p2 * d1, q2 * d1)
+
 
 def eigenframe(A: HyperbolicMatrix) -> EigenFrame:
     T = A.trace
@@ -902,15 +909,20 @@ class FrameView:
                              su * u_int.py, su * u_int.qx, su * u_int.qy,
                              u_int.L)
 
-    def s(self, p) -> QuadNum:
-        a, b, c, d, L = self.coefficients[:5]
+    def triples(self, p) -> tuple:
+        """(s, u) of a point or a pair, each a (p, q, d) triple over L_s*k
+        and L_u*k, as `view_lifts` gives a lift's: the one place where a
+        point's view coordinates are made."""
+        a, b, c, d, ls, f, g, h, i, lu = self.coefficients
         k, X, Y = as_point(p)
-        return _qn(a * X + b * Y, c * X + d * Y, L * k, self.frame.D)
+        return ((a * X + b * Y, c * X + d * Y, ls * k),
+                (f * X + g * Y, h * X + i * Y, lu * k))
+
+    def s(self, p) -> QuadNum:
+        return _qn(*self.triples(p)[0], self.frame.D)
 
     def u(self, p) -> QuadNum:
-        a, b, c, d, L = self.coefficients[5:]
-        k, X, Y = as_point(p)
-        return _qn(a * X + b * Y, c * X + d * Y, L * k, self.frame.D)
+        return _qn(*self.triples(p)[1], self.frame.D)
 
     def transposed(self, reverse: bool = False) -> FrameView:
         """The view whose s is this view's u and whose u is this view's s,

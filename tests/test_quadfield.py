@@ -8,14 +8,16 @@ logarithms outside the eigenframe, of the frame's integer forms outside
 torus and of Fraction arithmetic after parsing
 (loading a problem, classification and quadrant reports, staircases, the
 census, games and the group action), the period family as the only caller of
-the primitive-family walk, and the eigenframe as the only geometry
-argument of the public API."""
+the primitive-family walk, certificates that scan for lifts, not hits, and
+one helper for a point's view coordinates, and the eigenframe as the only
+geometry argument of the public API."""
 
 import ast
 import inspect
 import math
 import operator
 import random
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -501,6 +503,72 @@ class TestOneCoordinateTable:
             assert not names & FORM_NAMES, \
                 f"{names & FORM_NAMES} at {module}.py:" \
                 f"{getattr(node, 'lineno', '?')}"
+
+
+def functions_around(tree, match):
+    """The name of the innermost function around each node of tree for
+    which match(node) holds, or None for a node outside every function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef)
+                  else owner)
+
+    visit(tree, None)
+    return found
+
+
+def module_tree(module):
+    return ast.parse(Path(anosurg.__file__).with_name(f"{module}.py")
+                     .read_text())
+
+
+def calls_of(name):
+    """A match for `functions_around`: a call of name, plain or dotted."""
+    return lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+class TestCertificatesCarryTriples:
+    """The family walk, the domination analysis and the staircases carry
+    (p, q, d) triples: they scan with `view_lifts` and build a hit only
+    where a reader asks for one, and a point's view s and u come from one
+    torus helper, `FrameView.triples`."""
+
+    @pytest.mark.parametrize("module", ["game", "staircase"])
+    def test_no_hit_scan_in_the_domination_analysis_or_the_staircases(
+            self, module):
+        hit_names = {"hits_in_box", "view_hit"}
+        for node in ast.walk(module_tree(module)):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            assert not names & hit_names, \
+                f"{names & hit_names} at {module}.py:" \
+                f"{getattr(node, 'lineno', '?')}"
+
+    def test_only_rect_meets_and_is_primitive_scan_for_hits(self):
+        callers = functions_around(module_tree("rectangles"),
+                                   calls_of("hits_in_box"))
+        assert sorted(callers) == ["is_primitive", "rect_meets"]
+
+    def test_view_coordinates_are_made_in_two_places(self):
+        # a lift's in `view_lifts`, a point's in `FrameView.triples`, which
+        # `FrameView.s` and `u` read
+        def reads_the_table(node):
+            return (isinstance(node, ast.Attribute)
+                    and node.attr == "coefficients"
+                    and isinstance(node.ctx, ast.Load))
+
+        readers = functions_around(module_tree("torus"), reads_the_table)
+        assert sorted(readers) == ["triples", "view_lifts"]
+        for name in ("s", "u"):
+            method = getattr(torus.FrameView, name)
+            tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+            assert functions_around(tree, calls_of("triples")) == [name]
 
 
 FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",

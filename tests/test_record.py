@@ -97,6 +97,20 @@ def test_parse_pass_counts_reads_the_count_line():
         record.parse_pass_counts("")
 
 
+def test_parse_classify_counts_reads_the_count_line():
+    out = ("classify_sweep seed 1 problems 294 box_lifts 271 _qn 3341 "
+           "compare 924\n")
+    assert record.parse_classify_counts(out) == {
+        "problems": 294, "box_lifts": 271, "_qn": 3341, "compare": 924}
+    with pytest.raises(ValueError):
+        record.parse_classify_counts("classify_sweep seed 1 problems 294 "
+                                     "box_lifts 271 _qn 3341\n")
+    with pytest.raises(ValueError):
+        record.parse_classify_counts("game_grid seed 1 crossings 2140 "
+                                     "box_lifts 1018 _qn 9446 _parts 25108 "
+                                     "compare 2140\n")
+
+
 def test_parse_load_seconds_reads_the_load_problem_line():
     assert record.parse_load_seconds("load_problem 0.002641 s\n") == 0.002641
     with pytest.raises(ValueError):

@@ -213,10 +213,12 @@ class TestPrimitiveFamily:
             period = X.locate(base)[0].period
             big, m = frame.rung(period)[0], max(frame.widths)
             s0, u0 = view.s(base), view.u(base)
-            walk = primitive_family(view, X, base, big,
-                                    frame.rung(2)[0] * m * m)
+            walk = primitive_family(view, X, _parts(s0), _parts(s0 + big),
+                                    _parts(u0),
+                                    _parts(u0 + frame.rung(2)[0] * m * m))
+            hits = [view_hit(view, lift) for lift in walk]
             want = [(h.base, h.lattice, h.s - s0, h.u - u0)
-                    for h in sorted(walk, key=lambda h: h.s)
+                    for h in sorted(hits, key=lambda h: h.s)
                     if 1 <= h.s - s0 < big]
             got = [(h.base, h.lattice, mu, rho) for mu, rho, h in
                    period_family(view, X, base, period)]

@@ -14,11 +14,12 @@ from anosurg import (GameConfig, InvariantError, MarkedSet, QUADRANTS,
                      containment_check, eigenframe, incompleteness_threshold,
                      marked_set, orbit_of, play_game, point, qn_pow,
                      quadrant_view, staircase_records)
+from anosurg.quadfield import _parts
 from anosurg.rectangles import period_family
 from anosurg.staircase import _first_contact
 
-from conftest import (A2, A3, B2, C3, HALF, half_orbit_set, half_points_set,
-                      zero_orbit_set)
+from conftest import (A2, A3, B2, C3, HALF, as_quadnum, half_orbit_set,
+                      half_points_set, zero_orbit_set)
 from oracles import (_QuadrantCoords, index_of_height, oracle_hits,
                      oracle_staircase_levels, pair, staircase_step)
 
@@ -79,7 +80,9 @@ class TestB2Structure:
     def _with_last_level(st, **changes):
         """A copy of st whose last stored level has the given fields."""
         last = st.steps[-1]
-        fields = {k: getattr(last, k) for k in StairStep.__slots__}
+        fields = {k: getattr(last, k) for k in (
+            "index", "delta_origin", "delta_endpoint", "ds", "Ls", "q_lo",
+            "q_hi", "safety")}
         fields.update(changes)
         tampered = copy.copy(st)
         tampered.steps = st.steps[:-1] + (StairStep(**fields),)
@@ -399,7 +402,10 @@ class TestFirstContact:
                                     (False, True, True, True))
                 left = oracle_hits(coords, mset, s - bound, s, u_lo, u_hi,
                                    (True, False, True, True))
-                assert _first_contact(view, mset, s, +1, u_lo, u_hi) == \
+                band = _parts(u_lo), _parts(u_hi)
+                assert as_quadnum(_first_contact(
+                    view, mset, _parts(s), +1, *band), frame.D) == \
                     min(hit[2] for hit in right) - s
-                assert _first_contact(view, mset, s, -1, u_lo, u_hi) == \
+                assert as_quadnum(_first_contact(
+                    view, mset, _parts(s), -1, *band), frame.D) == \
                     s - max(hit[2] for hit in left)

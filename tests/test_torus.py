@@ -629,11 +629,12 @@ class TestRenormalization:
     from the orbit index."""
 
     def test_balance_power_is_the_exact_log(self):
-        # on a fresh frame for each j, and on one whose ladder reaches past
-        # every j on both sides, for ratios on an even rung, just below one
-        # and between two
+        # on a fresh frame for each j, and on one whose ladder holds every
+        # rung out to 700 on both sides, past every rung these ratios read,
+        # for ratios on an even rung, just below one and between two
         grown = eigenframe(A2)
-        grown.rung(700), grown.rung(-700)
+        for n in range(-700, 701):
+            grown.rung(n)
         lam = grown.lam
         for j in range(-300, 301):
             on_rung = qn_pow(lam, 2 * j - 1)    # lam * w_s / w_u = lam^(2j)
@@ -762,8 +763,12 @@ class TestRenormalization:
         assert raised > 100
 
     def test_renormalization_reads_the_powers(self):
+        # on a frame whose ladder holds every rung out to 400 on both
+        # sides, and on a fresh frame for each j, which builds the rungs
+        # that j reads from their halves
         grown = eigenframe(A2)
-        grown.rung(400), grown.rung(-400)
+        for n in range(-400, 401):
+            grown.rung(n)
         lam = grown.lam
         for j in range(-300, 301):
             want = (_parts(qn_pow(lam, -j)), _parts(qn_pow(lam, j)),

@@ -37,13 +37,21 @@ DOMINATED_SIGNS = {"a2_half": 2, "b2_half": 0, "case3": 2}
 # to start from rungs 1 and -1 as lam and lam^-1 themselves, not as rung 0
 # times lam: it builds fewer rungs (games 227 before, censuses 260; games
 # 1,494 and censuses 307 before the strip climber and the game came to
-# carry their state as integer triples)
+# carry their state as integer triples).  The censuses' count was
+# re-recorded (254 before) when the family walk came to carry its members
+# as triples: it builds no hit per member, and a ratio's logarithm divides
+# no QuadNum, so what is left is the representatives' MarkedRects and
+# their sort keys, the frames and the rungs
 GAME_QUADNUMS = 216
-CENSUS_QUADNUMS = 254
+CENSUS_QUADNUMS = 80
 # the QuadNums that a fresh Analysis of each fixture builds for its
-# thresholds: its frame, the ladder rungs it reads, and the certificate
-# path (the family walks, the domination analyses and the staircases)
-CERTIFICATE_QUADNUMS = {"a2_half": 489, "b2_half": 778, "case3": 499}
+# thresholds: its frame (24), the ladder rungs it reads, and the
+# certificate path (the family walks, the domination analyses and the
+# staircases), re-recorded when that path came to carry (p, q, d) triples
+# and build QuadNums only where a record, a figure or a test reads one
+# (489, 778 and 499 before, 1,766 in all): what is left on the path is
+# the witness hit of each failing domination analysis
+CERTIFICATE_QUADNUMS = {"a2_half": 48, "b2_half": 42, "case3": 35}
 # the values the games take apart into their integers (`_parts` calls):
 # each game's t0, r and origin s and u, and the rungs its frame first
 # builds (277 when the ladder built every rung out to the farthest read,
@@ -270,8 +278,9 @@ def test_quadnum_count_of_the_certificates(monkeypatch):
     built = {}
     for name in sorted(FIXTURES):
         A, sets, _ = load_problem(FIXTURES[name])
+        X, Y = sets["X"], sets["Y"]
         built[name] = quadnums_built(
-            monkeypatch, lambda: Analysis(A, sets["X"], sets["Y"]).thresholds())
+            monkeypatch, lambda: Analysis(A, X, Y).thresholds())
     assert built == CERTIFICATE_QUADNUMS
 
 
