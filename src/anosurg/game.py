@@ -33,6 +33,12 @@ The domination threshold is the least twist strength on Y that makes every
 contraction at a Y-crossing swallow the expansions of a full game period,
 computed exactly from the breakpoints of the step functions mu, nu, delta
 of the primitive rectangle family at the first point of each marked orbit.
+The analysis reads the family's members and contacts as (p, q, d) triples
+and works on them alone: comparisons are `_cmp` tests, a breakpoint moved
+by a period is a product with a ladder rung, and a threshold is the
+frame's `log_ratio` of two triples.  A `DominationInterval` keeps its
+lengths as triples and builds their QuadNums when read, and only a failing
+analysis builds a hit, its witness's far corner.
 """
 
 from __future__ import annotations

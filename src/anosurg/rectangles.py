@@ -24,6 +24,12 @@ plus the integer vector that takes its diagonal's lower corner o to
 f_A^e(o).  This is exact.  The family at b is invariant under the lift of
 A^pi that fixes b.  Base lengths [1, lam^pi) and ratios [1, lam^2pi) are
 both fundamental domains of that action, and A^e divides ratios by lam^2e.
+
+The walk, its members and their contacts are (p, q, d) triples and lifts
+as `view_lifts` gives them, and e is the frame's `log_ratio` of a member's
+two lengths, so a period family builds no QuadNum; the census's
+`MarkedRect`s, the witnesses' rectangles and a member read by iterating
+the family build theirs.
 """
 
 from __future__ import annotations

@@ -21,6 +21,13 @@ when g moves the axis leaf rightward the leftover strips of all extended
 levels fit inside one box below the limit height, which is checked exactly
 once ("residual strip"); when it moves the leaf leftward the g-image covers
 each extended level outright and nothing is left to check.
+
+The construction and the verification run on (p, q, d) triples: a point's
+view coordinates from `FrameView.triples`, each contact from one strip
+climb, the levels' lengths, the growth constant (as the two triples of
+its ratio) and the axis height, compared by `_cmp` tests and scanned with
+`view_lifts`.  A level, the constant and the axis height build their
+QuadNums only when a record, a figure or a test reads them.
 """
 
 from __future__ import annotations

@@ -47,16 +47,17 @@ are exact, so every (m, n) between them is a lattice point in the box and
 nothing is re-checked.
 `box_lifts` returns the lifts as integers.  A view reads its s and u off
 one integer table, `FrameView.coefficients`, the frame's forms with the
-view's flips and transposition applied, which only this module reads:
-`view_lifts` gives each lift's view s and u as (p, q, d) triples, as the
-scans take their bounds, and `FrameView.s` and `u` take them at one
-point.  `view_hit` builds a `MarkedPointHit`, one QuadNum each for s and
-u, from those triples: `hits_in_box` for every lift it returns, in no
-particular order, and the family walk and the staircase's contacts for
-the lift they take.  The strip climber builds none: it orders a window's
-lifts by sign tests on the triples and returns the lift itself.  Figures
-subtract their origin's triple and convert the integers to doubles
-without any QuadNum.
+view's flips and transposition applied, which only this module reads, in
+two places: `view_lifts` gives each lift's view s and u as (p, q, d)
+triples, as the scans take their bounds, and `FrameView.triples` gives a
+point's, which `FrameView.s` and `u` make QuadNums of.  `view_hit` builds
+a `MarkedPointHit`, one QuadNum each for s and u, from a lift's triples:
+`hits_in_box` for every lift it returns, in no particular order, and a
+period family for a member that a reader asks for.  The strip climber,
+the family walk, the domination analysis and the staircases build none:
+they compare, add and multiply the triples, and take a ratio's logarithm
+from two of them (`EigenFrame.log_ratio`).  Figures subtract their
+origin's triple and convert the integers to doubles without any QuadNum.
 """
 
 from __future__ import annotations
@@ -256,11 +257,12 @@ class EigenFrame(_Value):
     d) of lam^n) for the n read so far and their halves: from rungs 0, 1
     and -1, rung n is rung n // 2 times rung n - n // 2 (binary powering,
     TAOCP 4.6.3), one product per new rung and at most two new per halving.
-    `log_floor(x)` is estimated from `log2_lam` and returned as it
-    is when the estimate's error band lies inside one rung interval, or
-    else confirmed against rungs n and n + 1 (`_log_ratio`); box scans take
-    their power A^j from the same routine, and `renormalization(j)` reads
-    rungs j and -j.
+    `log_floor(x)` and `log_ratio(x, y)`, the logarithm of a QuadNum and
+    of a ratio of two (p, q, d) triples, are estimated from `log2_lam` and
+    returned as they are when the estimate's error band lies inside one
+    rung interval, or else confirmed against rungs n and n + 1
+    (`_log_ratio`); box scans take their power A^j from the same routine,
+    and `renormalization(j)` reads rungs j and -j.
     """
     __slots__ = ("matrix", "D", "lam", "lam_inv", "s_form", "u_form",
                  "widths", "area", "s_int", "u_int", "root", "log2_lam",
