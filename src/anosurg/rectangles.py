@@ -316,15 +316,10 @@ class PeriodFamily:
                  "_contacts")
 
     def __init__(self, view: FrameView, X: MarkedSet, origin, period: int):
-        frame = view.frame
-        D = frame.D
         self.view, self.period = view, period
         self.s0, self.u0 = view.triples(origin)
         self.members = []
-        ws, wu = (_parts(w) for w in frame.widths)
-        m = ws if _cmp(ws, wu, D) > 0 else wu
-        self._walk = self._read(X, _times(frame.rung(2)[2], _times(m, m, D),
-                                          D))
+        self._walk = self._read(X)
         self._contacts = {}
 
     @property
@@ -332,10 +327,14 @@ class PeriodFamily:
         """lam^period, where the period's base lengths end."""
         return self.view.frame.rung(self.period)[0]
 
-    def _read(self, X, cap):
+    def _read(self, X):
         view, s0, u0 = self.view, self.s0, self.u0
-        D = view.frame.D
-        end = _plus(s0, view.frame.rung(self.period)[2])
+        frame = view.frame
+        D = frame.D
+        ws, wu = (_parts(w) for w in frame.widths)
+        m = ws if _cmp(ws, wu, D) > 0 else wu
+        cap = _times(frame.rung(2)[2], _times(m, m, D), D)
+        end = _plus(s0, frame.rung(self.period)[2])
         unit = _plus(s0, (1, 0, 1))
         right, lo = _plus(u0, cap), s0
         lowest = next(primitive_family(view, X, s0, unit, u0, right), None)
