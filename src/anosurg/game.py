@@ -43,8 +43,8 @@ analysis builds a hit, its witness's far corner.
 
 from __future__ import annotations
 
-from .quadfield import (QuadNum, _cmp, _minus, _parts, _plus, _qn, _sign,
-                        _times, _triple, qn_to_str)
+from .quadfield import (QuadNum, _cmp, _length, _minus, _parts, _plus, _qn,
+                        _sign, _times, _triple, qn_to_str)
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Point,
                     as_point, point_strings, quadrant_direction,
                     quadrant_view, QUADRANTS)
@@ -234,17 +234,9 @@ class DominationInterval:
                  D: int):
         self.D, self.lengths, self.least_n = D, (mu, nu, delta), least_n
 
-    @property
-    def mu(self) -> QuadNum:
-        return _qn(*self.lengths[0], self.D)
-
-    @property
-    def nu(self) -> QuadNum:
-        return _qn(*self.lengths[1], self.D)
-
-    @property
-    def delta(self) -> QuadNum:
-        return _qn(*self.lengths[2], self.D)
+    mu = _length(0, "base length of the interval's rectangle")
+    nu = _length(1, "next breakpoint")
+    delta = _length(2, "least horizontal Y-offset inside it")
 
 
 class DominationAnalysis:

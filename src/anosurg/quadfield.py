@@ -361,6 +361,12 @@ def _cmp(x: tuple, y: tuple, D: int) -> int:
     return _sign(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, D)
 
 
+def _length(i: int, doc: str) -> property:
+    """A read-only property: the QuadNum of the triple `lengths[i]` of its
+    object, over the object's `D`, built when read."""
+    return property(lambda obj: _qn(*obj.lengths[i], obj.D), doc=doc)
+
+
 def _parts(x) -> tuple:
     """(p, q, d) with x = (p + q*sqrt(D))/d and d > 0, for a QuadNum, int or
     Fraction: the integers that the lattice kernel works on."""

@@ -32,8 +32,8 @@ QuadNums only when a record, a figure or a test reads them.
 
 from __future__ import annotations
 
-from .quadfield import (QuadNum, _cmp, _minus, _parts, _plus, _qn, _sign,
-                        _times, qn_to_str)
+from .quadfield import (QuadNum, _cmp, _length, _minus, _parts, _plus, _qn,
+                        _sign, _times, qn_to_str)
 from .rectangles import StripClimber, _least, period_family
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedSet, Orbit,
                     Point, QUADRANTS, as_point, group_element, point_strings,
@@ -52,11 +52,6 @@ class SeedError(StaircaseError):
     conditions are invariant under A and under the lift of A^period that
     fixes the origin, so this holds at every origin of the orbit or at
     none."""
-
-
-def _length(i: int, doc: str) -> property:
-    """The QuadNum of a level's length i, built when read."""
-    return property(lambda step: _qn(*step.lengths[i], step.D), doc=doc)
 
 
 class StairStep:
