@@ -28,16 +28,16 @@ both fundamental domains of that action, and A^e divides ratios by lam^2e.
 The walk, its members and their contacts are (p, q, d) triples and lifts
 as `view_lifts` gives them, and e is the frame's `log_ratio` of a member's
 two lengths, so a period family builds no QuadNum; the census's
-`MarkedRect`s, the witnesses' rectangles and a member read by iterating
-the family build theirs.
+`MarkedRect`s, the witnesses' rectangles and a member's corner read as
+a hit (`PeriodFamily.corner`) build theirs.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .quadfield import (QuadNum, _cmp, _minus, _parts, _plus, _qn, _sign,
-                        _times, _triple, qn_to_str)
+from .quadfield import (QuadNum, _cmp, _minus, _parts, _plus, _sign, _times,
+                        _triple, qn_to_str)
 from .torus import (EigenFrame, FrameView, InvariantError, MarkedPointHit,
                     MarkedSet, as_point, group_element, hits_in_box,
                     point_strings, view_hit, view_lifts)
@@ -294,8 +294,7 @@ class PeriodFamily:
     corner): mu and the height (p, q, d) triples and corner the far
     corner's lift, as `view_lifts` gives it in the view.  The origin's s0
     and u0 are triples too, and nothing on the walk builds a QuadNum;
-    iterating gives each member's mu, height and corner hit as QuadNums,
-    built when read.
+    `corner(i)` builds member i's far corner as a hit.
 
     Reading keeps the members read in `members` for the next reader.  The
     first read climbs the strip of base lengths (0, 1] in the view to its
@@ -321,11 +320,6 @@ class PeriodFamily:
         self.members = []
         self._walk = self._read(X)
         self._contacts = {}
-
-    @property
-    def big(self) -> QuadNum:
-        """lam^period, where the period's base lengths end."""
-        return self.view.frame.rung(self.period)[0]
 
     def _read(self, X):
         view, s0, u0 = self.view, self.s0, self.u0
@@ -360,11 +354,6 @@ class PeriodFamily:
                 members.append(member)
             yield members[i]
             i += 1
-
-    def __iter__(self):
-        D = self.view.frame.D
-        for i, (mu, height, _) in enumerate(self.read()):
-            yield _qn(*mu, D), _qn(*height, D), self.corner(i)
 
     def corner(self, i: int) -> MarkedPointHit:
         """Member i's far corner as a hit, its s and u QuadNums."""

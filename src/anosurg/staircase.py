@@ -56,22 +56,20 @@ class SeedError(StaircaseError):
 
 class StairStep:
     """One staircase level, in view coordinates relative to the origin x.
-    Its five lengths are kept as (p, q, d) triples, `lengths` in the order
-    of the constructor's arguments, and read as QuadNums.  The constructor
-    takes them as QuadNums, or as triples of the field of the given D."""
+    Its five lengths are (p, q, d) triples of the field of D, kept as
+    `lengths` in the order of the constructor's arguments and read as
+    QuadNums."""
     __slots__ = ("index", "delta_origin", "delta_endpoint", "lengths", "D")
 
     def __init__(self, index: int, delta_origin: Point, delta_endpoint: Point,
-                 ds, Ls, q_lo, q_hi, safety, D: int | None = None):
+                 ds: tuple, Ls: tuple, q_lo: tuple, q_hi: tuple,
+                 safety: tuple, D: int):
         self.index = index
         # lifts of the chained rectangle's diagonal origin and endpoint; the
         # endpoint is the next level's corner
         self.delta_origin = delta_origin
         self.delta_endpoint = delta_endpoint
-        lengths = (ds, Ls, q_lo, q_hi, safety)
-        if D is None:
-            D, lengths = ds.D, tuple(_parts(x) for x in lengths)
-        self.lengths, self.D = lengths, D
+        self.lengths, self.D = (ds, Ls, q_lo, q_hi, safety), D
 
     ds = _length(0, "stable length of the chained rectangle")
     Ls = _length(1, "offset of R_i's right edge from the axis")

@@ -336,7 +336,7 @@ class EigenFrame(_Value):
         p, q, d = _parts(x)
         if _sign(p, q, self.D) <= 0:
             raise QuadFieldError(f"logarithm of a non-positive number: {x}")
-        return _log_ratio(self, p, q, d, 0)
+        return self.log_ratio((p, q, d), (1, 0, 1))
 
     def log_ratio(self, x: tuple, y: tuple) -> int:
         """The greatest n with lam^n <= x / y, for x, y > 0 given as (p, q,

@@ -11,7 +11,7 @@ import math
 
 from anosurg import FrameView, StairStep, marked_rect, point, qn_pow, torus
 from anosurg.rectangles import period_family
-from anosurg.quadfield import _parts, _sign
+from anosurg.quadfield import _parts, _qn, _sign
 from anosurg.torus import PeriodLimitError, _balance_power, group_element
 
 
@@ -195,9 +195,10 @@ def staircase_step(st, i):
     for _ in range(m):
         o, e = st.g.act(o), st.g.act(e)
     s0, u0 = view.s(st.origin), view.u(st.origin)
-    return StairStep(i, o, e, view.s(e) - view.s(o), view.s(e) - s0,
-                     view.u(o) - u0, view.u(e) - u0,
-                     base.safety * qn_pow(view.frame.lam, -st.g.k * m))
+    lengths = (view.s(e) - view.s(o), view.s(e) - s0, view.u(o) - u0,
+               view.u(e) - u0,
+               base.safety * qn_pow(view.frame.lam, -st.g.k * m))
+    return StairStep(i, o, e, *map(_parts, lengths), view.frame.D)
 
 
 def index_of_height(st, height):
@@ -363,6 +364,19 @@ def oracle_primitive_census(A, X, sign, frame):
     return keys
 
 
+def family_hits(family):
+    """A period family's members as (mu, height, corner): mu and the
+    height QuadNums, corner the far corner's hit."""
+    D = family.view.frame.D
+    for i, (mu, height, _) in enumerate(family.read()):
+        yield _qn(*mu, D), _qn(*height, D), family.corner(i)
+
+
+def family_big(family):
+    """lam^period, where a period family's base lengths end."""
+    return family.view.frame.rung(family.period)[0]
+
+
 def origin_view_census(frame, X, sign):
     """The census as it read the negative sign before it shared the
     domination analysis's view: the family of the view with s flipped for
@@ -374,7 +388,8 @@ def origin_view_census(frame, X, sign):
     reps = []
     for orb in X.orbits:
         base, period = orb.points[0], orb.period
-        for mu, height, corner in period_family(view, X, base, period):
+        for mu, height, corner in family_hits(period_family(view, X, base,
+                                                           period)):
             e = frame.log_floor(mu / height) // 2
             g = group_element(frame.matrix, e, base, orb.points[e % period])
             reps.append(marked_rect(frame, X, g.act(base), g.act(corner.lift),

@@ -23,8 +23,8 @@ from anosurg.torus import view_hit
 
 from conftest import (A2, A3, B2, C3, HALF, as_quadnum, half_orbit_set,
                       half_points_set, zero_orbit_set)
-from oracles import (OracleQuad, apply_mod1, equation_holds, oracle_game,
-                     pair)
+from oracles import (OracleQuad, apply_mod1, equation_holds, family_hits,
+                     oracle_game, pair)
 
 
 def a2_config(frame, x_char=0, y_char=0, quadrant="++"):
@@ -467,7 +467,8 @@ def origin_misses(view, own, other, base, period):
     set: the domination hypothesis fails at that origin."""
     s0, u0 = view.s(base), view.u(base)
     return any(not hits_in_box(view, other, s0, h.s, u0, h.u)
-               for _, _, h in period_family(view, own, base, period))
+               for _, _, h in family_hits(period_family(view, own, base,
+                                                        period)))
 
 
 _RECORD = Path(__file__).resolve().parent.parent / "bench" / "record.py"

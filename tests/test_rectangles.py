@@ -24,9 +24,10 @@ from anosurg.torus import view_hit
 
 from conftest import (A2, A3, A4, B2, B3, C3, HALF, as_quadnum, half_orbit_set,
                       half_points_set, zero_orbit_set)
-from oracles import (_QuadrantCoords, census_keys, oracle_hits,
-                     oracle_pareto_frontier, oracle_primitive_census,
-                     oracle_window_scans, origin_view_census, pair)
+from oracles import (_QuadrantCoords, census_keys, family_big, family_hits,
+                     oracle_hits, oracle_pareto_frontier,
+                     oracle_primitive_census, oracle_window_scans,
+                     origin_view_census, pair)
 from test_corpus import MATRICES as CORPUS_MATRICES, orbit_seeds
 
 FROZEN_COUNTS = {
@@ -186,9 +187,9 @@ class TestPrimitiveFamily:
                         if key[2] >= 1]
                 got = period_family(FrameView(frame, flip_u=flip), X, base,
                                     period)
-                assert got.big == big
-                assert ([(h.base, h.lattice, mu, rho) for mu, rho, h in got]
-                        == want)
+                assert family_big(got) == big
+                assert ([(h.base, h.lattice, mu, rho)
+                         for mu, rho, h in family_hits(got)] == want)
 
     @pytest.mark.parametrize("quadrant", QUADRANTS)
     def test_period_family_is_the_walk_over_its_window(self, quadrant):
@@ -221,7 +222,7 @@ class TestPrimitiveFamily:
                     for h in sorted(hits, key=lambda h: h.s)
                     if 1 <= h.s - s0 < big]
             got = [(h.base, h.lattice, mu, rho) for mu, rho, h in
-                   period_family(view, X, base, period)]
+                   family_hits(period_family(view, X, base, period))]
             assert want and got == want, (A.rows(), base)
 
     @pytest.mark.parametrize("label", ["A2", "A3", "C3"])
@@ -248,7 +249,8 @@ class TestPrimitiveFamily:
                 for flip in (False, True):
                     view = FrameView(eigenframe(A), flip_u=flip)
                     scans.clear()
-                    assert list(period_family(view, X, base, orb.period))
+                    assert list(period_family(view, X, base,
+                                              orb.period).read())
                     assert {t for t, _, _ in scans} == {False, True}
                     for i, (t, a, b) in enumerate(scans):
                         assert all(b <= lo or hi <= a
@@ -290,7 +292,7 @@ class TestPrimitiveFamily:
 
         monkeypatch.setattr(rectangles, "view_lifts", closed_hits)
         with pytest.raises(InvariantError, match="no progress"):
-            list(period_family(FrameView(frame), X, point(0, 0), 1))
+            list(period_family(FrameView(frame), X, point(0, 0), 1).read())
 
 
 def zero_and_half_orbits(A):

@@ -20,8 +20,9 @@ from anosurg.staircase import _first_contact
 
 from conftest import (A2, A3, B2, C3, HALF, as_quadnum, half_orbit_set,
                       half_points_set, zero_orbit_set)
-from oracles import (_QuadrantCoords, index_of_height, oracle_hits,
-                     oracle_staircase_levels, pair, staircase_step)
+from oracles import (_QuadrantCoords, family_big, family_hits,
+                     index_of_height, oracle_hits, oracle_staircase_levels,
+                     pair, staircase_step)
 
 
 class TestB2Structure:
@@ -84,8 +85,11 @@ class TestB2Structure:
             "index", "delta_origin", "delta_endpoint", "ds", "Ls", "q_lo",
             "q_hi", "safety")}
         fields.update(changes)
+        corners = [fields.pop(k) for k in (
+            "index", "delta_origin", "delta_endpoint")]
         tampered = copy.copy(st)
-        tampered.steps = st.steps[:-1] + (StairStep(**fields),)
+        tampered.steps = st.steps[:-1] + (StairStep(
+            *corners, *map(_parts, fields.values()), last.D),)
         return tampered
 
     def test_verify_rejects_a_rectangle_that_is_not_primitive(
@@ -240,9 +244,10 @@ class TestAEquivariance:
             return point(a * x + b * y, c * x + d * y)
 
         b = point(HALF, HALF)
-        at_b = period_family(view, Y, b, 3)
-        at_ab = period_family(view, Y, image(b), 3)
-        big = at_b.big
+        family = period_family(view, Y, b, 3)
+        big = family_big(family)
+        at_b = list(family_hits(family))
+        at_ab = family_hits(period_family(view, Y, image(b), 3))
         # the common window: base lengths in [1, lam^2) at A b, and in
         # [lam, lam^3) at b
         common = [(mu, rho, image(h.lift)) for mu, rho, h in at_b
